@@ -437,11 +437,14 @@ pub fn load_dir(dir: &Path, mode: CheckMode) -> Result<Profile, String> {
 
 /// Renders the per-worker, per-phase wall-clock table: one row per
 /// worker plus a `total` row; phase columns in seconds, completed
-/// trials, and each worker's observed completion rate.
+/// trials, and each worker's observed completion rate. `prefix s` is
+/// the part of `train s` spent obtaining fault-free training prefixes
+/// (cache lookups, and the chain training of cache misses).
 pub fn render_profile_table(profile: &Profile) -> Table {
-    let columns = ["trials", "trial s", "train s", "eval s", "agg s", "io s", "trial/s"]
-        .map(String::from)
-        .to_vec();
+    let columns =
+        ["trials", "trial s", "train s", "prefix s", "eval s", "agg s", "io s", "trial/s"]
+            .map(String::from)
+            .to_vec();
     let mut table =
         Table::new("Campaign profile: wall-clock by phase", "worker", columns).with_precision(2);
     let s = |us: u64| us as f64 / 1e6;
@@ -455,13 +458,14 @@ pub fn render_profile_table(profile: &Profile) -> Table {
             trials as f64,
             s(w.trial_us()),
             span_s("train"),
+            span_s("prefix"),
             span_s("eval"),
             timer_s("aggregate"),
             timer_s("io"),
             rate,
         ]
     };
-    let mut total = vec![0.0; 7];
+    let mut total = vec![0.0; 8];
     for w in &profile.workers {
         let r = row(w);
         for (t, v) in total.iter_mut().zip(&r) {

@@ -8,7 +8,8 @@
 //! exactly the trial cells its `frlfi::experiments` driver runs.
 
 use frlfi::experiments::harness::{
-    drone_geometry, grid_geometry, DroneTrial, GridTrial, PretrainedWeights, TrialFault,
+    drone_geometry, grid_geometry, DroneTrial, GridPrefixes, GridTrial, PretrainedWeights,
+    TrialFault,
 };
 use frlfi::experiments::study::{StudyGeometry, StudyKind};
 use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
@@ -492,6 +493,7 @@ impl Scenario {
             master_seed: g.master_seed(),
             grid: CellGrid::Study { rows: g.row_keys.clone(), cols: g.columns.clone() },
             trials: Trials::Study(g),
+            prefixes: GridPrefixes::new(),
         })
     }
 
@@ -521,6 +523,10 @@ impl Scenario {
             if !(0.0..=1.0).contains(&b) {
                 return Err(SpecError::new(format!("fault.bers entry {b} must lie in [0, 1]")));
             }
+        }
+        if self.train.total_episodes == Some(0) {
+            // No episode runs, so no injection could ever fire.
+            return Err(SpecError::new("train.total_episodes must be ≥ 1"));
         }
         Ok(())
     }
@@ -567,6 +573,7 @@ impl Scenario {
 
         let (grid_kind, trials): (CellGrid, Vec<GridTrial>) = if self.fleet.agents_sweep.is_empty()
         {
+            reachable(&inject_episodes, total_episodes, "total_episodes")?;
             let trials = bers
                 .iter()
                 .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
@@ -605,6 +612,7 @@ impl Scenario {
             master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
             grid: grid_kind,
             trials: Trials::Grid(trials),
+            prefixes: GridPrefixes::new(),
         })
     }
 
@@ -663,6 +671,7 @@ impl Scenario {
 
         let (grid_kind, trials): (CellGrid, Vec<DroneTrial>) = if self.fleet.agents_sweep.is_empty()
         {
+            reachable(&inject_episodes, fine_tune, "fine_tune_episodes")?;
             let trials = bers
                 .iter()
                 .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
@@ -701,7 +710,20 @@ impl Scenario {
             master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
             grid: grid_kind,
             trials: Trials::Drone(trials),
+            prefixes: GridPrefixes::new(),
         })
+    }
+}
+
+/// Rejects an injection episode the training loop never reaches: such a
+/// cell would report fault-free values under a faulty BER label.
+fn reachable(inject_episodes: &[usize], trained: usize, what: &str) -> Result<(), SpecError> {
+    match inject_episodes.iter().find(|&&ep| ep >= trained) {
+        Some(ep) => Err(SpecError::new(format!(
+            "fault.inject_episodes entry {ep} is never reached: training runs episodes \
+             0..{trained} ({what} = {trained})"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -820,6 +842,9 @@ pub struct Campaign {
     pub grid: CellGrid,
     /// The cells, row-major with respect to [`Campaign::grid`].
     pub trials: Trials,
+    /// Fault-free GridWorld training prefixes shared by this campaign's
+    /// trials, trained on first use.
+    prefixes: GridPrefixes,
 }
 
 impl Campaign {
@@ -843,6 +868,12 @@ impl Campaign {
     /// trial trains its own model).
     pub fn n_models(&self) -> usize {
         self.study().map_or(0, |g| g.models().len())
+    }
+
+    /// The fault-free GridWorld training prefixes this campaign's trials
+    /// have forked from so far.
+    pub fn prefixes(&self) -> &GridPrefixes {
+        &self.prefixes
     }
 
     /// The seed of flat trial `cell * repeats + repeat` — the single
@@ -890,7 +921,9 @@ impl Campaign {
         ctx: &mut frlfi::nn::InferCtx,
     ) -> Result<f64, frlfi::FrlfiError> {
         match &self.trials {
-            Trials::Grid(t) => frlfi::experiments::harness::run_grid_trial_ctx(&t[cell], seed, ctx),
+            Trials::Grid(t) => {
+                frlfi::experiments::harness::run_grid_cell_ctx(t, cell, seed, &self.prefixes, ctx)
+            }
             Trials::Drone(t) => {
                 frlfi::experiments::harness::run_drone_trial_ctx(&t[cell], seed, ctx)
             }
@@ -926,9 +959,13 @@ impl Campaign {
         ctx: &mut frlfi::nn::BatchInferCtx,
     ) -> Result<Vec<f64>, frlfi::FrlfiError> {
         match &self.trials {
-            Trials::Grid(t) => {
-                frlfi::experiments::harness::run_grid_trials_batched(&t[cell], seeds, ctx)
-            }
+            Trials::Grid(t) => frlfi::experiments::harness::run_grid_cell_batched(
+                t,
+                cell,
+                seeds,
+                &self.prefixes,
+                ctx,
+            ),
             Trials::Drone(t) => {
                 frlfi::experiments::harness::run_drone_trials_batched(&t[cell], seeds, ctx)
             }
@@ -1009,6 +1046,29 @@ mod tests {
         let mut s = Scenario::new("z", SystemKind::DroneNav, Scale::Smoke);
         s.train.eval_attempts = Some(0);
         assert!(s.expand().unwrap_err().to_string().contains("eval_attempts"));
+    }
+
+    #[test]
+    fn unreachable_injection_episodes_fail_at_expansion() {
+        for (system, trained) in [(SystemKind::GridWorld, 130), (SystemKind::DroneNav, 12)] {
+            // An explicit entry at or past the trained episode count.
+            let mut s = Scenario::new("u", system, Scale::Smoke);
+            s.fault.inject_episodes = vec![1, trained];
+            let err = s.expand().unwrap_err().to_string();
+            assert!(err.contains(&format!("entry {trained}")), "{system:?}: {err}");
+            s.fault.inject_episodes = vec![1, trained - 1];
+            s.expand().expect("the last trained episode is reachable");
+            // A training override below the default injection episodes.
+            let mut s = Scenario::new("u", system, Scale::Smoke);
+            s.train.total_episodes = Some(5);
+            let err = s.expand().unwrap_err().to_string();
+            assert!(
+                err.contains("inject_episodes entry") && err.contains("= 5"),
+                "{system:?}: {err}"
+            );
+            s.train.total_episodes = Some(0);
+            assert!(s.expand().unwrap_err().to_string().contains("total_episodes"));
+        }
     }
 
     #[test]

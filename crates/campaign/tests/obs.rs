@@ -448,9 +448,9 @@ fn trace_reconstructs_the_trial_tree_and_perf_gates_a_regression() {
     let dir_s = dir.to_str().expect("utf8");
 
     // The exported tree matches the instrumented call structure:
-    // every train/eval span hangs off a trial span, trial spans carry
-    // their trial index, and the per-trial commit's io timer is
-    // attributed to its trial.
+    // every train/eval span hangs off a trial span, every prefix span
+    // off a train span, trial spans carry their trial index, and the
+    // per-trial commit's io timer is attributed to its trial.
     let t = trace::export(&dir, &trace::TraceOptions::default()).expect("trace");
     let doc = fmt::json::parse(&t.json).expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
@@ -463,12 +463,19 @@ fn trace_reconstructs_the_trial_tree_and_perf_gates_a_regression() {
     let trial_ids: std::collections::BTreeSet<i64> =
         spans.iter().filter(|e| name_of(e) == "trial").filter_map(|e| arg(e, "id")).collect();
     assert_eq!(trial_ids.len(), 12, "one trial span per trial");
+    let train_ids: std::collections::BTreeSet<i64> =
+        spans.iter().filter(|e| name_of(e) == "train").filter_map(|e| arg(e, "id")).collect();
+    assert_eq!(train_ids.len(), 12, "one train span per trial");
     for span in &spans {
         match name_of(span) {
             "trial" => assert!(arg(span, "trial").is_some(), "trial spans carry their index"),
             "train" | "eval" => {
                 let parent = arg(span, "parent").expect("phase spans link to a parent");
                 assert!(trial_ids.contains(&parent), "train/eval must hang off a trial span");
+            }
+            "prefix" => {
+                let parent = arg(span, "parent").expect("prefix spans link to a parent");
+                assert!(train_ids.contains(&parent), "prefix must nest under a train span");
             }
             other => panic!("unexpected span {other:?} in a plain grid campaign"),
         }
@@ -477,6 +484,26 @@ fn trace_reconstructs_the_trial_tree_and_perf_gates_a_regression() {
         spans.iter().any(|e| name_of(e) == "trial" && arg(e, "timer.io.us").is_some()),
         "commit io timers must be attributed to their trial span"
     );
+
+    // One prefix lookup per trial, shown as counter tracks and in the
+    // profile: the first trial trains the campaign's one fault-free
+    // prefix (to the injection episode, 100), the other 11 fork from
+    // it.
+    let counter_total = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("C") && name_of(e) == name)
+            .filter_map(|e| e.get("args").and_then(|a| a.get("value")).and_then(Value::as_int))
+            .max()
+    };
+    assert_eq!(counter_total("prefix.miss"), Some(1));
+    assert_eq!(counter_total("prefix.hit"), Some(11));
+    let p = profile::load_dir(&dir, profile::CheckMode::Strict).expect("strict load");
+    let w = &p.workers[0];
+    assert_eq!(w.spans["prefix"].0, 12, "every trial looks its prefix up");
+    assert!(w.spans["train"].1 >= w.spans["prefix"].1, "train spans cover the prefix spans");
+    let report = profile::render_report(&p, Some(0));
+    assert!(report.contains("prefix s") && report.contains("prefix.hit"), "{report}");
 
     // The CLI writes the same document and points at Perfetto; a
     // `--trial` filter keeps exactly one trial's subtree.
@@ -497,7 +524,7 @@ fn trace_reconstructs_the_trial_tree_and_perf_gates_a_regression() {
         .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
         .filter_map(|e| e.get("name").and_then(Value::as_str))
         .collect();
-    assert_eq!(kept.len(), 3, "trial 0's subtree is trial+train+eval: {kept:?}");
+    assert_eq!(kept.len(), 4, "trial 0's subtree is trial+train+prefix+eval: {kept:?}");
 
     // perf: the run gates cleanly against its own measurement, and a
     // doctored baseline (10× the throughput) fails the gate with a

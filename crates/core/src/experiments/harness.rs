@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use crate::error::FrlfiError;
+pub use crate::experiments::prefix::GridPrefixes;
 use crate::experiments::{ber_label, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{
@@ -279,7 +280,36 @@ impl GridTrial {
         self.metric = metric;
         self
     }
+
+    /// The configuration of the system this trial trains.
+    pub(crate) fn system_config(&self) -> GridSystemConfig {
+        GridSystemConfig {
+            n_agents: self.n_agents,
+            seed: self.system_seed,
+            epsilon_decay_episodes: self.total_episodes / 2,
+            layout: self.layout,
+            dropout: self.dropout,
+            ..Default::default()
+        }
+    }
 }
+
+/// The latest episode at which a GridWorld trial can fork from its
+/// fault-free prefix: the injection episode; the whole run when no
+/// fault ever fires; and 0 for mitigated trials, whose detector and
+/// checkpoint state lives inside a single training call.
+pub(crate) fn fork_episode(t: &GridTrial) -> usize {
+    if t.mitigation.is_some() {
+        return 0;
+    }
+    match t.fault.as_ref().and_then(TrialFault::plan) {
+        Some(p) if p.episode < t.total_episodes => p.episode,
+        _ => t.total_episodes,
+    }
+}
+
+/// A campaign's prefix cache together with the campaign's cells.
+type Shared<'a> = Option<(&'a GridPrefixes, &'a [GridTrial])>;
 
 /// Evaluates one GridWorld trial: a pure function of `(trial, seed)`,
 /// safe to fan out over threads.
@@ -304,15 +334,7 @@ pub fn run_grid_trial(t: &GridTrial, seed: u64) -> f64 {
 /// failure (e.g. a mis-shaped observation), so a campaign can
 /// quarantine the trial instead of panicking in a worker.
 pub fn run_grid_trial_ctx(t: &GridTrial, seed: u64, ctx: &mut InferCtx) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, None)?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(match t.metric {
-        GridMetric::SuccessRatePct => sys.success_rate_ctx(ctx) * 100.0,
-        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
-            let extra = sys.episodes_to_converge_ctx(threshold, check_every, max_extra, ctx)?;
-            converge_metric(t, extra, max_extra)
-        }
-    })
+    grid_value_ctx(t, seed, ctx, None)
 }
 
 /// [`run_grid_trial`] with **both phases** on the batched fast paths:
@@ -331,7 +353,82 @@ pub fn run_grid_trial_batched(
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, Some(ctx))?;
+    grid_value_batched(t, seed, ctx, None)
+}
+
+/// [`run_grid_trial_ctx`] for cell `cell` of a campaign's `cells`,
+/// forking from the fault-free prefix in `prefixes` (trained there on
+/// first use). Bit-identical to [`run_grid_trial_ctx`] on `cells[cell]`.
+///
+/// # Errors
+///
+/// As for [`run_grid_trial_ctx`].
+///
+/// # Panics
+///
+/// Panics if `cell` is out of range.
+pub fn run_grid_cell_ctx(
+    cells: &[GridTrial],
+    cell: usize,
+    seed: u64,
+    prefixes: &GridPrefixes,
+    ctx: &mut InferCtx,
+) -> Result<f64, FrlfiError> {
+    grid_value_ctx(&cells[cell], seed, ctx, Some((prefixes, cells)))
+}
+
+/// Evaluates one cell's shard of repeats on the batched path: repeat
+/// `r` runs [`run_grid_trial_batched`] on `cells[cell]` with
+/// `seeds[r]`, forking from the fault-free prefix in `prefixes` and
+/// sharing `ctx`'s arena. This is the campaign runner's batched-mode
+/// work unit; values come back in seed order, bit-identical to
+/// evaluating each `(trial, seed)` alone.
+///
+/// # Errors
+///
+/// As for [`run_grid_trial_ctx`]; repeats before the failing one are
+/// discarded with the trial.
+///
+/// # Panics
+///
+/// Panics if `cell` is out of range.
+pub fn run_grid_cell_batched(
+    cells: &[GridTrial],
+    cell: usize,
+    seeds: &[u64],
+    prefixes: &GridPrefixes,
+    ctx: &mut BatchInferCtx,
+) -> Result<Vec<f64>, FrlfiError> {
+    seeds
+        .iter()
+        .map(|&s| grid_value_batched(&cells[cell], s, ctx, Some((prefixes, cells))))
+        .collect()
+}
+
+fn grid_value_ctx(
+    t: &GridTrial,
+    seed: u64,
+    ctx: &mut InferCtx,
+    shared: Shared<'_>,
+) -> Result<f64, FrlfiError> {
+    let mut sys = grid_trial_system(t, seed, None, shared)?;
+    let _eval = frlfi_obs::span("eval");
+    Ok(match t.metric {
+        GridMetric::SuccessRatePct => sys.success_rate_ctx(ctx) * 100.0,
+        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
+            let extra = sys.episodes_to_converge_ctx(threshold, check_every, max_extra, ctx)?;
+            converge_metric(t, extra, max_extra)
+        }
+    })
+}
+
+fn grid_value_batched(
+    t: &GridTrial,
+    seed: u64,
+    ctx: &mut BatchInferCtx,
+    shared: Shared<'_>,
+) -> Result<f64, FrlfiError> {
+    let mut sys = grid_trial_system(t, seed, Some(ctx), shared)?;
     let _eval = frlfi_obs::span("eval");
     Ok(match t.metric {
         GridMetric::SuccessRatePct => sys.success_rate_batched(ctx) * 100.0,
@@ -346,31 +443,51 @@ pub fn run_grid_trial_batched(
 /// ready for greedy evaluation — shared by the per-observation and
 /// batched paths so the trial setup can never drift between modes.
 /// `batch_ctx` selects the training path (bit-identical either way).
+///
+/// Training is a fault-free prefix, a fork of it with the trial's fault
+/// stream, then the suffix with the plan's episode shifted to the fork.
+/// With the campaign's cache in `shared` the prefix is the cached one
+/// at the deepest stop up to [`fork_episode`]; without it the trial
+/// trains its own prefix up to [`fork_episode`]. No prefix at all means
+/// a fresh system.
 fn grid_trial_system(
     t: &GridTrial,
     seed: u64,
-    batch_ctx: Option<&mut BatchInferCtx>,
+    mut batch_ctx: Option<&mut BatchInferCtx>,
+    shared: Shared<'_>,
 ) -> Result<GridFrlSystem, FrlfiError> {
-    // Observability only — the span reads the clock around training,
-    // it cannot affect any trained value.
+    // Observability only — the spans read the clock around training,
+    // they cannot affect any trained value.
     let _train = frlfi_obs::span("train");
-    let cfg = GridSystemConfig {
-        n_agents: t.n_agents,
-        seed: t.system_seed,
-        epsilon_decay_episodes: t.total_episodes / 2,
-        layout: t.layout,
-        dropout: t.dropout,
-        ..Default::default()
-    };
-    let mut sys = GridFrlSystem::new(cfg)?;
-    sys.reseed_faults(seed);
-    let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    match batch_ctx {
-        Some(ctx) => {
-            sys.train_batched(t.total_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
+    let at = fork_episode(t);
+    let prefix = {
+        let _prefix = frlfi_obs::span("prefix");
+        match shared {
+            Some((prefixes, cells)) => prefixes.get(cells, t, at, batch_ctx.as_deref_mut())?,
+            None if at > 0 => {
+                let mut sys = GridFrlSystem::new(t.system_config())?;
+                sys.train_impl(at, None, None, batch_ctx.as_deref_mut())?;
+                Some(Arc::new(sys.prefix()?))
+            }
+            None => None,
         }
-        None => sys.train(t.total_episodes, plan.as_ref(), t.mitigation.as_ref())?,
-    }
+    };
+    let mut sys = match prefix {
+        Some(prefix) => GridFrlSystem::fork(&prefix, seed)?,
+        None => {
+            let mut sys = GridFrlSystem::new(t.system_config())?;
+            sys.reseed_faults(seed);
+            sys
+        }
+    };
+    let from = sys.episodes_done();
+    let plan = t
+        .fault
+        .as_ref()
+        .and_then(TrialFault::plan)
+        .filter(|_| at < t.total_episodes)
+        .map(|p| InjectionPlan { episode: p.episode - from, ..p });
+    sys.train_impl(t.total_episodes - from, plan.as_ref(), t.mitigation.as_ref(), batch_ctx)?;
     sys.eval_mode();
     Ok(sys)
 }
@@ -381,24 +498,6 @@ fn converge_metric(t: &GridTrial, extra: Option<usize>, max_extra: usize) -> f64
         Some(extra) => (t.total_episodes + extra) as f64,
         None => (t.total_episodes + max_extra) as f64,
     }
-}
-
-/// Evaluates one cell's shard of repeats on the batched path: repeat
-/// `r` of the shard runs [`run_grid_trial_batched`] with `seeds[r]`,
-/// all sharing `ctx`'s arena. This is the campaign runner's
-/// batched-mode work unit; values are returned in seed order and are
-/// bit-identical to evaluating each `(trial, seed)` alone.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`]; repeats before the failing one are
-/// discarded with the trial.
-pub fn run_grid_trials_batched(
-    t: &GridTrial,
-    seeds: &[u64],
-    ctx: &mut BatchInferCtx,
-) -> Result<Vec<f64>, FrlfiError> {
-    seeds.iter().map(|&s| run_grid_trial_batched(t, s, ctx)).collect()
 }
 
 /// Communication schedule of a drone trial, as pure data.
@@ -617,7 +716,7 @@ fn drone_trial_system(
 }
 
 /// Evaluates one cell's shard of repeats on the batched path (see
-/// [`run_grid_trials_batched`]).
+/// [`run_grid_cell_batched`]).
 ///
 /// # Errors
 ///
@@ -749,9 +848,9 @@ mod tests {
         ));
         let seeds = [7u64, 8, 9];
         let mut bctx = BatchInferCtx::new();
-        let batched = run_grid_trials_batched(&t, &seeds, &mut bctx).unwrap();
         for (r, &seed) in seeds.iter().enumerate() {
-            assert_eq!(batched[r].to_bits(), run_grid_trial(&t, seed).to_bits(), "repeat {r}");
+            let batched = run_grid_trial_batched(&t, seed, &mut bctx).unwrap();
+            assert_eq!(batched.to_bits(), run_grid_trial(&t, seed).to_bits(), "repeat {r}");
         }
         let g = drone_geometry(Scale::Smoke);
         let weights = PretrainedWeights::lazy(g.pretrain_episodes);

@@ -38,6 +38,7 @@ pub mod fig8;
 pub mod fig9;
 pub mod harness;
 pub mod layers;
+mod prefix;
 pub mod study;
 pub mod surfaces;
 pub mod table1;

@@ -14,6 +14,7 @@ use frlfi_rl::{
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The complete federated GridWorld system of §IV-A: `n` Q-learning
 /// agents, each in its own 10×10 maze, synchronized through a smoothing
@@ -43,9 +44,126 @@ pub struct GridFrlSystem {
     dropout_rng: StdRng,
     episodes_done: usize,
     comm_rounds: usize,
+    /// Draws the communication rounds took from the fault stream `rng`
+    /// (one per aggregating round; a dropout-skipped round draws none).
+    fault_draws: usize,
+    /// Whether an injection plan has fired: its draws from `rng` are
+    /// not among the counted `fault_draws`, so no fork could replay
+    /// them.
+    injected: bool,
     pending_server_fault: Option<InjectionPlan>,
     last_records: Vec<FaultRecord>,
     mitigation_stats: MitigationStats,
+}
+
+/// A compact snapshot of a fault-free [`GridFrlSystem`] at an episode
+/// boundary: every agent's weight plane plus the environment, server,
+/// random-stream and counter state — everything a later
+/// [`GridFrlSystem::fork`] needs to continue training bit for bit.
+///
+/// The fault stream is not stored: before any injection it only feeds
+/// one seed draw per aggregating round, which never touches the
+/// weights, so a fork reseeds it and replays `fault_draws` draws.
+/// Gradient buffers are not stored either: `apply_grads` zeroes them,
+/// so they are zero at every episode boundary.
+#[derive(Clone)]
+pub struct GridPrefix {
+    cfg: GridSystemConfig,
+    /// Concatenated weight planes. This snapshot's start at `offset`:
+    /// every agent's, in agent order, then the server's consensus copy.
+    /// The snapshots a prefix chain takes in one run share one block.
+    planes: Arc<PlaneBlock>,
+    offset: usize,
+    envs: Vec<GridWorld>,
+    agent_rngs: Vec<StdRng>,
+    dropout_rng: StdRng,
+    server_round: usize,
+    episodes_done: usize,
+    comm_rounds: usize,
+    fault_draws: usize,
+    mitigation_stats: MitigationStats,
+}
+
+/// The weight planes of one or more [`GridPrefix`] snapshots, in one
+/// allocation.
+///
+/// A dropped block parks its allocation in a process-wide one-slot
+/// spare, and the next block that fits reuses it. A chain's block is
+/// big enough for the allocator to map it apart from the heap, and
+/// glibc raises its mapping threshold whenever such a mapping is freed,
+/// so without the spare the next campaign's block would land inside a
+/// worker thread's heap and stay resident there after it is freed. The
+/// spare holds at most the largest block seen.
+#[derive(Default)]
+pub(crate) struct PlaneBlock(Vec<f32>);
+
+static SPARE_BLOCK: Mutex<Vec<f32>> = Mutex::new(Vec::new());
+
+impl PlaneBlock {
+    /// An empty block with room for `n` values.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        if spare.capacity() >= n {
+            spare.clear();
+            PlaneBlock(std::mem::take(&mut *spare))
+        } else {
+            PlaneBlock(Vec::with_capacity(n))
+        }
+    }
+}
+
+impl std::ops::Deref for PlaneBlock {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
+
+impl Drop for PlaneBlock {
+    fn drop(&mut self) {
+        // The spare only ever holds a whole, cleared-on-reuse vector, so
+        // a poisoned lock still guards valid data.
+        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.0.capacity() > spare.capacity() {
+            *spare = std::mem::take(&mut self.0);
+        }
+    }
+}
+
+/// Counters only: the planes block is shared by a whole chain.
+impl std::fmt::Debug for GridPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GridPrefix")
+            .field("n_agents", &self.cfg.n_agents)
+            .field("episodes_done", &self.episodes_done)
+            .field("comm_rounds", &self.comm_rounds)
+            .field("fault_draws", &self.fault_draws)
+            .finish_non_exhaustive()
+    }
+}
+
+impl GridPrefix {
+    /// Points this snapshot at the finished block its planes were
+    /// appended to (see [`GridFrlSystem::prefix_into`]).
+    pub(crate) fn set_planes(&mut self, block: Arc<PlaneBlock>) {
+        self.planes = block;
+    }
+
+    /// Training episodes completed when the snapshot was taken.
+    pub fn episodes_done(&self) -> usize {
+        self.episodes_done
+    }
+
+    /// Communication rounds completed, skipped dropout rounds included.
+    pub fn comm_rounds(&self) -> usize {
+        self.comm_rounds
+    }
+
+    /// Fault-stream draws taken by those rounds.
+    pub fn fault_draws(&self) -> usize {
+        self.fault_draws
+    }
 }
 
 impl GridFrlSystem {
@@ -109,6 +227,8 @@ impl GridFrlSystem {
             agent_rngs,
             episodes_done: 0,
             comm_rounds: 0,
+            fault_draws: 0,
+            injected: false,
             pending_server_fault: None,
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
@@ -163,6 +283,94 @@ impl GridFrlSystem {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
+    /// Snapshots this system for [`GridFrlSystem::fork`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrlfiError::BadConfig`] once an injection plan has
+    /// fired: it drew from the fault stream outside the counted
+    /// communication draws, so no fork could replay it.
+    pub fn prefix(&self) -> Result<GridPrefix, FrlfiError> {
+        let mut block = PlaneBlock::with_capacity(self.planes_len());
+        let mut prefix = self.prefix_into(&mut block)?;
+        prefix.set_planes(Arc::new(block));
+        Ok(prefix)
+    }
+
+    /// Length of a snapshot's planes: every agent's weights plus the
+    /// server's consensus copy.
+    pub(crate) fn planes_len(&self) -> usize {
+        (self.cfg.n_agents + usize::from(self.server.is_some()))
+            * self.agents[0].network().param_count()
+    }
+
+    /// [`GridFrlSystem::prefix`] with the weight planes appended to
+    /// `block`; the snapshot is usable once
+    /// [`GridPrefix::set_planes`] hands it the finished block. Chains of
+    /// snapshots share one block: one allocation, freed as one.
+    pub(crate) fn prefix_into(&self, block: &mut PlaneBlock) -> Result<GridPrefix, FrlfiError> {
+        if self.injected {
+            return Err(FrlfiError::BadConfig {
+                detail: "a fault-injected system is not a fault-free prefix".into(),
+            });
+        }
+        let offset = block.len();
+        for agent in &self.agents {
+            block.0.extend(agent.network().snapshot());
+        }
+        if let Some(server) = &self.server {
+            block.0.extend_from_slice(server.consensus());
+        }
+        Ok(GridPrefix {
+            cfg: self.cfg.clone(),
+            planes: Arc::default(),
+            offset,
+            envs: self.envs.clone(),
+            agent_rngs: self.agent_rngs.clone(),
+            dropout_rng: self.dropout_rng.clone(),
+            server_round: self.server.as_ref().map_or(0, Server::round),
+            episodes_done: self.episodes_done,
+            comm_rounds: self.comm_rounds,
+            fault_draws: self.fault_draws,
+            mitigation_stats: self.mitigation_stats,
+        })
+    }
+
+    /// Rebuilds the system `prefix` was taken from, with its fault
+    /// stream reseeded to `fault_seed` and advanced past the prefix's
+    /// draws — bit-identical to a system that was reseeded with
+    /// `fault_seed` before training and then trained the same prefix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors.
+    pub fn fork(prefix: &GridPrefix, fault_seed: u64) -> Result<Self, FrlfiError> {
+        let mut sys = GridFrlSystem::new(prefix.cfg.clone())?;
+        let n = sys.agents[0].network().param_count();
+        let planes = &prefix.planes[prefix.offset..prefix.offset + sys.planes_len()];
+        let mut planes = planes.chunks_exact(n);
+        for (agent, plane) in sys.agents.iter_mut().zip(&mut planes) {
+            agent.network_mut().restore(plane)?;
+            // `train` sets the episode before each one it runs.
+            agent.set_episode(prefix.episodes_done.saturating_sub(1));
+        }
+        if let (Some(server), Some(consensus)) = (sys.server.as_mut(), planes.next()) {
+            server.resume(prefix.server_round, consensus);
+        }
+        sys.envs.clone_from(&prefix.envs);
+        sys.agent_rngs.clone_from(&prefix.agent_rngs);
+        sys.dropout_rng = prefix.dropout_rng.clone();
+        sys.episodes_done = prefix.episodes_done;
+        sys.comm_rounds = prefix.comm_rounds;
+        sys.fault_draws = prefix.fault_draws;
+        sys.mitigation_stats = prefix.mitigation_stats;
+        sys.reseed_faults(fault_seed);
+        for _ in 0..prefix.fault_draws {
+            let _: u64 = sys.rng.gen();
+        }
+        Ok(sys)
+    }
+
     /// Detection/recovery counters accumulated by mitigated training
     /// runs (reset at the start of each mitigated call).
     pub fn mitigation_stats(&self) -> MitigationStats {
@@ -214,7 +422,9 @@ impl GridFrlSystem {
         self.train_impl(episodes, plan, mitigation, Some(ctx))
     }
 
-    fn train_impl(
+    /// [`GridFrlSystem::train`] on the batched path when `batch_ctx` is
+    /// given, else on the reference path (bit-identical either way).
+    pub(crate) fn train_impl(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
@@ -301,6 +511,7 @@ impl GridFrlSystem {
 
     /// Applies an injection plan *now* (between episodes).
     pub fn inject_now(&mut self, plan: &InjectionPlan) {
+        self.injected = true;
         match plan.side {
             FaultSide::AgentSide => {
                 let victim = self.rng.gen_range(0..self.cfg.n_agents);
@@ -356,6 +567,7 @@ impl GridFrlSystem {
             rng: StdRng::seed_from_u64(self.rng.gen()),
             records: Vec::new(),
         };
+        self.fault_draws += 1;
         match participants {
             None => {
                 let outputs = server.aggregate_with_hook(&mut uploads, &mut hook)?;
@@ -957,6 +1169,44 @@ mod tests {
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"
         );
+    }
+
+    #[test]
+    fn fork_continues_a_prefix_bitwise() {
+        // Half the rounds skip under heavy dropout, so the replayed
+        // draw count is not the round count.
+        let cfg = GridSystemConfig { dropout: Some(0.5), ..small_cfg(3) };
+        let plan = InjectionPlan::server(20, Ber::new(0.05).unwrap());
+        let mut whole = GridFrlSystem::new(cfg.clone()).unwrap();
+        whole.reseed_faults(5);
+        whole.train(40, Some(&plan), None).unwrap();
+
+        let mut prefix = GridFrlSystem::new(cfg).unwrap();
+        prefix.train(20, None, None).unwrap();
+        let snap = prefix.prefix().unwrap();
+        assert_eq!(snap.episodes_done(), 20);
+        assert!(snap.fault_draws() < snap.comm_rounds(), "no round was skipped");
+        let mut forked = GridFrlSystem::fork(&snap, 5).unwrap();
+        let shifted = InjectionPlan { episode: 0, ..plan };
+        forked.train_batched(20, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
+
+        for i in 0..3 {
+            assert_eq!(whole.agent(i).network().snapshot(), forked.agent(i).network().snapshot());
+        }
+        assert_eq!(whole.last_fault_records(), forked.last_fault_records());
+        assert!(!forked.last_fault_records().is_empty());
+        assert_eq!(whole.success_rate(), forked.success_rate());
+    }
+
+    #[test]
+    fn injected_system_is_not_a_prefix() {
+        // A zero-rate agent plan flips nothing and records nothing, but
+        // still draws its victim from the fault stream.
+        for ber in [0.0, 0.05] {
+            let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
+            s.inject_now(&InjectionPlan::agent(0, Ber::new(ber).unwrap()));
+            assert!(s.prefix().is_err(), "BER {ber}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod report;
 pub use config::{DroneLayout, DroneSystemConfig, GridLayout, GridSystemConfig, Scale};
 pub use drone_system::DroneFrlSystem;
 pub use error::FrlfiError;
-pub use grid_system::GridFrlSystem;
+pub use grid_system::{GridFrlSystem, GridPrefix};
 pub use injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
 pub use metrics::{policy_action_std, policy_differentiation, success_rate_of};
 

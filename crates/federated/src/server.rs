@@ -83,6 +83,18 @@ impl Server {
         &mut self.consensus
     }
 
+    /// Resumes from saved state: `round` completed rounds (which fix
+    /// the annealed self-weight) and the consensus copy `consensus`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consensus` differs in length from the server's
+    /// parameter count.
+    pub fn resume(&mut self, round: usize, consensus: &[f32]) {
+        self.round = round;
+        self.consensus.copy_from_slice(consensus);
+    }
+
     /// Performs one aggregation round without fault hooks.
     ///
     /// # Errors
@@ -373,6 +385,17 @@ mod tests {
         // Consensus is the mean over participants only.
         assert!((s.consensus()[0] - 3.0).abs() < 1e-6);
         assert_eq!(s.round(), 1);
+    }
+
+    #[test]
+    fn resumed_server_continues_bitwise() {
+        let uploads = vec![vec![1.0, 2.0], vec![3.0, 5.0], vec![0.5, -1.0]];
+        let mut a = Server::new(3, 2).unwrap();
+        a.aggregate(&uploads).unwrap();
+        let mut b = Server::new(3, 2).unwrap();
+        b.resume(a.round(), a.consensus());
+        assert_eq!(a.aggregate(&uploads).unwrap(), b.aggregate(&uploads).unwrap());
+        assert_eq!((a.round(), a.consensus()), (b.round(), b.consensus()));
     }
 
     #[test]
