@@ -18,9 +18,15 @@
 //! `*_batch32`. The final SGD step runs with `lr = 0` in both paths —
 //! the apply/clear cost is measured, but weights stay fixed so every
 //! iteration times the identical numeric work.
+//!
+//! Two row families use the call shape DroneNav fine-tuning really
+//! runs: one REINFORCE episode-end update at batch 33 (the median
+//! kept-step count of a `drone-finetune` trial), and each conv layer's
+//! batched backward alone at that batch, where `conv0` computes
+//! parameter gradients only, as inside `Network::backward_batch`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use frlfi::nn::{ActShape, BatchInferCtx, Network, NetworkBuilder};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
+use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Layer, Network, NetworkBuilder};
 use frlfi::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,21 +119,70 @@ fn bench_policy_training(c: &mut Criterion, tag: &str, build: fn() -> (Network, 
         group.finish();
     }
 
-    // Batched arena path: one cached forward + one fused backward over
-    // the whole replay, one SGD apply per iteration.
     let mut group = c.benchmark_group("training_batched");
     for &batch in &batches {
-        let (mut net, shape) = build();
-        let (states, grads, _) = replay(&mut net, &shape, batch, 0x5E0);
-        let mut ctx = BatchInferCtx::new();
-        net.forward_batch_cached(&states, &shape, batch, &mut ctx).expect("warmup");
-        group.throughput(Throughput::Elements(net.param_count() as u64 * batch as u64));
-        group.bench_function(format!("{tag}_replay_batch{batch}").as_str(), |b| {
+        bench_batched_update(&mut group, &format!("{tag}_replay_batch{batch}"), build, batch);
+    }
+    group.finish();
+}
+
+/// Batched arena path: one cached forward + one fused backward over
+/// the whole replay, one SGD apply per iteration.
+fn bench_batched_update(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    build: fn() -> (Network, ActShape),
+    batch: usize,
+) {
+    let (mut net, shape) = build();
+    let (states, grads, _) = replay(&mut net, &shape, batch, 0x5E0);
+    let mut ctx = BatchInferCtx::new();
+    net.forward_batch_cached(&states, &shape, batch, &mut ctx).expect("warmup");
+    group.throughput(Throughput::Elements(net.param_count() as u64 * batch as u64));
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            net.forward_batch_cached(&states, &shape, batch, &mut ctx).expect("forward");
+            net.backward_batch(&grads, batch, &mut ctx).expect("backward");
+            net.apply_grads(0.0);
+            black_box(&net);
+        })
+    });
+}
+
+/// Median kept-step batch of one DroneNav REINFORCE update
+/// (`nn.train_batch.p50` of a traced `drone-finetune` run).
+const DRONE_UPDATE_BATCH: usize = 33;
+
+/// Each DroneNav conv layer's batched backward on its own, at its
+/// input shape in the policy and the median update batch. Inputs past
+/// `conv0` are post-ReLU (about half zeros) and every upstream
+/// gradient is ReLU-sparse, as in training.
+fn drone_conv_backward(c: &mut Criterion) {
+    let mut group = c.benchmark_group("training_layers");
+    let batch = DRONE_UPDATE_BATCH;
+    let mut rng = StdRng::seed_from_u64(3);
+    for (l, (in_c, out_c, h, w)) in
+        [(1, 8, 9, 16), (8, 12, 7, 14), (12, 16, 5, 12)].into_iter().enumerate()
+    {
+        let mut conv = Conv2d::new(format!("conv{l}"), in_c, out_c, 3, &mut rng);
+        let in_shape = ActShape::image(in_c, h, w);
+        let out_vol = conv.out_shape(&in_shape).expect("shape").volume();
+        let x: Vec<f32> = (0..in_c * h * w * batch)
+            .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
+            .collect();
+        let g: Vec<f32> = (0..out_vol * batch)
+            .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-0.5f32..0.5) })
+            .collect();
+        let mut dx = vec![0.0f32; in_shape.volume() * batch];
+        let mut scratch = Vec::new();
+        group.throughput(Throughput::Elements(conv.param_count() as u64 * batch as u64));
+        group.bench_function(format!("drone_conv{l}_backward_batch{batch}").as_str(), |b| {
             b.iter(|| {
-                net.forward_batch_cached(&states, &shape, batch, &mut ctx).expect("forward");
-                net.backward_batch(&grads, batch, &mut ctx).expect("backward");
-                net.apply_grads(0.0);
-                black_box(&net);
+                let grad_in = (l > 0).then_some(&mut dx[..]);
+                conv.backward_batch_into(&x, &in_shape, batch, &g, grad_in, &mut scratch)
+                    .expect("backward");
+                conv.zero_grads();
+                black_box(&dx);
             })
         });
     }
@@ -137,6 +192,11 @@ fn bench_policy_training(c: &mut Criterion, tag: &str, build: fn() -> (Network, 
 fn policy_training(c: &mut Criterion) {
     bench_policy_training(c, "drone_policy", drone_policy);
     bench_policy_training(c, "grid_mlp", grid_policy);
+    let mut group = c.benchmark_group("training_batched");
+    let name = format!("drone_policy_update_batch{DRONE_UPDATE_BATCH}");
+    bench_batched_update(&mut group, &name, drone_policy, DRONE_UPDATE_BATCH);
+    group.finish();
+    drone_conv_backward(c);
 }
 
 criterion_group!(benches, policy_training);

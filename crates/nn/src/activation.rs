@@ -69,8 +69,12 @@ impl Layer for Relu {
         _in_shape: &ActShape,
         _batch: usize,
         grad_out: &[f32],
-        grad_in: &mut [f32],
+        grad_in: Option<&mut [f32]>,
+        _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
+        let Some(grad_in) = grad_in else {
+            return Ok(());
+        };
         // The reference backward multiplies by a materialized 1.0/0.0
         // mask (not a select), so NaN/∞ upstream gradients propagate
         // through dead units identically: keep the multiply.

@@ -406,18 +406,31 @@ impl Conv2d {
     }
 
     /// Batched-backward pass 2, kernel-size-3 specialization: input
-    /// gradients, batch-vectorized. Reuses the fused nine-term window
-    /// structure of [`Conv2d::forward_batch_into_k3`] transposed: for
-    /// each output position the 3×3 window of `dx` receives its
-    /// `g * w` scatter in the reference `ky → kx` order, with the
-    /// innermost loop sweeping `batch` independent lanes. The
-    /// reference skips the whole window when `g == 0.0`, so each lane
-    /// uses a select on its own `g` rather than adding a masked 0.0
-    /// (which would flip -0.0 accumulations). Per `dx` element the
-    /// contribution order over `(oc, oy, ox)` matches the reference
-    /// nest exactly.
+    /// gradients as a forward-style correlation. `dx` is the full
+    /// convolution of the output gradient with the 180°-rotated kernel,
+    /// so per output channel the gradient plane is copied into the
+    /// interior of the zeroed `plane` (`(h+2)×(w+2)×batch`; only the
+    /// interior is ever written, so the borders stay zero) and every
+    /// `dx[ic]` element then
+    /// takes the same fused nine-tap, batch-lane window pass as
+    /// [`Conv2d::forward_batch_into_k3`].
+    ///
+    /// Bitwise contract: rotated tap `(a, b)` of input position
+    /// `(iy, ix)` is the reference term of output position
+    /// `(iy + a − 2, ix + b − 2)`, so taps in ascending `a → b` order
+    /// deliver each `dx` element's terms in the reference
+    /// `oc → oy → ox` order. The reference skips `g == 0.0` terms;
+    /// adding them instead is bit-neutral while every weight is finite
+    /// (the product is ±0, the accumulator starts at +0.0 and in
+    /// round-to-nearest can never reach −0.0, and `x + ±0 == x`
+    /// otherwise). With a non-finite weight `0 · w` is NaN, so the
+    /// `MASKED` instantiation blends each tap against the lane's old
+    /// bits wherever `g == 0.0` — a select on bits, which stays
+    /// branch-free under ReLU-sparse gradients. Finite results match
+    /// the reference bitwise; a lane that is NaN is NaN on both paths,
+    /// but its payload may differ.
     #[allow(clippy::too_many_arguments)]
-    fn backward_batch_dx_k3(
+    fn backward_batch_dx_corr_k3<const MASKED: bool>(
         &self,
         h: usize,
         w: usize,
@@ -425,65 +438,86 @@ impl Conv2d {
         ow: usize,
         batch: usize,
         grad_out: &[f32],
+        plane: &mut [f32],
         grad_in: &mut [f32],
     ) {
-        // Lane tile width: gradient lanes and their keep/update masks
-        // are staged per position into fixed stack tiles. Two reasons:
-        // ReLU backward leaves ~half the lanes zero in unpredictable
-        // patterns, so any `if g != 0.0`-guarded update compiles into a
-        // data-dependent branch that mispredicts constantly (3x the
-        // whole pass); and reading `g` straight from `grad_out` makes
-        // LLVM emit runtime alias checks against the `dx` rows whose
-        // failure path is exactly that branchy scalar loop. Stack
-        // tiles are provably disjoint from `dx`, and the explicit
-        // bit-blend cannot be re-branched. Skipped lanes keep their
-        // old accumulator bits — adding a masked `g * w` instead could
-        // flip a -0.0 accumulation to +0.0 (or poison `dx` when an
-        // injected fault has left a non-finite weight).
-        const BW: usize = 16;
+        let pw = w + 2;
         let wt = self.w.data();
         for oc in 0..self.out_c {
             let g_plane = &grad_out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let grow = &g_plane[(oy * ow + ox) * batch..(oy * ow + ox + 1) * batch];
-                    let mut bb = 0;
-                    while bb < batch {
-                        let width = BW.min(batch - bb);
-                        let mut gl = [0.0f32; BW];
-                        let mut ml = [0u32; BW];
-                        for (t, &g) in grow[bb..bb + width].iter().enumerate() {
-                            gl[t] = g;
-                            ml[t] = ((g != 0.0) as u32).wrapping_neg();
+            for (oy, g_row) in g_plane.chunks_exact(ow * batch).enumerate() {
+                let dst = ((oy + 2) * pw + 2) * batch;
+                plane[dst..dst + ow * batch].copy_from_slice(g_row);
+            }
+            for ic in 0..self.in_c {
+                let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
+                let w_base = (oc * self.in_c + ic) * 9;
+                let mut wr = [0.0f32; 9];
+                for (t, r) in wr.iter_mut().enumerate() {
+                    *r = wt[w_base + 8 - t];
+                }
+                for iy in 0..h {
+                    let r0 = &plane[iy * pw * batch..(iy + 1) * pw * batch];
+                    let r1 = &plane[(iy + 1) * pw * batch..(iy + 2) * pw * batch];
+                    let r2 = &plane[(iy + 2) * pw * batch..(iy + 3) * pw * batch];
+                    let d_row = &mut chan[iy * w * batch..(iy + 1) * w * batch];
+                    for (ix, ds) in d_row.chunks_exact_mut(batch).enumerate() {
+                        let base = ix * batch;
+                        fn win(r: &[f32], base: usize, b: usize, batch: usize) -> &[f32] {
+                            &r[base + b * batch..base + (b + 1) * batch]
                         }
-                        for ic in 0..self.in_c {
-                            let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
-                            let w_base = (oc * self.in_c + ic) * 9;
-                            for ky in 0..3 {
-                                let rowb = ((oy + ky) * w + ox) * batch + bb;
-                                for kx in 0..3 {
-                                    let wv = wt[w_base + ky * 3 + kx];
-                                    let dst =
-                                        &mut chan[rowb + kx * batch..rowb + kx * batch + width];
-                                    for (t, d) in dst.iter_mut().enumerate() {
-                                        let upd = *d + gl[t] * wv;
-                                        let m = ml[t];
-                                        *d = f32::from_bits(upd.to_bits() & m | d.to_bits() & !m);
-                                    }
-                                }
-                            }
+                        let (g00, g01, g02) = (
+                            win(r0, base, 0, batch),
+                            win(r0, base, 1, batch),
+                            win(r0, base, 2, batch),
+                        );
+                        let (g10, g11, g12) = (
+                            win(r1, base, 0, batch),
+                            win(r1, base, 1, batch),
+                            win(r1, base, 2, batch),
+                        );
+                        let (g20, g21, g22) = (
+                            win(r2, base, 0, batch),
+                            win(r2, base, 1, batch),
+                            win(r2, base, 2, batch),
+                        );
+                        let it = ds
+                            .iter_mut()
+                            .zip(g00)
+                            .zip(g01)
+                            .zip(g02)
+                            .zip(g10)
+                            .zip(g11)
+                            .zip(g12)
+                            .zip(g20)
+                            .zip(g21)
+                            .zip(g22);
+                        for (((((((((d, &a0), &a1), &a2), &b0), &b1), &b2), &c0), &c1), &c2) in it {
+                            let mut acc = *d;
+                            acc = tap::<MASKED>(acc, a0, wr[0]);
+                            acc = tap::<MASKED>(acc, a1, wr[1]);
+                            acc = tap::<MASKED>(acc, a2, wr[2]);
+                            acc = tap::<MASKED>(acc, b0, wr[3]);
+                            acc = tap::<MASKED>(acc, b1, wr[4]);
+                            acc = tap::<MASKED>(acc, b2, wr[5]);
+                            acc = tap::<MASKED>(acc, c0, wr[6]);
+                            acc = tap::<MASKED>(acc, c1, wr[7]);
+                            acc = tap::<MASKED>(acc, c2, wr[8]);
+                            *d = acc;
                         }
-                        bb += width;
                     }
                 }
             }
         }
     }
 
-    /// Batched-backward pass 2, generic kernel size (see
-    /// [`Conv2d::backward_batch_dx_k3`] for the bitwise contract).
+    /// Batched-backward pass 2, generic kernel size: the correlation of
+    /// [`Conv2d::backward_batch_dx_corr_k3`] over a `(h+k−1)×(w+k−1)`
+    /// padded plane, with the whole rotated k×k window applied per
+    /// `dx` position like [`Conv2d::forward_batch_into_generic`] (same
+    /// bitwise contract).
     #[allow(clippy::too_many_arguments)]
-    fn backward_batch_dx_generic(
+    fn backward_batch_dx_corr_generic<const MASKED: bool>(
         &self,
         h: usize,
         w: usize,
@@ -491,31 +525,32 @@ impl Conv2d {
         ow: usize,
         batch: usize,
         grad_out: &[f32],
+        plane: &mut [f32],
         grad_in: &mut [f32],
     ) {
         let k = self.k;
+        let pw = w + k - 1;
         let wt = self.w.data();
-        for ic in 0..self.in_c {
-            let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
-            for oc in 0..self.out_c {
+        for oc in 0..self.out_c {
+            let g_plane = &grad_out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
+            for (oy, g_row) in g_plane.chunks_exact(ow * batch).enumerate() {
+                let dst = ((oy + k - 1) * pw + k - 1) * batch;
+                plane[dst..dst + ow * batch].copy_from_slice(g_row);
+            }
+            for ic in 0..self.in_c {
+                let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
                 let w_win = &wt[(oc * self.in_c + ic) * k * k..(oc * self.in_c + ic + 1) * k * k];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let grow = &grad_out[(oc * oh * ow + oy * ow + ox) * batch
-                            ..(oc * oh * ow + oy * ow + ox + 1) * batch];
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let base = ((oy + ky) * w + ox + kx) * batch;
-                                let wv = w_win[ky * k + kx];
-                                let dst = &mut chan[base..base + batch];
-                                // Mask-blend (see the k3 kernel): an
-                                // unconditional update blended against
-                                // the old bits stays branch-free under
-                                // ReLU-sparse gradients.
-                                for (d, &g) in dst.iter_mut().zip(grow) {
-                                    let m = ((g != 0.0) as u32).wrapping_neg();
-                                    let upd = *d + g * wv;
-                                    *d = f32::from_bits(upd.to_bits() & m | d.to_bits() & !m);
+                for iy in 0..h {
+                    let d_row = &mut chan[iy * w * batch..(iy + 1) * w * batch];
+                    for (ix, ds) in d_row.chunks_exact_mut(batch).enumerate() {
+                        for a in 0..k {
+                            let g_win = &plane
+                                [((iy + a) * pw + ix) * batch..((iy + a) * pw + ix + k) * batch];
+                            // Rotated row `a` is kernel row `k−1−a` reversed.
+                            let w_row = &w_win[(k - 1 - a) * k..(k - a) * k];
+                            for (gs, &wv) in g_win.chunks_exact(batch).zip(w_row.iter().rev()) {
+                                for (d, &g) in ds.iter_mut().zip(gs) {
+                                    *d = tap::<MASKED>(*d, g, wv);
                                 }
                             }
                         }
@@ -523,6 +558,20 @@ impl Conv2d {
                 }
             }
         }
+    }
+}
+
+/// One `dx += g · w` correlation tap. `MASKED` keeps the old bits
+/// wherever `g == 0.0`, matching the reference's skip exactly when `w`
+/// may be non-finite; the unmasked tap is the finite-weight fast path.
+#[inline(always)]
+fn tap<const MASKED: bool>(acc: f32, g: f32, w: f32) -> f32 {
+    let upd = acc + g * w;
+    if MASKED {
+        let m = ((g != 0.0) as u32).wrapping_neg();
+        f32::from_bits(upd.to_bits() & m | acc.to_bits() & !m)
+    } else {
+        upd
     }
 }
 
@@ -612,7 +661,8 @@ impl Layer for Conv2d {
         in_shape: &ActShape,
         batch: usize,
         grad_out: &[f32],
-        grad_in: &mut [f32],
+        grad_in: Option<&mut [f32]>,
+        scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         let (oh, ow) = self.check_dims(in_shape.dims())?;
         let dims = in_shape.dims();
@@ -622,11 +672,31 @@ impl Layer for Conv2d {
         // they accumulate into disjoint arrays, so each array's
         // per-element contribution order is unchanged.
         self.backward_batch_params(input, h, w, oh, ow, batch, grad_out);
-        grad_in[..self.in_c * h * w * batch].fill(0.0);
-        if self.k == 3 {
-            self.backward_batch_dx_k3(h, w, oh, ow, batch, grad_out, grad_in);
-        } else {
-            self.backward_batch_dx_generic(h, w, oh, ow, batch, grad_out, grad_in);
+        let Some(grad_in) = grad_in else {
+            return Ok(());
+        };
+        let grad_in = &mut grad_in[..self.in_c * h * w * batch];
+        grad_in.fill(0.0);
+        // Exact reservation: growing by doubling as episode batches grow
+        // would keep up to twice the largest plane resident per worker.
+        let plane_len = (h + self.k - 1) * (w + self.k - 1) * batch;
+        scratch.clear();
+        scratch.reserve_exact(plane_len);
+        scratch.resize(plane_len, 0.0);
+        let plane = &mut scratch[..];
+        let finite = self.w.data().iter().all(|v| v.is_finite());
+        frlfi_obs::count(if finite { "nn.train.dx.fast" } else { "nn.train.dx.masked" }, 1);
+        match (self.k == 3, finite) {
+            (true, true) => self
+                .backward_batch_dx_corr_k3::<false>(h, w, oh, ow, batch, grad_out, plane, grad_in),
+            (true, false) => self
+                .backward_batch_dx_corr_k3::<true>(h, w, oh, ow, batch, grad_out, plane, grad_in),
+            (false, true) => self.backward_batch_dx_corr_generic::<false>(
+                h, w, oh, ow, batch, grad_out, plane, grad_in,
+            ),
+            (false, false) => self.backward_batch_dx_corr_generic::<true>(
+                h, w, oh, ow, batch, grad_out, plane, grad_in,
+            ),
         }
         Ok(())
     }

@@ -259,7 +259,8 @@ impl Layer for Dense {
         in_shape: &ActShape,
         batch: usize,
         grad_out: &[f32],
-        grad_in: &mut [f32],
+        mut grad_in: Option<&mut [f32]>,
+        _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         self.out_shape(in_shape)?;
         let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
@@ -278,7 +279,9 @@ impl Layer for Dense {
         //     batch-minor arena into a contiguous row (and its `dx`
         //     accumulated in one) so both inner loops are unit-stride
         //     axpys over `in_dim` — the gather/scatter only relocates
-        //     bytes, never reorders an accumulation.
+        //     bytes, never reorders an accumulation;
+        //   * without `grad_in` the `dx` axpy is skipped, which touches
+        //     no parameter gradient.
         self.x_gather.resize(in_dim, 0.0);
         self.dx_gather.resize(in_dim, 0.0);
         let w = self.w.data();
@@ -300,13 +303,17 @@ impl Layer for Dense {
                 for (gv, &xv) in gwrow.iter_mut().zip(xs.iter()) {
                     *gv += d * xv;
                 }
-                let wrow = &w[i * in_dim..(i + 1) * in_dim];
-                for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
-                    *dv += d * wv;
+                if grad_in.is_some() {
+                    let wrow = &w[i * in_dim..(i + 1) * in_dim];
+                    for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
+                        *dv += d * wv;
+                    }
                 }
             }
-            for (j, &dv) in self.dx_gather.iter().enumerate() {
-                grad_in[j * batch + t] = dv;
+            if let Some(grad_in) = grad_in.as_deref_mut() {
+                for (j, &dv) in self.dx_gather.iter().enumerate() {
+                    grad_in[j * batch + t] = dv;
+                }
             }
         }
         Ok(())

@@ -223,6 +223,10 @@ pub struct BatchInferCtx {
     act_shapes: Vec<ActShape>,
     /// Batch size of the cached training forward; 0 = nothing cached.
     cached_batch: usize,
+    /// Layer backward scratch (Conv2d's zero-padded gradient plane),
+    /// one per ctx rather than per layer: the ctx is per worker, while
+    /// layers multiply by agents × conv layers.
+    bwd_scratch: Vec<f32>,
 }
 
 impl BatchInferCtx {
@@ -242,6 +246,7 @@ impl BatchInferCtx {
             acts: Vec::new(),
             act_shapes: Vec::new(),
             cached_batch: 0,
+            bwd_scratch: Vec::new(),
         }
     }
 
@@ -473,7 +478,9 @@ impl BatchInferCtx {
     /// [`Layer::backward_batch_into`] accumulates parameter gradients
     /// (ascending sample order — bitwise what per-sample reference
     /// backward calls leave) and the input gradient ping-pongs through
-    /// the scratch buffers down to the first layer.
+    /// the scratch buffers down to the first layer, which is asked for
+    /// none: the gradient with respect to the network input has no
+    /// reader.
     ///
     /// # Errors
     ///
@@ -525,21 +532,22 @@ impl BatchInferCtx {
             let in_vol = self.act_shapes[l].volume();
             let g_out_n = self.act_shapes[l + 1].volume() * batch;
             let dst = 1 - cur;
-            if self.bufs[dst].len() < in_vol * batch {
+            if l > 0 && self.bufs[dst].len() < in_vol * batch {
                 self.bufs[dst].resize(in_vol * batch, 0.0);
             }
             let (a, b) = self.bufs.split_at_mut(1);
-            let (g_out, g_in): (&[f32], &mut [f32]) = if cur == 0 {
-                (&a[0][..g_out_n], &mut b[0][..in_vol * batch])
+            let (g_out, g_in): (&[f32], &mut Vec<f32>) = if cur == 0 {
+                (&a[0][..g_out_n], &mut b[0])
             } else {
-                (&b[0][..g_out_n], &mut a[0][..in_vol * batch])
+                (&b[0][..g_out_n], &mut a[0])
             };
             layers[l].backward_batch_into(
                 &self.acts[l][..in_vol * batch],
                 &self.act_shapes[l],
                 batch,
                 g_out,
-                g_in,
+                (l > 0).then(|| &mut g_in[..in_vol * batch]),
+                &mut self.bwd_scratch,
             )?;
             cur = dst;
         }

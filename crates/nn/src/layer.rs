@@ -140,9 +140,13 @@ pub trait Layer: Send {
     /// [`crate::BatchInferCtx`]), `grad_out` the upstream gradient in
     /// the same layout. Parameter gradients for the whole batch
     /// accumulate into the layer (exactly like repeated
-    /// [`Layer::backward`] calls), and the input gradient is written —
-    /// fully, no stale bytes survive — into `grad_in`, which the
-    /// caller sizes to `in_shape.volume() * batch`.
+    /// [`Layer::backward`] calls). When `grad_in` is present the input
+    /// gradient is written into it — fully, no stale bytes survive —
+    /// and the caller sizes it to `in_shape.volume() * batch`; `None`
+    /// skips the input gradient (the first layer's would be
+    /// discarded). `scratch` is a caller-owned buffer the layer may
+    /// resize and overwrite (Conv2d's padded gradient plane); nothing
+    /// in it carries over between calls.
     ///
     /// Contract: for every parameter-gradient element the batch's
     /// contributions must accumulate in **ascending sample order**,
@@ -150,12 +154,13 @@ pub trait Layer: Send {
     /// [`Layer::backward`] accumulation order — so one batched
     /// backward leaves *bitwise* the gradients that `batch` sequential
     /// `forward` + `backward` calls (sample 0 first, weights fixed)
-    /// leave, and each sample's `grad_in` row is bit-identical to the
-    /// reference `dx`. The provided default gathers each sample into
-    /// scratch tensors and delegates to `forward` + `backward`
-    /// (allocating, clobbers the layer's cached input; correct for any
-    /// layer); `Dense`/`Conv2d`/`Relu` override it with
-    /// allocation-free kernels.
+    /// leave. Each sample's `grad_in` row matches the reference `dx`
+    /// bitwise on finite values; a lane that is NaN in one is NaN in
+    /// the other, but its payload may differ. The provided default
+    /// gathers each sample into scratch tensors and delegates to
+    /// `forward` + `backward` (allocating, clobbers the layer's cached
+    /// input; correct for any layer); `Dense`/`Conv2d`/`Relu` override
+    /// it with allocation-free kernels.
     ///
     /// # Errors
     ///
@@ -166,7 +171,8 @@ pub trait Layer: Send {
         in_shape: &ActShape,
         batch: usize,
         grad_out: &[f32],
-        grad_in: &mut [f32],
+        mut grad_in: Option<&mut [f32]>,
+        _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         let in_vol = in_shape.volume();
         let out_shape = self.out_shape(in_shape)?;
@@ -184,8 +190,10 @@ pub trait Layer: Send {
             }
             let g = Tensor::from_vec(out_shape.dims().to_vec(), row_g.clone())?;
             let dx = self.backward(&g)?;
-            for (j, &v) in dx.data().iter().enumerate() {
-                grad_in[j * batch + t] = v;
+            if let Some(grad_in) = grad_in.as_deref_mut() {
+                for (j, &v) in dx.data().iter().enumerate() {
+                    grad_in[j * batch + t] = v;
+                }
             }
         }
         Ok(())

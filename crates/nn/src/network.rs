@@ -239,6 +239,10 @@ impl Network {
     /// batched kernel accumulates each gradient element's contributions
     /// in ascending sample order with the reference per-sample
     /// accumulation order inside (see [`Layer::backward_batch_into`]).
+    /// The one exception is NaN payloads: when a layer holds a
+    /// non-finite weight, a value that is NaN on one path is NaN on the
+    /// other, but its payload bits may differ. The first layer's input
+    /// gradient is never computed.
     ///
     /// # Errors
     ///

@@ -49,9 +49,22 @@ fn bit_flipper(seed: u64) -> impl FnMut(&mut [f32]) {
     }
 }
 
+/// Bit pattern compared by the backward equivalence checks. With
+/// `modulo_nan` every NaN maps to one key, so a lane must be NaN on
+/// both sides but its payload (and sign) may differ — the contract for
+/// layers holding non-finite weights.
+fn cmp_bits(v: f32, modulo_nan: bool) -> u32 {
+    if modulo_nan && v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
 /// Drives one batched training backward against the per-sample
 /// reference path on an identical twin layer and asserts bitwise
-/// equality of the stepped parameters and of every input-gradient row.
+/// equality of the stepped parameters and of every input-gradient row
+/// (modulo NaN payloads when `modulo_nan`).
 ///
 /// `batched` and `reference` must start with identical parameters (same
 /// construction seed). The reference path replays the batch as `batch`
@@ -64,6 +77,7 @@ fn assert_batched_backward_matches_reference(
     in_shape: &ActShape,
     samples: &[Vec<f32>],
     grad_rows: &[Vec<f32>],
+    modulo_nan: bool,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let batch = samples.len();
     let in_vol = in_shape.volume();
@@ -85,7 +99,9 @@ fn assert_batched_backward_matches_reference(
     let mut fwd = vec![0.0f32; out_vol * batch];
     batched.forward_batch_into(&x, in_shape, batch, &mut fwd).expect("batched forward");
     let mut dx = vec![0.0f32; in_vol * batch];
-    batched.backward_batch_into(&x, in_shape, batch, &g, &mut dx).expect("batched backward");
+    batched
+        .backward_batch_into(&x, in_shape, batch, &g, Some(&mut dx), &mut Vec::new())
+        .expect("batched backward");
     batched.apply_grads(0.05);
     let mut ref_dx_rows = Vec::with_capacity(batch);
     for (s, gr) in samples.iter().zip(grad_rows.iter()) {
@@ -96,15 +112,15 @@ fn assert_batched_backward_matches_reference(
     }
     reference.apply_grads(0.05);
     for (pb, pr) in batched.params().iter().zip(reference.params().iter()) {
-        let bb: Vec<u32> = pb.data().iter().map(|v| v.to_bits()).collect();
-        let rb: Vec<u32> = pr.data().iter().map(|v| v.to_bits()).collect();
+        let bb: Vec<u32> = pb.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
+        let rb: Vec<u32> = pr.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
         prop_assert_eq!(bb, rb, "stepped parameters drifted from the sequential reference");
     }
     for (b, d) in ref_dx_rows.iter().enumerate() {
         for (j, &v) in d.data().iter().enumerate() {
             prop_assert_eq!(
-                dx[j * batch + b].to_bits(),
-                v.to_bits(),
+                cmp_bits(dx[j * batch + b], modulo_nan),
+                cmp_bits(v, modulo_nan),
                 "input gradient sample {} element {}",
                 b,
                 j
@@ -441,6 +457,7 @@ proptest! {
             &ActShape::flat(in_dim),
             &samples,
             &grad_rows,
+            false,
         )?;
     }
 
@@ -450,13 +467,27 @@ proptest! {
         k in 1usize..6,
         in_c in 1usize..3,
         out_c in 1usize..4,
-        batch in 1usize..8,
+        batch in 1usize..64,
     ) {
+        // Batches up to 63 cross the 16-lane tiles and their ragged
+        // tails. Weights include ±0.0 and subnormals (products that
+        // underflow to ±0), gradients exact ±0.0 and subnormals: the
+        // unmasked correlation adds the ±0 terms the reference skips,
+        // which must leave every bit unchanged.
         use frlfi_nn::Conv2d;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC09F);
         let (h, w) = (k + rng.gen_range(0..4), k + rng.gen_range(0..4));
         let mut batched = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
         let mut reference = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        for v in batched.params_mut()[0].data_mut() {
+            *v = match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32) | (rng.gen::<u32>() & 1) << 31),
+                _ => *v,
+            };
+        }
+        reference.params_mut()[0].data_mut().copy_from_slice(batched.params()[0].data());
         let in_shape = ActShape::image(in_c, h, w);
         let (oh, ow) = (h - k + 1, w - k + 1);
         let samples: Vec<Vec<f32>> = (0..batch)
@@ -465,7 +496,12 @@ proptest! {
         let grad_rows: Vec<Vec<f32>> = (0..batch)
             .map(|_| {
                 (0..out_c * oh * ow)
-                    .map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-1.5f32..1.5) })
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 | 1 => 0.0,
+                        2 => -0.0,
+                        3 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                        _ => rng.gen_range(-1.5f32..1.5),
+                    })
                     .collect()
             })
             .collect();
@@ -475,6 +511,64 @@ proptest! {
             &in_shape,
             &samples,
             &grad_rows,
+            false,
+        )?;
+    }
+
+    #[test]
+    fn batched_conv_backward_with_non_finite_weights_keeps_nan_lanes(
+        seed in any::<u64>(),
+        k in 1usize..5,
+        in_c in 1usize..3,
+        out_c in 1usize..4,
+        batch in 1usize..40,
+    ) {
+        // A fault-injected layer can hold NaN (quiet or signalling) and
+        // ±inf weights; `0 · w` is then NaN, so the backward must run
+        // its masked instantiation, which skips `g == 0.0` terms like
+        // the reference. Finite lanes stay bitwise equal and every NaN
+        // lane is NaN on both sides (payloads may differ).
+        use frlfi_nn::Conv2d;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0BAD);
+        let (h, w) = (k + rng.gen_range(0..4), k + rng.gen_range(0..4));
+        let mut batched = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let mut reference = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let specials =
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::from_bits(0x7f80_0001), -f32::NAN];
+        let mut params = batched.params_mut();
+        let weights = params[0].data_mut();
+        let n = weights.len();
+        weights[rng.gen_range(0..n)] = specials[rng.gen_range(0..specials.len())];
+        for v in weights.iter_mut() {
+            if rng.gen_bool(0.1) {
+                *v = specials[rng.gen_range(0..specials.len())];
+            }
+        }
+        drop(params);
+        reference.params_mut()[0].data_mut().copy_from_slice(batched.params()[0].data());
+        let in_shape = ActShape::image(in_c, h, w);
+        let (oh, ow) = (h - k + 1, w - k + 1);
+        let samples: Vec<Vec<f32>> = (0..batch)
+            .map(|_| (0..in_c * h * w).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+            .collect();
+        let grad_rows: Vec<Vec<f32>> = (0..batch)
+            .map(|_| {
+                (0..out_c * oh * ow)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.5f32..1.5),
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_batched_backward_matches_reference(
+            &mut batched,
+            &mut reference,
+            &in_shape,
+            &samples,
+            &grad_rows,
+            true,
         )?;
     }
 
@@ -504,6 +598,7 @@ proptest! {
             &ActShape::flat(n),
             &samples,
             &grad_rows,
+            false,
         )?;
     }
 
