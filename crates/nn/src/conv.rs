@@ -684,6 +684,9 @@ impl Layer for Conv2d {
         scratch.reserve_exact(plane_len);
         scratch.resize(plane_len, 0.0);
         let plane = &mut scratch[..];
+        // The unmasked kernel needs every weight finite. Running the
+        // masked one always cost about a fifth of `drone-finetune`
+        // throughput (2-core Xeon), so one sweep picks per call.
         let finite = self.w.data().iter().all(|v| v.is_finite());
         frlfi_obs::count(if finite { "nn.train.dx.fast" } else { "nn.train.dx.masked" }, 1);
         match (self.k == 3, finite) {

@@ -280,10 +280,13 @@ impl Layer for Dense {
         //     accumulated in one) so both inner loops are unit-stride
         //     axpys over `in_dim` — the gather/scatter only relocates
         //     bytes, never reorders an accumulation;
-        //   * without `grad_in` the `dx` axpy is skipped, which touches
+        //   * without `grad_in` all `dx` work is skipped, which touches
         //     no parameter gradient.
+        let want_dx = grad_in.is_some();
         self.x_gather.resize(in_dim, 0.0);
-        self.dx_gather.resize(in_dim, 0.0);
+        if want_dx {
+            self.dx_gather.resize(in_dim, 0.0);
+        }
         let w = self.w.data();
         let gw = self.gw.data_mut();
         let gb = self.gb.data_mut();
@@ -291,7 +294,9 @@ impl Layer for Dense {
             for (j, xs) in self.x_gather.iter_mut().enumerate() {
                 *xs = input[j * batch + t];
             }
-            self.dx_gather.fill(0.0);
+            if want_dx {
+                self.dx_gather.fill(0.0);
+            }
             let xs = &self.x_gather[..];
             for i in 0..out_dim {
                 let d = grad_out[i * batch + t];
@@ -303,7 +308,7 @@ impl Layer for Dense {
                 for (gv, &xv) in gwrow.iter_mut().zip(xs.iter()) {
                     *gv += d * xv;
                 }
-                if grad_in.is_some() {
+                if want_dx {
                     let wrow = &w[i * in_dim..(i + 1) * in_dim];
                     for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
                         *dv += d * wv;

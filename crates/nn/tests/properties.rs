@@ -469,8 +469,8 @@ proptest! {
         out_c in 1usize..4,
         batch in 1usize..64,
     ) {
-        // Batches up to 63 cross the 16-lane tiles and their ragged
-        // tails. Weights include ±0.0 and subnormals (products that
+        // Batches up to 63 run the correlation's batch-lane loops at
+        // widths past the vector width, ragged tails included. Weights include ±0.0 and subnormals (products that
         // underflow to ±0), gradients exact ±0.0 and subnormals: the
         // unmasked correlation adds the ±0 terms the reference skips,
         // which must leave every bit unchanged.
