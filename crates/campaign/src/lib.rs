@@ -19,10 +19,12 @@
 //!   published atomically into `<dir>/artifacts/` and recorded in
 //!   append-only `artifacts.jsonl`; eval tasks gate on the records
 //!   and load frozen weights instead of retraining;
-//! * [`runner`] — a sharded [`runner::run`] that streams per-trial
-//!   records to a JSONL log and **resumes** interrupted campaigns by
-//!   skipping persisted `(cell, repeat)` trials; statistics are
-//!   bit-identical to an uninterrupted run at any thread count;
+//! * [`runner`] — [`runner::run`]: one multi-threaded worker loop over
+//!   a claim source (in-memory cursors, or `claims.jsonl` leases) that
+//!   streams per-trial records to a JSONL log and **resumes**
+//!   interrupted campaigns by skipping persisted `(cell, repeat)`
+//!   trials; statistics are bit-identical to an uninterrupted run at
+//!   any thread count;
 //! * [`coord`] — the multi-process worker/lease subsystem: with
 //!   [`CoordMode::Shared`], N runner processes share one campaign
 //!   directory through an append-only `claims.jsonl` (atomic claim

@@ -1,4 +1,4 @@
-//! The sharded, resumable campaign runner.
+//! The resumable campaign runner: one worker loop over one claim source.
 //!
 //! A campaign directory is the unit of persistence:
 //!
@@ -10,22 +10,34 @@
 //! <dir>/summary.txt      — rendered result table (written when complete)
 //! ```
 //!
-//! Work is sharded `(cell × repeat)` across worker threads through an
-//! atomic cursor; every trial's seed follows the campaign's
-//! [`Campaign::trial_seed`] scheme (`derive_seed(master, cell *
-//! repeats + repeat)` for classic sweeps, the study geometry's
-//! row-seed streams for studies), so a campaign interrupted at any
-//! point and resumed — with any thread count — replays the missing
-//! trials with identical seeds. Final per-cell statistics fold the
-//! persisted values in repeat order through
-//! [`frlfi_fault::aggregate_in_order`], which is bit-identical to
-//! what the in-process `sweep` engine produces for the same trials.
+//! Every run call's worker threads drive the same loop: claim a task,
+//! run it, commit its record (or quarantine it), release the claim.
+//! Only the **claim source** depends on the [`CoordMode`]: exclusive
+//! mode hands out the work pending at start through in-memory atomic
+//! cursors (trials in ascending flat order, no claim log, heartbeat or
+//! lease expiry); shared mode acquires leases through the
+//! `claims.jsonl` protocol of [`crate::coord`]. Every trial's seed
+//! follows the campaign's [`Campaign::trial_seed`] scheme
+//! (`derive_seed(master, cell * repeats + repeat)` for classic sweeps,
+//! the study geometry's row-seed streams for studies), so a campaign
+//! interrupted at any point and resumed — with any thread count, in
+//! either mode — replays the missing trials with identical seeds.
+//! Final per-cell statistics fold the persisted values in repeat order
+//! through [`frlfi_fault::aggregate_in_order`], which is bit-identical
+//! to what the in-process `sweep` engine produces for the same trials.
+//!
+//! The trial log's integrity policy is data chosen once per call (see
+//! [`LogPolicy`]): a directory that never ran shared is a strict
+//! single-writer log (torn tails truncated, every append retry
+//! truncated back to the committed length), any other a lenient
+//! shared-queue log (torn tails healed into their own skippable line).
 //!
 //! **Study campaigns** (`fig4`, `fig8a/b`, `datatypes`, `layers`)
-//! expand into a small task DAG instead of a flat sweep: **train**
-//! tasks publish each model's weights atomically through
-//! [`crate::artifacts`], and **eval** trials only become claimable
-//! once every artifact record has landed — the weights are loaded
+//! expand into a small task DAG instead of a flat sweep: task ids
+//! `0..n_models` are **train** tasks, which publish each model's
+//! weights atomically through [`crate::artifacts`], and ids
+//! `n_models + flat` are **eval** trials, claimable only once every
+//! artifact record has landed — the weights are loaded
 //! (digest-verified) instead of retrained, so each model trains
 //! exactly once per campaign however many workers join. A failed
 //! train task is quarantined and deterministically poisons its
@@ -37,12 +49,15 @@ use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 
+use frlfi::experiments::study::StudyGeometry;
 use frlfi::report::Table;
 use frlfi_fault::{aggregate_in_order, CellStats};
 use serde::{Map, Value};
 
+use crate::artifacts::ArtifactTracker;
 use crate::coord::{CoordConfig, Coordinator};
 use crate::fmt::json;
 use crate::io::{self, lock_recover};
@@ -53,8 +68,8 @@ use crate::spec::{Campaign, CellGrid, Scenario};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CoordMode {
     /// This process assumes it is the only writer of the campaign
-    /// directory: trials shard over threads through an in-memory
-    /// cursor, with no claim log.
+    /// directory: tasks are claimed from in-memory cursors, with no
+    /// claim log.
     #[default]
     Exclusive,
     /// The campaign directory is a shared work queue: trials are
@@ -89,8 +104,9 @@ pub struct RunnerConfig {
     /// 95% CI half-width over repeats) to `summary.txt` after the
     /// standard means grid.
     pub wide_summary: bool,
-    /// Multi-process coordination mode. Per-observation and batched
-    /// trials claim work through the same path in either mode.
+    /// Multi-process coordination mode: which claim source the worker
+    /// loop draws from. Per-observation and batched trials claim work
+    /// through the same path in either mode.
     pub coord: CoordMode,
     /// Stream structured observability events — trial/train/eval
     /// spans, io/aggregate timers, kernel-dispatch counters (see
@@ -109,26 +125,22 @@ pub struct RunnerConfig {
 
 /// RAII guard for the process-global [`frlfi_obs`] recorder: when
 /// [`RunnerConfig::obs`] is set, installs a JSONL sink at
-/// `<dir>/obs/worker-<id>.jsonl` for the duration of one run call.
-/// Shared mode reuses the coordinator's worker id so profile rows
-/// line up with the claim log; exclusive mode tags the process
-/// (`x<pid>`). Dropping the guard flushes and closes the sink, so
-/// events never leak into a later campaign run in the same process.
+/// `<dir>/obs/worker-<id>.jsonl` for the duration of one run call,
+/// under the call's worker id — the coordinator's in shared mode, so
+/// profile rows line up with the claim log; `x<pid>` in exclusive
+/// mode. Dropping the guard flushes and closes the sink, so events
+/// never leak into a later campaign run in the same process.
 struct ObsSession {
     active: bool,
 }
 
 impl ObsSession {
-    fn start(dir: &Path, cfg: &RunnerConfig) -> Result<ObsSession, String> {
-        if !cfg.obs {
+    fn start(dir: &Path, enabled: bool, worker: &str) -> Result<ObsSession, String> {
+        if !enabled {
             return Ok(ObsSession { active: false });
         }
-        let worker = match &cfg.coord {
-            CoordMode::Shared(c) => c.worker_id.clone(),
-            CoordMode::Exclusive => format!("x{}", std::process::id()),
-        };
         let path = dir.join(crate::profile::OBS_DIR).join(format!("worker-{worker}.jsonl"));
-        frlfi_obs::install(&path, &worker)
+        frlfi_obs::install(&path, worker)
             .map_err(|e| format!("open obs stream {}: {e}", path.display()))?;
         Ok(ObsSession { active: true })
     }
@@ -202,7 +214,8 @@ pub struct CampaignOutcome {
     pub completed_trials: usize,
     /// Trials the whole campaign needs.
     pub total_trials: usize,
-    /// Trials this call executed.
+    /// Trials this call committed to the trial log. Quarantined trials
+    /// and study train tasks do not count.
     pub new_trials: usize,
     /// Per-cell statistics — present only when the campaign completed.
     pub stats: Option<Vec<CellStats>>,
@@ -285,29 +298,38 @@ fn trials_path(dir: &Path) -> PathBuf {
     dir.join("trials.jsonl")
 }
 
-/// How [`load_records`] treats lines it cannot parse.
+/// How one run call reads and appends `trials.jsonl`. Chosen once per
+/// call from the *directory's history*, not the call's mode: a
+/// campaign that has ever run shared (`claims.jsonl` present) may
+/// carry healed interior fragments from killed workers, so its log
+/// stays lenient even on an exclusive resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoadPolicy {
-    /// Exclusive-writer semantics: a torn *trailing* line (the
-    /// crash-interrupted write) is skipped with a warning and the
-    /// trial re-runs; a corrupt *interior* line is a hard error naming
-    /// its line number — with one writer, interior damage means the
-    /// log was edited or belongs to something else.
+enum LogPolicy {
+    /// A never-shared, single-writer log: a torn *trailing* line (the
+    /// crash-interrupted write) is skipped with a warning and
+    /// truncated off before the first append, and every append retry
+    /// first truncates back to the committed length — so the log
+    /// stays the clean record-per-line prefix this check demands. A
+    /// corrupt *interior* line is a hard error naming its line number:
+    /// with one writer, interior damage means the log was edited or
+    /// belongs to something else.
     Strict,
-    /// Shared-queue semantics: any unparseable line is skipped with a
-    /// warning naming its line number. With concurrent writers a
-    /// killed process's torn tail gets healed into an interior line by
-    /// the next appender, so interior damage is expected; skipping is
-    /// safe because the dropped trial re-runs bitwise-identically.
+    /// A shared-queue log: any unparseable line is skipped with a
+    /// warning naming its line number, and every append goes through
+    /// [`crate::coord::append_jsonl_line`], which heals a torn tail
+    /// into its own line. With concurrent writers a killed process's
+    /// torn tail becomes an interior line, so interior damage is
+    /// expected; skipping is safe because the dropped trial re-runs
+    /// bitwise-identically.
     Lenient,
 }
 
 /// Reads the persisted trial log under `policy`. Returns the records
-/// plus the byte length of the parsed prefix — the exclusive-mode
-/// caller truncates any torn tail off before appending, so the
-/// fragment can never merge with the next record into one corrupt
-/// interior line.
-fn load_records(dir: &Path, policy: LoadPolicy) -> Result<(Vec<TrialRecord>, u64), String> {
+/// plus the byte length of the parsed prefix — what a strict
+/// [`TrialSink`] truncates any torn tail back to before appending, so
+/// the fragment can never merge with the next record into one
+/// corrupt interior line.
+fn load_records(dir: &Path, policy: LogPolicy) -> Result<(Vec<TrialRecord>, u64), String> {
     let path = trials_path(dir);
     let text = match io::with_retry("trials.read", || match io::open_read("trials.read", &path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -337,7 +359,7 @@ fn load_records(dir: &Path, policy: LoadPolicy) -> Result<(Vec<TrialRecord>, u64
                 records.push(r);
                 valid_len += piece.len() as u64;
             }
-            Err(e) if i + 1 == pieces.len() || policy == LoadPolicy::Lenient => {
+            Err(e) if i + 1 == pieces.len() || policy == LogPolicy::Lenient => {
                 frlfi_obs::warn!(
                     "{} line {}: {e}; skipping record (the trial will \
                      re-run with an identical seed, so statistics are unaffected)",
@@ -349,6 +371,59 @@ fn load_records(dir: &Path, policy: LoadPolicy) -> Result<(Vec<TrialRecord>, u64
         }
     }
     Ok((records, valid_len))
+}
+
+/// The trial log's append handle under one call's [`LogPolicy`]. One
+/// [`TrialSink::append`] is one attempt; callers run it under the
+/// retry policy.
+struct TrialSink {
+    file: std::fs::File,
+    policy: LogPolicy,
+    /// Byte length of the committed record-per-line prefix (what a
+    /// strict append truncates back to).
+    committed: u64,
+}
+
+impl TrialSink {
+    /// Opens the log for appending; under the strict policy first chops
+    /// any torn tail past `valid_len`, the parsed prefix. (A lenient
+    /// append heals a torn tail itself.)
+    fn open(dir: &Path, policy: LogPolicy, valid_len: u64) -> Result<TrialSink, String> {
+        let path = trials_path(dir);
+        let file = io::with_retry("trials.open", || io::open_append("trials.open", &path))
+            .map_err(|e| format!("open {}: {e}", path.display()))?;
+        let mut sink = TrialSink { file, policy, committed: valid_len };
+        if policy == LogPolicy::Strict {
+            sink.truncate_uncommitted().map_err(|e| format!("truncate torn trial log: {e}"))?;
+        }
+        Ok(sink)
+    }
+
+    fn truncate_uncommitted(&mut self) -> std::io::Result<()> {
+        if self.file.metadata()?.len() > self.committed {
+            self.file.set_len(self.committed)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one record line and syncs it. A strict retry truncates
+    /// the failed attempt's short-written fragment off before
+    /// rewriting; a lenient one heals it into its own skippable line.
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
+        match self.policy {
+            LogPolicy::Strict => {
+                self.truncate_uncommitted()?;
+                let buf = format!("{line}\n");
+                io::write_all("trials.append", &mut self.file, buf.as_bytes())?;
+                io::sync_data("trials.append", &self.file)?;
+                self.committed += buf.len() as u64;
+                Ok(())
+            }
+            LogPolicy::Lenient => {
+                crate::coord::append_jsonl_line("trials.append", &mut self.file, line)
+            }
+        }
+    }
 }
 
 /// Validates one persisted record's coordinates and seed against the
@@ -393,14 +468,13 @@ fn fold_records(
 }
 
 /// An incrementally folded completion view of `trials.jsonl` for the
-/// shared run loop: a [`crate::coord::JsonlTailReader`] whose fold
-/// validates each record and marks its flat trial done, so a
+/// shared claim source: a [`crate::coord::JsonlTailReader`] whose
+/// fold validates each record and marks its flat trial done, so a
 /// worker's per-claim poll costs O(new records), not O(log). Safe
-/// because shared mode never truncates the log.
+/// because a shared-history log is never truncated.
 struct TrialTracker {
     tail: crate::coord::JsonlTailReader,
     done: Vec<bool>,
-    completed: usize,
 }
 
 impl TrialTracker {
@@ -408,27 +482,28 @@ impl TrialTracker {
         TrialTracker {
             tail: crate::coord::JsonlTailReader::new(trials_path(dir), "trials.read"),
             done: vec![false; total],
-            completed: 0,
         }
     }
 
-    /// Folds every complete line appended since the last refresh. A
-    /// record that is not shaped like a trial record is skipped (it
-    /// re-runs bitwise-identically); one with wrong coordinates or
-    /// seed is fatal — the log belongs to a different campaign.
-    fn refresh(&mut self, campaign: &Campaign) -> Result<(), String> {
+    /// Folds every complete line appended since the last poll, then
+    /// lists the task ids of the trials still open: not in the log and
+    /// not in `skip` (empty once the campaign is complete). A record
+    /// that is not shaped like a trial record is skipped (it re-runs
+    /// bitwise-identically); one with wrong coordinates or seed is
+    /// fatal — the log belongs to a different campaign.
+    fn open(&mut self, campaign: &Campaign, skip: &BTreeSet<usize>) -> Result<Vec<usize>, String> {
         use crate::coord::FoldError;
         let done = &mut self.done;
-        let completed = &mut self.completed;
         self.tail.refresh(|v| {
             let r = TrialRecord::from_value(&v).map_err(FoldError::Skip)?;
-            let flat = record_flat_index(campaign, &r).map_err(FoldError::Fatal)?;
-            if !done[flat] {
-                done[flat] = true;
-                *completed += 1;
-            }
+            done[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = true;
             Ok(())
-        })
+        })?;
+        let n_models = campaign.n_models();
+        Ok((0..done.len())
+            .filter(|&t| !done[t] && !skip.contains(&t))
+            .map(|t| t + n_models)
+            .collect())
     }
 }
 
@@ -464,13 +539,145 @@ fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), String> {
 
 /// The flat completion map (`cell * repeats + repeat` order) of the
 /// campaign persisted in `dir`, read leniently — the view `campaign
-/// status` and the shared-mode claim loop work from.
+/// status` works from.
 pub(crate) fn completed_trials(
     campaign: &Campaign,
     dir: &Path,
 ) -> Result<Vec<Option<f64>>, String> {
-    let (records, _) = load_records(dir, LoadPolicy::Lenient)?;
+    let (records, _) = load_records(dir, LogPolicy::Lenient)?;
     Ok(fold_records(campaign, records)?.into_iter().flatten().collect())
+}
+
+/// One claim attempt's result.
+enum Claim {
+    /// The worker now owns this task id.
+    Task(usize),
+    /// Nothing is claimable right now, but tasks other workers hold may
+    /// still land or be released.
+    Wait,
+    /// No trial is left for this call.
+    Drained,
+}
+
+/// Where the worker loop takes task ids from. Both sources number
+/// tasks the same way: ids `0..n_models` are train tasks and
+/// `n_models + flat` are eval trials (`n_models` is 0 for classic
+/// campaigns, so classic claim logs are untouched).
+enum ClaimSource {
+    /// Exclusive mode — this process is the directory's only writer:
+    /// atomic cursors over the train tasks and over the trials pending
+    /// at start, in ascending order (the order the GridWorld prefix
+    /// cache is built around). No claim log, heartbeat or lease
+    /// expiry.
+    Cursor { n_models: usize, next_train: AtomicUsize, trials: Vec<usize>, next_trial: AtomicUsize },
+    /// Shared mode — the directory is a work queue: leases through the
+    /// `claims.jsonl` protocol of [`crate::coord`], with completion
+    /// folded from the trial log's tail.
+    Leases { coordinator: Box<Coordinator>, tracker: Mutex<TrialTracker>, poll: Duration },
+}
+
+impl ClaimSource {
+    /// Claims one of the `claimable` train tasks ([`Claim::Task`] or
+    /// [`Claim::Wait`]).
+    fn claim_train(&self, claimable: &[usize], offset: usize) -> Result<Claim, String> {
+        match self {
+            ClaimSource::Cursor { n_models, next_train, .. } => loop {
+                let model = next_train.fetch_add(1, Ordering::Relaxed);
+                if model >= *n_models {
+                    // Every train task is handed out; the rest are in
+                    // flight on this process's other threads.
+                    return Ok(Claim::Wait);
+                }
+                if claimable.contains(&model) {
+                    return Ok(Claim::Task(model));
+                }
+            },
+            ClaimSource::Leases { coordinator, .. } => {
+                Ok(coordinator.claim_next(claimable, offset)?.map_or(Claim::Wait, Claim::Task))
+            }
+        }
+    }
+
+    /// Claims an eval trial this call has not quarantined (`skip`).
+    fn claim_trial(
+        &self,
+        campaign: &Campaign,
+        skip: &Mutex<BTreeSet<usize>>,
+        offset: usize,
+    ) -> Result<Claim, String> {
+        match self {
+            ClaimSource::Cursor { trials, next_trial, .. } => Ok(trials
+                .get(next_trial.fetch_add(1, Ordering::Relaxed))
+                .map_or(Claim::Drained, |&task| Claim::Task(task))),
+            ClaimSource::Leases { coordinator, tracker, .. } => {
+                let open = lock_recover(tracker).open(campaign, &lock_recover(skip))?;
+                if open.is_empty() {
+                    return Ok(Claim::Drained);
+                }
+                Ok(coordinator.claim_next(&open, offset)?.map_or(Claim::Wait, Claim::Task))
+            }
+        }
+    }
+
+    /// Whether no eval trial is left for this call to claim.
+    fn drained(&self, campaign: &Campaign, skip: &Mutex<BTreeSet<usize>>) -> Result<bool, String> {
+        match self {
+            ClaimSource::Cursor { trials, next_trial, .. } => {
+                Ok(next_trial.load(Ordering::Relaxed) >= trials.len())
+            }
+            ClaimSource::Leases { tracker, .. } => {
+                Ok(lock_recover(tracker).open(campaign, &lock_recover(skip))?.is_empty())
+            }
+        }
+    }
+
+    /// Releases a claimed task (a no-op for a cursor: nobody else can
+    /// claim it).
+    fn complete(&self, task: usize) {
+        if let ClaimSource::Leases { coordinator, .. } = self {
+            coordinator.complete(task);
+        }
+    }
+
+    /// Sleeps before the next claim attempt: the shared poll interval,
+    /// or a short nap while this process's own train tasks land.
+    fn wait(&self) {
+        std::thread::sleep(match self {
+            ClaimSource::Cursor { .. } => Duration::from_millis(5),
+            ClaimSource::Leases { poll, .. } => *poll,
+        });
+    }
+}
+
+/// What one run call's worker threads share.
+struct RunState<'a> {
+    campaign: &'a Campaign,
+    dir: &'a Path,
+    cfg: &'a RunnerConfig,
+    /// The id this call's quarantine records and artifact publications
+    /// carry (the coordinator's in shared mode, `x<pid>` otherwise).
+    worker: String,
+    source: ClaimSource,
+    sink: Mutex<TrialSink>,
+    /// The completion map, kept current by this call's commits.
+    done: Mutex<Vec<Vec<Option<f64>>>>,
+    /// Remaining interrupt budget ([`RunnerConfig::max_new_trials`]).
+    budget: AtomicUsize,
+    /// Trials this call committed.
+    committed: AtomicUsize,
+    failed: AtomicBool,
+    errors: Mutex<Vec<String>>,
+    /// Trials this call quarantined: skipped from then on (another,
+    /// healthier worker may still reclaim them).
+    poisoned: Mutex<BTreeSet<usize>>,
+    /// Train tasks this call quarantined (train or publish failed).
+    train_poisoned: Mutex<BTreeSet<usize>>,
+    artifacts: Mutex<ArtifactTracker>,
+    /// The study artifact gate: set once every artifact record has
+    /// landed. Records are append-only, so it never closes again and
+    /// the log need not be polled past it.
+    gate_open: AtomicBool,
+    planes: PlanesCache,
 }
 
 fn run_expanded(
@@ -478,327 +685,310 @@ fn run_expanded(
     dir: &Path,
     cfg: &RunnerConfig,
 ) -> Result<CampaignOutcome, String> {
-    let _obs = ObsSession::start(dir, cfg)?;
-    match &cfg.coord {
-        CoordMode::Exclusive => run_exclusive(campaign, dir, cfg),
-        CoordMode::Shared(coord_cfg) => run_shared(campaign, dir, cfg, coord_cfg),
+    let worker = match &cfg.coord {
+        CoordMode::Shared(c) => c.worker_id.clone(),
+        CoordMode::Exclusive => format!("x{}", std::process::id()),
+    };
+    let _obs = ObsSession::start(dir, cfg.obs, &worker)?;
+    let shared = matches!(cfg.coord, CoordMode::Shared(_));
+    if shared && cfg.wide_summary {
+        // The published summary must be a pure function of the trial
+        // log — with several finalizer processes carrying different
+        // flags, a per-call rendering option would make summary.txt
+        // depend on which process renames last.
+        return Err("--wide is an exclusive-mode rendering option; render the spread table \
+                    after completion with `campaign resume <dir> --wide`"
+            .into());
     }
-}
-
-fn run_exclusive(
-    campaign: &Campaign,
-    dir: &Path,
-    cfg: &RunnerConfig,
-) -> Result<CampaignOutcome, String> {
-    let repeats = campaign.repeats;
-    let total = campaign.total_trials();
-
-    // Completed-trial map from the persisted log. The policy follows
-    // the *directory's history*, not this call's mode: a campaign
-    // that has ever run shared (claims.jsonl present) may carry
-    // healed interior fragments from SIGKILLed workers, so its log
-    // reads leniently even on an exclusive resume; a never-shared log
-    // gets the strict single-writer integrity check.
-    let policy = if dir.join(crate::coord::CLAIMS_FILE).exists() {
-        LoadPolicy::Lenient
+    let policy = if shared || dir.join(crate::coord::CLAIMS_FILE).exists() {
+        LogPolicy::Lenient
     } else {
-        LoadPolicy::Strict
+        LogPolicy::Strict
     };
     let (records, valid_len) = load_records(dir, policy)?;
-    let mut done = fold_records(campaign, records)?;
-    let mut completed = done.iter().flatten().filter(|v| v.is_some()).count();
-
-    // Pending work, bounded by any interrupt budget.
-    let mut pending: Vec<(usize, usize)> = Vec::with_capacity(total - completed);
-    for (cell, cell_done) in done.iter().enumerate() {
-        for (rep, slot) in cell_done.iter().enumerate() {
-            if slot.is_none() {
-                pending.push((cell, rep));
-            }
+    let done = fold_records(campaign, records)?;
+    let sink = Mutex::new(TrialSink::open(dir, policy, valid_len)?);
+    let (repeats, total, n_models) =
+        (campaign.repeats, campaign.total_trials(), campaign.n_models());
+    let source = match &cfg.coord {
+        CoordMode::Exclusive => ClaimSource::Cursor {
+            n_models,
+            next_train: AtomicUsize::new(0),
+            trials: undone_flats(&done, repeats).into_iter().map(|t| t + n_models).collect(),
+            next_trial: AtomicUsize::new(0),
+        },
+        CoordMode::Shared(c) => ClaimSource::Leases {
+            coordinator: Box::new(Coordinator::new(dir, c.clone())),
+            tracker: Mutex::new(TrialTracker::new(dir, total)),
+            poll: Duration::from_millis(c.poll_ms),
+        },
+    };
+    let state = RunState {
+        campaign,
+        dir,
+        cfg,
+        worker,
+        source,
+        sink,
+        done: Mutex::new(done),
+        budget: AtomicUsize::new(cfg.max_new_trials.unwrap_or(usize::MAX)),
+        committed: AtomicUsize::new(0),
+        failed: AtomicBool::new(false),
+        errors: Mutex::new(Vec::new()),
+        poisoned: Mutex::new(BTreeSet::new()),
+        train_poisoned: Mutex::new(BTreeSet::new()),
+        artifacts: Mutex::new(ArtifactTracker::new(dir, n_models)),
+        gate_open: AtomicBool::new(n_models == 0),
+        planes: Mutex::new(None),
+    };
+    std::thread::scope(|scope| {
+        for thread_idx in 0..resolve_threads(cfg.threads).min(total.max(1)) {
+            let state = &state;
+            scope.spawn(move || {
+                if let Err(e) = state.work(thread_idx) {
+                    state.failed.store(true, Ordering::Relaxed);
+                    lock_recover(&state.errors).push(e);
+                }
+            });
         }
+    });
+    let RunState { source, done, failed, errors, poisoned, train_poisoned, committed, .. } = state;
+    if failed.into_inner() {
+        return Err(errors.into_inner().unwrap_or_else(PoisonError::into_inner).join("; "));
     }
-    if let Some(cap) = cfg.max_new_trials {
-        pending.truncate(cap);
-    }
-
-    let new_trials = pending.len();
-    let mut quarantined: Vec<usize> = Vec::new();
-    if new_trials > 0 {
-        // Study campaigns run their train tasks first: every eval task
-        // below is gated on its model artifact landing in the campaign
-        // directory, and a failed train task deterministically poisons
-        // all of its dependent evals (degraded summary, nonzero exit).
-        let study = match campaign.study() {
-            None => None,
-            Some(g) => {
-                let worker = format!("x{}", std::process::id());
-                match ensure_artifacts(g, dir, &worker) {
-                    Ok(planes) => Some((g, planes)),
-                    Err((model, e)) => {
-                        quarantine_train_task(dir, g, model, &worker, e);
-                        let poisoned = undone_flats(&done, repeats);
-                        return finalize(campaign, dir, cfg, &done, completed, 0, poisoned);
-                    }
-                }
-            }
-        };
-        let mut file =
-            io::with_retry("trials.open", || io::open_append("trials.open", &trials_path(dir)))
-                .map_err(|e| format!("open {}: {e}", trials_path(dir).display()))?;
-        match policy {
-            // Chop any torn tail off before appending, so the fragment
-            // cannot merge with the next record into one corrupt line.
-            // Only valid under the strict read: there `valid_len` is a
-            // clean prefix (bad bytes can only be the tail).
-            LoadPolicy::Strict => {
-                if file.metadata().map_err(|e| format!("stat trial log: {e}"))?.len() > valid_len {
-                    file.set_len(valid_len).map_err(|e| format!("truncate torn trial log: {e}"))?;
-                }
-            }
-            // A shared-history log is never truncated (skipped lines
-            // may sit anywhere); heal a torn tail into its own line
-            // instead, as shared-mode appenders do.
-            LoadPolicy::Lenient => {
-                if !crate::coord::ends_with_newline(&mut file)
-                    .map_err(|e| format!("{}: {e}", trials_path(dir).display()))?
-                {
-                    io::with_retry("trials.append", || {
-                        io::write_all("trials.append", &mut file, b"\n")
-                    })
-                    .map_err(|e| format!("heal torn trial log: {e}"))?;
-                }
-            }
+    let done = match source {
+        // The only writer's own view is final, and re-parsing a large
+        // log here would cost a study campaign a few percent of its
+        // trial throughput.
+        ClaimSource::Cursor { .. } => done.into_inner().unwrap_or_else(PoisonError::into_inner),
+        // Re-read the log: trials other workers committed count toward
+        // completion (and toward publishing the summary) even though
+        // this process never ran them.
+        leases => {
+            drop(leases); // stop the heartbeat before reporting
+            fold_records(campaign, load_records(dir, policy)?.0)?
         }
-        // The commit sink tracks the committed byte length alongside
-        // the handle: under the strict single-writer policy a retry
-        // truncates any short-written fragment of the failed attempt
-        // back off before rewriting, so the log stays the clean
-        // record-per-line prefix the strict loader demands on the
-        // next resume.
-        let sink = Mutex::new((file, valid_len));
-        let cursor = AtomicUsize::new(0);
-        let threads = resolve_threads(cfg.threads);
-        let fresh: Mutex<Vec<(usize, usize, f64)>> = Mutex::new(Vec::with_capacity(new_trials));
-        let poisoned: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
-        // Persists one finished trial: line-atomic append + fsync
-        // under the retry policy, so a kill between records loses at
-        // most the torn tail and a transient I/O error costs only a
-        // backoff sleep.
-        let commit = |cell: usize, rep: usize, seed: u64, value: f64| -> Result<(), String> {
-            let record = TrialRecord { cell, repeat: rep, seed, value };
-            let line = json::render(&record.to_value());
-            {
-                let _io = frlfi_obs::timed("io");
-                let mut guard = lock_recover(&sink);
-                let (file, committed_len) = &mut *guard;
-                io::with_retry("trials.append", || match policy {
-                    LoadPolicy::Strict => {
-                        if file.metadata()?.len() > *committed_len {
-                            file.set_len(*committed_len)?;
-                        }
-                        let mut buf = Vec::with_capacity(line.len() + 1);
-                        buf.extend_from_slice(line.as_bytes());
-                        buf.push(b'\n');
-                        io::write_all("trials.append", file, &buf)?;
-                        io::sync_data("trials.append", file)?;
-                        *committed_len += buf.len() as u64;
-                        Ok(())
-                    }
-                    // A shared-history log is never truncated; retries
-                    // heal a short-written fragment into its own
-                    // skippable line, as shared-mode appenders do.
-                    LoadPolicy::Lenient => {
-                        crate::coord::append_jsonl_line("trials.append", file, &line)
-                    }
-                })
-                .map_err(|e| format!("append {}: {e}", trials_path(dir).display()))?;
-            }
-            lock_recover(&fresh).push((cell, rep, value));
-            Ok(())
-        };
-        // The retry budget is spent: record the poison trial durably
-        // and move on — the rest of the queue still deserves to run.
-        let quarantine_trial = |cell: usize, rep: usize, e: String| {
-            let flat = cell * repeats + rep;
-            frlfi_obs::count("trial.quarantined", 1);
-            frlfi_obs::warn!("quarantining trial {flat} (cell {cell}, repeat {rep}): {e}");
-            if let Err(qe) = quarantine::append(
-                dir,
-                &QuarantineRecord {
-                    kind: QuarantineKind::Trial,
-                    trial: flat,
-                    cell,
-                    repeat: rep,
-                    worker: format!("x{}", std::process::id()),
-                    error: e,
-                    ts_ms: crate::coord::now_ms(),
-                },
-            ) {
-                frlfi_obs::warn!(
-                    "{qe} (quarantine record lost; the degraded exit still reports the trial)"
-                );
-            }
-            lock_recover(&poisoned).insert(flat);
-            // An erroring worker may be about to die: its buffered
-            // events describe the failure and must reach disk now.
-            frlfi_obs::flush();
-        };
-
-        if let Some((g, planes)) = &study {
-            // Eval tasks load the frozen artifact planes instead of
-            // retraining: one restored context per worker thread, all
-            // built up front so a plane/shape mismatch degrades at the
-            // task level rather than failing trial by trial.
-            let mut ctxs = Vec::new();
-            for _ in 0..threads.min(new_trials) {
-                match g.context(planes) {
-                    Ok(ctx) => ctxs.push(ctx),
-                    Err(e) => {
-                        let worker = format!("x{}", std::process::id());
-                        quarantine_train_task(
-                            dir,
-                            g,
-                            0,
-                            &worker,
-                            format!("restore eval context: {e}"),
-                        );
-                        let poisoned = undone_flats(&done, repeats);
-                        return finalize(campaign, dir, cfg, &done, completed, 0, poisoned);
-                    }
-                }
-            }
-            std::thread::scope(|scope| {
-                for mut ctx in ctxs {
-                    let (cursor, pending) = (&cursor, &pending);
-                    let (commit, quarantine_trial) = (&commit, &quarantine_trial);
-                    scope.spawn(move || {
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Per-observation vs --batched is a no-op
-                            // here: a study eval is the same
-                            // frozen-weight rollout either way.
-                            // The trial span stays live across the
-                            // commit so the io timer (and any child
-                            // span) is parented to the trial.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let value = g.eval_cell(&mut ctx, cell, seed);
-                            match value {
-                                Ok(value) => {
-                                    if let Err(e) = commit(cell, rep, seed, value) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => {
-                                    quarantine_trial(cell, rep, format!("trial failed: {e}"));
-                                }
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
-        } else if cfg.batched {
-            // Batched mode: the work unit is one (cell, repeat) trial,
-            // exactly as in per-observation mode — the batch axis
-            // lives *inside* a trial (its evaluation episodes run in
-            // lock-step through the per-worker BatchInferCtx arena),
-            // so per-trial sharding costs no batching opportunity
-            // while keeping per-trial durability: every finished trial
-            // is persisted before the next one starts, and a kill
-            // loses at most the trial in flight.
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(new_trials) {
-                    scope.spawn(|| {
-                        let mut ctx = frlfi::nn::BatchInferCtx::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Span covers the commit: io attributes
-                            // to the trial in the causal tree.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let values = campaign.run_trials_batched(cell, &[seed], &mut ctx);
-                            // A failed trial (e.g. a mis-shaped
-                            // observation reaching the policy network)
-                            // is quarantined like an I/O-poisoned one:
-                            // durably recorded, excluded from this
-                            // run's progress, queue keeps draining.
-                            match values {
-                                Ok(values) => {
-                                    if let Err(e) = commit(cell, rep, seed, values[0]) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => quarantine_trial(cell, rep, format!("trial failed: {e}")),
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(new_trials) {
-                    scope.spawn(|| {
-                        // One inference scratch arena per worker, reused
-                        // across every trial this worker evaluates.
-                        let mut ctx = frlfi::nn::InferCtx::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Span covers the commit: io attributes
-                            // to the trial in the causal tree.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let value = campaign.run_trial_ctx(cell, seed, &mut ctx);
-                            match value {
-                                Ok(value) => {
-                                    if let Err(e) = commit(cell, rep, seed, value) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => quarantine_trial(cell, rep, format!("trial failed: {e}")),
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
-        }
-
-        for (cell, rep, value) in
-            fresh.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            if done[cell][rep].is_none() {
-                completed += 1;
-            }
-            done[cell][rep] = Some(value);
-        }
-        quarantined = poisoned
+    };
+    let completed = done.iter().flatten().filter(|v| v.is_some()).count();
+    let train_poisoned = train_poisoned.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let quarantined = if !train_poisoned.is_empty() && completed < total {
+        // A quarantined train task deterministically poisons every
+        // dependent eval trial that never got its record — they all
+        // gate on the artifact that failed to land.
+        undone_flats(&done, repeats)
+    } else {
+        poisoned
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
-            .collect();
+            // Another worker may have committed a trial we quarantined;
+            // the completed record overrides the advisory quarantine.
+            .filter(|&t| done[t / repeats][t % repeats].is_none())
+            .collect()
+    };
+    finalize(campaign, dir, cfg, &done, completed, committed.into_inner(), quarantined)
+}
+
+impl RunState<'_> {
+    /// The one worker loop: claim a task, run it (train and publish,
+    /// or one trial), commit its record or quarantine it, release the
+    /// claim — until the source drains, the interrupt budget is spent
+    /// or some thread hits a fatal error. With no budget a shared call
+    /// blocks until the whole campaign completes: trials claimed by
+    /// other live workers are waited out (and reaped if their worker
+    /// dies).
+    fn work(&self, thread_idx: usize) -> Result<(), String> {
+        let campaign = self.campaign;
+        let study = campaign.study();
+        let budgeted = self.cfg.max_new_trials.is_some();
+        let mut study_ctx = None;
+        // Inference scratch arenas, reused across every trial this
+        // worker runs.
+        let mut obs_ctx = frlfi::nn::InferCtx::new();
+        let mut batch_ctx = frlfi::nn::BatchInferCtx::new();
+        // Stagger each lease claimer's scan start so workers spread
+        // over the queue instead of racing for trial 0 (any claim
+        // order is correct; this only reduces contention).
+        let offset = fxhash(self.worker.as_bytes()) as usize + thread_idx * 7919;
+        while !self.failed.load(Ordering::Relaxed) {
+            // Study train phase: until every artifact record has
+            // landed, the only claimable tasks are the missing models'
+            // train tasks — the gate that keeps eval tasks unclaimable.
+            if let Some(g) = study.filter(|_| !self.gate_open.load(Ordering::Relaxed)) {
+                if self.source.drained(campaign, &self.poisoned)? {
+                    break;
+                }
+                let missing = {
+                    let mut a = lock_recover(&self.artifacts);
+                    a.refresh()?;
+                    a.missing()
+                };
+                if missing.is_empty() {
+                    self.gate_open.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                let claimable: Vec<usize> = {
+                    let tp = lock_recover(&self.train_poisoned);
+                    missing.into_iter().filter(|m| !tp.contains(m)).collect()
+                };
+                if claimable.is_empty() {
+                    // Every missing artifact's train task is poisoned
+                    // here: its dependent evals can never unblock in
+                    // this call. Degrade deterministically; a healthier
+                    // worker may still publish the artifacts.
+                    break;
+                }
+                match self.source.claim_train(&claimable, offset)? {
+                    Claim::Task(model) => self.train(g, model),
+                    // Budgeted calls never wait on other workers' train
+                    // tasks.
+                    _ if budgeted => break,
+                    _ => self.source.wait(),
+                }
+                continue;
+            }
+            // Reserve one unit of the interrupt budget before claiming
+            // (returned if no claim lands), so a budgeted call executes
+            // exactly `max_new_trials` new trials however many threads
+            // race here. Train tasks never consume it.
+            if !reserve(&self.budget) {
+                break;
+            }
+            let task = match self.source.claim_trial(campaign, &self.poisoned, offset)? {
+                Claim::Task(task) => task,
+                claim => {
+                    self.budget.fetch_add(1, Ordering::Relaxed);
+                    // Budgeted calls never wait on other workers' leases.
+                    if budgeted || matches!(claim, Claim::Drained) {
+                        break;
+                    }
+                    // Everything open is claimed by live workers: wait
+                    // for completions or lease expiries.
+                    self.source.wait();
+                    continue;
+                }
+            };
+            // Study evals run against a per-thread context restored
+            // from the published artifacts, built on this thread's
+            // first eval (the gate is open, so every record is in place).
+            if let Some(g) = study.filter(|_| study_ctx.is_none()) {
+                let built =
+                    eval_planes(g, self.dir, &self.planes, &self.worker).and_then(|planes| {
+                        g.context(&planes).map_err(|e| format!("restore eval context: {e}"))
+                    });
+                match built {
+                    Ok(ctx) => study_ctx = Some(ctx),
+                    Err(e) => {
+                        self.source.complete(task);
+                        return Err(e);
+                    }
+                }
+            }
+            let trial = task - campaign.n_models();
+            let (cell, repeat) = (trial / campaign.repeats, trial % campaign.repeats);
+            let seed = campaign.trial_seed(trial);
+            // The trial span stays live across the commit so the io
+            // timer and any retry/quarantine events are parented to
+            // the trial in the causal tree.
+            let span = frlfi_obs::span_trial("trial", trial as u64);
+            // A study eval is the same frozen-weight rollout in
+            // per-observation and batched mode.
+            let value = match (study, study_ctx.as_mut()) {
+                (Some(g), Some(ctx)) => g.eval_cell(ctx, cell, seed),
+                _ if self.cfg.batched => {
+                    campaign.run_trials_batched(cell, &[seed], &mut batch_ctx).map(|v| v[0])
+                }
+                _ => campaign.run_trial_ctx(cell, seed, &mut obs_ctx),
+            };
+            // A failed trial (e.g. a mis-shaped observation reaching
+            // the policy network) or a commit whose retries ran out is
+            // quarantined: durably recorded, skipped by this call from
+            // now on and released, so a worker on a fixed build or
+            // healthy I/O may still reclaim it.
+            let committed = value
+                .map_err(|e| format!("trial failed: {e}"))
+                .and_then(|value| self.commit(&TrialRecord { cell, repeat, seed, value }));
+            match committed {
+                Ok(()) => {
+                    self.committed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => self.quarantine(QuarantineKind::Trial, trial, e),
+            }
+            self.source.complete(task);
+            // Per-trial event flush once the span has closed: a killed
+            // worker's obs stream still covers every committed trial.
+            drop(span);
+            frlfi_obs::flush();
+        }
+        Ok(())
     }
 
-    finalize(campaign, dir, cfg, &done, completed, new_trials, quarantined)
+    /// Train task `model`: trains the model and publishes its artifact,
+    /// or quarantines the task, which poisons its dependent evals.
+    fn train(&self, g: &StudyGeometry, model: usize) {
+        let span = frlfi_obs::span_trial("train_task", model as u64);
+        let published = g.models()[model]
+            .train()
+            .map_err(|e| format!("train failed: {e}"))
+            .and_then(|planes| crate::artifacts::publish(self.dir, model, &planes, &self.worker));
+        match published {
+            Ok(_) => frlfi_obs::count("artifact.published", 1),
+            Err(e) => self.quarantine(QuarantineKind::Train, model, e),
+        }
+        self.source.complete(model);
+        drop(span);
+        frlfi_obs::flush();
+    }
+
+    /// Persists one finished trial: a line-atomic append + sync under
+    /// the retry policy, so a kill between records loses at most the
+    /// torn tail and a transient I/O error costs only a backoff sleep.
+    fn commit(&self, record: &TrialRecord) -> Result<(), String> {
+        let line = json::render(&record.to_value());
+        let _io = frlfi_obs::timed("io");
+        let mut sink = lock_recover(&self.sink);
+        io::with_retry("trials.append", || sink.append(&line))
+            .map_err(|e| format!("append {}: {e}", trials_path(self.dir).display()))?;
+        lock_recover(&self.done)[record.cell][record.repeat] = Some(record.value);
+        Ok(())
+    }
+
+    /// Gives up on a task (a trial's flat index or a train task's
+    /// model): records it durably in `quarantine.jsonl` (best-effort)
+    /// and marks it poisoned for this call. The degraded summary and
+    /// exit code report the damage, and a later healthy run re-runs
+    /// the task bitwise-identically.
+    fn quarantine(&self, kind: QuarantineKind, task: usize, error: String) {
+        let repeats = self.campaign.repeats;
+        let (cell, repeat, counter, poisoned) = match kind {
+            QuarantineKind::Trial => {
+                (task / repeats, task % repeats, "trial.quarantined", &self.poisoned)
+            }
+            QuarantineKind::Train => (task, 0, "train.quarantined", &self.train_poisoned),
+        };
+        frlfi_obs::count(counter, 1);
+        frlfi_obs::warn!(
+            "quarantining {kind:?} task {task} (cell {cell}, repeat {repeat}): {error}"
+        );
+        let record = QuarantineRecord {
+            kind,
+            trial: task,
+            cell,
+            repeat,
+            worker: self.worker.clone(),
+            error,
+            ts_ms: crate::coord::now_ms(),
+        };
+        if let Err(qe) = quarantine::append(self.dir, &record) {
+            frlfi_obs::warn!(
+                "{qe} (quarantine record lost; the degraded exit still reports the task)"
+            );
+        }
+        lock_recover(poisoned).insert(task);
+        // An erroring worker may be about to die: its buffered events
+        // describe the failure and must reach disk now.
+        frlfi_obs::flush();
+    }
 }
 
 /// Folds the completion map into the outcome; when every trial is
@@ -927,8 +1117,9 @@ fn render_degraded_summary(
     text
 }
 
-/// Flat indices of every not-yet-persisted trial — the dependents a
-/// failed train task poisons.
+/// Flat indices of every not-yet-persisted trial, ascending — an
+/// exclusive call's pending work, and the dependents a failed train
+/// task poisons.
 fn undone_flats(done: &[Vec<Option<f64>>], repeats: usize) -> Vec<usize> {
     let mut flats = Vec::new();
     for (cell, cell_done) in done.iter().enumerate() {
@@ -941,99 +1132,24 @@ fn undone_flats(done: &[Vec<Option<f64>>], repeats: usize) -> Vec<usize> {
     flats
 }
 
-/// Records a failed train task durably (kind = `train`) and warns.
-/// The task's dependent evals are poisoned by the caller — the same
-/// graceful-degradation policy as trial quarantine: the degraded
-/// summary and exit code report the damage, and a later healthy run
-/// retrains bitwise-identically and completes the campaign.
-fn quarantine_train_task(
-    dir: &Path,
-    g: &frlfi::experiments::study::StudyGeometry,
-    model: usize,
-    worker: &str,
-    error: String,
-) {
-    frlfi_obs::count("train.quarantined", 1);
-    let label = g.models().get(model).map_or_else(|| "?".into(), |m| m.label());
-    frlfi_obs::warn!("quarantining train task {model} ({label}): {error}");
-    if let Err(qe) = quarantine::append(
-        dir,
-        &QuarantineRecord {
-            kind: QuarantineKind::Train,
-            trial: model,
-            cell: model,
-            repeat: 0,
-            worker: worker.into(),
-            error,
-            ts_ms: crate::coord::now_ms(),
-        },
-    ) {
-        frlfi_obs::warn!("{qe} (quarantine record lost; the degraded exit still reports the task)");
-    }
-    // An erroring worker may be about to die: its buffered events
-    // describe the failure and must reach disk now.
-    frlfi_obs::flush();
-}
-
 /// Every study model's decoded weight planes, in model order (outer:
 /// model, inner: the model's per-agent planes).
 type ModelPlanes = Vec<Vec<Vec<f32>>>;
 
-/// Once-per-process cache of the decoded artifact planes, shared by
-/// every shared-mode eval thread.
+/// Once-per-call cache of the decoded artifact planes, shared by every
+/// eval thread.
 type PlanesCache = Mutex<Option<std::sync::Arc<ModelPlanes>>>;
 
-/// The exclusive-mode train phase: ensures every model artifact of a
-/// study campaign is published and decodable, training whatever is
-/// missing. Returns the decoded weight planes in model order.
-///
-/// Reuse is digest-verified: a recorded artifact whose file fails
-/// verification (torn by a kill, deleted, corrupted) is retrained —
-/// bitwise-identically, training is a pure function of the geometry —
-/// and republished. Errors carry the model index whose train task
-/// failed, so the caller can quarantine it and poison its dependents.
-fn ensure_artifacts(
-    g: &frlfi::experiments::study::StudyGeometry,
-    dir: &Path,
-    worker: &str,
-) -> Result<ModelPlanes, (usize, String)> {
-    let mut tracker = crate::artifacts::ArtifactTracker::new(dir, g.models().len());
-    tracker.refresh().map_err(|e| (0, e))?;
-    let mut all = Vec::with_capacity(g.models().len());
-    for (model, spec) in g.models().iter().enumerate() {
-        if let Some(digest) = tracker.digest(model) {
-            match crate::artifacts::load_planes(dir, model, digest) {
-                Ok(planes) => {
-                    frlfi_obs::count("artifact.reused", 1);
-                    all.push(planes);
-                    continue;
-                }
-                Err(e) => frlfi_obs::warn!(
-                    "model {model} ({}): {e}; retraining (bitwise-identical — training is pure)",
-                    spec.label()
-                ),
-            }
-        }
-        let planes = {
-            let _train = frlfi_obs::span_trial("train_task", model as u64);
-            spec.train().map_err(|e| (model, format!("train failed: {e}")))?
-        };
-        crate::artifacts::publish(dir, model, &planes, worker).map_err(|e| (model, e))?;
-        frlfi_obs::count("artifact.published", 1);
-        all.push(planes);
-    }
-    Ok(all)
-}
-
-/// The decoded artifact planes for shared-mode eval tasks, loaded
-/// once per process and shared across its worker threads.
+/// The decoded artifact planes for study evals — the one artifact
+/// loader — loaded once per call and shared across its worker threads.
 ///
 /// Every plane set is digest-verified against its publication record;
-/// a torn artifact file falls back to in-process retraining (again
-/// bitwise-identical) with a best-effort republish to heal the file
-/// for other workers.
+/// a torn, deleted or corrupted artifact file falls back to in-process
+/// retraining (bitwise-identical — training is a pure function of the
+/// geometry) with a best-effort republish to heal the file for other
+/// workers and later resumes.
 fn eval_planes(
-    g: &frlfi::experiments::study::StudyGeometry,
+    g: &StudyGeometry,
     dir: &Path,
     cache: &PlanesCache,
     worker: &str,
@@ -1042,7 +1158,7 @@ fn eval_planes(
     if let Some(planes) = guard.as_ref() {
         return Ok(std::sync::Arc::clone(planes));
     }
-    let mut tracker = crate::artifacts::ArtifactTracker::new(dir, g.models().len());
+    let mut tracker = ArtifactTracker::new(dir, g.models().len());
     tracker.refresh()?;
     let mut all = Vec::with_capacity(g.models().len());
     for (model, spec) in g.models().iter().enumerate() {
@@ -1076,358 +1192,6 @@ fn eval_planes(
     let planes = std::sync::Arc::new(all);
     *guard = Some(std::sync::Arc::clone(&planes));
     Ok(planes)
-}
-
-/// The shared-queue run loop: worker threads acquire `(cell, repeat)`
-/// trials through the [`crate::coord`] lease protocol instead of an
-/// in-memory cursor, so any number of processes sharing the campaign
-/// directory cooperate on one campaign. With no interrupt budget the
-/// call blocks until the whole campaign completes — trials claimed by
-/// other live workers are waited out (and reaped if their worker
-/// dies), then whoever observes completion publishes `summary.txt`.
-fn run_shared(
-    campaign: &Campaign,
-    dir: &Path,
-    cfg: &RunnerConfig,
-    coord_cfg: &CoordConfig,
-) -> Result<CampaignOutcome, String> {
-    if cfg.wide_summary {
-        // The published summary must be a pure function of the trial
-        // log — with several finalizer processes carrying different
-        // flags, a per-call rendering option would make summary.txt
-        // depend on which process renames last.
-        return Err("--wide is an exclusive-mode rendering option; render the spread table \
-                    after completion with `campaign resume <dir> --wide`"
-            .into());
-    }
-    let repeats = campaign.repeats;
-    let total = campaign.total_trials();
-    let coordinator = Coordinator::new(dir, coord_cfg.clone());
-
-    // One shared append handle; every record goes through the
-    // [`crate::coord::append_jsonl_line`] durability protocol (heal a
-    // dead writer's torn tail into its own line, single `O_APPEND`
-    // write so concurrent processes interleave line-atomically,
-    // fsync) under the retry policy. A retried short write leaves a
-    // healed garbage interior line behind — skippable by every
-    // shared-log reader, invisible in the statistics.
-    let file = io::with_retry("trials.open", || io::open_append("trials.open", &trials_path(dir)))
-        .map_err(|e| format!("open {}: {e}", trials_path(dir).display()))?;
-    let sink = Mutex::new(file);
-    let commit = |record: &TrialRecord| -> Result<(), String> {
-        let _io = frlfi_obs::timed("io");
-        let line = json::render(&record.to_value());
-        let mut f = lock_recover(&sink);
-        io::with_retry("trials.append", || {
-            crate::coord::append_jsonl_line("trials.append", &mut f, &line)
-        })
-        .map_err(|e| format!("append trial record: {e}"))
-    };
-
-    let threads = resolve_threads(cfg.threads);
-    let tracker = Mutex::new(TrialTracker::new(dir, total));
-    let budget = AtomicUsize::new(cfg.max_new_trials.unwrap_or(usize::MAX));
-    let new_trials = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let fail = |e: String| {
-        failed.store(true, Ordering::Relaxed);
-        lock_recover(&errors).push(e);
-    };
-    // Trials this process gave up on: quarantined after their retry
-    // budget exhausted. Excluded from this process's pending view
-    // (other, healthier workers may still reclaim them).
-    let poisoned: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
-    // Study (task-DAG) state. Claim ids are tasks, not trials: ids
-    // `0..n_models` are train tasks, `n_models + flat` are eval
-    // trials (`n_models` is 0 for classic campaigns, so classic claim
-    // logs are untouched). Eval tasks only become claimable once
-    // every model's artifact record has landed.
-    let n_models = campaign.n_models();
-    let artifact_tracker = Mutex::new(crate::artifacts::ArtifactTracker::new(dir, n_models));
-    // Train tasks this process gave up on (train or publish failed).
-    let train_poisoned: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
-    // Decoded artifact planes, loaded once per process and shared by
-    // every eval thread.
-    let planes_cache: PlanesCache = Mutex::new(None);
-    let quarantine_trial = |trial: usize, e: String| {
-        let (cell, rep) = (trial / repeats, trial % repeats);
-        frlfi_obs::count("trial.quarantined", 1);
-        frlfi_obs::warn!("quarantining trial {trial} (cell {cell}, repeat {rep}): {e}");
-        if let Err(qe) = quarantine::append(
-            dir,
-            &QuarantineRecord {
-                kind: QuarantineKind::Trial,
-                trial,
-                cell,
-                repeat: rep,
-                worker: coord_cfg.worker_id.clone(),
-                error: e,
-                ts_ms: crate::coord::now_ms(),
-            },
-        ) {
-            frlfi_obs::warn!(
-                "{qe} (quarantine record lost; the degraded exit still reports the trial)"
-            );
-        }
-        lock_recover(&poisoned).insert(trial);
-        // An erroring worker may be about to die: its buffered events
-        // describe the failure and must reach disk now.
-        frlfi_obs::flush();
-    };
-
-    std::thread::scope(|scope| {
-        for thread_idx in 0..threads.min(total.max(1)) {
-            let coordinator = &coordinator;
-            let tracker = &tracker;
-            let budget = &budget;
-            let new_trials = &new_trials;
-            let failed = &failed;
-            let fail = &fail;
-            let commit = &commit;
-            let poisoned = &poisoned;
-            let quarantine_trial = &quarantine_trial;
-            let artifact_tracker = &artifact_tracker;
-            let train_poisoned = &train_poisoned;
-            let planes_cache = &planes_cache;
-            scope.spawn(move || {
-                let study = campaign.study();
-                let mut study_ctx: Option<frlfi::experiments::study::StudyCtx> = None;
-                let mut obs_ctx = frlfi::nn::InferCtx::new();
-                let mut batch_ctx = frlfi::nn::BatchInferCtx::new();
-                // Stagger each claimer's scan start so workers spread
-                // over the queue instead of racing for trial 0 (any
-                // claim order is correct; this only reduces contention).
-                let offset = fxhash(coord_cfg.worker_id.as_bytes()) as usize + thread_idx * 7919;
-                loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Incremental completion view: each poll folds only
-                    // the trial-log tail appended since the last one.
-                    let pending: Vec<usize> = {
-                        let mut t = lock_recover(tracker);
-                        if let Err(e) = t.refresh(campaign) {
-                            fail(e);
-                            break;
-                        }
-                        if t.completed == total {
-                            break; // campaign complete
-                        }
-                        let poisoned = lock_recover(poisoned);
-                        (0..total)
-                            .filter(|&i| !t.done[i] && !poisoned.contains(&i))
-                            .map(|i| i + n_models)
-                            .collect()
-                    };
-                    // Study train phase: until every artifact record
-                    // has landed, the only claimable tasks are the
-                    // missing models' train tasks — the artifact gate
-                    // that keeps eval tasks unclaimable.
-                    if let Some(g) = study {
-                        let missing: Vec<usize> = {
-                            let mut a = lock_recover(artifact_tracker);
-                            if let Err(e) = a.refresh() {
-                                fail(e);
-                                break;
-                            }
-                            a.missing()
-                        };
-                        if !missing.is_empty() {
-                            let claimable: Vec<usize> = {
-                                let tp = lock_recover(train_poisoned);
-                                missing.iter().copied().filter(|m| !tp.contains(m)).collect()
-                            };
-                            if claimable.is_empty() {
-                                // Every missing artifact's train task is
-                                // poisoned here: its dependent evals can
-                                // never unblock in this process. Degrade
-                                // deterministically; a healthier worker
-                                // may still publish the artifacts.
-                                break;
-                            }
-                            match coordinator.claim_next(&claimable, offset) {
-                                Err(e) => {
-                                    fail(e);
-                                    return;
-                                }
-                                Ok(Some(model)) => {
-                                    // Train tasks never consume the
-                                    // interrupt budget: `max_new_trials`
-                                    // counts eval trials only.
-                                    let outcome = g.models()[model]
-                                        .train()
-                                        .map_err(|e| format!("train failed: {e}"))
-                                        .and_then(|planes| {
-                                            crate::artifacts::publish(
-                                                dir,
-                                                model,
-                                                &planes,
-                                                &coord_cfg.worker_id,
-                                            )
-                                            .map(|_| ())
-                                        });
-                                    match outcome {
-                                        Ok(()) => frlfi_obs::count("artifact.published", 1),
-                                        Err(e) => {
-                                            quarantine_train_task(
-                                                dir,
-                                                g,
-                                                model,
-                                                &coord_cfg.worker_id,
-                                                e,
-                                            );
-                                            lock_recover(train_poisoned).insert(model);
-                                        }
-                                    }
-                                    coordinator.complete(model);
-                                    frlfi_obs::flush();
-                                }
-                                Ok(None) => {
-                                    if cfg.max_new_trials.is_some() {
-                                        // Budgeted calls never wait on
-                                        // other workers' train leases.
-                                        break;
-                                    }
-                                    std::thread::sleep(std::time::Duration::from_millis(
-                                        coord_cfg.poll_ms,
-                                    ));
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    if pending.is_empty() {
-                        // Every remaining trial is quarantined by this
-                        // process: no further progress is possible
-                        // here. Finalize reports the degraded outcome;
-                        // a healthier worker can still reclaim them.
-                        break;
-                    }
-                    // Reserve one unit of the interrupt budget before
-                    // claiming (returned if no claim lands), so a
-                    // budgeted call executes exactly `max_new_trials`
-                    // new trials however many threads race here.
-                    if !reserve(budget) {
-                        break;
-                    }
-                    let claimed = match coordinator.claim_next(&pending, offset) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            fail(e);
-                            return;
-                        }
-                    };
-                    let Some(task) = claimed else {
-                        budget.fetch_add(1, Ordering::Relaxed);
-                        if cfg.max_new_trials.is_some() {
-                            // Budgeted calls never wait on other
-                            // workers' leases.
-                            break;
-                        }
-                        // Everything is claimed by live workers: wait
-                        // for completions or lease expiries.
-                        std::thread::sleep(std::time::Duration::from_millis(coord_cfg.poll_ms));
-                        continue;
-                    };
-                    let trial = task - n_models;
-                    let (cell, rep) = (trial / repeats, trial % repeats);
-                    // Study eval tasks run against a per-thread context
-                    // restored from the published artifacts, built on
-                    // this thread's first eval (the gate above already
-                    // opened, so every record is in place).
-                    if let Some(g) = study {
-                        if study_ctx.is_none() {
-                            let built = eval_planes(g, dir, planes_cache, &coord_cfg.worker_id)
-                                .and_then(|planes| {
-                                    g.context(&planes)
-                                        .map_err(|e| format!("restore eval context: {e}"))
-                                });
-                            match built {
-                                Ok(ctx) => study_ctx = Some(ctx),
-                                Err(e) => {
-                                    fail(e);
-                                    coordinator.complete(task);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    let seed = campaign.trial_seed(trial);
-                    // The trial span stays live across the commit so
-                    // the io timer and any retry/quarantine events
-                    // are parented to the trial in the causal tree.
-                    let _trial = frlfi_obs::span_trial("trial", trial as u64);
-                    let value = match (study, study_ctx.as_mut()) {
-                        (Some(g), Some(ctx)) => g.eval_cell(ctx, cell, seed),
-                        _ if cfg.batched => {
-                            campaign.run_trials_batched(cell, &[seed], &mut batch_ctx).map(|v| v[0])
-                        }
-                        _ => campaign.run_trial_ctx(cell, seed, &mut obs_ctx),
-                    };
-                    let value = match value {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // Deterministic trial failure: quarantine
-                            // and release the lease. This process skips
-                            // the trial from now on; a worker running a
-                            // fixed build may still reclaim it.
-                            quarantine_trial(trial, format!("trial failed: {e}"));
-                            coordinator.complete(task);
-                            continue;
-                        }
-                    };
-                    let record = TrialRecord { cell, repeat: rep, seed, value };
-                    if let Err(e) = commit(&record) {
-                        // Retry budget spent: quarantine the trial and
-                        // keep draining the queue instead of dying —
-                        // the lease is released (its record is what
-                        // the trial log is missing, so another worker
-                        // reclaiming it is exactly what we want).
-                        quarantine_trial(trial, e);
-                        coordinator.complete(task);
-                        continue;
-                    }
-                    coordinator.complete(task);
-                    new_trials.fetch_add(1, Ordering::Relaxed);
-                    // Per-trial event flush once the span has closed: a
-                    // SIGKILLed worker's obs stream still covers its
-                    // durably committed trials.
-                    drop(_trial);
-                    frlfi_obs::flush();
-                }
-            });
-        }
-    });
-    drop(coordinator); // stop the heartbeat before reporting
-
-    if failed.load(Ordering::Relaxed) {
-        return Err(lock_recover(&errors).join("; "));
-    }
-
-    // Re-read the log for the cross-process view: trials other workers
-    // committed count toward completion (and toward publishing the
-    // summary) even though this process never ran them.
-    let (records, _) = load_records(dir, LoadPolicy::Lenient)?;
-    let done = fold_records(campaign, records)?;
-    let completed = done.iter().flatten().filter(|v| v.is_some()).count();
-    let mut quarantined: Vec<usize> = poisoned
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // Another worker may have committed a trial we quarantined;
-        // the completed record overrides the advisory quarantine.
-        .filter(|&t| done[t / repeats][t % repeats].is_none())
-        .collect();
-    let train_poisoned =
-        train_poisoned.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if !train_poisoned.is_empty() && completed < total {
-        // A quarantined train task deterministically poisons every
-        // dependent eval trial that never got its record — they all
-        // gate on the artifact that failed to land.
-        quarantined = undone_flats(&done, repeats);
-    }
-    finalize(campaign, dir, cfg, &done, completed, new_trials.load(Ordering::Relaxed), quarantined)
 }
 
 /// Atomically takes one unit of the interrupt budget; `false` means

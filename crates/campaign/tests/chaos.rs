@@ -2,7 +2,8 @@
 //! injection against the campaign stack's own persistence.
 //!
 //! The bar is the same bitwise-determinism bar every PR has pinned:
-//! for **every** I/O operation of a small shared-mode campaign, a
+//! for **every** I/O operation of a small campaign, in exclusive and
+//! in shared mode, a
 //! fault injected at exactly that operation must leave the completed
 //! `summary.txt` byte-identical to the fault-free run (transient
 //! faults are retried and recovered); a *persistent* fault must
@@ -86,6 +87,16 @@ fn shared_cfg() -> RunnerConfig {
     shared_cfg_lease(60_000)
 }
 
+/// Both claim sources: exclusive mode (in-memory cursor, strict trial
+/// log — a retried append truncates back to the committed length) and
+/// shared mode with a `lease_ms` lease (claim log, lenient trial log).
+fn modes(lease_ms: u64) -> [(&'static str, RunnerConfig); 2] {
+    [
+        ("exclusive", RunnerConfig { threads: 1, ..RunnerConfig::default() }),
+        ("shared", shared_cfg_lease(lease_ms)),
+    ]
+}
+
 fn summary(dir: &Path) -> String {
     std::fs::read_to_string(dir.join("summary.txt"))
         .unwrap_or_else(|e| panic!("summary.txt in {}: {e}", dir.display()))
@@ -109,53 +120,60 @@ fn every_swept_injection_point_preserves_summary_bytes() {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reference = reference_summary();
 
-    // Pass 1 — count the fault-free run's operations: a rate=0 spec
-    // injects nothing but numbers every instrumented operation.
-    let ops = {
-        let _armed = Armed::arm(ChaosSpec { seed: 0, ..ChaosSpec::default() });
-        let dir = temp_dir("count");
-        let out = runner::run(&scenario(), &dir, &shared_cfg()).expect("count run");
-        assert!(out.complete());
-        assert_eq!(summary(&dir), reference, "rate=0 chaos must be inert");
-        std::fs::remove_dir_all(&dir).ok();
-        let ops = chaos::ops();
-        assert_eq!(chaos::injected(), 0);
-        ops
-    };
-    assert!(
-        ops > 20,
-        "a shared 2-trial campaign performs dozens of instrumented I/O operations, \
-         counted {ops} — did the shim get bypassed?"
-    );
-
-    // Pass 2 — sweep the injection point across every operation
-    // index. Each injected fault is transient (a latency spike, or an
-    // error the retry policy recovers), so every run must complete
-    // with the identical summary. CI sets CHAOS_SWEEP_QUICK=1 to
-    // sample the space; the full sweep is the default.
-    let stride: u64 = match std::env::var("CHAOS_SWEEP_STRIDE") {
-        Ok(v) => v.parse().expect("CHAOS_SWEEP_STRIDE"),
-        Err(_) if std::env::var("CHAOS_SWEEP_QUICK").is_ok_and(|v| v == "1") => (ops / 12).max(1),
-        Err(_) => 1,
-    };
-    let mut swept = 0u64;
-    for k in (0..ops).step_by(stride as usize) {
-        let _armed =
-            Armed::arm(ChaosSpec { seed: k ^ 0xC4A05, op: Some(k), ..ChaosSpec::default() });
-        let dir = temp_dir("sweep");
-        let out = runner::run(&scenario(), &dir, &shared_cfg())
-            .unwrap_or_else(|e| panic!("run with fault at op {k} must recover, got: {e}"));
-        assert!(out.complete(), "fault at op {k} left the campaign incomplete");
-        assert!(out.quarantined.is_empty(), "a single transient fault must never quarantine");
-        assert_eq!(
-            summary(&dir),
-            reference,
-            "summary.txt diverged with a fault injected at op {k}"
+    for (mode, cfg) in modes(60_000) {
+        // Pass 1 — count the fault-free run's operations: a rate=0 spec
+        // injects nothing but numbers every instrumented operation.
+        let ops = {
+            let _armed = Armed::arm(ChaosSpec { seed: 0, ..ChaosSpec::default() });
+            let dir = temp_dir("count");
+            let out = runner::run(&scenario(), &dir, &cfg).expect("count run");
+            assert!(out.complete());
+            assert_eq!(summary(&dir), reference, "{mode}: rate=0 chaos must be inert");
+            std::fs::remove_dir_all(&dir).ok();
+            let ops = chaos::ops();
+            assert_eq!(chaos::injected(), 0);
+            ops
+        };
+        // A shared run adds the claim log's appends and reads.
+        let floor = if mode == "shared" { 20 } else { 12 };
+        assert!(
+            ops > floor,
+            "a {mode} 2-trial campaign performs over {floor} instrumented I/O operations, \
+             counted {ops} — did the shim get bypassed?"
         );
-        std::fs::remove_dir_all(&dir).ok();
-        swept += 1;
+
+        // Pass 2 — sweep the injection point across every operation
+        // index. Each injected fault is transient (a latency spike, or
+        // an error the retry policy recovers), so every run must
+        // complete with the identical summary. CI sets
+        // CHAOS_SWEEP_QUICK=1 to sample the space; the full sweep is
+        // the default.
+        let stride: u64 = match std::env::var("CHAOS_SWEEP_STRIDE") {
+            Ok(v) => v.parse().expect("CHAOS_SWEEP_STRIDE"),
+            Err(_) if std::env::var("CHAOS_SWEEP_QUICK").is_ok_and(|v| v == "1") => {
+                (ops / 12).max(1)
+            }
+            Err(_) => 1,
+        };
+        let mut swept = 0u64;
+        for k in (0..ops).step_by(stride as usize) {
+            let _armed =
+                Armed::arm(ChaosSpec { seed: k ^ 0xC4A05, op: Some(k), ..ChaosSpec::default() });
+            let dir = temp_dir("sweep");
+            let out = runner::run(&scenario(), &dir, &cfg)
+                .unwrap_or_else(|e| panic!("{mode}: run with fault at op {k} must recover: {e}"));
+            assert!(out.complete(), "{mode}: fault at op {k} left the campaign incomplete");
+            assert!(out.quarantined.is_empty(), "a single transient fault must never quarantine");
+            assert_eq!(
+                summary(&dir),
+                reference,
+                "{mode}: summary.txt diverged with a fault injected at op {k}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+            swept += 1;
+        }
+        println!("{mode}: swept {swept} of {ops} injection points (stride {stride})");
     }
-    println!("swept {swept} of {ops} injection points (stride {stride})");
 }
 
 #[test]
@@ -172,50 +190,57 @@ fn persistent_fault_quarantines_deterministically_and_a_healthy_resume_recovers(
         persist: true,
         ..ChaosSpec::default()
     };
-    // A short lease, so the healthy resume below reaps the poisoned
-    // run's abandoned claims instead of waiting them out.
-    let run_poisoned = |dir: &Path, allow_partial: bool| {
-        let _armed = Armed::arm(poison());
-        let cfg = RunnerConfig { allow_partial, ..shared_cfg_lease(300) };
-        runner::run(&scenario(), dir, &cfg)
-    };
+    // A short lease, so the shared healthy resume below reaps the
+    // poisoned run's abandoned claims instead of waiting them out.
+    for (mode, cfg) in modes(300) {
+        let run_poisoned = |dir: &Path, allow_partial: bool| {
+            let _armed = Armed::arm(poison());
+            runner::run(&scenario(), dir, &RunnerConfig { allow_partial, ..cfg.clone() })
+        };
 
-    let dir_a = temp_dir("poison-a");
-    let err = run_poisoned(&dir_a, false).expect_err("exhausted retries must fail the run");
-    assert!(err.contains("quarantined"), "{err}");
-    assert!(err.contains("--allow-partial"), "{err}");
-    let records = quarantine::load(&dir_a).expect("quarantine log");
-    assert_eq!(records.len(), 2, "both trials must be quarantined: {records:?}");
-    assert!(records[0].error.contains("chaos"), "{}", records[0].error);
-    let degraded = summary(&dir_a);
-    assert!(degraded.contains("DEGRADED"), "{degraded}");
-    assert!(degraded.contains("0/2 trials completed"), "{degraded}");
-    assert!(degraded.contains("(0, 0)") && degraded.contains("(0, 1)"), "{degraded}");
+        let dir_a = temp_dir("poison-a");
+        let err = run_poisoned(&dir_a, false).expect_err("exhausted retries must fail the run");
+        assert!(err.contains("quarantined"), "{mode}: {err}");
+        assert!(err.contains("--allow-partial"), "{mode}: {err}");
+        let records = quarantine::load(&dir_a).expect("quarantine log");
+        assert_eq!(records.len(), 2, "{mode}: both trials must be quarantined: {records:?}");
+        assert!(records[0].error.contains("chaos"), "{mode}: {}", records[0].error);
+        let degraded = summary(&dir_a);
+        assert!(degraded.contains("DEGRADED"), "{degraded}");
+        assert!(degraded.contains("0/2 trials completed"), "{degraded}");
+        assert!(degraded.contains("(0, 0)") && degraded.contains("(0, 1)"), "{degraded}");
 
-    // Deterministic degradation: the same fault in a fresh directory
-    // produces a byte-identical degraded summary.
-    let dir_b = temp_dir("poison-b");
-    run_poisoned(&dir_b, false).expect_err("same fault, same failure");
-    assert_eq!(summary(&dir_b), degraded, "degraded summaries must be deterministic");
+        // Deterministic degradation: the same fault in a fresh
+        // directory produces a byte-identical degraded summary.
+        let dir_b = temp_dir("poison-b");
+        run_poisoned(&dir_b, false).expect_err("same fault, same failure");
+        assert_eq!(summary(&dir_b), degraded, "{mode}: degraded summaries must be deterministic");
 
-    // --allow-partial accepts the same degraded outcome as success.
-    let dir_c = temp_dir("poison-c");
-    let out = run_poisoned(&dir_c, true).expect("--allow-partial accepts a degraded outcome");
-    assert_eq!(out.quarantined, vec![0, 1]);
-    assert!(!out.complete());
-    assert_eq!(summary(&dir_c), degraded);
+        // --allow-partial accepts the same degraded outcome as success;
+        // quarantined trials are not counted as new.
+        let dir_c = temp_dir("poison-c");
+        let out = run_poisoned(&dir_c, true).expect("--allow-partial accepts a degraded outcome");
+        assert_eq!(out.quarantined, vec![0, 1]);
+        assert_eq!(out.new_trials, 0, "{mode}: nothing was committed");
+        assert!(!out.complete());
+        assert_eq!(summary(&dir_c), degraded);
 
-    // Graceful degradation is not the end state: a healthy run over
-    // the same directory reclaims the quarantined trials
-    // (bitwise-identically) and replaces the degraded summary with
-    // the real one.
-    let healed = runner::run(&scenario(), &dir_a, &shared_cfg_lease(300)).expect("healthy resume");
-    assert!(healed.complete());
-    assert_eq!(healed.new_trials, 2, "both quarantined trials re-run");
-    assert_eq!(summary(&dir_a), reference, "recovery must restore the byte-identical summary");
+        // Graceful degradation is not the end state: a healthy run over
+        // the same directory reclaims the quarantined trials
+        // (bitwise-identically) and replaces the degraded summary with
+        // the real one.
+        let healed = runner::run(&scenario(), &dir_a, &cfg).expect("healthy resume");
+        assert!(healed.complete());
+        assert_eq!(healed.new_trials, 2, "{mode}: both quarantined trials re-run");
+        assert_eq!(
+            summary(&dir_a),
+            reference,
+            "{mode}: recovery must restore the byte-identical summary"
+        );
 
-    for dir in [dir_a, dir_b, dir_c] {
-        std::fs::remove_dir_all(&dir).ok();
+        for dir in [dir_a, dir_b, dir_c] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
@@ -315,21 +340,34 @@ fn a_transient_fault_at_every_artifact_site_recovers_byte_identically() {
     // one transient fault per site, which the retry budget (or the
     // digest-verified retrain fallback) must absorb without moving a
     // byte of the final summary.
-    for site in artifact_sites() {
-        let _armed = Armed::arm(ChaosSpec {
-            seed: 0x417,
-            tag: Some(site.into()),
-            every: u64::MAX,
-            ..ChaosSpec::default()
-        });
-        let dir = temp_dir("art-transient");
-        let out = runner::run(&study_scenario(), &dir, &shared_cfg())
-            .unwrap_or_else(|e| panic!("transient fault at {site} must recover, got: {e}"));
-        assert!(out.complete(), "transient fault at {site} left the campaign incomplete");
-        assert!(out.quarantined.is_empty(), "a single transient at {site} must never quarantine");
-        assert!(chaos::injected() > 0, "the {site} fault never fired — tag drift?");
-        assert_eq!(summary(&dir), reference, "summary diverged with a transient fault at {site}");
-        std::fs::remove_dir_all(&dir).ok();
+    for (mode, cfg) in modes(60_000) {
+        for site in artifact_sites() {
+            let _armed = Armed::arm(ChaosSpec {
+                seed: 0x417,
+                tag: Some(site.into()),
+                every: u64::MAX,
+                ..ChaosSpec::default()
+            });
+            let dir = temp_dir("art-transient");
+            let out = runner::run(&study_scenario(), &dir, &cfg).unwrap_or_else(|e| {
+                panic!("{mode}: transient fault at {site} must recover, got: {e}")
+            });
+            assert!(
+                out.complete(),
+                "{mode}: transient fault at {site} left the campaign incomplete"
+            );
+            assert!(
+                out.quarantined.is_empty(),
+                "{mode}: a single transient at {site} must never quarantine"
+            );
+            assert!(chaos::injected() > 0, "{mode}: the {site} fault never fired — tag drift?");
+            assert_eq!(
+                summary(&dir),
+                reference,
+                "{mode}: summary diverged with a transient fault at {site}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 

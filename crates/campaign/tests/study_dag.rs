@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use frlfi::experiments::study::StudyKind;
 use frlfi::Scale;
-use frlfi_campaign::{artifacts, registry, runner, CoordConfig, CoordMode, RunnerConfig};
+use frlfi_campaign::{artifacts, profile, registry, runner, CoordConfig, CoordMode, RunnerConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -192,5 +192,28 @@ fn shared_workers_train_each_model_exactly_once_and_match_the_driver() {
     // Train tasks are claim-gated: two eval threads racing through the
     // claims log must still train each model exactly once.
     assert_trained_exactly_once(&dir, 2, "shared run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every train task runs under one `train_task` span, in shared mode as
+/// in exclusive mode. The run goes through the CLI in a process of its
+/// own: the obs recorder is process-global, and the other tests here
+/// run concurrently in this one.
+#[test]
+fn shared_study_run_records_one_train_task_span_per_model() {
+    let dir = temp_dir("fig4-shared-obs");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["run", "fig4", "--scale", "smoke", "--out"])
+        .arg(&dir)
+        .args(["--shared", "--threads", "2", "--worker-id", "study-obs", "--obs"])
+        .output()
+        .expect("spawn the campaign CLI");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(summary(&dir), driver_table(StudyKind::Fig4));
+
+    let p = profile::load_dir(&dir, profile::CheckMode::Strict).expect("strict profile");
+    let train_tasks: u64 =
+        p.workers.iter().map(|w| w.spans.get("train_task").map_or(0, |s| s.0)).sum();
+    assert_eq!(train_tasks, 2, "fig4 has two models, so two train tasks");
     std::fs::remove_dir_all(&dir).ok();
 }
