@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use frlfi::fault::{Ber, FaultModel};
+use frlfi::nn::BatchInferCtx;
 use frlfi::{
     DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, InjectionPlan, ReprKind,
     Scale,
@@ -21,7 +22,7 @@ fn fig3_cell(c: &mut Criterion) {
             };
             let mut sys = GridFrlSystem::new(cfg).expect("valid config");
             let plan = InjectionPlan::server(60, Ber::new(0.01).expect("ber"));
-            sys.train(120, Some(&plan), None).expect("training");
+            sys.train(120, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
             black_box(sys.success_rate())
         })
     });
@@ -35,7 +36,7 @@ fn fig4_cell(c: &mut Criterion) {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-    sys.train(150, None, None).expect("training");
+    sys.train(150, None, None, &mut BatchInferCtx::new()).expect("training");
     c.bench_function("fig4_cell_static_inference_fault", |b| {
         let mut seed = 0u64;
         b.iter(|| {
@@ -67,7 +68,7 @@ fn fig5_cell(c: &mut Criterion) {
             sys.pretrain().expect("pretrain");
             let plan =
                 InjectionPlan::server(1, Ber::new(1e-3).expect("ber")).with_repr(ReprKind::F32);
-            sys.fine_tune(4, Some(&plan), None).expect("fine-tune");
+            sys.fine_tune(4, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
             black_box(sys.safe_flight_distance(1))
         })
     });

@@ -22,12 +22,12 @@
 //! (CI uses `expand --all` to prove every builtin declares cleanly at
 //! every scale).
 //!
-//! `--batched` runs every trial's evaluation episodes in lock-step on
-//! the batched inference fast path (bit-identical values, higher
-//! throughput); `--wide` appends the per-cell mean/min/max/ci95 spread
-//! table to `summary.txt` (exclusive mode only — in shared mode the
-//! summary must be a pure function of the trial log; render the
-//! spread after completion with `campaign resume <dir> --wide`).
+//! Every trial trains and evaluates on the batched arena path;
+//! `--batched` is still accepted and ignored. `--wide` appends the
+//! per-cell mean/min/max/ci95 spread table to `summary.txt` (exclusive
+//! mode only — in shared mode the summary must be a pure function of
+//! the trial log; render the spread after completion with
+//! `campaign resume <dir> --wide`).
 //!
 //! `--shared` turns the campaign directory into a multi-process work
 //! queue (trials are leased through `claims.jsonl`); `worker` joins an
@@ -78,6 +78,7 @@ fn usage() -> &'static str {
      campaign trace <dir> [--trial N] [--out FILE.json]\n  \
      campaign top <dir> [--once] [--interval-ms N]\n  \
      campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--mode TAG] [--out FILE.json]\n\n\
+     --batched is accepted and ignored: every trial runs on the batched arena path;\n\
      CAMPAIGN_OBS=1 enables --obs; CAMPAIGN_LOG=quiet|warn|info|debug sets the stderr level;\n\
      CAMPAIGN_CHAOS=seed=N[,rate=P,tag=T,op=K,every=M,persist,latency-ms=L] arms fault \
      injection;\n\
@@ -152,7 +153,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.cfg.max_new_trials =
                     Some(take("--max-trials")?.parse().map_err(|e| format!("--max-trials: {e}"))?)
             }
-            "--batched" => opts.cfg.batched = true,
+            // Accepted and ignored: every trial runs on the arena path.
+            "--batched" => {}
             "--wide" => opts.cfg.wide_summary = true,
             "--shared" => opts.shared = true,
             "--obs" => opts.cfg.obs = true,

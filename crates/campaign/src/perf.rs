@@ -6,8 +6,8 @@
 //! A record is measured from the same obs streams `campaign profile`
 //! reads, so any campaign run with `--obs` can be gated. The baseline
 //! file (`BENCH_campaign.json` at the repo root by convention) holds
-//! one record per `(name, scale, mode)` triple — `mode` distinguishes
-//! per-observation from `--batched` runs of the same scenario — and
+//! one record per `(name, scale, mode)` triple — `mode` is a free-form
+//! tag that keeps differently run records of one scenario apart — and
 //! `campaign perf <dir> --baseline <file> --gate <pct>` exits nonzero
 //! when the current run is more than `pct` percent worse than the
 //! matching record: lower `trials_per_s`, or a higher per-trial phase

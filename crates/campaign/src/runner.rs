@@ -90,23 +90,19 @@ pub struct RunnerConfig {
     /// Stop after this many *new* trials (used to exercise the
     /// interrupt/resume path; `None` = run to completion).
     pub max_new_trials: Option<usize>,
-    /// Batched mode: workers claim `(cell, repeat)` trials exactly as
-    /// in per-observation mode, but each trial runs through
-    /// [`crate::Campaign::run_trials_batched`] — training routes its
+    /// Ignored. Every trial runs on the one arena path
+    /// ([`crate::Campaign::run_trial`]): training routes its
     /// forwards/backwards through the [`frlfi::nn::BatchInferCtx`]
-    /// cached-activation arena kernels, and the post-training
-    /// evaluation executes its episodes in lock-step on the same
-    /// arena. Trial values, the persisted log and the final statistics
-    /// are bit-identical to the per-observation mode — only throughput
-    /// changes, so the two modes mix freely across resume sessions.
+    /// cached-activation kernels, and the post-training evaluation
+    /// runs its episodes in lock-step on the same arena. Kept so
+    /// existing callers still build; setting it changes nothing.
     pub batched: bool,
     /// Append the wide per-cell statistics table (mean / min / max /
     /// 95% CI half-width over repeats) to `summary.txt` after the
     /// standard means grid.
     pub wide_summary: bool,
     /// Multi-process coordination mode: which claim source the worker
-    /// loop draws from. Per-observation and batched trials claim work
-    /// through the same path in either mode.
+    /// loop draws from. Trials run the same way in either mode.
     pub coord: CoordMode,
     /// Stream structured observability events — trial/train/eval
     /// spans, io/aggregate timers, kernel-dispatch counters (see
@@ -802,9 +798,8 @@ impl RunState<'_> {
         let study = campaign.study();
         let budgeted = self.cfg.max_new_trials.is_some();
         let mut study_ctx = None;
-        // Inference scratch arenas, reused across every trial this
-        // worker runs.
-        let mut obs_ctx = frlfi::nn::InferCtx::new();
+        // The training and inference arena, reused across every trial
+        // this worker runs.
         let mut batch_ctx = frlfi::nn::BatchInferCtx::new();
         // Stagger each lease claimer's scan start so workers spread
         // over the queue instead of racing for trial 0 (any claim
@@ -891,14 +886,9 @@ impl RunState<'_> {
             // timer and any retry/quarantine events are parented to
             // the trial in the causal tree.
             let span = frlfi_obs::span_trial("trial", trial as u64);
-            // A study eval is the same frozen-weight rollout in
-            // per-observation and batched mode.
             let value = match (study, study_ctx.as_mut()) {
                 (Some(g), Some(ctx)) => g.eval_cell(ctx, cell, seed),
-                _ if self.cfg.batched => {
-                    campaign.run_trials_batched(cell, &[seed], &mut batch_ctx).map(|v| v[0])
-                }
-                _ => campaign.run_trial_ctx(cell, seed, &mut obs_ctx),
+                _ => campaign.run_trial(cell, seed, &mut batch_ctx),
             };
             // A failed trial (e.g. a mis-shaped observation reaching
             // the policy network) or a commit whose retries ran out is

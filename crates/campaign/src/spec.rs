@@ -387,9 +387,8 @@ impl Scenario {
 
     /// Expands the scenario into concrete campaign cells.
     ///
-    /// Every knob a trial function would otherwise panic on mid-campaign
-    /// (`run_grid_trial`'s "valid trial config" expect, deep inside a
-    /// worker thread) is validated here, at declaration time.
+    /// Every knob that would otherwise fail a trial mid-campaign, deep
+    /// inside a worker thread, is validated here, at declaration time.
     ///
     /// # Errors
     ///
@@ -887,7 +886,10 @@ impl Campaign {
         }
     }
 
-    /// Evaluates one trial: pure in `(cell, seed)`.
+    /// Evaluates one trial: pure in `(cell, seed)`. The trial trains
+    /// through `ctx`'s cached-activation arena kernels and runs its
+    /// post-training evaluation in lock-step on the same arena; a
+    /// runner worker reuses one arena across every trial it runs.
     ///
     /// # Errors
     ///
@@ -898,76 +900,22 @@ impl Campaign {
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
-    pub fn run_trial(&self, cell: usize, seed: u64) -> Result<f64, frlfi::FrlfiError> {
-        self.run_trial_ctx(cell, seed, &mut frlfi::nn::InferCtx::new())
-    }
-
-    /// [`Campaign::run_trial`] with an external inference scratch
-    /// context. The runner allocates one per worker thread and reuses
-    /// it across every trial that worker evaluates; trial values are
-    /// unaffected (the fast path is bit-identical to the slow one).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Campaign::run_trial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn run_trial_ctx(
+    pub fn run_trial(
         &self,
         cell: usize,
         seed: u64,
-        ctx: &mut frlfi::nn::InferCtx,
-    ) -> Result<f64, frlfi::FrlfiError> {
-        match &self.trials {
-            Trials::Grid(t) => {
-                frlfi::experiments::harness::run_grid_cell_ctx(t, cell, seed, &self.prefixes, ctx)
-            }
-            Trials::Drone(t) => {
-                frlfi::experiments::harness::run_drone_trial_ctx(&t[cell], seed, ctx)
-            }
-            Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
-                detail: format!(
-                    "study \"{}\" trials evaluate against a trained-model context \
-                     (StudyGeometry::eval_cell), not the train-per-trial path",
-                    g.kind.name()
-                ),
-            }),
-        }
-    }
-
-    /// Evaluates one cell's shard of repeats on the **batched** fast
-    /// paths: each trial trains through the cached-activation arena
-    /// kernels and runs its post-training evaluation in lock-step
-    /// through one shared [`frlfi::nn::BatchInferCtx`], and values come
-    /// back in `seeds` order, bit-identical to
-    /// [`Campaign::run_trial_ctx`] per `(cell, seed)`. This is the
-    /// batched runner mode's work unit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Campaign::run_trial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn run_trials_batched(
-        &self,
-        cell: usize,
-        seeds: &[u64],
         ctx: &mut frlfi::nn::BatchInferCtx,
-    ) -> Result<Vec<f64>, frlfi::FrlfiError> {
+    ) -> Result<f64, frlfi::FrlfiError> {
         match &self.trials {
             Trials::Grid(t) => frlfi::experiments::harness::run_grid_cell_batched(
                 t,
                 cell,
-                seeds,
+                seed,
                 &self.prefixes,
                 ctx,
             ),
             Trials::Drone(t) => {
-                frlfi::experiments::harness::run_drone_trials_batched(&t[cell], seeds, ctx)
+                frlfi::experiments::harness::run_drone_trial_batched(&t[cell], seed, ctx)
             }
             Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
                 detail: format!(
@@ -1009,7 +957,7 @@ mod tests {
     fn out_of_range_dropout_fails_at_expansion_not_in_a_worker() {
         // The exact satellite case: a bad TOML must die with a
         // SpecError when the campaign is declared, not panic inside
-        // run_grid_trial on a worker thread.
+        // a trial on a worker thread.
         for system in ["GridWorld", "DroneNav"] {
             let text = format!(
                 "name = \"bad\"\nsystem = \"{system}\"\nscale = \"Smoke\"\n\n\
@@ -1210,10 +1158,8 @@ mod tests {
     #[test]
     fn study_trials_reject_the_train_per_trial_path_with_a_typed_error() {
         let c = Scenario::study("fig4", StudySpec::Fig4, Scale::Smoke).expand().expect("expands");
-        let err = c.run_trial(0, c.trial_seed(0)).unwrap_err().to_string();
-        assert!(err.contains("eval_cell"), "{err}");
         let err = c
-            .run_trials_batched(0, &[c.trial_seed(0)], &mut frlfi::nn::BatchInferCtx::new())
+            .run_trial(0, c.trial_seed(0), &mut frlfi::nn::BatchInferCtx::new())
             .unwrap_err()
             .to_string();
         assert!(err.contains("eval_cell"), "{err}");

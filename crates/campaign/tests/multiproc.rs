@@ -7,7 +7,7 @@
 //!   are reaped, its trials re-run bitwise-identically, and the final
 //!   artifacts are unchanged;
 //! * the shared-queue mode is bit-identical to the exclusive runner
-//!   in-process too, per-observation and `--batched` alike.
+//!   in-process too, with the ignored `batched` flag set or not.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -120,8 +120,8 @@ fn three_worker_processes_match_the_single_process_run_byte_for_byte() {
     let dir_s = dir.to_str().expect("utf8");
 
     // Process 1 opens the campaign in shared mode; processes 2 and 3
-    // join it as workers once the manifest exists — one of them on the
-    // batched path, because modes mix freely inside one campaign.
+    // join it as workers once the manifest exists — one of them with
+    // the ignored `--batched` flag, which must still parse.
     let first = spawn_cli(&[
         "run",
         spec.to_str().expect("utf8"),

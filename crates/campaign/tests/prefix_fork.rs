@@ -6,7 +6,8 @@
 //! uncached trial function bit for bit — whichever order the cells run
 //! in, so chains are extended both front to back and back to front.
 
-use frlfi::experiments::harness::run_grid_trial;
+use frlfi::experiments::harness::run_grid_trial_batched;
+use frlfi::nn::BatchInferCtx;
 use frlfi::Scale;
 use frlfi_campaign::{registry, Campaign, Trials};
 
@@ -29,17 +30,15 @@ fn check_forks(name: &str, reference: &[Vec<u64>], reverse: bool) -> Campaign {
     if reverse {
         order.reverse();
     }
-    let mut batch_ctx = frlfi::nn::BatchInferCtx::new();
+    let mut shared_ctx = BatchInferCtx::new();
     for flat in order {
         let (cell, rep) = (flat / campaign.repeats, flat % campaign.repeats);
         let seed = campaign.trial_seed(flat);
-        // Front to back on the batched path, back to front on the
-        // per-observation path: both fork from the same cache.
-        let value = if reverse {
-            campaign.run_trial(cell, seed).expect("trial runs")
-        } else {
-            campaign.run_trials_batched(cell, &[seed], &mut batch_ctx).expect("trial runs")[0]
-        };
+        // Front to back on one reused arena, back to front on a fresh
+        // arena per trial: both fork from the same cache.
+        let mut fresh_ctx = BatchInferCtx::new();
+        let ctx = if reverse { &mut fresh_ctx } else { &mut shared_ctx };
+        let value = campaign.run_trial(cell, seed, ctx).expect("trial runs");
         assert_eq!(
             value.to_bits(),
             reference[cell][rep],
@@ -61,7 +60,9 @@ fn forked_trials_match_uncached_trials_bitwise_for_every_grid_builtin() {
             .map(|(cell, t)| {
                 (0..campaign.repeats)
                     .map(|rep| {
-                        run_grid_trial(t, campaign.trial_seed(cell * campaign.repeats + rep))
+                        let seed = campaign.trial_seed(cell * campaign.repeats + rep);
+                        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new())
+                            .expect("trial runs")
                             .to_bits()
                     })
                     .collect()
@@ -97,7 +98,7 @@ fn forked_trials_match_uncached_trials_bitwise_for_every_grid_builtin() {
 #[test]
 fn cloned_campaigns_share_their_prefixes() {
     let campaign = expand("fig3b");
-    campaign.run_trial(0, campaign.trial_seed(0)).expect("trial runs");
+    campaign.run_trial(0, campaign.trial_seed(0), &mut BatchInferCtx::new()).expect("trial runs");
     let stored = campaign.prefixes().checkpoints().len();
     assert!(stored > 0);
     let clone = campaign.clone();

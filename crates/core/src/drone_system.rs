@@ -24,12 +24,13 @@ use rand::{Rng, SeedableRng};
 /// distance** before collision.
 ///
 /// ```no_run
+/// use frlfi::nn::BatchInferCtx;
 /// use frlfi::{DroneFrlSystem, DroneSystemConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut sys = DroneFrlSystem::new(DroneSystemConfig::default())?;
 /// sys.pretrain()?;
-/// sys.fine_tune(40, None, None)?;
+/// sys.fine_tune(40, None, None, &mut BatchInferCtx::new())?;
 /// println!("distance = {:.0} m", sys.safe_flight_distance(4));
 /// # Ok(())
 /// # }
@@ -196,9 +197,10 @@ impl DroneFrlSystem {
             derive_seed(self.cfg.seed, 0x0FF),
         );
         let mut rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0x0FF + 1));
-        // Pre-training stays on the sequential reference path in every
-        // mode: campaigns share one pretrained weight vector across
-        // cells, and a single code path keeps it trivially identical.
+        // Pre-training is the one production use of the per-observation
+        // reference path: batching it needs a bounded REINFORCE arena
+        // first (see ROADMAP). Campaigns share the one pretrained weight
+        // vector across cells.
         for _ in 0..self.cfg.pretrain_episodes {
             run_episode(&mut env, &mut learner, &mut rng)?;
         }
@@ -232,46 +234,22 @@ impl DroneFrlSystem {
 
     /// Online federated fine-tuning for `episodes` episodes, optionally
     /// applying a dynamic [`InjectionPlan`] (episode index relative to
-    /// this call) and the training-time mitigation scheme.
+    /// this call) and the training-time mitigation scheme. Every
+    /// drone's per-episode REINFORCE update runs as one batched
+    /// forward/backward over the episode's kept steps through `ctx`'s
+    /// cached-activation arena ([`frlfi_rl::run_episode_batched`]),
+    /// bit-identical to the per-observation reference
+    /// [`frlfi_rl::run_episode`].
     ///
     /// # Errors
     ///
-    /// Propagates aggregation or restore failures.
+    /// Propagates training, aggregation or restore failures.
     pub fn fine_tune(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
         mitigation: Option<&TrainingMitigation>,
-    ) -> Result<(), FrlfiError> {
-        self.fine_tune_impl(episodes, plan, mitigation, None)
-    }
-
-    /// [`DroneFrlSystem::fine_tune`] on the **batched-training** fast
-    /// path: every drone's per-episode REINFORCE update runs as one
-    /// batched forward/backward over the episode's kept steps through
-    /// `ctx`'s cached-activation arena ([`frlfi_rl::run_episode_batched`]).
-    /// Actions, RNG streams, episode boundaries and the fine-tuned
-    /// weights are **bit-identical** to [`DroneFrlSystem::fine_tune`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training, aggregation or restore failures.
-    pub fn fine_tune_batched(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
         ctx: &mut BatchInferCtx,
-    ) -> Result<(), FrlfiError> {
-        self.fine_tune_impl(episodes, plan, mitigation, Some(ctx))
-    }
-
-    fn fine_tune_impl(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        mut batch_ctx: Option<&mut BatchInferCtx>,
     ) -> Result<(), FrlfiError> {
         let mut detector = mitigation
             .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_drones));
@@ -287,11 +265,7 @@ impl DroneFrlSystem {
                 self.drones[i].set_episode(global_ep);
                 let (env, drone, rng) =
                     (&mut self.envs[i], &mut self.drones[i], &mut self.drone_rngs[i]);
-                let summary = match batch_ctx.as_deref_mut() {
-                    Some(ctx) => run_episode_batched(env, drone, rng, ctx)?,
-                    None => run_episode(env, drone, rng)?,
-                };
-                rewards.push(summary.total_reward);
+                rewards.push(run_episode_batched(env, drone, rng, ctx)?.total_reward);
             }
 
             if let Some(p) = plan {
@@ -428,13 +402,7 @@ impl DroneFrlSystem {
     /// Evaluation uses the full step budget of `cfg.sim` regardless of
     /// the (shorter) training cap.
     pub fn safe_flight_distance(&mut self, attempts: usize) -> f64 {
-        self.safe_flight_distance_ctx(attempts, &mut InferCtx::new())
-    }
-
-    /// [`DroneFrlSystem::safe_flight_distance`] on the zero-allocation
-    /// inference fast path, reusing `ctx` across every evaluation step
-    /// of every drone (campaign workers keep one context per thread).
-    pub fn safe_flight_distance_ctx(&mut self, attempts: usize, ctx: &mut InferCtx) -> f64 {
+        let mut ctx = InferCtx::new();
         let mut total = 0.0;
         let mut count = 0;
         for i in 0..self.cfg.n_drones {
@@ -445,7 +413,7 @@ impl DroneFrlSystem {
                 let mut state = env.reset(&mut rng);
                 loop {
                     let action = self.drones[i]
-                        .act_greedy_ctx(&state, ctx)
+                        .act_greedy_ctx(&state, &mut ctx)
                         .expect("drone policy and observation shapes are fixed at construction");
                     let step = env.step(action, &mut rng);
                     state = step.state;
@@ -472,7 +440,7 @@ impl DroneFrlSystem {
     /// is bit-identical to single-observation greedy selection and
     /// every corridor keeps its own seed-derived environment and RNG
     /// streams, so the returned distance matches
-    /// [`DroneFrlSystem::safe_flight_distance_ctx`] bit for bit.
+    /// [`DroneFrlSystem::safe_flight_distance`] bit for bit.
     pub fn safe_flight_distance_batched(
         &mut self,
         attempts: usize,
@@ -600,7 +568,7 @@ mod tests {
     fn fine_tune_runs_and_counts_episodes() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
-        s.fine_tune(3, None, None).unwrap();
+        s.fine_tune(3, None, None, &mut BatchInferCtx::new()).unwrap();
         assert_eq!(s.episodes_done, 3);
     }
 
@@ -609,7 +577,7 @@ mod tests {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.01).unwrap()).with_repr(ReprKind::F32);
-        s.fine_tune(2, Some(&plan), None).unwrap();
+        s.fine_tune(2, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
         assert!(!s.last_fault_records().is_empty());
     }
 
@@ -625,9 +593,9 @@ mod tests {
     fn batched_flight_distance_matches_sequential_bitwise() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
-        s.fine_tune(2, None, None).unwrap();
+        s.fine_tune(2, None, None, &mut BatchInferCtx::new()).unwrap();
         for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance_ctx(attempts, &mut InferCtx::new());
+            let seq = s.safe_flight_distance(attempts);
             let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
             assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
         }
@@ -635,19 +603,27 @@ mod tests {
 
     #[test]
     fn batched_fine_tuning_matches_sequential_weights() {
-        let run = |batched: bool| {
+        let fresh = || {
             let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
             s.pretrain().unwrap();
-            if batched {
-                s.fine_tune_batched(4, None, None, &mut BatchInferCtx::new()).unwrap();
-            } else {
-                s.fine_tune(4, None, None).unwrap();
-            }
-            s.drone(0).network().snapshot()
+            s
         };
+        let mut bat = fresh();
+        bat.fine_tune(4, None, None, &mut BatchInferCtx::new()).unwrap();
+        // The per-observation reference path ([`frlfi_rl::run_episode`]).
+        let mut seq = fresh();
+        for ep in 0..4 {
+            for i in 0..2 {
+                seq.drones[i].set_episode(ep);
+                run_episode(&mut seq.envs[i], &mut seq.drones[i], &mut seq.drone_rngs[i]).unwrap();
+            }
+            if seq.cfg.comm.communicates_at(ep) {
+                seq.communicate().unwrap();
+            }
+        }
         assert_eq!(
-            run(true),
-            run(false),
+            bat.fleet_weights(),
+            seq.fleet_weights(),
             "fine-tuned weights must be bit-identical across training paths"
         );
     }
@@ -676,7 +652,7 @@ mod tests {
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         assert!(s.config().sim.dynamic.is_some(), "layout must switch the sim to dynamic mode");
         s.pretrain().unwrap();
-        s.fine_tune(2, None, None).unwrap();
+        s.fine_tune(2, None, None, &mut BatchInferCtx::new()).unwrap();
         let d = s.safe_flight_distance(1);
         let max = s.config().sim.max_steps as f64 * s.config().sim.speed as f64;
         assert!(d > 0.0 && d <= max, "distance {d} out of range (max {max})");
@@ -711,9 +687,9 @@ mod tests {
         let cfg = DroneSystemConfig { layout: DroneLayout::DynamicObstacles, ..tiny_cfg(2) };
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         s.pretrain().unwrap();
-        s.fine_tune(2, None, None).unwrap();
+        s.fine_tune(2, None, None, &mut BatchInferCtx::new()).unwrap();
         for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance_ctx(attempts, &mut InferCtx::new());
+            let seq = s.safe_flight_distance(attempts);
             let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
             assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
         }
@@ -725,7 +701,7 @@ mod tests {
         let run = |cfg: &DroneSystemConfig| {
             let mut s = DroneFrlSystem::new(cfg.clone()).unwrap();
             s.pretrain().unwrap();
-            s.fine_tune(6, None, None).unwrap();
+            s.fine_tune(6, None, None, &mut BatchInferCtx::new()).unwrap();
             s.drone(0).network().snapshot()
         };
         assert_eq!(run(&cfg), run(&cfg), "dropout masks must derive from the config seed");
@@ -742,7 +718,7 @@ mod tests {
         s.pretrain().unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap()).with_repr(ReprKind::F32);
         s.inject_now(&plan);
-        s.fine_tune(80, None, None).unwrap();
+        s.fine_tune(80, None, None, &mut BatchInferCtx::new()).unwrap();
         assert!(
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"

@@ -10,6 +10,7 @@ use crate::report::Table;
 use crate::{GridFrlSystem, GridSystemConfig, InjectionPlan, ReprKind, Scale, TrainingMitigation};
 use frlfi_fault::{sweep, Ber, FaultModel};
 use frlfi_mitigation::RangeDetector;
+use frlfi_nn::BatchInferCtx;
 use frlfi_tensor::derive_seed;
 
 fn trained_system(scale: Scale) -> GridFrlSystem {
@@ -43,7 +44,8 @@ pub fn checkpoint_interval(scale: Scale) -> Table {
             checkpoint_interval: interval,
             ..TrainingMitigation::scaled(scale.pick(4, 8, 50))
         };
-        sys.train(episodes, Some(&plan), Some(&mitigation)).expect("training");
+        sys.train(episodes, Some(&plan), Some(&mitigation), &mut BatchInferCtx::new())
+            .expect("training");
         sys.success_rate() * 100.0
     });
 
@@ -80,7 +82,13 @@ pub fn detector_window(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = InjectionPlan::server(inject_ep, Ber::new(0.2).expect("ber"));
-        sys.train(episodes, Some(&plan), Some(&TrainingMitigation::scaled(k))).expect("training");
+        sys.train(
+            episodes,
+            Some(&plan),
+            Some(&TrainingMitigation::scaled(k)),
+            &mut BatchInferCtx::new(),
+        )
+        .expect("training");
         sys.success_rate() * 100.0
     });
 
@@ -174,7 +182,7 @@ pub fn alpha_annealing(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
-        sys.train(episodes, plan.as_ref(), None).expect("training");
+        sys.train(episodes, plan.as_ref(), None, &mut BatchInferCtx::new()).expect("training");
         sys.success_rate() * 100.0
     });
 
@@ -215,7 +223,7 @@ pub fn comm_interval_recovery(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
-        sys.train(episodes, plan.as_ref(), None).expect("training");
+        sys.train(episodes, plan.as_ref(), None, &mut BatchInferCtx::new()).expect("training");
         sys.success_rate() * 100.0
     });
 

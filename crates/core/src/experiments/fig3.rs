@@ -15,7 +15,8 @@ use crate::experiments::harness::{
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{GridFrlSystem, GridSystemConfig, Scale};
-use frlfi_fault::{sweep, FaultSide};
+use frlfi_fault::FaultSide;
+use frlfi_nn::BatchInferCtx;
 use frlfi_quant::{BitCensus, SymInt8Quantizer};
 use frlfi_rl::Learner;
 use frlfi_tensor::histogram;
@@ -39,7 +40,7 @@ pub fn heatmap_cells(scale: Scale, side: Option<FaultSide>) -> Vec<GridTrial> {
 fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
     let g = grid_geometry(scale);
     let cells = heatmap_cells(scale, side);
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED, harness::run_grid_trial);
+    let stats = harness::sweep_grid(&cells, g.repeats, DEFAULT_SEED);
     heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 1)
 }
 
@@ -88,7 +89,7 @@ pub fn weight_distribution(scale: Scale) -> WeightDistribution {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-    sys.train(episodes, None, None).expect("training");
+    sys.train(episodes, None, None, &mut BatchInferCtx::new()).expect("training");
     let weights = sys.agent(0).network().snapshot();
 
     let lo = weights.iter().cloned().fold(f32::INFINITY, f32::min);
@@ -136,7 +137,7 @@ pub fn convergence(scale: Scale) -> Table {
             })
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x3E, harness::run_grid_trial);
+    let stats = harness::sweep_grid(&cells, g.repeats, DEFAULT_SEED ^ 0x3E);
 
     let mut table = Table::new(
         "Fig 3e: episodes to converge after late fault",

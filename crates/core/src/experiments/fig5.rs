@@ -15,7 +15,7 @@ use crate::experiments::harness::{
 use crate::experiments::DEFAULT_SEED;
 use crate::report::Table;
 use crate::Scale;
-use frlfi_fault::{sweep, FaultSide};
+use frlfi_fault::FaultSide;
 
 /// Builds the Fig. 5 heatmap cell list for a fault side (`None` = the
 /// single-drone baseline, Fig. 5c). Shared with `frlfi-campaign`.
@@ -36,7 +36,7 @@ pub fn heatmap_cells(scale: Scale, side: Option<FaultSide>) -> Vec<DroneTrial> {
 fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
     let g = drone_geometry(scale);
     let cells = heatmap_cells(scale, side);
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0xF15, harness::run_drone_trial);
+    let stats = harness::sweep_drone(&cells, g.repeats, DEFAULT_SEED ^ 0xF15);
     heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 0)
 }
 

@@ -14,7 +14,7 @@ use crate::experiments::harness::{
 use crate::experiments::{ber_label, DEFAULT_SEED};
 use crate::report::Table;
 use crate::Scale;
-use frlfi_fault::{sweep, FaultSide};
+use frlfi_fault::FaultSide;
 use frlfi_federated::CommSchedule;
 
 /// Fig. 6a: flight distance vs BER for each (drone count, fault side).
@@ -35,7 +35,7 @@ pub fn drone_count(scale: Scale) -> Table {
             }
         }
     }
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6A, harness::run_drone_trial);
+    let stats = harness::sweep_drone(&cells, g.repeats, DEFAULT_SEED ^ 0x6A);
 
     let mut table = Table::new(
         "Fig 6a: flight distance vs BER by (drones, fault side) (m)",
@@ -95,7 +95,7 @@ pub fn comm_interval(scale: Scale) -> Table {
             ]
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6B, harness::run_drone_trial);
+    let stats = harness::sweep_drone(&cells, g.repeats, DEFAULT_SEED ^ 0x6B);
 
     let mut table = Table::new(
         "Fig 6b: communication-interval trade-off",

@@ -14,7 +14,7 @@ use crate::experiments::harness::{
 use crate::experiments::DEFAULT_SEED;
 use crate::report::Table;
 use crate::{Scale, TrainingMitigation};
-use frlfi_fault::{sweep, FaultSide};
+use frlfi_fault::FaultSide;
 
 /// Geometry of the mitigated GridWorld heatmap (Fig. 7a); the smoke
 /// scale late-injects at 110 (not Fig. 3's 125) so the shortened k=4
@@ -56,7 +56,7 @@ pub fn gridworld_cells(scale: Scale) -> Vec<GridTrial> {
 pub fn gridworld(scale: Scale) -> Table {
     let (bers, inject_eps, _, _, repeats) = fig7a_geometry(scale);
     let cells = gridworld_cells(scale);
-    let stats = sweep(&cells, repeats, DEFAULT_SEED ^ 0x7A, harness::run_grid_trial);
+    let stats = harness::sweep_grid(&cells, repeats, DEFAULT_SEED ^ 0x7A);
     heatmap_table(
         "Fig 7a: GridWorld server faults WITH checkpoint mitigation (SR %)",
         &bers,
@@ -80,7 +80,7 @@ pub fn drone(scale: Scale) -> Table {
                 .with_mitigation(mitigation)
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x7B, harness::run_drone_trial);
+    let stats = harness::sweep_drone(&cells, g.repeats, DEFAULT_SEED ^ 0x7B);
     heatmap_table(
         "Fig 7b: DroneNav server faults WITH checkpoint mitigation (m)",
         &g.bers,

@@ -3,11 +3,14 @@
 //!
 //! Every figure driver used to hand-roll its own `sweep` closure; they
 //! now all reduce to building [`GridTrial`] / [`DroneTrial`] cells and
-//! calling [`run_grid_trial`] / [`run_drone_trial`]. The same trial
-//! functions back the `frlfi-campaign` orchestration crate, which is
-//! what makes a declarative TOML campaign reproduce a figure driver's
-//! statistics *exactly*: identical trial spec + identical derived seed
-//! ⇒ identical trial value, and identical aggregation (see
+//! calling [`run_grid_trial_batched`] / [`run_drone_trial_batched`].
+//! Both train and evaluate on a [`BatchInferCtx`] arena, the one
+//! production path (bit-identical to the per-observation reference
+//! [`frlfi_rl::run_episode`]). The same trial functions back the
+//! `frlfi-campaign` orchestration crate, which is what makes a
+//! declarative TOML campaign reproduce a figure driver's statistics
+//! *exactly*: identical trial spec + identical derived seed ⇒
+//! identical trial value, and identical aggregation (see
 //! [`frlfi_fault::aggregate_in_order`]) ⇒ identical cell statistics.
 
 use std::sync::Arc;
@@ -22,7 +25,7 @@ use crate::{
 };
 use frlfi_fault::{Ber, CellStats, FaultModel, FaultSide};
 use frlfi_federated::CommSchedule;
-use frlfi_nn::{BatchInferCtx, InferCtx};
+use frlfi_nn::BatchInferCtx;
 use frlfi_tensor::derive_seed;
 
 /// Campaign geometry of the GridWorld training heatmaps (Fig. 3/7a).
@@ -311,83 +314,33 @@ pub(crate) fn fork_episode(t: &GridTrial) -> usize {
 /// A campaign's prefix cache together with the campaign's cells.
 type Shared<'a> = Option<(&'a GridPrefixes, &'a [GridTrial])>;
 
-/// Evaluates one GridWorld trial: a pure function of `(trial, seed)`,
-/// safe to fan out over threads.
-///
-/// # Panics
-///
-/// Panics on invalid trial configuration (campaign cells are validated
-/// when specs are built).
-pub fn run_grid_trial(t: &GridTrial, seed: u64) -> f64 {
-    run_grid_trial_ctx(t, seed, &mut InferCtx::new())
-        .expect("figure-driver grid trials are validated at construction")
-}
-
-/// [`run_grid_trial`] with an external inference scratch context: the
-/// post-training eval loop drops layer caches ([`GridFrlSystem::eval_mode`])
-/// and runs greedy episodes on the zero-allocation fast path. Campaign
-/// workers reuse one context across all their trials.
+/// Evaluates one GridWorld trial: a pure function of `(trial, seed)`.
+/// Training runs through `ctx`'s cached-activation arena kernels
+/// ([`GridFrlSystem::train`]) and the post-training evaluation through
+/// lock-step batched forwards ([`GridFrlSystem::success_rate_batched`]).
+/// Campaign workers reuse one context across all their trials.
 ///
 /// # Errors
 ///
 /// Returns an error on an invalid trial configuration or a training
 /// failure (e.g. a mis-shaped observation), so a campaign can
 /// quarantine the trial instead of panicking in a worker.
-pub fn run_grid_trial_ctx(t: &GridTrial, seed: u64, ctx: &mut InferCtx) -> Result<f64, FrlfiError> {
-    grid_value_ctx(t, seed, ctx, None)
-}
-
-/// [`run_grid_trial`] with **both phases** on the batched fast paths:
-/// training runs through the cached-activation arena kernels
-/// ([`GridFrlSystem::train_batched`]) and the post-training evaluation
-/// through lock-step batched forwards
-/// ([`GridFrlSystem::success_rate_batched`]). Both are bit-identical to
-/// their sequential counterparts, so trial values match
-/// [`run_grid_trial_ctx`] bit for bit.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`].
 pub fn run_grid_trial_batched(
     t: &GridTrial,
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    grid_value_batched(t, seed, ctx, None)
+    grid_value(t, seed, ctx, None)
 }
 
-/// [`run_grid_trial_ctx`] for cell `cell` of a campaign's `cells`,
+/// [`run_grid_trial_batched`] for cell `cell` of a campaign's `cells`,
 /// forking from the fault-free prefix in `prefixes` (trained there on
-/// first use). Bit-identical to [`run_grid_trial_ctx`] on `cells[cell]`.
+/// first use). Bit-identical to [`run_grid_trial_batched`] on
+/// `cells[cell]`. This is the campaign runner's GridWorld work unit.
 ///
 /// # Errors
 ///
-/// As for [`run_grid_trial_ctx`].
-///
-/// # Panics
-///
-/// Panics if `cell` is out of range.
-pub fn run_grid_cell_ctx(
-    cells: &[GridTrial],
-    cell: usize,
-    seed: u64,
-    prefixes: &GridPrefixes,
-    ctx: &mut InferCtx,
-) -> Result<f64, FrlfiError> {
-    grid_value_ctx(&cells[cell], seed, ctx, Some((prefixes, cells)))
-}
-
-/// Evaluates one cell's shard of repeats on the batched path: repeat
-/// `r` runs [`run_grid_trial_batched`] on `cells[cell]` with
-/// `seeds[r]`, forking from the fault-free prefix in `prefixes` and
-/// sharing `ctx`'s arena. This is the campaign runner's batched-mode
-/// work unit; values come back in seed order, bit-identical to
-/// evaluating each `(trial, seed)` alone.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`]; repeats before the failing one are
-/// discarded with the trial.
+/// As for [`run_grid_trial_batched`].
 ///
 /// # Panics
 ///
@@ -395,54 +348,32 @@ pub fn run_grid_cell_ctx(
 pub fn run_grid_cell_batched(
     cells: &[GridTrial],
     cell: usize,
-    seeds: &[u64],
+    seed: u64,
     prefixes: &GridPrefixes,
     ctx: &mut BatchInferCtx,
-) -> Result<Vec<f64>, FrlfiError> {
-    seeds
-        .iter()
-        .map(|&s| grid_value_batched(&cells[cell], s, ctx, Some((prefixes, cells))))
-        .collect()
-}
-
-fn grid_value_ctx(
-    t: &GridTrial,
-    seed: u64,
-    ctx: &mut InferCtx,
-    shared: Shared<'_>,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, None, shared)?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(match t.metric {
-        GridMetric::SuccessRatePct => sys.success_rate_ctx(ctx) * 100.0,
-        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
-            let extra = sys.episodes_to_converge_ctx(threshold, check_every, max_extra, ctx)?;
-            converge_metric(t, extra, max_extra)
-        }
-    })
+    grid_value(&cells[cell], seed, ctx, Some((prefixes, cells)))
 }
 
-fn grid_value_batched(
+fn grid_value(
     t: &GridTrial,
     seed: u64,
     ctx: &mut BatchInferCtx,
     shared: Shared<'_>,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, Some(ctx), shared)?;
+    let mut sys = grid_trial_system(t, seed, ctx, shared)?;
     let _eval = frlfi_obs::span("eval");
     Ok(match t.metric {
         GridMetric::SuccessRatePct => sys.success_rate_batched(ctx) * 100.0,
         GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
-            let extra = sys.episodes_to_converge_batched(threshold, check_every, max_extra, ctx)?;
+            let extra = sys.episodes_to_converge(threshold, check_every, max_extra, ctx)?;
             converge_metric(t, extra, max_extra)
         }
     })
 }
 
 /// Builds, fault-injects and trains the system of one GridWorld trial,
-/// ready for greedy evaluation — shared by the per-observation and
-/// batched paths so the trial setup can never drift between modes.
-/// `batch_ctx` selects the training path (bit-identical either way).
+/// ready for greedy evaluation.
 ///
 /// Training is a fault-free prefix, a fork of it with the trial's fault
 /// stream, then the suffix with the plan's episode shifted to the fork.
@@ -453,7 +384,7 @@ fn grid_value_batched(
 fn grid_trial_system(
     t: &GridTrial,
     seed: u64,
-    mut batch_ctx: Option<&mut BatchInferCtx>,
+    ctx: &mut BatchInferCtx,
     shared: Shared<'_>,
 ) -> Result<GridFrlSystem, FrlfiError> {
     // Observability only — the spans read the clock around training,
@@ -463,10 +394,10 @@ fn grid_trial_system(
     let prefix = {
         let _prefix = frlfi_obs::span("prefix");
         match shared {
-            Some((prefixes, cells)) => prefixes.get(cells, t, at, batch_ctx.as_deref_mut())?,
+            Some((prefixes, cells)) => prefixes.get(cells, t, at, ctx)?,
             None if at > 0 => {
                 let mut sys = GridFrlSystem::new(t.system_config())?;
-                sys.train_impl(at, None, None, batch_ctx.as_deref_mut())?;
+                sys.train(at, None, None, ctx)?;
                 Some(Arc::new(sys.prefix()?))
             }
             None => None,
@@ -487,7 +418,7 @@ fn grid_trial_system(
         .and_then(TrialFault::plan)
         .filter(|_| at < t.total_episodes)
         .map(|p| InjectionPlan { episode: p.episode - from, ..p });
-    sys.train_impl(t.total_episodes - from, plan.as_ref(), t.mitigation.as_ref(), batch_ctx)?;
+    sys.train(t.total_episodes - from, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
     sys.eval_mode();
     Ok(sys)
 }
@@ -627,63 +558,33 @@ impl DroneTrial {
 }
 
 /// Evaluates one DroneNav trial: safe flight distance (m) after
-/// fine-tuning. Pure in `(trial, seed)`.
-///
-/// # Panics
-///
-/// Panics on invalid trial configuration.
-pub fn run_drone_trial(t: &DroneTrial, seed: u64) -> f64 {
-    run_drone_trial_ctx(t, seed, &mut InferCtx::new())
-        .expect("figure-driver drone trials are validated at construction")
-}
-
-/// [`run_drone_trial`] with an external inference scratch context (see
-/// [`run_grid_trial_ctx`]).
+/// fine-tuning, pure in `(trial, seed)`. Fine-tuning runs each
+/// episode's REINFORCE update as one batched forward/backward
+/// ([`DroneFrlSystem::fine_tune`]) and the flight-distance evaluation
+/// runs corridors in lock-step
+/// ([`DroneFrlSystem::safe_flight_distance_batched`]), both on `ctx`.
 ///
 /// # Errors
 ///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_drone_trial_ctx(
-    t: &DroneTrial,
-    seed: u64,
-    ctx: &mut InferCtx,
-) -> Result<f64, FrlfiError> {
-    let mut sys = drone_trial_system(t, seed, None)?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(sys.safe_flight_distance_ctx(t.eval_attempts, ctx))
-}
-
-/// [`run_drone_trial`] with **both phases** on the batched fast paths:
-/// fine-tuning runs each episode's REINFORCE update as one batched
-/// forward/backward ([`DroneFrlSystem::fine_tune_batched`]) and the
-/// flight-distance evaluation runs corridors in lock-step
-/// ([`DroneFrlSystem::safe_flight_distance_batched`]). Both are
-/// bit-identical to their sequential counterparts, so trial values
-/// match [`run_drone_trial_ctx`] bit for bit.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`].
+/// As for [`run_grid_trial_batched`].
 pub fn run_drone_trial_batched(
     t: &DroneTrial,
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = drone_trial_system(t, seed, Some(ctx))?;
+    let mut sys = drone_trial_system(t, seed, ctx)?;
     let _eval = frlfi_obs::span("eval");
     Ok(sys.safe_flight_distance_batched(t.eval_attempts, ctx))
 }
 
 /// Builds, fault-injects and fine-tunes the system of one DroneNav
-/// trial, ready for flight-distance evaluation — shared by the
-/// per-observation and batched paths so the trial setup can never
-/// drift between modes. `batch_ctx` selects the fine-tuning path
-/// (bit-identical either way); the shared offline pre-training behind
-/// [`PretrainedWeights`] always runs sequentially.
+/// trial, ready for flight-distance evaluation. The shared offline
+/// pre-training behind [`PretrainedWeights`] runs on the
+/// per-observation path.
 fn drone_trial_system(
     t: &DroneTrial,
     seed: u64,
-    batch_ctx: Option<&mut BatchInferCtx>,
+    ctx: &mut BatchInferCtx,
 ) -> Result<DroneFrlSystem, FrlfiError> {
     // Observability only — the span reads the clock around
     // fine-tuning, it cannot affect any trained value.
@@ -705,28 +606,38 @@ fn drone_trial_system(
     sys.set_fleet_weights(t.weights.get())?;
     sys.reseed_faults(seed);
     let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    match batch_ctx {
-        Some(ctx) => {
-            sys.fine_tune_batched(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
-        }
-        None => sys.fine_tune(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref())?,
-    }
+    sys.fine_tune(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
     sys.eval_mode();
     Ok(sys)
 }
 
-/// Evaluates one cell's shard of repeats on the batched path (see
-/// [`run_grid_cell_batched`]).
+/// [`frlfi_fault::sweep`] over GridWorld trial cells, each trial on a
+/// fresh arena (the figure drivers' engine).
 ///
-/// # Errors
+/// # Panics
 ///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_drone_trials_batched(
-    t: &DroneTrial,
-    seeds: &[u64],
-    ctx: &mut BatchInferCtx,
-) -> Result<Vec<f64>, FrlfiError> {
-    seeds.iter().map(|&s| run_drone_trial_batched(t, s, ctx)).collect()
+/// Panics on an invalid trial (figure cells are valid by construction).
+pub(crate) fn sweep_grid(cells: &[GridTrial], repeats: usize, master_seed: u64) -> Vec<CellStats> {
+    frlfi_fault::sweep(cells, repeats, master_seed, |t, seed| {
+        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new())
+            .expect("figure-driver grid trials are validated at construction")
+    })
+}
+
+/// [`sweep_grid`] over DroneNav trial cells.
+///
+/// # Panics
+///
+/// Panics on an invalid trial.
+pub(crate) fn sweep_drone(
+    cells: &[DroneTrial],
+    repeats: usize,
+    master_seed: u64,
+) -> Vec<CellStats> {
+    frlfi_fault::sweep(cells, repeats, master_seed, |t, seed| {
+        run_drone_trial_batched(t, seed, &mut BatchInferCtx::new())
+            .expect("figure-driver drone trials are validated at construction")
+    })
 }
 
 /// The `(BER × inject episode)` cell grid shared by the training
@@ -783,7 +694,7 @@ pub fn trained_grid_system(scale: Scale, n_agents: usize) -> GridFrlSystem {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(episodes, None, None).expect("training");
+    sys.train(episodes, None, None, &mut BatchInferCtx::new()).expect("training");
     sys
 }
 
@@ -793,6 +704,16 @@ mod tests {
     use crate::experiments::DEFAULT_SEED;
     use frlfi_fault::sweep_with_threads;
 
+    /// One grid trial on a fresh arena.
+    fn grid(t: &GridTrial, seed: u64) -> f64 {
+        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new()).unwrap()
+    }
+
+    /// One drone trial on a fresh arena.
+    fn drone(t: &DroneTrial, seed: u64) -> f64 {
+        run_drone_trial_batched(t, seed, &mut BatchInferCtx::new()).unwrap()
+    }
+
     #[test]
     fn grid_trial_is_pure_in_seed() {
         let t = GridTrial::new(2, 40).with_fault(TrialFault::transient_int8(
@@ -800,7 +721,7 @@ mod tests {
             20,
             0.05,
         ));
-        assert_eq!(run_grid_trial(&t, 7).to_bits(), run_grid_trial(&t, 7).to_bits());
+        assert_eq!(grid(&t, 7).to_bits(), grid(&t, 7).to_bits());
     }
 
     #[test]
@@ -824,44 +745,102 @@ mod tests {
                         .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 40, ber))
                 })
                 .collect();
-        let stats = sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, run_grid_trial);
+        let stats = sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, grid);
         for (ci, cell) in cells.iter().enumerate() {
             let by_hand: Vec<f64> = (0..2)
-                .map(|r| {
-                    run_grid_trial(
-                        cell,
-                        frlfi_tensor::derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64),
-                    )
-                })
+                .map(|r| grid(cell, frlfi_tensor::derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64)))
                 .collect();
             let agg = frlfi_fault::aggregate_in_order(&by_hand);
             assert_eq!(agg.mean.to_bits(), stats[ci].mean.to_bits());
         }
     }
 
+    /// FNV-1a over the little-endian bytes of each weight's bit
+    /// pattern (the same digest as `tests/golden_equivalence.rs`).
+    fn weight_digest(weights: &[f32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in weights {
+            for b in w.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn grid_fleet_digest(sys: &GridFrlSystem) -> u64 {
+        use frlfi_rl::Learner as _;
+        let w: Vec<f32> =
+            (0..sys.n_agents()).flat_map(|i| sys.agent(i).network().snapshot()).collect();
+        weight_digest(&w)
+    }
+
     #[test]
-    fn batched_trials_match_sequential_bitwise() {
+    fn arena_trials_match_pinned_per_observation_bits() {
+        // Every pinned value and digest below was produced by the
+        // per-observation trial path (`frlfi_rl::run_episode`-driven
+        // training and evaluation) before the arena became the only
+        // trial path. Each trial runs on one arena reused across all of
+        // them, as a campaign worker reuses it, and again on a fresh
+        // arena: no state may leak from one trial into the next.
         let t = GridTrial::new(2, 40).with_fault(TrialFault::transient_int8(
             FaultSide::AgentSide,
             20,
             0.1,
         ));
-        let seeds = [7u64, 8, 9];
-        let mut bctx = BatchInferCtx::new();
-        for (r, &seed) in seeds.iter().enumerate() {
-            let batched = run_grid_trial_batched(&t, seed, &mut bctx).unwrap();
-            assert_eq!(batched.to_bits(), run_grid_trial(&t, seed).to_bits(), "repeat {r}");
+        let grid_pins = [
+            (7u64, 0xcb11_22f6_7036_bccfu64),
+            (8, 0x58b8_b6a3_be64_d06f),
+            (9, 0x6156_65de_5e45_d20d),
+        ];
+        let mut ctx = BatchInferCtx::new();
+        for &(seed, digest) in &grid_pins {
+            let reused = run_grid_trial_batched(&t, seed, &mut ctx).unwrap();
+            assert_eq!(reused.to_bits(), 100.0f64.to_bits(), "grid seed {seed}");
+            assert_eq!(reused.to_bits(), grid(&t, seed).to_bits(), "grid seed {seed}");
+            let sys = grid_trial_system(&t, seed, &mut ctx, None).unwrap();
+            assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
         }
+
         let g = drone_geometry(Scale::Smoke);
         let weights = PretrainedWeights::lazy(g.pretrain_episodes);
-        let dt = DroneTrial::new(&g, weights, 2).with_fault(TrialFault::transient_int8(
+        let dt = DroneTrial::new(&g, weights.clone(), 2).with_fault(TrialFault::transient_int8(
             FaultSide::AgentSide,
             4,
             1e-2,
         ));
-        let batched = run_drone_trials_batched(&dt, &seeds[..2], &mut bctx).unwrap();
-        for (r, &seed) in seeds[..2].iter().enumerate() {
-            assert_eq!(batched[r].to_bits(), run_drone_trial(&dt, seed).to_bits(), "drone {r}");
+        let drone_pins =
+            [(7u64, 106.0, 0x8b92_ea4d_3bb6_adf9u64), (8, 24.0, 0xba5b_9da8_5410_8051)];
+        for &(seed, value, digest) in &drone_pins {
+            let reused = run_drone_trial_batched(&dt, seed, &mut ctx).unwrap();
+            assert_eq!(reused.to_bits(), f64::to_bits(value), "drone seed {seed}");
+            assert_eq!(reused.to_bits(), drone(&dt, seed).to_bits(), "drone seed {seed}");
+            let sys = drone_trial_system(&dt, seed, &mut ctx).unwrap();
+            assert_eq!(weight_digest(&sys.fleet_weights()), digest, "drone seed {seed}: weights");
+        }
+
+        // Dropout + checkpoint mitigation + a server fault: the
+        // detector fires mid-training and restores checkpoints taken
+        // from partial rounds, so these digests pin arena training
+        // through checkpoint restores.
+        let mt = DroneTrial::new(&g, weights, 3)
+            .with_dropout(0.4)
+            .with_mitigation(TrainingMitigation {
+                p_percent: 10.0,
+                k_consecutive: 2,
+                checkpoint_interval: 1,
+            })
+            .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 4, 0.1));
+        let mitigated_pins = [
+            (3u64, 0xfbab_6f9c_c468_d6a3u64),
+            (17, 0x6986_60f8_ed57_99c0),
+            (99, 0x8094_c63b_c012_e87b),
+        ];
+        for &(seed, digest) in &mitigated_pins {
+            let sys = drone_trial_system(&mt, seed, &mut ctx).unwrap();
+            assert_eq!(weight_digest(&sys.fleet_weights()), digest, "mitigated seed {seed}");
+            let stats = sys.mitigation_stats();
+            assert_eq!((stats.agent_detections, stats.server_detections), (2, 1), "seed {seed}");
         }
     }
 
@@ -881,10 +860,7 @@ mod tests {
             .with_motion(frlfi_envs::ObstacleMotion::default())
             .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
         assert_eq!(explicit.layout, DroneLayout::DynamicObstacles);
-        assert_eq!(
-            run_drone_trial(&normalized, 11).to_bits(),
-            run_drone_trial(&explicit, 11).to_bits()
-        );
+        assert_eq!(drone(&normalized, 11).to_bits(), drone(&explicit, 11).to_bits());
     }
 
     #[test]

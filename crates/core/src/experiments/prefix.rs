@@ -78,14 +78,13 @@ impl GridPrefixes {
     /// The fault-free prefix of trial `t` at its deepest stop at or
     /// before episode `at`, or `None` when no stop lies that early.
     /// `cells` are the campaign's cells: they fix the chain's stops when
-    /// `t`'s key is first seen. Chain training runs on the batched path
-    /// when `ctx` is given (bit-identical either way).
+    /// `t`'s key is first seen. Chain training runs on `ctx`.
     pub(crate) fn get(
         &self,
         cells: &[GridTrial],
         t: &GridTrial,
         at: usize,
-        mut ctx: Option<&mut BatchInferCtx>,
+        ctx: &mut BatchInferCtx,
     ) -> Result<Option<Arc<GridPrefix>>, FrlfiError> {
         let key = prefix_key(t);
         let chain = {
@@ -130,7 +129,7 @@ impl GridPrefixes {
         let mut block = PlaneBlock::with_capacity(targets.len() * sys.planes_len());
         let mut taken = Vec::with_capacity(targets.len());
         for e in targets {
-            sys.train_impl(e - sys.episodes_done(), None, None, ctx.as_deref_mut())?;
+            sys.train(e - sys.episodes_done(), None, None, ctx)?;
             taken.push(sys.prefix_into(&mut block)?);
         }
         let block = Arc::new(block);

@@ -33,7 +33,7 @@ use crate::report::Table;
 use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, ReprKind, Scale};
 use frlfi_fault::{inject_slice, Ber, FaultModel};
 use frlfi_mitigation::RangeDetector;
-use frlfi_nn::ParamSpan;
+use frlfi_nn::{BatchInferCtx, ParamSpan};
 use frlfi_rl::Learner;
 use frlfi_tensor::derive_seed;
 use rand::rngs::StdRng;
@@ -304,7 +304,7 @@ impl StudyModel {
                     epsilon_decay_episodes: episodes / 2,
                     ..Default::default()
                 })?;
-                sys.train(episodes, None, None)?;
+                sys.train(episodes, None, None, &mut BatchInferCtx::new())?;
                 Ok((0..n_agents).map(|i| sys.agent(i).network().snapshot()).collect())
             }
             StudyModel::Drone { n_drones, pretrain_episodes, fine_tune_episodes } => {
@@ -323,7 +323,7 @@ impl StudyModel {
                     ..Default::default()
                 })?;
                 sys.set_fleet_weights(&weights)?;
-                sys.fine_tune(fine_tune_episodes, None, None)?;
+                sys.fine_tune(fine_tune_episodes, None, None, &mut BatchInferCtx::new())?;
                 Ok((0..n_drones).map(|i| sys.drone(i).network().snapshot()).collect())
             }
         }

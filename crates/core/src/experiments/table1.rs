@@ -6,6 +6,7 @@
 use crate::experiments::SYSTEM_SEED;
 use crate::report::Table;
 use crate::{GridFrlSystem, GridSystemConfig, Scale};
+use frlfi_nn::BatchInferCtx;
 use frlfi_rl::Learner;
 
 /// Agent counts evaluated at each scale (the paper uses 1/4/8/12).
@@ -54,7 +55,7 @@ pub fn run(scale: Scale) -> Table {
             ..Default::default()
         };
         let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-        sys.train(episodes, None, None).expect("training");
+        sys.train(episodes, None, None, &mut BatchInferCtx::new()).expect("training");
         margins
             .push(crate::metrics::policy_differentiation(sys.agent_mut(0).network_mut(), &probes)
                 as f64);

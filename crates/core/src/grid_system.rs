@@ -8,8 +8,8 @@ use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
 use frlfi_nn::{BatchInferCtx, InferCtx};
 use frlfi_rl::{
-    greedy_argmax, run_episode, run_episode_batched, run_greedy_episode_ctx,
-    run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner,
+    greedy_argmax, run_episode_batched, run_greedy_episode_ctx, run_greedy_episodes_batch,
+    EpsilonSchedule, Learner, QLearner,
 };
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
@@ -24,12 +24,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// single-agent baseline (Fig. 3c).
 ///
 /// ```no_run
+/// use frlfi::nn::BatchInferCtx;
 /// use frlfi::{GridFrlSystem, GridSystemConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cfg = GridSystemConfig { n_agents: 4, ..Default::default() };
 /// let mut sys = GridFrlSystem::new(cfg)?;
-/// sys.train(400, None, None)?;
+/// sys.train(400, None, None, &mut BatchInferCtx::new())?;
 /// println!("SR = {:.2}", sys.success_rate());
 /// # Ok(())
 /// # }
@@ -388,48 +389,20 @@ impl GridFrlSystem {
 
     /// Trains for `episodes` episodes, optionally applying a dynamic
     /// [`InjectionPlan`] (episode index relative to this call) and the
-    /// training-time mitigation scheme.
+    /// training-time mitigation scheme. Every agent's TD updates run
+    /// through `ctx`'s cached-activation arena
+    /// ([`frlfi_rl::run_episode_batched`]), bit-identical to the
+    /// per-observation reference [`frlfi_rl::run_episode`].
     ///
     /// # Errors
     ///
-    /// Propagates aggregation or restore failures.
+    /// Propagates training, aggregation or restore failures.
     pub fn train(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
         mitigation: Option<&TrainingMitigation>,
-    ) -> Result<(), FrlfiError> {
-        self.train_impl(episodes, plan, mitigation, None)
-    }
-
-    /// [`GridFrlSystem::train`] on the **batched-training** fast path:
-    /// every agent's TD updates run through `ctx`'s cached-activation
-    /// arena kernels ([`frlfi_rl::run_episode_batched`]) instead of the
-    /// tensor-allocating reference path. Actions, RNG streams, episode
-    /// boundaries and the trained weights are **bit-identical** to
-    /// [`GridFrlSystem::train`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training, aggregation or restore failures.
-    pub fn train_batched(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
         ctx: &mut BatchInferCtx,
-    ) -> Result<(), FrlfiError> {
-        self.train_impl(episodes, plan, mitigation, Some(ctx))
-    }
-
-    /// [`GridFrlSystem::train`] on the batched path when `batch_ctx` is
-    /// given, else on the reference path (bit-identical either way).
-    pub(crate) fn train_impl(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        mut batch_ctx: Option<&mut BatchInferCtx>,
     ) -> Result<(), FrlfiError> {
         let mut detector = mitigation
             .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_agents));
@@ -446,11 +419,7 @@ impl GridFrlSystem {
                 self.agents[i].set_episode(global_ep);
                 let (env, agent, rng) =
                     (&mut self.envs[i], &mut self.agents[i], &mut self.agent_rngs[i]);
-                let summary = match batch_ctx.as_deref_mut() {
-                    Some(ctx) => run_episode_batched(env, agent, rng, ctx)?,
-                    None => run_episode(env, agent, rng)?,
-                };
-                rewards.push(summary.total_reward);
+                rewards.push(run_episode_batched(env, agent, rng, ctx)?.total_reward);
             }
 
             if let Some(p) = plan {
@@ -595,30 +564,22 @@ impl GridFrlSystem {
     /// the paper's `SR = (1/n) Σ SRᵢ`. GridWorld is deterministic, so a
     /// single greedy attempt per agent fully determines `SRᵢ`.
     pub fn success_rate(&mut self) -> f64 {
-        self.success_rate_ctx(&mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::success_rate`] reusing an external inference
-    /// scratch context (campaign workers keep one per thread).
-    pub fn success_rate_ctx(&mut self, ctx: &mut InferCtx) -> f64 {
-        let outcomes = self.eval_outcomes_ctx(ctx);
-        crate::metrics::success_rate_of(&outcomes)
+        crate::metrics::success_rate_of(&self.eval_outcomes())
     }
 
     /// One greedy episode per agent, returning the outcomes.
     pub fn eval_outcomes(&mut self) -> Vec<Outcome> {
-        self.eval_outcomes_ctx(&mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::eval_outcomes`] on the inference fast path,
-    /// reusing `ctx` across all agents' greedy episodes.
-    pub fn eval_outcomes_ctx(&mut self, ctx: &mut InferCtx) -> Vec<Outcome> {
+        let mut ctx = InferCtx::new();
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
         for i in 0..self.cfg.n_agents {
             let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + i as u64));
-            let summary =
-                run_greedy_episode_ctx(&mut self.envs[i], &mut self.agents[i], &mut eval_rng, ctx)
-                    .expect("grid policy and observation shapes are fixed at construction");
+            let summary = run_greedy_episode_ctx(
+                &mut self.envs[i],
+                &mut self.agents[i],
+                &mut eval_rng,
+                &mut ctx,
+            )
+            .expect("grid policy and observation shapes are fixed at construction");
             outcomes.push(summary.outcome);
         }
         outcomes
@@ -639,7 +600,7 @@ impl GridFrlSystem {
     /// finished episodes retired from the batch; agents with distinct
     /// parameters fall back to singleton batches on the same code
     /// path. Per-agent environments, RNG streams and greedy actions are
-    /// exactly those of [`GridFrlSystem::eval_outcomes_ctx`], so the
+    /// exactly those of [`GridFrlSystem::eval_outcomes`], so the
     /// outcomes are identical.
     pub fn eval_outcomes_batched(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
         let n = self.cfg.n_agents;
@@ -680,7 +641,8 @@ impl GridFrlSystem {
     /// Keeps training in `check_every`-episode chunks until the success
     /// rate reaches `threshold`, returning the extra episodes used, or
     /// `None` if `max_extra` episodes were not enough — the paper's
-    /// "episodes to converge" metric (Fig. 3e).
+    /// "episodes to converge" metric (Fig. 3e). Training and every
+    /// convergence check run on `ctx`.
     ///
     /// # Errors
     ///
@@ -690,66 +652,17 @@ impl GridFrlSystem {
         threshold: f64,
         check_every: usize,
         max_extra: usize,
-    ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_ctx(threshold, check_every, max_extra, &mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::episodes_to_converge`] reusing an external
-    /// inference scratch context for every convergence check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures.
-    pub fn episodes_to_converge_ctx(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
-        ctx: &mut InferCtx,
-    ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_with(threshold, check_every, max_extra, |sys| {
-            sys.success_rate_ctx(ctx)
-        })
-    }
-
-    /// [`GridFrlSystem::episodes_to_converge`] with every convergence
-    /// check on the batched inference fast path; decisions and the
-    /// returned episode count are identical to the `_ctx` variant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures.
-    pub fn episodes_to_converge_batched(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
         ctx: &mut BatchInferCtx,
-    ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_with(threshold, check_every, max_extra, |sys| {
-            sys.success_rate_batched(ctx)
-        })
-    }
-
-    /// The train-until-converged loop, parameterized over the
-    /// success-rate evaluation path so the per-observation and batched
-    /// variants share one decision sequence.
-    fn episodes_to_converge_with(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
-        mut success_rate: impl FnMut(&mut Self) -> f64,
     ) -> Result<Option<usize>, FrlfiError> {
         let mut used = 0;
         while used < max_extra {
-            if success_rate(self) >= threshold {
+            if self.success_rate_batched(ctx) >= threshold {
                 return Ok(Some(used));
             }
-            self.train(check_every, None, None)?;
+            self.train(check_every, None, None, ctx)?;
             used += check_every;
         }
-        Ok(if success_rate(self) >= threshold { Some(used) } else { None })
+        Ok(if self.success_rate_batched(ctx) >= threshold { Some(used) } else { None })
     }
 
     /// Runs `f` with every agent's policy deployed in `repr` (weights
@@ -1002,7 +915,7 @@ mod tests {
     #[test]
     fn training_improves_success_rate() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(250, None, None).unwrap();
+        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
         let sr = s.success_rate();
         assert!(sr >= 2.0 / 3.0, "trained FRL success rate too low: {sr}");
     }
@@ -1010,12 +923,12 @@ mod tests {
     #[test]
     fn server_fault_corrupts_all_agents() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(30, None, None).unwrap();
+        s.train(30, None, None, &mut BatchInferCtx::new()).unwrap();
         let before: Vec<Vec<f32>> = s.agents.iter().map(|a| a.network().snapshot()).collect();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap());
         s.inject_now(&plan);
         // Fault is pending; applied at next communication.
-        s.train(1, None, None).unwrap();
+        s.train(1, None, None, &mut BatchInferCtx::new()).unwrap();
         let after: Vec<Vec<f32>> = s.agents.iter().map(|a| a.network().snapshot()).collect();
         assert_ne!(before, after);
         assert!(!s.last_fault_records().is_empty());
@@ -1024,7 +937,7 @@ mod tests {
     #[test]
     fn static_fault_scope_is_restored() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(20, None, None).unwrap();
+        s.train(20, None, None, &mut BatchInferCtx::new()).unwrap();
         let before = s.agent(0).network().snapshot();
         let sr = s.with_faulted_policies(
             FaultModel::TransientMulti,
@@ -1040,7 +953,7 @@ mod tests {
     #[test]
     fn transient1_returns_valid_rate() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(60, None, None).unwrap();
+        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
         let sr = s.success_rate_transient1(Ber::new(0.01).unwrap(), ReprKind::Int8, 5);
         assert!((0.0..=1.0).contains(&sr));
     }
@@ -1056,12 +969,12 @@ mod tests {
     #[test]
     fn mitigation_restores_after_server_fault() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(150, None, None).unwrap();
+        s.train(150, None, None, &mut BatchInferCtx::new()).unwrap();
         let baseline = s.success_rate();
         // Heavy server fault, with mitigation active.
         let plan = InjectionPlan::server(10, Ber::new(0.05).unwrap());
         let mit = TrainingMitigation::scaled(5);
-        s.train(120, Some(&plan), Some(&mit)).unwrap();
+        s.train(120, Some(&plan), Some(&mit), &mut BatchInferCtx::new()).unwrap();
         let recovered = s.success_rate();
         assert!(
             recovered >= baseline - 1.0 / 3.0,
@@ -1072,7 +985,7 @@ mod tests {
     #[test]
     fn activation_faults_evaluate_in_range() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(60, None, None).unwrap();
+        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
         let clean = s.agent(0).network().snapshot();
         let sr = s.success_rate_activation_faults(Ber::new(0.01).unwrap(), ReprKind::Int8, 3);
         assert!((0.0..=1.0).contains(&sr));
@@ -1083,7 +996,7 @@ mod tests {
     #[test]
     fn heavy_activation_faults_hurt_more_than_light() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(250, None, None).unwrap();
+        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
         let avg = |s: &mut GridFrlSystem, ber: f64| -> f64 {
             (0..6u64)
                 .map(|seed| {
@@ -1124,7 +1037,7 @@ mod tests {
     fn dynamic_layout_trains_and_evaluates() {
         let cfg = GridSystemConfig { layout: crate::GridLayout::DynamicObstacles, ..small_cfg(2) };
         let mut s = GridFrlSystem::new(cfg).unwrap();
-        s.train(60, None, None).unwrap();
+        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
         let sr = s.success_rate();
         assert!((0.0..=1.0).contains(&sr));
     }
@@ -1134,7 +1047,7 @@ mod tests {
         let cfg = GridSystemConfig { dropout: Some(0.3), ..small_cfg(3) };
         let run = || {
             let mut s = GridFrlSystem::new(cfg.clone()).unwrap();
-            s.train(250, None, None).unwrap();
+            s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
             (s.agent(0).network().snapshot(), s.success_rate())
         };
         let (w1, sr1) = run();
@@ -1148,8 +1061,8 @@ mod tests {
         let mut with =
             GridFrlSystem::new(GridSystemConfig { dropout: Some(0.5), ..small_cfg(3) }).unwrap();
         let mut without = GridFrlSystem::new(small_cfg(3)).unwrap();
-        with.train(40, None, None).unwrap();
-        without.train(40, None, None).unwrap();
+        with.train(40, None, None, &mut BatchInferCtx::new()).unwrap();
+        without.train(40, None, None, &mut BatchInferCtx::new()).unwrap();
         assert_ne!(with.agent(0).network().snapshot(), without.agent(0).network().snapshot());
     }
 
@@ -1161,10 +1074,10 @@ mod tests {
         // the first skipped round.
         let cfg = GridSystemConfig { dropout: Some(0.95), ..small_cfg(3) };
         let mut s = GridFrlSystem::new(cfg).unwrap();
-        s.train(30, None, None).unwrap();
+        s.train(30, None, None, &mut BatchInferCtx::new()).unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap());
         s.inject_now(&plan);
-        s.train(400, None, None).unwrap();
+        s.train(400, None, None, &mut BatchInferCtx::new()).unwrap();
         assert!(
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"
@@ -1179,16 +1092,16 @@ mod tests {
         let plan = InjectionPlan::server(20, Ber::new(0.05).unwrap());
         let mut whole = GridFrlSystem::new(cfg.clone()).unwrap();
         whole.reseed_faults(5);
-        whole.train(40, Some(&plan), None).unwrap();
+        whole.train(40, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
 
         let mut prefix = GridFrlSystem::new(cfg).unwrap();
-        prefix.train(20, None, None).unwrap();
+        prefix.train(20, None, None, &mut BatchInferCtx::new()).unwrap();
         let snap = prefix.prefix().unwrap();
         assert_eq!(snap.episodes_done(), 20);
         assert!(snap.fault_draws() < snap.comm_rounds(), "no round was skipped");
         let mut forked = GridFrlSystem::fork(&snap, 5).unwrap();
         let shifted = InjectionPlan { episode: 0, ..plan };
-        forked.train_batched(20, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
+        forked.train(20, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
 
         for i in 0..3 {
             assert_eq!(whole.agent(i).network().snapshot(), forked.agent(i).network().snapshot());
@@ -1218,7 +1131,7 @@ mod tests {
     #[test]
     fn batched_eval_matches_sequential_outcomes() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(120, None, None).unwrap();
+        s.train(120, None, None, &mut BatchInferCtx::new()).unwrap();
         // Perturb one agent so the eval spans a mixed group structure
         // (two identical policies + one distinct).
         let mut snap = s.agent(0).network().snapshot();
@@ -1226,21 +1139,39 @@ mod tests {
         s.agent_mut(1).network_mut().restore(&copy).unwrap();
         snap[0] += 0.25;
         s.agent_mut(2).network_mut().restore(&snap).unwrap();
-        let sequential = s.eval_outcomes_ctx(&mut InferCtx::new());
+        let sequential = s.eval_outcomes();
         let batched = s.eval_outcomes_batched(&mut BatchInferCtx::new());
         assert_eq!(batched, sequential);
         assert_eq!(
             s.success_rate_batched(&mut BatchInferCtx::new()).to_bits(),
-            s.success_rate_ctx(&mut InferCtx::new()).to_bits()
+            s.success_rate().to_bits()
         );
+    }
+
+    /// `train` without plan or mitigation on the per-observation
+    /// reference path ([`frlfi_rl::run_episode`]): the oracle the arena
+    /// path must match bit for bit.
+    fn train_reference(s: &mut GridFrlSystem, episodes: usize) {
+        let schedule = s.cfg.comm_schedule();
+        for ep in s.episodes_done..s.episodes_done + episodes {
+            for i in 0..s.cfg.n_agents {
+                s.agents[i].set_episode(ep);
+                frlfi_rl::run_episode(&mut s.envs[i], &mut s.agents[i], &mut s.agent_rngs[i])
+                    .unwrap();
+            }
+            if s.server.is_some() && schedule.communicates_at(ep) {
+                s.communicate().unwrap();
+            }
+        }
+        s.episodes_done += episodes;
     }
 
     #[test]
     fn batched_training_matches_sequential_weights() {
         let mut seq = GridFrlSystem::new(small_cfg(3)).unwrap();
         let mut bat = GridFrlSystem::new(small_cfg(3)).unwrap();
-        seq.train(60, None, None).unwrap();
-        bat.train_batched(60, None, None, &mut BatchInferCtx::new()).unwrap();
+        train_reference(&mut seq, 60);
+        bat.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
         for i in 0..3 {
             assert_eq!(
                 seq.agent(i).network().snapshot(),
@@ -1253,9 +1184,12 @@ mod tests {
     #[test]
     fn episodes_to_converge_returns_zero_when_converged() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(250, None, None).unwrap();
+        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
         if s.success_rate() >= 0.99 {
-            assert_eq!(s.episodes_to_converge(0.99, 50, 200).unwrap(), Some(0));
+            assert_eq!(
+                s.episodes_to_converge(0.99, 50, 200, &mut BatchInferCtx::new()).unwrap(),
+                Some(0)
+            );
         }
     }
 }

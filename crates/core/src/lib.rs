@@ -24,11 +24,12 @@
 //!   [`report::Table`]s at a chosen [`Scale`].
 //!
 //! ```no_run
+//! use frlfi::nn::BatchInferCtx;
 //! use frlfi::{GridSystemConfig, GridFrlSystem};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut system = GridFrlSystem::new(GridSystemConfig { n_agents: 4, ..Default::default() })?;
-//! system.train(300, None, None)?;
+//! system.train(300, None, None, &mut BatchInferCtx::new())?;
 //! let sr = system.success_rate();
 //! println!("success rate: {:.1}%", sr * 100.0);
 //! # Ok(())

@@ -8,6 +8,7 @@
 
 use frlfi::fault::{Ber, FaultModel};
 use frlfi::mitigation::RangeDetector;
+use frlfi::nn::BatchInferCtx;
 use frlfi::rl::Learner;
 use frlfi::{DroneFrlSystem, DroneSystemConfig, ReprKind};
 
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("offline pre-training (REINFORCE)...");
     fleet.pretrain()?;
     println!("federated online fine-tuning (4 drones)...");
-    fleet.fine_tune(25, None, None)?;
+    fleet.fine_tune(25, None, None, &mut BatchInferCtx::new())?;
     let clean = fleet.safe_flight_distance(3);
     println!("  clean safe flight distance: {clean:.0} m");
 

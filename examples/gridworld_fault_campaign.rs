@@ -8,6 +8,7 @@
 //! ```
 
 use frlfi::fault::{sweep, Ber, FaultModel};
+use frlfi::nn::BatchInferCtx;
 use frlfi::report::Table;
 use frlfi::{GridFrlSystem, GridSystemConfig, ReprKind};
 
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg)?;
-    sys.train(400, None, None)?;
+    sys.train(400, None, None, &mut BatchInferCtx::new())?;
     println!("  clean success rate: {:.0}%\n", sys.success_rate() * 100.0);
     let clean_weights: Vec<Vec<f32>> =
         (0..4).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();

@@ -8,6 +8,7 @@
 
 use frlfi::fault::{Ber, FaultModel};
 use frlfi::mitigation::{DronePlatform, ProtectionScheme};
+use frlfi::nn::BatchInferCtx;
 use frlfi::quant::QFormat;
 use frlfi::{GridFrlSystem, GridSystemConfig, ReprKind};
 
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epsilon_decay_episodes: 200,
         ..Default::default()
     })?;
-    sys.train(400, None, None)?;
+    sys.train(400, None, None, &mut BatchInferCtx::new())?;
     let ber = Ber::new(2e-4)?;
     for q in [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5] {
         // Average over injection seeds: a single campaign is noisy.

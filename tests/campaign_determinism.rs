@@ -2,6 +2,7 @@
 //! campaigns, and fault sites — thread count included.
 
 use frlfi::fault::{inject_slice_ber, sweep_with_threads, Ber, DataRepr, FaultModel};
+use frlfi::nn::BatchInferCtx;
 use frlfi::rl::Learner;
 use frlfi::{GridFrlSystem, GridSystemConfig, InjectionPlan};
 use rand::rngs::StdRng;
@@ -13,7 +14,7 @@ fn training_is_bitwise_reproducible() {
         let mut sys =
             GridFrlSystem::new(GridSystemConfig { n_agents: 3, seed, ..Default::default() })
                 .expect("valid config");
-        sys.train(80, None, None).expect("training");
+        sys.train(80, None, None, &mut BatchInferCtx::new()).expect("training");
         sys.agent(0).network().snapshot()
     };
     assert_eq!(run(5), run(5));
@@ -27,7 +28,7 @@ fn injected_training_is_reproducible() {
             GridFrlSystem::new(GridSystemConfig { n_agents: 3, seed: 50, ..Default::default() })
                 .expect("valid config");
         let plan = InjectionPlan::server(20, Ber::new(0.01).expect("ber"));
-        sys.train(60, Some(&plan), None).expect("training");
+        sys.train(60, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
         // Compare bit patterns: f32 faults can produce NaN weights, and
         // NaN != NaN would fail equality on bit-identical runs.
         let bits: Vec<u32> =

@@ -8,16 +8,41 @@
 //! rounds — exactly the interaction the paper's mitigation scheme
 //! never had to survive. These tests pin that the combination stays
 //! fully deterministic: same trial + same seed ⇒ the same detections,
-//! the same checkpoint restores and bit-identical weights/values, on
-//! the per-observation and batched evaluation paths alike.
+//! the same checkpoint restores and bit-identical weights/values, on a
+//! fresh arena or on one reused across trials, equal to the values the
+//! per-observation training path produced (pinned below).
 
 use frlfi::experiments::harness::{
-    drone_geometry, run_drone_trial, run_drone_trials_batched, DroneTrial, PretrainedWeights,
-    TrialFault,
+    drone_geometry, run_drone_trial_batched, DroneTrial, PretrainedWeights, TrialFault,
 };
 use frlfi::fault::{Ber, FaultSide};
+use frlfi::nn::BatchInferCtx;
 use frlfi::{DroneFrlSystem, DroneSystemConfig, InjectionPlan, Scale, TrainingMitigation};
 use frlfi_repro as _;
+
+/// FNV-1a over the little-endian bytes of each weight's bit pattern
+/// (the same digest as `tests/golden_equivalence.rs`).
+fn weight_digest(weights: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in weights {
+        for b in w.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Safe flight distance of the dropout + mitigation + server-fault
+/// trial below for seeds 3, 17 and 99, as the per-observation trial
+/// path (`run_episode`-driven fine-tuning and evaluation) reported it.
+const PER_OBSERVATION_TRIAL_VALUE: f64 = 12.0;
+
+/// Fleet-weight digest and `(agent, server)` detections after the
+/// checkpoint-restore fine-tune below, from the per-observation
+/// `fine_tune`.
+const PER_OBSERVATION_RESTORE_DIGEST: u64 = 0x040c_cfb8_6dfe_3e3e;
+const PER_OBSERVATION_RESTORE_DETECTIONS: (usize, usize) = (8, 0);
 
 fn mitigation() -> TrainingMitigation {
     // Tight detector + every-round checkpoints: at smoke scale the
@@ -37,22 +62,29 @@ fn dropout_trial_with_mitigation_is_deterministic_per_observation_and_batched() 
     // Pure in the seed: mitigation restores and dropout skips replay
     // identically run over run.
     let seeds = [3u64, 17, 99];
+    let fresh = |seed| {
+        run_drone_trial_batched(&t, seed, &mut BatchInferCtx::new()).expect("drone trial runs")
+    };
     for &seed in &seeds {
-        let a = run_drone_trial(&t, seed);
-        let b = run_drone_trial(&t, seed);
+        let (a, b) = (fresh(seed), fresh(seed));
         assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: trial must be pure in its seed");
+        assert_eq!(
+            a.to_bits(),
+            PER_OBSERVATION_TRIAL_VALUE.to_bits(),
+            "seed {seed}: arena value drifted from the per-observation path"
+        );
     }
 
-    // And the batched evaluation path reports the identical bits —
-    // mitigation happens during fine-tuning, before evaluation, so
-    // the two paths must agree exactly as for unmitigated trials.
-    let mut ctx = frlfi::nn::BatchInferCtx::new();
-    let batched = run_drone_trials_batched(&t, &seeds, &mut ctx).expect("batched drone trials run");
-    for (r, &seed) in seeds.iter().enumerate() {
+    // And an arena reused across the trials, as a campaign worker
+    // reuses it, reports the identical bits: no detector, checkpoint or
+    // arena state leaks from one trial into the next.
+    let mut ctx = BatchInferCtx::new();
+    for &seed in &seeds {
+        let reused = run_drone_trial_batched(&t, seed, &mut ctx).expect("drone trial runs");
         assert_eq!(
-            batched[r].to_bits(),
-            run_drone_trial(&t, seed).to_bits(),
-            "seed {seed}: batched value drifted from per-observation"
+            reused.to_bits(),
+            fresh(seed).to_bits(),
+            "seed {seed}: value drifted on a reused arena"
         );
     }
 }
@@ -73,7 +105,8 @@ fn checkpoint_restores_replay_identically_across_skipped_rounds() {
         .expect("valid config");
         sys.pretrain().expect("pretraining");
         sys.reseed_faults(77);
-        sys.fine_tune(16, Some(&plan), Some(&mitigation())).expect("fine-tune");
+        sys.fine_tune(16, Some(&plan), Some(&mitigation()), &mut BatchInferCtx::new())
+            .expect("fine-tune");
         (sys.fleet_weights(), sys.mitigation_stats())
     };
     let (weights_a, stats_a) = run();
@@ -91,4 +124,14 @@ fn checkpoint_restores_replay_identically_across_skipped_rounds() {
     for (i, (a, b)) in weights_a.iter().zip(weights_b.iter()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "weight {i} drifted between identical runs");
     }
+    assert_eq!(
+        (stats_a.agent_detections, stats_a.server_detections),
+        PER_OBSERVATION_RESTORE_DETECTIONS,
+        "detections differ from the per-observation fine-tune"
+    );
+    assert_eq!(
+        weight_digest(&weights_a),
+        PER_OBSERVATION_RESTORE_DIGEST,
+        "weights after checkpoint restores drifted from the per-observation fine-tune"
+    );
 }

@@ -2,6 +2,7 @@
 //! degrades under faults the way the paper describes, and recovers.
 
 use frlfi::fault::{Ber, FaultModel, FaultSide};
+use frlfi::nn::BatchInferCtx;
 use frlfi::{GridFrlSystem, GridSystemConfig, InjectionPlan, ReprKind};
 
 fn system(n: usize, seed: u64) -> GridFrlSystem {
@@ -17,7 +18,7 @@ fn system(n: usize, seed: u64) -> GridFrlSystem {
 #[test]
 fn federated_training_converges() {
     let mut sys = system(4, 7);
-    sys.train(400, None, None).expect("training");
+    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
     let sr = sys.success_rate();
     assert!(sr >= 0.75, "federated GridWorld should converge, SR = {sr}");
 }
@@ -27,12 +28,12 @@ fn early_low_ber_fault_is_absorbed() {
     // Paper Fig. 3: "faults in early episodes with low BER have no
     // effect since the system can recover itself".
     let mut clean = system(4, 13);
-    clean.train(400, None, None).expect("training");
+    clean.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
     let baseline = clean.success_rate();
 
     let mut faulted = system(4, 13);
     let plan = InjectionPlan::server(30, Ber::new(0.002).expect("ber"));
-    faulted.train(400, Some(&plan), None).expect("training");
+    faulted.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
     let sr = faulted.success_rate();
     assert!(
         sr >= baseline - 0.26,
@@ -49,12 +50,12 @@ fn late_high_ber_server_fault_degrades() {
     let mut faulted_sum = 0.0;
     for &seed in &seeds {
         let mut clean = system(4, seed);
-        clean.train(400, None, None).expect("training");
+        clean.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
         baseline_sum += clean.success_rate();
 
         let mut faulted = system(4, seed);
         let plan = InjectionPlan::server(395, Ber::new(0.05).expect("ber"));
-        faulted.train(400, Some(&plan), None).expect("training");
+        faulted.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
         faulted_sum += faulted.success_rate();
     }
     assert!(
@@ -66,7 +67,7 @@ fn late_high_ber_server_fault_degrades() {
 #[test]
 fn inference_faults_scale_with_ber() {
     let mut sys = system(4, 7);
-    sys.train(400, None, None).expect("training");
+    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
     let eval = |sys: &mut GridFrlSystem, ber: f64| -> f64 {
         let mut total = 0.0;
         for seed in 0..6u64 {
@@ -93,7 +94,7 @@ fn fault_side_grouping_is_consistent() {
     // Agent-side plans touch exactly one agent; server-side plans (via
     // the next communication round) touch all of them.
     let mut sys = system(3, 29);
-    sys.train(50, None, None).expect("training");
+    sys.train(50, None, None, &mut BatchInferCtx::new()).expect("training");
     let before: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
 

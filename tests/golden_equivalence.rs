@@ -8,11 +8,13 @@
 //! change that reorders floating-point accumulation will trip them.
 
 use frlfi::experiments::harness::{
-    drone_geometry, run_drone_trial, run_grid_trial, DroneTrial, GridTrial, PretrainedWeights,
-    TrialFault,
+    drone_geometry, run_drone_trial_batched, run_grid_trial_batched, DroneTrial, GridTrial,
+    PretrainedWeights, TrialFault,
 };
+use frlfi::experiments::study::{StudyKind, StudyModel};
 use frlfi::experiments::DEFAULT_SEED;
 use frlfi::fault::FaultSide;
+use frlfi::nn::BatchInferCtx;
 use frlfi::tensor::derive_seed;
 use frlfi::Scale;
 use frlfi_repro as _;
@@ -47,10 +49,11 @@ fn grid_cells() -> Vec<GridTrial> {
 #[test]
 fn fig3_test_scale_trials_match_pre_fast_path_values_bitwise() {
     let cells = grid_cells();
+    let mut ctx = BatchInferCtx::new();
     for (ci, cell) in cells.iter().enumerate() {
         for r in 0..2u64 {
             let seed = derive_seed(DEFAULT_SEED, ci as u64 * 2 + r);
-            let v = run_grid_trial(cell, seed);
+            let v = run_grid_trial_batched(cell, seed, &mut ctx).expect("trial runs");
             assert_eq!(
                 v.to_bits(),
                 GRID_GOLDEN_BITS[ci * 2 + r as usize],
@@ -62,12 +65,12 @@ fn fig3_test_scale_trials_match_pre_fast_path_values_bitwise() {
 
 #[test]
 fn fig3_test_scale_campaign_statistics_unchanged() {
-    // The parallel sweep engine (per-worker InferCtx reuse included)
-    // must fold the same per-trial values into the same cell means as
-    // the seed build — this is the campaign-level statistics gate.
+    // The parallel sweep engine must fold the same per-trial values
+    // into the same cell means as the seed build — this is the
+    // campaign-level statistics gate.
     let cells = grid_cells();
     let stats = frlfi::fault::sweep_with_threads(&cells, 2, DEFAULT_SEED, 3, |t, seed| {
-        frlfi::experiments::harness::run_grid_trial(t, seed)
+        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new()).expect("trial runs")
     });
     for (ci, s) in stats.iter().enumerate() {
         let golden: Vec<f64> =
@@ -153,12 +156,10 @@ fn run_golden_campaign(scenario: &frlfi_campaign::Scenario, golden: &[[f64; 2]],
         let s = stats[cell];
         assert_eq!(s.mean.to_bits(), expect.mean.to_bits(), "cell {cell} mean drifted");
         assert_eq!(s.std.to_bits(), expect.std.to_bits(), "cell {cell} std drifted");
-        let seeds: Vec<u64> =
-            (0..2).map(|r| derive_seed(campaign.master_seed, (cell * 2 + r) as u64)).collect();
-        let values = campaign
-            .run_trials_batched(cell, &seeds, &mut frlfi::nn::BatchInferCtx::new())
-            .expect("golden trials run");
-        for (r, (&v, &g)) in values.iter().zip(reps.iter()).enumerate() {
+        let mut ctx = BatchInferCtx::new();
+        for (r, &g) in reps.iter().enumerate() {
+            let seed = derive_seed(campaign.master_seed, (cell * 2 + r) as u64);
+            let v = campaign.run_trial(cell, seed, &mut ctx).expect("golden trial runs");
             assert_eq!(
                 v.to_bits(),
                 g.to_bits(),
@@ -198,8 +199,9 @@ fn batched_drone_campaign_reproduces_pre_batching_summary() {
 // ---- Drone scenario-variant gates (PR 4). The constants below were
 // ---- captured when `drone-dynamic` / `drone-dropout` shipped, by
 // ---- running the builtin smoke campaigns on the per-observation
-// ---- path. They pin both evaluation modes and the JSONL resume path
-// ---- bit for bit.
+// ---- path. They pin the campaign runner (an interrupted run resumed
+// ---- through the JSONL log) and direct trials bit for bit. The test
+// ---- names' "across modes" predates the single arena trial path.
 
 /// Per-trial flight distances (m) of the builtin `drone-dynamic`
 /// smoke campaign (BER rows [0, 1e-2] × episodes [4, 10], 1 repeat),
@@ -211,13 +213,9 @@ const DRONE_DYNAMIC_GOLDEN_BITS: [u64; 4] = [
     0x4053a00000000000, // cell 3: 78.5
 ];
 
-/// The pinned `drone-dynamic` campaign's `summary.txt`, byte for byte.
-const DRONE_DYNAMIC_SUMMARY: &str = "\
-== Campaign drone-dynamic (Smoke scale): flight distance (m) ==
-BER    ep4   ep10
-0    118.0  118.0
-1%   104.5   78.5
-";
+/// The pinned `drone-dynamic` campaign's `summary.txt`, byte for byte
+/// (the file CI's builtin-expansion step also diffs against).
+const DRONE_DYNAMIC_SUMMARY: &str = include_str!("data/drone_dynamic_smoke_summary.txt");
 
 /// Per-trial flight distances (m) of the builtin `drone-dropout`
 /// smoke campaign (20% per-round dropout, server-side faults).
@@ -229,24 +227,19 @@ const DRONE_DROPOUT_GOLDEN_BITS: [u64; 4] = [
 ];
 
 /// The pinned `drone-dropout` campaign's `summary.txt`, byte for byte.
-const DRONE_DROPOUT_SUMMARY: &str = "\
-== Campaign drone-dropout (Smoke scale): flight distance (m) ==
-BER    ep4   ep10
-0    127.0  127.0
-1%    32.5  110.0
-";
+const DRONE_DROPOUT_SUMMARY: &str = include_str!("data/drone_dropout_smoke_summary.txt");
 
 /// Runs one of the builtin drone scenario variants through the
-/// campaign runner the hard way — killed after two trials on the
-/// per-observation path, resumed to completion in `--batched` mode —
-/// and pins every persisted trial value, both evaluation paths and the
-/// rendered summary against the captured golden constants.
+/// campaign runner the hard way — killed after two trials, resumed to
+/// completion with the ignored `batched` flag set — and pins every
+/// persisted trial value, a direct trial run and the rendered summary
+/// against the captured golden constants.
 fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
     let scenario = frlfi_campaign::registry::builtin(name, Scale::Smoke).expect("builtin scenario");
     let dir = std::env::temp_dir().join(format!("frlfi-golden-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Leg 1: per-observation mode, killed after 2 of the 4 trials.
+    // Leg 1: killed after 2 of the 4 trials.
     let first = frlfi_campaign::runner::run(
         &scenario,
         &dir,
@@ -259,7 +252,7 @@ fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
     .expect("first leg runs");
     assert!(!first.complete(), "the interrupt budget must leave work");
 
-    // Leg 2: batched resume to completion — modes mix freely.
+    // Leg 2: resume to completion; `batched` changes nothing.
     let out = frlfi_campaign::runner::run(
         &scenario,
         &dir,
@@ -285,19 +278,8 @@ fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
             stats[cell].mean
         );
         let seed = derive_seed(campaign.master_seed, (cell * campaign.repeats) as u64);
-        // Per-observation path, bit for bit.
-        let v = campaign.run_trial(cell, seed).expect("golden trial runs");
-        assert_eq!(v.to_bits(), bits, "{name} cell {cell}: per-observation value {v} drifted");
-        // Batched path, bit for bit.
-        let batched = campaign
-            .run_trials_batched(cell, &[seed], &mut frlfi::nn::BatchInferCtx::new())
-            .expect("golden trial runs");
-        assert_eq!(
-            batched[0].to_bits(),
-            bits,
-            "{name} cell {cell}: batched value {} drifted",
-            batched[0]
-        );
+        let v = campaign.run_trial(cell, seed, &mut BatchInferCtx::new()).expect("trial runs");
+        assert_eq!(v.to_bits(), bits, "{name} cell {cell}: trial value {v} drifted");
     }
     let text = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
     assert_eq!(text, summary, "{name}: summary.txt drifted from the captured golden");
@@ -347,8 +329,10 @@ fn committed_grid_dropout_smoke_summary_matches_a_fresh_single_process_run() {
 // ---- Batched-training gates (PR 8). The constants below pin the
 // ---- post-training weights of one GridWorld and one DroneNav
 // ---- scenario, captured from the sequential reference training path
-// ---- when batched training shipped. Both training modes must
-// ---- reproduce them bit for bit — any kernel change that reorders
+// ---- when batched training shipped. The arena path must reproduce
+// ---- them bit for bit, on a fresh arena and on one reused from an
+// ---- earlier run (the "both modes" of the test names, which predate
+// ---- the single arena trial path) — any kernel change that reorders
 // ---- gradient accumulation trips these before it reaches a campaign.
 
 /// FNV-1a over the little-endian bytes of each weight's bit pattern:
@@ -375,7 +359,7 @@ const DRONE_TRAINED_WEIGHTS_DIGEST: u64 = 0x59eb7b72422c53a4;
 
 #[test]
 fn grid_training_weights_match_pinned_golden_in_both_modes() {
-    let run = |batched: bool| -> Vec<f32> {
+    let run = |ctx: &mut BatchInferCtx| -> Vec<f32> {
         let cfg = frlfi::GridSystemConfig {
             n_agents: 3,
             seed: 77,
@@ -383,22 +367,18 @@ fn grid_training_weights_match_pinned_golden_in_both_modes() {
             ..Default::default()
         };
         let mut s = frlfi::GridFrlSystem::new(cfg).expect("system builds");
-        if batched {
-            let mut ctx = frlfi::nn::BatchInferCtx::new();
-            s.train_batched(80, None, None, &mut ctx).expect("batched training runs");
-        } else {
-            s.train(80, None, None).expect("sequential training runs");
-        }
+        s.train(80, None, None, ctx).expect("training runs");
         use frlfi::rl::Learner as _;
         (0..s.n_agents()).flat_map(|i| s.agent(i).network().snapshot()).collect()
     };
-    let sequential = run(false);
-    let batched = run(true);
-    let seq_bits: Vec<u32> = sequential.iter().map(|w| w.to_bits()).collect();
-    let bat_bits: Vec<u32> = batched.iter().map(|w| w.to_bits()).collect();
-    assert_eq!(seq_bits, bat_bits, "batched grid training drifted from sequential");
+    let mut ctx = BatchInferCtx::new();
+    let fresh = run(&mut ctx);
+    let reused = run(&mut ctx);
+    let fresh_bits: Vec<u32> = fresh.iter().map(|w| w.to_bits()).collect();
+    let reused_bits: Vec<u32> = reused.iter().map(|w| w.to_bits()).collect();
+    assert_eq!(fresh_bits, reused_bits, "grid training drifted on a reused arena");
     assert_eq!(
-        weight_digest(&sequential),
+        weight_digest(&fresh),
         GRID_TRAINED_WEIGHTS_DIGEST,
         "trained grid weights drifted from the pinned sequential golden"
     );
@@ -406,7 +386,7 @@ fn grid_training_weights_match_pinned_golden_in_both_modes() {
 
 #[test]
 fn drone_training_weights_match_pinned_golden_in_both_modes() {
-    let run = |batched: bool| -> Vec<f32> {
+    let run = |ctx: &mut BatchInferCtx| -> Vec<f32> {
         let cfg = frlfi::DroneSystemConfig {
             n_drones: 2,
             seed: 0xD20E,
@@ -415,21 +395,17 @@ fn drone_training_weights_match_pinned_golden_in_both_modes() {
         };
         let mut s = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
         s.pretrain().expect("pretraining runs");
-        if batched {
-            let mut ctx = frlfi::nn::BatchInferCtx::new();
-            s.fine_tune_batched(6, None, None, &mut ctx).expect("batched fine-tuning runs");
-        } else {
-            s.fine_tune(6, None, None).expect("sequential fine-tuning runs");
-        }
+        s.fine_tune(6, None, None, ctx).expect("fine-tuning runs");
         s.fleet_weights()
     };
-    let sequential = run(false);
-    let batched = run(true);
-    let seq_bits: Vec<u32> = sequential.iter().map(|w| w.to_bits()).collect();
-    let bat_bits: Vec<u32> = batched.iter().map(|w| w.to_bits()).collect();
-    assert_eq!(seq_bits, bat_bits, "batched drone fine-tuning drifted from sequential");
+    let mut ctx = BatchInferCtx::new();
+    let fresh = run(&mut ctx);
+    let reused = run(&mut ctx);
+    let fresh_bits: Vec<u32> = fresh.iter().map(|w| w.to_bits()).collect();
+    let reused_bits: Vec<u32> = reused.iter().map(|w| w.to_bits()).collect();
+    assert_eq!(fresh_bits, reused_bits, "drone fine-tuning drifted on a reused arena");
     assert_eq!(
-        weight_digest(&sequential),
+        weight_digest(&fresh),
         DRONE_TRAINED_WEIGHTS_DIGEST,
         "fine-tuned drone weights drifted from the pinned sequential golden"
     );
@@ -444,13 +420,45 @@ fn drone_smoke_trials_match_pre_fast_path_values_bitwise() {
         4,
         1e-2,
     ));
+    let mut ctx = BatchInferCtx::new();
     for r in 0..2u64 {
         let seed = derive_seed(DEFAULT_SEED ^ 0xD0, r);
-        let v = run_drone_trial(&t, seed);
+        let v = run_drone_trial_batched(&t, seed, &mut ctx).expect("trial runs");
         assert_eq!(
             v.to_bits(),
             DRONE_GOLDEN_BITS[r as usize],
             "drone repeat {r}: fast-path trial value {v} drifted from the seed build"
+        );
+    }
+}
+
+/// Digest of every weight plane of the Fig. 4 study's GridWorld model
+/// at Smoke scale, captured from the per-observation training path
+/// before study train tasks moved to the arena.
+const STUDY_GRID_MODEL_DIGEST: u64 = 0x285ea8286fa1124c;
+
+/// Likewise for the Fig. 8b study's DroneNav model (pre-training plus
+/// federated fine-tuning).
+const STUDY_DRONE_MODEL_DIGEST: u64 = 0x7bd5a75907f642c5;
+
+#[test]
+fn study_model_training_matches_pinned_per_observation_digests() {
+    let cases = [
+        (StudyKind::Fig4, StudyModel::Grid { n_agents: 3, episodes: 150 }, STUDY_GRID_MODEL_DIGEST),
+        (
+            StudyKind::Fig8Drone,
+            StudyModel::Drone { n_drones: 2, pretrain_episodes: 6, fine_tune_episodes: 12 },
+            STUDY_DRONE_MODEL_DIGEST,
+        ),
+    ];
+    for (kind, model, digest) in cases {
+        let g = kind.geometry(Scale::Smoke).expect("geometry");
+        assert_eq!(g.models()[0], model, "{kind:?}: the pinned model changed");
+        let planes = model.train().expect("model trains");
+        assert_eq!(
+            weight_digest(&planes.concat()),
+            digest,
+            "{kind:?}: trained study weights drifted from the pinned per-observation golden"
         );
     }
 }

@@ -3,6 +3,7 @@
 
 use frlfi::fault::{Ber, FaultModel};
 use frlfi::mitigation::RangeDetector;
+use frlfi::nn::BatchInferCtx;
 use frlfi::rl::Learner;
 use frlfi::{GridFrlSystem, GridSystemConfig, InjectionPlan, ReprKind, TrainingMitigation};
 
@@ -26,11 +27,17 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
         let plan = InjectionPlan::server(250, Ber::new(0.05).expect("ber"));
 
         let mut without = system(seed);
-        without.train(400, Some(&plan), None).expect("training");
+        without.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
         unmit += without.success_rate();
 
         let mut with = system(seed);
-        with.train(400, Some(&plan), Some(&TrainingMitigation::scaled(8))).expect("training");
+        with.train(
+            400,
+            Some(&plan),
+            Some(&TrainingMitigation::scaled(8)),
+            &mut BatchInferCtx::new(),
+        )
+        .expect("training");
         mit += with.success_rate();
     }
     assert!(
@@ -42,7 +49,7 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
 #[test]
 fn range_detection_repairs_static_outliers() {
     let mut sys = system(31);
-    sys.train(400, None, None).expect("training");
+    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
     let detectors: Vec<RangeDetector> =
         (0..4).map(|i| RangeDetector::fit(sys.agent(i).network())).collect();
 
@@ -67,9 +74,10 @@ fn range_detection_repairs_static_outliers() {
 fn detector_is_silent_on_healthy_training() {
     // Mitigation enabled with no faults must not disturb convergence.
     let mut with = system(41);
-    with.train(400, None, Some(&TrainingMitigation::scaled(8))).expect("training");
+    with.train(400, None, Some(&TrainingMitigation::scaled(8)), &mut BatchInferCtx::new())
+        .expect("training");
     let mut without = system(41);
-    without.train(400, None, None).expect("training");
+    without.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
     assert!(
         (with.success_rate() - without.success_rate()).abs() <= 0.26,
         "mitigation on a healthy run should be near-transparent: {} vs {}",

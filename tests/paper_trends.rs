@@ -3,6 +3,7 @@
 
 use frlfi::experiments::{fig3, fig9};
 use frlfi::fault::{Ber, FaultModel};
+use frlfi::nn::BatchInferCtx;
 use frlfi::quant::QFormat;
 use frlfi::{GridFrlSystem, GridSystemConfig, ReprKind, Scale};
 
@@ -27,7 +28,7 @@ fn stuck_at_1_worse_than_stuck_at_0() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None).expect("training");
+    sys.train(300, None, None, &mut BatchInferCtx::new()).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut sr0 = 0.0;
@@ -84,7 +85,7 @@ fn transient1_is_negligible_vs_transient_m() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None).expect("training");
+    sys.train(300, None, None, &mut BatchInferCtx::new()).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut t1 = 0.0;
