@@ -144,6 +144,10 @@ pub fn publish(dir: &Path, model: usize, planes: &[Vec<f32>], worker: &str) -> R
     Ok(digest)
 }
 
+/// What skipping a bad artifact-log line costs.
+const ARTIFACT_SKIP: &str =
+    "a lost artifact record only costs retraining its model, which republishes identical weights";
+
 /// Loads every parseable artifact record (lenient, like every shared
 /// log: torn or healed garbage lines are skipped with a warning).
 /// Missing file means nothing published yet.
@@ -153,8 +157,9 @@ pub fn publish(dir: &Path, model: usize, planes: &[Vec<f32>], worker: &str) -> R
 /// Returns a message only for I/O failures.
 pub fn load_records(dir: &Path) -> Result<Vec<ArtifactRecord>, String> {
     let mut records = Vec::new();
-    JsonlTailReader::new(dir.join(ARTIFACTS_FILE), "artifacts.read").refresh(|v| {
-        records.push(ArtifactRecord::from_value(&v).map_err(FoldError::Skip)?);
+    let mut tail = JsonlTailReader::new(dir.join(ARTIFACTS_FILE), "artifacts.read");
+    tail.refresh(ARTIFACT_SKIP, |v| {
+        records.push(ArtifactRecord::from_value(&v?)?);
         Ok(())
     })?;
     Ok(records)
@@ -188,8 +193,8 @@ impl ArtifactTracker {
     /// Returns a message on I/O failures.
     pub fn refresh(&mut self) -> Result<(), String> {
         let published = &mut self.published;
-        self.tail.refresh(|v| {
-            let r = ArtifactRecord::from_value(&v).map_err(FoldError::Skip)?;
+        self.tail.refresh(ARTIFACT_SKIP, |v| {
+            let r = ArtifactRecord::from_value(&v?)?;
             match published.get_mut(r.model) {
                 None => Err(FoldError::Skip(format!(
                     "artifact record names model {} outside the study's {} model(s)",
@@ -201,7 +206,8 @@ impl ArtifactTracker {
                     Ok(())
                 }
             }
-        })
+        })?;
+        Ok(())
     }
 
     /// The recorded digest of model `m`, if published.

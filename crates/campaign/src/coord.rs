@@ -227,22 +227,32 @@ fn complete_lines(buf: &[u8]) -> (Vec<&[u8]>, usize) {
     (lines, consumed)
 }
 
-/// How a [`JsonlTailReader`] fold rejects a parsed document.
+/// How a [`JsonlTailReader`] fold rejects a line.
 pub(crate) enum FoldError {
-    /// The record is structurally wrong but safely ignorable (claims
-    /// are advisory; a dropped trial record just re-runs): warn with
-    /// the line number and keep going.
+    /// The line is not JSON or not a valid record, but safely
+    /// ignorable: warn with the line number and the call site's
+    /// stated consequence, and keep going.
     Skip(String),
     /// The record proves the log is not this campaign's (wrong
-    /// coordinates or seed scheme): abort the refresh.
+    /// coordinates or seed scheme), or a strict reader refuses it:
+    /// abort the refresh.
     Fatal(String),
 }
 
-/// The incremental JSONL tail reader behind every shared-queue log
-/// view (claim arbitration state, trial completion state, full claim
-/// loads): remembers the byte offset of the last complete line
-/// parsed and, on refresh, reads and folds **only the appended
-/// tail** — so a per-claim poll costs O(new records), not O(log),
+/// A bare message rejects leniently: `?` on a `Result<_, String>`
+/// inside a fold skips the line.
+impl From<String> for FoldError {
+    fn from(e: String) -> Self {
+        FoldError::Skip(e)
+    }
+}
+
+/// The incremental JSONL tail reader behind every log view in a
+/// campaign directory (claim arbitration state, trial completion
+/// state, artifact records, full claim loads, `campaign top`, and
+/// every obs stream reader): remembers the byte offset of the last
+/// complete line parsed and, on refresh, reads and folds **only the
+/// appended tail** — so a per-claim poll costs O(new records), not O(log),
 /// however large the append-only log grows (heartbeat renewals grow
 /// `claims.jsonl` without bound). Old bytes are never re-read, so a
 /// permanently corrupt line warns once per process, not once per
@@ -270,17 +280,20 @@ impl JsonlTailReader {
     }
 
     /// Hands every complete line appended since the last refresh to
-    /// `fold` as a parsed JSON document. Lines that are not JSON at
-    /// all — torn fragments healed into interior lines — are skipped
-    /// with a warning; `fold` decides whether a structurally wrong
-    /// document is a [`FoldError::Skip`] or a [`FoldError::Fatal`].
-    /// The read runs under the [`crate::io`] retry policy; the
-    /// offset only advances on success, so a retried read re-reads
-    /// the same tail.
+    /// `fold` as its JSON parse: `Err` for a line that is not JSON at
+    /// all (a torn fragment healed into an interior line). `fold`
+    /// decides whether a bad line is a [`FoldError::Skip`] — warned
+    /// about with `skip_note`, the call site's statement of what
+    /// losing the line costs — or a [`FoldError::Fatal`]. Returns
+    /// whether an unterminated trailing piece (a torn tail, or a
+    /// record mid-append) was left unconsumed. The read runs under
+    /// the [`crate::io`] retry policy; the offset only advances on
+    /// success, so a retried read re-reads the same tail.
     pub(crate) fn refresh(
         &mut self,
-        mut fold: impl FnMut(Value) -> Result<(), FoldError>,
-    ) -> Result<(), String> {
+        skip_note: &str,
+        mut fold: impl FnMut(Result<Value, String>) -> Result<(), FoldError>,
+    ) -> Result<bool, String> {
         let (tag, path, offset) = (self.tag, &self.path, self.offset);
         let buf = io::with_retry(tag, || {
             let mut file = match io::open_read(tag, path) {
@@ -298,10 +311,7 @@ impl JsonlTailReader {
             Ok(Some(buf))
         })
         .map_err(|e| format!("read {}: {e}", self.path.display()))?;
-        let Some(buf) = buf else { return Ok(()) }; // no log yet
-        if buf.is_empty() {
-            return Ok(()); // nothing appended since the last refresh
-        }
+        let Some(buf) = buf else { return Ok(false) }; // no log yet
         let (lines, consumed) = complete_lines(&buf);
         self.offset += consumed as u64;
         for raw in lines {
@@ -311,15 +321,10 @@ impl JsonlTailReader {
             if line.is_empty() {
                 continue;
             }
-            let outcome = match json::parse(line) {
-                Ok(v) => fold(v),
-                Err(e) => Err(FoldError::Skip(e.to_string())),
-            };
-            match outcome {
+            match fold(json::parse(line).map_err(|e| e.to_string())) {
                 Ok(()) => {}
                 Err(FoldError::Skip(e)) => frlfi_obs::warn!(
-                    "{} line {}: {e}; skipping line (a lost claim or trial record only \
-                     costs a bitwise-identical re-run, so statistics are unaffected)",
+                    "{} line {}: {e}; skipping line ({skip_note})",
                     self.path.display(),
                     self.line_no
                 ),
@@ -328,9 +333,13 @@ impl JsonlTailReader {
                 }
             }
         }
-        Ok(())
+        Ok(consumed < buf.len())
     }
 }
+
+/// What skipping a bad claim-log line costs.
+const CLAIM_SKIP: &str =
+    "claims are advisory: a lost claim at worst re-runs its trial bitwise-identically";
 
 /// An incrementally folded view of the claim log: a
 /// [`JsonlTailReader`] whose fold is [`fold_claim`] — exact, because
@@ -351,11 +360,11 @@ impl ClaimReader {
     /// Folds every complete line appended since the last refresh.
     fn refresh(&mut self) -> Result<(), String> {
         let state = &mut self.state;
-        self.tail.refresh(|v| {
-            let r = ClaimRecord::from_value(&v).map_err(FoldError::Skip)?;
-            fold_claim(state, &r);
+        self.tail.refresh(CLAIM_SKIP, |v| {
+            fold_claim(state, &ClaimRecord::from_value(&v?)?);
             Ok(())
-        })
+        })?;
+        Ok(())
     }
 }
 
@@ -384,8 +393,8 @@ impl ClaimLog {
     /// Returns a message only for I/O failures.
     pub fn load(&self) -> Result<Vec<ClaimRecord>, String> {
         let mut records = Vec::new();
-        JsonlTailReader::new(self.path.clone(), "claims.read").refresh(|v| {
-            records.push(ClaimRecord::from_value(&v).map_err(FoldError::Skip)?);
+        JsonlTailReader::new(self.path.clone(), "claims.read").refresh(CLAIM_SKIP, |v| {
+            records.push(ClaimRecord::from_value(&v?)?);
             Ok(())
         })?;
         Ok(records)

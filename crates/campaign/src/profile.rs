@@ -9,22 +9,31 @@
 //! trials completing, and — for an in-flight campaign — roughly when
 //! will it finish.
 //!
-//! Loading follows the same torn-tail discipline as `trials.jsonl`
-//! and `claims.jsonl`: a SIGKILLed worker may leave an unterminated
-//! final line, which is silently dropped (it describes at most one
+//! This module also owns the one obs event decoder: [`decode`] turns
+//! a line into a typed [`Event`], and [`worker_streams`] lists a
+//! directory's streams. `campaign profile`, `trace`, `top` and `perf`
+//! are all folds over those events, so the schema and its readers
+//! cannot drift apart. The decoder lives here rather than next to the
+//! writer because `frlfi-obs` stays zero-dependency, with no JSON
+//! parser.
+//!
+//! Every stream is read through [`crate::coord::JsonlTailReader`],
+//! with the same torn-tail discipline as `trials.jsonl` and
+//! `claims.jsonl`: a SIGKILLed worker may leave an unterminated final
+//! line, which is counted and dropped (it describes at most one
 //! trial's already-re-runnable telemetry); a *complete* line that
-//! fails to parse is skipped with a warning — or, under
+//! fails to decode is skipped with a warning — or, under
 //! [`CheckMode::Strict`] (`campaign profile --check`), a hard error
 //! naming the file and line, which is how CI asserts every event a
 //! worker emits conforms to the schema in [`frlfi_obs`]'s crate docs.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use frlfi::report::Table;
 use serde::Value;
 
-use crate::fmt::json;
+use crate::coord::{FoldError, JsonlTailReader};
 
 /// Subdirectory of a campaign directory holding per-worker event
 /// streams (`worker-<id>.jsonl`).
@@ -69,15 +78,58 @@ pub struct WorkerProfile {
     pub events: u64,
 }
 
+/// Widens the wall window `first..=last` (ms since epoch; 0 = unset)
+/// to cover event stamp `ts` (0 = unknown, ignored).
+pub(crate) fn note_ts(first: &mut u64, last: &mut u64, ts: u64) {
+    if ts == 0 {
+        return;
+    }
+    if *first == 0 || ts < *first {
+        *first = ts;
+    }
+    *last = (*last).max(ts);
+}
+
 impl WorkerProfile {
-    fn note_ts(&mut self, ts: u64) {
-        if ts == 0 {
-            return;
+    /// Folds one decoded event. Fails only on a `meta` naming a
+    /// different worker than the stream's first.
+    fn fold(&mut self, ev: Event) -> Result<(), String> {
+        note_ts(&mut self.first_ts_ms, &mut self.last_ts_ms, ev.ts_ms());
+        match ev {
+            Event::Meta { worker, .. } => {
+                // Re-installs append to the same stream; ids must agree.
+                if self.worker.is_empty() {
+                    self.worker = worker;
+                } else if self.worker != worker {
+                    return Err(format!(
+                        "stream mixes workers `{}` and `{worker}` — copied obs files?",
+                        self.worker
+                    ));
+                }
+            }
+            Event::Span { name, dur_us, .. } => {
+                let e = self.spans.entry(name).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += dur_us;
+            }
+            Event::Timer { name, n, total_us, .. } => {
+                let e = self.timers.entry(name).or_insert((0, 0));
+                e.0 += n;
+                e.1 += total_us;
+            }
+            Event::Count { name, n, .. } => *self.counters.entry(name).or_insert(0) += n,
+            Event::Hist { name, buckets, max, .. } => {
+                let acc = self.hists.entry(name.clone()).or_insert_with(|| vec![0; buckets.len()]);
+                for (a, b) in acc.iter_mut().zip(buckets) {
+                    *a += b;
+                }
+                let m = self.hist_max.entry(name).or_insert(0);
+                *m = (*m).max(max.unwrap_or(0));
+            }
+            Event::Log { .. } => {}
         }
-        if self.first_ts_ms == 0 || ts < self.first_ts_ms {
-            self.first_ts_ms = ts;
-        }
-        self.last_ts_ms = self.last_ts_ms.max(ts);
+        self.events += 1;
+        Ok(())
     }
 
     /// Completed `trial` spans.
@@ -227,9 +279,57 @@ pub fn hist_percentile(buckets: &[u64], max: u64, q: f64) -> f64 {
     bucket_bounds(last, buckets.len(), max).1 as f64
 }
 
-/// Validates one parsed event against the schema in the
-/// [`frlfi_obs`] crate docs and folds it into `w`.
-fn fold_event(w: &mut WorkerProfile, v: &Value) -> Result<(), String> {
+/// One obs event, decoded and checked against the schema in the
+/// [`frlfi_obs`] crate docs by [`decode`] — the one parser behind
+/// `campaign profile`, `trace`, `top` and `perf`. Fields version 1
+/// events never carried are `Option`s: `None` on v1, always `Some` on
+/// v2.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event {
+    /// Stream header, written once per recorder install.
+    Meta { ts_ms: u64, worker: String, pid: u64, mono_us: Option<u64> },
+    /// One timed region; `id` / `parent` are the causal links.
+    Span {
+        ts_ms: u64,
+        name: String,
+        dur_us: u64,
+        trial: Option<u64>,
+        id: Option<u64>,
+        parent: Option<u64>,
+        tid: Option<u64>,
+        mono_us: Option<u64>,
+    },
+    /// Timed blocks aggregated since the last flush, under `parent`.
+    Timer { ts_ms: u64, name: String, n: u64, total_us: u64, parent: Option<u64>, tid: Option<u64> },
+    /// A counter delta since the last flush.
+    Count { ts_ms: u64, name: String, n: u64, tid: Option<u64> },
+    /// A power-of-two histogram delta; `max` is the exact maximum.
+    Hist { ts_ms: u64, name: String, buckets: Vec<u64>, max: Option<u64>, tid: Option<u64> },
+    /// A message routed through the logging facade.
+    Log { ts_ms: u64, level: String, msg: String, tid: Option<u64> },
+}
+
+impl Event {
+    /// The wall-clock stamp (ms since the Unix epoch).
+    pub fn ts_ms(&self) -> u64 {
+        match self {
+            Event::Meta { ts_ms, .. }
+            | Event::Span { ts_ms, .. }
+            | Event::Timer { ts_ms, .. }
+            | Event::Count { ts_ms, .. }
+            | Event::Hist { ts_ms, .. }
+            | Event::Log { ts_ms, .. } => *ts_ms,
+        }
+    }
+}
+
+/// Decodes one parsed event line, validating it against the schema in
+/// the [`frlfi_obs`] crate docs.
+///
+/// # Errors
+///
+/// A message naming the first schema violation.
+pub fn decode(v: &Value) -> Result<Event, String> {
     let version = v.get("v").and_then(Value::as_int).ok_or("event missing integer `v`")?;
     if !(1..=frlfi_obs::SCHEMA_VERSION as i64).contains(&version) {
         return Err(format!("unsupported event version {version}"));
@@ -237,10 +337,7 @@ fn fold_event(w: &mut WorkerProfile, v: &Value) -> Result<(), String> {
     let v2 = version >= 2;
     let kind = v.get("kind").and_then(Value::as_str).ok_or("event missing string `kind`")?;
     let ts = v.get("ts_ms").and_then(Value::as_int).ok_or("event missing integer `ts_ms`")?;
-    if ts < 0 {
-        return Err("negative `ts_ms`".into());
-    }
-    w.note_ts(ts as u64);
+    let ts_ms = u64::try_from(ts).map_err(|_| "negative `ts_ms`")?;
     let int = |k: &str| {
         v.get(k)
             .and_then(Value::as_int)
@@ -265,55 +362,40 @@ fn fold_event(w: &mut WorkerProfile, v: &Value) -> Result<(), String> {
         }
         Ok(got)
     };
-    let name = || {
-        v.get("name")
+    let string = |k: &str| {
+        v.get(k)
             .and_then(Value::as_str)
             .map(str::to_owned)
-            .ok_or_else(|| format!("`{kind}` event missing string `name`"))
+            .ok_or_else(|| format!("`{kind}` event missing string `{k}`"))
     };
-    match kind {
-        "meta" => {
-            let worker = v
-                .get("worker")
-                .and_then(Value::as_str)
-                .ok_or("`meta` event missing string `worker`")?;
-            int("pid")?;
-            v2_int("mono_us")?;
-            // Re-installs append to the same stream; ids must agree.
-            if w.worker.is_empty() {
-                w.worker = worker.to_owned();
-            } else if w.worker != worker {
-                return Err(format!(
-                    "stream mixes workers `{}` and `{worker}` — copied obs files?",
-                    w.worker
-                ));
-            }
-        }
-        "span" => {
-            let dur = int("dur_us")?;
-            if let Some(t) = v.get("trial") {
-                t.as_int().filter(|&n| n >= 0).ok_or("`span` has non-integer `trial`")?;
-            }
-            v2_int("id")?;
-            v2_int("tid")?;
-            v2_int("mono_us")?;
-            opt_int("parent")?;
-            let e = w.spans.entry(name()?).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += dur;
-        }
-        "timer" => {
-            let (n, total) = (int("n")?, int("total_us")?);
-            v2_int("tid")?;
-            opt_int("parent")?;
-            let e = w.timers.entry(name()?).or_insert((0, 0));
-            e.0 += n;
-            e.1 += total;
-        }
-        "count" => {
-            v2_int("tid")?;
-            *w.counters.entry(name()?).or_insert(0) += int("n")?;
-        }
+    // Struct fields evaluate in written order: the first violation
+    // named is the first in each kind's field order.
+    Ok(match kind {
+        "meta" => Event::Meta {
+            ts_ms,
+            worker: string("worker")?,
+            pid: int("pid")?,
+            mono_us: v2_int("mono_us")?,
+        },
+        "span" => Event::Span {
+            ts_ms,
+            dur_us: int("dur_us")?,
+            trial: opt_int("trial")?,
+            id: v2_int("id")?,
+            tid: v2_int("tid")?,
+            mono_us: v2_int("mono_us")?,
+            parent: opt_int("parent")?,
+            name: string("name")?,
+        },
+        "timer" => Event::Timer {
+            ts_ms,
+            n: int("n")?,
+            total_us: int("total_us")?,
+            tid: v2_int("tid")?,
+            parent: opt_int("parent")?,
+            name: string("name")?,
+        },
+        "count" => Event::Count { ts_ms, tid: v2_int("tid")?, name: string("name")?, n: int("n")? },
         "hist" => {
             let buckets = v
                 .get("buckets")
@@ -326,109 +408,84 @@ fn fold_event(w: &mut WorkerProfile, v: &Value) -> Result<(), String> {
                     frlfi_obs::HIST_BUCKETS
                 ));
             }
-            v2_int("tid")?;
-            let max = v2_int("max")?.unwrap_or(0);
-            let name = name()?;
-            let acc = w.hists.entry(name.clone()).or_insert_with(|| vec![0; buckets.len()]);
-            for (a, b) in acc.iter_mut().zip(buckets) {
-                *a += b
-                    .as_int()
-                    .filter(|&n| n >= 0)
-                    .ok_or("`hist` bucket is not a non-negative integer")?
-                    as u64;
+            Event::Hist {
+                ts_ms,
+                tid: v2_int("tid")?,
+                max: v2_int("max")?,
+                name: string("name")?,
+                buckets: buckets
+                    .iter()
+                    .map(|b| b.as_int().and_then(|n| u64::try_from(n).ok()))
+                    .collect::<Option<_>>()
+                    .ok_or("`hist` bucket is not a non-negative integer")?,
             }
-            let m = w.hist_max.entry(name).or_insert(0);
-            *m = (*m).max(max);
         }
         "log" => {
-            v.get("level").and_then(Value::as_str).ok_or("`log` event missing string `level`")?;
-            v.get("msg").and_then(Value::as_str).ok_or("`log` event missing string `msg`")?;
-            v2_int("tid")?;
+            Event::Log { ts_ms, level: string("level")?, msg: string("msg")?, tid: v2_int("tid")? }
         }
         other => return Err(format!("unknown event kind `{other}`")),
-    }
-    w.events += 1;
-    Ok(())
+    })
 }
 
-/// Folds one worker stream. The final piece, if unterminated, is a
-/// torn tail from a killed writer and is dropped in either mode — a
-/// write that never completed is not an event.
-fn load_stream(
-    path: &Path,
-    mode: CheckMode,
-    profile: &mut Profile,
-) -> Result<WorkerProfile, String> {
-    let text = crate::io::with_retry("obs.read", || crate::io::read_to_string("obs.read", path))
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut w = WorkerProfile::default();
-    let pieces: Vec<&str> = text.split_inclusive('\n').collect();
-    for (i, piece) in pieces.iter().enumerate() {
-        if !piece.ends_with('\n') {
-            profile.torn_tails += 1;
-            break;
-        }
-        let line = piece.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let folded =
-            json::parse(line).map_err(|e| e.to_string()).and_then(|v| fold_event(&mut w, &v));
-        if let Err(e) = folded {
-            match mode {
-                CheckMode::Strict => {
-                    return Err(format!("{} line {}: {e}", path.display(), i + 1));
-                }
-                CheckMode::Lenient => {
-                    frlfi_obs::warn!(
-                        "{} line {}: {e}; skipping event (telemetry only — campaign \
-                         results are unaffected)",
-                        path.display(),
-                        i + 1
-                    );
-                    profile.skipped_lines += 1;
-                }
-            }
-        }
-    }
-    if w.worker.is_empty() {
-        // Meta line lost (torn off or skipped): fall back to the
-        // `worker-<id>.jsonl` naming contract.
-        w.worker = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(|s| s.strip_prefix("worker-").unwrap_or(s).to_owned())
-            .unwrap_or_else(|| path.display().to_string());
-    }
-    Ok(w)
+/// What skipping a bad obs line costs.
+pub(crate) const OBS_SKIP: &str = "telemetry only — campaign results are unaffected";
+
+/// Lists campaign directory `dir`'s obs streams as `(worker, path)`
+/// pairs sorted by path, the worker id taken from the
+/// `worker-<id>.jsonl` naming contract. A directory without `obs/`
+/// has no streams.
+///
+/// # Errors
+///
+/// I/O failures listing `obs/`.
+pub fn worker_streams(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+    let obs_dir = dir.join(OBS_DIR);
+    let entries = match std::fs::read_dir(&obs_dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("read {}: {e}", obs_dir.display())),
+        Ok(entries) => entries,
+    };
+    let mut streams: Vec<_> = entries
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            let file = path.file_name()?.to_str()?;
+            let worker = file.strip_prefix("worker-")?.strip_suffix(".jsonl")?.to_owned();
+            Some((worker, path))
+        })
+        .collect();
+    streams.sort_by(|a, b| a.1.cmp(&b.1));
+    Ok(streams)
 }
 
 /// Loads every `obs/worker-*.jsonl` stream under campaign directory
 /// `dir`. A campaign that never ran with `--obs` yields an empty
-/// profile (no error: telemetry is opt-in).
+/// profile (no error: telemetry is opt-in). Each stream's
+/// unterminated final piece, if any, is a torn tail from a killed
+/// writer and is counted but never folded, in either mode.
 ///
 /// # Errors
 ///
 /// I/O failures; plus, under [`CheckMode::Strict`], the first
 /// schema-invalid complete line.
 pub fn load_dir(dir: &Path, mode: CheckMode) -> Result<Profile, String> {
-    let obs_dir = dir.join(OBS_DIR);
     let mut profile = Profile::default();
-    let entries = match std::fs::read_dir(&obs_dir) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(profile),
-        Err(e) => return Err(format!("read {}: {e}", obs_dir.display())),
-        Ok(entries) => entries,
-    };
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "jsonl")
-                && p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("worker-"))
-        })
-        .collect();
-    paths.sort();
-    for path in paths {
-        let w = load_stream(&path, mode, &mut profile)?;
+    for (worker, path) in worker_streams(dir)? {
+        let mut w = WorkerProfile::default();
+        let skipped = &mut profile.skipped_lines;
+        let torn = JsonlTailReader::new(path, "obs.read").refresh(OBS_SKIP, |line| {
+            line.and_then(|v| decode(&v)).and_then(|ev| w.fold(ev)).map_err(|e| match mode {
+                CheckMode::Strict => FoldError::Fatal(e),
+                CheckMode::Lenient => {
+                    *skipped += 1;
+                    FoldError::Skip(e)
+                }
+            })
+        })?;
+        profile.torn_tails += usize::from(torn);
+        if w.worker.is_empty() {
+            // Meta line lost (torn off or skipped).
+            w.worker = worker;
+        }
         profile.workers.push(w);
     }
     profile.workers.sort_by(|a, b| a.worker.cmp(&b.worker));

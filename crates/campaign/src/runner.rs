@@ -463,6 +463,10 @@ fn fold_records(
     Ok(done)
 }
 
+/// What skipping a bad trial-log line costs.
+const TRIAL_SKIP: &str =
+    "a lost trial record only costs a bitwise-identical re-run, so statistics are unaffected";
+
 /// An incrementally folded completion view of `trials.jsonl` for the
 /// shared claim source: a [`crate::coord::JsonlTailReader`] whose
 /// fold validates each record and marks its flat trial done, so a
@@ -490,8 +494,8 @@ impl TrialTracker {
     fn open(&mut self, campaign: &Campaign, skip: &BTreeSet<usize>) -> Result<Vec<usize>, String> {
         use crate::coord::FoldError;
         let done = &mut self.done;
-        self.tail.refresh(|v| {
-            let r = TrialRecord::from_value(&v).map_err(FoldError::Skip)?;
+        self.tail.refresh(TRIAL_SKIP, |v| {
+            let r = TrialRecord::from_value(&v?)?;
             done[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = true;
             Ok(())
         })?;

@@ -24,7 +24,9 @@ use std::path::{Path, PathBuf};
 use serde::Value;
 
 use crate::coord::{FoldError, JsonlTailReader};
+#[cfg(test)]
 use crate::profile::OBS_DIR;
+use crate::profile::{decode, note_ts, worker_streams, Event, OBS_SKIP};
 
 /// Options for [`run`].
 #[derive(Debug, Clone, Copy)]
@@ -44,9 +46,8 @@ impl Default for TopOptions {
 /// One worker's live view, folded incrementally from its obs stream.
 #[derive(Debug, Default)]
 struct WorkerView {
-    /// Completed `trial` spans and their total µs.
+    /// Completed `trial` spans.
     trials: u64,
-    trial_us: u64,
     /// Name of the most recent span event — the last finished phase.
     last_span: String,
     /// Trial id of the most recent trial span.
@@ -61,43 +62,23 @@ struct WorkerView {
 }
 
 impl WorkerView {
-    fn note_ts(&mut self, ts: u64) {
-        if ts == 0 {
-            return;
-        }
-        if self.first_ts_ms == 0 || ts < self.first_ts_ms {
-            self.first_ts_ms = ts;
-        }
-        self.last_ts_ms = self.last_ts_ms.max(ts);
-    }
-
     /// Observed completion rate over the stream's wall window.
     fn rate(&self) -> Option<f64> {
         let window = self.last_ts_ms.saturating_sub(self.first_ts_ms) as f64 / 1e3;
         (window > 1e-3 && self.trials > 0).then(|| self.trials as f64 / window)
     }
 
-    fn fold(&mut self, v: &Value) {
-        let get = |k: &str| v.get(k).and_then(Value::as_int).filter(|&n| n >= 0).map(|n| n as u64);
-        if let Some(ts) = get("ts_ms") {
-            self.note_ts(ts);
-        }
-        let Some(kind) = v.get("kind").and_then(Value::as_str) else { return };
-        match kind {
-            "span" => {
-                let Some(name) = v.get("name").and_then(Value::as_str) else { return };
-                self.last_span = name.to_owned();
+    fn fold(&mut self, ev: Event) {
+        note_ts(&mut self.first_ts_ms, &mut self.last_ts_ms, ev.ts_ms());
+        match ev {
+            Event::Span { name, trial, .. } => {
                 if name == "trial" {
                     self.trials += 1;
-                    self.trial_us += get("dur_us").unwrap_or(0);
-                    self.last_trial = get("trial");
+                    self.last_trial = trial;
                 }
+                self.last_span = name;
             }
-            "count" => {
-                let (Some(name), Some(n)) = (v.get("name").and_then(Value::as_str), get("n"))
-                else {
-                    return;
-                };
+            Event::Count { name, n, .. } => {
                 if name.starts_with("chaos.inject") {
                     self.chaos += n;
                 } else if name.starts_with("io.retry") {
@@ -110,6 +91,9 @@ impl WorkerView {
         }
     }
 }
+
+/// What skipping a bad line of a non-obs log costs `campaign top`.
+const VIEW_SKIP: &str = "left out of this view only; the campaign itself is unaffected";
 
 /// The incremental fold state behind `campaign top`. Create once,
 /// [`tick`](TopState::tick) per frame.
@@ -172,16 +156,10 @@ impl TopState {
 
     /// Discovers obs streams that appeared since the last tick.
     fn discover_obs(&mut self) {
-        let obs_dir = self.dir.join(OBS_DIR);
-        let Ok(entries) = std::fs::read_dir(&obs_dir) else { return };
-        for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            if !name.starts_with("worker-") || path.extension().is_none_or(|x| x != "jsonl") {
-                continue;
-            }
-            self.obs.entry(name.to_owned()).or_insert_with(|| {
-                (JsonlTailReader::new(path.clone(), "obs.read"), WorkerView::default())
-            });
+        for (worker, path) in worker_streams(&self.dir).unwrap_or_default() {
+            self.obs
+                .entry(format!("worker-{worker}.jsonl"))
+                .or_insert_with(|| (JsonlTailReader::new(path, "obs.read"), WorkerView::default()));
         }
     }
 
@@ -198,7 +176,8 @@ impl TopState {
 
         let before = self.trials_tail.offset();
         let completed = &mut self.completed;
-        self.trials_tail.refresh(|v| {
+        self.trials_tail.refresh(VIEW_SKIP, |v| {
+            let v = v?;
             let cell = v.get("cell").and_then(Value::as_int);
             let rep = v.get("repeat").and_then(Value::as_int);
             if let (Some(c), Some(r)) = (cell, rep) {
@@ -213,7 +192,8 @@ impl TopState {
 
         let before = self.claims_tail.offset();
         let claim_seen = &mut self.claim_seen;
-        self.claims_tail.refresh(|v| {
+        self.claims_tail.refresh(VIEW_SKIP, |v| {
+            let v = v?;
             let worker = v.get("worker").and_then(Value::as_str);
             let ts = v.get("ts_ms").and_then(Value::as_int).unwrap_or(0);
             if let Some(w) = worker {
@@ -228,8 +208,8 @@ impl TopState {
 
         let before = self.quarantine_tail.offset();
         let qcount = &mut self.quarantine_records;
-        self.quarantine_tail.refresh(|v| {
-            if v.get("kind").and_then(Value::as_str).is_some() {
+        self.quarantine_tail.refresh(VIEW_SKIP, |v| {
+            if v?.get("kind").and_then(Value::as_str).is_some() {
                 *qcount += 1;
             }
             Ok(())
@@ -238,8 +218,8 @@ impl TopState {
 
         for (tail, view) in self.obs.values_mut() {
             let before = tail.offset();
-            tail.refresh(|v| {
-                view.fold(&v);
+            tail.refresh(OBS_SKIP, |line| {
+                view.fold(decode(&line?)?);
                 Ok(())
             })?;
             bytes += tail.offset() - before;
@@ -487,7 +467,6 @@ mod tests {
         };
         let mk = |trials: u64, window_ms: u64| WorkerView {
             trials,
-            trial_us: 0,
             last_span: "trial".into(),
             last_trial: Some(0),
             first_ts_ms: 1000,

@@ -3,9 +3,14 @@
 //! or `chrome://tracing`.
 //!
 //! Each worker process becomes one trace *process* (its `pid` is the
-//! worker's index in sorted order; the real pid is in the process
-//! metadata), and each of its threads one *track* (`tid` from the v2
-//! per-thread tag). Spans become `"X"` complete events whose `args`
+//! process's index in worker-sorted order; the real pid is in the
+//! process metadata), and each of its threads one *track* (`tid` from
+//! the v2 per-thread tag). A worker restarted under the same
+//! `--worker-id` appends a second process to the same stream, so a
+//! stream splits into *sessions* at each `meta` whose `pid` differs
+//! from the previous one; span ids, `parent` links, timer attribution,
+//! the `--trial` closure and the monotonic anchor are all scoped to a
+//! session. Spans become `"X"` complete events whose `args`
 //! carry the causal ids (`id`/`parent`/`trial`) plus the aggregated
 //! timer totals (`aggregate`, `io`, …) attributed to them, so the
 //! `trial → train/eval → aggregate/io` tree survives the export both
@@ -23,15 +28,19 @@
 //! back to `ts_ms·1000 − dur_us`, the start implied by the wall-stamp
 //! the span's *end* was recorded at — coarser, but still a valid
 //! timeline. Mixed directories export fine; nothing in a v1 stream is
-//! rejected.
+//! rejected. Events are read through the one obs decoder,
+//! [`crate::profile::decode`]: an event `campaign profile --check`
+//! would reject is skipped with a warning and counted in
+//! [`TraceExport::skipped_lines`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use serde::{Map, Value};
 
+use crate::coord::JsonlTailReader;
 use crate::fmt::json;
-use crate::profile::OBS_DIR;
+use crate::profile::{decode, worker_streams, Event, OBS_DIR, OBS_SKIP};
 
 /// Export options for [`export`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,150 +52,97 @@ pub struct TraceOptions {
 }
 
 /// A rendered export plus its load diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceExport {
     /// The trace-event JSON document.
     pub json: String,
     /// Trace events emitted (excluding metadata records).
     pub events: usize,
-    /// Complete-but-unparseable lines skipped (telemetry is advisory).
+    /// Complete lines skipped as not JSON or not schema-valid
+    /// (telemetry is advisory).
     pub skipped_lines: usize,
     /// Unterminated trailing fragments dropped.
     pub torn_tails: usize,
 }
 
+/// One worker process's slice of a stream: a `meta` event and what
+/// followed it, up to the next `meta` with a different `pid` (a
+/// restarted worker appending to the same file). Span ids, `parent`
+/// links, timer attribution and the monotonic anchor are all scoped
+/// to it.
 #[derive(Debug, Default)]
-struct SpanEv {
-    name: String,
-    ts_ms: u64,
-    dur_us: u64,
-    id: u64,
-    parent: u64,
-    tid: u64,
-    mono_us: Option<u64>,
-    trial: Option<u64>,
-}
-
-#[derive(Debug, Default)]
-struct Stream {
+struct Session {
     worker: String,
-    pid: u64,
-    meta_ts_ms: Option<u64>,
-    meta_mono_us: Option<u64>,
-    spans: Vec<SpanEv>,
-    /// (name, parent span id, n, total µs) aggregates.
-    timers: Vec<(String, u64, u64, u64)>,
-    /// (name, ts_ms, n) counter deltas in stream order.
-    counts: Vec<(String, u64, u64)>,
-    /// (level, msg, ts_ms, tid).
-    logs: Vec<(String, String, u64, u64)>,
+    pid: Option<u64>,
+    /// The first `meta`'s wall-ms / monotonic-µs pair (v2 only).
+    anchor: Option<(u64, u64)>,
+    events: Vec<Event>,
 }
 
-impl Stream {
+impl Session {
     /// Absolute wall-clock microsecond for a span start.
-    fn span_start_us(&self, s: &SpanEv) -> u64 {
-        match (self.meta_ts_ms, self.meta_mono_us, s.mono_us) {
-            (Some(ts), Some(anchor), Some(mono)) => {
+    fn span_start_us(&self, ts_ms: u64, dur_us: u64, mono_us: Option<u64>) -> u64 {
+        match (self.anchor, mono_us) {
+            (Some((ts, anchor)), Some(mono)) => {
                 (ts * 1000).saturating_add(mono.saturating_sub(anchor))
             }
-            _ => (s.ts_ms * 1000).saturating_sub(s.dur_us),
+            _ => (ts_ms * 1000).saturating_sub(dur_us),
         }
     }
-}
 
-fn get_u64(v: &Value, k: &str) -> Option<u64> {
-    v.get(k).and_then(Value::as_int).filter(|&n| n >= 0).map(|n| n as u64)
-}
-
-fn fold_line(stream: &mut Stream, v: &Value) {
-    let Some(kind) = v.get("kind").and_then(Value::as_str) else { return };
-    let ts_ms = get_u64(v, "ts_ms").unwrap_or(0);
-    let name = || v.get("name").and_then(Value::as_str).map(str::to_owned);
-    match kind {
-        "meta" => {
-            if let Some(w) = v.get("worker").and_then(Value::as_str) {
-                if stream.worker.is_empty() {
-                    stream.worker = w.to_owned();
+    /// The span ids kept by a `--trial N` filter: every span whose
+    /// `trial` matches, plus all descendants reached via `parent`.
+    /// Span ids increase parent-before-child within a process, so one
+    /// id-ordered pass closes the set.
+    fn trial_span_ids(&self, trial: u64) -> BTreeSet<u64> {
+        let mut spans: Vec<(u64, u64, Option<u64>)> = self
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span { id, parent, trial, .. } => {
+                    Some((id.unwrap_or(0), parent.unwrap_or(0), *trial))
                 }
-            }
-            stream.pid = get_u64(v, "pid").unwrap_or(0);
-            // First anchor wins: re-installs append to the same
-            // stream and share the process monotonic clock.
-            if stream.meta_ts_ms.is_none() {
-                if let Some(mono) = get_u64(v, "mono_us") {
-                    stream.meta_ts_ms = Some(ts_ms);
-                    stream.meta_mono_us = Some(mono);
-                }
+                _ => None,
+            })
+            .collect();
+        spans.sort_by_key(|&(id, ..)| id);
+        let mut keep = BTreeSet::new();
+        for (id, parent, t) in spans {
+            if t == Some(trial) || (parent != 0 && keep.contains(&parent)) {
+                keep.insert(id);
             }
         }
-        "span" => {
-            let (Some(name), Some(dur_us)) = (name(), get_u64(v, "dur_us")) else { return };
-            stream.spans.push(SpanEv {
-                name,
-                ts_ms,
-                dur_us,
-                id: get_u64(v, "id").unwrap_or(0),
-                parent: get_u64(v, "parent").unwrap_or(0),
-                tid: get_u64(v, "tid").unwrap_or(1),
-                mono_us: get_u64(v, "mono_us"),
-                trial: get_u64(v, "trial"),
-            });
-        }
-        "timer" => {
-            let (Some(name), Some(n), Some(total)) =
-                (name(), get_u64(v, "n"), get_u64(v, "total_us"))
-            else {
-                return;
-            };
-            stream.timers.push((name, get_u64(v, "parent").unwrap_or(0), n, total));
-        }
-        "count" => {
-            let (Some(name), Some(n)) = (name(), get_u64(v, "n")) else { return };
-            stream.counts.push((name, ts_ms, n));
-        }
-        "log" => {
-            let (Some(level), Some(msg)) =
-                (v.get("level").and_then(Value::as_str), v.get("msg").and_then(Value::as_str))
-            else {
-                return;
-            };
-            stream.logs.push((
-                level.to_owned(),
-                msg.to_owned(),
-                ts_ms,
-                get_u64(v, "tid").unwrap_or(1),
-            ));
-        }
-        _ => {}
+        keep
     }
 }
 
-fn load_stream(path: &Path, export: &mut TraceExport) -> Result<Stream, String> {
-    let text = crate::io::with_retry("obs.read", || crate::io::read_to_string("obs.read", path))
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut stream = Stream::default();
-    for piece in text.split_inclusive('\n') {
-        if !piece.ends_with('\n') {
-            export.torn_tails += 1;
-            break;
+/// Appends one event of the stream of `file_worker` (the worker id in
+/// its file name) to its `sessions`, opening a new session at each
+/// `meta` whose `pid` differs from the current one's.
+fn push_event(sessions: &mut Vec<Session>, file_worker: &str, ev: Event) {
+    match ev {
+        Event::Meta { ts_ms, worker, pid, mono_us } => {
+            if sessions.last().is_none_or(|s| s.pid != Some(pid)) {
+                sessions.push(Session { worker, pid: Some(pid), ..Session::default() });
+            }
+            // First anchor wins: a re-install in the same process
+            // shares its monotonic clock.
+            let session = sessions.last_mut().expect("a session was just ensured");
+            if session.anchor.is_none() {
+                session.anchor = mono_us.map(|mono| (ts_ms, mono));
+            }
         }
-        let line = piece.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match json::parse(line) {
-            Ok(v) => fold_line(&mut stream, &v),
-            Err(_) => export.skipped_lines += 1,
-        }
+        ev => match sessions.last_mut() {
+            Some(session) => session.events.push(ev),
+            // Meta line lost (torn off or skipped): name the process
+            // after the stream file.
+            None => sessions.push(Session {
+                worker: file_worker.to_owned(),
+                events: vec![ev],
+                ..Session::default()
+            }),
+        },
     }
-    if stream.worker.is_empty() {
-        stream.worker = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(|s| s.strip_prefix("worker-").unwrap_or(s).to_owned())
-            .unwrap_or_else(|| path.display().to_string());
-    }
-    Ok(stream)
 }
 
 fn table(entries: Vec<(&str, Value)>) -> Value {
@@ -212,22 +168,6 @@ fn meta_event(name: &str, pid: u64, tid: u64, value: &str) -> Value {
     ])
 }
 
-/// The span ids kept by a `--trial N` filter: every span whose
-/// `trial` field matches, plus all descendants reached via `parent`.
-/// Span ids increase parent-before-child within a process, so one
-/// id-ordered pass closes the set.
-fn trial_span_ids(spans: &[&SpanEv], trial: u64) -> BTreeSet<u64> {
-    let mut keep = BTreeSet::new();
-    let mut ordered: Vec<&&SpanEv> = spans.iter().collect();
-    ordered.sort_by_key(|s| s.id);
-    for span in ordered {
-        if span.trial == Some(trial) || (span.parent != 0 && keep.contains(&span.parent)) {
-            keep.insert(span.id);
-        }
-    }
-    keep
-}
-
 /// Exports every `obs/worker-*.jsonl` stream under campaign directory
 /// `dir` as one Chrome trace-event JSON document.
 ///
@@ -236,135 +176,129 @@ fn trial_span_ids(spans: &[&SpanEv], trial: u64) -> BTreeSet<u64> {
 /// I/O failures, or an `obs/` directory with no worker streams (an
 /// empty trace is more likely a wrong path than an empty campaign).
 pub fn export(dir: &Path, opts: &TraceOptions) -> Result<TraceExport, String> {
-    let obs_dir = dir.join(OBS_DIR);
-    let mut export =
-        TraceExport { json: String::new(), events: 0, skipped_lines: 0, torn_tails: 0 };
-    let entries = std::fs::read_dir(&obs_dir).map_err(|e| {
-        format!("read {}: {e} (did this campaign run with --obs?)", obs_dir.display())
-    })?;
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "jsonl")
-                && p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("worker-"))
-        })
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
+    let streams = worker_streams(dir)?;
+    if streams.is_empty() {
         return Err(format!(
             "no obs streams under {} (did this campaign run with --obs?)",
-            obs_dir.display()
+            dir.join(OBS_DIR).display()
         ));
     }
-    let mut streams = Vec::new();
-    for path in &paths {
-        streams.push(load_stream(path, &mut export)?);
+    let mut export = TraceExport::default();
+    let mut sessions = Vec::new();
+    for (worker, path) in streams {
+        let mut stream = Vec::new();
+        let skipped = &mut export.skipped_lines;
+        let torn = JsonlTailReader::new(path, "obs.read").refresh(OBS_SKIP, |line| {
+            let ev = line.and_then(|v| decode(&v)).inspect_err(|_| *skipped += 1)?;
+            push_event(&mut stream, &worker, ev);
+            Ok(())
+        })?;
+        export.torn_tails += usize::from(torn);
+        sessions.extend(stream);
     }
-    streams.sort_by(|a, b| a.worker.cmp(&b.worker));
+    // Stable: a restarted worker's sessions keep their stream order.
+    sessions.sort_by(|a, b| a.worker.cmp(&b.worker));
 
     let mut events: Vec<(u64, Value)> = Vec::new(); // (ts µs, event) for sorting
     let mut metadata: Vec<Value> = Vec::new();
-    for (i, stream) in streams.iter().enumerate() {
+    for (i, session) in sessions.iter().enumerate() {
         let pid = i as u64 + 1;
         metadata.push(meta_event(
             "process_name",
             pid,
             0,
-            &format!("worker {} (pid {})", stream.worker, stream.pid),
+            &format!("worker {} (pid {})", session.worker, session.pid.unwrap_or(0)),
         ));
-        // Timer aggregates keyed by the span they ran under.
-        let mut timers_by_parent: BTreeMap<u64, Vec<(&str, u64, u64)>> = BTreeMap::new();
-        for (name, parent, n, total) in &stream.timers {
-            timers_by_parent.entry(*parent).or_default().push((name, *n, *total));
+        // Timer aggregates keyed by the span they ran under, merged
+        // by name.
+        let mut timers: BTreeMap<u64, BTreeMap<&str, (u64, u64)>> = BTreeMap::new();
+        for ev in &session.events {
+            if let Event::Timer { name, n, total_us, parent, .. } = ev {
+                let e = timers.entry(parent.unwrap_or(0)).or_default().entry(name).or_default();
+                e.0 += n;
+                e.1 += total_us;
+            }
         }
-        let span_refs: Vec<&SpanEv> = stream.spans.iter().collect();
-        let keep = opts.trial.map(|t| trial_span_ids(&span_refs, t));
+        let keep = opts.trial.map(|t| session.trial_span_ids(t));
         let mut tids = BTreeSet::new();
-        for span in &stream.spans {
-            if let Some(keep) = &keep {
-                if !keep.contains(&span.id) {
-                    continue;
+        // Counter tracks: cumulative per name, so the chaos / retry /
+        // dispatch counters read as running totals.
+        let mut cum: BTreeMap<&str, u64> = BTreeMap::new();
+        for ev in &session.events {
+            match ev {
+                &Event::Span { ts_ms, ref name, dur_us, trial, id, parent, tid, mono_us } => {
+                    let id = id.unwrap_or(0);
+                    if keep.as_ref().is_some_and(|keep| !keep.contains(&id)) {
+                        continue;
+                    }
+                    let tid = tid.unwrap_or(1);
+                    tids.insert(tid);
+                    let mut args = Map::new();
+                    args.insert("id".into(), int(id));
+                    if let Some(p) = parent.filter(|&p| p != 0) {
+                        args.insert("parent".into(), int(p));
+                    }
+                    if let Some(t) = trial {
+                        args.insert("trial".into(), int(t));
+                    }
+                    for (name, &(n, total)) in timers.get(&id).into_iter().flatten() {
+                        args.insert(format!("timer.{name}.n"), int(n));
+                        args.insert(format!("timer.{name}.us"), int(total));
+                    }
+                    let ts = session.span_start_us(ts_ms, dur_us, mono_us);
+                    events.push((
+                        ts,
+                        table(vec![
+                            ("ph", s("X")),
+                            ("cat", s("span")),
+                            ("name", s(name.as_str())),
+                            ("pid", int(pid)),
+                            ("tid", int(tid)),
+                            ("ts", int(ts)),
+                            ("dur", int(dur_us)),
+                            ("args", Value::Table(args)),
+                        ]),
+                    ));
                 }
-            }
-            tids.insert(span.tid);
-            let mut args: Vec<(&str, Value)> = vec![("id", int(span.id))];
-            if span.parent != 0 {
-                args.push(("parent", int(span.parent)));
-            }
-            if let Some(t) = span.trial {
-                args.push(("trial", int(t)));
-            }
-            let mut timer_args: Vec<(String, Value)> = Vec::new();
-            if let Some(timers) = timers_by_parent.get(&span.id) {
-                let mut merged: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-                for &(name, n, total) in timers {
-                    let e = merged.entry(name).or_insert((0, 0));
-                    e.0 += n;
-                    e.1 += total;
+                Event::Count { ts_ms, name, n, .. } if keep.is_none() => {
+                    let c = cum.entry(name).or_insert(0);
+                    *c += n;
+                    events.push((
+                        ts_ms * 1000,
+                        table(vec![
+                            ("ph", s("C")),
+                            ("name", s(name.as_str())),
+                            ("pid", int(pid)),
+                            ("tid", int(0)),
+                            ("ts", int(ts_ms * 1000)),
+                            ("args", table(vec![("value", int(*c))])),
+                        ]),
+                    ));
                 }
-                for (name, (n, total)) in merged {
-                    timer_args.push((format!("timer.{name}.n"), int(n)));
-                    timer_args.push((format!("timer.{name}.us"), int(total)));
+                Event::Log { ts_ms, level, msg, tid } if keep.is_none() => {
+                    events.push((
+                        ts_ms * 1000,
+                        table(vec![
+                            ("ph", s("i")),
+                            ("name", s(format!("log.{level}"))),
+                            ("pid", int(pid)),
+                            ("tid", int(tid.unwrap_or(1))),
+                            ("ts", int(ts_ms * 1000)),
+                            ("s", s("t")),
+                            ("args", table(vec![("msg", s(msg.as_str()))])),
+                        ]),
+                    ));
                 }
+                _ => {}
             }
-            let mut arg_map: Map = args.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
-            arg_map.extend(timer_args);
-            let ts = stream.span_start_us(span);
-            events.push((
-                ts,
-                table(vec![
-                    ("ph", s("X")),
-                    ("cat", s("span")),
-                    ("name", s(span.name.as_str())),
-                    ("pid", int(pid)),
-                    ("tid", int(span.tid)),
-                    ("ts", int(ts)),
-                    ("dur", int(span.dur_us)),
-                    ("args", Value::Table(arg_map)),
-                ]),
-            ));
         }
         for tid in tids {
             metadata.push(meta_event(
                 "thread_name",
                 pid,
                 tid,
-                &format!("worker {} thread {tid}", stream.worker),
+                &format!("worker {} thread {tid}", session.worker),
             ));
-        }
-        if keep.is_none() {
-            // Counter tracks: cumulative per name, so the chaos /
-            // retry / dispatch counters read as running totals.
-            let mut cum: BTreeMap<&str, u64> = BTreeMap::new();
-            for (name, ts_ms, n) in &stream.counts {
-                let c = cum.entry(name).or_insert(0);
-                *c += n;
-                events.push((
-                    ts_ms * 1000,
-                    table(vec![
-                        ("ph", s("C")),
-                        ("name", s(name.as_str())),
-                        ("pid", int(pid)),
-                        ("tid", int(0)),
-                        ("ts", int(ts_ms * 1000)),
-                        ("args", table(vec![("value", int(*c))])),
-                    ]),
-                ));
-            }
-            for (level, msg, ts_ms, tid) in &stream.logs {
-                events.push((
-                    ts_ms * 1000,
-                    table(vec![
-                        ("ph", s("i")),
-                        ("name", s(format!("log.{level}"))),
-                        ("pid", int(pid)),
-                        ("tid", int(*tid)),
-                        ("ts", int(ts_ms * 1000)),
-                        ("s", s("t")),
-                        ("args", table(vec![("msg", s(msg.as_str()))])),
-                    ]),
-                ));
-            }
         }
     }
     events.sort_by_key(|(ts, _)| *ts);
@@ -465,6 +399,51 @@ mod tests {
             .collect();
         assert_eq!(names.len(), 3, "{names:?}");
         assert!(!events.iter().any(|e| e.get("ph").and_then(Value::as_str) == Some("C")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_restarted_worker_is_its_own_process() {
+        // Two processes appended to one stream under the same worker
+        // id; both number their spans from 1 and time one `io` block.
+        let dir = tmpdir("restart");
+        write_stream(
+            &dir,
+            "worker-w0.jsonl",
+            concat!(
+                r#"{"v":2,"kind":"meta","worker":"w0","pid":7,"ts_ms":1000,"mono_us":500}"#,
+                "\n",
+                r#"{"v":2,"kind":"span","name":"trial","trial":0,"dur_us":100,"ts_ms":1001,"id":1,"tid":1,"mono_us":550}"#,
+                "\n",
+                r#"{"v":2,"kind":"timer","name":"io","n":1,"total_us":50,"ts_ms":1001,"tid":1,"parent":1}"#,
+                "\n",
+                r#"{"v":2,"kind":"meta","worker":"w0","pid":8,"ts_ms":2000,"mono_us":100}"#,
+                "\n",
+                r#"{"v":2,"kind":"span","name":"trial","trial":1,"dur_us":100,"ts_ms":2001,"id":1,"tid":1,"mono_us":150}"#,
+                "\n",
+                r#"{"v":2,"kind":"timer","name":"io","n":1,"total_us":70,"ts_ms":2001,"tid":1,"parent":1}"#,
+                "\n",
+            ),
+        );
+        let spans = |opts: &TraceOptions| -> Vec<Value> {
+            let out = export(&dir, opts).unwrap();
+            trace_events(&out.json)
+                .into_iter()
+                .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+                .collect()
+        };
+        let all = spans(&TraceOptions::default());
+        assert_eq!(all.len(), 2);
+        let get = |e: &Value, k: &str| e.get(k).and_then(Value::as_int).unwrap();
+        let arg = |e: &Value, k: &str| e.get("args").unwrap().get(k).and_then(Value::as_int);
+        let trial = |t: i64| all.iter().find(|e| arg(e, "trial") == Some(t)).unwrap();
+        let (first, second) = (trial(0), trial(1));
+        assert_ne!(get(first, "pid"), get(second, "pid"), "one trace process per session");
+        assert_eq!(arg(first, "timer.io.us"), Some(50));
+        assert_eq!(arg(second, "timer.io.us"), Some(70));
+        assert_eq!(get(first, "ts"), 1_000_050);
+        assert_eq!(get(second, "ts"), 2_000_050, "the later session keeps its own anchor");
+        assert_eq!(spans(&TraceOptions { trial: Some(0) }).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,10 +35,15 @@
 //! start offset (`mono_us`, µs since the process anchor — the `meta`
 //! event carries the anchor's wall/monotonic pair); timers carry the
 //! `parent` span they accumulated under; histograms carry the exact
-//! `max` so the overflow bucket never loses the tail. Version 1
-//! events (none of those fields) still parse everywhere streams are
-//! read — `campaign profile`, `trace` and `top` accept mixed
-//! directories.
+//! `max` so the overflow bucket never loses the tail. One decoder
+//! (`frlfi_campaign::profile::decode`, kept in the campaign crate so
+//! this one needs no JSON parser) serves every reader: `campaign
+//! profile`, `trace`, `top` and `perf` fold its typed events, so they
+//! accept version 1 events (none of those fields) and mixed
+//! directories alike, and `trace` / `top` skip exactly the events
+//! `profile --check` rejects. `trace` splits a stream into sessions
+//! at each `meta` whose `pid` changes (a restarted worker appending
+//! to the same file), since span ids are only unique per process.
 //!
 //! | `kind`  | extra fields | meaning |
 //! |---|---|---|
