@@ -2,7 +2,7 @@
 //! path (`Network::forward` + `Network::backward`, what `observe` /
 //! `end_episode` ran before batched training shipped) against the
 //! arena-kernel path (`forward_batch_cached` + `backward_batch`) that
-//! `QLearner::learn_batch` / `Reinforce::learn_batch` drive. Run with
+//! `Reinforce::learn_batch` drives for a whole episode. Run with
 //! `CRITERION_JSON=BENCH_training.json` to refresh the committed
 //! perf-tracking snapshot:
 //!
@@ -24,9 +24,18 @@
 //! kept-step count of a `drone-finetune` trial), and each conv layer's
 //! batched backward alone at that batch, where `conv0` computes
 //! parameter gradients only, as inside `Network::backward_batch`.
+//!
+//! Two rows use the call shape GridWorld training really runs: one
+//! online TD step of `QLearner` at batch 1 (`act_train_ctx` then
+//! `observe_ctx`), and next to it the same step as the network calls
+//! it used to make — an action forward, the next-state forward, a
+//! second forward of the current state, `backward_batch`, then
+//! `apply_grads`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
+use frlfi::envs::{Environment, GridWorld};
 use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Layer, Network, NetworkBuilder};
+use frlfi::rl::{eps_greedy_slice, EpsilonSchedule, Learner, QLearner, Transition};
 use frlfi::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -189,6 +198,96 @@ fn drone_conv_backward(c: &mut Criterion) {
     group.finish();
 }
 
+/// GridWorld transitions from a random walk over a standard layout:
+/// the observations a TD step really sees, with `next_state` `None` at
+/// episode ends.
+fn grid_transitions(n: usize) -> Vec<Transition> {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut env = GridWorld::standard_layouts(0).swap_remove(0);
+    let mut state = env.reset(&mut rng);
+    (0..n)
+        .map(|_| {
+            let action = rng.gen_range(0..env.n_actions());
+            let step = env.step(action, &mut rng);
+            let terminal = step.outcome.is_terminal();
+            let t = Transition {
+                state: std::mem::replace(&mut state, step.state.clone()),
+                action,
+                reward: step.reward,
+                next_state: (!terminal).then_some(step.state),
+            };
+            if terminal {
+                state = env.reset(&mut rng);
+            }
+            t
+        })
+        .collect()
+}
+
+/// One batch-1 TD step per iteration, as GridWorld training runs it
+/// (`QLearner::act_train_ctx` + `observe_ctx`), against the network
+/// calls the step made before the act-time forward was reused. Both
+/// run at `lr = 0` on the same transitions and ε = 1 exploration
+/// stream.
+fn grid_td_step(c: &mut Criterion) {
+    let transitions = grid_transitions(256);
+    let mut group = c.benchmark_group("training_batched");
+    let (net, shape) = grid_policy();
+    group.throughput(Throughput::Elements(net.param_count() as u64));
+    {
+        let mut q = QLearner::new(net.clone(), 0.9, 0.0, EpsilonSchedule::new(1.0, 1.0, 1));
+        let mut ctx = BatchInferCtx::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut k = 0;
+        group.bench_function("grid_td_step_batch1", |b| {
+            b.iter(|| {
+                let t = &transitions[k % transitions.len()];
+                k += 1;
+                let action = q.act_train_ctx(&t.state, &mut rng, &mut ctx).expect("act");
+                q.observe_ctx(Transition { action, ..t.clone() }, &mut ctx).expect("observe");
+                black_box(&q);
+            })
+        });
+    }
+    {
+        let mut net = net;
+        let mut ctx = BatchInferCtx::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut grad = vec![0.0f32; 4];
+        let mut k = 0;
+        group.bench_function("grid_td_step_oracle_batch1", |b| {
+            b.iter(|| {
+                // The transition a learner receives, as in the row above.
+                let t = transitions[k % transitions.len()].clone();
+                k += 1;
+                let q = net.infer_batch(t.state.data(), &shape, 1, &mut ctx).expect("act");
+                let action = eps_greedy_slice(q, 1.0, &mut rng);
+                let target = match &t.next_state {
+                    Some(ns) => {
+                        let next = net.infer_batch(ns.data(), &shape, 1, &mut ctx).expect("next");
+                        let max_next = next
+                            .iter()
+                            .cloned()
+                            .filter(|v| v.is_finite())
+                            .fold(f32::NEG_INFINITY, f32::max);
+                        t.reward + 0.9 * if max_next.is_finite() { max_next } else { 0.0 }
+                    }
+                    None => t.reward,
+                };
+                let q_a = net
+                    .forward_batch_cached(t.state.data(), &shape, 1, &mut ctx)
+                    .expect("forward")[action];
+                grad.fill(0.0);
+                grad[action] = (q_a - target).clamp(-10.0, 10.0);
+                net.backward_batch(&grad, 1, &mut ctx).expect("backward");
+                net.apply_grads(0.0);
+                black_box((&net, t));
+            })
+        });
+    }
+    group.finish();
+}
+
 fn policy_training(c: &mut Criterion) {
     bench_policy_training(c, "drone_policy", drone_policy);
     bench_policy_training(c, "grid_mlp", grid_policy);
@@ -197,6 +296,7 @@ fn policy_training(c: &mut Criterion) {
     bench_batched_update(&mut group, &name, drone_policy, DRONE_UPDATE_BATCH);
     group.finish();
     drone_conv_backward(c);
+    grid_td_step(c);
 }
 
 criterion_group!(benches, policy_training);

@@ -81,6 +81,47 @@ impl Dense {
     }
 }
 
+/// One sample's share of the dense backward, run both by the batch-1
+/// path and by the per-sample loop of larger batches: `gb += d` for
+/// every output row, and for rows with `d != 0.0` the reference's
+/// `gw += d * x` and, when `dx` is present, `dx += d * w`. `d(i)`
+/// reads the sample's output gradient of row `i`; `x` and `dx` are the
+/// sample's contiguous input and input-gradient rows.
+///
+/// The loops are written once on purpose: when both operands of a
+/// float add are NaN, which payload survives depends on how the
+/// compiler orders the (commutative) add in a loop's vector body and
+/// its scalar tail, so two hand-written copies of "the same" loop need
+/// not agree bit for bit.
+#[inline(always)]
+fn backward_sample(
+    w: &[f32],
+    gw: &mut [f32],
+    gb: &mut [f32],
+    x: &[f32],
+    d: impl Fn(usize) -> f32,
+    mut dx: Option<&mut [f32]>,
+) {
+    let in_dim = x.len();
+    for (i, gbv) in gb.iter_mut().enumerate() {
+        let d = d(i);
+        *gbv += d;
+        if d == 0.0 {
+            continue;
+        }
+        let gwrow = &mut gw[i * in_dim..(i + 1) * in_dim];
+        for (gv, &xv) in gwrow.iter_mut().zip(x.iter()) {
+            *gv += d * xv;
+        }
+        if let Some(dx) = dx.as_deref_mut() {
+            let wrow = &w[i * in_dim..(i + 1) * in_dim];
+            for (dv, &wv) in dx.iter_mut().zip(wrow.iter()) {
+                *dv += d * wv;
+            }
+        }
+    }
+}
+
 impl Layer for Dense {
     fn name(&self) -> &str {
         &self.name
@@ -263,7 +304,7 @@ impl Layer for Dense {
         _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         self.out_shape(in_shape)?;
-        let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
+        let in_dim = self.in_dim();
         // Sample-outer, exactly the reference [`Layer::backward`] loop
         // structure run once per sample with `t` ascending — so every
         // `gw`/`gb` element accumulates the batch's contributions in
@@ -271,7 +312,7 @@ impl Layer for Dense {
         // sequential backward calls. Bitwise contract details:
         //   * the reference skips whole weight rows when `dy == 0.0`
         //     (both the `gw` and `dx` updates), mirrored by the
-        //     per-sample `continue`;
+        //     `continue` in `backward_sample`;
         //   * `gb` is deliberately **unconditional** because the
         //     reference accumulates it via `axpy`, which adds zero
         //     contributions too;
@@ -282,14 +323,23 @@ impl Layer for Dense {
         //     bytes, never reorders an accumulation;
         //   * without `grad_in` all `dx` work is skipped, which touches
         //     no parameter gradient.
+        if batch == 1 {
+            // A one-sample batch-minor row already is contiguous: run
+            // the per-sample loops on it in place, without the copies.
+            let grad_in = grad_in.map(|dx| {
+                let dx = &mut dx[..in_dim];
+                dx.fill(0.0);
+                dx
+            });
+            let (w, gw, gb) = (self.w.data(), self.gw.data_mut(), self.gb.data_mut());
+            backward_sample(w, gw, gb, &input[..in_dim], |i| grad_out[i], grad_in);
+            return Ok(());
+        }
         let want_dx = grad_in.is_some();
         self.x_gather.resize(in_dim, 0.0);
         if want_dx {
             self.dx_gather.resize(in_dim, 0.0);
         }
-        let w = self.w.data();
-        let gw = self.gw.data_mut();
-        let gb = self.gb.data_mut();
         for t in 0..batch {
             for (j, xs) in self.x_gather.iter_mut().enumerate() {
                 *xs = input[j * batch + t];
@@ -297,24 +347,14 @@ impl Layer for Dense {
             if want_dx {
                 self.dx_gather.fill(0.0);
             }
-            let xs = &self.x_gather[..];
-            for i in 0..out_dim {
-                let d = grad_out[i * batch + t];
-                gb[i] += d;
-                if d == 0.0 {
-                    continue;
-                }
-                let gwrow = &mut gw[i * in_dim..(i + 1) * in_dim];
-                for (gv, &xv) in gwrow.iter_mut().zip(xs.iter()) {
-                    *gv += d * xv;
-                }
-                if want_dx {
-                    let wrow = &w[i * in_dim..(i + 1) * in_dim];
-                    for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
-                        *dv += d * wv;
-                    }
-                }
-            }
+            backward_sample(
+                self.w.data(),
+                self.gw.data_mut(),
+                self.gb.data_mut(),
+                &self.x_gather,
+                |i| grad_out[i * batch + t],
+                want_dx.then_some(&mut self.dx_gather[..]),
+            );
             if let Some(grad_in) = grad_in.as_deref_mut() {
                 for (j, &dv) in self.dx_gather.iter().enumerate() {
                     grad_in[j * batch + t] = dv;

@@ -203,7 +203,7 @@ pub(crate) type SampleVisitor<'a> = &'a mut dyn FnMut(usize, &mut [f32]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct BatchInferCtx {
     /// Ping-pong batch-minor activation arenas.
     bufs: [Vec<f32>; 2],
@@ -254,6 +254,20 @@ impl BatchInferCtx {
     /// arena can currently hold without reallocating.
     pub fn capacity(&self) -> usize {
         self.bufs[0].len().min(self.bufs[1].len()).min(self.staging.len())
+    }
+
+    /// The input row, its shape and the output row of the last cached
+    /// training forward ([`crate::Network::forward_batch_cached`]) when
+    /// it ran on a single observation; `None` when nothing is cached or
+    /// the cached batch is larger. Eval-only inference through the same
+    /// context leaves these rows untouched.
+    pub fn cached_row(&self) -> Option<(&[f32], ActShape, &[f32])> {
+        if self.cached_batch != 1 {
+            return None;
+        }
+        let last = self.act_shapes.len() - 1;
+        let (in_shape, out_shape) = (self.act_shapes[0], self.act_shapes[last]);
+        Some((&self.acts[0][..in_shape.volume()], in_shape, &self.acts[last][..out_shape.volume()]))
     }
 
     /// Runs `layers` over `batch` sample-major observation rows in

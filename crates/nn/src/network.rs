@@ -257,6 +257,16 @@ impl Network {
         ctx.run_backward(&mut self.layers, grads, batch)
     }
 
+    /// Output shape of the network for one input of `in_shape` — a
+    /// shape-only walk over the layers, no arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first layer shape error.
+    pub fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
+        self.layers.iter().try_fold(*in_shape, |shape, layer| layer.out_shape(&shape))
+    }
+
     /// Drops every layer's cached forward input, shrinking resident
     /// memory in eval-only deployments (campaign eval loops never call
     /// backward). Training transparently re-caches on the next

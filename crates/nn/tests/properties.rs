@@ -1,6 +1,6 @@
 //! Property-based tests for the network substrate.
 
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Layer, NetworkBuilder, Relu};
+use frlfi_nn::{ActShape, BatchInferCtx, Dense, InferCtx, Layer, NetworkBuilder, Relu};
 use frlfi_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -127,6 +127,85 @@ fn assert_batched_backward_matches_reference(
             );
         }
     }
+    Ok(())
+}
+
+/// Parameter bit patterns the batch-1 backward check seeds into a
+/// layer: ±0, ±subnormals, ±∞, quiet NaNs and signalling NaNs (with
+/// payloads), the values whose bits a backward or SGD step could
+/// disturb differently if it skipped or reordered an operation.
+const SPECIAL_WEIGHT_BITS: [u32; 11] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x0000_0001,
+    0x807f_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+    0x7fc0_0000,
+    0xffc1_2345,
+    0x7f80_0001,
+    0xffa0_0f00,
+    0x7fbf_ffff,
+];
+
+/// A dense layer whose weights and biases are partly replaced by
+/// [`SPECIAL_WEIGHT_BITS`].
+fn special_dense(seed: u64, in_dim: usize, out_dim: usize) -> Dense {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut layer = Dense::new("d", in_dim, out_dim, &mut rng);
+    let rate = rng.gen_range(0.0..0.3);
+    for p in layer.params_mut() {
+        for v in p.data_mut() {
+            if rng.gen_bool(rate) {
+                let k = rng.gen_range(0..SPECIAL_WEIGHT_BITS.len());
+                *v = f32::from_bits(SPECIAL_WEIGHT_BITS[k]);
+            }
+        }
+    }
+    layer
+}
+
+/// An output-gradient row with `+0.0` and `-0.0` entries mixed in.
+fn grad_row_with_zeros(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect()
+}
+
+/// One backward of the same sample through `single` at batch 1 and
+/// through `padded` at batch 2, whose second sample has an all `-0.0`
+/// gradient row and so adds nothing; checks the input gradients agree
+/// bit for bit.
+fn backward_batch1_and_padded(
+    single: &mut Dense,
+    padded: &mut Dense,
+    rng: &mut StdRng,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (i, o) = (single.in_dim(), single.out_dim());
+    let shape = ActShape::flat(i);
+    let x: Vec<f32> =
+        (0..i).map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
+    let g = grad_row_with_zeros(rng, o);
+    // Stale input-gradient buffers, as in the backward arena.
+    let mut dx = vec![f32::NAN; i];
+    single
+        .backward_batch_into(&x, &shape, 1, &g, Some(&mut dx), &mut Vec::new())
+        .expect("batch-1 backward");
+    // Batch-minor pair: sample 0 is the row above, sample 1 an
+    // unrelated input.
+    let x2: Vec<f32> = x.iter().flat_map(|&v| [v, rng.gen_range(-2.0f32..2.0)]).collect();
+    let g2: Vec<f32> = g.iter().flat_map(|&v| [v, -0.0]).collect();
+    let mut dx2 = vec![f32::NAN; 2 * i];
+    padded
+        .backward_batch_into(&x2, &shape, 2, &g2, Some(&mut dx2), &mut Vec::new())
+        .expect("batch-2 backward");
+    let dx_bits: Vec<u32> = dx.iter().map(|v| v.to_bits()).collect();
+    let dx2_bits: Vec<u32> = dx2.iter().step_by(2).map(|v| v.to_bits()).collect();
+    prop_assert_eq!(dx_bits, dx2_bits, "input gradient");
     Ok(())
 }
 
@@ -706,5 +785,45 @@ proptest! {
         prop_assert_eq!(net.snapshot(), snap, "infer must not write parameters");
         // No input caching: backward without a prior forward() fails.
         prop_assert!(net.backward(&Tensor::full(vec![1], 1.0)).is_err());
+    }
+
+    #[test]
+    fn dense_batch1_backward_equals_the_per_sample_loop_bitwise(
+        seed in any::<u64>(),
+        grid_shape in any::<bool>(),
+        pending in any::<bool>(),
+    ) {
+        // Batch 1 runs the per-sample loops in place on the activation
+        // row; larger batches gather each sample into a row first. The
+        // oracle is the gather loop at batch 2 with an all `-0.0`
+        // second gradient row, which adds nothing: `-0.0` rows are
+        // skipped and `gb + -0.0` keeps every bit of a non-signalling
+        // `gb`. Compared bit-exact, NaN payloads included. The grid
+        // Q-network's 32→32 layer is one shape, random ones the rest.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF05E);
+        let (i, o) = if grid_shape {
+            (32, 32)
+        } else {
+            (rng.gen_range(1..40usize), rng.gen_range(1..40usize))
+        };
+        let mut single = special_dense(seed, i, o);
+        let mut padded = special_dense(seed, i, o);
+        if pending {
+            // A gradient left pending by a backward without an apply.
+            backward_batch1_and_padded(&mut single, &mut padded, &mut rng)?;
+        }
+        // Two steps: the second one also sees whether the first left
+        // every gradient cleared.
+        for k in 0..2 {
+            backward_batch1_and_padded(&mut single, &mut padded, &mut rng)?;
+            let lr = rng.gen_range(0.001f32..0.1);
+            single.apply_grads(lr);
+            padded.apply_grads(lr);
+            for (a, b) in single.params().iter().zip(padded.params().iter()) {
+                let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
+                let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(ab, bb, "parameters after step {}", k);
+            }
+        }
     }
 }

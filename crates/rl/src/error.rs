@@ -16,6 +16,14 @@ pub enum RlError {
     /// episode reaching a terminal outcome (an environment contract
     /// violation).
     EpisodeNotTerminated,
+    /// A transition names an action the policy network has no output
+    /// for.
+    ActionOutOfRange {
+        /// The transition's action index.
+        action: usize,
+        /// Number of policy outputs (valid actions are `0..n_actions`).
+        n_actions: usize,
+    },
 }
 
 impl std::fmt::Display for RlError {
@@ -25,6 +33,12 @@ impl std::fmt::Display for RlError {
             RlError::EpisodeNotTerminated => {
                 write!(f, "batched evaluation finished with a non-terminated episode")
             }
+            RlError::ActionOutOfRange { action, n_actions } => {
+                write!(
+                    f,
+                    "transition action {action} is out of range for {n_actions} policy outputs"
+                )
+            }
         }
     }
 }
@@ -33,7 +47,18 @@ impl std::error::Error for RlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RlError::Nn(e) => Some(e),
-            RlError::EpisodeNotTerminated => None,
+            RlError::EpisodeNotTerminated | RlError::ActionOutOfRange { .. } => None,
+        }
+    }
+}
+
+impl RlError {
+    /// Checks that `action` indexes one of `n_actions` policy outputs.
+    pub(crate) fn check_action(action: usize, n_actions: usize) -> Result<(), RlError> {
+        if action < n_actions {
+            Ok(())
+        } else {
+            Err(RlError::ActionOutOfRange { action, n_actions })
         }
     }
 }

@@ -61,7 +61,9 @@ pub trait Learner: Send {
     /// [`Learner::act`] on the batched-inference scratch arena: the
     /// exploration draw must consume `rng` exactly like `act` and pick
     /// the same action (the fast path is bit-identical per observation),
-    /// which the default delegation trivially guarantees.
+    /// which the default delegation trivially guarantees. A learner may
+    /// keep the forward it ran here for the [`Learner::observe_ctx`] of
+    /// the transition from `state`, as [`crate::QLearner`] does.
     ///
     /// # Errors
     ///

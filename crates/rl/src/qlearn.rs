@@ -34,12 +34,30 @@ pub struct QLearner {
     episode: usize,
     /// Scratch output-gradient row for the batched-training fast path.
     grad: Vec<f32>,
+    /// This learner's training arena: [`Learner::act_train_ctx`]
+    /// leaves its cached forward of `Q(s_t)` here for the TD update to
+    /// reuse, and the update runs its next-state inference and
+    /// backward here too.
+    arena: BatchInferCtx,
+    /// Whether `arena` holds the forward of the last `act_train_ctx`
+    /// on the current weights. Cleared by every weight update and by
+    /// [`Learner::network_mut`].
+    act_cached: bool,
 }
 
 impl QLearner {
     /// Creates a learner around an existing Q-network.
     pub fn new(net: Network, gamma: f32, lr: f32, schedule: EpsilonSchedule) -> Self {
-        QLearner { net, gamma, lr, schedule, episode: 0, grad: Vec::new() }
+        QLearner {
+            net,
+            gamma,
+            lr,
+            schedule,
+            episode: 0,
+            grad: Vec::new(),
+            arena: BatchInferCtx::new(),
+            act_cached: false,
+        }
     }
 
     /// The standard GridWorld configuration: MLP 6→32→32→4, γ = 0.9,
@@ -68,23 +86,27 @@ impl QLearner {
         self.schedule.epsilon(self.episode)
     }
 
-    /// One TD update on the batched-training fast path: the TD target's
-    /// next-state forward runs through the arena kernels (no gradients
-    /// flow through it), and the current-state forward is cached in
-    /// `ctx` so the backward runs the batched kernels at batch 1 —
-    /// which route through the reference kernels, so the updated
-    /// weights are **bit-identical** to [`Learner::observe`].
-    ///
-    /// The two forwards are deliberately *not* fused into one batch of
-    /// two: a fused backward would feed the bias-gradient accumulator an
-    /// extra `+0.0` for the next-state row (the reference path runs a
-    /// single backward), which is not bitwise-neutral for -0.0/NaN
-    /// payloads.
-    fn learn_one(&mut self, t: &Transition, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
+    /// One TD update on the batched-training fast path, in this
+    /// learner's own arena. The next-state target runs through the
+    /// eval kernels (no gradients flow through it, and eval inference
+    /// leaves the arena's cached training forward alone); `Q(s_t)` is
+    /// read from the cached forward of the `act_train_ctx` that chose
+    /// `t.action` when that forward is still valid — same learner,
+    /// unchanged weights, `t.state` bit-equal to the cached input —
+    /// and recomputed into the arena otherwise. The batch-1 backward
+    /// and the SGD step then run on that forward. The forwards and the
+    /// batch-1 backward are bitwise the reference kernels, so the
+    /// updated weights are **bit-identical** to [`Learner::observe`].
+    fn learn_one(&mut self, t: &Transition) -> Result<(), RlError> {
+        let cached = std::mem::take(&mut self.act_cached)
+            && self.arena.cached_row().is_some_and(|(x, shape, _)| {
+                shape.dims() == t.state.shape().dims()
+                    && x.iter().zip(t.state.data()).all(|(a, b)| a.to_bits() == b.to_bits())
+            });
         let target = match &t.next_state {
             Some(ns) => {
                 let shape = ActShape::from_dims(ns.shape().dims())?;
-                let next_q = self.net.infer_batch(ns.data(), &shape, 1, ctx)?;
+                let next_q = self.net.infer_batch(ns.data(), &shape, 1, &mut self.arena)?;
                 let max_next = next_q
                     .iter()
                     .cloned()
@@ -95,9 +117,13 @@ impl QLearner {
             }
             None => t.reward,
         };
-        let shape = ActShape::from_dims(t.state.shape().dims())?;
+        if !cached {
+            let shape = ActShape::from_dims(t.state.shape().dims())?;
+            self.net.forward_batch_cached(t.state.data(), &shape, 1, &mut self.arena)?;
+        }
         let (q_a, n) = {
-            let q = self.net.forward_batch_cached(t.state.data(), &shape, 1, ctx)?;
+            let (_, _, q) = self.arena.cached_row().ok_or(NnError::EmptyNetwork)?;
+            RlError::check_action(t.action, q.len())?;
             (q[t.action], q.len())
         };
         self.grad.clear();
@@ -106,33 +132,8 @@ impl QLearner {
         // Clip the TD error so fault-corrupted outliers cannot blow up
         // training with a single step (standard DQN-style safeguard).
         self.grad[t.action] = delta.clamp(-10.0, 10.0);
-        self.net.backward_batch(&self.grad, 1, ctx)?;
+        self.net.backward_batch(&self.grad, 1, &mut self.arena)?;
         self.net.apply_grads(self.lr);
-        Ok(())
-    }
-
-    /// Runs a run of TD updates through the batched-training scratch
-    /// arena. TD learning is online — each update sees the weights the
-    /// previous one produced — so transitions are processed strictly in
-    /// order; the batching win here is routing every forward/backward
-    /// through the allocation-free arena kernels instead of the
-    /// tensor-allocating reference path. Weights after the call are
-    /// **bit-identical** to calling [`Learner::observe`] on each
-    /// transition in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a transition's observations do not fit the
-    /// policy network; transitions before the failing one have already
-    /// been applied.
-    pub fn learn_batch(
-        &mut self,
-        transitions: &[Transition],
-        ctx: &mut BatchInferCtx,
-    ) -> Result<(), RlError> {
-        for t in transitions {
-            self.learn_one(t, ctx)?;
-        }
         Ok(())
     }
 }
@@ -153,18 +154,26 @@ impl Learner for QLearner {
         Ok(greedy_argmax(q))
     }
 
+    /// Runs the cached *training* forward of `state` in the learner's
+    /// own arena and picks the action from it, so the following
+    /// [`Learner::observe_ctx`] of the transition from `state` reuses
+    /// `Q(state)` instead of recomputing it. `ctx` is not used.
     fn act_train_ctx(
         &mut self,
         state: &Tensor,
         rng: &mut dyn RngCore,
         ctx: &mut BatchInferCtx,
     ) -> Result<usize, RlError> {
-        // Same Q-values bit for bit as `act` (the fast path is
-        // bit-identical) and the same `eps_greedy` RNG consumption, so
-        // training trajectories are unchanged.
+        let _ = ctx;
+        // Same Q-values bit for bit as `act` (a batch-1 cached forward
+        // runs the reference kernels) and the same `eps_greedy` RNG
+        // consumption, so training trajectories are unchanged.
         let shape = ActShape::from_dims(state.shape().dims())?;
-        let q = self.net.infer_batch(state.data(), &shape, 1, ctx)?;
-        Ok(eps_greedy_slice(q, self.schedule.epsilon(self.episode), rng))
+        self.act_cached = false;
+        let q = self.net.forward_batch_cached(state.data(), &shape, 1, &mut self.arena)?;
+        let action = eps_greedy_slice(q, self.schedule.epsilon(self.episode), rng);
+        self.act_cached = true;
+        Ok(action)
     }
 
     fn act_greedy_batch(
@@ -201,6 +210,8 @@ impl Learner for QLearner {
             None => t.reward,
         };
         let q = self.net.forward(&t.state)?;
+        RlError::check_action(t.action, q.len())?;
+        self.act_cached = false;
         let mut grad = vec![0.0f32; q.len()];
         let delta = q.data()[t.action] - target;
         // Clip the TD error so fault-corrupted outliers cannot blow up
@@ -212,8 +223,14 @@ impl Learner for QLearner {
         Ok(())
     }
 
+    /// The TD update of [`Learner::observe`], bit for bit, on the fast
+    /// path of [`QLearner::learn_one`]: when the preceding
+    /// `act_train_ctx` of this learner acted on `t.state` and no weight
+    /// has changed since, its forward is reused; otherwise the forward
+    /// is recomputed. `ctx` is not used.
     fn observe_ctx(&mut self, t: Transition, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
-        self.learn_one(&t, ctx)
+        let _ = ctx;
+        self.learn_one(&t)
     }
 
     fn end_episode(&mut self) -> Result<(), RlError> {
@@ -230,6 +247,7 @@ impl Learner for QLearner {
     }
 
     fn network_mut(&mut self) -> &mut Network {
+        self.act_cached = false;
         &mut self.net
     }
 }

@@ -239,6 +239,13 @@ impl Learner for Reinforce {
     }
 
     fn observe(&mut self, t: Transition) -> Result<(), RlError> {
+        // Buffering touches no network, so a mis-shaped state is left
+        // for the episode-end update to report; an action the logits
+        // cannot index is rejected now, before it reaches a gradient.
+        let out = ActShape::from_dims(t.state.shape().dims()).and_then(|s| self.net.out_shape(&s));
+        if let Ok(out) = out {
+            RlError::check_action(t.action, out.volume())?;
+        }
         self.episode_buf.push(t);
         Ok(())
     }

@@ -131,3 +131,37 @@ fn mis_shaped_trial_leaves_learner_weights_untouched() {
     assert!(run_episode(&mut env, &mut q, &mut rng).is_err());
     assert_eq!(q.network().snapshot(), before, "failed episode must not step the weights");
 }
+
+fn assert_action_error(result: Result<(), RlError>, path: &str) {
+    match result {
+        Err(RlError::ActionOutOfRange { action: 4, n_actions: 4 }) => {}
+        other => {
+            panic!("{path}: action 4 of 4 must yield RlError::ActionOutOfRange, got {other:?}")
+        }
+    }
+}
+
+#[test]
+fn out_of_range_action_errors_at_observe_in_both_learners() {
+    // A transition naming an action the policy has no output for must
+    // be rejected before it indexes a Q-value or a gradient row, and
+    // must leave the weights as they were.
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
+    let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
+    let s = Tensor::zeros(vec![6]);
+    let bad = || Transition { state: s.clone(), action: 4, reward: 1.0, next_state: None };
+    let (q_before, pi_before) = (q.network().snapshot(), pi.network().snapshot());
+
+    assert_action_error(q.observe(bad()), "QLearner::observe");
+    assert_action_error(q.observe_ctx(bad(), &mut BatchInferCtx::new()), "QLearner::observe_ctx");
+    let mut ctx = BatchInferCtx::new();
+    q.act_train_ctx(&s, &mut rng, &mut ctx).expect("act");
+    assert_action_error(q.observe_ctx(bad(), &mut ctx), "QLearner::observe_ctx after act");
+    assert_eq!(q.network().snapshot(), q_before, "rejected transition must not step the weights");
+
+    assert_action_error(pi.observe(bad()), "Reinforce::observe");
+    assert_action_error(pi.observe_ctx(bad(), &mut ctx), "Reinforce::observe_ctx");
+    pi.end_episode_ctx(&mut ctx).expect("nothing was buffered");
+    assert_eq!(pi.network().snapshot(), pi_before, "rejected transition must not step the weights");
+}
