@@ -532,14 +532,7 @@ impl Scenario {
 
     fn expand_grid(&self) -> Result<Campaign, SpecError> {
         let g = grid_geometry(self.scale);
-        let bers =
-            if self.fault.bers.is_empty() { g.bers.clone() } else { self.fault.bers.clone() };
         let total_episodes = self.train.total_episodes.unwrap_or(g.total_episodes);
-        let inject_episodes = if self.fault.inject_episodes.is_empty() {
-            g.inject_episodes.clone()
-        } else {
-            self.fault.inject_episodes.clone()
-        };
         if self.train.pretrain_episodes.is_some() || self.train.eval_attempts.is_some() {
             return Err(SpecError::new(
                 "pretrain_episodes / eval_attempts apply to DroneNav scenarios",
@@ -562,54 +555,21 @@ impl Scenario {
             mitigation: self.mitigation.as_ref().map(MitigationSpec::mitigation),
             metric: frlfi::experiments::harness::GridMetric::SuccessRatePct,
         };
-        let fault_of = |ep: usize, ber: f64| TrialFault {
-            episode: ep,
-            side: self.fault.side.side(),
-            model: self.fault.model.model(),
-            repr: self.fault.repr.repr(),
-            ber,
-        };
-
-        let (grid_kind, trials): (CellGrid, Vec<GridTrial>) = if self.fleet.agents_sweep.is_empty()
-        {
-            reachable(&inject_episodes, total_episodes, "total_episodes")?;
-            let trials = bers
-                .iter()
-                .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
-                .map(|(ber, ep)| {
-                    let mut t = base.clone();
-                    t.fault = Some(fault_of(ep, ber));
-                    t
-                })
-                .collect();
-            (
-                CellGrid::BerByEpisode { bers: bers.clone(), episodes: inject_episodes.clone() },
-                trials,
-            )
-        } else {
-            let sizes = self.fleet.agents_sweep.clone();
-            if sizes.contains(&0) {
-                return Err(SpecError::new("agents_sweep entries must be ≥ 1"));
-            }
-            let mid = total_episodes / 2;
-            let trials = sizes
-                .iter()
-                .flat_map(|&n| bers.iter().map(move |&ber| (n, ber)))
-                .map(|(n, ber)| {
-                    let mut t = base.clone();
-                    t.n_agents = n;
-                    t.fault = Some(fault_of(mid, ber));
-                    t
-                })
-                .collect();
-            (CellGrid::FleetByBer { sizes, bers: bers.clone() }, trials)
-        };
-
+        let (grid, trials) = self.fault_cells(
+            &base,
+            (&g.bers, &g.inject_episodes),
+            total_episodes,
+            "total_episodes",
+            |t, n, fault| {
+                t.n_agents = n.unwrap_or(t.n_agents);
+                t.fault = Some(fault);
+            },
+        )?;
         Ok(Campaign {
             scenario: self.clone(),
             repeats: self.repeats.unwrap_or(g.repeats),
             master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
-            grid: grid_kind,
+            grid,
             trials: Trials::Grid(trials),
             prefixes: GridPrefixes::new(),
         })
@@ -617,14 +577,7 @@ impl Scenario {
 
     fn expand_drone(&self) -> Result<Campaign, SpecError> {
         let g = drone_geometry(self.scale);
-        let bers =
-            if self.fault.bers.is_empty() { g.bers.clone() } else { self.fault.bers.clone() };
         let fine_tune = self.train.total_episodes.unwrap_or(g.fine_tune_episodes);
-        let inject_episodes = if self.fault.inject_episodes.is_empty() {
-            g.inject_episodes.clone()
-        } else {
-            self.fault.inject_episodes.clone()
-        };
         if let Some(m) = self.env.motion {
             if self.env.layout != LayoutKind::DynamicObstacles {
                 return Err(SpecError::new(
@@ -660,57 +613,80 @@ impl Scenario {
             fault: None,
             mitigation: self.mitigation.as_ref().map(MitigationSpec::mitigation),
         };
-        let fault_of = |ep: usize, ber: f64| TrialFault {
-            episode: ep,
-            side: self.fault.side.side(),
-            model: self.fault.model.model(),
-            repr: self.fault.repr.repr(),
-            ber,
-        };
+        let (grid, trials) = self.fault_cells(
+            &base,
+            (&g.bers, &g.inject_episodes),
+            fine_tune,
+            "fine_tune_episodes",
+            |t, n, fault| {
+                t.n_drones = n.unwrap_or(t.n_drones);
+                t.fault = Some(fault);
+            },
+        )?;
+        Ok(Campaign {
+            scenario: self.clone(),
+            repeats: self.repeats.unwrap_or(g.repeats),
+            master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
+            grid,
+            trials: Trials::Drone(trials),
+            prefixes: GridPrefixes::new(),
+        })
+    }
 
-        let (grid_kind, trials): (CellGrid, Vec<DroneTrial>) = if self.fleet.agents_sweep.is_empty()
-        {
-            reachable(&inject_episodes, fine_tune, "fine_tune_episodes")?;
+    /// The fault cells GridWorld and DroneNav scenarios share: BER ×
+    /// injection episode, or — when `fleet.agents_sweep` is set — fleet
+    /// size × BER with the fault injected mid-training. `defaults` are
+    /// the geometry's `(bers, inject_episodes)` for omitted keys, and
+    /// `trained` the episode count (`what` names its key in errors).
+    /// Each trial is a clone of `base` that `set` stamps with the
+    /// cell's fleet size (`Some` only in a fleet sweep) and fault.
+    fn fault_cells<T: Clone>(
+        &self,
+        base: &T,
+        defaults: (&[f64], &[usize]),
+        trained: usize,
+        what: &str,
+        set: impl Fn(&mut T, Option<usize>, TrialFault),
+    ) -> Result<(CellGrid, Vec<T>), SpecError> {
+        let bers =
+            if self.fault.bers.is_empty() { defaults.0.to_vec() } else { self.fault.bers.clone() };
+        let episodes = if self.fault.inject_episodes.is_empty() {
+            defaults.1.to_vec()
+        } else {
+            self.fault.inject_episodes.clone()
+        };
+        let cell = |n: Option<usize>, episode: usize, ber: f64| {
+            let mut t = base.clone();
+            let fault = TrialFault {
+                episode,
+                side: self.fault.side.side(),
+                model: self.fault.model.model(),
+                repr: self.fault.repr.repr(),
+                ber,
+            };
+            set(&mut t, n, fault);
+            t
+        };
+        if self.fleet.agents_sweep.is_empty() {
+            reachable(&episodes, trained, what)?;
             let trials = bers
                 .iter()
-                .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
-                .map(|(ber, ep)| {
-                    let mut t = base.clone();
-                    t.fault = Some(fault_of(ep, ber));
-                    t
-                })
+                .flat_map(|&ber| episodes.iter().map(move |&ep| (ber, ep)))
+                .map(|(ber, ep)| cell(None, ep, ber))
                 .collect();
-            (
-                CellGrid::BerByEpisode { bers: bers.clone(), episodes: inject_episodes.clone() },
-                trials,
-            )
+            Ok((CellGrid::BerByEpisode { bers, episodes }, trials))
         } else {
             let sizes = self.fleet.agents_sweep.clone();
             if sizes.contains(&0) {
                 return Err(SpecError::new("agents_sweep entries must be ≥ 1"));
             }
-            let mid = fine_tune / 2;
             let trials = sizes
                 .iter()
                 .flat_map(|&n| bers.iter().map(move |&ber| (n, ber)))
-                .map(|(n, ber)| {
-                    let mut t = base.clone();
-                    t.n_drones = n;
-                    t.fault = Some(fault_of(mid, ber));
-                    t
-                })
+                .map(|(n, ber)| cell(Some(n), trained / 2, ber))
                 .collect();
-            (CellGrid::FleetByBer { sizes, bers: bers.clone() }, trials)
-        };
-
-        Ok(Campaign {
-            scenario: self.clone(),
-            repeats: self.repeats.unwrap_or(g.repeats),
-            master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
-            grid: grid_kind,
-            trials: Trials::Drone(trials),
-            prefixes: GridPrefixes::new(),
-        })
+            Ok((CellGrid::FleetByBer { sizes, bers }, trials))
+        }
     }
 }
 

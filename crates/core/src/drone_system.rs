@@ -6,7 +6,7 @@ use frlfi_envs::{DroneConfig, DroneSim, Environment, ObstacleMotion};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
 use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
-use frlfi_nn::{BatchInferCtx, InferCtx};
+use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{run_episode, run_episode_batched, run_greedy_episodes_batch, Learner, Reinforce};
 use frlfi_tensor::derive_seed;
 use rand::rngs::StdRng;
@@ -402,7 +402,7 @@ impl DroneFrlSystem {
     /// Evaluation uses the full step budget of `cfg.sim` regardless of
     /// the (shorter) training cap.
     pub fn safe_flight_distance(&mut self, attempts: usize) -> f64 {
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut total = 0.0;
         let mut count = 0;
         for i in 0..self.cfg.n_drones {

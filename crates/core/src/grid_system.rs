@@ -6,7 +6,7 @@ use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
 use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
-use frlfi_nn::{BatchInferCtx, InferCtx};
+use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{
     greedy_argmax, run_episode_batched, run_greedy_episode_ctx, run_greedy_episodes_batch,
     EpsilonSchedule, Learner, QLearner,
@@ -569,7 +569,7 @@ impl GridFrlSystem {
 
     /// One greedy episode per agent, returning the outcomes.
     pub fn eval_outcomes(&mut self) -> Vec<Outcome> {
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
         for i in 0..self.cfg.n_agents {
             let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + i as u64));
@@ -702,7 +702,7 @@ impl GridFrlSystem {
     /// exactly one step and then vanishes.
     pub fn success_rate_transient1(&mut self, ber: Ber, repr: ReprKind, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
         for i in 0..self.cfg.n_agents {
             let fault_step = rng.gen_range(0..20usize);
@@ -720,7 +720,7 @@ impl GridFrlSystem {
         ber: Ber,
         repr: ReprKind,
         rng: &mut StdRng,
-        ctx: &mut InferCtx,
+        ctx: &mut BatchInferCtx,
     ) -> Outcome {
         let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + agent as u64));
         let mut state = self.envs[agent].reset(&mut eval_rng);
@@ -765,7 +765,7 @@ impl GridFrlSystem {
     /// on every inference step, emulating upsets in an accelerator's
     /// activation buffers.
     pub fn success_rate_activation_faults(&mut self, ber: Ber, repr: ReprKind, seed: u64) -> f64 {
-        self.success_rate_activation_faults_ctx(ber, repr, seed, &mut InferCtx::new())
+        self.success_rate_activation_faults_ctx(ber, repr, seed, &mut BatchInferCtx::new())
     }
 
     /// [`GridFrlSystem::success_rate_activation_faults`] on the
@@ -779,7 +779,7 @@ impl GridFrlSystem {
         ber: Ber,
         repr: ReprKind,
         seed: u64,
-        ctx: &mut InferCtx,
+        ctx: &mut BatchInferCtx,
     ) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);

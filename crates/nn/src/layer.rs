@@ -102,10 +102,7 @@ pub trait Layer: Send {
     /// running [`Layer::forward_into`] on that sample alone — batching
     /// may only reorder work *across* samples and output elements,
     /// never the floating-point accumulation order *within* one output
-    /// element. The provided default gathers each sample into a
-    /// scratch row and delegates to `forward_into` (allocating;
-    /// correct for any layer); `Dense`/`Conv2d`/`Relu` override it with
-    /// allocation-free kernels that vectorize across the batch axis.
+    /// element.
     ///
     /// # Errors
     ///
@@ -116,22 +113,7 @@ pub trait Layer: Send {
         in_shape: &ActShape,
         batch: usize,
         out: &mut [f32],
-    ) -> Result<(), NnError> {
-        let in_vol = in_shape.volume();
-        let out_vol = self.out_shape(in_shape)?.volume();
-        let mut row_in = vec![0.0f32; in_vol];
-        let mut row_out = vec![0.0f32; out_vol];
-        for b in 0..batch {
-            for j in 0..in_vol {
-                row_in[j] = input[j * batch + b];
-            }
-            self.forward_into(&row_in, in_shape, &mut row_out)?;
-            for (j, &v) in row_out.iter().enumerate() {
-                out[j * batch + b] = v;
-            }
-        }
-        Ok(())
-    }
+    ) -> Result<(), NnError>;
 
     /// Batched *training* backward over **batch-minor** activations:
     /// `input` is the batched activation this layer consumed on the
@@ -156,11 +138,7 @@ pub trait Layer: Send {
     /// `forward` + `backward` calls (sample 0 first, weights fixed)
     /// leave. Each sample's `grad_in` row matches the reference `dx`
     /// bitwise on finite values; a lane that is NaN in one is NaN in
-    /// the other, but its payload may differ. The provided default
-    /// gathers each sample into scratch tensors and delegates to
-    /// `forward` + `backward` (allocating, clobbers the layer's cached
-    /// input; correct for any layer); `Dense`/`Conv2d`/`Relu` override
-    /// it with allocation-free kernels.
+    /// the other, but its payload may differ.
     ///
     /// # Errors
     ///
@@ -171,33 +149,9 @@ pub trait Layer: Send {
         in_shape: &ActShape,
         batch: usize,
         grad_out: &[f32],
-        mut grad_in: Option<&mut [f32]>,
-        _scratch: &mut Vec<f32>,
-    ) -> Result<(), NnError> {
-        let in_vol = in_shape.volume();
-        let out_shape = self.out_shape(in_shape)?;
-        let out_vol = out_shape.volume();
-        let mut row_in = vec![0.0f32; in_vol];
-        let mut row_g = vec![0.0f32; out_vol];
-        for t in 0..batch {
-            for (j, r) in row_in.iter_mut().enumerate() {
-                *r = input[j * batch + t];
-            }
-            let x = Tensor::from_vec(in_shape.dims().to_vec(), row_in.clone())?;
-            self.forward(&x)?;
-            for (j, r) in row_g.iter_mut().enumerate() {
-                *r = grad_out[j * batch + t];
-            }
-            let g = Tensor::from_vec(out_shape.dims().to_vec(), row_g.clone())?;
-            let dx = self.backward(&g)?;
-            if let Some(grad_in) = grad_in.as_deref_mut() {
-                for (j, &v) in dx.data().iter().enumerate() {
-                    grad_in[j * batch + t] = v;
-                }
-            }
-        }
-        Ok(())
-    }
+        grad_in: Option<&mut [f32]>,
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), NnError>;
 
     /// Drops the cached forward input (if any), shrinking resident
     /// memory for eval-only deployments. A later [`Layer::backward`]

@@ -13,6 +13,10 @@
 //! * [`Network`], an owned layer stack with flat parameter snapshots
 //!   (used by server checkpointing), per-layer parameter spans (used by
 //!   layer-targeted injection and range-based anomaly detection), and SGD;
+//! * [`BatchInferCtx`], the zero-allocation arena every fast forward
+//!   runs through: one observation ([`Network::infer`]) is a batch of
+//!   one, and the cached training forward retains per-layer planes for
+//!   the batched backward;
 //! * [`NetworkBuilder`] for concise policy construction.
 //!
 //! ```

@@ -1,4 +1,5 @@
-use crate::{ActShape, BatchInferCtx, Conv2d, Dense, InferCtx, Layer, NnError, ParamSpan, Relu};
+use crate::infer::Arena;
+use crate::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, NnError, ParamSpan, Relu};
 use frlfi_tensor::{Summary, Tensor};
 use rand::Rng;
 
@@ -112,10 +113,12 @@ impl Network {
     }
 
     /// Runs the network forward on the zero-allocation inference fast
-    /// path, reusing `ctx`'s scratch buffers for every intermediate
-    /// activation. No layer caches its input (so no subsequent
-    /// [`Network::backward`] is possible from this call), and outputs
-    /// are **bit-identical** to [`Network::forward`].
+    /// path: [`Network::infer_batch`] at batch 1, which runs the
+    /// per-observation kernels on `ctx`'s eval planes. No layer caches
+    /// its input (so no subsequent [`Network::backward`] is possible
+    /// from this call), a pending [`Network::forward_batch_cached`] on
+    /// `ctx` stays intact, and outputs are **bit-identical** to
+    /// [`Network::forward`].
     ///
     /// The returned slice borrows from `ctx` and is valid until the
     /// next inference through the same context.
@@ -123,10 +126,13 @@ impl Network {
     /// # Errors
     ///
     /// Propagates shape errors from the layers.
-    pub fn infer<'c>(&self, input: &Tensor, ctx: &'c mut InferCtx) -> Result<&'c [f32], NnError> {
+    pub fn infer<'c>(
+        &self,
+        input: &Tensor,
+        ctx: &'c mut BatchInferCtx,
+    ) -> Result<&'c [f32], NnError> {
         let shape = ActShape::from_dims(input.shape().dims())?;
-        let (out, _) = ctx.run(&self.layers, input.data(), shape, |_| {})?;
-        Ok(out)
+        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval, None)
     }
 
     /// [`Network::infer`] with the activation-fault hook of
@@ -141,12 +147,11 @@ impl Network {
     pub fn infer_with_activation_faults<'c>(
         &self,
         input: &Tensor,
-        ctx: &'c mut InferCtx,
+        ctx: &'c mut BatchInferCtx,
         corrupt: &mut dyn FnMut(&mut [f32]),
     ) -> Result<&'c [f32], NnError> {
         let shape = ActShape::from_dims(input.shape().dims())?;
-        let (out, _) = ctx.run(&self.layers, input.data(), shape, |buf| corrupt(buf))?;
-        Ok(out)
+        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval, Some(corrupt))
     }
 
     /// Runs the network forward over a whole **batch** of observations
@@ -154,7 +159,7 @@ impl Network {
     /// `batch` concatenated sample-major observation rows (each of
     /// `in_shape.volume()` elements); the returned slice holds `batch`
     /// concatenated output rows and borrows from `ctx` until the next
-    /// batched inference.
+    /// inference through it.
     ///
     /// Each output row is **bit-identical** to [`Network::infer`] on
     /// that observation alone — the batched kernels only share weight
@@ -173,32 +178,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        let (out, _) = ctx.run(&self.layers, inputs, *in_shape, batch, None)?;
-        Ok(out)
-    }
-
-    /// [`Network::infer_batch`] with the activation-fault hook:
-    /// `corrupt(sample, row)` is called for every freshly produced
-    /// per-sample activation row (including the final output), layer by
-    /// layer with samples in order inside each layer, and mutations
-    /// propagate to the next layer. Driving sample `b` from its own
-    /// fault stream reproduces
-    /// [`Network::infer_with_activation_faults`] on that observation
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::infer_batch`].
-    pub fn infer_batch_with_activation_faults<'c>(
-        &self,
-        inputs: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        ctx: &'c mut BatchInferCtx,
-        corrupt: &mut dyn FnMut(usize, &mut [f32]),
-    ) -> Result<&'c [f32], NnError> {
-        let (out, _) = ctx.run(&self.layers, inputs, *in_shape, batch, Some(corrupt))?;
-        Ok(out)
+        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Eval, None)
     }
 
     /// Training forward over a whole **batch** of observations: like
@@ -223,8 +203,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        let (out, _) = ctx.run_cached(&self.layers, inputs, *in_shape, batch)?;
-        Ok(out)
+        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Train, None)
     }
 
     /// Batched training backward over the activations retained by the
@@ -381,20 +360,6 @@ impl Network {
                 }
             }
         }
-    }
-
-    /// Applies a function to the parameters in a flat span (used for
-    /// layer-targeted injection and per-layer quantization).
-    pub fn map_span_mut(
-        &mut self,
-        range: std::ops::Range<usize>,
-        mut f: impl FnMut(usize, &mut f32),
-    ) {
-        self.for_each_param_mut(|idx, v| {
-            if range.contains(&idx) {
-                f(idx, v);
-            }
-        });
     }
 
     /// Per-layer `(min, max)` weight ranges, the statistic tallied by the
@@ -665,7 +630,7 @@ mod tests {
     #[test]
     fn infer_matches_forward_bitwise() {
         let mut net = mlp();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let x = Tensor::from_vec(vec![4], vec![1.0, -1.0, 0.5, 0.25]).unwrap();
         let slow = net.forward(&x).unwrap();
         let fast = net.infer(&x, &mut ctx).unwrap();
@@ -699,7 +664,7 @@ mod tests {
         };
         let mut slow_corrupt = corrupt_with(StdRng::seed_from_u64(11));
         let slow = net.forward_with_activation_faults(&x, &mut slow_corrupt).unwrap();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut fast_corrupt = corrupt_with(StdRng::seed_from_u64(11));
         let fast = net.infer_with_activation_faults(&x, &mut ctx, &mut fast_corrupt).unwrap();
         assert_eq!(slow.data(), fast);
@@ -709,7 +674,7 @@ mod tests {
     fn infer_performs_no_allocation_after_warmup() {
         let net = mlp();
         let x = Tensor::zeros(vec![4]);
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         net.infer(&x, &mut ctx).unwrap();
         let cap = ctx.capacity();
         for _ in 0..10 {
@@ -717,7 +682,7 @@ mod tests {
         }
         assert_eq!(ctx.capacity(), cap, "warm ctx must not grow");
         // A presized ctx never grows at all.
-        let mut pre = InferCtx::with_capacity(8);
+        let mut pre = BatchInferCtx::with_capacity(8);
         net.infer(&x, &mut pre).unwrap();
         assert_eq!(pre.capacity(), 8);
     }
@@ -735,7 +700,7 @@ mod tests {
             .dense(5)
             .build(&mut rng)
             .unwrap();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut bctx = BatchInferCtx::new();
         for batch in [1usize, 2, 3, 16, 17] {
             let obs: Vec<Tensor> = (0..batch)
@@ -750,48 +715,6 @@ mod tests {
                 let single = net.infer(o, &mut ctx).unwrap();
                 assert_eq!(&out[b * 5..(b + 1) * 5], single, "row {b} of batch {batch}");
             }
-        }
-    }
-
-    #[test]
-    fn infer_batch_with_activation_faults_matches_per_sample_streams() {
-        let net = mlp();
-        let mut rng = StdRng::seed_from_u64(33);
-        let batch = 5usize;
-        let obs: Vec<Tensor> = (0..batch)
-            .map(|_| Tensor::random(vec![4], frlfi_tensor::Init::Uniform(-2.0, 2.0), &mut rng))
-            .collect();
-        let flat: Vec<f32> = obs.iter().flat_map(|t| t.data().iter().copied()).collect();
-        let corrupt_with = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            move |buf: &mut [f32]| {
-                use rand::Rng;
-                let i = rng.gen_range(0..buf.len());
-                buf[i] = f32::from_bits(buf[i].to_bits() ^ (1 << rng.gen_range(0..32)));
-            }
-        };
-        // Batched: one independent fault stream per sample.
-        let mut streams: Vec<_> = (0..batch).map(|b| corrupt_with(100 + b as u64)).collect();
-        let mut bctx = BatchInferCtx::new();
-        let out = net
-            .infer_batch_with_activation_faults(
-                &flat,
-                &ActShape::flat(4),
-                batch,
-                &mut bctx,
-                &mut |s, row| streams[s](row),
-            )
-            .unwrap()
-            .to_vec();
-        // Per-observation reference with the same per-sample streams.
-        let mut ctx = InferCtx::new();
-        for (b, o) in obs.iter().enumerate() {
-            let mut stream = corrupt_with(100 + b as u64);
-            let single = net.infer_with_activation_faults(o, &mut ctx, &mut stream).unwrap();
-            let batch_bits: Vec<u32> =
-                out[b * 4..(b + 1) * 4].iter().map(|v| v.to_bits()).collect();
-            let single_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batch_bits, single_bits, "faulted row {b} diverged");
         }
     }
 
@@ -839,7 +762,7 @@ mod tests {
     #[test]
     fn infer_propagates_shape_errors() {
         let net = mlp();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         assert!(net.infer(&Tensor::zeros(vec![5]), &mut ctx).is_err());
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the network substrate.
 
-use frlfi_nn::{ActShape, BatchInferCtx, Dense, InferCtx, Layer, NetworkBuilder, Relu};
+use frlfi_nn::{ActShape, BatchInferCtx, Dense, Layer, NetworkBuilder, Relu};
 use frlfi_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -291,7 +291,7 @@ proptest! {
         let mut net = mlp(seed, 4, 8, 3);
         let input = Tensor::from_vec(vec![4], x).expect("input");
         let slow = net.forward(&input).expect("forward");
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let fast = net.infer(&input, &mut ctx).expect("infer");
         prop_assert_eq!(slow.data(), fast);
         // Differently shaped MLP through the same (warm) ctx.
@@ -311,7 +311,7 @@ proptest! {
     ) {
         let (mut net, x) = random_stack(seed, c, h, w);
         let slow = net.forward(&x).expect("forward");
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let fast = net.infer(&x, &mut ctx).expect("infer");
         prop_assert_eq!(slow.data(), fast);
         // Repeated inference through the same warm ctx stays identical.
@@ -332,7 +332,7 @@ proptest! {
         let slow = net
             .forward_with_activation_faults(&x, &mut slow_corrupt)
             .expect("forward");
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let mut fast_corrupt = bit_flipper(fault_seed);
         let fast = net
             .infer_with_activation_faults(&x, &mut ctx, &mut fast_corrupt)
@@ -409,7 +409,7 @@ proptest! {
         let flat: Vec<f32> = obs.iter().flat_map(|t| t.data().iter().copied()).collect();
         let mut bctx = BatchInferCtx::new();
         let out = net.infer_batch(&flat, &ActShape::flat(i), batch, &mut bctx).expect("batch");
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         for (b, obs) in obs.iter().enumerate() {
             let single = net.infer(obs, &mut ctx).expect("infer");
             prop_assert_eq!(&out[b * o..(b + 1) * o], single, "row {} of batch {}", b, batch);
@@ -440,7 +440,7 @@ proptest! {
             .infer_batch(&flat, &ActShape::image(c, h, w), batch, &mut bctx)
             .expect("batch")
             .to_vec();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         let vol = out.len() / batch;
         for (b, obs) in obs.iter().enumerate() {
             let single = net.infer(obs, &mut ctx).expect("infer");
@@ -450,56 +450,6 @@ proptest! {
         let again = net.infer_batch(&flat, &ActShape::image(c, h, w), batch, &mut bctx)
             .expect("batch");
         prop_assert_eq!(&out[..], again);
-    }
-
-    #[test]
-    fn batch_activation_faults_equal_per_sample_streams(
-        seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        c in 1usize..3,
-        h in 5usize..10,
-        w in 5usize..12,
-        batch in 1usize..8,
-    ) {
-        let (net, x0) = random_stack(seed, c, h, w);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
-        let mut obs = vec![x0];
-        for _ in 1..batch {
-            obs.push(Tensor::random(
-                vec![c, h, w],
-                frlfi_tensor::Init::Uniform(-2.0, 2.0),
-                &mut rng,
-            ));
-        }
-        let flat: Vec<f32> = obs.iter().flat_map(|t| t.data().iter().copied()).collect();
-        // Batched: per-sample fault streams, dispatched by sample index.
-        let mut streams: Vec<_> =
-            (0..batch).map(|b| bit_flipper(fault_seed ^ b as u64)).collect();
-        let mut bctx = BatchInferCtx::new();
-        let out = net
-            .infer_batch_with_activation_faults(
-                &flat,
-                &ActShape::image(c, h, w),
-                batch,
-                &mut bctx,
-                &mut |s, row| streams[s](row),
-            )
-            .expect("batch")
-            .to_vec();
-        // Reference: each observation alone on the single fast path,
-        // with an identical fault stream.
-        let mut ctx = InferCtx::new();
-        let vol = out.len() / batch;
-        for (b, obs) in obs.iter().enumerate() {
-            let mut stream = bit_flipper(fault_seed ^ b as u64);
-            let single = net
-                .infer_with_activation_faults(obs, &mut ctx, &mut stream)
-                .expect("infer");
-            let batch_bits: Vec<u32> =
-                out[b * vol..(b + 1) * vol].iter().map(|v| v.to_bits()).collect();
-            let single_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(batch_bits, single_bits, "faulted row {} of {}", b, batch);
-        }
     }
 
     // ---- Golden equivalence: batched *training* kernels leave bitwise
@@ -771,6 +721,72 @@ proptest! {
         prop_assert_eq!(bb, rb, "trained conv-stack weights drifted from the reference");
     }
 
+    // ---- One forward walk, two arenas: inference through the ctx of a
+    // ---- pending cached training forward leaves the training step
+    // ---- bit-identical to a twin that ran no inference in between.
+
+    #[test]
+    fn inference_between_cached_forward_and_backward_changes_no_weight(
+        seed in any::<u64>(),
+        conv in any::<bool>(),
+        batch in 1usize..6,
+        eval_batch in 1usize..9,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // The grid Q-MLP, or a conv stack with both kernel paths.
+        let (mut net, shape) = if conv {
+            let net = NetworkBuilder::new_image(2, 7, 8)
+                .conv(3, 3)
+                .relu()
+                .conv(4, 2)
+                .relu()
+                .dense(6)
+                .build(&mut rng)
+                .expect("conv stack");
+            (net, ActShape::image(2, 7, 8))
+        } else {
+            let net = NetworkBuilder::new(6)
+                .dense(32)
+                .relu()
+                .dense(32)
+                .relu()
+                .dense(4)
+                .build(&mut rng)
+                .expect("grid mlp");
+            (net, ActShape::flat(6))
+        };
+        let mut twin = net.clone();
+        let vol = shape.volume();
+        let mut draw = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect() };
+        let x = draw(batch * vol);
+        let y = Tensor::from_vec(shape.dims().to_vec(), draw(vol)).expect("observation");
+        let z = draw(eval_batch * vol);
+        let mut ctx = BatchInferCtx::new();
+        let mut twin_ctx = BatchInferCtx::new();
+        let out = net.forward_batch_cached(&x, &shape, batch, &mut ctx).expect("cached").to_vec();
+        let twin_out =
+            twin.forward_batch_cached(&x, &shape, batch, &mut twin_ctx).expect("cached").to_vec();
+        prop_assert_eq!(&out, &twin_out);
+        let row = |ctx: &BatchInferCtx| {
+            ctx.cached_row().map(|(i, s, o)| (i.to_vec(), s, o.to_vec()))
+        };
+        let cached = row(&ctx);
+        prop_assert_eq!(cached.is_some(), batch == 1);
+        // Eval walks through the same ctx: one observation, then a batch.
+        net.infer(&y, &mut ctx).expect("infer");
+        net.infer_batch(&z, &shape, eval_batch, &mut ctx).expect("infer batch");
+        prop_assert_eq!(row(&ctx), cached, "inference rewrote the cached row");
+        let grads = draw(out.len());
+        net.backward_batch(&grads, batch, &mut ctx).expect("backward");
+        twin.backward_batch(&grads, batch, &mut twin_ctx).expect("twin backward");
+        net.apply_grads(0.05);
+        twin.apply_grads(0.05);
+        let bits = |n: &frlfi_nn::Network| -> Vec<u32> {
+            n.snapshot().iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&net), bits(&twin), "inference changed the training step");
+    }
+
     #[test]
     fn infer_leaves_parameters_and_caches_untouched(
         seed in any::<u64>(),
@@ -780,7 +796,7 @@ proptest! {
     ) {
         let (mut net, x) = random_stack(seed, c, h, w);
         let snap = net.snapshot();
-        let mut ctx = InferCtx::new();
+        let mut ctx = BatchInferCtx::new();
         net.infer(&x, &mut ctx).expect("infer");
         prop_assert_eq!(net.snapshot(), snap, "infer must not write parameters");
         // No input caching: backward without a prior forward() fails.

@@ -1,6 +1,6 @@
 use crate::{Learner, RlError, Transition};
 use frlfi_envs::{Environment, Outcome};
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx};
+use frlfi_nn::{ActShape, BatchInferCtx};
 use rand::RngCore;
 
 /// The result of running one episode.
@@ -90,7 +90,7 @@ pub fn run_episode_batched(
 }
 
 /// Runs one *inference* episode: pure greedy exploitation, no learning
-/// (§III-B's second phase). Allocates one scratch [`InferCtx`] for the
+/// (§III-B's second phase). Allocates one scratch [`BatchInferCtx`] for the
 /// whole episode; callers evaluating many episodes should pass their
 /// own through [`run_greedy_episode_ctx`] instead.
 ///
@@ -102,7 +102,7 @@ pub fn run_greedy_episode(
     learner: &mut dyn Learner,
     rng: &mut dyn RngCore,
 ) -> Result<EpisodeSummary, RlError> {
-    run_greedy_episode_ctx(env, learner, rng, &mut InferCtx::new())
+    run_greedy_episode_ctx(env, learner, rng, &mut BatchInferCtx::new())
 }
 
 /// [`run_greedy_episode`] on the zero-allocation inference fast path:
@@ -116,7 +116,7 @@ pub fn run_greedy_episode_ctx(
     env: &mut dyn Environment,
     learner: &mut dyn Learner,
     rng: &mut dyn RngCore,
-    ctx: &mut InferCtx,
+    ctx: &mut BatchInferCtx,
 ) -> Result<EpisodeSummary, RlError> {
     let mut state = env.reset(rng);
     let mut total_reward = 0.0;
@@ -267,7 +267,7 @@ mod tests {
             .enumerate()
             .map(|(i, env)| {
                 let mut eval_rng = StdRng::seed_from_u64(1000 + i as u64);
-                run_greedy_episode_ctx(env, &mut learner, &mut eval_rng, &mut InferCtx::new())
+                run_greedy_episode_ctx(env, &mut learner, &mut eval_rng, &mut BatchInferCtx::new())
                     .unwrap()
             })
             .collect();

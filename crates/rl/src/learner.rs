@@ -1,5 +1,5 @@
 use crate::RlError;
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network};
+use frlfi_nn::{ActShape, BatchInferCtx, Network};
 use frlfi_tensor::Tensor;
 use rand::RngCore;
 
@@ -53,7 +53,11 @@ pub trait Learner: Send {
     /// # Errors
     ///
     /// As for [`Learner::act`].
-    fn act_greedy_ctx(&mut self, state: &Tensor, ctx: &mut InferCtx) -> Result<usize, RlError> {
+    fn act_greedy_ctx(
+        &mut self,
+        state: &Tensor,
+        ctx: &mut BatchInferCtx,
+    ) -> Result<usize, RlError> {
         let _ = ctx;
         self.act_greedy(state)
     }

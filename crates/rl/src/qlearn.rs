@@ -1,7 +1,7 @@
 use crate::{
     eps_greedy, eps_greedy_slice, greedy_argmax, EpsilonSchedule, Learner, RlError, Transition,
 };
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network, NetworkBuilder, NnError};
+use frlfi_nn::{ActShape, BatchInferCtx, Network, NetworkBuilder, NnError};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
 
@@ -149,7 +149,11 @@ impl Learner for QLearner {
         Ok(greedy_argmax(q.data()))
     }
 
-    fn act_greedy_ctx(&mut self, state: &Tensor, ctx: &mut InferCtx) -> Result<usize, RlError> {
+    fn act_greedy_ctx(
+        &mut self,
+        state: &Tensor,
+        ctx: &mut BatchInferCtx,
+    ) -> Result<usize, RlError> {
         let q = self.net.infer(state, ctx)?;
         Ok(greedy_argmax(q))
     }

@@ -2,7 +2,7 @@ use crate::{
     sample_categorical, sample_categorical_slice, softmax, softmax_argmax, softmax_into, Learner,
     RlError, Transition,
 };
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network, NetworkBuilder, NnError};
+use frlfi_nn::{ActShape, BatchInferCtx, Network, NetworkBuilder, NnError};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
 
@@ -197,7 +197,11 @@ impl Learner for Reinforce {
         Ok(softmax(&logits).argmax())
     }
 
-    fn act_greedy_ctx(&mut self, state: &Tensor, ctx: &mut InferCtx) -> Result<usize, RlError> {
+    fn act_greedy_ctx(
+        &mut self,
+        state: &Tensor,
+        ctx: &mut BatchInferCtx,
+    ) -> Result<usize, RlError> {
         // `softmax_argmax` replays `softmax(..).argmax()` bit-exactly
         // over the borrowed activation slice, keeping the whole greedy
         // step allocation-free.

@@ -5,7 +5,7 @@
 //! rest of the sweep alive.
 
 use frlfi_envs::{Environment, Outcome, Step};
-use frlfi_nn::{BatchInferCtx, InferCtx};
+use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{
     run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx, Learner,
     QLearner, Reinforce, RlError, Transition,
@@ -80,7 +80,7 @@ fn mis_shaped_observation_errors_through_every_episode_driver() {
         "run_greedy_episode/QLearner",
     );
     assert_shape_error(
-        run_greedy_episode_ctx(&mut env, &mut pi, &mut rng, &mut InferCtx::new()),
+        run_greedy_episode_ctx(&mut env, &mut pi, &mut rng, &mut BatchInferCtx::new()),
         "run_greedy_episode_ctx/Reinforce",
     );
 }

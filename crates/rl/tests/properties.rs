@@ -106,7 +106,7 @@ proptest! {
         obs in proptest::collection::vec(-2.0f32..2.0, 6),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ctx = frlfi_nn::InferCtx::new();
+        let mut ctx = frlfi_nn::BatchInferCtx::new();
         let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
         let s = Tensor::from_vec(vec![6], obs.clone()).expect("state");
         prop_assert_eq!(q.act_greedy(&s).expect("act"), q.act_greedy_ctx(&s, &mut ctx).expect("act"));
@@ -139,7 +139,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(9);
         let mut learner = QLearner::gridworld_default(&mut rng).expect("learner");
         let mut ep_rng = StdRng::seed_from_u64(seed);
-        let mut ctx = frlfi_nn::InferCtx::new();
+        let mut ctx = frlfi_nn::BatchInferCtx::new();
         let mut state = env.reset(&mut ep_rng);
         let mut fast_actions = Vec::new();
         loop {
