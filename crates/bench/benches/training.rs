@@ -25,6 +25,10 @@
 //! batched backward alone at that batch, where `conv0` computes
 //! parameter gradients only, as inside `Network::backward_batch`.
 //!
+//! Next to them, each GridWorld Q-network layer runs alone at batch 1,
+//! forward and backward, as one TD step calls it: the three dense
+//! layers (6→32, 32→32, 32→4) and a ReLU over 32 units.
+//!
 //! Two rows use the call shape GridWorld training really runs: one
 //! online TD step of `QLearner` at batch 1 (`act_train_ctx` then
 //! `observe_ctx`), and next to it the same step as the network calls
@@ -34,7 +38,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use frlfi::envs::{Environment, GridWorld};
-use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Layer, Network, NetworkBuilder};
+use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Dense, Network, NetworkBuilder, Relu};
 use frlfi::rl::{eps_greedy_slice, EpsilonSchedule, Learner, QLearner, Transition};
 use frlfi::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -198,6 +202,74 @@ fn drone_conv_backward(c: &mut Criterion) {
     group.finish();
 }
 
+/// Each GridWorld Q-network layer on its own at batch 1, forward and
+/// backward, with the inputs and gradients one TD step gives it: hidden
+/// layers see post-ReLU inputs (about half zeros) and ReLU-sparse
+/// upstream gradients, the output layer a one-hot TD-error gradient,
+/// and the first layer computes no input gradient, as inside
+/// `Network::backward_batch`. Dense rows count parameters touched; the
+/// ReLU rows report time only.
+fn grid_mlp_layers(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut group = c.benchmark_group("training_layers");
+    for (l, (in_dim, out_dim)) in [(6, 32), (32, 32), (32, 4)].into_iter().enumerate() {
+        let mut dense = Dense::new(format!("dense{l}"), in_dim, out_dim, &mut rng);
+        let shape = ActShape::flat(in_dim);
+        let x: Vec<f32> = (0..in_dim)
+            .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
+            .collect();
+        let g: Vec<f32> = if out_dim == 4 {
+            let mut g = vec![0.0f32; out_dim];
+            g[rng.gen_range(0..out_dim)] = rng.gen_range(-1.0f32..1.0);
+            g
+        } else {
+            (0..out_dim)
+                .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-0.5f32..0.5) })
+                .collect()
+        };
+        let mut y = vec![0.0f32; out_dim];
+        let mut dx = vec![0.0f32; in_dim];
+        let mut scratch = Vec::new();
+        let tag = format!("grid_dense{in_dim}x{out_dim}");
+        group.throughput(Throughput::Elements(dense.param_count() as u64));
+        group.bench_function(format!("{tag}_forward_batch1").as_str(), |b| {
+            b.iter(|| {
+                dense.forward_into(&x, &shape, &mut y).expect("forward");
+                black_box(&y);
+            })
+        });
+        group.bench_function(format!("{tag}_backward_batch1").as_str(), |b| {
+            b.iter(|| {
+                let grad_in = (l > 0).then_some(&mut dx[..]);
+                dense.backward_batch_into(&x, &shape, 1, &g, grad_in, &mut scratch).expect("bwd");
+                dense.zero_grads();
+                black_box(&dx);
+            })
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("training_layers");
+    let mut relu = Relu::new("relu0");
+    let shape = ActShape::flat(32);
+    let x: Vec<f32> = (0..32).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let g: Vec<f32> = (0..32).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+    let (mut y, mut dx) = (vec![0.0f32; 32], vec![0.0f32; 32]);
+    group.bench_function("grid_relu32_forward_batch1", |b| {
+        b.iter(|| {
+            relu.forward_into(&x, &shape, &mut y).expect("forward");
+            black_box(&y);
+        })
+    });
+    group.bench_function("grid_relu32_backward_batch1", |b| {
+        b.iter(|| {
+            relu.backward_batch_into(&x, &shape, 1, &g, Some(&mut dx), &mut Vec::new())
+                .expect("backward");
+            black_box(&dx);
+        })
+    });
+    group.finish();
+}
+
 /// GridWorld transitions from a random walk over a standard layout:
 /// the observations a TD step really sees, with `next_state` `None` at
 /// episode ends.
@@ -296,6 +368,7 @@ fn policy_training(c: &mut Criterion) {
     bench_batched_update(&mut group, &name, drone_policy, DRONE_UPDATE_BATCH);
     group.finish();
     drone_conv_backward(c);
+    grid_mlp_layers(c);
     grid_td_step(c);
 }
 

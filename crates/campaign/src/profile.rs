@@ -17,7 +17,7 @@
 //! writer because `frlfi-obs` stays zero-dependency, with no JSON
 //! parser.
 //!
-//! Every stream is read through [`crate::coord::JsonlTailReader`],
+//! Every stream is read through `coord::JsonlTailReader`,
 //! with the same torn-tail discipline as `trials.jsonl` and
 //! `claims.jsonl`: a SIGKILLed worker may leave an unterminated final
 //! line, which is counted and dropped (it describes at most one

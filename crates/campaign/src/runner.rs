@@ -27,7 +27,7 @@
 //! to what the in-process `sweep` engine produces for the same trials.
 //!
 //! The trial log's integrity policy is data chosen once per call (see
-//! [`LogPolicy`]): a directory that never ran shared is a strict
+//! `LogPolicy`): a directory that never ran shared is a strict
 //! single-writer log (torn tails truncated, every append retry
 //! truncated back to the committed length), any other a lenient
 //! shared-queue log (torn tails healed into their own skippable line).

@@ -3,7 +3,7 @@
 //! enough to re-render every second.
 //!
 //! Every data source is tailed incrementally through
-//! [`crate::coord::JsonlTailReader`]: each of `trials.jsonl`,
+//! `coord::JsonlTailReader`: each of `trials.jsonl`,
 //! `claims.jsonl`, `quarantine.jsonl` and every `obs/worker-*.jsonl`
 //! stream keeps a per-file byte offset and each tick folds **only the
 //! appended bytes** — a tick against an idle campaign reads zero log

@@ -1,4 +1,4 @@
-use crate::{ActShape, Layer, LayerKind, NnError};
+use crate::{ActShape, NnError};
 use frlfi_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(x, 0)`, applied elementwise.
@@ -7,8 +7,8 @@ use frlfi_tensor::Tensor;
 /// the cached input.
 #[derive(Debug, Clone)]
 pub struct Relu {
-    name: String,
-    cached_input: Option<Tensor>,
+    pub(crate) name: String,
+    pub(crate) cached_input: Option<Tensor>,
 }
 
 impl Relu {
@@ -16,27 +16,15 @@ impl Relu {
     pub fn new(name: impl Into<String>) -> Self {
         Relu { name: name.into(), cached_input: None }
     }
-}
 
-impl Layer for Relu {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Activation
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    /// [`Layer::forward`](crate::Layer::forward) for a ReLU.
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.cached_input = Some(input.clone());
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
-        Ok(*in_shape)
-    }
-
-    fn forward_into(
+    /// [`Layer::forward_into`](crate::Layer::forward_into) for a ReLU.
+    pub fn forward_into(
         &self,
         input: &[f32],
         _in_shape: &ActShape,
@@ -48,7 +36,8 @@ impl Layer for Relu {
         Ok(())
     }
 
-    fn forward_batch_into(
+    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a ReLU.
+    pub fn forward_batch_into(
         &self,
         input: &[f32],
         _in_shape: &ActShape,
@@ -63,7 +52,8 @@ impl Layer for Relu {
         Ok(())
     }
 
-    fn backward_batch_into(
+    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a ReLU.
+    pub fn backward_batch_into(
         &mut self,
         input: &[f32],
         _in_shape: &ActShape,
@@ -84,37 +74,14 @@ impl Layer for Relu {
         Ok(())
     }
 
-    fn clear_cache(&mut self) {
-        self.cached_input = None;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    /// [`Layer::backward`](crate::Layer::backward) for a ReLU.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name.clone() })?;
         let mask = input.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
         Ok(grad_out.mul(&mask)?)
-    }
-
-    fn apply_grads(&mut self, _lr: f32) {}
-
-    fn zero_grads(&mut self) {}
-
-    fn param_count(&self) -> usize {
-        0
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
@@ -145,7 +112,7 @@ mod tests {
 
     #[test]
     fn has_no_params() {
-        let r = Relu::new("relu");
+        let r = crate::Layer::Relu(Relu::new("relu"));
         assert_eq!(r.param_count(), 0);
         assert!(r.params().is_empty());
     }

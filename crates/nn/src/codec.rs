@@ -117,6 +117,10 @@ pub fn decode_weight_planes(bytes: &[u8]) -> Result<Vec<Vec<f32>>, WeightCodecEr
         return Err(WeightCodecError::UnsupportedVersion(version));
     }
     let n_planes = u32_at(8);
+    // Every plane needs at least its 4-byte length: check that much
+    // exists before reserving, so a corrupt count cannot ask for a
+    // huge allocation.
+    need(12 + 4 * n_planes, bytes.len())?;
     let mut planes = Vec::with_capacity(n_planes);
     let mut off = 12;
     for _ in 0..n_planes {
@@ -209,6 +213,20 @@ mod tests {
         assert_eq!(decode_weight_planes(&trailing).unwrap_err(), {
             WeightCodecError::TrailingBytes(1)
         });
+    }
+
+    #[test]
+    fn huge_plane_count_is_truncation_not_allocation() {
+        // A 12-byte header claiming u32::MAX planes: every plane needs
+        // at least its 4-byte length, so the buffer is short by that
+        // much, and nothing may be reserved for the planes first.
+        let mut bytes = WEIGHT_MAGIC.to_vec();
+        bytes.extend_from_slice(&WEIGHT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_weight_planes(&bytes).unwrap_err(),
+            WeightCodecError::Truncated { expected: 12 + 4 * u32::MAX as usize, actual: 12 }
+        );
     }
 
     #[test]

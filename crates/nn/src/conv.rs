@@ -1,4 +1,4 @@
-use crate::{ActShape, Layer, LayerKind, NnError};
+use crate::{ActShape, NnError};
 use frlfi_tensor::{Init, Tensor, TensorError};
 use rand::Rng;
 
@@ -9,7 +9,7 @@ use rand::Rng;
 /// these over the raycast depth image before two dense layers (§IV-B-1).
 ///
 /// ```
-/// use frlfi_nn::{Conv2d, Layer};
+/// use frlfi_nn::Conv2d;
 /// use frlfi_tensor::Tensor;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -23,15 +23,15 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    name: String,
+    pub(crate) name: String,
     in_c: usize,
     out_c: usize,
     k: usize,
-    w: Tensor,
-    b: Tensor,
-    gw: Tensor,
-    gb: Tensor,
-    cached_input: Option<Tensor>,
+    pub(crate) w: Tensor,
+    pub(crate) b: Tensor,
+    pub(crate) gw: Tensor,
+    pub(crate) gb: Tensor,
+    pub(crate) cached_input: Option<Tensor>,
     /// Reusable per-sample gather buffers (one activation volume + one
     /// gradient volume) for the batched parameter-gradient pass, so the
     /// batched backward stays allocation-free after warm-up.
@@ -106,7 +106,7 @@ impl Conv2d {
     /// weight-scaled shifted input rows. The loop nest is
     /// `oc → ic → ky → oy → kx → ox`, so every *output element* still
     /// accumulates its terms in the reference `ic → ky → kx` order
-    /// (bit-identical to [`Layer::forward`]) while the innermost `ox`
+    /// (bit-identical to [`Conv2d::forward`]) while the innermost `ox`
     /// sweep updates independent elements and vectorizes.
     fn forward_into_generic(
         &self,
@@ -201,7 +201,7 @@ impl Conv2d {
     /// independent per-sample accumulators and vectorizes across the
     /// batch axis. Every *output element* of every sample still
     /// accumulates its terms in the reference `ic → ky → kx` order,
-    /// bit-identical to [`Layer::forward_into`] on that sample alone.
+    /// bit-identical to [`Conv2d::forward_into`] on that sample alone.
     #[allow(clippy::too_many_arguments)]
     fn forward_batch_into_generic(
         &self,
@@ -340,7 +340,7 @@ impl Conv2d {
     /// element the visit order over `(sample, oy, ox)` — and the
     /// `g * x` product feeding each `+=` — is unchanged, so the
     /// accumulated gradients stay bitwise what `batch` sequential
-    /// [`Layer::backward`] calls leave. The reference skips a position
+    /// [`Conv2d::backward`] calls leave. The reference skips a position
     /// entirely (including the `gb` add) when its `g == 0.0`; the
     /// per-channel skip here preserves that.
     ///
@@ -575,16 +575,9 @@ fn tap<const MASKED: bool>(acc: f32, g: f32, w: f32) -> f32 {
     }
 }
 
-impl Layer for Conv2d {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+impl Conv2d {
+    /// [`Layer::forward`](crate::Layer::forward) for a conv layer.
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let (oh, ow) = self.check_input(input)?;
         let dims = input.shape().dims();
         let (h, w) = (dims[1], dims[2]);
@@ -615,12 +608,14 @@ impl Layer for Conv2d {
         Ok(out)
     }
 
-    fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
+    /// [`Layer::out_shape`](crate::Layer::out_shape) for a conv layer.
+    pub fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
         let (oh, ow) = self.check_dims(in_shape.dims())?;
         Ok(ActShape::image(self.out_c, oh, ow))
     }
 
-    fn forward_into(
+    /// [`Layer::forward_into`](crate::Layer::forward_into) for a conv layer.
+    pub fn forward_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -637,7 +632,8 @@ impl Layer for Conv2d {
         Ok(())
     }
 
-    fn forward_batch_into(
+    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a conv layer.
+    pub fn forward_batch_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -655,7 +651,8 @@ impl Layer for Conv2d {
         Ok(())
     }
 
-    fn backward_batch_into(
+    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a conv layer.
+    pub fn backward_batch_into(
         &mut self,
         input: &[f32],
         in_shape: &ActShape,
@@ -704,11 +701,8 @@ impl Layer for Conv2d {
         Ok(())
     }
 
-    fn clear_cache(&mut self) {
-        self.cached_input = None;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    /// [`Layer::backward`](crate::Layer::backward) for a conv layer.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -757,33 +751,6 @@ impl Layer for Conv2d {
             }
         }
         Ok(dx)
-    }
-
-    fn apply_grads(&mut self, lr: f32) {
-        self.w.axpy(-lr, &self.gw).expect("gradient shape invariant");
-        self.b.axpy(-lr, &self.gb).expect("gradient shape invariant");
-        self.zero_grads();
-    }
-
-    fn zero_grads(&mut self) {
-        self.gw.map_inplace(|_| 0.0);
-        self.gb.map_inplace(|_| 0.0);
-    }
-
-    fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w, &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w, &mut self.b]
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::{ActShape, Layer, LayerKind, NnError};
+use crate::{ActShape, NnError};
 use frlfi_tensor::{Init, Tensor, TensorError};
 use rand::Rng;
 
@@ -10,10 +10,10 @@ const BW: usize = 16;
 /// Inputs and outputs are rank-1 tensors — reinforcement-learning
 /// interaction is inherently step-by-step, so there is no batch
 /// dimension. Gradients accumulate across backward calls (episode sums)
-/// until [`Layer::apply_grads`].
+/// until [`Dense::apply_grads`].
 ///
 /// ```
-/// use frlfi_nn::{Dense, Layer};
+/// use frlfi_nn::Dense;
 /// use frlfi_tensor::Tensor;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -27,12 +27,12 @@ const BW: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
-    name: String,
-    w: Tensor,
-    b: Tensor,
-    gw: Tensor,
-    gb: Tensor,
-    cached_input: Option<Tensor>,
+    pub(crate) name: String,
+    pub(crate) w: Tensor,
+    pub(crate) b: Tensor,
+    pub(crate) gw: Tensor,
+    pub(crate) gb: Tensor,
+    pub(crate) cached_input: Option<Tensor>,
     /// Reusable per-sample gather/accumulator rows (one input volume
     /// each) for the batched backward, so it stays allocation-free
     /// after warm-up.
@@ -122,16 +122,9 @@ fn backward_sample(
     }
 }
 
-impl Layer for Dense {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Dense
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+impl Dense {
+    /// [`Layer::forward`](crate::Layer::forward) for a dense layer.
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         // Accept any shape whose volume matches `in_dim` (a conv feature
         // map flattens implicitly, as in the DroneNav conv→dense stack).
         let flat = input.reshape(vec![input.len()])?;
@@ -141,7 +134,8 @@ impl Layer for Dense {
         Ok(out)
     }
 
-    fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
+    /// [`Layer::out_shape`](crate::Layer::out_shape) for a dense layer.
+    pub fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
         // Any shape whose volume matches `in_dim` flattens implicitly,
         // exactly as in `forward`.
         if in_shape.volume() != self.in_dim() {
@@ -154,7 +148,8 @@ impl Layer for Dense {
         Ok(ActShape::flat(self.out_dim()))
     }
 
-    fn forward_into(
+    /// [`Layer::forward_into`](crate::Layer::forward_into) for a dense layer.
+    pub fn forward_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -202,7 +197,8 @@ impl Layer for Dense {
         Ok(())
     }
 
-    fn forward_batch_into(
+    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a dense layer.
+    pub fn forward_batch_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -294,7 +290,8 @@ impl Layer for Dense {
         Ok(())
     }
 
-    fn backward_batch_into(
+    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a dense layer.
+    pub fn backward_batch_into(
         &mut self,
         input: &[f32],
         in_shape: &ActShape,
@@ -364,11 +361,8 @@ impl Layer for Dense {
         Ok(())
     }
 
-    fn clear_cache(&mut self) {
-        self.cached_input = None;
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    /// [`Layer::backward`](crate::Layer::backward) for a dense layer.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -414,33 +408,6 @@ impl Layer for Dense {
         // preceding conv layer receives a rank-3 gradient.
         let dx = dx.reshape(input.shape().dims().to_vec())?;
         Ok(dx)
-    }
-
-    fn apply_grads(&mut self, lr: f32) {
-        self.w.axpy(-lr, &self.gw).expect("gradient shape invariant");
-        self.b.axpy(-lr, &self.gb).expect("gradient shape invariant");
-        self.zero_grads();
-    }
-
-    fn zero_grads(&mut self) {
-        self.gw.map_inplace(|_| 0.0);
-        self.gb.map_inplace(|_| 0.0);
-    }
-
-    fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w, &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w, &mut self.b]
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 

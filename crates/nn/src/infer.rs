@@ -268,7 +268,7 @@ impl BatchInferCtx {
     /// length mismatches and empty layer stacks.
     pub(crate) fn run<'c>(
         &'c mut self,
-        layers: &[Box<dyn Layer>],
+        layers: &[Layer],
         input: &[f32],
         input_shape: ActShape,
         batch: usize,
@@ -368,7 +368,7 @@ impl BatchInferCtx {
     /// gradient length mismatches; propagates layer shape errors.
     pub(crate) fn run_backward(
         &mut self,
-        layers: &mut [Box<dyn Layer>],
+        layers: &mut [Layer],
         grads: &[f32],
         batch: usize,
     ) -> Result<(), NnError> {

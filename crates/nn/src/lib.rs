@@ -10,7 +10,9 @@
 //! * [`Dense`] and [`Conv2d`] layers with forward and backward passes —
 //!   the GridWorld policy is an MLP, the DroneNav policy is
 //!   Conv×3 + FC×2 (§IV-B-1);
-//! * [`Network`], an owned layer stack with flat parameter snapshots
+//! * [`Layer`], the closed enum over those two and [`Relu`]: every
+//!   layer operation is one `match` over the three variants;
+//! * [`Network`], an owned `Vec<Layer>` stack with flat parameter snapshots
 //!   (used by server checkpointing), per-layer parameter spans (used by
 //!   layer-targeted injection and range-based anomaly detection), and SGD;
 //! * [`BatchInferCtx`], the zero-allocation arena every fast forward
@@ -51,5 +53,5 @@ pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
 pub use infer::{ActShape, BatchInferCtx, InferCtx};
-pub use layer::{Layer, LayerKind, ParamSpan};
+pub use layer::{Layer, LayerKind, ParamSpan, Params};
 pub use network::{Network, NetworkBuilder};

@@ -24,22 +24,13 @@ use rand::Rng;
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct Network {
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Layer>,
     input_dim: usize,
     // Total trainable parameters, fixed at construction (layer tensor
     // sizes never change), so snapshot/restore size exactly once.
     param_total: usize,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        Network {
-            layers: self.layers.clone(),
-            input_dim: self.input_dim,
-            param_total: self.param_total,
-        }
-    }
 }
 
 impl std::fmt::Debug for Network {
@@ -52,19 +43,6 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Assembles a network from layers; prefer [`NetworkBuilder`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::EmptyNetwork`] if `layers` is empty.
-    pub fn from_layers(layers: Vec<Box<dyn Layer>>, input_dim: usize) -> Result<Self, NnError> {
-        if layers.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        let param_total = layers.iter().map(|l| l.param_count()).sum();
-        Ok(Network { layers, input_dim, param_total })
-    }
-
     /// Expected flat input volume.
     pub fn input_dim(&self) -> usize {
         self.input_dim
@@ -464,38 +442,33 @@ impl NetworkBuilder {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(self.specs.len());
+        if self.specs.is_empty() {
+            return Err(NnError::EmptyNetwork);
+        }
+        let mut layers = Vec::with_capacity(self.specs.len());
         let mut dense_idx = 0;
         let mut conv_idx = 0;
         let mut relu_idx = 0;
         for spec in &self.specs {
             match *spec {
                 LayerSpec::Dense { in_dim, out_dim } => {
-                    layers.push(Box::new(Dense::new(
-                        format!("dense{dense_idx}"),
-                        in_dim,
-                        out_dim,
-                        rng,
-                    )));
+                    let name = format!("dense{dense_idx}");
+                    layers.push(Layer::Dense(Dense::new(name, in_dim, out_dim, rng)));
                     dense_idx += 1;
                 }
                 LayerSpec::Conv { in_c, out_c, k } => {
-                    layers.push(Box::new(Conv2d::new(
-                        format!("conv{conv_idx}"),
-                        in_c,
-                        out_c,
-                        k,
-                        rng,
-                    )));
+                    let name = format!("conv{conv_idx}");
+                    layers.push(Layer::Conv(Conv2d::new(name, in_c, out_c, k, rng)));
                     conv_idx += 1;
                 }
                 LayerSpec::Relu => {
-                    layers.push(Box::new(Relu::new(format!("relu{relu_idx}"))));
+                    layers.push(Layer::Relu(Relu::new(format!("relu{relu_idx}"))));
                     relu_idx += 1;
                 }
             }
         }
-        Network::from_layers(layers, self.input_dim)
+        let param_total = layers.iter().map(Layer::param_count).sum();
+        Ok(Network { layers, input_dim: self.input_dim, param_total })
     }
 }
 

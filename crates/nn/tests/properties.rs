@@ -36,6 +36,20 @@ fn random_stack(seed: u64, c: usize, h: usize, w: usize) -> (frlfi_nn::Network, 
     (net, x)
 }
 
+/// Writes every parameter's flat index into it through
+/// `for_each_param_mut` and checks that `snapshot()[i]` reads back `i`:
+/// the visit walks the flat vector in order, one scalar per index.
+/// Leaves the network's weights overwritten.
+fn assert_param_walk_matches_snapshot(
+    net: &mut frlfi_nn::Network,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    net.for_each_param_mut(|i, v| *v = i as f32);
+    for (i, &v) in net.snapshot().iter().enumerate() {
+        prop_assert_eq!(v, i as f32, "for_each_param_mut index {} is not snapshot()[{}]", i, i);
+    }
+    Ok(())
+}
+
 /// Deterministic bit-flip corruptor factory: both the slow and the fast
 /// activation-fault paths get an identical RNG stream.
 fn bit_flipper(seed: u64) -> impl FnMut(&mut [f32]) {
@@ -72,8 +86,8 @@ fn cmp_bits(v: f32, modulo_nan: bool) -> u32 {
 /// with the weights fixed — exactly the accumulation the batched
 /// kernels contract to reproduce.
 fn assert_batched_backward_matches_reference(
-    batched: &mut dyn Layer,
-    reference: &mut dyn Layer,
+    batched: &mut Layer,
+    reference: &mut Layer,
     in_shape: &ActShape,
     samples: &[Vec<f32>],
     grad_rows: &[Vec<f32>],
@@ -211,12 +225,19 @@ fn backward_batch1_and_padded(
 
 proptest! {
     #[test]
-    fn snapshot_restore_is_identity(seed in any::<u64>(), dims in (1usize..8, 1usize..16, 1usize..8)) {
+    fn snapshot_restore_is_identity(
+        seed in any::<u64>(),
+        dims in (1usize..8, 1usize..16, 1usize..8),
+        image in (1usize..3, 5usize..10, 5usize..12),
+    ) {
         let (i, h, o) = dims;
-        let mut net = mlp(seed, i, h, o);
-        let snap = net.snapshot();
-        net.restore(&snap).expect("restore");
-        prop_assert_eq!(net.snapshot(), snap);
+        let (c, ih, iw) = image;
+        for mut net in [mlp(seed, i, h, o), random_stack(seed, c, ih, iw).0] {
+            let snap = net.snapshot();
+            net.restore(&snap).expect("restore");
+            prop_assert_eq!(net.snapshot(), snap);
+            assert_param_walk_matches_snapshot(&mut net)?;
+        }
     }
 
     #[test]
@@ -229,17 +250,23 @@ proptest! {
     }
 
     #[test]
-    fn spans_partition_params(seed in any::<u64>()) {
-        let net = mlp(seed, 4, 8, 3);
-        let spans = net.param_spans();
-        let mut covered = 0;
-        let mut next = 0;
-        for s in &spans {
-            prop_assert_eq!(s.start, next, "spans must be contiguous");
-            covered += s.len;
-            next = s.start + s.len;
+    fn spans_partition_params(
+        seed in any::<u64>(),
+        image in (1usize..3, 5usize..10, 5usize..12),
+    ) {
+        let (c, h, w) = image;
+        for mut net in [mlp(seed, 4, 8, 3), random_stack(seed, c, h, w).0] {
+            let spans = net.param_spans();
+            let mut covered = 0;
+            let mut next = 0;
+            for s in &spans {
+                prop_assert_eq!(s.start, next, "spans must be contiguous");
+                covered += s.len;
+                next = s.start + s.len;
+            }
+            prop_assert_eq!(covered, net.param_count());
+            assert_param_walk_matches_snapshot(&mut net)?;
         }
-        prop_assert_eq!(covered, net.param_count());
     }
 
     #[test]
@@ -465,8 +492,8 @@ proptest! {
         batch in 1usize..10,
     ) {
         use frlfi_nn::Dense;
-        let mut batched = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
-        let mut reference = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
+        let batched = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
+        let reference = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7D15);
         let samples: Vec<Vec<f32>> = (0..batch)
             .map(|_| (0..in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
@@ -481,8 +508,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut batched,
-            &mut reference,
+            &mut Layer::Dense(batched),
+            &mut Layer::Dense(reference),
             &ActShape::flat(in_dim),
             &samples,
             &grad_rows,
@@ -535,8 +562,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut batched,
-            &mut reference,
+            &mut Layer::Conv(batched),
+            &mut Layer::Conv(reference),
             &in_shape,
             &samples,
             &grad_rows,
@@ -564,7 +591,7 @@ proptest! {
         let mut reference = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
         let specials =
             [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::from_bits(0x7f80_0001), -f32::NAN];
-        let mut params = batched.params_mut();
+        let params = batched.params_mut();
         let weights = params[0].data_mut();
         let n = weights.len();
         weights[rng.gen_range(0..n)] = specials[rng.gen_range(0..specials.len())];
@@ -573,7 +600,6 @@ proptest! {
                 *v = specials[rng.gen_range(0..specials.len())];
             }
         }
-        drop(params);
         reference.params_mut()[0].data_mut().copy_from_slice(batched.params()[0].data());
         let in_shape = ActShape::image(in_c, h, w);
         let (oh, ow) = (h - k + 1, w - k + 1);
@@ -592,8 +618,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut batched,
-            &mut reference,
+            &mut Layer::Conv(batched),
+            &mut Layer::Conv(reference),
             &in_shape,
             &samples,
             &grad_rows,
@@ -607,8 +633,8 @@ proptest! {
         n in 1usize..32,
         batch in 1usize..8,
     ) {
-        let mut batched = Relu::new("r");
-        let mut reference = Relu::new("r");
+        let batched = Relu::new("r");
+        let reference = Relu::new("r");
         let mut rng = StdRng::seed_from_u64(seed);
         // Exact zeros on both sides of the gate exercise the masking.
         let samples: Vec<Vec<f32>> = (0..batch)
@@ -622,8 +648,8 @@ proptest! {
             .map(|_| (0..n).map(|_| rng.gen_range(-1.5f32..1.5)).collect())
             .collect();
         assert_batched_backward_matches_reference(
-            &mut batched,
-            &mut reference,
+            &mut Layer::Relu(batched),
+            &mut Layer::Relu(reference),
             &ActShape::flat(n),
             &samples,
             &grad_rows,

@@ -228,7 +228,7 @@ impl Learner for QLearner {
     }
 
     /// The TD update of [`Learner::observe`], bit for bit, on the fast
-    /// path of [`QLearner::learn_one`]: when the preceding
+    /// path of `QLearner::learn_one`: when the preceding
     /// `act_train_ctx` of this learner acted on `t.state` and no weight
     /// has changed since, its forward is reused; otherwise the forward
     /// is recomputed. `ctx` is not used.
