@@ -2,7 +2,8 @@
 //! path (`Network::forward` + `Network::backward`, what `observe` /
 //! `end_episode` ran before batched training shipped) against the
 //! arena-kernel path (`forward_batch_cached` + `backward_batch`) that
-//! `Reinforce::learn_batch` drives for a whole episode. Run with
+//! `Reinforce::learn_batch` drives over an episode's kept steps, in
+//! chunks of at most 32 rows. Run with
 //! `CRITERION_JSON=BENCH_training.json` to refresh the committed
 //! perf-tracking snapshot:
 //!
@@ -19,11 +20,13 @@
 //! the apply/clear cost is measured, but weights stay fixed so every
 //! iteration times the identical numeric work.
 //!
-//! Two row families use the call shape DroneNav fine-tuning really
-//! runs: one REINFORCE episode-end update at batch 33 (the median
-//! kept-step count of a `drone-finetune` trial), and each conv layer's
-//! batched backward alone at that batch, where `conv0` computes
-//! parameter gradients only, as inside `Network::backward_batch`.
+//! Two row families use the size of a median DroneNav fine-tuning
+//! update: one REINFORCE episode-end update of 33 kept steps (the
+//! median of a `drone-finetune` trial), and each conv layer's batched
+//! backward alone at that batch, where `conv0` computes parameter
+//! gradients only, as inside `Network::backward_batch`. Both run the
+//! 33 rows as one batch; `learn_batch` runs such an update as a
+//! 32-row and a 1-row chunk, which accumulate the same gradient.
 //!
 //! Next to them, each GridWorld Q-network layer runs alone at batch 1,
 //! forward and backward, as one TD step calls it: the three dense

@@ -7,7 +7,7 @@ use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
 use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
 use frlfi_nn::BatchInferCtx;
-use frlfi_rl::{run_episode, run_episode_batched, run_greedy_episodes_batch, Learner, Reinforce};
+use frlfi_rl::{run_episode_batched, run_greedy_episodes_batch, Learner, Reinforce};
 use frlfi_tensor::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,11 +182,13 @@ impl DroneFrlSystem {
 
     /// Offline pre-training (§IV-B-1): REINFORCE on a single learner,
     /// whose weights then seed the whole fleet. Idempotent — repeated
-    /// calls do nothing.
+    /// calls do nothing. The episodes run on a local arena
+    /// ([`frlfi_rl::run_episode_batched`]), bit-identical to the
+    /// per-observation reference [`frlfi_rl::run_episode`].
     ///
     /// # Errors
     ///
-    /// Propagates restore failures.
+    /// Propagates training or restore failures.
     pub fn pretrain(&mut self) -> Result<(), FrlfiError> {
         if self.pretrained {
             return Ok(());
@@ -197,12 +199,12 @@ impl DroneFrlSystem {
             derive_seed(self.cfg.seed, 0x0FF),
         );
         let mut rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0x0FF + 1));
-        // Pre-training is the one production use of the per-observation
-        // reference path: batching it needs a bounded REINFORCE arena
-        // first (see ROADMAP). Campaigns share the one pretrained weight
-        // vector across cells.
+        // The same arena path as fine-tuning; the episode-end update's
+        // 32-row chunks bound the arena however long an episode runs.
+        // Campaigns share the one pretrained weight vector across cells.
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..self.cfg.pretrain_episodes {
-            run_episode(&mut env, &mut learner, &mut rng)?;
+            run_episode_batched(&mut env, &mut learner, &mut rng, &mut ctx)?;
         }
         let weights = learner.network().snapshot();
         for d in &mut self.drones {
@@ -530,6 +532,7 @@ impl RoundHook for ServerFaultHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frlfi_rl::run_episode;
 
     fn tiny_cfg(n: usize) -> DroneSystemConfig {
         DroneSystemConfig {

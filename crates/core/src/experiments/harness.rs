@@ -5,7 +5,7 @@
 //! now all reduce to building [`GridTrial`] / [`DroneTrial`] cells and
 //! calling [`run_grid_trial_batched`] / [`run_drone_trial_batched`].
 //! Both train and evaluate on a [`BatchInferCtx`] arena, the one
-//! production path (bit-identical to the per-observation reference
+//! production path (bit-identical to the per-observation test oracle
 //! [`frlfi_rl::run_episode`]). The same trial functions back the
 //! `frlfi-campaign` orchestration crate, which is what makes a
 //! declarative TOML campaign reproduce a figure driver's statistics
@@ -778,9 +778,9 @@ mod tests {
     #[test]
     fn arena_trials_match_pinned_per_observation_bits() {
         // Every pinned value and digest below was produced by the
-        // per-observation trial path (`frlfi_rl::run_episode`-driven
-        // training and evaluation) before the arena became the only
-        // trial path. Each trial runs on one arena reused across all of
+        // per-observation trial path (training driven by
+        // `frlfi_rl::run_episode`, now only the test oracle) before
+        // the arena became the only trial path. Each trial runs on one arena reused across all of
         // them, as a campaign worker reuses it, and again on a fresh
         // arena: no state may leak from one trial into the next.
         let t = GridTrial::new(2, 40).with_fault(TrialFault::transient_int8(

@@ -24,6 +24,10 @@ impl EpisodeSummary {
 /// Runs one *training* episode: the learner explores, observes every
 /// transition and receives `end_episode` at the end.
 ///
+/// This per-observation path is the test oracle: every production
+/// trainer runs [`run_episode_batched`], which must reproduce its
+/// summary and trained weights bit for bit.
+///
 /// # Errors
 ///
 /// Propagates learner errors (e.g. an observation whose shape does not

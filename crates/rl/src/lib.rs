@@ -14,18 +14,22 @@
 //! * [`EpsilonSchedule`] — the decaying exploration/exploitation ratio
 //!   that separates the paper's *training* phase (decaying ε) from its
 //!   *inference* phase (pure exploitation, §III-B);
-//! * [`run_episode`] / [`run_greedy_episode`] — seeded episode drivers.
+//! * [`run_episode_batched`] / [`run_greedy_episode`] — seeded episode
+//!   drivers; [`run_episode`] is the per-observation test oracle the
+//!   batched trainer must match bit for bit.
 //!
 //! ```
 //! use frlfi_envs::{Environment, GridWorld};
-//! use frlfi_rl::{run_episode, EpsilonSchedule, Learner, QLearner};
+//! use frlfi_nn::BatchInferCtx;
+//! use frlfi_rl::{run_episode_batched, EpsilonSchedule, Learner, QLearner};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut env = GridWorld::standard_layouts(3)[0].clone();
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut learner = QLearner::gridworld_default(&mut rng)?;
-//! let summary = run_episode(&mut env, &mut learner, &mut rng)?;
+//! let mut ctx = BatchInferCtx::new();
+//! let summary = run_episode_batched(&mut env, &mut learner, &mut rng, &mut ctx)?;
 //! assert!(summary.steps > 0);
 //! # Ok(())
 //! # }

@@ -6,6 +6,10 @@ use frlfi_nn::{ActShape, BatchInferCtx, Network, NetworkBuilder, NnError};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
 
+/// Most kept steps one batched forward/backward of the episode-end
+/// update runs at once; longer episodes run as several such chunks.
+const CHUNK_ROWS: usize = 32;
+
 /// Monte-Carlo policy gradient (REINFORCE) with an EMA baseline.
 ///
 /// The DroneNav policy "is first trained offline using REINFORCE ... and
@@ -97,28 +101,38 @@ impl Reinforce {
         self.baseline
     }
 
-    /// The per-episode REINFORCE update as **one batched forward and
-    /// one batched backward** over the buffered steps — this is where
-    /// batched training pays: for a T-step episode the sequential
-    /// reference runs T tensor-allocating forwards and T backwards,
-    /// while this path runs a single arena-backed batch of all kept
-    /// steps.
+    /// The per-episode REINFORCE update on `ctx`'s cached-activation
+    /// arena: the kept steps run as batched forwards and backwards of
+    /// **at most 32 rows each**, however long the episode. For a
+    /// T-step episode the sequential reference runs T tensor-allocating
+    /// forwards and T backwards; this path runs ⌈kept / 32⌉ arena-backed
+    /// batches, and the 32-row bound caps the arena's size.
     ///
     /// Bitwise contract with [`Learner::end_episode`]: returns,
     /// advantages, the `advantage == 0.0` step filter, per-row softmax,
     /// gradient rows, the `lr / T` scale and the baseline EMA are all
-    /// computed identically, and the batched backward accumulates every
-    /// parameter-gradient element in ascending step order — exactly the
-    /// order the sequential per-step backwards accumulate (weights only
-    /// change at the single `apply_grads`). Trained weights are
-    /// therefore bit-identical.
+    /// computed identically, and every batched backward adds each
+    /// parameter-gradient element's contributions in ascending step
+    /// order straight into the accumulated gradient — exactly the order
+    /// the sequential per-step backwards accumulate, so splitting the
+    /// kept steps into chunks changes no bit (weights only change at
+    /// the single `apply_grads`). Trained weights are therefore
+    /// bit-identical.
     ///
     /// # Errors
     ///
     /// Returns an error if a buffered observation does not fit the
-    /// policy network; the episode buffer is left intact so the caller
-    /// can inspect it.
+    /// policy network. Every kept observation's size is checked before
+    /// the first forward, so a rejected episode leaves no partial
+    /// gradient behind; the episode buffer is left intact so the
+    /// caller can inspect it.
     pub fn learn_batch(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
+        self.learn_chunked(ctx, CHUNK_ROWS)
+    }
+
+    /// [`Reinforce::learn_batch`] with batches of at most `rows` kept
+    /// steps (the seam the chunking tests drive).
+    fn learn_chunked(&mut self, ctx: &mut BatchInferCtx, rows: usize) -> Result<(), RlError> {
         if self.episode_buf.is_empty() {
             self.episode += 1;
             return Ok(());
@@ -145,34 +159,42 @@ impl Reinforce {
         if !kept.is_empty() {
             let shape = ActShape::from_dims(self.episode_buf[kept[0].0].state.shape().dims())?;
             let vol = shape.volume();
-            let batch = kept.len();
-            let mut states = vec![0.0f32; vol * batch];
-            for (s, &(i, _)) in kept.iter().enumerate() {
-                let data = self.episode_buf[i].state.data();
-                if data.len() != vol {
-                    return Err(RlError::Nn(NnError::BadDimensions {
-                        detail: format!(
-                            "episode step {i} observation has {} elements, expected {vol}",
-                            data.len()
-                        ),
-                    }));
-                }
-                states[s * vol..(s + 1) * vol].copy_from_slice(data);
+            if let Some(&(i, _)) =
+                kept.iter().find(|&&(i, _)| self.episode_buf[i].state.data().len() != vol)
+            {
+                return Err(RlError::Nn(NnError::BadDimensions {
+                    detail: format!(
+                        "episode step {i} observation has {} elements, expected {vol}",
+                        self.episode_buf[i].state.data().len()
+                    ),
+                }));
             }
-            let logits = self.net.forward_batch_cached(&states, &shape, batch, ctx)?;
-            let n = logits.len() / batch;
-            let mut grads = vec![0.0f32; logits.len()];
-            for (s, &(i, advantage)) in kept.iter().enumerate() {
-                // ∇_logits −log π(a) · A = (π − one_hot(a)) · A, with
-                // the bit-exact softmax replay per row.
-                softmax_into(&logits[s * n..(s + 1) * n], &mut self.probs_scratch);
-                let grow = &mut grads[s * n..(s + 1) * n];
-                for (gj, &p) in grow.iter_mut().zip(self.probs_scratch.iter()) {
-                    *gj = p * advantage;
+            let mut states = Vec::with_capacity(vol * rows.min(kept.len()));
+            let mut grads = Vec::new();
+            for chunk in kept.chunks(rows) {
+                states.clear();
+                for &(i, _) in chunk {
+                    states.extend_from_slice(self.episode_buf[i].state.data());
                 }
-                grow[self.episode_buf[i].action] -= advantage;
+                let batch = chunk.len();
+                let logits = self.net.forward_batch_cached(&states, &shape, batch, ctx)?;
+                let n = logits.len() / batch;
+                grads.clear();
+                grads.resize(logits.len(), 0.0f32);
+                for (s, &(i, advantage)) in chunk.iter().enumerate() {
+                    // ∇_logits −log π(a) · A = (π − one_hot(a)) · A, with
+                    // the bit-exact softmax replay per row.
+                    softmax_into(&logits[s * n..(s + 1) * n], &mut self.probs_scratch);
+                    let grow = &mut grads[s * n..(s + 1) * n];
+                    for (gj, &p) in grow.iter_mut().zip(self.probs_scratch.iter()) {
+                        *gj = p * advantage;
+                    }
+                    grow[self.episode_buf[i].action] -= advantage;
+                }
+                // Adds this chunk's rows to the gradients of the ones
+                // before it, in step order.
+                self.net.backward_batch(&grads, batch, ctx)?;
             }
-            self.net.backward_batch(&grads, batch, ctx)?;
         }
         // One SGD step per episode, scaled by episode length.
         let scale = self.lr / self.episode_buf.len() as f32;
@@ -355,6 +377,115 @@ mod tests {
             pi.end_episode().unwrap();
         }
         assert!(pi.baseline() > 1.0, "baseline {} should approach 2.0", pi.baseline());
+    }
+
+    /// Episode lengths on both sides of the 32- and 64-row chunk
+    /// boundaries, up to the longest drone training episode.
+    const BOUNDARY_LENGTHS: [usize; 7] = [1, 31, 32, 33, 64, 65, 120];
+
+    fn default_learner(drone: bool, seed: u64) -> Reinforce {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pi = if drone {
+            Reinforce::drone_default(&mut rng)
+        } else {
+            Reinforce::gridworld_default(&mut rng)
+        };
+        pi.unwrap()
+    }
+
+    /// A `len`-step episode of random observations, actions and
+    /// rewards for `pi` (a `drone_default` learner if `drone`). About one step in four gets the reward that
+    /// makes its discounted return exactly `0.0`, so at a zero
+    /// baseline its advantage is zero and the update skips it: kept
+    /// rows and episode steps then fall on different chunk boundaries.
+    fn random_episode(pi: &Reinforce, drone: bool, len: usize, seed: u64) -> Vec<Transition> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (dims, n_actions) = if drone { (vec![1, 9, 16], 25) } else { (vec![6], 4) };
+        let vol: usize = dims.iter().product();
+        let mut rewards = vec![0.0f32; len];
+        let mut g = 0.0f32;
+        for t in (0..len).rev() {
+            // The same expression `learn_chunked` evaluates, so the
+            // skipped return is `-(γg) + γg`, exactly zero.
+            rewards[t] =
+                if rng.gen_range(0..4) == 0 { -(pi.gamma * g) } else { rng.gen_range(-2.0..2.0) };
+            g = rewards[t] + pi.gamma * g;
+        }
+        rewards
+            .into_iter()
+            .map(|reward| Transition {
+                state: Tensor::from_vec(
+                    dims.clone(),
+                    (0..vol).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
+                )
+                .unwrap(),
+                action: rng.gen_range(0..n_actions),
+                reward,
+                next_state: None,
+            })
+            .collect()
+    }
+
+    fn weight_bits(pi: &Reinforce) -> Vec<u32> {
+        pi.net.snapshot().iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Updates clones of `pi` on `steps` through the per-observation
+    /// oracle and through the chunked update at 1-, 7- and 32-row
+    /// chunks (all on one reused arena), asserts bit-equal weights,
+    /// biases and baselines, and returns the oracle's learner.
+    fn assert_chunked_matches_oracle(pi: &Reinforce, steps: &[Transition]) -> Reinforce {
+        let buffered = |pi: &Reinforce| {
+            let mut pi = pi.clone();
+            for t in steps {
+                pi.observe(t.clone()).unwrap();
+            }
+            pi
+        };
+        let mut oracle = buffered(pi);
+        oracle.end_episode().unwrap();
+        let mut ctx = BatchInferCtx::new();
+        for rows in [1, 7, CHUNK_ROWS] {
+            let mut chunked = buffered(pi);
+            chunked.learn_chunked(&mut ctx, rows).unwrap();
+            assert_eq!(
+                weight_bits(&chunked),
+                weight_bits(&oracle),
+                "{rows}-row chunks of a {}-step episode",
+                steps.len()
+            );
+            assert_eq!(chunked.baseline.to_bits(), oracle.baseline.to_bits());
+            assert!(chunked.episode_buf.is_empty());
+        }
+        oracle
+    }
+
+    #[test]
+    fn chunked_update_matches_oracle_at_every_boundary_length() {
+        for drone in [false, true] {
+            let pi = default_learner(drone, 4);
+            for (k, &len) in BOUNDARY_LENGTHS.iter().enumerate() {
+                assert_chunked_matches_oracle(&pi, &random_episode(&pi, drone, len, k as u64));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn chunked_update_matches_per_observation_oracle(
+            drone in proptest::prelude::any::<bool>(),
+            first in 0usize..BOUNDARY_LENGTHS.len(),
+            second in 0usize..BOUNDARY_LENGTHS.len(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let pi = default_learner(drone, seed);
+            let steps = random_episode(&pi, drone, BOUNDARY_LENGTHS[first], seed ^ 1);
+            let pi = assert_chunked_matches_oracle(&pi, &steps);
+            // The first update moved the baseline off zero, so this
+            // episode's forced-zero returns are ordinary kept steps.
+            let steps = random_episode(&pi, drone, BOUNDARY_LENGTHS[second], seed ^ 2);
+            assert_chunked_matches_oracle(&pi, &steps);
+        }
     }
 
     #[test]

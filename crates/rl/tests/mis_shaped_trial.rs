@@ -132,6 +132,42 @@ fn mis_shaped_trial_leaves_learner_weights_untouched() {
     assert_eq!(q.network().snapshot(), before, "failed episode must not step the weights");
 }
 
+#[test]
+fn late_mis_shaped_step_leaves_no_partial_gradient() {
+    // The episode-end update runs its kept steps in chunks of at most
+    // 32 rows. A bad observation past the first chunk must be rejected
+    // before any chunk's backward, or the good chunks before it would
+    // leave their gradients accumulated for the next update to apply.
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
+    let good = Tensor::from_vec(vec![6], vec![0.5; 6]).expect("state");
+    for t in 0..40 {
+        pi.observe(Transition {
+            state: good.clone(),
+            action: t % 4,
+            reward: 1.0,
+            next_state: None,
+        })
+        .expect("good step");
+    }
+    pi.observe(Transition {
+        state: Tensor::zeros(vec![9]),
+        action: 0,
+        reward: 1.0,
+        next_state: None,
+    })
+    .expect("buffering alone does not touch the network");
+    let before = pi.network().snapshot();
+    assert_shape_error(pi.end_episode_ctx(&mut BatchInferCtx::new()), "41-step episode");
+    assert_eq!(pi.network().snapshot(), before, "a rejected episode must not step the weights");
+    // Applying whatever gradient the failed update left behind must be
+    // a no-op: `gw`/`gb` are still all zero.
+    let mut net = pi.network().clone();
+    net.apply_grads(1.0);
+    let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(&net.snapshot()), bits(&before), "the failed update left a partial gradient");
+}
+
 fn assert_action_error(result: Result<(), RlError>, path: &str) {
     match result {
         Err(RlError::ActionOutOfRange { action: 4, n_actions: 4 }) => {}

@@ -7,17 +7,21 @@
 //! statistics to the slow path's values **bit for bit**. Any kernel
 //! change that reorders floating-point accumulation will trip them.
 
+use frlfi::envs::{DroneConfig, DroneSim};
 use frlfi::experiments::harness::{
-    drone_geometry, run_drone_trial_batched, run_grid_trial_batched, DroneTrial, GridTrial,
-    PretrainedWeights, TrialFault,
+    drone_geometry, drone_pretrained_weights, run_drone_trial_batched, run_grid_trial_batched,
+    DroneTrial, GridTrial, PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::study::{StudyKind, StudyModel};
-use frlfi::experiments::DEFAULT_SEED;
+use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
 use frlfi::fault::FaultSide;
 use frlfi::nn::BatchInferCtx;
+use frlfi::rl::{run_episode, Learner as _};
 use frlfi::tensor::derive_seed;
 use frlfi::Scale;
 use frlfi_repro as _;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// `(ber, inject_episode)` cells of the fig3-at-test-scale campaign.
 const GRID_CELLS: [(f64, usize); 3] = [(0.2, 40), (0.5, 125), (0.35, 90)];
@@ -368,7 +372,6 @@ fn grid_training_weights_match_pinned_golden_in_both_modes() {
         };
         let mut s = frlfi::GridFrlSystem::new(cfg).expect("system builds");
         s.train(80, None, None, ctx).expect("training runs");
-        use frlfi::rl::Learner as _;
         (0..s.n_agents()).flat_map(|i| s.agent(i).network().snapshot()).collect()
     };
     let mut ctx = BatchInferCtx::new();
@@ -408,6 +411,46 @@ fn drone_training_weights_match_pinned_golden_in_both_modes() {
         weight_digest(&fresh),
         DRONE_TRAINED_WEIGHTS_DIGEST,
         "fine-tuned drone weights drifted from the pinned sequential golden"
+    );
+}
+
+/// Digest of `drone_pretrained_weights(59)`, captured from the
+/// per-observation pre-training (`run_episode`) before pre-training
+/// moved to the arena. Its episodes 44, 50 and 58 keep 65, 66 and 94
+/// steps, so their updates run three 32-row chunks or more.
+const DRONE_PRETRAINED_59_DIGEST: u64 = 0x9bf74b5c91140a4e;
+
+#[test]
+fn drone_pretraining_matches_pinned_per_observation_weights() {
+    assert_eq!(
+        weight_digest(&drone_pretrained_weights(59)),
+        DRONE_PRETRAINED_59_DIGEST,
+        "pre-trained drone weights drifted from the pinned per-observation golden"
+    );
+    // At Smoke, against the per-observation loop `pretrain` replaces.
+    let n = drone_geometry(Scale::Smoke).pretrain_episodes;
+    let cfg = frlfi::DroneSystemConfig {
+        n_drones: 1,
+        seed: SYSTEM_SEED,
+        pretrain_episodes: n,
+        ..Default::default()
+    };
+    let sys = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
+    let cfg = sys.config();
+    let mut learner = sys.drone(0).clone();
+    let mut env = DroneSim::new(
+        DroneConfig { max_steps: cfg.train_max_steps, ..cfg.sim },
+        derive_seed(cfg.seed, 0x0FF),
+    );
+    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, 0x0FF + 1));
+    for _ in 0..n {
+        run_episode(&mut env, &mut learner, &mut rng).expect("episode runs");
+    }
+    let bits = |w: Vec<f32>| w.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(drone_pretrained_weights(n)),
+        bits(learner.network().snapshot()),
+        "arena pre-training diverged from the per-observation loop"
     );
 }
 
