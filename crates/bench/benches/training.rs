@@ -20,13 +20,11 @@
 //! the apply/clear cost is measured, but weights stay fixed so every
 //! iteration times the identical numeric work.
 //!
-//! Two row families use the size of a median DroneNav fine-tuning
-//! update: one REINFORCE episode-end update of 33 kept steps (the
-//! median of a `drone-finetune` trial), and each conv layer's batched
-//! backward alone at that batch, where `conv0` computes parameter
-//! gradients only, as inside `Network::backward_batch`. Both run the
-//! 33 rows as one batch; `learn_batch` runs such an update as a
-//! 32-row and a 1-row chunk, which accumulate the same gradient.
+//! Two row families use the largest DroneNav fine-tuning update chunk
+//! production runs: one 32-row REINFORCE update (`learn_batch` never
+//! runs more rows at once), and each conv layer's batched backward
+//! alone at that batch, where `conv0` computes parameter gradients
+//! only, as inside `Network::backward_batch`.
 //!
 //! Next to them, each GridWorld Q-network layer runs alone at batch 1,
 //! forward and backward, as one TD step calls it: the three dense
@@ -165,12 +163,13 @@ fn bench_batched_update(
     });
 }
 
-/// Median kept-step batch of one DroneNav REINFORCE update
-/// (`nn.train_batch.p50` of a traced `drone-finetune` run).
-const DRONE_UPDATE_BATCH: usize = 33;
+/// Rows of one DroneNav REINFORCE update chunk: `learn_batch` runs an
+/// episode's kept steps in chunks of at most 32 rows, so 32 is the
+/// largest update batch production runs.
+const DRONE_UPDATE_BATCH: usize = 32;
 
 /// Each DroneNav conv layer's batched backward on its own, at its
-/// input shape in the policy and the median update batch. Inputs past
+/// input shape in the policy and the update-chunk batch. Inputs past
 /// `conv0` are post-ReLU (about half zeros) and every upstream
 /// gradient is ReLU-sparse, as in training.
 fn drone_conv_backward(c: &mut Criterion) {

@@ -1,6 +1,8 @@
-//! Regenerates Fig. 3: GridWorld training fault characterization.
+//! Regenerates Fig. 3d/e: the trained policy's weight distribution and
+//! the episodes to re-converge after a late training fault. Panels a–c
+//! are campaigns: `campaign run fig3a|fig3b|fig3c`.
 //!
-//! Usage: `fig3 [smoke|bench|full] [a|b|c|d|e]` (default: all panels).
+//! Usage: `fig3 [smoke|bench|full] [d|e]` (default: both panels).
 
 use frlfi::experiments::fig3;
 use frlfi_bench::scale_from_env;
@@ -8,19 +10,10 @@ use frlfi_bench::scale_from_env;
 fn main() {
     let scale = scale_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let panel = args.iter().find(|a| ["a", "b", "c", "d", "e"].contains(&a.as_str()));
+    let panel = args.iter().find(|a| ["d", "e"].contains(&a.as_str()));
     let all = panel.is_none();
     let want = |p: &str| all || panel.map(|s| s == p).unwrap_or(false);
 
-    if want("a") {
-        println!("{}", fig3::agent_faults(scale));
-    }
-    if want("b") {
-        println!("{}", fig3::server_faults(scale));
-    }
-    if want("c") {
-        println!("{}", fig3::single_agent(scale));
-    }
     if want("d") {
         let d = fig3::weight_distribution(scale);
         println!("{}", d.histogram);

@@ -4,15 +4,18 @@
 //!
 //! Two kinds of targets:
 //!
-//! * **`fig*` / `table*` binaries** — regenerate every table and figure
-//!   of the paper's evaluation, printing the same rows/series the paper
-//!   reports. Each takes an optional scale argument:
+//! * **binaries for the artifacts without a campaign builtin** —
+//!   `fig3` (panels d and e), `fig6`, `fig9`, `table1`, `surfaces`
+//!   and `ablations` print the same rows/series the paper reports.
+//!   Each takes an optional scale argument:
 //!
 //!   ```text
-//!   cargo run -p frlfi-bench --release --bin fig3 -- bench
+//!   cargo run -p frlfi-bench --release --bin fig3 -- bench d
 //!   cargo run -p frlfi-bench --release --bin fig9
-//!   cargo run -p frlfi-bench --release --bin all_figures -- smoke
 //!   ```
+//!
+//!   The other figures are campaigns: `campaign run fig3a`, …,
+//!   `campaign run layers` (see the `frlfi-campaign` crate).
 //!
 //! * **criterion benches** (`cargo bench -p frlfi-bench`) — performance
 //!   tracking of the heavy components (campaign cells, injection,
@@ -40,19 +43,6 @@ pub fn parse_scale(args: &[String]) -> Scale {
 pub fn scale_from_env() -> Scale {
     let args: Vec<String> = std::env::args().skip(1).collect();
     parse_scale(&args)
-}
-
-/// Prints a fallible figure driver's table, or reports the error on
-/// stderr and exits nonzero — the shared shim for the drivers that
-/// return `Result` (the train-once inference studies).
-pub fn print_or_die(label: &str, result: Result<frlfi::report::Table, frlfi::FrlfiError>) {
-    match result {
-        Ok(t) => println!("{t}"),
-        Err(e) => {
-            eprintln!("{label}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

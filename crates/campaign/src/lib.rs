@@ -11,7 +11,7 @@
 //!   campaign: system, fleet, quantization, fault model, mitigation,
 //!   [`Scale`](frlfi::Scale);
 //! * [`registry`] — named built-ins covering the paper's two systems
-//!   (`fig3a/b/c`, `fig5a/b`, `fig7a`) plus new variants
+//!   (`fig3a/b/c`, `fig5a/b/c`, `fig7a/b`) plus new variants
 //!   (`grid-dynamic`, `grid-dropout`, `grid-fleet`), and the
 //!   train-once / eval-many studies (`fig4`, `fig8a/b`, `datatypes`,
 //!   `layers`) that expand into task DAGs instead of flat sweeps;
@@ -44,10 +44,11 @@
 //!   (join a campaign as one process of many), `campaign status <dir>`,
 //!   `campaign profile <dir>`.
 //!
-//! Trial evaluation goes through the same
-//! [`frlfi::experiments::harness`] functions the figure drivers use,
-//! with the same `derive_seed` scheme — a TOML-specified Fig. 3a
-//! campaign reproduces `experiments::fig3::agent_faults` exactly.
+//! Trial evaluation goes through the [`frlfi::experiments::harness`]
+//! trial functions with a `derive_seed` scheme per `(cell, repeat)`,
+//! so a TOML-specified Fig. 3a campaign and the `fig3a` builtin give
+//! the same bytes; `tests/orchestration.rs` pins the builtin's cell
+//! statistics bit for bit.
 //!
 //! ```no_run
 //! use frlfi::Scale;

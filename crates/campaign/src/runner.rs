@@ -1016,9 +1016,9 @@ fn finalize(
             })
             .collect();
         // Study campaigns render through the geometry's own figure
-        // renderer on plain in-order means — the exact fold the
-        // sequential drivers use — so summary.txt is byte-identical
-        // to `experiments::fig4::run` etc. (The chunked-Welford
+        // renderer on plain in-order means — the exact fold of
+        // `StudyGeometry::run` — so summary.txt is byte-identical to
+        // the sequential study. (The chunked-Welford
         // `CellStats` mean is not bit-identical to a plain mean, so
         // it stays informational in `outcome.stats`.)
         let table = match campaign.study() {

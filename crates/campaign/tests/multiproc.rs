@@ -474,17 +474,49 @@ fn shared_mode_rejects_the_wide_summary_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Distinct trial ids mentioned anywhere in `claims.jsonl` — claimed,
-/// renewed or reaped.
-fn claimed_trials(dir: &Path) -> usize {
-    let text = std::fs::read_to_string(dir.join("claims.jsonl")).unwrap_or_default();
-    let mut trials: Vec<&str> = text
+/// The unsigned integer after `"key":` in a JSON line, if any.
+fn json_uint(line: &str, key: &str) -> Option<usize> {
+    let rest = line.split_once(&format!("\"{key}\":"))?.1;
+    rest.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
+}
+
+/// Trial ids mentioned in `claims.jsonl` (claimed, renewed or reaped)
+/// that `trials.jsonl` does not hold yet: the in-flight leases. The
+/// flat trial id is `cell * repeats + repeat`.
+fn uncommitted_claims(dir: &Path) -> usize {
+    let repeats = scenario("ids").repeats.expect("explicit repeats");
+    let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap_or_default();
+    let committed: std::collections::BTreeSet<usize> = read("trials.jsonl")
         .lines()
-        .filter_map(|l| l.split_once("\"trial\":")?.1.split(|c: char| !c.is_ascii_digit()).next())
+        .filter_map(|l| Some(json_uint(l, "cell")? * repeats + json_uint(l, "repeat")?))
         .collect();
-    trials.sort_unstable();
-    trials.dedup();
-    trials.len()
+    let claimed: std::collections::BTreeSet<usize> =
+        read("claims.jsonl").lines().filter_map(|l| json_uint(l, "trial")).collect();
+    claimed.difference(&committed).count()
+}
+
+/// Waits until every thread of process `pid` is stopped: `kill -STOP`
+/// returns once the signal is sent, not once it is delivered, so the
+/// victim may still append a line right after it. Falls back to a
+/// fixed grace period where `/proc` is unavailable.
+fn wait_stopped(pid: &str) {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+        std::thread::sleep(Duration::from_millis(200));
+        return;
+    };
+    let tasks: Vec<PathBuf> = tasks.filter_map(|t| Some(t.ok()?.path().join("stat"))).collect();
+    wait_for("the victim to stop", Duration::from_secs(10), || {
+        tasks.iter().all(|stat| {
+            // The state follows the parenthesised command name.
+            std::fs::read_to_string(stat).map_or(true, |s| {
+                s.rsplit_once(')').is_some_and(|(_, rest)| rest.trim_start().starts_with('T'))
+            })
+        })
+    });
+}
+
+fn committed_trials(dir: &Path) -> usize {
+    std::fs::read_to_string(dir.join("trials.jsonl")).map(|t| t.lines().count()).unwrap_or(0)
 }
 
 #[test]
@@ -513,15 +545,28 @@ fn stalled_heartbeat_is_reaped_and_the_thawed_worker_changes_nothing() {
         "--worker-id",
         "victim",
     ]);
-    wait_for("a committed trial plus an in-flight lease", Duration::from_secs(60), || {
-        let committed = std::fs::read_to_string(dir.join("trials.jsonl"))
-            .map(|t| t.lines().count())
-            .unwrap_or(0);
-        committed >= 1 && claimed_trials(&dir) > committed
-    });
     let pid = victim.id().to_string();
-    let stopped = Command::new("kill").args(["-STOP", &pid]).status().expect("send SIGSTOP");
-    assert!(stopped.success(), "SIGSTOP victim");
+    let signal = |sig: &str| {
+        let sent = Command::new("kill").args([sig, &pid]).status().expect("send signal");
+        assert!(sent.success(), "{sig} victim");
+    };
+    // The victim can commit its in-flight trial between the poll and
+    // the stop, leaving no lease to reap. The logs are still once it
+    // is stopped, so check again there; if nothing is in flight, let it
+    // run on to its next lease and try again.
+    const ATTEMPTS: usize = 8;
+    for attempt in 1.. {
+        wait_for("a committed trial plus an in-flight lease", Duration::from_secs(60), || {
+            committed_trials(&dir) >= 1 && uncommitted_claims(&dir) > 0
+        });
+        signal("-STOP");
+        wait_stopped(&pid);
+        if uncommitted_claims(&dir) > 0 {
+            break;
+        }
+        assert!(attempt < ATTEMPTS, "no in-flight lease at any of {ATTEMPTS} SIGSTOPs");
+        signal("-CONT");
+    }
 
     // A healthy worker must wait out the stalled lease, reap it at
     // generation g+1, re-run the victim's in-flight trial and finish
@@ -541,8 +586,7 @@ fn stalled_heartbeat_is_reaped_and_the_thawed_worker_changes_nothing() {
     // complete, commits its trial anyway — a duplicate record, which
     // must be bitwise-identical and therefore harmless — and exits
     // cleanly. The summary stays byte-identical through the overlap.
-    let thawed = Command::new("kill").args(["-CONT", &pid]).status().expect("send SIGCONT");
-    assert!(thawed.success(), "SIGCONT victim");
+    signal("-CONT");
     wait_output(victim, "thawed victim");
     assert_eq!(summary(&dir), reference, "the thawed victim must not change a byte either");
 

@@ -1,17 +1,12 @@
 //! Fig. 3: transient fault characterization in GridWorld **training**.
 //!
 //! * (a) agent faults, (b) server faults, (c) single-agent baseline —
-//!   heatmaps of average success rate over (BER × injection episode);
+//!   heatmaps of average success rate over (BER × injection episode),
+//!   run as the `fig3a`/`fig3b`/`fig3c` campaign builtins;
 //! * (d) trained policy weight distribution and 0/1-bit census;
 //! * (e) episodes to re-converge after a fault at the end of training.
-//!
-//! The campaigns are declared through [`harness`] trial specs, the same
-//! specs the `frlfi-campaign` subsystem drives — `campaign run fig3a`
-//! reproduces these tables exactly.
 
-use crate::experiments::harness::{
-    self, ber_episode_grid, grid_geometry, heatmap_table, GridMetric, GridTrial, TrialFault,
-};
+use crate::experiments::harness::{self, grid_geometry, GridMetric, GridTrial, TrialFault};
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{GridFrlSystem, GridSystemConfig, Scale};
@@ -20,44 +15,6 @@ use frlfi_nn::BatchInferCtx;
 use frlfi_quant::{BitCensus, SymInt8Quantizer};
 use frlfi_rl::Learner;
 use frlfi_tensor::histogram;
-
-/// Builds the Fig. 3 heatmap cell list for a fault side (`None` = the
-/// single-agent baseline, Fig. 3c). Shared with `frlfi-campaign`.
-pub fn heatmap_cells(scale: Scale, side: Option<FaultSide>) -> Vec<GridTrial> {
-    let g = grid_geometry(scale);
-    let n_agents = if side.is_none() { 1 } else { g.n_agents };
-    let side = side.unwrap_or(FaultSide::AgentSide);
-    ber_episode_grid(&g.bers, &g.inject_episodes)
-        .into_iter()
-        .map(|(ber, ep)| {
-            GridTrial::new(n_agents, g.total_episodes)
-                .with_fault(TrialFault::transient_int8(side, ep, ber))
-        })
-        .collect()
-}
-
-/// Runs one training-fault heatmap.
-fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
-    let g = grid_geometry(scale);
-    let cells = heatmap_cells(scale, side);
-    let stats = harness::sweep_grid(&cells, g.repeats, DEFAULT_SEED);
-    heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 1)
-}
-
-/// Fig. 3a: FRL training heatmap under **agent** faults.
-pub fn agent_faults(scale: Scale) -> Table {
-    heatmap(scale, Some(FaultSide::AgentSide), "Fig 3a: GridWorld training, agent faults (SR %)")
-}
-
-/// Fig. 3b: FRL training heatmap under **server** faults.
-pub fn server_faults(scale: Scale) -> Table {
-    heatmap(scale, Some(FaultSide::ServerSide), "Fig 3b: GridWorld training, server faults (SR %)")
-}
-
-/// Fig. 3c: the single-agent (no server) baseline heatmap.
-pub fn single_agent(scale: Scale) -> Table {
-    heatmap(scale, None, "Fig 3c: GridWorld training, single-agent (SR %)")
-}
 
 /// Results of the Fig. 3d weight-distribution analysis.
 #[derive(Debug, Clone)]
@@ -156,18 +113,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_heatmap_has_expected_geometry() {
-        let t = agent_faults(Scale::Smoke);
-        assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.columns.len(), 2);
-        for (_, row) in &t.rows {
-            for &v in row {
-                assert!((0.0..=100.0).contains(&v), "SR {v} out of range");
-            }
-        }
-    }
-
-    #[test]
     fn weight_distribution_finds_zero_bit_majority() {
         let d = weight_distribution(Scale::Smoke);
         assert!(
@@ -177,13 +122,5 @@ mod tests {
         );
         assert!((d.zero_bit_fraction + d.one_bit_fraction - 1.0).abs() < 1e-9);
         assert!(d.min_weight < d.max_weight);
-    }
-
-    #[test]
-    fn heatmap_cells_single_agent_variant() {
-        let cells = heatmap_cells(Scale::Smoke, None);
-        assert!(cells.iter().all(|c| c.n_agents == 1));
-        let cells = heatmap_cells(Scale::Smoke, Some(FaultSide::ServerSide));
-        assert!(cells.iter().all(|c| c.n_agents == 3));
     }
 }

@@ -1,16 +1,15 @@
 //! Shared campaign harness: pure, declarative *trial specifications*
 //! and the functions that evaluate them.
 //!
-//! Every figure driver used to hand-roll its own `sweep` closure; they
-//! now all reduce to building [`GridTrial`] / [`DroneTrial`] cells and
-//! calling [`run_grid_trial_batched`] / [`run_drone_trial_batched`].
-//! Both train and evaluate on a [`BatchInferCtx`] arena, the one
-//! production path (bit-identical to the per-observation test oracle
-//! [`frlfi_rl::run_episode`]). The same trial functions back the
-//! `frlfi-campaign` orchestration crate, which is what makes a
-//! declarative TOML campaign reproduce a figure driver's statistics
-//! *exactly*: identical trial spec + identical derived seed ⇒
-//! identical trial value, and identical aggregation (see
+//! A training-fault trial is a [`GridTrial`] / [`DroneTrial`] cell run
+//! by [`run_grid_trial_batched`] / [`run_drone_trial_batched`]. Both
+//! train and evaluate on a [`BatchInferCtx`] arena, the one production
+//! path (bit-identical to the per-observation test oracle
+//! [`frlfi_rl::run_episode`]). The `frlfi-campaign` orchestration crate
+//! runs every figure campaign through these trial functions, so a
+//! campaign's statistics depend only on its cells and master seed:
+//! identical trial spec + identical derived seed ⇒ identical trial
+//! value, and identical aggregation (see
 //! [`frlfi_fault::aggregate_in_order`]) ⇒ identical cell statistics.
 
 use std::sync::Arc;
@@ -612,7 +611,8 @@ fn drone_trial_system(
 }
 
 /// [`frlfi_fault::sweep`] over GridWorld trial cells, each trial on a
-/// fresh arena (the figure drivers' engine).
+/// fresh arena (the Fig. 3e driver's engine; that figure has no
+/// campaign builtin).
 ///
 /// # Panics
 ///
@@ -624,7 +624,8 @@ pub(crate) fn sweep_grid(cells: &[GridTrial], repeats: usize, master_seed: u64) 
     })
 }
 
-/// [`sweep_grid`] over DroneNav trial cells.
+/// [`sweep_grid`] over DroneNav trial cells (the Fig. 6 drivers'
+/// engine).
 ///
 /// # Panics
 ///
@@ -638,12 +639,6 @@ pub(crate) fn sweep_drone(
         run_drone_trial_batched(t, seed, &mut BatchInferCtx::new())
             .expect("figure-driver drone trials are validated at construction")
     })
-}
-
-/// The `(BER × inject episode)` cell grid shared by the training
-/// heatmaps, in row-major (BER-major) order.
-pub fn ber_episode_grid(bers: &[f64], inject_episodes: &[usize]) -> Vec<(f64, usize)> {
-    bers.iter().flat_map(|&b| inject_episodes.iter().map(move |&e| (b, e))).collect()
 }
 
 /// Renders row-major `(BER × inject episode)` cell statistics as the
@@ -861,14 +856,6 @@ mod tests {
             .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
         assert_eq!(explicit.layout, DroneLayout::DynamicObstacles);
         assert_eq!(drone(&normalized, 11).to_bits(), drone(&explicit, 11).to_bits());
-    }
-
-    #[test]
-    fn ber_episode_grid_is_row_major() {
-        let cells = ber_episode_grid(&[0.0, 0.1], &[10, 20, 30]);
-        assert_eq!(cells.len(), 6);
-        assert_eq!(cells[0], (0.0, 10));
-        assert_eq!(cells[3], (0.1, 10));
     }
 
     #[test]

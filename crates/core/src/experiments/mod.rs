@@ -1,43 +1,35 @@
-//! Experiment drivers regenerating every table and figure of the
-//! paper's evaluation (§IV and §V).
+//! Experiment drivers for the paper's evaluation (§IV and §V) that
+//! have no campaign builtin, plus the trial and study definitions the
+//! `frlfi-campaign` runner executes.
 //!
-//! Each submodule corresponds to one artifact and returns printable
-//! [`crate::report::Table`]s at a chosen [`crate::Scale`]:
+//! Fig. 3a–c, 4, 5a–c, 7a/b, 8a/b and the data-type and per-layer
+//! studies run only as campaigns (`campaign run fig3a` …). The modules
+//! here return printable [`crate::report::Table`]s at a chosen
+//! [`crate::Scale`] for the rest:
 //!
 //! | Module       | Paper artifact |
 //! |--------------|----------------|
-//! | [`fig3`]     | Fig. 3a–e: GridWorld training fault characterization |
+//! | [`fig3`]     | Fig. 3d/e: weight distribution, re-convergence after a late fault |
 //! | [`table1`]   | Table I: consensus-policy std vs agent count |
-//! | [`fig4`]     | Fig. 4: GridWorld inference fault characterization |
-//! | [`fig5`]     | Fig. 5a–c: DroneNav training fault characterization |
 //! | [`fig6`]     | Fig. 6a/b: drone count & communication-interval studies |
-//! | [`fig7`]     | Fig. 7a/b: server-checkpointing mitigation (training) |
-//! | [`fig8`]     | Fig. 8a/b: range-based anomaly detection (inference) |
 //! | [`fig9`]     | Fig. 9: overhead vs DMR/TMR on two drone platforms |
-//! | [`datatypes`]| §IV-B-3: fixed-point data-type resilience study |
-//! | [`layers`]   | §IV-C: per-layer resilience study |
 //! | [`ablations`]| extensions: sensitivity of every mitigation design choice |
 //! | [`surfaces`] | extension: weight vs activation vs register fault surfaces |
 //!
-//! The inference studies (Fig. 4/8, data-type, per-layer) additionally
-//! decompose into train-once / eval-many task DAGs via [`study`], which
-//! is how the `frlfi-campaign` crate distributes them across workers
-//! without retraining per trial.
+//! [`harness`] declares the training-fault trial cells and [`study`]
+//! the train-once / eval-many inference studies (Fig. 4/8, data-type,
+//! per-layer) that the `frlfi-campaign` crate distributes across
+//! workers.
 //!
-//! Experiments are deterministic for a given `(Scale, seed)`; campaign
-//! cells fan out over worker threads via [`frlfi_fault::sweep`].
+//! Experiments are deterministic for a given `(Scale, seed)`; the
+//! drivers above fan their cells out over worker threads via
+//! [`frlfi_fault::sweep`].
 
 pub mod ablations;
-pub mod datatypes;
 pub mod fig3;
-pub mod fig4;
-pub mod fig5;
 pub mod fig6;
-pub mod fig7;
-pub mod fig8;
 pub mod fig9;
 pub mod harness;
-pub mod layers;
 mod prefix;
 pub mod study;
 pub mod surfaces;

@@ -2,12 +2,8 @@
 //!
 //! Fig. 4, Fig. 8a/b, the data-type study and the per-layer study all
 //! share one protocol: train a model (or two) once, then sweep many
-//! pure evaluation cells over its frozen weights. The sequential
-//! drivers in [`fig4`](crate::experiments::fig4),
-//! [`fig8`](crate::experiments::fig8),
-//! [`datatypes`](crate::experiments::datatypes) and
-//! [`layers`](crate::experiments::layers) used to interleave the two
-//! phases in one loop; this module splits them into data:
+//! pure evaluation cells over its frozen weights. This module splits
+//! the two phases into data:
 //!
 //! * [`StudyModel`] — what to train, as a value. Training is a pure
 //!   function of the model description (fixed [`SYSTEM_SEED`]), so the
@@ -19,12 +15,13 @@
 //!   `(geometry, planes, cell, seed)`, which is exactly what lets the
 //!   campaign stack train each model **once**, publish its planes as an
 //!   artifact, and fan the eval cells out over workers and processes
-//!   while reproducing the sequential driver's table byte for byte.
+//!   while reproducing the sequential [`StudyGeometry::run`] table byte
+//!   for byte.
 //!
-//! The sequential drivers are now thin wrappers over
-//! [`StudyGeometry::run`], so driver and campaign literally execute the
-//! same code path — byte-identity by construction, pinned by the
-//! golden-equivalence tests.
+//! The studies run as the `fig4`, `fig8a`, `fig8b`, `datatypes` and
+//! `layers` campaign builtins. [`StudyGeometry::run`] is the sequential
+//! reference over the same code path, pinned against the campaign by
+//! the study-DAG tests.
 
 use crate::error::FrlfiError;
 use crate::experiments::harness::drone_geometry;
@@ -34,6 +31,7 @@ use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, 
 use frlfi_fault::{inject_slice, Ber, FaultModel};
 use frlfi_mitigation::RangeDetector;
 use frlfi_nn::{BatchInferCtx, ParamSpan};
+use frlfi_quant::QFormat;
 use frlfi_rl::Learner;
 use frlfi_tensor::derive_seed;
 use rand::rngs::StdRng;
@@ -42,15 +40,23 @@ use rand::SeedableRng;
 /// The five train-once / eval-many inference studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StudyKind {
-    /// Fig. 4: GridWorld inference fault characterization.
+    /// Fig. 4: GridWorld inference fault characterization — success
+    /// rate vs BER for persistent faults in the single-agent and FRL
+    /// policies, a one-step register upset, and stuck-at-0/1 (paper:
+    /// the one-step upset is negligible, stuck-at-1 dominates).
     Fig4,
-    /// Fig. 8a: GridWorld inference mitigation.
+    /// Fig. 8a: GridWorld inference mitigation — with and without the
+    /// per-layer range detector, on the f32 surface, where bit flips
+    /// create the exponent outliers range detection catches.
     Fig8Grid,
-    /// Fig. 8b: DroneNav inference mitigation.
+    /// Fig. 8b: DroneNav inference mitigation (as [`StudyKind::Fig8Grid`]).
     Fig8Drone,
-    /// §IV-B-3 fixed-point data-type study.
+    /// §IV-B-3 fixed-point data-type study: static faults in three
+    /// 16-bit formats (paper: the wide-range Q(1,10,5) is the most
+    /// vulnerable).
     Datatypes,
-    /// §IV-C per-layer resilience study.
+    /// §IV-C per-layer resilience study: the same number of faults
+    /// confined to one layer at a time.
     Layers,
 }
 
@@ -190,10 +196,7 @@ impl StudyKind {
                     precision: 1,
                     percent: true,
                     row_keys: bers.iter().map(|&b| ber_label(b)).collect(),
-                    columns: crate::experiments::datatypes::formats()
-                        .iter()
-                        .map(|q| q.name())
-                        .collect(),
+                    columns: datatype_formats().iter().map(|q| q.name()).collect(),
                     repeats: scale.pick(2, 6, 100),
                     row_seed_stream: false,
                     rows: RowAxis::Bers(bers),
@@ -599,7 +602,7 @@ impl StudyGeometry {
             }
             (StudyCtx::Datatypes { sys }, RowAxis::Bers(bers)) => {
                 let ber_v = Ber::new(bers[row])?;
-                let q = crate::experiments::datatypes::formats()[col];
+                let q = datatype_formats()[col];
                 Ok(sys.with_faulted_policies(
                     FaultModel::TransientMulti,
                     ber_v,
@@ -665,10 +668,9 @@ impl StudyGeometry {
 
     /// Runs the whole study sequentially — train every model, rebuild
     /// the context from the planes, evaluate every cell in row-major
-    /// order — and renders the figure table. This *is* the sequential
-    /// driver: `fig4::run` etc. delegate here, so the campaign path
-    /// (same planes, same `eval_cell`, same `render`) is byte-identical
-    /// by construction.
+    /// order — and renders the figure table. The campaign path runs
+    /// the same planes, `eval_cell` and `render`, so its table is
+    /// byte-identical to this one.
     ///
     /// # Errors
     ///
@@ -686,6 +688,12 @@ impl StudyGeometry {
         }
         Ok(self.render(&means))
     }
+}
+
+/// The data-type study's three 16-bit fixed-point formats —
+/// Q(1,4,11), Q(1,7,8), Q(1,10,5) — in column order.
+fn datatype_formats() -> [QFormat; 3] {
+    [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5]
 }
 
 /// Rebuilds a GridWorld system from its model description and restores
@@ -759,6 +767,12 @@ mod tests {
             assert_eq!(StudyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(StudyKind::parse("fig3a"), None);
+    }
+
+    #[test]
+    fn datatype_formats_are_the_papers() {
+        let names: Vec<String> = datatype_formats().iter().map(|q| q.name()).collect();
+        assert_eq!(names, vec!["Q(1,4,11)", "Q(1,7,8)", "Q(1,10,5)"]);
     }
 
     #[test]

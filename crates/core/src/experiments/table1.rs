@@ -80,8 +80,9 @@ mod tests {
         // std) does not reproduce under this repo's learnable-observation
         // substitution — the single-agent policy already generalizes
         // thanks to the goal-direction features, so its differentiation
-        // margin is comparable to the consensus policy's. EXPERIMENTS.md
-        // documents this deviation; here we assert well-formedness only.
+        // margin is comparable to the consensus policy's. The trend is
+        // not a property of this substitution, so assert well-formedness
+        // only.
         let t = run(Scale::Smoke);
         assert_eq!(t.rows.len(), 3);
         for (_, row) in &t.rows {

@@ -63,8 +63,9 @@ pub fn policy_action_std(net: &mut Network, states: &[Tensor]) -> f32 {
 ///
 /// The paper reports this quantity as a raw "std" of the policy; under
 /// weight-space federated averaging the raw output std *shrinks* with
-/// agent count (gradient cancellation), so the margin form is the
-/// faithful way to reproduce the claimed trend (see EXPERIMENTS.md).
+/// agent count (gradient cancellation: averaged weights pull opposing
+/// per-maze preferences towards zero), so the margin form is the
+/// faithful way to reproduce the claimed trend.
 pub fn policy_differentiation(net: &mut Network, probes: &[(Tensor, [bool; 4])]) -> f32 {
     let mut total = 0.0;
     let mut counted = 0;

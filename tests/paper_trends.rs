@@ -1,11 +1,81 @@
 //! Smoke-scale checks of the paper's headline qualitative claims.
-//! EXPERIMENTS.md records the corresponding bench/full-scale numbers.
+//! Figure trends run the campaign builtins through `runner::run`, the
+//! engine behind `campaign run`. Smoke scale is too small to reproduce
+//! the paper's numbers, so each check asserts a direction or a bound.
 
 use frlfi::experiments::{fig3, fig9};
 use frlfi::fault::{Ber, FaultModel};
 use frlfi::nn::BatchInferCtx;
 use frlfi::quant::QFormat;
+use frlfi::report::Table;
 use frlfi::{GridFrlSystem, GridSystemConfig, ReprKind, Scale};
+use frlfi_campaign::{registry, runner, RunnerConfig};
+
+/// Runs builtin `name` at smoke scale in a fresh directory and returns
+/// its rendered table.
+fn smoke_table(name: &str) -> Table {
+    let dir = std::env::temp_dir().join(format!("frlfi-trends-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let scenario = registry::builtin(name, Scale::Smoke).expect("built-in");
+    let out = runner::run(&scenario, &dir, &RunnerConfig::default()).expect("campaign runs");
+    std::fs::remove_dir_all(&dir).ok();
+    out.table.expect("complete")
+}
+
+#[test]
+fn fig4_one_step_upset_stays_near_baseline() {
+    // Fig. 4: Transient-1 (column 2) at the highest BER stays close to
+    // the fault-free row (sequential decision-making self-corrects).
+    let t = smoke_table("fig4");
+    assert_eq!(t.columns.len(), 5);
+    let baseline = t.value(0, 2);
+    let worst_t1 = t.value(t.rows.len() - 1, 2);
+    assert!(
+        worst_t1 >= baseline - 40.0,
+        "Transient-1 should be mild: baseline {baseline}, worst {worst_t1}"
+    );
+}
+
+#[test]
+fn fig7a_checkpointing_prevents_collapse() {
+    // Fig. 7a: with checkpoint mitigation the worst cell stays within
+    // reach of the fault-free cell (paper: recovery to near baseline).
+    let t = smoke_table("fig7a");
+    let baseline = t.value(0, 0);
+    let worst =
+        t.rows.iter().flat_map(|(_, row)| row.iter().copied()).fold(f64::INFINITY, f64::min);
+    assert!(
+        worst >= baseline - 40.0,
+        "mitigation should prevent collapse: baseline {baseline}, worst {worst}"
+    );
+}
+
+#[test]
+fn fig8a_range_detection_never_hurts_at_the_top_ber() {
+    // Fig. 8a: at the highest BER the mitigated column (1) is no worse
+    // than the unmitigated one (0).
+    let t = smoke_table("fig8a");
+    let last = t.rows.len() - 1;
+    let unmit = t.value(last, 0);
+    let mit = t.value(last, 1);
+    assert!(
+        mit >= unmit - 5.0,
+        "range detection should help (or at least not hurt): {unmit} -> {mit}"
+    );
+}
+
+#[test]
+fn layers_study_covers_every_dense_layer() {
+    // §IV-C: one column per parameterized layer of the 3-layer MLP,
+    // every cell a success rate.
+    let t = smoke_table("layers");
+    assert_eq!(t.columns.len(), 3, "MLP has three dense layers");
+    for (_, row) in &t.rows {
+        for &v in row {
+            assert!((0.0..=100.0).contains(&v));
+        }
+    }
+}
 
 #[test]
 fn trained_policy_is_mostly_zero_bits() {
