@@ -236,10 +236,12 @@ fn fig7b(scale: Scale) -> Scenario {
     s.fault.side = SideKind::Server;
     s.master_seed = Some(DEFAULT_SEED ^ 0x7B);
     // The drone detection window, scaled like fig7a's (the paper uses
-    // k = 200 over 6000 fine-tuning episodes).
+    // k = 200 over 6000 fine-tuning episodes). At smoke scale k = 2 is
+    // the largest window that fires within 12 episodes, so the smoke
+    // golden exercises the checkpoint restore.
     s.mitigation = Some(MitigationSpec {
         p_percent: 25.0,
-        k_consecutive: scale.pick(3, 6, 200),
+        k_consecutive: scale.pick(2, 6, 200),
         checkpoint_interval: 5,
     });
     s
@@ -399,6 +401,8 @@ mod tests {
         // cell lists of the figure drivers these builtins replaced
         // (`fig3::heatmap_cells`, `fig7::gridworld_cells`,
         // `fig5::heatmap_cells` and the cells `fig7::drone` built).
+        // fig7b @ Smoke differs from its driver's cells on purpose: its
+        // smoke window is k = 2, not the driver's 3, which never fired.
         use crate::spec::Trials;
         const PINNED: [(&str, Scale, u64); 24] = [
             ("fig3a", Scale::Smoke, 0x14e6_404e_ed9c_f38f),
@@ -416,7 +420,7 @@ mod tests {
             ("fig5a", Scale::Smoke, 0xe9c2_4a3d_51b1_15cd),
             ("fig5b", Scale::Smoke, 0x1425_ee83_b507_00ef),
             ("fig5c", Scale::Smoke, 0x9f44_9c20_4dba_7897),
-            ("fig7b", Scale::Smoke, 0x76bb_7687_b1e0_660d),
+            ("fig7b", Scale::Smoke, 0xf314_7e23_b5a2_0da7),
             ("fig5a", Scale::Bench, 0x982b_c228_bb46_9062),
             ("fig5b", Scale::Bench, 0xa10a_f448_b266_ca8c),
             ("fig5c", Scale::Bench, 0xbd5e_4da2_1167_d6ad),
