@@ -840,6 +840,37 @@ mod tests {
     }
 
     #[test]
+    fn grid_mitigated_trials_match_pinned_bits() {
+        // The GridWorld twin of the mitigated drone pins above: 40%
+        // dropout, a server fault at episode 30 and a detector that
+        // fires on both sides, so the digests pin checkpoint restores
+        // of single agents and of the whole fleet.
+        let t = GridTrial { system_seed: 7, dropout: Some(0.4), ..GridTrial::new(3, 60) }
+            .with_mitigation(TrainingMitigation {
+                p_percent: 10.0,
+                k_consecutive: 2,
+                checkpoint_interval: 1,
+            })
+            .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 30, 0.1));
+        let pins = [
+            (3u64, 0x59e2_a0d3_4f26_2d1eu64, (14usize, 3usize)),
+            (17, 0x3f6c_4ef0_84a5_fd69, (22, 3)),
+            (99, 0x28a3_2ad6_381d_5468, (16, 4)),
+        ];
+        let mut ctx = BatchInferCtx::new();
+        for &(seed, digest, detections) in &pins {
+            let sys = grid_trial_system(&t, seed, &mut ctx, None).unwrap();
+            assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
+            let stats = sys.mitigation_stats();
+            assert_eq!(
+                (stats.agent_detections, stats.server_detections),
+                detections,
+                "grid seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn explicit_default_motion_matches_normalized_dynamic_layout_bitwise() {
         // `motion: None` on a dynamic-layout trial lets the system
         // normalize to the default ObstacleMotion; spelling that
