@@ -4,7 +4,10 @@
 use frlfi::fault::{inject_slice_ber, sweep_with_threads, Ber, DataRepr, FaultModel};
 use frlfi::nn::BatchInferCtx;
 use frlfi::rl::Learner;
-use frlfi::{GridFrlSystem, GridSystemConfig, InjectionPlan};
+use frlfi::{
+    DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, InjectionPlan,
+    TrainingMitigation,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,5 +84,65 @@ fn campaign_results_independent_of_thread_count() {
     for (a, b) in seq.iter().zip(par.iter()) {
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.n, b.n);
+    }
+}
+
+#[test]
+fn fault_seed_changes_nothing_without_a_plan() {
+    // The fault stream must reach a system's state only through an
+    // applied injection plan: without one, training from any two
+    // fault seeds gives the same weights and detections, bit for bit.
+    // Reliable and 40%-dropout links, without and with the detector.
+    let mitigation =
+        Some(TrainingMitigation { p_percent: 10.0, k_consecutive: 2, checkpoint_interval: 1 });
+    for (dropout, mitigation) in
+        [(None, None), (Some(0.4), None), (None, mitigation), (Some(0.4), mitigation)]
+    {
+        let grid = |fault_seed: u64| {
+            let cfg = GridSystemConfig { n_agents: 3, seed: 7, dropout, ..Default::default() };
+            let mut sys = GridFrlSystem::new(cfg).expect("valid config");
+            sys.reseed_faults(fault_seed);
+            sys.train(40, None, mitigation.as_ref(), &mut BatchInferCtx::new()).expect("training");
+            let stats = sys.mitigation_stats();
+            let bits: Vec<u32> =
+                (0..3).flat_map(|i| sys.agent(i).network().snapshot()).map(f32::to_bits).collect();
+            (bits, stats.agent_detections, stats.server_detections)
+        };
+        let (bits, agent_hits, server_hits) = grid(3);
+        assert_eq!(
+            (bits, agent_hits, server_hits),
+            grid(17),
+            "grid, dropout {dropout:?}, mitigation {mitigation:?}"
+        );
+        // With mitigation the detector must fire, so checkpoint
+        // restores are covered too.
+        assert_eq!(mitigation.is_some(), agent_hits + server_hits > 0, "grid {dropout:?}");
+
+        let drone = |fault_seed: u64| {
+            let cfg = DroneSystemConfig {
+                n_drones: 3,
+                seed: 7,
+                pretrain_episodes: 2,
+                train_max_steps: 20,
+                dropout,
+                ..Default::default()
+            };
+            let mut sys = DroneFrlSystem::new(cfg).expect("valid config");
+            sys.pretrain().expect("pre-training");
+            sys.reseed_faults(fault_seed);
+            sys.fine_tune(6, None, mitigation.as_ref(), &mut BatchInferCtx::new())
+                .expect("fine-tuning");
+            let stats = sys.mitigation_stats();
+            let bits: Vec<u32> =
+                (0..3).flat_map(|i| sys.drone(i).network().snapshot()).map(f32::to_bits).collect();
+            (bits, stats.agent_detections, stats.server_detections)
+        };
+        let (bits, agent_hits, server_hits) = drone(3);
+        assert_eq!(
+            (bits, agent_hits, server_hits),
+            drone(17),
+            "drone, dropout {dropout:?}, mitigation {mitigation:?}"
+        );
+        assert_eq!(mitigation.is_some(), agent_hits + server_hits > 0, "drone {dropout:?}");
     }
 }
