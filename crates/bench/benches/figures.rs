@@ -68,7 +68,7 @@ fn fig5_cell(c: &mut Criterion) {
             sys.pretrain().expect("pretrain");
             let plan =
                 InjectionPlan::server(1, Ber::new(1e-3).expect("ber")).with_repr(ReprKind::F32);
-            sys.fine_tune(4, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
+            sys.train(4, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
             black_box(sys.safe_flight_distance(1))
         })
     });

@@ -559,7 +559,7 @@ impl DroneTrial {
 /// Evaluates one DroneNav trial: safe flight distance (m) after
 /// fine-tuning, pure in `(trial, seed)`. Fine-tuning runs each
 /// episode's REINFORCE update as one batched forward/backward
-/// ([`DroneFrlSystem::fine_tune`]) and the flight-distance evaluation
+/// ([`crate::Fleet::train`]) and the flight-distance evaluation
 /// runs corridors in lock-step
 /// ([`DroneFrlSystem::safe_flight_distance_batched`]), both on `ctx`.
 ///
@@ -578,8 +578,8 @@ pub fn run_drone_trial_batched(
 
 /// Builds, fault-injects and fine-tunes the system of one DroneNav
 /// trial, ready for flight-distance evaluation. The shared offline
-/// pre-training behind [`PretrainedWeights`] runs on the
-/// per-observation path.
+/// pre-training behind [`PretrainedWeights`] runs on its own arena
+/// ([`DroneFrlSystem::pretrain`]).
 fn drone_trial_system(
     t: &DroneTrial,
     seed: u64,
@@ -605,7 +605,7 @@ fn drone_trial_system(
     sys.set_fleet_weights(t.weights.get())?;
     sys.reseed_faults(seed);
     let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    sys.fine_tune(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
+    sys.train(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
     sys.eval_mode();
     Ok(sys)
 }

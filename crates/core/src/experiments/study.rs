@@ -326,8 +326,8 @@ impl StudyModel {
                     ..Default::default()
                 })?;
                 sys.set_fleet_weights(&weights)?;
-                sys.fine_tune(fine_tune_episodes, None, None, &mut BatchInferCtx::new())?;
-                Ok((0..n_drones).map(|i| sys.drone(i).network().snapshot()).collect())
+                sys.train(fine_tune_episodes, None, None, &mut BatchInferCtx::new())?;
+                Ok((0..n_drones).map(|i| sys.agent(i).network().snapshot()).collect())
             }
         }
     }
@@ -489,8 +489,8 @@ impl StudyGeometry {
             }
             StudyKind::Fig8Drone => {
                 let sys = restored_drone(&self.models[0], &planes[0])?;
-                let detectors = (0..sys.n_drones())
-                    .map(|i| RangeDetector::fit(sys.drone(i).network()))
+                let detectors = (0..sys.n_agents())
+                    .map(|i| RangeDetector::fit(sys.agent(i).network()))
                     .collect();
                 StudyCtx::Fig8Drone { sys, detectors }
             }
@@ -593,7 +593,7 @@ impl StudyGeometry {
                     |s| {
                         if col == 1 {
                             for (i, det) in detectors.iter().enumerate() {
-                                det.repair(s.drone_mut(i).network_mut());
+                                det.repair(s.agent_mut(i).network_mut());
                             }
                         }
                         s.safe_flight_distance(attempts)
@@ -737,7 +737,7 @@ fn restored_drone(model: &StudyModel, planes: &[Vec<f32>]) -> Result<DroneFrlSys
     // own fine-tuned planes below).
     sys.set_fleet_weights(&planes[0])?;
     for (i, plane) in planes.iter().enumerate() {
-        sys.drone_mut(i).network_mut().restore(plane)?;
+        sys.agent_mut(i).network_mut().restore(plane)?;
     }
     Ok(sys)
 }

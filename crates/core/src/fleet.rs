@@ -1,0 +1,364 @@
+//! The federated round protocol, written once for both systems.
+//!
+//! A [`Fleet`] is `n` learners, each in its own environment, optionally
+//! synchronized through a smoothing-average [`Server`].
+//! [`crate::GridFrlSystem`] and [`crate::DroneFrlSystem`] are aliases of
+//! it; each adds only its constructor, its evaluation and the parts
+//! that differ (GridWorld prefixes and forks, DroneNav pre-training).
+//!
+//! [`Fleet::train`] runs each episode in this order:
+//!
+//! 1. every agent, in index order, runs one training episode on its own
+//!    environment and exploration stream;
+//! 2. the injection plan fires if this is its episode
+//!    ([`Fleet::inject_now`]): an agent-side plan draws its victim from
+//!    the fault stream and flips its weights now; a server-side plan is
+//!    queued for the next aggregating round (or strikes agent 0 when
+//!    there is no server);
+//! 3. if the fleet has a server and the schedule communicates at this
+//!    episode, a round runs. The dropout mask is drawn first, even when
+//!    the round is then skipped, so the dropout stream stays aligned
+//!    with the round index. A round with fewer than two participants is
+//!    skipped: it draws nothing from the fault stream, and a pending
+//!    server fault survives it, because server memory is exposed only
+//!    during an actual aggregation. An aggregating round draws one seed
+//!    from the fault stream for its server-memory hook, whether or not
+//!    a fault is pending. Every round, skipped or not, counts and is
+//!    offered to the checkpoint;
+//! 4. with mitigation, the detector reads the episode's rewards and
+//!    restores the flagged agents (or, on a server fault, every agent
+//!    and the consensus) from the checkpoint.
+
+use crate::error::FrlfiError;
+use crate::injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
+use frlfi_envs::Environment;
+use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
+use frlfi_federated::{CommSchedule, RoundHook, Server};
+use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
+use frlfi_nn::BatchInferCtx;
+use frlfi_rl::{run_episode_batched, Learner};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A federated fleet of `L` learners in `E` environments, configured by
+/// `C`: the training loop, fault injection and checkpoint mitigation
+/// shared by [`crate::GridFrlSystem`] and [`crate::DroneFrlSystem`].
+pub struct Fleet<L, E, C> {
+    pub(crate) cfg: C,
+    pub(crate) agents: Vec<L>,
+    pub(crate) envs: Vec<E>,
+    pub(crate) server: Option<Server>,
+    /// When the fleet communicates, read from `cfg` at construction.
+    pub(crate) schedule: CommSchedule,
+    /// Per-round dropout probability, read from `cfg` at construction.
+    pub(crate) dropout: Option<f32>,
+    /// The fault stream.
+    pub(crate) rng: StdRng,
+    pub(crate) agent_rngs: Vec<StdRng>,
+    pub(crate) dropout_rng: StdRng,
+    pub(crate) episodes_done: usize,
+    pub(crate) comm_rounds: usize,
+    /// Draws the communication rounds took from the fault stream `rng`
+    /// (one per aggregating round; a dropout-skipped round draws none).
+    pub(crate) fault_draws: usize,
+    /// Whether an injection plan has fired: its draws from `rng` are
+    /// not among the counted `fault_draws`, so no fork could replay
+    /// them.
+    pub(crate) injected: bool,
+    pub(crate) pending_server_fault: Option<InjectionPlan>,
+    pub(crate) last_records: Vec<FaultRecord>,
+    pub(crate) mitigation_stats: MitigationStats,
+    /// Whether the weights came from offline pre-training (DroneNav
+    /// only; GridWorld agents train from their initialization).
+    pub(crate) pretrained: bool,
+}
+
+/// Checks a per-round dropout probability: it must lie in `[0, 1)`.
+pub(crate) fn check_dropout(dropout: Option<f32>) -> Result<(), FrlfiError> {
+    match dropout {
+        Some(p) if !(0.0..1.0).contains(&p) => Err(FrlfiError::BadConfig {
+            detail: format!("dropout probability {p} must lie in [0, 1)"),
+        }),
+        _ => Ok(()),
+    }
+}
+
+impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
+    /// The system configuration.
+    pub fn config(&self) -> &C {
+        &self.cfg
+    }
+
+    /// Number of agents.
+    pub fn n_agents(&self) -> usize {
+        self.agents.len()
+    }
+
+    /// Total training episodes completed so far.
+    pub fn episodes_done(&self) -> usize {
+        self.episodes_done
+    }
+
+    /// Immutable access to one agent's learner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn agent(&self, i: usize) -> &L {
+        &self.agents[i]
+    }
+
+    /// Mutable access to one agent's learner (fault surface).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn agent_mut(&mut self, i: usize) -> &mut L {
+        &mut self.agents[i]
+    }
+
+    /// Records of the most recent injection.
+    pub fn last_fault_records(&self) -> &[FaultRecord] {
+        &self.last_records
+    }
+
+    /// Replaces the fault-injection random stream.
+    ///
+    /// Campaigns train one system from a fixed configuration seed and
+    /// then vary only this stream across repeats, so cell statistics
+    /// measure fault impact rather than training variance (the paper
+    /// repeats each injection on the same trained system).
+    pub fn reseed_faults(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
+    /// Detection/recovery counters accumulated by mitigated training
+    /// runs (reset at the start of each mitigated call).
+    pub fn mitigation_stats(&self) -> MitigationStats {
+        self.mitigation_stats
+    }
+
+    /// Drops every agent's layer input caches ([`frlfi_nn::Network::eval_mode`]),
+    /// shrinking resident memory for the eval-only phase of a campaign
+    /// trial. Training transparently re-caches.
+    pub fn eval_mode(&mut self) {
+        for agent in &mut self.agents {
+            agent.network_mut().eval_mode();
+        }
+    }
+
+    /// Trains for `episodes` episodes in the round order of the module
+    /// docs, optionally applying a dynamic [`InjectionPlan`] (episode
+    /// index relative to this call) and the training-time mitigation
+    /// scheme. Every agent's learning updates run through `ctx`'s
+    /// cached-activation arena ([`frlfi_rl::run_episode_batched`]),
+    /// bit-identical to the per-observation reference
+    /// [`frlfi_rl::run_episode`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates training, aggregation or restore failures.
+    pub fn train(
+        &mut self,
+        episodes: usize,
+        plan: Option<&InjectionPlan>,
+        mitigation: Option<&TrainingMitigation>,
+        ctx: &mut BatchInferCtx,
+    ) -> Result<(), FrlfiError> {
+        let n = self.agents.len();
+        let mut detector =
+            mitigation.map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, n));
+        let mut checkpoint = mitigation.map(|m| ServerCheckpoint::new(m.checkpoint_interval));
+        if mitigation.is_some() {
+            self.mitigation_stats = MitigationStats::default();
+        }
+
+        for ep in 0..episodes {
+            let global_ep = self.episodes_done + ep;
+            let mut rewards = Vec::with_capacity(n);
+            for i in 0..n {
+                self.agents[i].set_episode(global_ep);
+                let (env, agent, rng) =
+                    (&mut self.envs[i], &mut self.agents[i], &mut self.agent_rngs[i]);
+                rewards.push(run_episode_batched(env, agent, rng, ctx)?.total_reward);
+            }
+
+            if let Some(p) = plan {
+                if p.episode == ep {
+                    self.inject_now(p);
+                }
+            }
+
+            if self.server.is_some() && self.schedule.communicates_at(global_ep) {
+                self.communicate()?;
+                if let Some(cp) = checkpoint.as_mut() {
+                    let server = self.server.as_ref().expect("server present");
+                    cp.on_round(self.comm_rounds, server.consensus());
+                }
+            }
+
+            if let (Some(det), Some(cp)) = (detector.as_mut(), checkpoint.as_ref()) {
+                match det.observe(&rewards) {
+                    Detection::None => {}
+                    Detection::AgentFault(ids) => {
+                        self.mitigation_stats.agent_detections += 1;
+                        for id in ids {
+                            self.restore_agent_from(cp, id)?;
+                        }
+                    }
+                    Detection::ServerFault => {
+                        self.mitigation_stats.server_detections += 1;
+                        for i in 0..n {
+                            self.restore_agent_from(cp, i)?;
+                        }
+                        if let (Some(server), Some(snap)) = (self.server.as_mut(), cp.stored()) {
+                            server.consensus_mut().copy_from_slice(snap);
+                        }
+                    }
+                }
+            }
+        }
+        self.episodes_done += episodes;
+        Ok(())
+    }
+
+    fn restore_agent_from(&mut self, cp: &ServerCheckpoint, i: usize) -> Result<(), FrlfiError> {
+        let mut buf = self.agents[i].network().snapshot();
+        if cp.restore_into(&mut buf) {
+            self.agents[i].network_mut().restore(&buf)?;
+        }
+        Ok(())
+    }
+
+    /// Applies an injection plan *now* (between episodes).
+    pub fn inject_now(&mut self, plan: &InjectionPlan) {
+        self.injected = true;
+        let victim = match plan.side {
+            FaultSide::AgentSide => self.rng.gen_range(0..self.agents.len()),
+            FaultSide::ServerSide if self.server.is_some() => {
+                // Applied inside the next aggregating round, where the
+                // aggregated sets sit in server memory.
+                self.pending_server_fault = Some(*plan);
+                return;
+            }
+            // Single-agent system: the only memory is the agent's.
+            FaultSide::ServerSide => 0,
+        };
+        let net = self.agents[victim].network_mut();
+        let repr = plan.repr.materialize(net);
+        let mut snap = net.snapshot();
+        self.last_records = inject_slice_ber(&mut snap, repr, plan.model, plan.ber, &mut self.rng);
+        net.restore(&snap).expect("snapshot length invariant");
+    }
+
+    pub(crate) fn communicate(&mut self) -> Result<(), FrlfiError> {
+        // Wall-clock accounting only (thread-local, aggregated —
+        // federated aggregation runs once per communication round).
+        let _aggregate = frlfi_obs::timed("aggregate");
+        // Draw the participant mask before borrowing the server, and
+        // draw it even when a round ends up skipped, so the dropout
+        // stream stays aligned with the round index.
+        let n = self.agents.len();
+        let participants: Option<Vec<bool>> = self
+            .dropout
+            .map(|p| (0..n).map(|_| !self.dropout_rng.gen_bool(f64::from(p))).collect());
+        if let Some(mask) = &participants {
+            if mask.iter().filter(|&&p| p).count() < 2 {
+                // Too few participants: the round is skipped entirely.
+                // Leave any pending server fault queued — server memory
+                // is only exposed during an actual aggregation.
+                self.comm_rounds += 1;
+                return Ok(());
+            }
+        }
+
+        let server = self.server.as_mut().expect("communicate requires a server");
+        let mut uploads: Vec<Vec<f32>> =
+            self.agents.iter().map(|a| a.network().snapshot()).collect();
+        let mut hook = ServerFaultHook {
+            plan: self.pending_server_fault.take(),
+            rng: StdRng::seed_from_u64(self.rng.gen()),
+            records: Vec::new(),
+        };
+        self.fault_draws += 1;
+        match participants {
+            None => {
+                let outputs = server.aggregate_with_hook(&mut uploads, &mut hook)?;
+                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
+                    agent.network_mut().restore(out)?;
+                }
+            }
+            Some(mask) => {
+                let outputs = server.aggregate_subset(&mut uploads, &mask, &mut hook)?;
+                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
+                    if let Some(out) = out {
+                        agent.network_mut().restore(out)?;
+                    }
+                }
+            }
+        }
+        if !hook.records.is_empty() {
+            self.last_records = hook.records;
+        }
+        self.comm_rounds += 1;
+        Ok(())
+    }
+
+    /// Runs `f` with every agent's policy deployed in `repr` (weights
+    /// quantized through the representation) and corrupted by a static
+    /// inference-time fault, then restores the clean weights
+    /// (the paper's static injection mode, §III-D).
+    pub fn with_faulted_policies<T>(
+        &mut self,
+        model: FaultModel,
+        ber: Ber,
+        repr: ReprKind,
+        seed: u64,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let clean: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for agent in &mut self.agents {
+            let repr = repr.materialize(agent.network());
+            let mut snap = agent.network().snapshot();
+            // Deploy-time quantization: faults strike the encoded form.
+            for w in &mut snap {
+                *w = repr.quantize(*w);
+            }
+            inject_slice_ber(&mut snap, repr, model, ber, &mut rng);
+            agent.network_mut().restore(&snap).expect("snapshot length invariant");
+        }
+        let out = f(self);
+        for (agent, snap) in self.agents.iter_mut().zip(clean.iter()) {
+            agent.network_mut().restore(snap).expect("snapshot length invariant");
+        }
+        out
+    }
+}
+
+/// Hook that applies a pending server-memory fault to the aggregated
+/// parameter sets of *all* agents — the reason server faults are
+/// "equivalent to a randomized policy of all agents to some extent"
+/// (§IV-A-2).
+struct ServerFaultHook {
+    plan: Option<InjectionPlan>,
+    rng: StdRng,
+    records: Vec<FaultRecord>,
+}
+
+impl RoundHook for ServerFaultHook {
+    fn on_server(&mut self, outputs: &mut [Vec<f32>]) {
+        let Some(plan) = self.plan.take() else { return };
+        // Server memory holds all n aggregated sets contiguously; the
+        // BER applies over that whole surface.
+        let mut flat: Vec<f32> = outputs.iter().flatten().copied().collect();
+        let repr = plan.repr.materialize_for(&flat);
+        self.records = inject_slice_ber(&mut flat, repr, plan.model, plan.ber, &mut self.rng);
+        let mut off = 0;
+        for out in outputs.iter_mut() {
+            let n = out.len();
+            out.copy_from_slice(&flat[off..off + n]);
+            off += n;
+        }
+    }
+}

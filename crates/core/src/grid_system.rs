@@ -1,15 +1,14 @@
 use crate::config::{GridLayout, GridSystemConfig};
 use crate::error::FrlfiError;
-use crate::injection::MitigationStats;
-use crate::injection::{InjectionPlan, ReprKind, TrainingMitigation};
+use crate::fleet::{check_dropout, Fleet};
+use crate::injection::{MitigationStats, ReprKind};
 use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
-use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
-use frlfi_federated::{RoundHook, Server};
-use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
+use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
+use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{
-    greedy_argmax, run_episode_batched, run_greedy_episode_ctx, run_greedy_episodes_batch,
-    EpsilonSchedule, Learner, QLearner,
+    greedy_argmax, run_greedy_episode_ctx, run_greedy_episodes_batch, EpsilonSchedule, Learner,
+    QLearner,
 };
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
@@ -18,7 +17,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// The complete federated GridWorld system of §IV-A: `n` Q-learning
 /// agents, each in its own 10×10 maze, synchronized through a smoothing
-/// -average server after every communication interval.
+/// -average server after every communication interval. Training,
+/// injection and mitigation are the shared [`Fleet`] protocol.
 ///
 /// With `n_agents == 1` the server is disabled, reproducing the paper's
 /// single-agent baseline (Fig. 3c).
@@ -35,27 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// # Ok(())
 /// # }
 /// ```
-pub struct GridFrlSystem {
-    cfg: GridSystemConfig,
-    agents: Vec<QLearner>,
-    envs: Vec<GridWorld>,
-    server: Option<Server>,
-    rng: StdRng,
-    agent_rngs: Vec<StdRng>,
-    dropout_rng: StdRng,
-    episodes_done: usize,
-    comm_rounds: usize,
-    /// Draws the communication rounds took from the fault stream `rng`
-    /// (one per aggregating round; a dropout-skipped round draws none).
-    fault_draws: usize,
-    /// Whether an injection plan has fired: its draws from `rng` are
-    /// not among the counted `fault_draws`, so no fork could replay
-    /// them.
-    injected: bool,
-    pending_server_fault: Option<InjectionPlan>,
-    last_records: Vec<FaultRecord>,
-    mitigation_stats: MitigationStats,
-}
+pub type GridFrlSystem = Fleet<QLearner, GridWorld, GridSystemConfig>;
 
 /// A compact snapshot of a fault-free [`GridFrlSystem`] at an episode
 /// boundary: every agent's weight plane plus the environment, server,
@@ -179,13 +159,7 @@ impl GridFrlSystem {
         if cfg.n_agents == 0 {
             return Err(FrlfiError::BadConfig { detail: "n_agents must be ≥ 1".into() });
         }
-        if let Some(p) = cfg.dropout {
-            if !(0.0..1.0).contains(&p) {
-                return Err(FrlfiError::BadConfig {
-                    detail: format!("dropout probability {p} must lie in [0, 1)"),
-                });
-            }
-        }
+        check_dropout(cfg.dropout)?;
         let specs = frlfi_envs::standard_layout_specs(cfg.seed, cfg.n_agents);
         let envs: Vec<GridWorld> = match cfg.layout {
             GridLayout::Standard => specs.iter().map(GridWorld::from_spec).collect(),
@@ -218,9 +192,11 @@ impl GridFrlSystem {
         } else {
             None
         };
-        Ok(GridFrlSystem {
+        Ok(Fleet {
             rng: StdRng::seed_from_u64(derive_seed(cfg.seed, 0x515)),
             dropout_rng: StdRng::seed_from_u64(derive_seed(cfg.seed, 0xD80)),
+            schedule: cfg.comm_schedule(),
+            dropout: cfg.dropout,
             cfg,
             agents,
             envs,
@@ -233,55 +209,8 @@ impl GridFrlSystem {
             pending_server_fault: None,
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
+            pretrained: false,
         })
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &GridSystemConfig {
-        &self.cfg
-    }
-
-    /// Number of agents.
-    pub fn n_agents(&self) -> usize {
-        self.cfg.n_agents
-    }
-
-    /// Total training episodes completed so far.
-    pub fn episodes_done(&self) -> usize {
-        self.episodes_done
-    }
-
-    /// Immutable access to one agent's learner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn agent(&self, i: usize) -> &QLearner {
-        &self.agents[i]
-    }
-
-    /// Mutable access to one agent's learner (fault surface).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn agent_mut(&mut self, i: usize) -> &mut QLearner {
-        &mut self.agents[i]
-    }
-
-    /// Records of the most recent injection.
-    pub fn last_fault_records(&self) -> &[FaultRecord] {
-        &self.last_records
-    }
-
-    /// Replaces the fault-injection random stream.
-    ///
-    /// Campaigns train one system from a fixed configuration seed and
-    /// then vary only this stream across repeats, so cell statistics
-    /// measure fault impact rather than training variance (the paper
-    /// repeats each injection on the same trained system).
-    pub fn reseed_faults(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
     }
 
     /// Snapshots this system for [`GridFrlSystem::fork`].
@@ -370,194 +299,6 @@ impl GridFrlSystem {
             let _: u64 = sys.rng.gen();
         }
         Ok(sys)
-    }
-
-    /// Detection/recovery counters accumulated by mitigated training
-    /// runs (reset at the start of each mitigated call).
-    pub fn mitigation_stats(&self) -> MitigationStats {
-        self.mitigation_stats
-    }
-
-    /// Drops every agent's layer input caches ([`frlfi_nn::Network::eval_mode`]),
-    /// shrinking resident memory for the eval-only phase of a campaign
-    /// trial. Training transparently re-caches.
-    pub fn eval_mode(&mut self) {
-        for agent in &mut self.agents {
-            agent.network_mut().eval_mode();
-        }
-    }
-
-    /// Trains for `episodes` episodes, optionally applying a dynamic
-    /// [`InjectionPlan`] (episode index relative to this call) and the
-    /// training-time mitigation scheme. Every agent's TD updates run
-    /// through `ctx`'s cached-activation arena
-    /// ([`frlfi_rl::run_episode_batched`]), bit-identical to the
-    /// per-observation reference [`frlfi_rl::run_episode`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training, aggregation or restore failures.
-    pub fn train(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        ctx: &mut BatchInferCtx,
-    ) -> Result<(), FrlfiError> {
-        let mut detector = mitigation
-            .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_agents));
-        let mut checkpoint = mitigation.map(|m| ServerCheckpoint::new(m.checkpoint_interval));
-        if mitigation.is_some() {
-            self.mitigation_stats = MitigationStats::default();
-        }
-
-        let schedule = self.cfg.comm_schedule();
-        for ep in 0..episodes {
-            let global_ep = self.episodes_done + ep;
-            let mut rewards = Vec::with_capacity(self.cfg.n_agents);
-            for i in 0..self.cfg.n_agents {
-                self.agents[i].set_episode(global_ep);
-                let (env, agent, rng) =
-                    (&mut self.envs[i], &mut self.agents[i], &mut self.agent_rngs[i]);
-                rewards.push(run_episode_batched(env, agent, rng, ctx)?.total_reward);
-            }
-
-            if let Some(p) = plan {
-                if p.episode == ep {
-                    self.inject_now(p);
-                }
-            }
-
-            if self.server.is_some() && schedule.communicates_at(global_ep) {
-                self.communicate()?;
-                if let Some(cp) = checkpoint.as_mut() {
-                    let server = self.server.as_ref().expect("server present");
-                    cp.on_round(self.comm_rounds, server.consensus());
-                }
-            }
-
-            if let (Some(det), Some(cp)) = (detector.as_mut(), checkpoint.as_ref()) {
-                match det.observe(&rewards) {
-                    Detection::None => {}
-                    Detection::AgentFault(ids) => {
-                        self.mitigation_stats.agent_detections += 1;
-                        for id in ids {
-                            self.restore_agent_from(cp, id)?;
-                        }
-                    }
-                    Detection::ServerFault => {
-                        self.mitigation_stats.server_detections += 1;
-                        self.restore_all_from(cp)?;
-                    }
-                }
-            }
-        }
-        self.episodes_done += episodes;
-        Ok(())
-    }
-
-    fn restore_agent_from(
-        &mut self,
-        cp: &ServerCheckpoint,
-        agent: usize,
-    ) -> Result<(), FrlfiError> {
-        let mut buf = self.agents[agent].network().snapshot();
-        if cp.restore_into(&mut buf) {
-            self.agents[agent].network_mut().restore(&buf)?;
-        }
-        Ok(())
-    }
-
-    fn restore_all_from(&mut self, cp: &ServerCheckpoint) -> Result<(), FrlfiError> {
-        for i in 0..self.cfg.n_agents {
-            self.restore_agent_from(cp, i)?;
-        }
-        if let (Some(server), Some(snap)) = (self.server.as_mut(), cp.stored()) {
-            server.consensus_mut().copy_from_slice(snap);
-        }
-        Ok(())
-    }
-
-    /// Applies an injection plan *now* (between episodes).
-    pub fn inject_now(&mut self, plan: &InjectionPlan) {
-        self.injected = true;
-        match plan.side {
-            FaultSide::AgentSide => {
-                let victim = self.rng.gen_range(0..self.cfg.n_agents);
-                self.inject_agent(victim, plan);
-            }
-            FaultSide::ServerSide => {
-                if self.server.is_some() {
-                    // Applied inside the next communication round, where
-                    // the aggregated sets sit in server memory.
-                    self.pending_server_fault = Some(*plan);
-                } else {
-                    // Single-agent system: the only memory is the agent's.
-                    self.inject_agent(0, plan);
-                }
-            }
-        }
-    }
-
-    fn inject_agent(&mut self, victim: usize, plan: &InjectionPlan) {
-        let repr = plan.repr.materialize(self.agents[victim].network());
-        let mut snap = self.agents[victim].network().snapshot();
-        let records = inject_slice_ber(&mut snap, repr, plan.model, plan.ber, &mut self.rng);
-        self.agents[victim].network_mut().restore(&snap).expect("snapshot length invariant");
-        self.last_records = records;
-    }
-
-    fn communicate(&mut self) -> Result<(), FrlfiError> {
-        // Wall-clock accounting only (thread-local, aggregated —
-        // federated aggregation runs once per communication round).
-        let _aggregate = frlfi_obs::timed("aggregate");
-        // Draw the participant mask before borrowing the server, and
-        // draw it even when a round ends up skipped, so the dropout
-        // stream stays aligned with the round index.
-        let participants: Option<Vec<bool>> = self.cfg.dropout.map(|p| {
-            (0..self.cfg.n_agents).map(|_| !self.dropout_rng.gen_bool(f64::from(p))).collect()
-        });
-        if let Some(mask) = &participants {
-            if mask.iter().filter(|&&p| p).count() < 2 {
-                // Too few participants: the round is skipped entirely.
-                // Leave any pending server fault queued — server memory
-                // is only exposed during an actual aggregation.
-                self.comm_rounds += 1;
-                return Ok(());
-            }
-        }
-
-        let server = self.server.as_mut().expect("communicate requires a server");
-        let mut uploads: Vec<Vec<f32>> =
-            self.agents.iter().map(|a| a.network().snapshot()).collect();
-
-        let mut hook = ServerFaultHook {
-            plan: self.pending_server_fault.take(),
-            rng: StdRng::seed_from_u64(self.rng.gen()),
-            records: Vec::new(),
-        };
-        self.fault_draws += 1;
-        match participants {
-            None => {
-                let outputs = server.aggregate_with_hook(&mut uploads, &mut hook)?;
-                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
-                    agent.network_mut().restore(out)?;
-                }
-            }
-            Some(mask) => {
-                let outputs = server.aggregate_subset(&mut uploads, &mask, &mut hook)?;
-                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
-                    if let Some(out) = out {
-                        agent.network_mut().restore(out)?;
-                    }
-                }
-            }
-        }
-        if !hook.records.is_empty() {
-            self.last_records = hook.records;
-        }
-        self.comm_rounds += 1;
-        Ok(())
     }
 
     /// Average success rate of all agents under greedy exploitation —
@@ -663,37 +404,6 @@ impl GridFrlSystem {
             used += check_every;
         }
         Ok(if self.success_rate_batched(ctx) >= threshold { Some(used) } else { None })
-    }
-
-    /// Runs `f` with every agent's policy deployed in `repr` (weights
-    /// quantized through the representation) and corrupted by a static
-    /// inference-time fault, then restores the clean weights
-    /// (the paper's static injection mode, §III-D).
-    pub fn with_faulted_policies<T>(
-        &mut self,
-        model: FaultModel,
-        ber: Ber,
-        repr: ReprKind,
-        seed: u64,
-        f: impl FnOnce(&mut Self) -> T,
-    ) -> T {
-        let clean: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for agent in &mut self.agents {
-            let repr = repr.materialize(agent.network());
-            let mut snap = agent.network().snapshot();
-            // Deploy-time quantization: faults strike the encoded form.
-            for w in &mut snap {
-                *w = repr.quantize(*w);
-            }
-            inject_slice_ber(&mut snap, repr, model, ber, &mut rng);
-            agent.network_mut().restore(&snap).expect("snapshot length invariant");
-        }
-        let out = f(self);
-        for (agent, snap) in self.agents.iter_mut().zip(clean.iter()) {
-            agent.network_mut().restore(snap).expect("snapshot length invariant");
-        }
-        out
     }
 
     /// Evaluates the success rate when a *single-step* transient fault
@@ -853,36 +563,10 @@ impl GridFrlSystem {
     }
 }
 
-/// Hook that applies a pending server-memory fault to the aggregated
-/// parameter sets of *all* agents — the reason server faults are
-/// "equivalent to a randomized policy of all agents to some extent"
-/// (§IV-A-2).
-struct ServerFaultHook {
-    plan: Option<InjectionPlan>,
-    rng: StdRng,
-    records: Vec<FaultRecord>,
-}
-
-impl RoundHook for ServerFaultHook {
-    fn on_server(&mut self, outputs: &mut [Vec<f32>]) {
-        let Some(plan) = self.plan.take() else { return };
-        // Server memory holds all n aggregated sets contiguously; the
-        // BER applies over that whole surface.
-        let mut flat: Vec<f32> = outputs.iter().flatten().copied().collect();
-        let repr = plan.repr.materialize_for(&flat);
-        self.records = inject_slice_ber(&mut flat, repr, plan.model, plan.ber, &mut self.rng);
-        let mut off = 0;
-        for out in outputs.iter_mut() {
-            let n = out.len();
-            out.copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InjectionPlan, TrainingMitigation};
 
     fn small_cfg(n: usize) -> GridSystemConfig {
         GridSystemConfig {

@@ -40,6 +40,7 @@ mod config;
 mod drone_system;
 mod error;
 pub mod experiments;
+mod fleet;
 mod grid_system;
 mod injection;
 mod metrics;
@@ -48,6 +49,7 @@ pub mod report;
 pub use config::{DroneLayout, DroneSystemConfig, GridLayout, GridSystemConfig, Scale};
 pub use drone_system::DroneFrlSystem;
 pub use error::FrlfiError;
+pub use fleet::Fleet;
 pub use grid_system::{GridFrlSystem, GridPrefix};
 pub use injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
 pub use metrics::{policy_action_std, policy_differentiation, success_rate_of};

@@ -20,14 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("offline pre-training (REINFORCE)...");
     fleet.pretrain()?;
     println!("federated online fine-tuning (4 drones)...");
-    fleet.fine_tune(25, None, None, &mut BatchInferCtx::new())?;
+    fleet.train(25, None, None, &mut BatchInferCtx::new())?;
     let clean = fleet.safe_flight_distance(3);
     println!("  clean safe flight distance: {clean:.0} m");
 
     // Tally per-layer weight ranges before deployment (the paper's
     // range-based detector, fit on the healthy policy).
     let detectors: Vec<RangeDetector> =
-        (0..fleet.n_drones()).map(|i| RangeDetector::fit(fleet.drone(i).network())).collect();
+        (0..fleet.n_agents()).map(|i| RangeDetector::fit(fleet.agent(i).network())).collect();
 
     let ber = Ber::new(1e-2)?;
     let unprotected =
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.with_faulted_policies(FaultModel::TransientMulti, ber, ReprKind::F32, 99, |f| {
             let mut repaired = 0;
             for (i, det) in detectors.iter().enumerate() {
-                repaired += det.repair(f.drone_mut(i).network_mut());
+                repaired += det.repair(f.agent_mut(i).network_mut());
             }
             println!("  range detector repaired {repaired} anomalous weights");
             f.safe_flight_distance(3)

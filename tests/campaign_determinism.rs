@@ -130,11 +130,11 @@ fn fault_seed_changes_nothing_without_a_plan() {
             let mut sys = DroneFrlSystem::new(cfg).expect("valid config");
             sys.pretrain().expect("pre-training");
             sys.reseed_faults(fault_seed);
-            sys.fine_tune(6, None, mitigation.as_ref(), &mut BatchInferCtx::new())
+            sys.train(6, None, mitigation.as_ref(), &mut BatchInferCtx::new())
                 .expect("fine-tuning");
             let stats = sys.mitigation_stats();
             let bits: Vec<u32> =
-                (0..3).flat_map(|i| sys.drone(i).network().snapshot()).map(f32::to_bits).collect();
+                (0..3).flat_map(|i| sys.agent(i).network().snapshot()).map(f32::to_bits).collect();
             (bits, stats.agent_detections, stats.server_detections)
         };
         let (bits, agent_hits, server_hits) = drone(3);

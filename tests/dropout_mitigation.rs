@@ -39,8 +39,8 @@ fn weight_digest(weights: &[f32]) -> u64 {
 const PER_OBSERVATION_TRIAL_VALUE: f64 = 12.0;
 
 /// Fleet-weight digest and `(agent, server)` detections after the
-/// checkpoint-restore fine-tune below, from the per-observation
-/// `fine_tune`.
+/// checkpoint-restore fine-tune below, from `run_episode`-driven
+/// fine-tuning.
 const PER_OBSERVATION_RESTORE_DIGEST: u64 = 0x040c_cfb8_6dfe_3e3e;
 const PER_OBSERVATION_RESTORE_DETECTIONS: (usize, usize) = (8, 0);
 
@@ -105,7 +105,7 @@ fn checkpoint_restores_replay_identically_across_skipped_rounds() {
         .expect("valid config");
         sys.pretrain().expect("pretraining");
         sys.reseed_faults(77);
-        sys.fine_tune(16, Some(&plan), Some(&mitigation()), &mut BatchInferCtx::new())
+        sys.train(16, Some(&plan), Some(&mitigation()), &mut BatchInferCtx::new())
             .expect("fine-tune");
         (sys.fleet_weights(), sys.mitigation_stats())
     };

@@ -20,7 +20,7 @@ fn fleet(n: usize, seed: u64) -> DroneFrlSystem {
 fn pipeline_runs_end_to_end() {
     let mut sys = fleet(2, 3);
     sys.pretrain().expect("pretrain");
-    sys.fine_tune(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
+    sys.train(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
     let d = sys.safe_flight_distance(2);
     let cap = sys.config().sim.max_steps as f64 * sys.config().sim.speed as f64;
     assert!(d > 0.0 && d <= cap, "distance {d} out of (0, {cap}]");
@@ -30,7 +30,7 @@ fn pipeline_runs_end_to_end() {
 fn heavy_static_faults_shorten_flights() {
     let mut sys = fleet(2, 9);
     sys.pretrain().expect("pretrain");
-    sys.fine_tune(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
+    sys.train(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
     // Average both arms over several injection seeds: a single seed can
     // flip bits that happen to be harmless.
     let mut clean = 0.0;
@@ -62,11 +62,11 @@ fn server_fault_reaches_every_drone() {
     let mut sys = fleet(3, 17);
     sys.pretrain().expect("pretrain");
     let before: Vec<Vec<f32>> =
-        (0..3).map(|i| frlfi::rl::Learner::network(sys.drone(i)).snapshot()).collect();
+        (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
     let plan = InjectionPlan::server(0, Ber::new(0.001).expect("ber")).with_repr(ReprKind::F32);
-    sys.fine_tune(1, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
+    sys.train(1, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
     let after: Vec<Vec<f32>> =
-        (0..3).map(|i| frlfi::rl::Learner::network(sys.drone(i)).snapshot()).collect();
+        (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
     let touched = before.iter().zip(after.iter()).filter(|(b, a)| b != a).count();
     assert_eq!(touched, 3, "server faults propagate to the whole fleet");
     assert!(!sys.last_fault_records().is_empty());

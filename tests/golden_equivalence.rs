@@ -398,7 +398,7 @@ fn drone_training_weights_match_pinned_golden_in_both_modes() {
         };
         let mut s = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
         s.pretrain().expect("pretraining runs");
-        s.fine_tune(6, None, None, ctx).expect("fine-tuning runs");
+        s.train(6, None, None, ctx).expect("fine-tuning runs");
         s.fleet_weights()
     };
     let mut ctx = BatchInferCtx::new();
@@ -437,7 +437,7 @@ fn drone_pretraining_matches_pinned_per_observation_weights() {
     };
     let sys = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
     let cfg = sys.config();
-    let mut learner = sys.drone(0).clone();
+    let mut learner = sys.agent(0).clone();
     let mut env = DroneSim::new(
         DroneConfig { max_steps: cfg.train_max_steps, ..cfg.sim },
         derive_seed(cfg.seed, 0x0FF),
