@@ -15,6 +15,8 @@
 //! into two complete systems and the campaign drivers that regenerate
 //! every table and figure of the paper's evaluation:
 //!
+//! * [`Fleet`] — the federated round protocol (train, inject,
+//!   communicate, checkpoint and detect), written once for both systems;
 //! * [`GridFrlSystem`] — 12 agents learning 10×10 mazes with an 8-bit
 //!   quantized MLP policy (§IV-A);
 //! * [`DroneFrlSystem`] — a fleet of drones fine-tuning a conv policy
