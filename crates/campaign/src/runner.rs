@@ -566,7 +566,7 @@ enum Claim {
 enum ClaimSource {
     /// Exclusive mode — this process is the directory's only writer:
     /// atomic cursors over the train tasks and over the trials pending
-    /// at start, in ascending order (the order the GridWorld prefix
+    /// at start, in ascending order (the order the training-prefix
     /// cache is built around). No claim log, heartbeat or lease
     /// expiry.
     Cursor { n_models: usize, next_train: AtomicUsize, trials: Vec<usize>, next_trial: AtomicUsize },

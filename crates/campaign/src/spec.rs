@@ -8,8 +8,7 @@
 //! exactly the trial cells its `frlfi::experiments` driver runs.
 
 use frlfi::experiments::harness::{
-    drone_geometry, grid_geometry, DroneTrial, GridPrefixes, GridTrial, PretrainedWeights,
-    TrialFault,
+    drone_geometry, grid_geometry, DroneTrial, GridTrial, Prefixes, PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::study::{StudyGeometry, StudyKind};
 use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
@@ -492,7 +491,7 @@ impl Scenario {
             master_seed: g.master_seed(),
             grid: CellGrid::Study { rows: g.row_keys.clone(), cols: g.columns.clone() },
             trials: Trials::Study(g),
-            prefixes: GridPrefixes::new(),
+            prefixes: Prefixes::default(),
         })
     }
 
@@ -571,7 +570,7 @@ impl Scenario {
             master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
             grid,
             trials: Trials::Grid(trials),
-            prefixes: GridPrefixes::new(),
+            prefixes: Prefixes::default(),
         })
     }
 
@@ -629,7 +628,7 @@ impl Scenario {
             master_seed: self.master_seed.unwrap_or(DEFAULT_SEED),
             grid,
             trials: Trials::Drone(trials),
-            prefixes: GridPrefixes::new(),
+            prefixes: Prefixes::default(),
         })
     }
 
@@ -817,9 +816,9 @@ pub struct Campaign {
     pub grid: CellGrid,
     /// The cells, row-major with respect to [`Campaign::grid`].
     pub trials: Trials,
-    /// Fault-free GridWorld training prefixes shared by this campaign's
-    /// trials, trained on first use.
-    prefixes: GridPrefixes,
+    /// Fault-free training prefixes shared by this campaign's trials,
+    /// trained on first use.
+    prefixes: Prefixes,
 }
 
 impl Campaign {
@@ -845,9 +844,9 @@ impl Campaign {
         self.study().map_or(0, |g| g.models().len())
     }
 
-    /// The fault-free GridWorld training prefixes this campaign's trials
-    /// have forked from so far.
-    pub fn prefixes(&self) -> &GridPrefixes {
+    /// The fault-free training prefixes this campaign's trials have
+    /// forked from so far.
+    pub fn prefixes(&self) -> &Prefixes {
         &self.prefixes
     }
 
@@ -890,9 +889,13 @@ impl Campaign {
                 &self.prefixes,
                 ctx,
             ),
-            Trials::Drone(t) => {
-                frlfi::experiments::harness::run_drone_trial_batched(&t[cell], seed, ctx)
-            }
+            Trials::Drone(t) => frlfi::experiments::harness::run_drone_cell_batched(
+                t,
+                cell,
+                seed,
+                &self.prefixes,
+                ctx,
+            ),
             Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
                 detail: format!(
                     "study \"{}\" trials evaluate against a trained-model context \

@@ -1,18 +1,41 @@
-//! Fork-at-injection equivalence for every GridWorld builtin.
+//! Fork-at-injection equivalence for every GridWorld and DroneNav
+//! builtin.
 //!
-//! A campaign's GridWorld trials fork from fault-free training prefixes
+//! A campaign's training trials fork from fault-free training prefixes
 //! cached per campaign, trained once at the campaign's injection
 //! episodes. Every `(cell, repeat)` value on that path must equal the
 //! uncached trial function bit for bit — whichever order the cells run
 //! in, so chains are extended both front to back and back to front.
 
-use frlfi::experiments::harness::run_grid_trial_batched;
+use frlfi::experiments::harness::{run_drone_trial_batched, run_grid_trial_batched};
 use frlfi::nn::BatchInferCtx;
-use frlfi::Scale;
+use frlfi::{Scale, Stop};
 use frlfi_campaign::{registry, Campaign, Trials};
 
-const GRID_BUILTINS: [&str; 7] =
-    ["fig3a", "fig3b", "fig3c", "fig7a", "grid-dynamic", "grid-dropout", "grid-fleet"];
+const BUILTINS: [&str; 14] = [
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "fig7a",
+    "grid-dynamic",
+    "grid-dropout",
+    "grid-fleet",
+    "fig5a",
+    "fig5b",
+    "fig5c",
+    "fig7b",
+    "drone-dynamic",
+    "drone-dropout",
+    "drone-motion",
+];
+
+/// Builtins whose trials are all mitigated: their detector and
+/// checkpoint state lives inside one training call, so they fork from
+/// a zero-length prefix and cache nothing.
+const MITIGATED: [&str; 2] = ["fig7a", "fig7b"];
+
+/// Builtins with dropout, where some stop must have skipped a round.
+const DROPOUT: [&str; 2] = ["grid-dropout", "drone-dropout"];
 
 fn expand(name: &str) -> Campaign {
     registry::builtin(name, Scale::Smoke)
@@ -21,11 +44,32 @@ fn expand(name: &str) -> Campaign {
         .expect("builtin expands")
 }
 
-/// Runs every trial of a fresh `name` campaign through its prefix
-/// cache, in flat order or reversed, checking each value against the
-/// uncached reference. Returns the campaign, its cache populated.
-fn check_forks(name: &str, reference: &[Vec<u64>], reverse: bool) -> Campaign {
-    let campaign = expand(name);
+/// Every trial's value from the uncached trial function, by cell and
+/// repeat.
+fn uncached(campaign: &Campaign) -> Vec<Vec<u64>> {
+    let value = |cell: usize, seed: u64| {
+        let ctx = &mut BatchInferCtx::new();
+        match &campaign.trials {
+            Trials::Grid(cells) => run_grid_trial_batched(&cells[cell], seed, ctx),
+            Trials::Drone(cells) => run_drone_trial_batched(&cells[cell], seed, ctx),
+            Trials::Study(_) => panic!("training campaign expected"),
+        }
+        .expect("trial runs")
+        .to_bits()
+    };
+    (0..campaign.trials.len())
+        .map(|cell| {
+            (0..campaign.repeats)
+                .map(|rep| value(cell, campaign.trial_seed(cell * campaign.repeats + rep)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs every trial of `campaign` through its prefix cache, in flat
+/// order or reversed, checking each value against the uncached
+/// reference.
+fn check_forks(name: &str, campaign: &Campaign, reference: &[Vec<u64>], reverse: bool) {
     let mut order: Vec<usize> = (0..campaign.total_trials()).collect();
     if reverse {
         order.reverse();
@@ -46,50 +90,36 @@ fn check_forks(name: &str, reference: &[Vec<u64>], reverse: bool) -> Campaign {
              differs from the uncached trial"
         );
     }
-    campaign
 }
 
 #[test]
-fn forked_trials_match_uncached_trials_bitwise_for_every_grid_builtin() {
-    for name in GRID_BUILTINS {
-        let campaign = expand(name);
-        let Trials::Grid(cells) = &campaign.trials else { panic!("{name} is a GridWorld builtin") };
-        let reference: Vec<Vec<u64>> = cells
-            .iter()
-            .enumerate()
-            .map(|(cell, t)| {
-                (0..campaign.repeats)
-                    .map(|rep| {
-                        let seed = campaign.trial_seed(cell * campaign.repeats + rep);
-                        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new())
-                            .expect("trial runs")
-                            .to_bits()
-                    })
-                    .collect()
-            })
-            .collect();
-        let forward = check_forks(name, &reference, false);
-        let backward = check_forks(name, &reference, true);
+fn forked_trials_match_uncached_trials_bitwise_for_every_training_builtin() {
+    for name in BUILTINS {
+        // The reference runs on a campaign of its own, so its trials
+        // cannot reach the cache under test. The forward campaign
+        // shares its lazily pre-trained DroneNav weights, which the
+        // prefix key compares by address.
+        let forward = expand(name);
+        let reference = uncached(&forward);
+        check_forks(name, &forward, &reference, false);
+        let backward = expand(name);
+        check_forks(name, &backward, &reference, true);
 
-        let checkpoints = forward.prefixes().checkpoints();
-        if name == "fig7a" {
-            // Mitigated trials keep their detector state inside one
-            // training call, so they fork from a zero-length prefix.
-            assert!(checkpoints.is_empty(), "fig7a must not cache prefixes");
+        let stops = forward.prefixes().stops();
+        if MITIGATED.contains(&name) {
+            assert!(stops.is_empty(), "{name} must not cache prefixes");
             continue;
         }
-        assert!(!checkpoints.is_empty(), "{name}: no prefix was cached");
-        // Both orders store the same checkpoints (the chain's stops).
-        let episodes = |c: &Campaign| -> Vec<usize> {
-            c.prefixes().checkpoints().iter().map(|p| p.episodes_done()).collect()
-        };
-        assert_eq!(episodes(&forward), episodes(&backward), "{name}");
-        if name == "grid-dropout" {
+        assert!(!stops.is_empty(), "{name}: no prefix was cached");
+        // Both orders store the same snapshots (the chain's stops).
+        let episodes = |s: &[Stop]| -> Vec<usize> { s.iter().map(|s| s.episodes_done).collect() };
+        assert_eq!(episodes(&stops), episodes(&backward.prefixes().stops()), "{name}");
+        if DROPOUT.contains(&name) {
             // Dropout-skipped rounds draw nothing from the fault
             // stream, so the fork must replay fewer draws than rounds.
             assert!(
-                checkpoints.iter().any(|p| p.fault_draws() != p.comm_rounds()),
-                "grid-dropout: no checkpoint skipped a round, the draw count is untested"
+                stops.iter().any(|s| s.fault_draws != s.comm_rounds),
+                "{name}: no stop skipped a round, the draw count is untested"
             );
         }
     }
@@ -97,10 +127,14 @@ fn forked_trials_match_uncached_trials_bitwise_for_every_grid_builtin() {
 
 #[test]
 fn cloned_campaigns_share_their_prefixes() {
-    let campaign = expand("fig3b");
-    campaign.run_trial(0, campaign.trial_seed(0), &mut BatchInferCtx::new()).expect("trial runs");
-    let stored = campaign.prefixes().checkpoints().len();
-    assert!(stored > 0);
-    let clone = campaign.clone();
-    assert_eq!(clone.prefixes().checkpoints().len(), stored);
+    for name in ["fig3b", "fig5b"] {
+        let campaign = expand(name);
+        campaign
+            .run_trial(0, campaign.trial_seed(0), &mut BatchInferCtx::new())
+            .expect("trial runs");
+        let stored = campaign.prefixes().stops().len();
+        assert!(stored > 0, "{name}");
+        let clone = campaign.clone();
+        assert_eq!(clone.prefixes().stops().len(), stored, "{name}");
+    }
 }

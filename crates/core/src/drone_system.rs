@@ -1,6 +1,6 @@
 use crate::config::{DroneLayout, DroneSystemConfig};
 use crate::error::FrlfiError;
-use crate::fleet::{check_dropout, Fleet};
+use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner};
 use crate::injection::MitigationStats;
 use frlfi_envs::{DroneConfig, DroneSim, Environment, ObstacleMotion};
 use frlfi_federated::Server;
@@ -35,6 +35,29 @@ use rand::SeedableRng;
 /// # }
 /// ```
 pub type DroneFrlSystem = Fleet<Reinforce, DroneSim, DroneSystemConfig>;
+
+impl FleetConfig for DroneSystemConfig {
+    type Learner = Reinforce;
+    type Env = DroneSim;
+
+    fn build(self) -> Result<DroneFrlSystem, FrlfiError> {
+        DroneFrlSystem::new(self)
+    }
+}
+
+/// Besides its weights, REINFORCE carries its reward baseline from one
+/// episode to the next.
+impl ForkLearner for Reinforce {
+    type State = f32;
+
+    fn fork_state(&self) -> f32 {
+        self.baseline()
+    }
+
+    fn resume_state(&mut self, baseline: &f32) {
+        self.set_baseline(*baseline);
+    }
+}
 
 impl DroneFrlSystem {
     /// Builds the fleet; all randomness derives from `cfg.seed`.
@@ -101,6 +124,7 @@ impl DroneFrlSystem {
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
             pretrained: false,
+            stale_consensus: false,
             cfg,
         })
     }
@@ -236,7 +260,7 @@ impl DroneFrlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InjectionPlan, ReprKind};
+    use crate::{InjectionPlan, ReprKind, TrainingMitigation};
     use frlfi_fault::{Ber, FaultModel};
     use frlfi_rl::run_episode;
 
@@ -432,6 +456,67 @@ mod tests {
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"
         );
+    }
+
+    #[test]
+    fn fork_continues_a_prefix_bitwise() {
+        // The DroneNav twin of the GridWorld fork test: half the rounds
+        // skip under heavy dropout, so the replayed draw count is not
+        // the round count, and REINFORCE's reward baseline must come
+        // back with the weights.
+        let cfg = DroneSystemConfig { dropout: Some(0.5), ..tiny_cfg(3) };
+        let fresh = || {
+            let mut s = DroneFrlSystem::new(cfg.clone()).unwrap();
+            s.pretrain().unwrap();
+            s
+        };
+        let plan = InjectionPlan::server(6, Ber::new(0.01).unwrap());
+        let mut whole = fresh();
+        whole.reseed_faults(5);
+        whole.train(12, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
+
+        let mut prefix = fresh();
+        prefix.train(6, None, None, &mut BatchInferCtx::new()).unwrap();
+        let snap = prefix.prefix().unwrap();
+        let stop = snap.stop();
+        assert_eq!(stop.episodes_done, 6);
+        assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
+        assert!((0..3).all(|i| prefix.agent(i).baseline() != 0.0), "the baselines are untested");
+        let mut forked = DroneFrlSystem::fork(&snap, 5).unwrap();
+        let shifted = InjectionPlan { episode: 0, ..plan };
+        forked.train(6, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
+
+        let bits = |s: &DroneFrlSystem, i: usize| -> Vec<u32> {
+            s.agent(i).network().snapshot().iter().map(|w| w.to_bits()).collect()
+        };
+        for i in 0..3 {
+            assert_eq!(bits(&whole, i), bits(&forked, i), "drone {i} weights");
+            assert_eq!(whole.agent(i).baseline().to_bits(), forked.agent(i).baseline().to_bits());
+        }
+        assert_eq!(whole.last_fault_records(), forked.last_fault_records());
+        assert!(!forked.last_fault_records().is_empty());
+        assert_eq!(
+            whole.safe_flight_distance(2).to_bits(),
+            forked.safe_flight_distance(2).to_bits()
+        );
+    }
+
+    #[test]
+    fn mitigation_waits_for_a_forks_first_aggregation() {
+        // A fork does not restore the server's consensus copy, which
+        // the checkpoint reads, so mitigated training must wait for a
+        // round that rewrites it.
+        let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
+        s.pretrain().unwrap();
+        let mit = TrainingMitigation::scaled(2);
+        let fresh = DroneFrlSystem::fork(&s.prefix().unwrap(), 1).unwrap();
+        assert!(!fresh.stale_consensus, "nothing was aggregated before this fork");
+        s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        let mut forked = DroneFrlSystem::fork(&s.prefix().unwrap(), 1).unwrap();
+        let ctx = &mut BatchInferCtx::new();
+        assert!(forked.train(1, None, Some(&mit), ctx).is_err());
+        forked.train(1, None, None, ctx).unwrap();
+        forked.train(1, None, Some(&mit), ctx).unwrap();
     }
 
     #[test]

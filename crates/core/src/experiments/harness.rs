@@ -2,11 +2,13 @@
 //! and the functions that evaluate them.
 //!
 //! A training-fault trial is a [`GridTrial`] / [`DroneTrial`] cell run
-//! by [`run_grid_trial_batched`] / [`run_drone_trial_batched`]. Both
-//! train and evaluate on a [`BatchInferCtx`] arena, the one production
-//! path (bit-identical to the per-observation test oracle
-//! [`frlfi_rl::run_episode`]). The `frlfi-campaign` orchestration crate
-//! runs every figure campaign through these trial functions, so a
+//! by [`run_grid_trial_batched`] / [`run_drone_trial_batched`], or by
+//! [`run_grid_cell_batched`] / [`run_drone_cell_batched`] forking from
+//! a campaign's [`Prefixes`]. All train and evaluate on a
+//! [`BatchInferCtx`] arena, the one production path (bit-identical to
+//! the per-observation test oracle [`frlfi_rl::run_episode`]). The
+//! `frlfi-campaign` orchestration crate runs every figure campaign
+//! through these trial functions, so a
 //! campaign's statistics depend only on its cells and master seed:
 //! identical trial spec + identical derived seed ⇒ identical trial
 //! value, and identical aggregation (see
@@ -15,12 +17,14 @@
 use std::sync::Arc;
 
 use crate::error::FrlfiError;
-pub use crate::experiments::prefix::GridPrefixes;
+pub use crate::experiments::prefix::Prefixes;
+use crate::experiments::prefix::{fork_episode, Chains, ForkTrial};
 use crate::experiments::{ber_label, SYSTEM_SEED};
+use crate::fleet::System;
 use crate::report::Table;
 use crate::{
-    DroneFrlSystem, DroneLayout, DroneSystemConfig, GridFrlSystem, GridLayout, GridSystemConfig,
-    InjectionPlan, ReprKind, Scale, TrainingMitigation,
+    DroneFrlSystem, DroneLayout, DroneSystemConfig, Fleet, GridFrlSystem, GridLayout,
+    GridSystemConfig, InjectionPlan, ReprKind, Scale, TrainingMitigation,
 };
 use frlfi_fault::{Ber, CellStats, FaultModel, FaultSide};
 use frlfi_federated::CommSchedule;
@@ -296,22 +300,36 @@ impl GridTrial {
     }
 }
 
-/// The latest episode at which a GridWorld trial can fork from its
-/// fault-free prefix: the injection episode; the whole run when no
-/// fault ever fires; and 0 for mitigated trials, whose detector and
-/// checkpoint state lives inside a single training call.
-pub(crate) fn fork_episode(t: &GridTrial) -> usize {
-    if t.mitigation.is_some() {
-        return 0;
+impl ForkTrial for GridTrial {
+    type Config = GridSystemConfig;
+
+    fn same_prefix(&self, other: &Self) -> bool {
+        self.system_config() == other.system_config()
     }
-    match t.fault.as_ref().and_then(TrialFault::plan) {
-        Some(p) if p.episode < t.total_episodes => p.episode,
-        _ => t.total_episodes,
+
+    fn episodes(&self) -> usize {
+        self.total_episodes
+    }
+
+    fn fault(&self) -> Option<&TrialFault> {
+        self.fault.as_ref()
+    }
+
+    fn mitigation(&self) -> Option<&TrainingMitigation> {
+        self.mitigation.as_ref()
+    }
+
+    fn system(&self) -> Result<GridFrlSystem, FrlfiError> {
+        GridFrlSystem::new(self.system_config())
+    }
+
+    fn chains(cache: &Prefixes) -> &Chains<Self> {
+        &cache.grid
     }
 }
 
 /// A campaign's prefix cache together with the campaign's cells.
-type Shared<'a> = Option<(&'a GridPrefixes, &'a [GridTrial])>;
+type Shared<'a, T> = Option<(&'a Prefixes, &'a [T])>;
 
 /// Evaluates one GridWorld trial: a pure function of `(trial, seed)`.
 /// Training runs through `ctx`'s cached-activation arena kernels
@@ -348,7 +366,7 @@ pub fn run_grid_cell_batched(
     cells: &[GridTrial],
     cell: usize,
     seed: u64,
-    prefixes: &GridPrefixes,
+    prefixes: &Prefixes,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
     grid_value(&cells[cell], seed, ctx, Some((prefixes, cells)))
@@ -358,9 +376,9 @@ fn grid_value(
     t: &GridTrial,
     seed: u64,
     ctx: &mut BatchInferCtx,
-    shared: Shared<'_>,
+    shared: Shared<'_, GridTrial>,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, ctx, shared)?;
+    let mut sys = trial_system(t, seed, ctx, shared)?;
     let _eval = frlfi_obs::span("eval");
     Ok(match t.metric {
         GridMetric::SuccessRatePct => sys.success_rate_batched(ctx) * 100.0,
@@ -371,8 +389,8 @@ fn grid_value(
     })
 }
 
-/// Builds, fault-injects and trains the system of one GridWorld trial,
-/// ready for greedy evaluation.
+/// Builds, fault-injects and trains the system of one trial, ready for
+/// evaluation.
 ///
 /// Training is a fault-free prefix, a fork of it with the trial's fault
 /// stream, then the suffix with the plan's episode shifted to the fork.
@@ -380,12 +398,12 @@ fn grid_value(
 /// at the deepest stop up to [`fork_episode`]; without it the trial
 /// trains its own prefix up to [`fork_episode`]. No prefix at all means
 /// a fresh system.
-fn grid_trial_system(
-    t: &GridTrial,
+fn trial_system<T: ForkTrial>(
+    t: &T,
     seed: u64,
     ctx: &mut BatchInferCtx,
-    shared: Shared<'_>,
-) -> Result<GridFrlSystem, FrlfiError> {
+    shared: Shared<'_, T>,
+) -> Result<System<T::Config>, FrlfiError> {
     // Observability only — the spans read the clock around training,
     // they cannot affect any trained value.
     let _train = frlfi_obs::span("train");
@@ -395,7 +413,7 @@ fn grid_trial_system(
         match shared {
             Some((prefixes, cells)) => prefixes.get(cells, t, at, ctx)?,
             None if at > 0 => {
-                let mut sys = GridFrlSystem::new(t.system_config())?;
+                let mut sys = t.system()?;
                 sys.train(at, None, None, ctx)?;
                 Some(Arc::new(sys.prefix()?))
             }
@@ -403,21 +421,20 @@ fn grid_trial_system(
         }
     };
     let mut sys = match prefix {
-        Some(prefix) => GridFrlSystem::fork(&prefix, seed)?,
+        Some(prefix) => Fleet::fork(&prefix, seed)?,
         None => {
-            let mut sys = GridFrlSystem::new(t.system_config())?;
+            let mut sys = t.system()?;
             sys.reseed_faults(seed);
             sys
         }
     };
     let from = sys.episodes_done();
     let plan = t
-        .fault
-        .as_ref()
+        .fault()
         .and_then(TrialFault::plan)
-        .filter(|_| at < t.total_episodes)
+        .filter(|_| at < t.episodes())
         .map(|p| InjectionPlan { episode: p.episode - from, ..p });
-    sys.train(t.total_episodes - from, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
+    sys.train(t.episodes() - from, plan.as_ref(), t.mitigation(), ctx)?;
     sys.eval_mode();
     Ok(sys)
 }
@@ -554,6 +571,58 @@ impl DroneTrial {
         self.dropout = Some(dropout);
         self
     }
+
+    /// The configuration of the system this trial fine-tunes.
+    pub(crate) fn system_config(&self) -> DroneSystemConfig {
+        DroneSystemConfig {
+            n_drones: self.n_drones,
+            seed: self.system_seed,
+            pretrain_episodes: 0,
+            comm: self.comm.schedule(),
+            layout: self.layout,
+            // An explicit motion seeds `sim.dynamic` directly; `None`
+            // keeps the system's normalization (default motion for
+            // dynamic layouts), bit-identical to the pre-motion-knob
+            // build.
+            sim: frlfi_envs::DroneConfig { dynamic: self.motion, ..Default::default() },
+            dropout: self.dropout,
+            ..Default::default()
+        }
+    }
+}
+
+impl ForkTrial for DroneTrial {
+    type Config = DroneSystemConfig;
+
+    /// The same system and the very same pre-trained weights (compared
+    /// by address: a campaign's cells share one [`PretrainedWeights`]).
+    fn same_prefix(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.weights, &other.weights) && self.system_config() == other.system_config()
+    }
+
+    fn episodes(&self) -> usize {
+        self.fine_tune_episodes
+    }
+
+    fn fault(&self) -> Option<&TrialFault> {
+        self.fault.as_ref()
+    }
+
+    fn mitigation(&self) -> Option<&TrainingMitigation> {
+        self.mitigation.as_ref()
+    }
+
+    /// The fleet, seeded from the shared pre-trained weights (whose
+    /// offline pre-training runs on its own arena the first time).
+    fn system(&self) -> Result<DroneFrlSystem, FrlfiError> {
+        let mut sys = DroneFrlSystem::new(self.system_config())?;
+        sys.set_fleet_weights(self.weights.get())?;
+        Ok(sys)
+    }
+
+    fn chains(cache: &Prefixes) -> &Chains<Self> {
+        &cache.drone
+    }
 }
 
 /// Evaluates one DroneNav trial: safe flight distance (m) after
@@ -571,43 +640,40 @@ pub fn run_drone_trial_batched(
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    let mut sys = drone_trial_system(t, seed, ctx)?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(sys.safe_flight_distance_batched(t.eval_attempts, ctx))
+    drone_value(t, seed, ctx, None)
 }
 
-/// Builds, fault-injects and fine-tunes the system of one DroneNav
-/// trial, ready for flight-distance evaluation. The shared offline
-/// pre-training behind [`PretrainedWeights`] runs on its own arena
-/// ([`DroneFrlSystem::pretrain`]).
-fn drone_trial_system(
+/// [`run_drone_trial_batched`] for cell `cell` of a campaign's `cells`,
+/// forking from the fault-free prefix in `prefixes` (trained there on
+/// first use). Bit-identical to [`run_drone_trial_batched`] on
+/// `cells[cell]`. This is the campaign runner's DroneNav work unit.
+///
+/// # Errors
+///
+/// As for [`run_grid_trial_batched`].
+///
+/// # Panics
+///
+/// Panics if `cell` is out of range.
+pub fn run_drone_cell_batched(
+    cells: &[DroneTrial],
+    cell: usize,
+    seed: u64,
+    prefixes: &Prefixes,
+    ctx: &mut BatchInferCtx,
+) -> Result<f64, FrlfiError> {
+    drone_value(&cells[cell], seed, ctx, Some((prefixes, cells)))
+}
+
+fn drone_value(
     t: &DroneTrial,
     seed: u64,
     ctx: &mut BatchInferCtx,
-) -> Result<DroneFrlSystem, FrlfiError> {
-    // Observability only — the span reads the clock around
-    // fine-tuning, it cannot affect any trained value.
-    let _train = frlfi_obs::span("train");
-    let mut sys = DroneFrlSystem::new(DroneSystemConfig {
-        n_drones: t.n_drones,
-        seed: t.system_seed,
-        pretrain_episodes: 0,
-        comm: t.comm.schedule(),
-        layout: t.layout,
-        // An explicit motion seeds `sim.dynamic` directly; `None`
-        // keeps the system's normalization (default motion for
-        // dynamic layouts), bit-identical to the pre-motion-knob
-        // build.
-        sim: frlfi_envs::DroneConfig { dynamic: t.motion, ..Default::default() },
-        dropout: t.dropout,
-        ..Default::default()
-    })?;
-    sys.set_fleet_weights(t.weights.get())?;
-    sys.reseed_faults(seed);
-    let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    sys.train(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
-    sys.eval_mode();
-    Ok(sys)
+    shared: Shared<'_, DroneTrial>,
+) -> Result<f64, FrlfiError> {
+    let mut sys = trial_system(t, seed, ctx, shared)?;
+    let _eval = frlfi_obs::span("eval");
+    Ok(sys.safe_flight_distance_batched(t.eval_attempts, ctx))
 }
 
 /// [`frlfi_fault::sweep`] over GridWorld trial cells, each trial on a
@@ -793,7 +859,7 @@ mod tests {
             let reused = run_grid_trial_batched(&t, seed, &mut ctx).unwrap();
             assert_eq!(reused.to_bits(), 100.0f64.to_bits(), "grid seed {seed}");
             assert_eq!(reused.to_bits(), grid(&t, seed).to_bits(), "grid seed {seed}");
-            let sys = grid_trial_system(&t, seed, &mut ctx, None).unwrap();
+            let sys = trial_system(&t, seed, &mut ctx, None).unwrap();
             assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
         }
 
@@ -810,7 +876,7 @@ mod tests {
             let reused = run_drone_trial_batched(&dt, seed, &mut ctx).unwrap();
             assert_eq!(reused.to_bits(), f64::to_bits(value), "drone seed {seed}");
             assert_eq!(reused.to_bits(), drone(&dt, seed).to_bits(), "drone seed {seed}");
-            let sys = drone_trial_system(&dt, seed, &mut ctx).unwrap();
+            let sys = trial_system(&dt, seed, &mut ctx, None).unwrap();
             assert_eq!(weight_digest(&sys.fleet_weights()), digest, "drone seed {seed}: weights");
         }
 
@@ -832,7 +898,7 @@ mod tests {
             (99, 0x8094_c63b_c012_e87b),
         ];
         for &(seed, digest) in &mitigated_pins {
-            let sys = drone_trial_system(&mt, seed, &mut ctx).unwrap();
+            let sys = trial_system(&mt, seed, &mut ctx, None).unwrap();
             assert_eq!(weight_digest(&sys.fleet_weights()), digest, "mitigated seed {seed}");
             let stats = sys.mitigation_stats();
             assert_eq!((stats.agent_detections, stats.server_detections), (2, 1), "seed {seed}");
@@ -859,13 +925,47 @@ mod tests {
         ];
         let mut ctx = BatchInferCtx::new();
         for &(seed, digest, detections) in &pins {
-            let sys = grid_trial_system(&t, seed, &mut ctx, None).unwrap();
+            let sys = trial_system(&t, seed, &mut ctx, None).unwrap();
             assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
             let stats = sys.mitigation_stats();
             assert_eq!(
                 (stats.agent_detections, stats.server_detections),
                 detections,
                 "grid seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn consensus_restore_reaches_skipped_round_checkpoints() {
+        // On a detected server fault the checkpoint restores every agent
+        // and the server's consensus copy. The next aggregation
+        // overwrites that copy unread, but a dropout-skipped round
+        // offers it to the checkpoint as it stands. With a checkpoint
+        // every 2 rounds such a round can store it, and a later
+        // detection restores from it. Without the consensus restore
+        // all three digests change.
+        let t = GridTrial { system_seed: 8, dropout: Some(0.4), ..GridTrial::new(3, 60) }
+            .with_mitigation(TrainingMitigation {
+                p_percent: 10.0,
+                k_consecutive: 2,
+                checkpoint_interval: 2,
+            })
+            .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 30, 0.1));
+        let pins = [
+            (3u64, 0x4cb9_0718_726c_8fb4u64, (5usize, 1usize)),
+            (17, 0xe6c4_7c05_c378_8d75, (8, 10)),
+            (99, 0x9fb7_386e_efcb_e727, (5, 1)),
+        ];
+        let mut ctx = BatchInferCtx::new();
+        for &(seed, digest, detections) in &pins {
+            let sys = trial_system(&t, seed, &mut ctx, None).unwrap();
+            assert_eq!(grid_fleet_digest(&sys), digest, "seed {seed}: trained weights");
+            let stats = sys.mitigation_stats();
+            assert_eq!(
+                (stats.agent_detections, stats.server_detections),
+                detections,
+                "seed {seed}"
             );
         }
     }

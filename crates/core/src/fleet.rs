@@ -4,7 +4,8 @@
 //! synchronized through a smoothing-average [`Server`].
 //! [`crate::GridFrlSystem`] and [`crate::DroneFrlSystem`] are aliases of
 //! it; each adds only its constructor, its evaluation and the parts
-//! that differ (GridWorld prefixes and forks, DroneNav pre-training).
+//! that differ (DroneNav pre-training). Both snapshot a fault-free run
+//! as a [`FleetPrefix`] and fork it ([`Fleet::fork`]) the same way.
 //!
 //! [`Fleet::train`] runs each episode in this order:
 //!
@@ -27,7 +28,9 @@
 //!    offered to the checkpoint;
 //! 4. with mitigation, the detector reads the episode's rewards and
 //!    restores the flagged agents (or, on a server fault, every agent
-//!    and the consensus) from the checkpoint.
+//!    and the consensus) from the checkpoint. The restored consensus is
+//!    what the checkpoint stores at the next round if that round is
+//!    skipped.
 
 use crate::error::FrlfiError;
 use crate::injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
@@ -39,6 +42,7 @@ use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{run_episode_batched, Learner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A federated fleet of `L` learners in `E` environments, configured by
 /// `C`: the training loop, fault injection and checkpoint mitigation
@@ -71,6 +75,10 @@ pub struct Fleet<L, E, C> {
     /// Whether the weights came from offline pre-training (DroneNav
     /// only; GridWorld agents train from their initialization).
     pub(crate) pretrained: bool,
+    /// Whether the server's consensus copy is not the last aggregated
+    /// round's: a fork does not restore it, and its first aggregating
+    /// round rewrites it.
+    pub(crate) stale_consensus: bool,
 }
 
 /// Checks a per-round dropout probability: it must lie in `[0, 1)`.
@@ -157,7 +165,10 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
     ///
     /// # Errors
     ///
-    /// Propagates training, aggregation or restore failures.
+    /// Returns [`FrlfiError::BadConfig`] for mitigated training of a
+    /// fork whose server has not aggregated since the fork: the
+    /// checkpoint reads the consensus copy, which a fork does not
+    /// restore. Propagates training, aggregation or restore failures.
     pub fn train(
         &mut self,
         episodes: usize,
@@ -165,6 +176,13 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         mitigation: Option<&TrainingMitigation>,
         ctx: &mut BatchInferCtx,
     ) -> Result<(), FrlfiError> {
+        if mitigation.is_some() && self.stale_consensus {
+            return Err(FrlfiError::BadConfig {
+                detail: "checkpoint mitigation reads the server consensus, which a fork \
+                         restores only at its first aggregating round"
+                    .into(),
+            });
+        }
         let n = self.agents.len();
         let mut detector =
             mitigation.map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, n));
@@ -300,6 +318,7 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         if !hook.records.is_empty() {
             self.last_records = hook.records;
         }
+        self.stale_consensus = false;
         self.comm_rounds += 1;
         Ok(())
     }
@@ -333,6 +352,244 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
             agent.network_mut().restore(snap).expect("snapshot length invariant");
         }
         out
+    }
+}
+
+/// A learner whose training state a [`FleetPrefix`] can carry.
+pub trait ForkLearner: Learner {
+    /// What training reads besides the weights and the episode index,
+    /// as it stands at an episode boundary.
+    type State: Clone;
+
+    /// The state to snapshot.
+    fn fork_state(&self) -> Self::State;
+
+    /// Restores a snapshot's state.
+    fn resume_state(&mut self, state: &Self::State);
+}
+
+/// A fleet's configuration: everything its system is built from.
+pub trait FleetConfig: Clone {
+    /// The agents' learner.
+    type Learner: ForkLearner;
+    /// The agents' environment.
+    type Env: Environment + Clone;
+
+    /// Builds the untrained fleet (the system's `new`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrlfiError::BadConfig`] for an invalid configuration.
+    fn build(self) -> Result<Fleet<Self::Learner, Self::Env, Self>, FrlfiError>;
+}
+
+/// The fleet a configuration `C` builds.
+pub(crate) type System<C> = Fleet<<C as FleetConfig>::Learner, <C as FleetConfig>::Env, C>;
+
+/// A compact snapshot of a fault-free [`Fleet`] at an episode boundary:
+/// every agent's weight plane and learner state plus the environment,
+/// server round, random-stream and counter state — everything a later
+/// [`Fleet::fork`] needs to continue training bit for bit.
+///
+/// Three things are not stored:
+/// - the fault stream: before any injection it only feeds one seed
+///   draw per aggregating round, which never touches the weights, so a
+///   fork reseeds it and replays `fault_draws` draws;
+/// - gradient buffers: every update zeroes them, so they are zero at
+///   every episode boundary;
+/// - the server's consensus copy: an aggregation overwrites it without
+///   reading it. Only checkpoint mitigation reads it, and
+///   [`Fleet::train`] refuses mitigation on a fork until its first
+///   aggregating round.
+pub struct FleetPrefix<C: FleetConfig> {
+    cfg: C,
+    /// Concatenated weight planes. This snapshot's start at `offset`,
+    /// every agent's in agent order. The snapshots a prefix chain
+    /// takes in one run share one block.
+    planes: Arc<PlaneBlock>,
+    offset: usize,
+    learner_states: Vec<<C::Learner as ForkLearner>::State>,
+    envs: Vec<C::Env>,
+    agent_rngs: Vec<StdRng>,
+    dropout_rng: StdRng,
+    server_round: usize,
+    stop: Stop,
+    mitigation_stats: MitigationStats,
+    pretrained: bool,
+}
+
+/// Where a [`FleetPrefix`] stands in training.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stop {
+    /// Training episodes completed.
+    pub episodes_done: usize,
+    /// Communication rounds completed, skipped dropout rounds included.
+    pub comm_rounds: usize,
+    /// Fault-stream draws taken by those rounds.
+    pub fault_draws: usize,
+}
+
+/// Counters only: the planes block is shared by a whole chain.
+impl<C: FleetConfig> std::fmt::Debug for FleetPrefix<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FleetPrefix")
+            .field("n_agents", &self.envs.len())
+            .field("stop", &self.stop)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<C: FleetConfig> FleetPrefix<C> {
+    /// Points this snapshot at the finished block its planes were
+    /// appended to (see [`Fleet::prefix_into`]).
+    pub(crate) fn set_planes(&mut self, block: Arc<PlaneBlock>) {
+        self.planes = block;
+    }
+
+    /// Where the snapshot was taken.
+    pub fn stop(&self) -> Stop {
+        self.stop
+    }
+}
+
+/// The weight planes of one or more [`FleetPrefix`] snapshots, in one
+/// allocation.
+///
+/// A dropped block parks its allocation in a process-wide one-slot
+/// spare, and the next block that fits reuses it. A chain's block is
+/// big enough for the allocator to map it apart from the heap, and
+/// glibc raises its mapping threshold whenever such a mapping is freed,
+/// so without the spare the next campaign's block would land inside a
+/// worker thread's heap and stay resident there after it is freed. The
+/// spare holds at most the largest block seen.
+#[derive(Default)]
+pub(crate) struct PlaneBlock(Vec<f32>);
+
+static SPARE_BLOCK: Mutex<Vec<f32>> = Mutex::new(Vec::new());
+
+impl PlaneBlock {
+    /// An empty block with room for `n` values.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        if spare.capacity() >= n {
+            spare.clear();
+            PlaneBlock(std::mem::take(&mut *spare))
+        } else {
+            PlaneBlock(Vec::with_capacity(n))
+        }
+    }
+}
+
+impl std::ops::Deref for PlaneBlock {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
+
+impl Drop for PlaneBlock {
+    fn drop(&mut self) {
+        // The spare only ever holds a whole, cleared-on-reuse vector, so
+        // a poisoned lock still guards valid data.
+        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.0.capacity() > spare.capacity() {
+            *spare = std::mem::take(&mut self.0);
+        }
+    }
+}
+
+impl<C: FleetConfig> Fleet<C::Learner, C::Env, C> {
+    /// Snapshots this fleet for [`Fleet::fork`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrlfiError::BadConfig`] once an injection plan has
+    /// fired: it drew from the fault stream outside the counted
+    /// communication draws, so no fork could replay it.
+    pub fn prefix(&self) -> Result<FleetPrefix<C>, FrlfiError> {
+        let mut block = PlaneBlock::with_capacity(self.planes_len());
+        let mut prefix = self.prefix_into(&mut block)?;
+        prefix.set_planes(Arc::new(block));
+        Ok(prefix)
+    }
+
+    /// Length of a snapshot's planes: every agent's weights.
+    pub(crate) fn planes_len(&self) -> usize {
+        self.agents.len() * self.agents[0].network().param_count()
+    }
+
+    /// [`Fleet::prefix`] with the weight planes appended to `block`;
+    /// the snapshot is usable once [`FleetPrefix::set_planes`] hands it
+    /// the finished block. Chains of snapshots share one block: one
+    /// allocation, freed as one.
+    pub(crate) fn prefix_into(&self, block: &mut PlaneBlock) -> Result<FleetPrefix<C>, FrlfiError> {
+        if self.injected {
+            return Err(FrlfiError::BadConfig {
+                detail: "a fault-injected system is not a fault-free prefix".into(),
+            });
+        }
+        let offset = block.len();
+        for agent in &self.agents {
+            block.0.extend(agent.network().snapshot());
+        }
+        Ok(FleetPrefix {
+            cfg: self.cfg.clone(),
+            planes: Arc::default(),
+            offset,
+            learner_states: self.agents.iter().map(ForkLearner::fork_state).collect(),
+            envs: self.envs.clone(),
+            agent_rngs: self.agent_rngs.clone(),
+            dropout_rng: self.dropout_rng.clone(),
+            server_round: self.server.as_ref().map_or(0, Server::round),
+            stop: Stop {
+                episodes_done: self.episodes_done,
+                comm_rounds: self.comm_rounds,
+                fault_draws: self.fault_draws,
+            },
+            mitigation_stats: self.mitigation_stats,
+            pretrained: self.pretrained,
+        })
+    }
+
+    /// Rebuilds the fleet `prefix` was taken from, with its fault
+    /// stream reseeded to `fault_seed` and advanced past the prefix's
+    /// draws — bit-identical to a fleet that was reseeded with
+    /// `fault_seed` before training and then trained the same prefix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors.
+    pub fn fork(prefix: &FleetPrefix<C>, fault_seed: u64) -> Result<Self, FrlfiError> {
+        let mut sys = prefix.cfg.clone().build()?;
+        let n = sys.agents[0].network().param_count();
+        let planes = &prefix.planes[prefix.offset..prefix.offset + sys.planes_len()];
+        let agents = sys.agents.iter_mut().zip(planes.chunks_exact(n));
+        for ((agent, plane), state) in agents.zip(&prefix.learner_states) {
+            agent.network_mut().restore(plane)?;
+            agent.resume_state(state);
+            // `train` sets the episode before each one it runs.
+            agent.set_episode(prefix.stop.episodes_done.saturating_sub(1));
+        }
+        if let Some(server) = sys.server.as_mut() {
+            server.resume(prefix.server_round);
+            // Before any aggregation the consensus is the fresh
+            // server's, as in the run the prefix was taken from.
+            sys.stale_consensus = prefix.server_round > 0;
+        }
+        sys.envs.clone_from(&prefix.envs);
+        sys.agent_rngs.clone_from(&prefix.agent_rngs);
+        sys.dropout_rng = prefix.dropout_rng.clone();
+        sys.episodes_done = prefix.stop.episodes_done;
+        sys.comm_rounds = prefix.stop.comm_rounds;
+        sys.fault_draws = prefix.stop.fault_draws;
+        sys.mitigation_stats = prefix.mitigation_stats;
+        sys.pretrained = prefix.pretrained;
+        sys.reseed_faults(fault_seed);
+        for _ in 0..prefix.stop.fault_draws {
+            let _: u64 = sys.rng.gen();
+        }
+        Ok(sys)
     }
 }
 

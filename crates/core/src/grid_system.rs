@@ -1,6 +1,6 @@
 use crate::config::{GridLayout, GridSystemConfig};
 use crate::error::FrlfiError;
-use crate::fleet::{check_dropout, Fleet};
+use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner};
 use crate::injection::{MitigationStats, ReprKind};
 use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
@@ -13,7 +13,6 @@ use frlfi_rl::{
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// The complete federated GridWorld system of §IV-A: `n` Q-learning
 /// agents, each in its own 10×10 maze, synchronized through a smoothing
@@ -37,114 +36,22 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// ```
 pub type GridFrlSystem = Fleet<QLearner, GridWorld, GridSystemConfig>;
 
-/// A compact snapshot of a fault-free [`GridFrlSystem`] at an episode
-/// boundary: every agent's weight plane plus the environment, server,
-/// random-stream and counter state — everything a later
-/// [`GridFrlSystem::fork`] needs to continue training bit for bit.
-///
-/// The fault stream is not stored: before any injection it only feeds
-/// one seed draw per aggregating round, which never touches the
-/// weights, so a fork reseeds it and replays `fault_draws` draws.
-/// Gradient buffers are not stored either: `apply_grads` zeroes them,
-/// so they are zero at every episode boundary.
-#[derive(Clone)]
-pub struct GridPrefix {
-    cfg: GridSystemConfig,
-    /// Concatenated weight planes. This snapshot's start at `offset`:
-    /// every agent's, in agent order, then the server's consensus copy.
-    /// The snapshots a prefix chain takes in one run share one block.
-    planes: Arc<PlaneBlock>,
-    offset: usize,
-    envs: Vec<GridWorld>,
-    agent_rngs: Vec<StdRng>,
-    dropout_rng: StdRng,
-    server_round: usize,
-    episodes_done: usize,
-    comm_rounds: usize,
-    fault_draws: usize,
-    mitigation_stats: MitigationStats,
-}
+impl FleetConfig for GridSystemConfig {
+    type Learner = QLearner;
+    type Env = GridWorld;
 
-/// The weight planes of one or more [`GridPrefix`] snapshots, in one
-/// allocation.
-///
-/// A dropped block parks its allocation in a process-wide one-slot
-/// spare, and the next block that fits reuses it. A chain's block is
-/// big enough for the allocator to map it apart from the heap, and
-/// glibc raises its mapping threshold whenever such a mapping is freed,
-/// so without the spare the next campaign's block would land inside a
-/// worker thread's heap and stay resident there after it is freed. The
-/// spare holds at most the largest block seen.
-#[derive(Default)]
-pub(crate) struct PlaneBlock(Vec<f32>);
-
-static SPARE_BLOCK: Mutex<Vec<f32>> = Mutex::new(Vec::new());
-
-impl PlaneBlock {
-    /// An empty block with room for `n` values.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        if spare.capacity() >= n {
-            spare.clear();
-            PlaneBlock(std::mem::take(&mut *spare))
-        } else {
-            PlaneBlock(Vec::with_capacity(n))
-        }
+    fn build(self) -> Result<GridFrlSystem, FrlfiError> {
+        GridFrlSystem::new(self)
     }
 }
 
-impl std::ops::Deref for PlaneBlock {
-    type Target = [f32];
+/// A Q-learner's weights and episode index are its whole state.
+impl ForkLearner for QLearner {
+    type State = ();
 
-    fn deref(&self) -> &[f32] {
-        &self.0
-    }
-}
+    fn fork_state(&self) {}
 
-impl Drop for PlaneBlock {
-    fn drop(&mut self) {
-        // The spare only ever holds a whole, cleared-on-reuse vector, so
-        // a poisoned lock still guards valid data.
-        let mut spare = SPARE_BLOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.0.capacity() > spare.capacity() {
-            *spare = std::mem::take(&mut self.0);
-        }
-    }
-}
-
-/// Counters only: the planes block is shared by a whole chain.
-impl std::fmt::Debug for GridPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GridPrefix")
-            .field("n_agents", &self.cfg.n_agents)
-            .field("episodes_done", &self.episodes_done)
-            .field("comm_rounds", &self.comm_rounds)
-            .field("fault_draws", &self.fault_draws)
-            .finish_non_exhaustive()
-    }
-}
-
-impl GridPrefix {
-    /// Points this snapshot at the finished block its planes were
-    /// appended to (see [`GridFrlSystem::prefix_into`]).
-    pub(crate) fn set_planes(&mut self, block: Arc<PlaneBlock>) {
-        self.planes = block;
-    }
-
-    /// Training episodes completed when the snapshot was taken.
-    pub fn episodes_done(&self) -> usize {
-        self.episodes_done
-    }
-
-    /// Communication rounds completed, skipped dropout rounds included.
-    pub fn comm_rounds(&self) -> usize {
-        self.comm_rounds
-    }
-
-    /// Fault-stream draws taken by those rounds.
-    pub fn fault_draws(&self) -> usize {
-        self.fault_draws
-    }
+    fn resume_state(&mut self, _: &()) {}
 }
 
 impl GridFrlSystem {
@@ -210,95 +117,8 @@ impl GridFrlSystem {
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
             pretrained: false,
+            stale_consensus: false,
         })
-    }
-
-    /// Snapshots this system for [`GridFrlSystem::fork`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrlfiError::BadConfig`] once an injection plan has
-    /// fired: it drew from the fault stream outside the counted
-    /// communication draws, so no fork could replay it.
-    pub fn prefix(&self) -> Result<GridPrefix, FrlfiError> {
-        let mut block = PlaneBlock::with_capacity(self.planes_len());
-        let mut prefix = self.prefix_into(&mut block)?;
-        prefix.set_planes(Arc::new(block));
-        Ok(prefix)
-    }
-
-    /// Length of a snapshot's planes: every agent's weights plus the
-    /// server's consensus copy.
-    pub(crate) fn planes_len(&self) -> usize {
-        (self.cfg.n_agents + usize::from(self.server.is_some()))
-            * self.agents[0].network().param_count()
-    }
-
-    /// [`GridFrlSystem::prefix`] with the weight planes appended to
-    /// `block`; the snapshot is usable once
-    /// [`GridPrefix::set_planes`] hands it the finished block. Chains of
-    /// snapshots share one block: one allocation, freed as one.
-    pub(crate) fn prefix_into(&self, block: &mut PlaneBlock) -> Result<GridPrefix, FrlfiError> {
-        if self.injected {
-            return Err(FrlfiError::BadConfig {
-                detail: "a fault-injected system is not a fault-free prefix".into(),
-            });
-        }
-        let offset = block.len();
-        for agent in &self.agents {
-            block.0.extend(agent.network().snapshot());
-        }
-        if let Some(server) = &self.server {
-            block.0.extend_from_slice(server.consensus());
-        }
-        Ok(GridPrefix {
-            cfg: self.cfg.clone(),
-            planes: Arc::default(),
-            offset,
-            envs: self.envs.clone(),
-            agent_rngs: self.agent_rngs.clone(),
-            dropout_rng: self.dropout_rng.clone(),
-            server_round: self.server.as_ref().map_or(0, Server::round),
-            episodes_done: self.episodes_done,
-            comm_rounds: self.comm_rounds,
-            fault_draws: self.fault_draws,
-            mitigation_stats: self.mitigation_stats,
-        })
-    }
-
-    /// Rebuilds the system `prefix` was taken from, with its fault
-    /// stream reseeded to `fault_seed` and advanced past the prefix's
-    /// draws — bit-identical to a system that was reseeded with
-    /// `fault_seed` before training and then trained the same prefix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors.
-    pub fn fork(prefix: &GridPrefix, fault_seed: u64) -> Result<Self, FrlfiError> {
-        let mut sys = GridFrlSystem::new(prefix.cfg.clone())?;
-        let n = sys.agents[0].network().param_count();
-        let planes = &prefix.planes[prefix.offset..prefix.offset + sys.planes_len()];
-        let mut planes = planes.chunks_exact(n);
-        for (agent, plane) in sys.agents.iter_mut().zip(&mut planes) {
-            agent.network_mut().restore(plane)?;
-            // `train` sets the episode before each one it runs.
-            agent.set_episode(prefix.episodes_done.saturating_sub(1));
-        }
-        if let (Some(server), Some(consensus)) = (sys.server.as_mut(), planes.next()) {
-            server.resume(prefix.server_round, consensus);
-        }
-        sys.envs.clone_from(&prefix.envs);
-        sys.agent_rngs.clone_from(&prefix.agent_rngs);
-        sys.dropout_rng = prefix.dropout_rng.clone();
-        sys.episodes_done = prefix.episodes_done;
-        sys.comm_rounds = prefix.comm_rounds;
-        sys.fault_draws = prefix.fault_draws;
-        sys.mitigation_stats = prefix.mitigation_stats;
-        sys.reseed_faults(fault_seed);
-        for _ in 0..prefix.fault_draws {
-            let _: u64 = sys.rng.gen();
-        }
-        Ok(sys)
     }
 
     /// Average success rate of all agents under greedy exploitation —
@@ -781,8 +601,9 @@ mod tests {
         let mut prefix = GridFrlSystem::new(cfg).unwrap();
         prefix.train(20, None, None, &mut BatchInferCtx::new()).unwrap();
         let snap = prefix.prefix().unwrap();
-        assert_eq!(snap.episodes_done(), 20);
-        assert!(snap.fault_draws() < snap.comm_rounds(), "no round was skipped");
+        let stop = snap.stop();
+        assert_eq!(stop.episodes_done, 20);
+        assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
         let mut forked = GridFrlSystem::fork(&snap, 5).unwrap();
         let shifted = InjectionPlan { episode: 0, ..plan };
         forked.train(20, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();

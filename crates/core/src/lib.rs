@@ -51,8 +51,8 @@ pub mod report;
 pub use config::{DroneLayout, DroneSystemConfig, GridLayout, GridSystemConfig, Scale};
 pub use drone_system::DroneFrlSystem;
 pub use error::FrlfiError;
-pub use fleet::Fleet;
-pub use grid_system::{GridFrlSystem, GridPrefix};
+pub use fleet::{Fleet, FleetConfig, FleetPrefix, ForkLearner, Stop};
+pub use grid_system::GridFrlSystem;
 pub use injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
 pub use metrics::{policy_action_std, policy_differentiation, success_rate_of};
 

@@ -83,16 +83,12 @@ impl Server {
         &mut self.consensus
     }
 
-    /// Resumes from saved state: `round` completed rounds (which fix
-    /// the annealed self-weight) and the consensus copy `consensus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `consensus` differs in length from the server's
-    /// parameter count.
-    pub fn resume(&mut self, round: usize, consensus: &[f32]) {
+    /// Resumes after `round` completed rounds, which fix the annealed
+    /// self-weight. The consensus copy is left as it is: the next
+    /// aggregation overwrites it without reading it, so until then it
+    /// is not the last round's mean.
+    pub fn resume(&mut self, round: usize) {
         self.round = round;
-        self.consensus.copy_from_slice(consensus);
     }
 
     /// Performs one aggregation round without fault hooks.
@@ -393,7 +389,9 @@ mod tests {
         let mut a = Server::new(3, 2).unwrap();
         a.aggregate(&uploads).unwrap();
         let mut b = Server::new(3, 2).unwrap();
-        b.resume(a.round(), a.consensus());
+        b.resume(a.round());
+        // The consensus is not restored, and the next round rewrites it.
+        assert_ne!(a.consensus(), b.consensus());
         assert_eq!(a.aggregate(&uploads).unwrap(), b.aggregate(&uploads).unwrap());
         assert_eq!((a.round(), a.consensus()), (b.round(), b.consensus()));
     }

@@ -101,6 +101,12 @@ impl Reinforce {
         self.baseline
     }
 
+    /// Sets the reward baseline, e.g. to resume training from a
+    /// snapshot taken at an episode boundary.
+    pub fn set_baseline(&mut self, baseline: f32) {
+        self.baseline = baseline;
+    }
+
     /// The per-episode REINFORCE update on `ctx`'s cached-activation
     /// arena: the kept steps run as batched forwards and backwards of
     /// **at most 32 rows each**, however long the episode. For a
