@@ -22,8 +22,9 @@ fn fig3_cell(c: &mut Criterion) {
             };
             let mut sys = GridFrlSystem::new(cfg).expect("valid config");
             let plan = InjectionPlan::server(60, Ber::new(0.01).expect("ber"));
-            sys.train(120, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
-            black_box(sys.success_rate())
+            let ctx = &mut BatchInferCtx::new();
+            sys.train(120, Some(&plan), None, ctx).expect("training");
+            black_box(sys.success_rate(ctx))
         })
     });
 }
@@ -38,6 +39,7 @@ fn fig4_cell(c: &mut Criterion) {
     let mut sys = GridFrlSystem::new(cfg).expect("valid config");
     sys.train(150, None, None, &mut BatchInferCtx::new()).expect("training");
     c.bench_function("fig4_cell_static_inference_fault", |b| {
+        let ctx = &mut BatchInferCtx::new();
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
@@ -46,7 +48,7 @@ fn fig4_cell(c: &mut Criterion) {
                 Ber::new(0.01).expect("ber"),
                 ReprKind::Int8,
                 seed,
-                |s| s.success_rate(),
+                |s| s.success_rate(ctx),
             ))
         })
     });
@@ -68,8 +70,9 @@ fn fig5_cell(c: &mut Criterion) {
             sys.pretrain().expect("pretrain");
             let plan =
                 InjectionPlan::server(1, Ber::new(1e-3).expect("ber")).with_repr(ReprKind::F32);
-            sys.train(4, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
-            black_box(sys.safe_flight_distance(1))
+            let ctx = &mut BatchInferCtx::new();
+            sys.train(4, Some(&plan), None, ctx).expect("fine-tune");
+            black_box(sys.safe_flight_distance(1, ctx))
         })
     });
     group.finish();

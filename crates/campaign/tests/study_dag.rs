@@ -100,22 +100,32 @@ fn fig8b_drone_study_matches_its_sequential_driver_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The committed golden the CI multi-process and chaos legs diff
-/// against. If a deliberate change moves these numbers, regenerate
-/// `tests/data/fig4_smoke_summary.txt` from
-/// `campaign run fig4 --scale smoke` and say so in the PR.
+/// The committed goldens CI diffs `campaign run <name> --scale smoke`
+/// against. They were rendered on the sequential evaluators the
+/// lock-step ones replaced, so they pin the study results
+/// independently of the `eval_cell` path that the campaign and the
+/// sequential driver share. `layers` reads 100.0 in every cell at
+/// smoke, so it has none. If a deliberate change moves these numbers,
+/// regenerate `tests/data/<name>_smoke_summary.txt` and say so in its
+/// change log entry.
 #[test]
-fn committed_fig4_golden_matches_the_sequential_driver() {
-    let committed = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/fig4_smoke_summary.txt"
-    ))
-    .expect("committed golden tests/data/fig4_smoke_summary.txt");
-    assert_eq!(
-        driver_table(StudyKind::Fig4),
-        committed,
-        "tests/data/fig4_smoke_summary.txt is stale — regenerate it if the change is intended"
-    );
+fn committed_study_goldens_match_the_sequential_driver() {
+    for (name, kind) in [
+        ("fig4", StudyKind::Fig4),
+        ("fig8a", StudyKind::Fig8Grid),
+        ("fig8b", StudyKind::Fig8Drone),
+        ("datatypes", StudyKind::Datatypes),
+    ] {
+        let path =
+            format!("{}/../../tests/data/{name}_smoke_summary.txt", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("committed golden {path}: {e}"));
+        assert_eq!(
+            driver_table(kind),
+            committed,
+            "{path} is stale — regenerate it if the change is intended"
+        );
+    }
 }
 
 #[test]

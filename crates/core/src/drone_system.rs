@@ -2,7 +2,7 @@ use crate::config::{DroneLayout, DroneSystemConfig};
 use crate::error::FrlfiError;
 use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner};
 use crate::injection::MitigationStats;
-use frlfi_envs::{DroneConfig, DroneSim, Environment, ObstacleMotion};
+use frlfi_envs::{DroneConfig, DroneSim, ObstacleMotion};
 use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{run_episode_batched, run_greedy_episodes_batch, Learner, Reinforce};
@@ -29,8 +29,9 @@ use rand::SeedableRng;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut sys = DroneFrlSystem::new(DroneSystemConfig::default())?;
 /// sys.pretrain()?;
-/// sys.train(40, None, None, &mut BatchInferCtx::new())?;
-/// println!("distance = {:.0} m", sys.safe_flight_distance(4));
+/// let ctx = &mut BatchInferCtx::new();
+/// sys.train(40, None, None, ctx)?;
+/// println!("distance = {:.0} m", sys.safe_flight_distance(4, ctx));
 /// # Ok(())
 /// # }
 /// ```
@@ -182,57 +183,20 @@ impl DroneFrlSystem {
     /// exploitation, over `attempts` evaluation corridors per drone.
     /// Evaluation uses the full step budget of `cfg.sim` regardless of
     /// the (shorter) training cap.
-    pub fn safe_flight_distance(&mut self, attempts: usize) -> f64 {
-        let mut ctx = BatchInferCtx::new();
-        let mut total = 0.0;
-        let mut count = 0;
-        for i in 0..self.cfg.n_drones {
-            for a in 0..attempts {
-                let seed = derive_seed(self.cfg.seed, 0xEA17 + (i * attempts + a) as u64);
-                let mut env = DroneSim::new(self.cfg.sim, seed);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x1);
-                let mut state = env.reset(&mut rng);
-                loop {
-                    let action = self.agents[i]
-                        .act_greedy_ctx(&state, &mut ctx)
-                        .expect("drone policy and observation shapes are fixed at construction");
-                    let step = env.step(action, &mut rng);
-                    state = step.state;
-                    if step.outcome.is_terminal() {
-                        break;
-                    }
-                }
-                total += env.distance() as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    /// [`DroneFrlSystem::safe_flight_distance`] on the **batched**
-    /// inference fast path: each drone's `attempts` evaluation
-    /// corridors run in lock-step, one batched forward per step over
-    /// the drone's conv policy ([`frlfi_rl::run_greedy_episodes_batch`]),
-    /// retiring finished corridors from the batch. Every batched action
-    /// is bit-identical to single-observation greedy selection and
-    /// every corridor keeps its own seed-derived environment and RNG
-    /// streams, so the returned distance matches
-    /// [`DroneFrlSystem::safe_flight_distance`] bit for bit.
-    pub fn safe_flight_distance_batched(
-        &mut self,
-        attempts: usize,
-        ctx: &mut BatchInferCtx,
-    ) -> f64 {
+    ///
+    /// Each drone's corridors run in lock-step on `ctx`, one batched
+    /// forward per step over the drone's conv policy
+    /// ([`frlfi_rl::run_greedy_episodes_batch`]), retiring finished
+    /// corridors from the batch. Every batched action is bit-identical
+    /// to single-observation greedy selection and every corridor keeps
+    /// its own seed-derived environment and RNG streams, so the distance
+    /// is the one corridor-by-corridor flights would give, bit for bit.
+    pub fn safe_flight_distance(&mut self, attempts: usize, ctx: &mut BatchInferCtx) -> f64 {
         let mut total = 0.0;
         let mut count = 0;
         for i in 0..self.cfg.n_drones {
             // One derivation per corridor, shared by its env and RNG,
-            // so the pair can never desynchronize from the sequential
-            // path's seed scheme.
+            // so the pair cannot desynchronize.
             let seeds: Vec<u64> = (0..attempts)
                 .map(|a| derive_seed(self.cfg.seed, 0xEA17 + (i * attempts + a) as u64))
                 .collect();
@@ -242,8 +206,8 @@ impl DroneFrlSystem {
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s ^ 0x1)).collect();
             run_greedy_episodes_batch(&mut self.agents[i], &mut envs, &mut rngs, ctx)
                 .expect("drone policy and observation shapes are fixed at construction");
-            // Sum in the exact (drone, attempt) order of the sequential
-            // path so the mean folds identically.
+            // Sum in (drone, attempt) order, so the mean folds as
+            // corridor-by-corridor flights would.
             for env in &envs {
                 total += env.distance() as f64;
                 count += 1;
@@ -261,8 +225,41 @@ impl DroneFrlSystem {
 mod tests {
     use super::*;
     use crate::{InjectionPlan, ReprKind, TrainingMitigation};
+    use frlfi_envs::Environment;
     use frlfi_fault::{Ber, FaultModel};
     use frlfi_rl::run_episode;
+
+    /// The corridor-by-corridor flight distance: the oracle the
+    /// lock-step [`DroneFrlSystem::safe_flight_distance`] must match
+    /// bit for bit.
+    fn safe_flight_distance_sequential(s: &mut DroneFrlSystem, attempts: usize) -> f64 {
+        let mut ctx = BatchInferCtx::new();
+        let mut total = 0.0;
+        let mut count = 0;
+        for i in 0..s.cfg.n_drones {
+            for a in 0..attempts {
+                let seed = derive_seed(s.cfg.seed, 0xEA17 + (i * attempts + a) as u64);
+                let mut env = DroneSim::new(s.cfg.sim, seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x1);
+                let mut state = env.reset(&mut rng);
+                loop {
+                    let action = s.agents[i].act_greedy_ctx(&state, &mut ctx).unwrap();
+                    let step = env.step(action, &mut rng);
+                    state = step.state;
+                    if step.outcome.is_terminal() {
+                        break;
+                    }
+                }
+                total += env.distance() as f64;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            total / count as f64
+        }
+    }
 
     fn tiny_cfg(n: usize) -> DroneSystemConfig {
         DroneSystemConfig {
@@ -317,7 +314,7 @@ mod tests {
     #[test]
     fn flight_distance_is_positive_and_bounded() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
-        let d = s.safe_flight_distance(1);
+        let d = s.safe_flight_distance(1, &mut BatchInferCtx::new());
         let max = s.config().sim.max_steps as f64 * s.config().sim.speed as f64;
         assert!(d > 0.0 && d <= max, "distance {d} out of range (max {max})");
     }
@@ -327,9 +324,10 @@ mod tests {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
         s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        let ctx = &mut BatchInferCtx::new();
         for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance(attempts);
-            let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
+            let seq = safe_flight_distance_sequential(&mut s, attempts);
+            let bat = s.safe_flight_distance(attempts, ctx);
             assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
         }
     }
@@ -386,7 +384,7 @@ mod tests {
         assert!(s.config().sim.dynamic.is_some(), "layout must switch the sim to dynamic mode");
         s.pretrain().unwrap();
         s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
-        let d = s.safe_flight_distance(1);
+        let d = s.safe_flight_distance(1, &mut BatchInferCtx::new());
         let max = s.config().sim.max_steps as f64 * s.config().sim.speed as f64;
         assert!(d > 0.0 && d <= max, "distance {d} out of range (max {max})");
     }
@@ -403,7 +401,7 @@ mod tests {
         let run = |layout: DroneLayout| {
             let mut s =
                 DroneFrlSystem::new(DroneSystemConfig { layout, sim, ..tiny_cfg(2) }).unwrap();
-            s.safe_flight_distance(4)
+            s.safe_flight_distance(4, &mut BatchInferCtx::new())
         };
         assert_ne!(
             run(DroneLayout::Standard).to_bits(),
@@ -421,9 +419,10 @@ mod tests {
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         s.pretrain().unwrap();
         s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        let ctx = &mut BatchInferCtx::new();
         for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance(attempts);
-            let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
+            let seq = safe_flight_distance_sequential(&mut s, attempts);
+            let bat = s.safe_flight_distance(attempts, ctx);
             assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
         }
     }
@@ -495,9 +494,10 @@ mod tests {
         }
         assert_eq!(whole.last_fault_records(), forked.last_fault_records());
         assert!(!forked.last_fault_records().is_empty());
+        let ctx = &mut BatchInferCtx::new();
         assert_eq!(
-            whole.safe_flight_distance(2).to_bits(),
-            forked.safe_flight_distance(2).to_bits()
+            whole.safe_flight_distance(2, ctx).to_bits(),
+            forked.safe_flight_distance(2, ctx).to_bits()
         );
     }
 
@@ -528,7 +528,7 @@ mod tests {
             Ber::new(0.001).unwrap(),
             ReprKind::F32,
             3,
-            |sys| sys.safe_flight_distance(1),
+            |sys| sys.safe_flight_distance(1, &mut BatchInferCtx::new()),
         );
         assert_eq!(s.agent(0).network().snapshot(), before);
     }

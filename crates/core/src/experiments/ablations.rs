@@ -44,9 +44,9 @@ pub fn checkpoint_interval(scale: Scale) -> Table {
             checkpoint_interval: interval,
             ..TrainingMitigation::scaled(scale.pick(4, 8, 50))
         };
-        sys.train(episodes, Some(&plan), Some(&mitigation), &mut BatchInferCtx::new())
-            .expect("training");
-        sys.success_rate() * 100.0
+        let ctx = &mut BatchInferCtx::new();
+        sys.train(episodes, Some(&plan), Some(&mitigation), ctx).expect("training");
+        sys.success_rate(ctx) * 100.0
     });
 
     let mut table = Table::new(
@@ -82,14 +82,10 @@ pub fn detector_window(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = InjectionPlan::server(inject_ep, Ber::new(0.2).expect("ber"));
-        sys.train(
-            episodes,
-            Some(&plan),
-            Some(&TrainingMitigation::scaled(k)),
-            &mut BatchInferCtx::new(),
-        )
-        .expect("training");
-        sys.success_rate() * 100.0
+        let ctx = &mut BatchInferCtx::new();
+        sys.train(episodes, Some(&plan), Some(&TrainingMitigation::scaled(k)), ctx)
+            .expect("training");
+        sys.success_rate(ctx) * 100.0
     });
 
     let mut table = Table::new(
@@ -113,6 +109,7 @@ pub fn range_margin(scale: Scale) -> Table {
     let repeats = scale.pick(3, 8, 100);
     let margins = [0.0f32, 0.05, 0.10, 0.25, 0.50];
     let ber = Ber::new(0.02).expect("ber");
+    let ctx = &mut BatchInferCtx::new();
 
     let mut table = Table::new(
         "Ablation: range-detector margin vs mitigated SR (%) at BER 2% (f32 surface)",
@@ -140,7 +137,7 @@ pub fn range_margin(scale: Scale) -> Table {
                         repaired += det.repair(frlfi_rl::Learner::network_mut(s.agent_mut(i)));
                     }
                     repair_sum += repaired as f64 / n_agents as f64;
-                    s.success_rate()
+                    s.success_rate(ctx)
                 },
             );
         }
@@ -182,8 +179,9 @@ pub fn alpha_annealing(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
-        sys.train(episodes, plan.as_ref(), None, &mut BatchInferCtx::new()).expect("training");
-        sys.success_rate() * 100.0
+        let ctx = &mut BatchInferCtx::new();
+        sys.train(episodes, plan.as_ref(), None, ctx).expect("training");
+        sys.success_rate(ctx) * 100.0
     });
 
     let mut table = Table::new(
@@ -223,8 +221,9 @@ pub fn comm_interval_recovery(scale: Scale) -> Table {
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
-        sys.train(episodes, plan.as_ref(), None, &mut BatchInferCtx::new()).expect("training");
-        sys.success_rate() * 100.0
+        let ctx = &mut BatchInferCtx::new();
+        sys.train(episodes, plan.as_ref(), None, ctx).expect("training");
+        sys.success_rate(ctx) * 100.0
     });
 
     let mut table = Table::new(

@@ -333,8 +333,8 @@ type Shared<'a, T> = Option<(&'a Prefixes, &'a [T])>;
 
 /// Evaluates one GridWorld trial: a pure function of `(trial, seed)`.
 /// Training runs through `ctx`'s cached-activation arena kernels
-/// ([`GridFrlSystem::train`]) and the post-training evaluation through
-/// lock-step batched forwards ([`GridFrlSystem::success_rate_batched`]).
+/// ([`GridFrlSystem::train`]) and the post-training evaluation on the
+/// same arena ([`GridFrlSystem::success_rate`]).
 /// Campaign workers reuse one context across all their trials.
 ///
 /// # Errors
@@ -381,7 +381,7 @@ fn grid_value(
     let mut sys = trial_system(t, seed, ctx, shared)?;
     let _eval = frlfi_obs::span("eval");
     Ok(match t.metric {
-        GridMetric::SuccessRatePct => sys.success_rate_batched(ctx) * 100.0,
+        GridMetric::SuccessRatePct => sys.success_rate(ctx) * 100.0,
         GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
             let extra = sys.episodes_to_converge(threshold, check_every, max_extra, ctx)?;
             converge_metric(t, extra, max_extra)
@@ -630,7 +630,7 @@ impl ForkTrial for DroneTrial {
 /// episode's REINFORCE update as one batched forward/backward
 /// ([`crate::Fleet::train`]) and the flight-distance evaluation
 /// runs corridors in lock-step
-/// ([`DroneFrlSystem::safe_flight_distance_batched`]), both on `ctx`.
+/// ([`DroneFrlSystem::safe_flight_distance`]), both on `ctx`.
 ///
 /// # Errors
 ///
@@ -673,7 +673,7 @@ fn drone_value(
 ) -> Result<f64, FrlfiError> {
     let mut sys = trial_system(t, seed, ctx, shared)?;
     let _eval = frlfi_obs::span("eval");
-    Ok(sys.safe_flight_distance_batched(t.eval_attempts, ctx))
+    Ok(sys.safe_flight_distance(t.eval_attempts, ctx))
 }
 
 /// [`frlfi_fault::sweep`] over GridWorld trial cells, each trial on a

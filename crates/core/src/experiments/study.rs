@@ -24,7 +24,7 @@
 //! the study-DAG tests.
 
 use crate::error::FrlfiError;
-use crate::experiments::harness::drone_geometry;
+use crate::experiments::harness::{drone_geometry, drone_pretrained_weights};
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, ReprKind, Scale};
@@ -311,14 +311,7 @@ impl StudyModel {
                 Ok((0..n_agents).map(|i| sys.agent(i).network().snapshot()).collect())
             }
             StudyModel::Drone { n_drones, pretrain_episodes, fine_tune_episodes } => {
-                let mut pre = DroneFrlSystem::new(DroneSystemConfig {
-                    n_drones: 1,
-                    seed: SYSTEM_SEED,
-                    pretrain_episodes,
-                    ..Default::default()
-                })?;
-                pre.pretrain()?;
-                let weights = pre.fleet_weights();
+                let weights = drone_pretrained_weights(pretrain_episodes);
                 let mut sys = DroneFrlSystem::new(DroneSystemConfig {
                     n_drones,
                     seed: SYSTEM_SEED,
@@ -334,41 +327,28 @@ impl StudyModel {
 }
 
 /// A study's evaluation context: the trained systems (rebuilt from
-/// weight planes) plus any fitted detectors, everything
-/// [`StudyGeometry::eval_cell`] mutates in place.
-pub enum StudyCtx {
+/// weight planes), any fitted detectors, and the inference arena every
+/// evaluation runs on — everything [`StudyGeometry::eval_cell`]
+/// mutates in place.
+pub struct StudyCtx {
+    systems: StudySystems,
+    arena: BatchInferCtx,
+}
+
+/// The systems of a [`StudyCtx`], by study.
+enum StudySystems {
     /// Fig. 4 evaluates both the fleet and the single-agent baseline
     /// (boxed: two whole systems dwarf the other variants).
-    Fig4 {
-        /// The trained FRL fleet.
-        multi: Box<GridFrlSystem>,
-        /// The single-agent baseline.
-        single: Box<GridFrlSystem>,
-    },
-    /// Fig. 8a: fleet plus per-agent range detectors.
-    Fig8Grid {
-        /// The trained FRL fleet.
-        sys: GridFrlSystem,
-        /// Per-agent detectors fitted on the clean weights.
-        detectors: Vec<RangeDetector>,
-    },
+    Fig4 { multi: Box<GridFrlSystem>, single: Box<GridFrlSystem> },
+    /// Fig. 8a: fleet plus per-agent range detectors fitted on the
+    /// clean weights.
+    Fig8Grid { sys: GridFrlSystem, detectors: Vec<RangeDetector> },
     /// Fig. 8b: drone fleet plus per-drone range detectors.
-    Fig8Drone {
-        /// The fine-tuned drone fleet.
-        sys: DroneFrlSystem,
-        /// Per-drone detectors fitted on the clean weights.
-        detectors: Vec<RangeDetector>,
-    },
+    Fig8Drone { sys: DroneFrlSystem, detectors: Vec<RangeDetector> },
     /// Data-type study: the fleet alone.
-    Datatypes {
-        /// The trained FRL fleet.
-        sys: GridFrlSystem,
-    },
+    Datatypes { sys: GridFrlSystem },
     /// Per-layer study: the fleet alone.
-    Layers {
-        /// The trained FRL fleet.
-        sys: GridFrlSystem,
-    },
+    Layers { sys: GridFrlSystem },
 }
 
 /// The cell grid of one study at one scale: rows × columns × repeats,
@@ -475,8 +455,8 @@ impl StudyGeometry {
                 ),
             });
         }
-        Ok(match self.kind {
-            StudyKind::Fig4 => StudyCtx::Fig4 {
+        let systems = match self.kind {
+            StudyKind::Fig4 => StudySystems::Fig4 {
                 multi: Box::new(restored_grid(&self.models[0], &planes[0])?),
                 single: Box::new(restored_grid(&self.models[1], &planes[1])?),
             },
@@ -485,22 +465,23 @@ impl StudyGeometry {
                 let detectors = (0..sys.n_agents())
                     .map(|i| RangeDetector::fit(sys.agent(i).network()))
                     .collect();
-                StudyCtx::Fig8Grid { sys, detectors }
+                StudySystems::Fig8Grid { sys, detectors }
             }
             StudyKind::Fig8Drone => {
                 let sys = restored_drone(&self.models[0], &planes[0])?;
                 let detectors = (0..sys.n_agents())
                     .map(|i| RangeDetector::fit(sys.agent(i).network()))
                     .collect();
-                StudyCtx::Fig8Drone { sys, detectors }
+                StudySystems::Fig8Drone { sys, detectors }
             }
             StudyKind::Datatypes => {
-                StudyCtx::Datatypes { sys: restored_grid(&self.models[0], &planes[0])? }
+                StudySystems::Datatypes { sys: restored_grid(&self.models[0], &planes[0])? }
             }
             StudyKind::Layers => {
-                StudyCtx::Layers { sys: restored_grid(&self.models[0], &planes[0])? }
+                StudySystems::Layers { sys: restored_grid(&self.models[0], &planes[0])? }
             }
-        })
+        };
+        Ok(StudyCtx { systems, arena: BatchInferCtx::new() })
     }
 
     /// Evaluates one `(cell, seed)` pair: the raw, unscaled cell value
@@ -523,8 +504,9 @@ impl StudyGeometry {
                 detail: format!("cell {cell} out of range for {} cells", self.cells()),
             });
         }
-        match (ctx, &self.rows) {
-            (StudyCtx::Fig4 { multi, single }, RowAxis::Bers(bers)) => {
+        let arena = &mut ctx.arena;
+        match (&mut ctx.systems, &self.rows) {
+            (StudySystems::Fig4 { multi, single }, RowAxis::Bers(bers)) => {
                 let ber = bers[row];
                 let ber_v = Ber::new(ber)?;
                 Ok(match col {
@@ -533,20 +515,20 @@ impl StudyGeometry {
                         ber_v,
                         ReprKind::Int8,
                         seed,
-                        |s| s.success_rate(),
+                        |s| s.success_rate(arena),
                     ),
                     1 => multi.with_faulted_policies(
                         FaultModel::TransientMulti,
                         ber_v,
                         ReprKind::Int8,
                         seed,
-                        |s| s.success_rate(),
+                        |s| s.success_rate(arena),
                     ),
                     2 => {
                         if ber == 0.0 {
-                            multi.success_rate()
+                            multi.success_rate(arena)
                         } else {
-                            multi.success_rate_transient1(ber_v, ReprKind::Int8, seed)
+                            multi.success_rate_transient1(ber_v, ReprKind::Int8, seed, arena)
                         }
                     }
                     3 => multi.with_faulted_policies(
@@ -554,18 +536,18 @@ impl StudyGeometry {
                         ber_v,
                         ReprKind::Int8,
                         seed,
-                        |s| s.success_rate(),
+                        |s| s.success_rate(arena),
                     ),
                     _ => multi.with_faulted_policies(
                         FaultModel::StuckAt1,
                         ber_v,
                         ReprKind::Int8,
                         seed,
-                        |s| s.success_rate(),
+                        |s| s.success_rate(arena),
                     ),
                 })
             }
-            (StudyCtx::Fig8Grid { sys, detectors }, RowAxis::Bers(bers)) => {
+            (StudySystems::Fig8Grid { sys, detectors }, RowAxis::Bers(bers)) => {
                 let ber_v = Ber::new(bers[row])?;
                 Ok(sys.with_faulted_policies(
                     FaultModel::TransientMulti,
@@ -578,11 +560,11 @@ impl StudyGeometry {
                                 det.repair(s.agent_mut(i).network_mut());
                             }
                         }
-                        s.success_rate()
+                        s.success_rate(arena)
                     },
                 ))
             }
-            (StudyCtx::Fig8Drone { sys, detectors }, RowAxis::Bers(bers)) => {
+            (StudySystems::Fig8Drone { sys, detectors }, RowAxis::Bers(bers)) => {
                 let ber_v = Ber::new(bers[row])?;
                 let attempts = self.eval_attempts;
                 Ok(sys.with_faulted_policies(
@@ -596,11 +578,11 @@ impl StudyGeometry {
                                 det.repair(s.agent_mut(i).network_mut());
                             }
                         }
-                        s.safe_flight_distance(attempts)
+                        s.safe_flight_distance(attempts, arena)
                     },
                 ))
             }
-            (StudyCtx::Datatypes { sys }, RowAxis::Bers(bers)) => {
+            (StudySystems::Datatypes { sys }, RowAxis::Bers(bers)) => {
                 let ber_v = Ber::new(bers[row])?;
                 let q = datatype_formats()[col];
                 Ok(sys.with_faulted_policies(
@@ -608,10 +590,10 @@ impl StudyGeometry {
                     ber_v,
                     ReprKind::Fixed(q),
                     seed,
-                    |s| s.success_rate(),
+                    |s| s.success_rate(arena),
                 ))
             }
-            (StudyCtx::Layers { sys }, RowAxis::FaultCounts(fault_counts)) => {
+            (StudySystems::Layers { sys }, RowAxis::FaultCounts(fault_counts)) => {
                 let n_faults = fault_counts[row];
                 let span = &self.spans[col];
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -630,7 +612,7 @@ impl StudyGeometry {
                     );
                     sys.agent_mut(i).network_mut().restore(&snap)?;
                 }
-                let sr = sys.success_rate();
+                let sr = sys.success_rate(arena);
                 for (i, clean_snap) in clean.iter().enumerate() {
                     sys.agent_mut(i).network_mut().restore(clean_snap)?;
                 }
@@ -818,7 +800,7 @@ mod tests {
                 for (i, det) in detectors.iter().enumerate() {
                     det.repair(s.agent_mut(i).network_mut());
                 }
-                s.success_rate()
+                s.success_rate(&mut BatchInferCtx::new())
             },
         );
         let planes = vec![g.models()[0].train().expect("train")];

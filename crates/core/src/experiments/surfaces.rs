@@ -17,6 +17,7 @@ use crate::experiments::harness::{mean_over_repeats, trained_grid_system};
 use crate::report::Table;
 use crate::{ReprKind, Scale};
 use frlfi_fault::{Ber, FaultModel};
+use frlfi_nn::BatchInferCtx;
 
 /// Runs the surface comparison on the GridWorld system (SR %).
 pub fn run(scale: Scale) -> Table {
@@ -29,6 +30,7 @@ pub fn run(scale: Scale) -> Table {
     );
 
     let mut sys = trained_grid_system(scale, n_agents);
+    let ctx = &mut BatchInferCtx::new();
 
     let mut table = Table::new(
         "Fault-surface comparison: SR (%) by surface (int8, GridWorld inference)",
@@ -43,21 +45,21 @@ pub fn run(scale: Scale) -> Table {
                 ber_v,
                 ReprKind::Int8,
                 seed,
-                |s| s.success_rate(),
+                |s| s.success_rate(ctx),
             )
         });
         let activations = mean_over_repeats(0x5F, bi, repeats, |seed| {
             if ber == 0.0 {
-                sys.success_rate()
+                sys.success_rate(ctx)
             } else {
-                sys.success_rate_activation_faults(ber_v, ReprKind::Int8, seed)
+                sys.success_rate_activation_faults(ber_v, ReprKind::Int8, seed, ctx)
             }
         });
         let register = mean_over_repeats(0x5F, bi, repeats, |seed| {
             if ber == 0.0 {
-                sys.success_rate()
+                sys.success_rate(ctx)
             } else {
-                sys.success_rate_transient1(ber_v, ReprKind::Int8, seed)
+                sys.success_rate_transient1(ber_v, ReprKind::Int8, seed, ctx)
             }
         });
         table

@@ -55,14 +55,15 @@ pub fn run(scale: Scale) -> Table {
             ..Default::default()
         };
         let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-        sys.train(episodes, None, None, &mut BatchInferCtx::new()).expect("training");
+        let ctx = &mut BatchInferCtx::new();
+        sys.train(episodes, None, None, ctx).expect("training");
         margins
             .push(crate::metrics::policy_differentiation(sys.agent_mut(0).network_mut(), &probes)
                 as f64);
         stds.push(
             crate::metrics::policy_action_std(sys.agent_mut(0).network_mut(), &states) as f64,
         );
-        srs.push(sys.success_rate());
+        srs.push(sys.success_rate(ctx));
     }
     table.push_row("good-bad differentiation", margins);
     table.push_row("raw action-prob std", stds);

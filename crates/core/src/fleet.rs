@@ -277,17 +277,16 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         // draw it even when a round ends up skipped, so the dropout
         // stream stays aligned with the round index.
         let n = self.agents.len();
-        let participants: Option<Vec<bool>> = self
-            .dropout
-            .map(|p| (0..n).map(|_| !self.dropout_rng.gen_bool(f64::from(p))).collect());
-        if let Some(mask) = &participants {
-            if mask.iter().filter(|&&p| p).count() < 2 {
-                // Too few participants: the round is skipped entirely.
-                // Leave any pending server fault queued — server memory
-                // is only exposed during an actual aggregation.
-                self.comm_rounds += 1;
-                return Ok(());
-            }
+        let participants: Vec<bool> = match self.dropout {
+            Some(p) => (0..n).map(|_| !self.dropout_rng.gen_bool(f64::from(p))).collect(),
+            None => vec![true; n],
+        };
+        if participants.iter().filter(|&&p| p).count() < 2 {
+            // Too few participants: the round is skipped entirely.
+            // Leave any pending server fault queued — server memory is
+            // only exposed during an actual aggregation.
+            self.comm_rounds += 1;
+            return Ok(());
         }
 
         let server = self.server.as_mut().expect("communicate requires a server");
@@ -299,20 +298,10 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
             records: Vec::new(),
         };
         self.fault_draws += 1;
-        match participants {
-            None => {
-                let outputs = server.aggregate_with_hook(&mut uploads, &mut hook)?;
-                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
-                    agent.network_mut().restore(out)?;
-                }
-            }
-            Some(mask) => {
-                let outputs = server.aggregate_subset(&mut uploads, &mask, &mut hook)?;
-                for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
-                    if let Some(out) = out {
-                        agent.network_mut().restore(out)?;
-                    }
-                }
+        let outputs = server.aggregate_subset(&mut uploads, &participants, &mut hook)?;
+        for (agent, out) in self.agents.iter_mut().zip(outputs.iter()) {
+            if let Some(out) = out {
+                agent.network_mut().restore(out)?;
             }
         }
         if !hook.records.is_empty() {

@@ -6,10 +6,7 @@ use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
 use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
-use frlfi_rl::{
-    greedy_argmax, run_greedy_episode_ctx, run_greedy_episodes_batch, EpsilonSchedule, Learner,
-    QLearner,
-};
+use frlfi_rl::{greedy_argmax, run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner};
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +26,9 @@ use rand::{Rng, SeedableRng};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cfg = GridSystemConfig { n_agents: 4, ..Default::default() };
 /// let mut sys = GridFrlSystem::new(cfg)?;
-/// sys.train(400, None, None, &mut BatchInferCtx::new())?;
-/// println!("SR = {:.2}", sys.success_rate());
+/// let ctx = &mut BatchInferCtx::new();
+/// sys.train(400, None, None, ctx)?;
+/// println!("SR = {:.2}", sys.success_rate(ctx));
 /// # Ok(())
 /// # }
 /// ```
@@ -122,53 +120,36 @@ impl GridFrlSystem {
     }
 
     /// Average success rate of all agents under greedy exploitation —
-    /// the paper's `SR = (1/n) Σ SRᵢ`. GridWorld is deterministic, so a
-    /// single greedy attempt per agent fully determines `SRᵢ`.
-    pub fn success_rate(&mut self) -> f64 {
-        crate::metrics::success_rate_of(&self.eval_outcomes())
+    /// the paper's `SR = (1/n) Σ SRᵢ` — on `ctx`'s arena. GridWorld is
+    /// deterministic, so a single greedy attempt per agent fully
+    /// determines `SRᵢ` (see [`GridFrlSystem::eval_outcomes`]).
+    pub fn success_rate(&mut self, ctx: &mut BatchInferCtx) -> f64 {
+        crate::metrics::success_rate_of(&self.eval_outcomes(ctx))
     }
 
-    /// One greedy episode per agent, returning the outcomes.
-    pub fn eval_outcomes(&mut self) -> Vec<Outcome> {
-        let mut ctx = BatchInferCtx::new();
-        let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
-        for i in 0..self.cfg.n_agents {
-            let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + i as u64));
-            let summary = run_greedy_episode_ctx(
-                &mut self.envs[i],
-                &mut self.agents[i],
-                &mut eval_rng,
-                &mut ctx,
-            )
-            .expect("grid policy and observation shapes are fixed at construction");
-            outcomes.push(summary.outcome);
-        }
-        outcomes
-    }
-
-    /// [`GridFrlSystem::success_rate`] on the **batched** inference
-    /// fast path (see [`GridFrlSystem::eval_outcomes_batched`]).
-    pub fn success_rate_batched(&mut self, ctx: &mut BatchInferCtx) -> f64 {
-        let outcomes = self.eval_outcomes_batched(ctx);
-        crate::metrics::success_rate_of(&outcomes)
-    }
-
-    /// [`GridFrlSystem::eval_outcomes`] on the batched inference fast
-    /// path: agents whose policies hold bit-identical parameters (the
+    /// One greedy episode per agent, returning the outcomes in agent
+    /// order. Agents whose policies hold bit-identical parameters (the
     /// common case after annealed consensus drives every aggregation
     /// output to the same vector) share **one batched forward per
     /// lock-step evaluation step** across their environments, with
-    /// finished episodes retired from the batch; agents with distinct
-    /// parameters fall back to singleton batches on the same code
-    /// path. Per-agent environments, RNG streams and greedy actions are
-    /// exactly those of [`GridFrlSystem::eval_outcomes`], so the
-    /// outcomes are identical.
-    pub fn eval_outcomes_batched(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
+    /// finished episodes retired from the batch; an agent with
+    /// parameters of its own runs alone
+    /// ([`frlfi_rl::run_greedy_episodes_batch`]). Every agent keeps its
+    /// own environment and RNG stream, and every batched action is
+    /// bit-identical to single-observation greedy selection, so the
+    /// grouping never changes an outcome.
+    pub fn eval_outcomes(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
         let n = self.cfg.n_agents;
         let seed = self.cfg.seed;
-        // Group agents by identical parameter vectors (ascending index
-        // order within and across groups).
-        let snaps: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
+        // Group agents by bit-identical parameter vectors (ascending
+        // index order within and across groups). Bits, not `==`: NaN
+        // weights equal themselves, and +0 and -0 are different
+        // policies.
+        let snaps: Vec<Vec<u32>> = self
+            .agents
+            .iter()
+            .map(|a| a.network().snapshot().iter().map(|w| w.to_bits()).collect())
+            .collect();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for i in 0..n {
             match groups.iter_mut().find(|g| snaps[g[0]] == snaps[i]) {
@@ -217,28 +198,32 @@ impl GridFrlSystem {
     ) -> Result<Option<usize>, FrlfiError> {
         let mut used = 0;
         while used < max_extra {
-            if self.success_rate_batched(ctx) >= threshold {
+            if self.success_rate(ctx) >= threshold {
                 return Ok(Some(used));
             }
             self.train(check_every, None, None, ctx)?;
             used += check_every;
         }
-        Ok(if self.success_rate_batched(ctx) >= threshold { Some(used) } else { None })
+        Ok(if self.success_rate(ctx) >= threshold { Some(used) } else { None })
     }
 
     /// Evaluates the success rate when a *single-step* transient fault
     /// (`Multi-Trans-1`, a read-register upset) strikes one action
     /// computation per episode: the fault corrupts the policy for
     /// exactly one step and then vanishes.
-    pub fn success_rate_transient1(&mut self, ber: Ber, repr: ReprKind, seed: u64) -> f64 {
+    pub fn success_rate_transient1(
+        &mut self,
+        ber: Ber,
+        repr: ReprKind,
+        seed: u64,
+        ctx: &mut BatchInferCtx,
+    ) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ctx = BatchInferCtx::new();
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
         for i in 0..self.cfg.n_agents {
             let fault_step = rng.gen_range(0..20usize);
-            outcomes.push(
-                self.greedy_episode_with_step_fault(i, fault_step, ber, repr, &mut rng, &mut ctx),
-            );
+            outcomes
+                .push(self.greedy_episode_with_step_fault(i, fault_step, ber, repr, &mut rng, ctx));
         }
         crate::metrics::success_rate_of(&outcomes)
     }
@@ -293,18 +278,9 @@ impl GridFrlSystem {
     ///
     /// Each layer output has `ber × bits` of its scalars' bits flipped
     /// on every inference step, emulating upsets in an accelerator's
-    /// activation buffers.
-    pub fn success_rate_activation_faults(&mut self, ber: Ber, repr: ReprKind, seed: u64) -> f64 {
-        self.success_rate_activation_faults_ctx(ber, repr, seed, &mut BatchInferCtx::new())
-    }
-
-    /// [`GridFrlSystem::success_rate_activation_faults`] on the
-    /// zero-allocation inference fast path: the per-layer corruption
-    /// hook runs over the scratch-buffer activations, and the fault
-    /// RNG consumes the exact same stream as the slow path (one hook
-    /// call per layer, in layer order), so statistics are
-    /// bit-identical.
-    pub fn success_rate_activation_faults_ctx(
+    /// activation buffers. The corruption hook runs over `ctx`'s
+    /// scratch-buffer activations, one call per layer in layer order.
+    pub fn success_rate_activation_faults(
         &mut self,
         ber: Ber,
         repr: ReprKind,
@@ -341,22 +317,6 @@ impl GridFrlSystem {
         crate::metrics::success_rate_of(&outcomes)
     }
 
-    /// Samples the observation space: the observation at every free cell
-    /// of every maze (Table I's per-state policy statistics).
-    pub fn sample_states(&self) -> Vec<Tensor> {
-        let mut states = Vec::new();
-        for env in &self.envs {
-            for r in 0..GRID_SIZE {
-                for c in 0..GRID_SIZE {
-                    if matches!(env.cell(r, c), frlfi_envs::Cell::Free | frlfi_envs::Cell::Source) {
-                        states.push(env.observation_at(r, c));
-                    }
-                }
-            }
-        }
-        states
-    }
-
     /// Samples the observation space together with each state's
     /// improving-action mask (Table I's differentiation probes).
     pub fn sample_probes(&self) -> Vec<(Tensor, [bool; 4])> {
@@ -372,21 +332,28 @@ impl GridFrlSystem {
         }
         probes
     }
-
-    /// Std of the consensus policy's action distribution over the
-    /// sampled state space (Table I).
-    pub fn consensus_policy_std(&mut self) -> f32 {
-        let states = self.sample_states();
-        // The consensus policy is agent 0's post-aggregation copy (all
-        // agents converge to the same parameters, paper Eq. 4).
-        crate::metrics::policy_action_std(self.agents[0].network_mut(), &states)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{InjectionPlan, TrainingMitigation};
+    use frlfi_rl::run_greedy_episode_ctx;
+
+    /// One greedy episode per agent, each alone: the oracle the grouped
+    /// [`GridFrlSystem::eval_outcomes`] must match.
+    fn eval_outcomes_sequential(s: &mut GridFrlSystem) -> Vec<Outcome> {
+        let mut ctx = BatchInferCtx::new();
+        (0..s.cfg.n_agents)
+            .map(|i| {
+                let mut eval_rng =
+                    StdRng::seed_from_u64(derive_seed(s.cfg.seed, 0xE7A1 + i as u64));
+                run_greedy_episode_ctx(&mut s.envs[i], &mut s.agents[i], &mut eval_rng, &mut ctx)
+                    .unwrap()
+                    .outcome
+            })
+            .collect()
+    }
 
     fn small_cfg(n: usize) -> GridSystemConfig {
         GridSystemConfig {
@@ -419,8 +386,9 @@ mod tests {
     #[test]
     fn training_improves_success_rate() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
-        let sr = s.success_rate();
+        let ctx = &mut BatchInferCtx::new();
+        s.train(250, None, None, ctx).unwrap();
+        let sr = s.success_rate(ctx);
         assert!(sr >= 2.0 / 3.0, "trained FRL success rate too low: {sr}");
     }
 
@@ -448,7 +416,7 @@ mod tests {
             Ber::new(0.05).unwrap(),
             ReprKind::Int8,
             9,
-            |sys| sys.success_rate(),
+            |sys| sys.success_rate(&mut BatchInferCtx::new()),
         );
         assert!((0.0..=1.0).contains(&sr));
         assert_eq!(s.agent(0).network().snapshot(), before, "weights must be restored");
@@ -457,29 +425,23 @@ mod tests {
     #[test]
     fn transient1_returns_valid_rate() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
-        let sr = s.success_rate_transient1(Ber::new(0.01).unwrap(), ReprKind::Int8, 5);
+        let ctx = &mut BatchInferCtx::new();
+        s.train(60, None, None, ctx).unwrap();
+        let sr = s.success_rate_transient1(Ber::new(0.01).unwrap(), ReprKind::Int8, 5, ctx);
         assert!((0.0..=1.0).contains(&sr));
-    }
-
-    #[test]
-    fn sample_states_covers_free_cells() {
-        let s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        let states = s.sample_states();
-        assert!(states.len() > 100, "expected many sampled states, got {}", states.len());
-        assert!(states.iter().all(|t| t.len() == 6));
     }
 
     #[test]
     fn mitigation_restores_after_server_fault() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(150, None, None, &mut BatchInferCtx::new()).unwrap();
-        let baseline = s.success_rate();
+        let ctx = &mut BatchInferCtx::new();
+        s.train(150, None, None, ctx).unwrap();
+        let baseline = s.success_rate(ctx);
         // Heavy server fault, with mitigation active.
         let plan = InjectionPlan::server(10, Ber::new(0.05).unwrap());
         let mit = TrainingMitigation::scaled(5);
-        s.train(120, Some(&plan), Some(&mit), &mut BatchInferCtx::new()).unwrap();
-        let recovered = s.success_rate();
+        s.train(120, Some(&plan), Some(&mit), ctx).unwrap();
+        let recovered = s.success_rate(ctx);
         assert!(
             recovered >= baseline - 1.0 / 3.0,
             "mitigated SR {recovered} should recover toward baseline {baseline}"
@@ -489,9 +451,10 @@ mod tests {
     #[test]
     fn activation_faults_evaluate_in_range() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
+        let ctx = &mut BatchInferCtx::new();
+        s.train(60, None, None, ctx).unwrap();
         let clean = s.agent(0).network().snapshot();
-        let sr = s.success_rate_activation_faults(Ber::new(0.01).unwrap(), ReprKind::Int8, 3);
+        let sr = s.success_rate_activation_faults(Ber::new(0.01).unwrap(), ReprKind::Int8, 3, ctx);
         assert!((0.0..=1.0).contains(&sr));
         // Activation faults are transient: stored weights untouched.
         assert_eq!(s.agent(0).network().snapshot(), clean);
@@ -500,11 +463,17 @@ mod tests {
     #[test]
     fn heavy_activation_faults_hurt_more_than_light() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
-        let avg = |s: &mut GridFrlSystem, ber: f64| -> f64 {
+        let ctx = &mut BatchInferCtx::new();
+        s.train(250, None, None, ctx).unwrap();
+        let mut avg = |s: &mut GridFrlSystem, ber: f64| -> f64 {
             (0..6u64)
                 .map(|seed| {
-                    s.success_rate_activation_faults(Ber::new(ber).unwrap(), ReprKind::Int8, seed)
+                    s.success_rate_activation_faults(
+                        Ber::new(ber).unwrap(),
+                        ReprKind::Int8,
+                        seed,
+                        ctx,
+                    )
                 })
                 .sum::<f64>()
                 / 6.0
@@ -541,8 +510,9 @@ mod tests {
     fn dynamic_layout_trains_and_evaluates() {
         let cfg = GridSystemConfig { layout: crate::GridLayout::DynamicObstacles, ..small_cfg(2) };
         let mut s = GridFrlSystem::new(cfg).unwrap();
-        s.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
-        let sr = s.success_rate();
+        let ctx = &mut BatchInferCtx::new();
+        s.train(60, None, None, ctx).unwrap();
+        let sr = s.success_rate(ctx);
         assert!((0.0..=1.0).contains(&sr));
     }
 
@@ -551,8 +521,9 @@ mod tests {
         let cfg = GridSystemConfig { dropout: Some(0.3), ..small_cfg(3) };
         let run = || {
             let mut s = GridFrlSystem::new(cfg.clone()).unwrap();
-            s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
-            (s.agent(0).network().snapshot(), s.success_rate())
+            let ctx = &mut BatchInferCtx::new();
+            s.train(250, None, None, ctx).unwrap();
+            (s.agent(0).network().snapshot(), s.success_rate(ctx))
         };
         let (w1, sr1) = run();
         let (w2, _) = run();
@@ -613,7 +584,8 @@ mod tests {
         }
         assert_eq!(whole.last_fault_records(), forked.last_fault_records());
         assert!(!forked.last_fault_records().is_empty());
-        assert_eq!(whole.success_rate(), forked.success_rate());
+        let ctx = &mut BatchInferCtx::new();
+        assert_eq!(whole.success_rate(ctx), forked.success_rate(ctx));
     }
 
     #[test]
@@ -644,13 +616,56 @@ mod tests {
         s.agent_mut(1).network_mut().restore(&copy).unwrap();
         snap[0] += 0.25;
         s.agent_mut(2).network_mut().restore(&snap).unwrap();
-        let sequential = s.eval_outcomes();
-        let batched = s.eval_outcomes_batched(&mut BatchInferCtx::new());
+        let sequential = eval_outcomes_sequential(&mut s);
+        let batched = s.eval_outcomes(&mut BatchInferCtx::new());
         assert_eq!(batched, sequential);
         assert_eq!(
-            s.success_rate_batched(&mut BatchInferCtx::new()).to_bits(),
-            s.success_rate().to_bits()
+            s.success_rate(&mut BatchInferCtx::new()).to_bits(),
+            crate::metrics::success_rate_of(&sequential).to_bits()
         );
+    }
+
+    #[test]
+    fn grouped_eval_matches_sequential_outcomes_on_faulted_weights() {
+        // Grouping must compare bits. Bit flips on the f32 surface make
+        // NaN weights at 5%, but ±inf (from exactly ±1.0) and subnormals
+        // (from 2 <= |w| < 4) practically never, so those are planted:
+        // agents 0 and 1 become bit-identical twins holding a NaN and an
+        // infinity, and agents 2 and 3 differ only in the sign of one
+        // zero weight, next to a subnormal.
+        let mut s = GridFrlSystem::new(small_cfg(4)).unwrap();
+        let ctx = &mut BatchInferCtx::new();
+        s.train(120, None, None, ctx).unwrap();
+        let mut injected_nan = false;
+        for repr in [ReprKind::F32, ReprKind::Int8] {
+            for ber in [0.0, 0.001, 0.01, 0.05] {
+                for seed in 0..6u64 {
+                    let model = FaultModel::TransientMulti;
+                    s.with_faulted_policies(model, Ber::new(ber).unwrap(), repr, seed, |s| {
+                        let weights = (0..4).flat_map(|i| s.agent(i).network().snapshot());
+                        injected_nan |= weights.into_iter().any(f32::is_nan);
+                        let case = format!("{repr:?} BER {ber} seed {seed}");
+                        assert_eq!(s.eval_outcomes(ctx), eval_outcomes_sequential(s), "{case}");
+
+                        let k = seed as usize;
+                        let mut twin = s.agent(0).network().snapshot();
+                        twin[k] = f32::NAN;
+                        twin[100 + k] = [f32::INFINITY, f32::NEG_INFINITY][k % 2];
+                        s.agent_mut(0).network_mut().restore(&twin).unwrap();
+                        s.agent_mut(1).network_mut().restore(&twin).unwrap();
+                        let mut signed = s.agent(2).network().snapshot();
+                        signed[200 + k] = f32::from_bits(1 + k as u32);
+                        signed[7] = 0.0;
+                        s.agent_mut(2).network_mut().restore(&signed).unwrap();
+                        signed[7] = -0.0;
+                        s.agent_mut(3).network_mut().restore(&signed).unwrap();
+                        assert!(signed[200 + k].is_subnormal());
+                        assert_eq!(s.eval_outcomes(ctx), eval_outcomes_sequential(s), "{case}");
+                    });
+                }
+            }
+        }
+        assert!(injected_nan, "no injected NaN weight: the f32 surface went untested");
     }
 
     /// `train` without plan or mitigation on the per-observation
@@ -689,12 +704,10 @@ mod tests {
     #[test]
     fn episodes_to_converge_returns_zero_when_converged() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(250, None, None, &mut BatchInferCtx::new()).unwrap();
-        if s.success_rate() >= 0.99 {
-            assert_eq!(
-                s.episodes_to_converge(0.99, 50, 200, &mut BatchInferCtx::new()).unwrap(),
-                Some(0)
-            );
+        let ctx = &mut BatchInferCtx::new();
+        s.train(250, None, None, ctx).unwrap();
+        if s.success_rate(ctx) >= 0.99 {
+            assert_eq!(s.episodes_to_converge(0.99, 50, 200, ctx).unwrap(), Some(0));
         }
     }
 }

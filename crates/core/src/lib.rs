@@ -31,8 +31,9 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut system = GridFrlSystem::new(GridSystemConfig { n_agents: 4, ..Default::default() })?;
-//! system.train(300, None, None, &mut BatchInferCtx::new())?;
-//! let sr = system.success_rate();
+//! let ctx = &mut BatchInferCtx::new();
+//! system.train(300, None, None, ctx)?;
+//! let sr = system.success_rate(ctx);
 //! println!("success rate: {:.1}%", sr * 100.0);
 //! # Ok(())
 //! # }

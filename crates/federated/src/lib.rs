@@ -11,7 +11,9 @@
 //! ```
 //!
 //! with `αₖ, βₖ → 1/n` as training proceeds (the consensus guarantee of
-//! the paper's Eq. 4). The crate also provides:
+//! the paper's Eq. 4). [`Server`] runs that round over a participant
+//! mask, so agent dropout (links that keep some agents out of a round)
+//! is the same round with gaps. The crate also provides:
 //!
 //! * [`RoundHook`] — the three fault-injection points of a communication
 //!   round (uplink, server, downlink), matching the paper's grouping of

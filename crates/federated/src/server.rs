@@ -9,6 +9,10 @@ use crate::{FederatedError, RoundHook};
 ///
 /// The server's stored consensus is the state the checkpointing scheme
 /// (§V-A) snapshots and restores.
+///
+/// A round has one implementation, [`Server::aggregate_subset`], over a
+/// participant mask; [`Server::aggregate_with_hook`] and
+/// [`Server::aggregate`] call it with every agent participating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     n_agents: usize,
@@ -101,8 +105,10 @@ impl Server {
         self.aggregate_with_hook(&mut uploads, &mut crate::NoopHook)
     }
 
-    /// Performs one aggregation round, applying a [`RoundHook`] at the
-    /// uplink, server-memory, and downlink fault surfaces.
+    /// Performs one aggregation round in which every agent participates,
+    /// applying a [`RoundHook`] at the uplink, server-memory, and
+    /// downlink fault surfaces: [`Server::aggregate_subset`] with an
+    /// all-true mask.
     ///
     /// Uploads are taken by mutable reference because the uplink hook
     /// corrupts them *in transit* — the agents' own copies are not
@@ -117,72 +123,23 @@ impl Server {
         uploads: &mut [Vec<f32>],
         hook: &mut dyn RoundHook,
     ) -> Result<Vec<Vec<f32>>, FederatedError> {
-        if uploads.len() != self.n_agents {
-            return Err(FederatedError::WrongUploadCount {
-                expected: self.n_agents,
-                actual: uploads.len(),
-            });
-        }
-        let len = self.consensus.len();
-        for (i, u) in uploads.iter().enumerate() {
-            if u.len() != len {
-                return Err(FederatedError::ParamLengthMismatch {
-                    agent: i,
-                    expected: len,
-                    actual: u.len(),
-                });
-            }
-        }
-
-        for (i, u) in uploads.iter_mut().enumerate() {
-            hook.on_uplink(i, u);
-        }
-
-        // Sum of all uploads (after any uplink corruption).
-        let mut sum = vec![0.0f32; len];
-        for u in uploads.iter() {
-            for (s, &v) in sum.iter_mut().zip(u.iter()) {
-                *s += v;
-            }
-        }
-        // Consensus = mean of uploads; this is what the server "knows".
-        let inv_n = 1.0 / self.n_agents as f32;
-        for (c, &s) in self.consensus.iter_mut().zip(sum.iter()) {
-            *c = s * inv_n;
-        }
-
-        let alpha = self.alpha();
-        let beta = (1.0 - alpha) / (self.n_agents as f32 - 1.0);
-        let mut outputs: Vec<Vec<f32>> = uploads
-            .iter()
-            .map(|u| {
-                u.iter()
-                    .zip(sum.iter())
-                    .map(|(&own, &total)| alpha * own + beta * (total - own))
-                    .collect()
-            })
-            .collect();
-
-        hook.on_server(&mut outputs);
-        for (i, o) in outputs.iter_mut().enumerate() {
-            hook.on_downlink(i, o);
-        }
-
-        self.round += 1;
-        Ok(outputs)
+        let everyone = vec![true; self.n_agents];
+        let outputs = self.aggregate_subset(uploads, &everyone, hook)?;
+        Ok(outputs.into_iter().map(|o| o.expect("every agent participates")).collect())
     }
 
-    /// Performs one aggregation round over a *subset* of agents — the
+    /// Performs one aggregation round over the agents `participants`
+    /// marks — the one round implementation. A mask with gaps is the
     /// agent-dropout scenario, where unreliable links keep some agents
     /// out of a communication round.
     ///
-    /// `participants[i]` marks whether agent `i` uploads this round.
     /// Dropped agents neither contribute to nor receive the smoothing
-    /// average (their slot in the result is `None`); the self-weight is
-    /// floored at `1/m` for the `m` participants so the update stays a
-    /// valid convex combination. If fewer than two agents participate
-    /// the round is skipped entirely (no aggregation, round counter
-    /// unchanged) and all slots are `None`.
+    /// average (their slot in the result is `None`), and the hooks see
+    /// only participants; the self-weight is floored at `1/m` for the
+    /// `m` participants so the update stays a valid convex combination.
+    /// If fewer than two agents participate the round is skipped
+    /// entirely (no aggregation, round counter unchanged) and all slots
+    /// are `None`.
     ///
     /// # Errors
     ///
@@ -194,11 +151,10 @@ impl Server {
         participants: &[bool],
         hook: &mut dyn RoundHook,
     ) -> Result<Vec<Option<Vec<f32>>>, FederatedError> {
-        if uploads.len() != self.n_agents || participants.len() != self.n_agents {
-            return Err(FederatedError::WrongUploadCount {
-                expected: self.n_agents,
-                actual: uploads.len().min(participants.len()),
-            });
+        for actual in [uploads.len(), participants.len()] {
+            if actual != self.n_agents {
+                return Err(FederatedError::WrongUploadCount { expected: self.n_agents, actual });
+            }
         }
         let len = self.consensus.len();
         for (i, u) in uploads.iter().enumerate() {
@@ -221,6 +177,7 @@ impl Server {
             }
         }
 
+        // Sum of the participants' uploads (after any uplink corruption).
         let mut sum = vec![0.0f32; len];
         for (i, u) in uploads.iter().enumerate() {
             if participants[i] {
@@ -229,6 +186,7 @@ impl Server {
                 }
             }
         }
+        // Consensus = mean of uploads; this is what the server "knows".
         let inv_m = 1.0 / m as f32;
         for (c, &s) in self.consensus.iter_mut().zip(sum.iter()) {
             *c = s * inv_m;
@@ -266,6 +224,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NoopHook;
 
     #[test]
     fn rejects_bad_construction() {
@@ -356,19 +315,62 @@ mod tests {
         assert!(out[1][0] < 2.0);
     }
 
+    /// The all-participants round written without a mask: the oracle
+    /// the all-true mask must reproduce bit for bit.
+    fn full_round_oracle(s: &mut Server, uploads: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut sum = vec![0.0f32; s.consensus.len()];
+        for u in uploads {
+            for (t, &v) in sum.iter_mut().zip(u.iter()) {
+                *t += v;
+            }
+        }
+        let inv_n = 1.0 / s.n_agents as f32;
+        for (c, &t) in s.consensus.iter_mut().zip(sum.iter()) {
+            *c = t * inv_n;
+        }
+        let alpha = s.alpha();
+        let beta = (1.0 - alpha) / (s.n_agents as f32 - 1.0);
+        let outputs = uploads
+            .iter()
+            .map(|u| {
+                u.iter()
+                    .zip(sum.iter())
+                    .map(|(&own, &total)| alpha * own + beta * (total - own))
+                    .collect()
+            })
+            .collect();
+        s.round += 1;
+        outputs
+    }
+
     #[test]
     fn subset_round_matches_full_round_when_all_participate() {
-        let uploads = vec![vec![1.0f32, -2.0], vec![0.5, 4.0], vec![-1.0, 0.0]];
-        let mut full = Server::new(3, 2).unwrap();
-        let expected = full.aggregate(&uploads).unwrap();
-        let mut subset = Server::new(3, 2).unwrap();
-        let mut ups = uploads.clone();
-        let got =
-            subset.aggregate_subset(&mut ups, &[true, true, true], &mut crate::NoopHook).unwrap();
-        for (e, g) in expected.iter().zip(got.iter()) {
-            assert_eq!(e, g.as_ref().unwrap());
+        // Across the whole annealing schedule, where the 1/m floor on
+        // the self-weight must never bind for a full round.
+        for n in 2..=7usize {
+            for alpha0 in [1.0 / n as f32, 0.5, 0.75, 0.95] {
+                if alpha0 < 1.0 / n as f32 {
+                    continue;
+                }
+                let mut oracle = Server::with_annealing(n, 3, alpha0, 10).unwrap();
+                let mut masked = oracle.clone();
+                let mut params: Vec<Vec<f32>> = (0..n)
+                    .map(|i| (0..3).map(|j| (i * 3 + j) as f32 * 0.37 - 1.1).collect())
+                    .collect();
+                for round in 0..12 {
+                    let expected = full_round_oracle(&mut oracle, &params);
+                    let mut ups = params.clone();
+                    let got = masked.aggregate_subset(&mut ups, &vec![true; n], &mut NoopHook);
+                    let got: Vec<Vec<f32>> = got.unwrap().into_iter().map(Option::unwrap).collect();
+                    let bits = |v: &[Vec<f32>]| -> Vec<u32> {
+                        v.iter().flatten().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&expected), "n {n} alpha0 {alpha0} round {round}");
+                    assert_eq!(masked, oracle);
+                    params = got;
+                }
+            }
         }
-        assert_eq!(full.consensus(), subset.consensus());
     }
 
     #[test]

@@ -20,8 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("offline pre-training (REINFORCE)...");
     fleet.pretrain()?;
     println!("federated online fine-tuning (4 drones)...");
-    fleet.train(25, None, None, &mut BatchInferCtx::new())?;
-    let clean = fleet.safe_flight_distance(3);
+    let ctx = &mut BatchInferCtx::new();
+    fleet.train(25, None, None, ctx)?;
+    let clean = fleet.safe_flight_distance(3, ctx);
     println!("  clean safe flight distance: {clean:.0} m");
 
     // Tally per-layer weight ranges before deployment (the paper's
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ber = Ber::new(1e-2)?;
     let unprotected =
         fleet.with_faulted_policies(FaultModel::TransientMulti, ber, ReprKind::F32, 99, |f| {
-            f.safe_flight_distance(3)
+            f.safe_flight_distance(3, ctx)
         });
     println!("  with BER 1e-2 memory faults:  {unprotected:.0} m");
 
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 repaired += det.repair(f.agent_mut(i).network_mut());
             }
             println!("  range detector repaired {repaired} anomalous weights");
-            f.safe_flight_distance(3)
+            f.safe_flight_distance(3, ctx)
         });
     println!("  with range-based detection:   {protected:.0} m");
     if unprotected > 0.0 {

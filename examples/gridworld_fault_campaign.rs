@@ -23,8 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg)?;
-    sys.train(400, None, None, &mut BatchInferCtx::new())?;
-    println!("  clean success rate: {:.0}%\n", sys.success_rate() * 100.0);
+    let ctx = &mut BatchInferCtx::new();
+    sys.train(400, None, None, ctx)?;
+    println!("  clean success rate: {:.0}%\n", sys.success_rate(ctx) * 100.0);
     let clean_weights: Vec<Vec<f32>> =
         (0..4).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
 
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ber::new(ber).expect("valid ber"),
             ReprKind::Int8,
             seed,
-            |s| s.success_rate() * 100.0,
+            |s| s.success_rate(&mut BatchInferCtx::new()) * 100.0,
         )
     });
 

@@ -13,13 +13,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four agents, each in its own 10x10 maze, sharing a policy through
     // the smoothing-average server.
     let cfg = GridSystemConfig { n_agents: 4, seed: 13, ..Default::default() };
-    // Training scratch arena, reused by every run below.
+    // Inference scratch arena, reused by every run and evaluation below.
     let mut ctx = BatchInferCtx::new();
 
     println!("training a fault-free baseline...");
     let mut baseline = GridFrlSystem::new(cfg.clone())?;
     baseline.train(400, None, None, &mut ctx)?;
-    println!("  baseline success rate: {:.0}%", baseline.success_rate() * 100.0);
+    println!("  baseline success rate: {:.0}%", baseline.success_rate(&mut ctx) * 100.0);
 
     // Now the same system, but a heavy transient fault strikes the
     // *server* at episode 390 — late enough that training has little
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training with an unmitigated server fault (BER 20%, episode 390)...");
     let mut faulty = GridFrlSystem::new(cfg.clone())?;
     faulty.train(400, Some(&plan), None, &mut ctx)?;
-    println!("  faulty success rate:   {:.0}%", faulty.success_rate() * 100.0);
+    println!("  faulty success rate:   {:.0}%", faulty.success_rate(&mut ctx) * 100.0);
     println!("  fault injected {} bit flips into server memory", faulty.last_fault_records().len());
 
     // Same fault, but with the paper's mitigation: reward-drop detection
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training with the fault AND checkpoint mitigation...");
     let mut mitigated = GridFrlSystem::new(cfg)?;
     mitigated.train(400, Some(&plan), Some(&TrainingMitigation::scaled(8)), &mut ctx)?;
-    println!("  mitigated success rate: {:.0}%", mitigated.success_rate() * 100.0);
+    println!("  mitigated success rate: {:.0}%", mitigated.success_rate(&mut ctx) * 100.0);
     let stats = mitigated.mitigation_stats();
     println!(
         "  detector fired {} time(s) ({} attributed to the server)",

@@ -20,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epsilon_decay_episodes: 200,
         ..Default::default()
     })?;
-    sys.train(400, None, None, &mut BatchInferCtx::new())?;
+    let ctx = &mut BatchInferCtx::new();
+    sys.train(400, None, None, ctx)?;
     let ber = Ber::new(2e-4)?;
     for q in [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5] {
         // Average over injection seeds: a single campaign is noisy.
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ber,
                 ReprKind::Fixed(q),
                 seed,
-                |s| s.success_rate() * 100.0,
+                |s| s.success_rate(ctx) * 100.0,
             );
         }
         println!("  {q}: SR under BER 2e-4 = {:.0}%  (range ±{:.1})", sr / 12.0, q.max_value());

@@ -18,19 +18,21 @@ fn fleet(n: usize, seed: u64) -> DroneFrlSystem {
 
 #[test]
 fn pipeline_runs_end_to_end() {
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = fleet(2, 3);
     sys.pretrain().expect("pretrain");
-    sys.train(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
-    let d = sys.safe_flight_distance(2);
+    sys.train(6, None, None, ctx).expect("fine-tune");
+    let d = sys.safe_flight_distance(2, ctx);
     let cap = sys.config().sim.max_steps as f64 * sys.config().sim.speed as f64;
     assert!(d > 0.0 && d <= cap, "distance {d} out of (0, {cap}]");
 }
 
 #[test]
 fn heavy_static_faults_shorten_flights() {
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = fleet(2, 9);
     sys.pretrain().expect("pretrain");
-    sys.train(6, None, None, &mut BatchInferCtx::new()).expect("fine-tune");
+    sys.train(6, None, None, ctx).expect("fine-tune");
     // Average both arms over several injection seeds: a single seed can
     // flip bits that happen to be harmless.
     let mut clean = 0.0;
@@ -41,14 +43,14 @@ fn heavy_static_faults_shorten_flights() {
             Ber::ZERO,
             ReprKind::F32,
             seed,
-            |s| s.safe_flight_distance(2),
+            |s| s.safe_flight_distance(2, ctx),
         );
         faulted += sys.with_faulted_policies(
             FaultModel::TransientMulti,
             Ber::new(0.05).expect("ber"),
             ReprKind::F32,
             seed,
-            |s| s.safe_flight_distance(2),
+            |s| s.safe_flight_distance(2, ctx),
         );
     }
     assert!(
@@ -74,9 +76,10 @@ fn server_fault_reaches_every_drone() {
 
 #[test]
 fn evaluation_is_reproducible() {
+    let ctx = &mut BatchInferCtx::new();
     let mut a = fleet(2, 21);
     a.pretrain().expect("pretrain");
     let mut b = fleet(2, 21);
     b.pretrain().expect("pretrain");
-    assert_eq!(a.safe_flight_distance(2), b.safe_flight_distance(2));
+    assert_eq!(a.safe_flight_distance(2, ctx), b.safe_flight_distance(2, ctx));
 }

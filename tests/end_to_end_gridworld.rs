@@ -17,9 +17,10 @@ fn system(n: usize, seed: u64) -> GridFrlSystem {
 
 #[test]
 fn federated_training_converges() {
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = system(4, 7);
-    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
-    let sr = sys.success_rate();
+    sys.train(400, None, None, ctx).expect("training");
+    let sr = sys.success_rate(ctx);
     assert!(sr >= 0.75, "federated GridWorld should converge, SR = {sr}");
 }
 
@@ -27,14 +28,15 @@ fn federated_training_converges() {
 fn early_low_ber_fault_is_absorbed() {
     // Paper Fig. 3: "faults in early episodes with low BER have no
     // effect since the system can recover itself".
+    let ctx = &mut BatchInferCtx::new();
     let mut clean = system(4, 13);
-    clean.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
-    let baseline = clean.success_rate();
+    clean.train(400, None, None, ctx).expect("training");
+    let baseline = clean.success_rate(ctx);
 
     let mut faulted = system(4, 13);
     let plan = InjectionPlan::server(30, Ber::new(0.002).expect("ber"));
-    faulted.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
-    let sr = faulted.success_rate();
+    faulted.train(400, Some(&plan), None, ctx).expect("training");
+    let sr = faulted.success_rate(ctx);
     assert!(
         sr >= baseline - 0.26,
         "early low-BER fault should be absorbed: baseline {baseline}, got {sr}"
@@ -45,18 +47,19 @@ fn early_low_ber_fault_is_absorbed() {
 fn late_high_ber_server_fault_degrades() {
     // A strong server fault near the end of training leaves no recovery
     // window: success rate should drop visibly versus baseline.
+    let ctx = &mut BatchInferCtx::new();
     let seeds = [3u64, 5, 11];
     let mut baseline_sum = 0.0;
     let mut faulted_sum = 0.0;
     for &seed in &seeds {
         let mut clean = system(4, seed);
-        clean.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
-        baseline_sum += clean.success_rate();
+        clean.train(400, None, None, ctx).expect("training");
+        baseline_sum += clean.success_rate(ctx);
 
         let mut faulted = system(4, seed);
         let plan = InjectionPlan::server(395, Ber::new(0.05).expect("ber"));
-        faulted.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
-        faulted_sum += faulted.success_rate();
+        faulted.train(400, Some(&plan), None, ctx).expect("training");
+        faulted_sum += faulted.success_rate(ctx);
     }
     assert!(
         faulted_sum < baseline_sum,
@@ -66,9 +69,10 @@ fn late_high_ber_server_fault_degrades() {
 
 #[test]
 fn inference_faults_scale_with_ber() {
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = system(4, 7);
-    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
-    let eval = |sys: &mut GridFrlSystem, ber: f64| -> f64 {
+    sys.train(400, None, None, ctx).expect("training");
+    let mut eval = |sys: &mut GridFrlSystem, ber: f64| -> f64 {
         let mut total = 0.0;
         for seed in 0..6u64 {
             total += sys.with_faulted_policies(
@@ -76,7 +80,7 @@ fn inference_faults_scale_with_ber() {
                 Ber::new(ber).expect("ber"),
                 ReprKind::Int8,
                 seed,
-                |s| s.success_rate(),
+                |s| s.success_rate(ctx),
             );
         }
         total / 6.0

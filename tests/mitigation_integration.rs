@@ -20,6 +20,7 @@ fn system(seed: u64) -> GridFrlSystem {
 #[test]
 fn checkpointing_beats_no_mitigation_under_server_fault() {
     // Average over seeds: individual runs are noisy at this scale.
+    let ctx = &mut BatchInferCtx::new();
     let seeds = [5u64, 9, 23];
     let mut unmit = 0.0;
     let mut mit = 0.0;
@@ -27,18 +28,12 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
         let plan = InjectionPlan::server(250, Ber::new(0.05).expect("ber"));
 
         let mut without = system(seed);
-        without.train(400, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
-        unmit += without.success_rate();
+        without.train(400, Some(&plan), None, ctx).expect("training");
+        unmit += without.success_rate(ctx);
 
         let mut with = system(seed);
-        with.train(
-            400,
-            Some(&plan),
-            Some(&TrainingMitigation::scaled(8)),
-            &mut BatchInferCtx::new(),
-        )
-        .expect("training");
-        mit += with.success_rate();
+        with.train(400, Some(&plan), Some(&TrainingMitigation::scaled(8)), ctx).expect("training");
+        mit += with.success_rate(ctx);
     }
     assert!(
         mit >= unmit,
@@ -48,8 +43,9 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
 
 #[test]
 fn range_detection_repairs_static_outliers() {
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = system(31);
-    sys.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(400, None, None, ctx).expect("training");
     let detectors: Vec<RangeDetector> =
         (0..4).map(|i| RangeDetector::fit(sys.agent(i).network())).collect();
 
@@ -64,7 +60,7 @@ fn range_detection_repairs_static_outliers() {
                     repaired_any = true;
                 }
             }
-            s.success_rate()
+            s.success_rate(ctx)
         });
     assert!(repaired_any, "BER 2% on f32 weights must trip the range detector");
     assert!((0.0..=1.0).contains(&sr_mit));
@@ -73,16 +69,15 @@ fn range_detection_repairs_static_outliers() {
 #[test]
 fn detector_is_silent_on_healthy_training() {
     // Mitigation enabled with no faults must not disturb convergence.
+    let ctx = &mut BatchInferCtx::new();
     let mut with = system(41);
-    with.train(400, None, Some(&TrainingMitigation::scaled(8)), &mut BatchInferCtx::new())
-        .expect("training");
+    with.train(400, None, Some(&TrainingMitigation::scaled(8)), ctx).expect("training");
     let mut without = system(41);
-    without.train(400, None, None, &mut BatchInferCtx::new()).expect("training");
+    without.train(400, None, None, ctx).expect("training");
+    let (with, without) = (with.success_rate(ctx), without.success_rate(ctx));
     assert!(
-        (with.success_rate() - without.success_rate()).abs() <= 0.26,
-        "mitigation on a healthy run should be near-transparent: {} vs {}",
-        with.success_rate(),
-        without.success_rate()
+        (with - without).abs() <= 0.26,
+        "mitigation on a healthy run should be near-transparent: {with} vs {without}"
     );
 }
 

@@ -91,6 +91,7 @@ fn trained_policy_is_mostly_zero_bits() {
 #[test]
 fn stuck_at_1_worse_than_stuck_at_0() {
     // Fig. 3/4: 0→1 flips dominate because 0-bits dominate.
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = GridFrlSystem::new(GridSystemConfig {
         n_agents: 3,
         seed: 2,
@@ -98,17 +99,17 @@ fn stuck_at_1_worse_than_stuck_at_0() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(300, None, None, ctx).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut sr0 = 0.0;
     let mut sr1 = 0.0;
     for seed in 0..8u64 {
         sr0 += sys.with_faulted_policies(FaultModel::StuckAt0, ber, ReprKind::Int8, seed, |s| {
-            s.success_rate()
+            s.success_rate(ctx)
         });
         sr1 += sys.with_faulted_policies(FaultModel::StuckAt1, ber, ReprKind::Int8, seed, |s| {
-            s.success_rate()
+            s.success_rate(ctx)
         });
     }
     assert!(sr1 <= sr0, "stuck-at-1 should hurt at least as much as stuck-at-0: {sr1} vs {sr0}");
@@ -148,6 +149,7 @@ fn tmr_catastrophic_on_micro_uav_only() {
 fn transient1_is_negligible_vs_transient_m() {
     // Fig. 4: a one-step register upset barely moves success rate while
     // a persistent memory fault at the same BER hurts more.
+    let ctx = &mut BatchInferCtx::new();
     let mut sys = GridFrlSystem::new(GridSystemConfig {
         n_agents: 3,
         seed: 8,
@@ -155,16 +157,16 @@ fn transient1_is_negligible_vs_transient_m() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(300, None, None, ctx).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut t1 = 0.0;
     let mut tm = 0.0;
     for seed in 0..8u64 {
-        t1 += sys.success_rate_transient1(ber, ReprKind::Int8, seed);
+        t1 += sys.success_rate_transient1(ber, ReprKind::Int8, seed, ctx);
         tm +=
             sys.with_faulted_policies(FaultModel::TransientMulti, ber, ReprKind::Int8, seed, |s| {
-                s.success_rate()
+                s.success_rate(ctx)
             });
     }
     assert!(t1 >= tm, "one-step faults should be no worse than persistent ones: t1 {t1}, tm {tm}");
