@@ -127,16 +127,24 @@ pub fn drone_geometry(scale: Scale) -> DroneGeometry {
 
 /// Pre-trains one policy offline and returns its weights; shared across
 /// all campaign cells so cells differ only in faults (paper protocol).
+///
+/// # Panics
+///
+/// Panics if pre-training fails.
 pub fn drone_pretrained_weights(pretrain_episodes: usize) -> Vec<f32> {
+    pretrained(pretrain_episodes).expect("pretraining")
+}
+
+/// [`drone_pretrained_weights`], returning pre-training failures.
+pub(crate) fn pretrained(pretrain_episodes: usize) -> Result<Vec<f32>, FrlfiError> {
     let mut sys = DroneFrlSystem::new(DroneSystemConfig {
         n_drones: 1,
         seed: SYSTEM_SEED,
         pretrain_episodes,
         ..Default::default()
-    })
-    .expect("valid config");
-    sys.pretrain().expect("pretraining");
-    sys.fleet_weights()
+    })?;
+    sys.pretrain()?;
+    Ok(sys.fleet_weights())
 }
 
 /// Lazily shared pre-trained starting weights for a drone campaign.

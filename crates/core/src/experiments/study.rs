@@ -24,7 +24,7 @@
 //! the study-DAG tests.
 
 use crate::error::FrlfiError;
-use crate::experiments::harness::{drone_geometry, drone_pretrained_weights};
+use crate::experiments::harness::{drone_geometry, pretrained};
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, ReprKind, Scale};
@@ -311,7 +311,7 @@ impl StudyModel {
                 Ok((0..n_agents).map(|i| sys.agent(i).network().snapshot()).collect())
             }
             StudyModel::Drone { n_drones, pretrain_episodes, fine_tune_episodes } => {
-                let weights = drone_pretrained_weights(pretrain_episodes);
+                let weights = pretrained(pretrain_episodes)?;
                 let mut sys = DroneFrlSystem::new(DroneSystemConfig {
                     n_drones,
                     seed: SYSTEM_SEED,

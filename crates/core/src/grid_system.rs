@@ -133,7 +133,7 @@ impl GridFrlSystem {
     /// output to the same vector) share **one batched forward per
     /// lock-step evaluation step** across their environments, with
     /// finished episodes retired from the batch; an agent with
-    /// parameters of its own runs alone
+    /// parameters of its own is a batch of one on the same runner
     /// ([`frlfi_rl::run_greedy_episodes_batch`]). Every agent keeps its
     /// own environment and RNG stream, and every batched action is
     /// bit-identical to single-observation greedy selection, so the
@@ -145,14 +145,12 @@ impl GridFrlSystem {
         // index order within and across groups). Bits, not `==`: NaN
         // weights equal themselves, and +0 and -0 are different
         // policies.
-        let snaps: Vec<Vec<u32>> = self
-            .agents
-            .iter()
-            .map(|a| a.network().snapshot().iter().map(|w| w.to_bits()).collect())
-            .collect();
+        let snaps: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
+        let same_bits =
+            |a: &[f32], b: &[f32]| a.iter().map(|w| w.to_bits()).eq(b.iter().map(|w| w.to_bits()));
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for i in 0..n {
-            match groups.iter_mut().find(|g| snaps[g[0]] == snaps[i]) {
+            match groups.iter_mut().find(|g| same_bits(&snaps[g[0]], &snaps[i])) {
                 Some(g) => g.push(i),
                 None => groups.push(vec![i]),
             }

@@ -154,12 +154,6 @@ pub fn run_greedy_episode_ctx(
 /// All environments must share one observation shape (they are fed to
 /// the same policy).
 ///
-/// A batch of one environment runs as the plain
-/// [`run_greedy_episode_ctx`] loop: a lone episode shares no forward,
-/// so the lock-step bookkeeping (compacted state buffer, index and
-/// summary vectors) is pure overhead. Fault-injected fleets, whose
-/// agents all differ, evaluate almost entirely as such batches.
-///
 /// # Errors
 ///
 /// Propagates learner errors and rejects unsupported observation
@@ -178,10 +172,8 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
 ) -> Result<Vec<EpisodeSummary>, RlError> {
     let n = envs.len();
     assert_eq!(rngs.len(), n, "one RNG per environment");
-    match n {
-        0 => return Ok(Vec::new()),
-        1 => return Ok(vec![run_greedy_episode_ctx(&mut envs[0], learner, &mut rngs[0], ctx)?]),
-        _ => {}
+    if n == 0 {
+        return Ok(Vec::new());
     }
     let dims = envs[0].obs_shape();
     let shape = ActShape::from_dims(&dims)?;
