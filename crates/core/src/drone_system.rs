@@ -184,9 +184,10 @@ impl DroneFrlSystem {
     /// Evaluation uses the full step budget of `cfg.sim` regardless of
     /// the (shorter) training cap.
     ///
-    /// Each drone's corridors run in lock-step on `ctx`, one batched
-    /// forward per step over the drone's conv policy
-    /// ([`frlfi_rl::run_greedy_episodes_batch`]), retiring finished
+    /// Each drone's corridors run in lock-step on `ctx`, at most one
+    /// batched forward per step over the drone's conv policy (over the
+    /// depth rows the runner's memo misses,
+    /// [`frlfi_rl::run_greedy_episodes_batch`]), retiring finished
     /// corridors from the batch. Every batched action is bit-identical
     /// to single-observation greedy selection and every corridor keeps
     /// its own seed-derived environment and RNG streams, so the distance

@@ -130,8 +130,9 @@ impl GridFrlSystem {
     /// One greedy episode per agent, returning the outcomes in agent
     /// order. Agents whose policies hold bit-identical parameters (the
     /// common case after annealed consensus drives every aggregation
-    /// output to the same vector) share **one batched forward per
-    /// lock-step evaluation step** across their environments, with
+    /// output to the same vector) share **at most one batched forward
+    /// per lock-step evaluation step** across their environments (over
+    /// the observations the runner's memo misses), with
     /// finished episodes retired from the batch; an agent with
     /// parameters of its own is a batch of one on the same runner
     /// ([`frlfi_rl::run_greedy_episodes_batch`]). Every agent keeps its

@@ -138,15 +138,103 @@ pub fn run_greedy_episode_ctx(
     Ok(EpisodeSummary { total_reward, steps, outcome })
 }
 
+/// Byte budget for the observation keys one [`run_greedy_episodes_batch`]
+/// call memoizes. All 729 GridWorld observations (6 × f32 = 24 B each,
+/// 17.5 KB) always fit; a DroneNav depth row (1×9×16 f32 = 576 B)
+/// fits 56 times. Once the budget is full, later misses are still
+/// computed but no longer inserted, so the memo never grows past it.
+pub const GREEDY_MEMO_KEY_BYTES: usize = 32 * 1024;
+const _: () = assert!(GREEDY_MEMO_KEY_BYTES >= 729 * 6 * 4, "every GridWorld observation fits");
+
+/// A per-call memo from an observation row's exact bits to the greedy
+/// action [`Learner::act_greedy_batch`] chose for it. Keys live in one
+/// flat `u32` arena (entry `e` at `keys[e * vol..(e + 1) * vol]`); an
+/// open-addressed table of `entry + 1` (0 = empty) indexes them by
+/// hash, and a hit compares the full row bits.
+struct GreedyMemo {
+    vol: usize,
+    keys: Vec<u32>,
+    actions: Vec<usize>,
+    slots: Vec<u32>,
+    /// Entries the key budget admits.
+    cap: usize,
+}
+
+impl GreedyMemo {
+    fn new(vol: usize) -> Self {
+        let cap = GREEDY_MEMO_KEY_BYTES / (vol.max(1) * 4);
+        // At most half full, so linear probes stay short; a table of
+        // at least two slots keeps the hash shift below 64.
+        let slots = if cap == 0 { Vec::new() } else { vec![0; (2 * cap).next_power_of_two()] };
+        GreedyMemo {
+            vol,
+            keys: Vec::with_capacity(cap * vol),
+            actions: Vec::with_capacity(cap),
+            slots,
+            cap,
+        }
+    }
+
+    /// The table slot holding `row`'s entry (`Ok`), or the empty slot
+    /// where it would go (`Err`). Needs a non-empty table.
+    fn probe(&self, row: &[f32]) -> Result<usize, usize> {
+        let h = row.iter().fold(0u64, |h, x| {
+            (h.rotate_left(5) ^ u64::from(x.to_bits())).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let mask = self.slots.len() - 1;
+        let mut slot = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let e = match self.slots[slot] {
+                0 => return Err(slot),
+                e => e as usize - 1,
+            };
+            let key = &self.keys[e * self.vol..(e + 1) * self.vol];
+            if key.iter().zip(row).all(|(k, x)| *k == x.to_bits()) {
+                return Ok(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn get(&self, row: &[f32]) -> Option<usize> {
+        if self.actions.is_empty() {
+            return None;
+        }
+        let slot = self.probe(row).ok()?;
+        Some(self.actions[self.slots[slot] as usize - 1])
+    }
+
+    /// Remembers `action` for `row` unless the key budget is full.
+    fn insert(&mut self, row: &[f32], action: usize) {
+        if self.actions.len() == self.cap {
+            return;
+        }
+        if let Err(slot) = self.probe(row) {
+            self.actions.push(action);
+            self.slots[slot] = self.actions.len() as u32;
+            self.keys.extend(row.iter().map(|x| x.to_bits()));
+        }
+    }
+}
+
 /// Lock-step batched greedy evaluation: runs every environment in
-/// `envs` through one shared policy simultaneously, selecting all
-/// active environments' actions with **one batched forward per step**
-/// ([`Learner::act_greedy_batch`]) and retiring finished episodes from
-/// the batch as they terminate.
+/// `envs` through one shared policy simultaneously and retires
+/// finished episodes from the batch as they terminate.
+///
+/// Each step makes **one batched forward over that step's memo
+/// misses** ([`Learner::act_greedy_batch`]), and none when every row
+/// hits. The memo maps an observation row's exact bits to the action
+/// chosen for it earlier in this call; it holds at most
+/// [`GREEDY_MEMO_KEY_BYTES`] of keys and is dropped when the call
+/// returns. The weights are fixed for the whole call and a row's
+/// greedy action is a pure function of its bits and the weights (the
+/// [`Learner::act_greedy_batch`] contract), so a memoized action is
+/// the one a forward would pick. Every environment still steps every
+/// time; only forwards are skipped.
 ///
 /// Environment `i` uses `rngs[i]` for its entire episode, so each
 /// episode consumes exactly the streams it would consume under
-/// [`run_greedy_episode_ctx`] — and since every batched action is
+/// [`run_greedy_episode_ctx`] — and since every action is
 /// bit-identical to single-observation greedy selection, the returned
 /// summaries (in environment order) match running the episodes one at
 /// a time exactly.
@@ -190,15 +278,44 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
         states[s * vol..(s + 1) * vol].copy_from_slice(obs.data());
     }
 
+    let mut memo = GreedyMemo::new(vol);
+    // This step's memo misses: their slots, and their rows compacted
+    // into one batch.
+    let mut miss_slots: Vec<usize> = Vec::with_capacity(n);
+    let mut miss_states: Vec<f32> = Vec::with_capacity(n * vol);
+    let mut miss_actions = vec![0usize; n];
+    let (mut hits, mut misses) = (0u64, 0u64);
+
     let mut totals = vec![0.0f32; n];
     let mut step_counts = vec![0usize; n];
     let mut actions = vec![0usize; n];
     let mut summaries: Vec<Option<EpisodeSummary>> = vec![None; n];
     while !active.is_empty() {
         let b = active.len();
-        learner.act_greedy_batch(&states[..b * vol], &shape, b, ctx, &mut actions[..b])?;
+        miss_slots.clear();
+        miss_states.clear();
+        for s in 0..b {
+            let row = &states[s * vol..(s + 1) * vol];
+            match memo.get(row) {
+                Some(action) => actions[s] = action,
+                None => {
+                    miss_slots.push(s);
+                    miss_states.extend_from_slice(row);
+                }
+            }
+        }
+        let m = miss_slots.len();
+        if m > 0 {
+            learner.act_greedy_batch(&miss_states, &shape, m, ctx, &mut miss_actions[..m])?;
+            for (k, &s) in miss_slots.iter().enumerate() {
+                actions[s] = miss_actions[k];
+                memo.insert(&miss_states[k * vol..(k + 1) * vol], miss_actions[k]);
+            }
+        }
+        hits += (b - m) as u64;
+        misses += m as u64;
         // Step every active environment; survivors compact in place so
-        // the next batched forward sees only live episodes.
+        // the next step sees only live episodes.
         let mut live = 0;
         for s in 0..b {
             let i = active[s];
@@ -219,6 +336,10 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
         }
         active.truncate(live);
     }
+    if frlfi_obs::enabled() {
+        frlfi_obs::count("rl.greedy_memo.hit", hits);
+        frlfi_obs::count("rl.greedy_memo.miss", misses);
+    }
     summaries.into_iter().map(|s| s.ok_or(RlError::EpisodeNotTerminated)).collect()
 }
 
@@ -228,6 +349,7 @@ mod tests {
     use crate::QLearner;
     use frlfi_envs::GridWorld;
     use frlfi_envs::Outcome;
+    use frlfi_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -311,6 +433,111 @@ mod tests {
         .unwrap();
         assert_eq!(one.len(), 1);
         assert!(one[0].outcome.is_terminal());
+    }
+
+    /// A [`QLearner`] that counts the rows its batched greedy path is
+    /// asked to forward.
+    struct CountingLearner {
+        inner: QLearner,
+        rows: usize,
+    }
+
+    impl Learner for CountingLearner {
+        fn act(&mut self, state: &Tensor, rng: &mut dyn RngCore) -> Result<usize, RlError> {
+            self.inner.act(state, rng)
+        }
+        fn act_greedy(&mut self, state: &Tensor) -> Result<usize, RlError> {
+            self.inner.act_greedy(state)
+        }
+        fn act_greedy_batch(
+            &mut self,
+            states: &[f32],
+            in_shape: &ActShape,
+            batch: usize,
+            ctx: &mut BatchInferCtx,
+            actions: &mut [usize],
+        ) -> Result<(), RlError> {
+            self.rows += batch;
+            self.inner.act_greedy_batch(states, in_shape, batch, ctx, actions)
+        }
+        fn observe(&mut self, transition: Transition) -> Result<(), RlError> {
+            self.inner.observe(transition)
+        }
+        fn end_episode(&mut self) -> Result<(), RlError> {
+            self.inner.end_episode()
+        }
+        fn set_episode(&mut self, episode: usize) {
+            self.inner.set_episode(episode);
+        }
+        fn network(&self) -> &frlfi_nn::Network {
+            self.inner.network()
+        }
+        fn network_mut(&mut self) -> &mut frlfi_nn::Network {
+            self.inner.network_mut()
+        }
+    }
+
+    #[test]
+    fn memo_skips_forwards_of_a_looping_episode() {
+        // The first untrained policy (by seed) whose greedy episode on
+        // the first standard layout loops until the 120-step timeout.
+        let env = GridWorld::standard_layouts(1)[0].clone();
+        let looping = (0..200u64).find_map(|seed| {
+            let mut learner = QLearner::gridworld_default(&mut StdRng::seed_from_u64(seed)).ok()?;
+            let summary = run_greedy_episode_ctx(
+                &mut env.clone(),
+                &mut learner,
+                &mut StdRng::seed_from_u64(seed),
+                &mut BatchInferCtx::new(),
+            )
+            .ok()?;
+            (summary.outcome == Outcome::Timeout).then_some((seed, learner, summary))
+        });
+        let (seed, inner, oracle) = looping.expect("some untrained policy loops to the timeout");
+        assert_eq!(oracle.steps, 120);
+        let mut counting = CountingLearner { inner, rows: 0 };
+        let batched = run_greedy_episodes_batch(
+            &mut counting,
+            &mut [env],
+            &mut [StdRng::seed_from_u64(seed)],
+            &mut BatchInferCtx::new(),
+        )
+        .unwrap();
+        assert_eq!(batched, vec![oracle]);
+        assert!(
+            counting.rows < oracle.steps,
+            "{} rows forwarded over {} steps",
+            counting.rows,
+            oracle.steps
+        );
+    }
+
+    #[test]
+    fn memo_stops_inserting_at_its_key_budget() {
+        // A DroneNav-sized row: the budget admits 56 of them.
+        let vol = 144;
+        let cap = GREEDY_MEMO_KEY_BYTES / (vol * 4);
+        assert_eq!(cap, 56);
+        let row = |k: usize| vec![k as f32; vol];
+        let mut memo = GreedyMemo::new(vol);
+        for k in 0..cap + 10 {
+            memo.insert(&row(k), k % 25);
+        }
+        assert_eq!(memo.actions.len(), cap);
+        assert_eq!(memo.keys.len(), cap * vol);
+        assert!((0..cap).all(|k| memo.get(&row(k)) == Some(k % 25)));
+        assert!((cap..cap + 10).all(|k| memo.get(&row(k)).is_none()));
+    }
+
+    #[test]
+    fn memo_keys_on_exact_bits() {
+        let mut memo = GreedyMemo::new(2);
+        memo.insert(&[0.0, f32::NAN], 1);
+        memo.insert(&[-0.0, f32::NAN], 2);
+        assert_eq!(memo.get(&[0.0, f32::NAN]), Some(1));
+        assert_eq!(memo.get(&[-0.0, f32::NAN]), Some(2));
+        assert_eq!(memo.get(&[0.0, -f32::NAN]), None);
+        assert_eq!(memo.get(&[f32::from_bits(1), f32::NAN]), None);
     }
 
     #[test]

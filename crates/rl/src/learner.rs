@@ -92,6 +92,16 @@ pub trait Learner: Send {
     /// delegation to [`Learner::act_greedy`]) trivially guarantees for
     /// implementors without a fast path.
     ///
+    /// The action for a row must be a **pure function of the row's
+    /// bits and the learner's parameters**: it may not depend on the
+    /// other rows of the batch, change learner state or consume
+    /// randomness. [`crate::run_greedy_episodes_batch`] relies on this
+    /// twice: its lock-step batches mix the rows of many episodes, and
+    /// its per-call memo reuses the action chosen for a row's bits
+    /// instead of forwarding that row again. A learner whose forward
+    /// draws randomness (activation faults do) must not be evaluated
+    /// through it.
+    ///
     /// # Errors
     ///
     /// Returns an error if an observation row does not fit the policy

@@ -45,7 +45,7 @@ mod schedule;
 
 pub use episode::{
     run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx,
-    run_greedy_episodes_batch, EpisodeSummary,
+    run_greedy_episodes_batch, EpisodeSummary, GREEDY_MEMO_KEY_BYTES,
 };
 pub use error::RlError;
 pub use learner::{Learner, Transition};

@@ -1,14 +1,113 @@
 //! Property-based tests for the RL substrate.
 
-use frlfi_envs::GridWorld;
+use frlfi_envs::{DroneConfig, DroneSim, Environment, GridWorld, Outcome, Step};
+use frlfi_nn::{BatchInferCtx, Network, NetworkBuilder};
 use frlfi_rl::{
-    run_episode, run_greedy_episode, sample_categorical, softmax, EpsilonSchedule, Learner,
-    QLearner, Reinforce, Transition,
+    run_episode, run_greedy_episode, run_greedy_episode_ctx, run_greedy_episodes_batch,
+    sample_categorical, softmax, EpisodeSummary, EpsilonSchedule, Learner, QLearner, Reinforce,
+    Transition, GREEDY_MEMO_KEY_BYTES,
 };
 use frlfi_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// An episode summary as exact bits: `total_reward`, `steps`, `outcome`.
+type SummaryBits = (u32, usize, Outcome);
+
+fn bits(s: &EpisodeSummary) -> SummaryBits {
+    (s.total_reward.to_bits(), s.steps, s.outcome)
+}
+
+/// Evaluates `envs` on the memoized lock-step runner and, one at a
+/// time, on the unmemoized oracle (`run_greedy_episode_ctx`), with
+/// environment `i` drawing from `seed + i` either way, and returns
+/// both summary lists as bits.
+fn memoized_and_oracle<E: Environment + Clone>(
+    learner: &mut dyn Learner,
+    envs: &[E],
+    seed: u64,
+) -> (Vec<SummaryBits>, Vec<SummaryBits>) {
+    let rng = |i: usize| StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+    let mut ctx = BatchInferCtx::new();
+    let oracle = envs
+        .iter()
+        .enumerate()
+        .map(|(i, env)| {
+            let s = run_greedy_episode_ctx(&mut env.clone(), learner, &mut rng(i), &mut ctx);
+            bits(&s.expect("oracle episode runs"))
+        })
+        .collect();
+    let mut batch_envs = envs.to_vec();
+    let mut rngs: Vec<StdRng> = (0..envs.len()).map(rng).collect();
+    let memoized = run_greedy_episodes_batch(learner, &mut batch_envs, &mut rngs, &mut ctx)
+        .expect("lock-step episodes run");
+    (memoized.iter().map(bits).collect(), oracle)
+}
+
+/// Overwrites up to three random parameters with NaN, ±inf, a ±subnormal
+/// or ±0.
+fn plant_special_weights(net: &mut Network, rng: &mut StdRng) {
+    const SPECIAL: [f32; 7] =
+        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -1e-40, 0.0, -0.0];
+    let mut w = net.snapshot();
+    for _ in 0..rng.gen_range(0..4usize) {
+        let i = rng.gen_range(0..w.len());
+        w[i] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+    }
+    net.restore(&w).expect("same parameter count");
+}
+
+/// An environment whose six-float observations differ only below 1e-3:
+/// it walks a ring of `ROWS` fixed rows built from tiny, subnormal and
+/// signed-zero values, so rows repeat (the memo hits) while a memo
+/// keyed on anything coarser than exact bits would merge distinct
+/// rows. The reward reveals the chosen action.
+#[derive(Clone)]
+struct FineGrained {
+    rows: Vec<[f32; 6]>,
+    at: usize,
+    steps: usize,
+}
+
+impl FineGrained {
+    const ROWS: usize = 8;
+
+    fn new(rng: &mut StdRng) -> Self {
+        const GRAIN: [f32; 6] = [0.0, -0.0, 1e-4, -1e-4, 3e-4, 1e-40];
+        let rows = (0..Self::ROWS)
+            .map(|_| std::array::from_fn(|_| GRAIN[rng.gen_range(0..GRAIN.len())]))
+            .collect();
+        FineGrained { rows, at: 0, steps: 0 }
+    }
+
+    fn obs(&self) -> Tensor {
+        Tensor::from_vec(vec![6], self.rows[self.at].to_vec()).expect("six floats")
+    }
+}
+
+impl Environment for FineGrained {
+    fn obs_shape(&self) -> Vec<usize> {
+        vec![6]
+    }
+
+    fn n_actions(&self) -> usize {
+        4
+    }
+
+    fn reset(&mut self, rng: &mut dyn RngCore) -> Tensor {
+        self.at = rng.next_u32() as usize % Self::ROWS;
+        self.steps = 0;
+        self.obs()
+    }
+
+    fn step(&mut self, action: usize, _rng: &mut dyn RngCore) -> Step {
+        self.at = (self.at + action + 1) % Self::ROWS;
+        self.steps += 1;
+        let outcome = if self.steps == 40 { Outcome::Timeout } else { Outcome::Continue };
+        Step { state: self.obs(), reward: 0.25 * action as f32 + 0.1, outcome }
+    }
+}
 
 proptest! {
     #[test]
@@ -153,4 +252,79 @@ proptest! {
         }
         prop_assert_eq!(slow_actions, fast_actions);
     }
+
+    #[test]
+    fn memoized_greedy_episodes_match_the_oracle_on_grid_layouts(
+        seed in any::<u64>(),
+        n_envs in 1usize..7,
+        train_episodes in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specs = frlfi_envs::standard_layout_specs(rng.next_u64(), n_envs);
+        let envs: Vec<GridWorld> = specs.iter().map(GridWorld::from_spec).collect();
+        let mut learner = QLearner::gridworld_default(&mut rng).expect("learner");
+        for _ in 0..train_episodes {
+            let mut env = envs[0].clone();
+            run_episode(&mut env, &mut learner, &mut rng).expect("training episode runs");
+        }
+        plant_special_weights(learner.network_mut(), &mut rng);
+        let (memoized, oracle) = memoized_and_oracle(&mut learner, &envs, rng.next_u64());
+        prop_assert_eq!(memoized, oracle);
+    }
+
+    #[test]
+    fn memoized_greedy_episodes_match_the_oracle_on_sub_millesimal_rows(
+        seed in any::<u64>(),
+        n_envs in 1usize..7,
+    ) {
+        // A single dense layer with large weights and no bias, so rows
+        // that differ only below 1e-3 get different actions.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = NetworkBuilder::new(6).dense(4).build(&mut rng).expect("network");
+        let mut learner = QLearner::new(net, 0.9, 0.01, EpsilonSchedule::new(0.0, 0.0, 1));
+        let w: Vec<f32> = learner
+            .network()
+            .snapshot()
+            .iter()
+            .enumerate()
+            .map(|(i, w)| if i < 24 { w * 1e6 } else { 0.0 })
+            .collect();
+        learner.network_mut().restore(&w).expect("same parameter count");
+        plant_special_weights(learner.network_mut(), &mut rng);
+        let envs: Vec<FineGrained> = (0..n_envs).map(|_| FineGrained::new(&mut rng)).collect();
+        let (memoized, oracle) = memoized_and_oracle(&mut learner, &envs, rng.next_u64());
+        prop_assert_eq!(memoized, oracle);
+    }
+}
+
+#[test]
+fn memoized_drone_corridors_match_the_oracle_past_the_key_budget() {
+    // In wider corridors an untrained policy flies about 25 steps
+    // past changing obstacles, so six corridors show more distinct
+    // depth rows than the key budget holds: the memo fills and stops
+    // inserting.
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut learner = Reinforce::drone_default(&mut rng).expect("learner");
+    let cfg =
+        DroneConfig { corridor_width: 100.0, corridor_height: 40.0, ..DroneConfig::default() };
+    let envs: Vec<DroneSim> = (0..6).map(|k| DroneSim::new(cfg, 40 + k)).collect();
+    let (memoized, oracle) = memoized_and_oracle(&mut learner, &envs, 11);
+    assert_eq!(memoized, oracle);
+    // Replay the oracle's flights to count their distinct depth rows.
+    let mut rows = std::collections::HashSet::new();
+    for (i, env) in envs.iter().enumerate() {
+        let mut env = env.clone();
+        let mut rng = StdRng::seed_from_u64(11 + i as u64);
+        let mut obs = env.reset(&mut rng);
+        loop {
+            rows.insert(obs.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>());
+            let step = env.step(learner.act_greedy(&obs).expect("act"), &mut rng);
+            if step.outcome.is_terminal() {
+                break;
+            }
+            obs = step.state;
+        }
+    }
+    let row_bytes = 9 * 16 * std::mem::size_of::<f32>();
+    assert!(rows.len() > GREEDY_MEMO_KEY_BYTES / row_bytes, "{} distinct rows fit", rows.len());
 }
