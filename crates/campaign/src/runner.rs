@@ -31,6 +31,12 @@
 //! single-writer log (torn tails truncated, every append retry
 //! truncated back to the committed length), any other a lenient
 //! shared-queue log (torn tails healed into their own skippable line).
+//! A lenient log syncs every record. A strict log writes each record
+//! at commit but syncs at most once per 50 ms sync interval (group
+//! commit), and once more before the call returns: a process kill
+//! loses nothing that was written, and a machine crash loses at most
+//! about one interval of commits, which the next call truncates as a
+//! torn tail and re-runs with the same seeds.
 //!
 //! **Study campaigns** (`fig4`, `fig8a/b`, `datatypes`, `layers`)
 //! expand into a small task DAG instead of a flat sweep: task ids
@@ -50,7 +56,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use frlfi::experiments::study::StudyGeometry;
 use frlfi::report::Table;
@@ -369,27 +375,48 @@ fn load_records(dir: &Path, policy: LogPolicy) -> Result<(Vec<TrialRecord>, u64)
     Ok((records, valid_len))
 }
 
+/// The longest a strict log's appended records wait for their sync:
+/// a commit syncs once this much time has passed since the last sync
+/// (group commit). A record lost to a machine crash costs only its
+/// bit-identical re-run, so a time bound is the right bound; trials
+/// slower than this still sync at every commit.
+const TRIAL_LOG_SYNC_INTERVAL: Duration = Duration::from_millis(50);
+
 /// The trial log's append handle under one call's [`LogPolicy`]. One
 /// [`TrialSink::append`] is one attempt; callers run it under the
-/// retry policy.
+/// retry policy, then [`TrialSink::sync`] as a step of its own.
 struct TrialSink {
     file: std::fs::File,
     policy: LogPolicy,
     /// Byte length of the committed record-per-line prefix (what a
     /// strict append truncates back to).
     committed: u64,
+    /// Whether records have landed since the last sync (strict only:
+    /// a lenient append syncs itself).
+    dirty: bool,
+    /// When the log was last synced (or opened).
+    synced_at: Instant,
 }
 
 impl TrialSink {
     /// Opens the log for appending; under the strict policy first chops
     /// any torn tail past `valid_len`, the parsed prefix. (A lenient
-    /// append heals a torn tail itself.)
+    /// append heals a torn tail itself.) A strict log that already
+    /// holds records starts dirty: a previous call's appends may never
+    /// have been synced, so this call's closing sync covers them.
     fn open(dir: &Path, policy: LogPolicy, valid_len: u64) -> Result<TrialSink, String> {
         let path = trials_path(dir);
         let file = io::with_retry("trials.open", || io::open_append("trials.open", &path))
             .map_err(|e| format!("open {}: {e}", path.display()))?;
-        let mut sink = TrialSink { file, policy, committed: valid_len };
-        if policy == LogPolicy::Strict {
+        let strict = policy == LogPolicy::Strict;
+        let mut sink = TrialSink {
+            file,
+            policy,
+            committed: valid_len,
+            dirty: strict && valid_len > 0,
+            synced_at: Instant::now(),
+        };
+        if strict {
             sink.truncate_uncommitted().map_err(|e| format!("truncate torn trial log: {e}"))?;
         }
         Ok(sink)
@@ -402,23 +429,42 @@ impl TrialSink {
         Ok(())
     }
 
-    /// Appends one record line and syncs it. A strict retry truncates
+    /// Appends one record line. A strict append only writes: the record
+    /// is visible to readers and survives a process kill at once, and
+    /// [`TrialSink::sync`] makes it durable. A strict retry truncates
     /// the failed attempt's short-written fragment off before
-    /// rewriting; a lenient one heals it into its own skippable line.
+    /// rewriting; a lenient append heals it into its own skippable line
+    /// and syncs every record.
     fn append(&mut self, line: &str) -> std::io::Result<()> {
         match self.policy {
             LogPolicy::Strict => {
                 self.truncate_uncommitted()?;
                 let buf = format!("{line}\n");
                 io::write_all("trials.append", &mut self.file, buf.as_bytes())?;
-                io::sync_data("trials.append", &self.file)?;
                 self.committed += buf.len() as u64;
+                self.dirty = true;
                 Ok(())
             }
             LogPolicy::Lenient => {
                 crate::coord::append_jsonl_line("trials.append", &mut self.file, line)
             }
         }
+    }
+
+    /// Syncs the appended records under the retry policy if any are
+    /// unsynced and either `force` is set or
+    /// [`TRIAL_LOG_SYNC_INTERVAL`] has passed since the last sync.
+    /// Returns whether it synced.
+    fn sync(&mut self, force: bool) -> Result<bool, String> {
+        if !self.dirty || !(force || self.synced_at.elapsed() >= TRIAL_LOG_SYNC_INTERVAL) {
+            return Ok(false);
+        }
+        io::with_retry("trials.sync", || io::sync_data("trials.sync", &self.file))
+            .map_err(|e| format!("sync trial log: {e}"))?;
+        self.dirty = false;
+        self.synced_at = Instant::now();
+        frlfi_obs::count("trials.sync", 1);
+        Ok(true)
     }
 }
 
@@ -752,9 +798,16 @@ fn run_expanded(
             });
         }
     });
-    let RunState { source, done, failed, errors, poisoned, train_poisoned, committed, .. } = state;
-    if failed.into_inner() {
-        return Err(errors.into_inner().unwrap_or_else(PoisonError::into_inner).join("; "));
+    let RunState { source, sink, done, errors, poisoned, train_poisoned, committed, .. } = state;
+    // The closing sync: whatever this call appended is durable before
+    // it returns, error returns included. (Every fatal error is in
+    // `errors`.)
+    let mut errors = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Err(e) = sink.into_inner().unwrap_or_else(PoisonError::into_inner).sync(true) {
+        errors.push(e);
+    }
+    if !errors.is_empty() {
+        return Err(errors.join("; "));
     }
     let done = match source {
         // The only writer's own view is final, and re-parsing a large
@@ -934,9 +987,15 @@ impl RunState<'_> {
         frlfi_obs::flush();
     }
 
-    /// Persists one finished trial: a line-atomic append + sync under
-    /// the retry policy, so a kill between records loses at most the
-    /// torn tail and a transient I/O error costs only a backoff sleep.
+    /// Persists one finished trial: a line-atomic append under the
+    /// retry policy, so a kill between records loses at most the torn
+    /// tail and a transient I/O error costs only a backoff sleep. Then,
+    /// as a separate retried step, the log is synced if the sync
+    /// interval has passed (group commit): a machine crash loses at
+    /// most about one interval of commits, which re-run bit-identically.
+    /// An append whose retries run out is the trial's error (it is
+    /// quarantined); a sync whose retries run out fails the run, with
+    /// the record committed.
     fn commit(&self, record: &TrialRecord) -> Result<(), String> {
         let line = json::render(&record.to_value());
         let _io = frlfi_obs::timed("io");
@@ -944,6 +1003,10 @@ impl RunState<'_> {
         io::with_retry("trials.append", || sink.append(&line))
             .map_err(|e| format!("append {}: {e}", trials_path(self.dir).display()))?;
         lock_recover(&self.done)[record.cell][record.repeat] = Some(record.value);
+        if let Err(e) = sink.sync(false) {
+            self.failed.store(true, Ordering::Relaxed);
+            lock_recover(&self.errors).push(e);
+        }
         Ok(())
     }
 
@@ -1281,5 +1344,48 @@ pub fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
                 table
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record_line(i: usize) -> String {
+        json::render(&TrialRecord { cell: 0, repeat: i, seed: i as u64, value: 1.0 }.to_value())
+    }
+
+    #[test]
+    fn quick_commits_share_syncs_and_spaced_commits_each_sync() {
+        let dir = std::env::temp_dir().join(format!("frlfi-runner-sink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut sink = TrialSink::open(&dir, LogPolicy::Strict, 0).expect("open");
+
+        // Commits far quicker than the interval: one write each, and
+        // fewer syncs than commits.
+        let quick = 200;
+        let mut syncs = 0;
+        for i in 0..quick {
+            sink.append(&record_line(i)).expect("append");
+            syncs += usize::from(sink.sync(false).expect("sync"));
+        }
+        assert!(syncs < quick, "{quick} quick commits synced {syncs} times");
+        assert!(sink.sync(true).expect("closing sync"), "unsynced commits force a sync");
+        assert!(!sink.sync(true).expect("sync"), "a synced log has nothing to sync");
+
+        // Commits spaced further apart than the interval sync every time.
+        let spaced = 3;
+        for i in quick..quick + spaced {
+            std::thread::sleep(TRIAL_LOG_SYNC_INTERVAL + Duration::from_millis(5));
+            sink.append(&record_line(i)).expect("append");
+            assert!(sink.sync(false).expect("sync"), "a commit after the interval syncs");
+        }
+        drop(sink);
+
+        let (records, _) = load_records(&dir, LogPolicy::Strict).expect("load");
+        assert_eq!(records.len(), quick + spaced, "every commit is written once");
+        assert!(records.iter().enumerate().all(|(i, r)| r.repeat == i));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -245,6 +245,40 @@ fn persistent_fault_quarantines_deterministically_and_a_healthy_resume_recovers(
 }
 
 #[test]
+fn a_persistent_sync_fault_fails_the_exclusive_run_and_a_healthy_resume_recovers() {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let reference = reference_summary();
+
+    // Every sync of the strict trial log faults, retries included. The
+    // appends land, so the trials are not quarantined: the run fails
+    // on the sync and publishes no summary over an unsynced log.
+    let cfg = RunnerConfig { threads: 1, ..RunnerConfig::default() };
+    let dir = temp_dir("sync-poison");
+    let err = {
+        let _armed = Armed::arm(ChaosSpec {
+            seed: 13,
+            tag: Some("trials.sync".into()),
+            persist: true,
+            ..ChaosSpec::default()
+        });
+        runner::run(&scenario(), &dir, &cfg).expect_err("a sync whose retries run out fails")
+    };
+    assert!(err.contains("sync trial log"), "the error must name the sync: {err}");
+    assert!(err.contains("chaos"), "{err}");
+    assert!(quarantine::load(&dir).expect("quarantine log").is_empty(), "nothing quarantined");
+    assert!(!dir.join("summary.txt").exists(), "no summary may be published");
+
+    // The written records stay in the log: a healthy resume keeps them,
+    // syncs them, runs whatever the failed call never reached and
+    // publishes the reference bytes.
+    let healed = runner::resume(&dir, &cfg).expect("healthy resume");
+    assert!(healed.complete());
+    assert!(healed.new_trials <= 1, "the failed run's first record must survive");
+    assert_eq!(summary(&dir), reference, "recovery must restore the byte-identical summary");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn transient_faults_recover_via_retry_and_surface_in_the_profile() {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reference = reference_summary();

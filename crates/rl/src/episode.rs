@@ -1,6 +1,7 @@
 use crate::{Learner, RlError, Transition};
 use frlfi_envs::{Environment, Outcome};
 use frlfi_nn::{ActShape, BatchInferCtx};
+use frlfi_tensor::TensorError;
 use rand::RngCore;
 
 /// The result of running one episode.
@@ -245,7 +246,8 @@ impl GreedyMemo {
 /// # Errors
 ///
 /// Propagates learner errors and rejects unsupported observation
-/// shapes; returns [`RlError::EpisodeNotTerminated`] if an environment
+/// shapes and observations whose volume differs from the declared
+/// `obs_shape` ([`RlError::Nn`]); returns [`RlError::EpisodeNotTerminated`] if an environment
 /// violates its termination contract.
 ///
 /// # Panics
@@ -275,7 +277,7 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
     for (s, (env, rng)) in envs.iter_mut().zip(rngs.iter_mut()).enumerate() {
         assert_eq!(env.obs_shape(), dims, "batched environments must share an obs shape");
         let obs = env.reset(rng);
-        states[s * vol..(s + 1) * vol].copy_from_slice(obs.data());
+        fill_row(&mut states[s * vol..(s + 1) * vol], obs.data())?;
     }
 
     let mut memo = GreedyMemo::new(vol);
@@ -330,7 +332,7 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
                 });
             } else {
                 active[live] = i;
-                states[live * vol..(live + 1) * vol].copy_from_slice(step.state.data());
+                fill_row(&mut states[live * vol..(live + 1) * vol], step.state.data())?;
                 live += 1;
             }
         }
@@ -341,6 +343,17 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
         frlfi_obs::count("rl.greedy_memo.miss", misses);
     }
     summaries.into_iter().map(|s| s.ok_or(RlError::EpisodeNotTerminated)).collect()
+}
+
+/// Copies one observation into its batch row, rejecting one whose
+/// volume is not the declared `obs_shape` volume the way a
+/// sequential runner's forward does.
+fn fill_row(row: &mut [f32], obs: &[f32]) -> Result<(), RlError> {
+    if obs.len() != row.len() {
+        return Err(TensorError::LengthMismatch { expected: row.len(), actual: obs.len() }.into());
+    }
+    row.copy_from_slice(obs);
+    Ok(())
 }
 
 #[cfg(test)]

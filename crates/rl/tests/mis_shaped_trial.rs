@@ -7,8 +7,8 @@
 use frlfi_envs::{Environment, Outcome, Step};
 use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{
-    run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx, Learner,
-    QLearner, Reinforce, RlError, Transition,
+    run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx,
+    run_greedy_episodes_batch, Learner, QLearner, Reinforce, RlError, Transition,
 };
 use frlfi_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -18,15 +18,17 @@ use rand::{RngCore, SeedableRng};
 /// emits observations of a different volume — the malformed-scenario
 /// failure mode the campaign quarantine machinery has to absorb.
 struct MisShapedEnv {
-    /// Volume of the observations actually produced (the gridworld
-    /// policies expect 6).
+    /// Volume of the reset observation actually produced (the
+    /// gridworld policies expect 6).
     emit_dim: usize,
+    /// Volume of every step observation.
+    step_dim: usize,
     steps: usize,
 }
 
 impl MisShapedEnv {
     fn new(emit_dim: usize) -> Self {
-        MisShapedEnv { emit_dim, steps: 0 }
+        MisShapedEnv { emit_dim, step_dim: emit_dim, steps: 0 }
     }
 }
 
@@ -47,7 +49,7 @@ impl Environment for MisShapedEnv {
     fn step(&mut self, _action: usize, _rng: &mut dyn RngCore) -> Step {
         self.steps += 1;
         let outcome = if self.steps >= 3 { Outcome::Timeout } else { Outcome::Continue };
-        Step { state: Tensor::zeros(vec![self.emit_dim]), reward: -1.0, outcome }
+        Step { state: Tensor::zeros(vec![self.step_dim]), reward: -1.0, outcome }
     }
 }
 
@@ -82,6 +84,19 @@ fn mis_shaped_observation_errors_through_every_episode_driver() {
     assert_shape_error(
         run_greedy_episode_ctx(&mut env, &mut pi, &mut rng, &mut BatchInferCtx::new()),
         "run_greedy_episode_ctx/Reinforce",
+    );
+    // The lock-step runner checks every row: a bad reset observation,
+    // and a bad step observation after a good reset.
+    let mut rngs = vec![StdRng::seed_from_u64(4), StdRng::seed_from_u64(5)];
+    let mut envs = vec![MisShapedEnv::new(6), MisShapedEnv::new(9)];
+    assert_shape_error(
+        run_greedy_episodes_batch(&mut q, &mut envs, &mut rngs, &mut BatchInferCtx::new()),
+        "run_greedy_episodes_batch(reset)/QLearner",
+    );
+    let mut envs = vec![MisShapedEnv { emit_dim: 6, step_dim: 9, steps: 0 }];
+    assert_shape_error(
+        run_greedy_episodes_batch(&mut pi, &mut envs, &mut rngs[..1], &mut BatchInferCtx::new()),
+        "run_greedy_episodes_batch(step)/Reinforce",
     );
 }
 
