@@ -23,7 +23,7 @@ fn fig3_cell(c: &mut Criterion) {
             let mut sys = GridFrlSystem::new(cfg).expect("valid config");
             let plan = InjectionPlan::server(60, Ber::new(0.01).expect("ber"));
             let ctx = &mut BatchInferCtx::new();
-            sys.train(120, Some(&plan), None, ctx).expect("training");
+            sys.train(120, Some(&plan), ctx).expect("training");
             black_box(sys.success_rate(ctx))
         })
     });
@@ -37,7 +37,7 @@ fn fig4_cell(c: &mut Criterion) {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-    sys.train(150, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(150, None, &mut BatchInferCtx::new()).expect("training");
     c.bench_function("fig4_cell_static_inference_fault", |b| {
         let ctx = &mut BatchInferCtx::new();
         let mut seed = 0u64;
@@ -71,7 +71,7 @@ fn fig5_cell(c: &mut Criterion) {
             let plan =
                 InjectionPlan::server(1, Ber::new(1e-3).expect("ber")).with_repr(ReprKind::F32);
             let ctx = &mut BatchInferCtx::new();
-            sys.train(4, Some(&plan), None, ctx).expect("fine-tune");
+            sys.train(4, Some(&plan), ctx).expect("fine-tune");
             black_box(sys.safe_flight_distance(1, ctx))
         })
     });

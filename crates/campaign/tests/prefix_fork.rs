@@ -6,6 +6,8 @@
 //! episodes. Every `(cell, repeat)` value on that path must equal the
 //! uncached trial function bit for bit — whichever order the cells run
 //! in, so chains are extended both front to back and back to front.
+//! Mitigated builtins (fig7a, fig7b) fork by the same rule: the
+//! snapshots carry the detector and the checkpoint.
 
 use frlfi::experiments::harness::{run_drone_trial_batched, run_grid_trial_batched};
 use frlfi::nn::BatchInferCtx;
@@ -28,11 +30,6 @@ const BUILTINS: [&str; 14] = [
     "drone-dropout",
     "drone-motion",
 ];
-
-/// Builtins whose trials are all mitigated: their detector and
-/// checkpoint state lives inside one training call, so they fork from
-/// a zero-length prefix and cache nothing.
-const MITIGATED: [&str; 2] = ["fig7a", "fig7b"];
 
 /// Builtins with dropout, where some stop must have skipped a round.
 const DROPOUT: [&str; 2] = ["grid-dropout", "drone-dropout"];
@@ -106,10 +103,6 @@ fn forked_trials_match_uncached_trials_bitwise_for_every_training_builtin() {
         check_forks(name, &backward, &reference, true);
 
         let stops = forward.prefixes().stops();
-        if MITIGATED.contains(&name) {
-            assert!(stops.is_empty(), "{name} must not cache prefixes");
-            continue;
-        }
         assert!(!stops.is_empty(), "{name}: no prefix was cached");
         // Both orders store the same snapshots (the chain's stops).
         let episodes = |s: &[Stop]| -> Vec<usize> { s.iter().map(|s| s.episodes_done).collect() };

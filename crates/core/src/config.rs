@@ -1,3 +1,4 @@
+use crate::injection::TrainingMitigation;
 use frlfi_envs::DroneConfig;
 use frlfi_federated::CommSchedule;
 use serde::{Deserialize, Serialize};
@@ -73,6 +74,8 @@ pub struct GridSystemConfig {
     /// Per-round probability that an agent drops out of a communication
     /// round (`None` = reliable links, the paper's setting).
     pub dropout: Option<f32>,
+    /// Training-time mitigation (`None` = unprotected training).
+    pub mitigation: Option<TrainingMitigation>,
 }
 
 impl Default for GridSystemConfig {
@@ -88,6 +91,7 @@ impl Default for GridSystemConfig {
             anneal_rounds: 50,
             layout: GridLayout::Standard,
             dropout: None,
+            mitigation: None,
         }
     }
 }
@@ -136,6 +140,8 @@ pub struct DroneSystemConfig {
     /// Per-round probability that a drone drops out of a communication
     /// round (`None` = reliable links, the paper's setting).
     pub dropout: Option<f32>,
+    /// Training-time mitigation (`None` = unprotected training).
+    pub mitigation: Option<TrainingMitigation>,
 }
 
 impl Default for DroneSystemConfig {
@@ -149,6 +155,7 @@ impl Default for DroneSystemConfig {
             train_max_steps: 120,
             layout: DroneLayout::Standard,
             dropout: None,
+            mitigation: None,
         }
     }
 }

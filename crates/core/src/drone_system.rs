@@ -1,7 +1,6 @@
 use crate::config::{DroneLayout, DroneSystemConfig};
 use crate::error::FrlfiError;
-use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner};
-use crate::injection::MitigationStats;
+use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner, Mitigation};
 use frlfi_envs::{DroneConfig, DroneSim, ObstacleMotion};
 use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
@@ -30,7 +29,7 @@ use rand::SeedableRng;
 /// let mut sys = DroneFrlSystem::new(DroneSystemConfig::default())?;
 /// sys.pretrain()?;
 /// let ctx = &mut BatchInferCtx::new();
-/// sys.train(40, None, None, ctx)?;
+/// sys.train(40, None, ctx)?;
 /// println!("distance = {:.0} m", sys.safe_flight_distance(4, ctx));
 /// # Ok(())
 /// # }
@@ -123,9 +122,8 @@ impl DroneFrlSystem {
             injected: false,
             pending_server_fault: None,
             last_records: Vec::new(),
-            mitigation_stats: MitigationStats::default(),
+            mitigation: Mitigation::new(cfg.mitigation, cfg.n_drones),
             pretrained: false,
-            stale_consensus: false,
             cfg,
         })
     }
@@ -299,7 +297,7 @@ mod tests {
     fn train_runs_and_counts_episodes() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
-        s.train(3, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(3, None, &mut BatchInferCtx::new()).unwrap();
         assert_eq!(s.episodes_done, 3);
     }
 
@@ -308,7 +306,7 @@ mod tests {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.01).unwrap()).with_repr(ReprKind::F32);
-        s.train(2, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
+        s.train(2, Some(&plan), &mut BatchInferCtx::new()).unwrap();
         assert!(!s.last_fault_records().is_empty());
     }
 
@@ -324,7 +322,7 @@ mod tests {
     fn batched_flight_distance_matches_sequential_bitwise() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
-        s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(2, None, &mut BatchInferCtx::new()).unwrap();
         let ctx = &mut BatchInferCtx::new();
         for attempts in [1usize, 3] {
             let seq = safe_flight_distance_sequential(&mut s, attempts);
@@ -341,7 +339,7 @@ mod tests {
             s
         };
         let mut bat = fresh();
-        bat.train(4, None, None, &mut BatchInferCtx::new()).unwrap();
+        bat.train(4, None, &mut BatchInferCtx::new()).unwrap();
         // The per-observation reference path ([`frlfi_rl::run_episode`]).
         let mut seq = fresh();
         for ep in 0..4 {
@@ -384,7 +382,7 @@ mod tests {
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         assert!(s.config().sim.dynamic.is_some(), "layout must switch the sim to dynamic mode");
         s.pretrain().unwrap();
-        s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(2, None, &mut BatchInferCtx::new()).unwrap();
         let d = s.safe_flight_distance(1, &mut BatchInferCtx::new());
         let max = s.config().sim.max_steps as f64 * s.config().sim.speed as f64;
         assert!(d > 0.0 && d <= max, "distance {d} out of range (max {max})");
@@ -419,7 +417,7 @@ mod tests {
         let cfg = DroneSystemConfig { layout: DroneLayout::DynamicObstacles, ..tiny_cfg(2) };
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         s.pretrain().unwrap();
-        s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(2, None, &mut BatchInferCtx::new()).unwrap();
         let ctx = &mut BatchInferCtx::new();
         for attempts in [1usize, 3] {
             let seq = safe_flight_distance_sequential(&mut s, attempts);
@@ -434,7 +432,7 @@ mod tests {
         let run = |cfg: &DroneSystemConfig| {
             let mut s = DroneFrlSystem::new(cfg.clone()).unwrap();
             s.pretrain().unwrap();
-            s.train(6, None, None, &mut BatchInferCtx::new()).unwrap();
+            s.train(6, None, &mut BatchInferCtx::new()).unwrap();
             s.agent(0).network().snapshot()
         };
         assert_eq!(run(&cfg), run(&cfg), "dropout masks must derive from the config seed");
@@ -451,7 +449,7 @@ mod tests {
         s.pretrain().unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap()).with_repr(ReprKind::F32);
         s.inject_now(&plan);
-        s.train(80, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(80, None, &mut BatchInferCtx::new()).unwrap();
         assert!(
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"
@@ -464,60 +462,55 @@ mod tests {
         // skip under heavy dropout, so the replayed draw count is not
         // the round count, and REINFORCE's reward baseline must come
         // back with the weights.
-        let cfg = DroneSystemConfig { dropout: Some(0.5), ..tiny_cfg(3) };
-        let fresh = || {
-            let mut s = DroneFrlSystem::new(cfg.clone()).unwrap();
-            s.pretrain().unwrap();
-            s
-        };
-        let plan = InjectionPlan::server(6, Ber::new(0.01).unwrap());
-        let mut whole = fresh();
-        whole.reseed_faults(5);
-        whole.train(12, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
+        // The mitigated case's tight detector fires before and after
+        // the fork, so the fork must carry its state.
+        let tight =
+            TrainingMitigation { p_percent: 10.0, k_consecutive: 2, checkpoint_interval: 2 };
+        for mitigation in [None, Some(tight)] {
+            let cfg = DroneSystemConfig { dropout: Some(0.5), mitigation, ..tiny_cfg(3) };
+            let fresh = || {
+                let mut s = DroneFrlSystem::new(cfg.clone()).unwrap();
+                s.pretrain().unwrap();
+                s
+            };
+            let plan = InjectionPlan::server(6, Ber::new(0.01).unwrap());
+            let mut whole = fresh();
+            whole.reseed_faults(5);
+            whole.train(12, Some(&plan), &mut BatchInferCtx::new()).unwrap();
 
-        let mut prefix = fresh();
-        prefix.train(6, None, None, &mut BatchInferCtx::new()).unwrap();
-        let snap = prefix.prefix().unwrap();
-        let stop = snap.stop();
-        assert_eq!(stop.episodes_done, 6);
-        assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
-        assert!((0..3).all(|i| prefix.agent(i).baseline() != 0.0), "the baselines are untested");
-        let mut forked = DroneFrlSystem::fork(&snap, 5).unwrap();
-        let shifted = InjectionPlan { episode: 0, ..plan };
-        forked.train(6, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
+            let mut prefix = fresh();
+            prefix.train(6, None, &mut BatchInferCtx::new()).unwrap();
+            let snap = prefix.prefix().unwrap();
+            let stop = snap.stop();
+            assert_eq!(stop.episodes_done, 6);
+            assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
+            assert!((0..3).all(|i| prefix.agent(i).baseline() != 0.0), "baselines untested");
+            let mut forked = DroneFrlSystem::fork(&snap, 5).unwrap();
+            let shifted = InjectionPlan { episode: 0, ..plan };
+            forked.train(6, Some(&shifted), &mut BatchInferCtx::new()).unwrap();
 
-        let bits = |s: &DroneFrlSystem, i: usize| -> Vec<u32> {
-            s.agent(i).network().snapshot().iter().map(|w| w.to_bits()).collect()
-        };
-        for i in 0..3 {
-            assert_eq!(bits(&whole, i), bits(&forked, i), "drone {i} weights");
-            assert_eq!(whole.agent(i).baseline().to_bits(), forked.agent(i).baseline().to_bits());
+            let bits = |s: &DroneFrlSystem, i: usize| -> Vec<u32> {
+                s.agent(i).network().snapshot().iter().map(|w| w.to_bits()).collect()
+            };
+            for i in 0..3 {
+                assert_eq!(bits(&whole, i), bits(&forked, i), "drone {i}, {mitigation:?}");
+                let (w, f) = (whole.agent(i).baseline(), forked.agent(i).baseline());
+                assert_eq!(w.to_bits(), f.to_bits());
+            }
+            assert_eq!(whole.last_fault_records(), forked.last_fault_records());
+            assert!(!forked.last_fault_records().is_empty());
+            assert_eq!(whole.mitigation_stats(), forked.mitigation_stats());
+            if mitigation.is_some() {
+                let before = prefix.mitigation_stats().total();
+                assert!(before > 0, "the detector never fired before the fork");
+                assert!(forked.mitigation_stats().total() > before, "nor after it");
+            }
+            let ctx = &mut BatchInferCtx::new();
+            assert_eq!(
+                whole.safe_flight_distance(2, ctx).to_bits(),
+                forked.safe_flight_distance(2, ctx).to_bits()
+            );
         }
-        assert_eq!(whole.last_fault_records(), forked.last_fault_records());
-        assert!(!forked.last_fault_records().is_empty());
-        let ctx = &mut BatchInferCtx::new();
-        assert_eq!(
-            whole.safe_flight_distance(2, ctx).to_bits(),
-            forked.safe_flight_distance(2, ctx).to_bits()
-        );
-    }
-
-    #[test]
-    fn mitigation_waits_for_a_forks_first_aggregation() {
-        // A fork does not restore the server's consensus copy, which
-        // the checkpoint reads, so mitigated training must wait for a
-        // round that rewrites it.
-        let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
-        s.pretrain().unwrap();
-        let mit = TrainingMitigation::scaled(2);
-        let fresh = DroneFrlSystem::fork(&s.prefix().unwrap(), 1).unwrap();
-        assert!(!fresh.stale_consensus, "nothing was aggregated before this fork");
-        s.train(2, None, None, &mut BatchInferCtx::new()).unwrap();
-        let mut forked = DroneFrlSystem::fork(&s.prefix().unwrap(), 1).unwrap();
-        let ctx = &mut BatchInferCtx::new();
-        assert!(forked.train(1, None, Some(&mit), ctx).is_err());
-        forked.train(1, None, None, ctx).unwrap();
-        forked.train(1, None, Some(&mit), ctx).unwrap();
     }
 
     #[test]

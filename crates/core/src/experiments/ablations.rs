@@ -31,21 +31,22 @@ pub fn checkpoint_interval(scale: Scale) -> Table {
 
     let cells: Vec<usize> = intervals.clone();
     let stats = sweep(&cells, repeats, DEFAULT_SEED ^ 0xAB1, |&interval, seed| {
+        let mitigation = TrainingMitigation {
+            checkpoint_interval: interval,
+            ..TrainingMitigation::scaled(scale.pick(4, 8, 50))
+        };
         let mut sys = GridFrlSystem::new(GridSystemConfig {
             n_agents,
             seed: SYSTEM_SEED,
             epsilon_decay_episodes: episodes / 2,
+            mitigation: Some(mitigation),
             ..Default::default()
         })
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = InjectionPlan::server(inject_ep, Ber::new(0.2).expect("ber"));
-        let mitigation = TrainingMitigation {
-            checkpoint_interval: interval,
-            ..TrainingMitigation::scaled(scale.pick(4, 8, 50))
-        };
         let ctx = &mut BatchInferCtx::new();
-        sys.train(episodes, Some(&plan), Some(&mitigation), ctx).expect("training");
+        sys.train(episodes, Some(&plan), ctx).expect("training");
         sys.success_rate(ctx) * 100.0
     });
 
@@ -77,14 +78,14 @@ pub fn detector_window(scale: Scale) -> Table {
             n_agents,
             seed: SYSTEM_SEED,
             epsilon_decay_episodes: episodes / 2,
+            mitigation: Some(TrainingMitigation::scaled(k)),
             ..Default::default()
         })
         .expect("valid config");
         sys.reseed_faults(seed);
         let plan = InjectionPlan::server(inject_ep, Ber::new(0.2).expect("ber"));
         let ctx = &mut BatchInferCtx::new();
-        sys.train(episodes, Some(&plan), Some(&TrainingMitigation::scaled(k)), ctx)
-            .expect("training");
+        sys.train(episodes, Some(&plan), ctx).expect("training");
         sys.success_rate(ctx) * 100.0
     });
 
@@ -180,7 +181,7 @@ pub fn alpha_annealing(scale: Scale) -> Table {
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
         let ctx = &mut BatchInferCtx::new();
-        sys.train(episodes, plan.as_ref(), None, ctx).expect("training");
+        sys.train(episodes, plan.as_ref(), ctx).expect("training");
         sys.success_rate(ctx) * 100.0
     });
 
@@ -222,7 +223,7 @@ pub fn comm_interval_recovery(scale: Scale) -> Table {
         sys.reseed_faults(seed);
         let plan = fault.then(|| InjectionPlan::agent(inject_ep, Ber::new(0.2).expect("ber")));
         let ctx = &mut BatchInferCtx::new();
-        sys.train(episodes, plan.as_ref(), None, ctx).expect("training");
+        sys.train(episodes, plan.as_ref(), ctx).expect("training");
         sys.success_rate(ctx) * 100.0
     });
 

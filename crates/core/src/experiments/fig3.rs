@@ -46,7 +46,7 @@ pub fn weight_distribution(scale: Scale) -> WeightDistribution {
         ..Default::default()
     };
     let mut sys = GridFrlSystem::new(cfg).expect("valid config");
-    sys.train(episodes, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(episodes, None, &mut BatchInferCtx::new()).expect("training");
     let weights = sys.agent(0).network().snapshot();
 
     let lo = weights.iter().cloned().fold(f32::INFINITY, f32::min);

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::error::FrlfiError;
 use crate::experiments::harness::{DroneTrial, GridTrial, TrialFault};
 use crate::fleet::{FleetConfig, PlaneBlock, System};
-use crate::{FleetPrefix, Stop, TrainingMitigation};
+use crate::{FleetPrefix, Stop};
 use frlfi_nn::BatchInferCtx;
 
 /// A trial kind whose training forks from cached fault-free prefixes.
@@ -31,9 +31,6 @@ pub(crate) trait ForkTrial: Clone {
     /// The fault to inject.
     fn fault(&self) -> Option<&TrialFault>;
 
-    /// Training-time mitigation.
-    fn mitigation(&self) -> Option<&TrainingMitigation>;
-
     /// The untrained fleet, pre-trained weights set.
     ///
     /// # Errors
@@ -46,13 +43,10 @@ pub(crate) trait ForkTrial: Clone {
 }
 
 /// The latest episode at which a trial can fork from its fault-free
-/// prefix: the injection episode; the whole run when no fault ever
-/// fires; and 0 for mitigated trials, whose detector and checkpoint
-/// state lives inside a single training call.
+/// prefix: the injection episode, or the whole run when no fault ever
+/// fires. Mitigated trials fork by the same rule: the snapshot carries
+/// their detector and checkpoint.
 pub(crate) fn fork_episode<T: ForkTrial>(t: &T) -> usize {
-    if t.mitigation().is_some() {
-        return 0;
-    }
     match t.fault().and_then(TrialFault::plan) {
         Some(p) if p.episode < t.episodes() => p.episode,
         _ => t.episodes(),
@@ -199,7 +193,7 @@ impl<T: ForkTrial> Chains<T> {
         let mut block = PlaneBlock::with_capacity(targets.len() * sys.planes_len());
         let mut taken = Vec::with_capacity(targets.len());
         for e in targets {
-            sys.train(e - sys.episodes_done(), None, None, ctx)?;
+            sys.train(e - sys.episodes_done(), None, ctx)?;
             taken.push(sys.prefix_into(&mut block)?);
         }
         let block = Arc::new(block);

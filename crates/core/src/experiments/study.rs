@@ -307,7 +307,7 @@ impl StudyModel {
                     epsilon_decay_episodes: episodes / 2,
                     ..Default::default()
                 })?;
-                sys.train(episodes, None, None, &mut BatchInferCtx::new())?;
+                sys.train(episodes, None, &mut BatchInferCtx::new())?;
                 Ok((0..n_agents).map(|i| sys.agent(i).network().snapshot()).collect())
             }
             StudyModel::Drone { n_drones, pretrain_episodes, fine_tune_episodes } => {
@@ -319,7 +319,7 @@ impl StudyModel {
                     ..Default::default()
                 })?;
                 sys.set_fleet_weights(&weights)?;
-                sys.train(fine_tune_episodes, None, None, &mut BatchInferCtx::new())?;
+                sys.train(fine_tune_episodes, None, &mut BatchInferCtx::new())?;
                 Ok((0..n_drones).map(|i| sys.agent(i).network().snapshot()).collect())
             }
         }

@@ -56,7 +56,7 @@ pub fn run(scale: Scale) -> Table {
         };
         let mut sys = GridFrlSystem::new(cfg).expect("valid config");
         let ctx = &mut BatchInferCtx::new();
-        sys.train(episodes, None, None, ctx).expect("training");
+        sys.train(episodes, None, ctx).expect("training");
         margins
             .push(crate::metrics::policy_differentiation(sys.agent_mut(0).network_mut(), &probes)
                 as f64);

@@ -24,13 +24,16 @@
 //!    server fault survives it, because server memory is exposed only
 //!    during an actual aggregation. An aggregating round draws one seed
 //!    from the fault stream for its server-memory hook, whether or not
-//!    a fault is pending. Every round, skipped or not, counts and is
-//!    offered to the checkpoint;
-//! 4. with mitigation, the detector reads the episode's rewards and
-//!    restores the flagged agents (or, on a server fault, every agent
-//!    and the consensus) from the checkpoint. The restored consensus is
-//!    what the checkpoint stores at the next round if that round is
-//!    skipped.
+//!    a fault is pending. Every round, skipped or not, counts; only an
+//!    aggregating round is offered to the checkpoint, so the checkpoint
+//!    only ever holds a consensus an aggregation has just written;
+//! 4. with mitigation (`cfg.mitigation`), the detector reads the
+//!    episode's rewards and restores the flagged agents (or, on a
+//!    server fault, every agent) from the checkpoint.
+//!
+//! The detector, the checkpoint and their counters belong to the fleet,
+//! so training in several calls equals training in one, and a
+//! [`FleetPrefix`] carries them into a fork.
 
 use crate::error::FrlfiError;
 use crate::injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
@@ -71,14 +74,56 @@ pub struct Fleet<L, E, C> {
     pub(crate) injected: bool,
     pub(crate) pending_server_fault: Option<InjectionPlan>,
     pub(crate) last_records: Vec<FaultRecord>,
-    pub(crate) mitigation_stats: MitigationStats,
+    /// The training-time mitigation state, built from `cfg` at
+    /// construction.
+    pub(crate) mitigation: Option<Mitigation>,
     /// Whether the weights came from offline pre-training (DroneNav
     /// only; GridWorld agents train from their initialization).
     pub(crate) pretrained: bool,
-    /// Whether the server's consensus copy is not the last aggregated
-    /// round's: a fork does not restore it, and its first aggregating
-    /// round rewrites it.
-    pub(crate) stale_consensus: bool,
+}
+
+/// The training-time mitigation scheme's state (§V-A): the reward-drop
+/// detector, the server checkpoint it restores from, and what it did.
+#[derive(Debug, Clone)]
+pub(crate) struct Mitigation {
+    detector: RewardDropDetector,
+    checkpoint: ServerCheckpoint,
+    stats: MitigationStats,
+}
+
+impl Mitigation {
+    /// The state of a fresh `n_agents` fleet mitigated by `m`.
+    pub(crate) fn new(m: Option<TrainingMitigation>, n_agents: usize) -> Option<Self> {
+        m.map(|m| Mitigation {
+            detector: RewardDropDetector::new(m.p_percent, m.k_consecutive, n_agents),
+            checkpoint: ServerCheckpoint::new(m.checkpoint_interval),
+            stats: MitigationStats::default(),
+        })
+    }
+
+    /// Feeds one episode's rewards to the detector and restores the
+    /// agents it flags (every agent on a server fault) from the
+    /// checkpoint.
+    fn observe<L: Learner>(&mut self, rewards: &[f32], agents: &mut [L]) -> Result<(), FrlfiError> {
+        let flagged = match self.detector.observe(rewards) {
+            Detection::None => return Ok(()),
+            Detection::AgentFault(ids) => {
+                self.stats.agent_detections += 1;
+                ids
+            }
+            Detection::ServerFault => {
+                self.stats.server_detections += 1;
+                (0..agents.len()).collect()
+            }
+        };
+        for i in flagged {
+            let mut buf = agents[i].network().snapshot();
+            if self.checkpoint.restore_into(&mut buf) {
+                agents[i].network_mut().restore(&buf)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Checks a per-round dropout probability: it must lie in `[0, 1)`.
@@ -140,10 +185,11 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
-    /// Detection/recovery counters accumulated by mitigated training
-    /// runs (reset at the start of each mitigated call).
+    /// Detection/recovery counters of the mitigation scheme, counted
+    /// since construction (a fork starts from its prefix's counts);
+    /// all zero without mitigation.
     pub fn mitigation_stats(&self) -> MitigationStats {
-        self.mitigation_stats
+        self.mitigation.as_ref().map(|m| m.stats).unwrap_or_default()
     }
 
     /// Drops every agent's layer input caches ([`frlfi_nn::Network::eval_mode`]),
@@ -157,40 +203,22 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
 
     /// Trains for `episodes` episodes in the round order of the module
     /// docs, optionally applying a dynamic [`InjectionPlan`] (episode
-    /// index relative to this call) and the training-time mitigation
-    /// scheme. Every agent's learning updates run through `ctx`'s
-    /// cached-activation arena ([`frlfi_rl::run_episode_batched`]),
-    /// bit-identical to the per-observation reference
-    /// [`frlfi_rl::run_episode`].
+    /// index relative to this call), under the configuration's
+    /// training-time mitigation scheme, if any. Every agent's learning
+    /// updates run through `ctx`'s cached-activation arena
+    /// ([`frlfi_rl::run_episode_batched`]), bit-identical to the
+    /// per-observation reference [`frlfi_rl::run_episode`].
     ///
     /// # Errors
     ///
-    /// Returns [`FrlfiError::BadConfig`] for mitigated training of a
-    /// fork whose server has not aggregated since the fork: the
-    /// checkpoint reads the consensus copy, which a fork does not
-    /// restore. Propagates training, aggregation or restore failures.
+    /// Propagates training, aggregation or restore failures.
     pub fn train(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
         ctx: &mut BatchInferCtx,
     ) -> Result<(), FrlfiError> {
-        if mitigation.is_some() && self.stale_consensus {
-            return Err(FrlfiError::BadConfig {
-                detail: "checkpoint mitigation reads the server consensus, which a fork \
-                         restores only at its first aggregating round"
-                    .into(),
-            });
-        }
         let n = self.agents.len();
-        let mut detector =
-            mitigation.map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, n));
-        let mut checkpoint = mitigation.map(|m| ServerCheckpoint::new(m.checkpoint_interval));
-        if mitigation.is_some() {
-            self.mitigation_stats = MitigationStats::default();
-        }
-
         for ep in 0..episodes {
             let global_ep = self.episodes_done + ep;
             let mut rewards = Vec::with_capacity(n);
@@ -207,44 +235,20 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
                 }
             }
 
-            if self.server.is_some() && self.schedule.communicates_at(global_ep) {
-                self.communicate()?;
-                if let Some(cp) = checkpoint.as_mut() {
-                    let server = self.server.as_ref().expect("server present");
-                    cp.on_round(self.comm_rounds, server.consensus());
+            if self.server.is_some()
+                && self.schedule.communicates_at(global_ep)
+                && self.communicate()?
+            {
+                if let (Some(m), Some(server)) = (self.mitigation.as_mut(), self.server.as_ref()) {
+                    m.checkpoint.on_round(self.comm_rounds, server.consensus());
                 }
             }
 
-            if let (Some(det), Some(cp)) = (detector.as_mut(), checkpoint.as_ref()) {
-                match det.observe(&rewards) {
-                    Detection::None => {}
-                    Detection::AgentFault(ids) => {
-                        self.mitigation_stats.agent_detections += 1;
-                        for id in ids {
-                            self.restore_agent_from(cp, id)?;
-                        }
-                    }
-                    Detection::ServerFault => {
-                        self.mitigation_stats.server_detections += 1;
-                        for i in 0..n {
-                            self.restore_agent_from(cp, i)?;
-                        }
-                        if let (Some(server), Some(snap)) = (self.server.as_mut(), cp.stored()) {
-                            server.consensus_mut().copy_from_slice(snap);
-                        }
-                    }
-                }
+            if let Some(m) = self.mitigation.as_mut() {
+                m.observe(&rewards, &mut self.agents)?;
             }
         }
         self.episodes_done += episodes;
-        Ok(())
-    }
-
-    fn restore_agent_from(&mut self, cp: &ServerCheckpoint, i: usize) -> Result<(), FrlfiError> {
-        let mut buf = self.agents[i].network().snapshot();
-        if cp.restore_into(&mut buf) {
-            self.agents[i].network_mut().restore(&buf)?;
-        }
         Ok(())
     }
 
@@ -269,7 +273,9 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         net.restore(&snap).expect("snapshot length invariant");
     }
 
-    pub(crate) fn communicate(&mut self) -> Result<(), FrlfiError> {
+    /// Runs one communication round and reports whether it aggregated
+    /// (a dropout-skipped round does not).
+    pub(crate) fn communicate(&mut self) -> Result<bool, FrlfiError> {
         // Wall-clock accounting only (thread-local, aggregated —
         // federated aggregation runs once per communication round).
         let _aggregate = frlfi_obs::timed("aggregate");
@@ -286,7 +292,7 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
             // Leave any pending server fault queued — server memory is
             // only exposed during an actual aggregation.
             self.comm_rounds += 1;
-            return Ok(());
+            return Ok(false);
         }
 
         let server = self.server.as_mut().expect("communicate requires a server");
@@ -307,9 +313,8 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         if !hook.records.is_empty() {
             self.last_records = hook.records;
         }
-        self.stale_consensus = false;
         self.comm_rounds += 1;
-        Ok(())
+        Ok(true)
     }
 
     /// Runs `f` with every agent's policy deployed in `repr` (weights
@@ -380,6 +385,9 @@ pub(crate) type System<C> = Fleet<<C as FleetConfig>::Learner, <C as FleetConfig
 /// server round, random-stream and counter state — everything a later
 /// [`Fleet::fork`] needs to continue training bit for bit.
 ///
+/// With mitigation it also holds the detector, the checkpoint and
+/// their counters.
+///
 /// Three things are not stored:
 /// - the fault stream: before any injection it only feeds one seed
 ///   draw per aggregating round, which never touches the weights, so a
@@ -387,9 +395,8 @@ pub(crate) type System<C> = Fleet<<C as FleetConfig>::Learner, <C as FleetConfig
 /// - gradient buffers: every update zeroes them, so they are zero at
 ///   every episode boundary;
 /// - the server's consensus copy: an aggregation overwrites it without
-///   reading it. Only checkpoint mitigation reads it, and
-///   [`Fleet::train`] refuses mitigation on a fork until its first
-///   aggregating round.
+///   reading it, and the checkpoint reads it only right after an
+///   aggregation, so nothing reads the copy a fork leaves stale.
 pub struct FleetPrefix<C: FleetConfig> {
     cfg: C,
     /// Concatenated weight planes. This snapshot's start at `offset`,
@@ -403,7 +410,7 @@ pub struct FleetPrefix<C: FleetConfig> {
     dropout_rng: StdRng,
     server_round: usize,
     stop: Stop,
-    mitigation_stats: MitigationStats,
+    mitigation: Option<Mitigation>,
     pretrained: bool,
 }
 
@@ -536,7 +543,7 @@ impl<C: FleetConfig> Fleet<C::Learner, C::Env, C> {
                 comm_rounds: self.comm_rounds,
                 fault_draws: self.fault_draws,
             },
-            mitigation_stats: self.mitigation_stats,
+            mitigation: self.mitigation.clone(),
             pretrained: self.pretrained,
         })
     }
@@ -562,9 +569,6 @@ impl<C: FleetConfig> Fleet<C::Learner, C::Env, C> {
         }
         if let Some(server) = sys.server.as_mut() {
             server.resume(prefix.server_round);
-            // Before any aggregation the consensus is the fresh
-            // server's, as in the run the prefix was taken from.
-            sys.stale_consensus = prefix.server_round > 0;
         }
         sys.envs.clone_from(&prefix.envs);
         sys.agent_rngs.clone_from(&prefix.agent_rngs);
@@ -572,7 +576,7 @@ impl<C: FleetConfig> Fleet<C::Learner, C::Env, C> {
         sys.episodes_done = prefix.stop.episodes_done;
         sys.comm_rounds = prefix.stop.comm_rounds;
         sys.fault_draws = prefix.stop.fault_draws;
-        sys.mitigation_stats = prefix.mitigation_stats;
+        sys.mitigation.clone_from(&prefix.mitigation);
         sys.pretrained = prefix.pretrained;
         sys.reseed_faults(fault_seed);
         for _ in 0..prefix.stop.fault_draws {
@@ -606,5 +610,88 @@ impl RoundHook for ServerFaultHook {
             out.copy_from_slice(&flat[off..off + n]);
             off += n;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig};
+
+    fn bits(w: &[f32]) -> Vec<u32> {
+        w.iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Trains `sys` one episode at a time (the same run as one call:
+    /// the fleet owns its mitigation state), with a server fault
+    /// striking at `fault_at`, and checks every checkpoint restore:
+    /// the vector it writes is the server consensus right after some
+    /// aggregating round of this run. Returns the detections checked.
+    fn check_restores<L: Learner, E: Environment, C>(
+        sys: &mut Fleet<L, E, C>,
+        episodes: usize,
+        fault_at: usize,
+    ) -> usize {
+        let ctx = &mut BatchInferCtx::new();
+        let plan = InjectionPlan::server(0, Ber::new(0.1).unwrap());
+        let mut aggregated: Vec<Vec<u32>> = Vec::new();
+        let mut checked = 0;
+        for ep in 0..episodes {
+            let (draws, detections) = (sys.fault_draws, sys.mitigation_stats().total());
+            sys.train(1, (ep == fault_at).then_some(&plan), ctx).unwrap();
+            if sys.fault_draws > draws {
+                aggregated.push(bits(sys.server.as_ref().unwrap().consensus()));
+            }
+            if sys.mitigation_stats().total() == detections {
+                continue;
+            }
+            checked += 1;
+            let m = sys.mitigation.as_ref().unwrap();
+            let Some(written) = m.checkpoint.stored().map(bits) else { continue };
+            assert!(
+                aggregated.contains(&written),
+                "episode {ep}: a restore wrote a vector no aggregating round left on the server"
+            );
+            assert!(sys.agents.iter().any(|a| bits(&a.network().snapshot()) == written));
+        }
+        checked
+    }
+
+    #[test]
+    fn restores_write_only_aggregated_consensus() {
+        let mut checked = 0;
+        for interval in [1, 2] {
+            let mitigation = Some(TrainingMitigation {
+                p_percent: 10.0,
+                k_consecutive: 2,
+                checkpoint_interval: interval,
+            });
+            for (seed, dropout) in [(3u64, 0.4f32), (7, 0.5), (8, 0.4), (11, 0.5)] {
+                let mut grid = GridFrlSystem::new(GridSystemConfig {
+                    n_agents: 3,
+                    seed,
+                    epsilon_decay_episodes: 30,
+                    dropout: Some(dropout),
+                    mitigation,
+                    ..Default::default()
+                })
+                .unwrap();
+                checked += check_restores(&mut grid, 60, 30);
+
+                let mut drone = DroneFrlSystem::new(DroneSystemConfig {
+                    n_drones: 3,
+                    seed,
+                    pretrain_episodes: 2,
+                    train_max_steps: 20,
+                    dropout: Some(dropout),
+                    mitigation,
+                    ..Default::default()
+                })
+                .unwrap();
+                drone.pretrain().unwrap();
+                checked += check_restores(&mut drone, 12, 6);
+            }
+        }
+        assert!(checked > 0, "no detection fired: no restore was checked");
     }
 }

@@ -1,7 +1,7 @@
 use crate::config::{GridLayout, GridSystemConfig};
 use crate::error::FrlfiError;
-use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner};
-use crate::injection::{MitigationStats, ReprKind};
+use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner, Mitigation};
+use crate::injection::ReprKind;
 use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
 use frlfi_federated::Server;
@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 /// let cfg = GridSystemConfig { n_agents: 4, ..Default::default() };
 /// let mut sys = GridFrlSystem::new(cfg)?;
 /// let ctx = &mut BatchInferCtx::new();
-/// sys.train(400, None, None, ctx)?;
+/// sys.train(400, None, ctx)?;
 /// println!("SR = {:.2}", sys.success_rate(ctx));
 /// # Ok(())
 /// # }
@@ -102,6 +102,7 @@ impl GridFrlSystem {
             dropout_rng: StdRng::seed_from_u64(derive_seed(cfg.seed, 0xD80)),
             schedule: cfg.comm_schedule(),
             dropout: cfg.dropout,
+            mitigation: Mitigation::new(cfg.mitigation, cfg.n_agents),
             cfg,
             agents,
             envs,
@@ -113,9 +114,7 @@ impl GridFrlSystem {
             injected: false,
             pending_server_fault: None,
             last_records: Vec::new(),
-            mitigation_stats: MitigationStats::default(),
             pretrained: false,
-            stale_consensus: false,
         })
     }
 
@@ -200,7 +199,7 @@ impl GridFrlSystem {
             if self.success_rate(ctx) >= threshold {
                 return Ok(Some(used));
             }
-            self.train(check_every, None, None, ctx)?;
+            self.train(check_every, None, ctx)?;
             used += check_every;
         }
         Ok(if self.success_rate(ctx) >= threshold { Some(used) } else { None })
@@ -386,7 +385,7 @@ mod tests {
     fn training_improves_success_rate() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(250, None, None, ctx).unwrap();
+        s.train(250, None, ctx).unwrap();
         let sr = s.success_rate(ctx);
         assert!(sr >= 2.0 / 3.0, "trained FRL success rate too low: {sr}");
     }
@@ -394,12 +393,12 @@ mod tests {
     #[test]
     fn server_fault_corrupts_all_agents() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(30, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(30, None, &mut BatchInferCtx::new()).unwrap();
         let before: Vec<Vec<f32>> = s.agents.iter().map(|a| a.network().snapshot()).collect();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap());
         s.inject_now(&plan);
         // Fault is pending; applied at next communication.
-        s.train(1, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(1, None, &mut BatchInferCtx::new()).unwrap();
         let after: Vec<Vec<f32>> = s.agents.iter().map(|a| a.network().snapshot()).collect();
         assert_ne!(before, after);
         assert!(!s.last_fault_records().is_empty());
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn static_fault_scope_is_restored() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        s.train(20, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(20, None, &mut BatchInferCtx::new()).unwrap();
         let before = s.agent(0).network().snapshot();
         let sr = s.with_faulted_policies(
             FaultModel::TransientMulti,
@@ -425,21 +424,21 @@ mod tests {
     fn transient1_returns_valid_rate() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(60, None, None, ctx).unwrap();
+        s.train(60, None, ctx).unwrap();
         let sr = s.success_rate_transient1(Ber::new(0.01).unwrap(), ReprKind::Int8, 5, ctx);
         assert!((0.0..=1.0).contains(&sr));
     }
 
     #[test]
     fn mitigation_restores_after_server_fault() {
-        let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
+        let mitigation = Some(TrainingMitigation::scaled(5));
+        let mut s = GridFrlSystem::new(GridSystemConfig { mitigation, ..small_cfg(3) }).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(150, None, None, ctx).unwrap();
+        s.train(150, None, ctx).unwrap();
         let baseline = s.success_rate(ctx);
         // Heavy server fault, with mitigation active.
         let plan = InjectionPlan::server(10, Ber::new(0.05).unwrap());
-        let mit = TrainingMitigation::scaled(5);
-        s.train(120, Some(&plan), Some(&mit), ctx).unwrap();
+        s.train(120, Some(&plan), ctx).unwrap();
         let recovered = s.success_rate(ctx);
         assert!(
             recovered >= baseline - 1.0 / 3.0,
@@ -451,7 +450,7 @@ mod tests {
     fn activation_faults_evaluate_in_range() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(60, None, None, ctx).unwrap();
+        s.train(60, None, ctx).unwrap();
         let clean = s.agent(0).network().snapshot();
         let sr = s.success_rate_activation_faults(Ber::new(0.01).unwrap(), ReprKind::Int8, 3, ctx);
         assert!((0.0..=1.0).contains(&sr));
@@ -463,7 +462,7 @@ mod tests {
     fn heavy_activation_faults_hurt_more_than_light() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(250, None, None, ctx).unwrap();
+        s.train(250, None, ctx).unwrap();
         let mut avg = |s: &mut GridFrlSystem, ber: f64| -> f64 {
             (0..6u64)
                 .map(|seed| {
@@ -510,7 +509,7 @@ mod tests {
         let cfg = GridSystemConfig { layout: crate::GridLayout::DynamicObstacles, ..small_cfg(2) };
         let mut s = GridFrlSystem::new(cfg).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(60, None, None, ctx).unwrap();
+        s.train(60, None, ctx).unwrap();
         let sr = s.success_rate(ctx);
         assert!((0.0..=1.0).contains(&sr));
     }
@@ -521,7 +520,7 @@ mod tests {
         let run = || {
             let mut s = GridFrlSystem::new(cfg.clone()).unwrap();
             let ctx = &mut BatchInferCtx::new();
-            s.train(250, None, None, ctx).unwrap();
+            s.train(250, None, ctx).unwrap();
             (s.agent(0).network().snapshot(), s.success_rate(ctx))
         };
         let (w1, sr1) = run();
@@ -535,8 +534,8 @@ mod tests {
         let mut with =
             GridFrlSystem::new(GridSystemConfig { dropout: Some(0.5), ..small_cfg(3) }).unwrap();
         let mut without = GridFrlSystem::new(small_cfg(3)).unwrap();
-        with.train(40, None, None, &mut BatchInferCtx::new()).unwrap();
-        without.train(40, None, None, &mut BatchInferCtx::new()).unwrap();
+        with.train(40, None, &mut BatchInferCtx::new()).unwrap();
+        without.train(40, None, &mut BatchInferCtx::new()).unwrap();
         assert_ne!(with.agent(0).network().snapshot(), without.agent(0).network().snapshot());
     }
 
@@ -548,10 +547,10 @@ mod tests {
         // the first skipped round.
         let cfg = GridSystemConfig { dropout: Some(0.95), ..small_cfg(3) };
         let mut s = GridFrlSystem::new(cfg).unwrap();
-        s.train(30, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(30, None, &mut BatchInferCtx::new()).unwrap();
         let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap());
         s.inject_now(&plan);
-        s.train(400, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(400, None, &mut BatchInferCtx::new()).unwrap();
         assert!(
             !s.last_fault_records().is_empty(),
             "server fault was dropped without ever striking server memory"
@@ -561,30 +560,43 @@ mod tests {
     #[test]
     fn fork_continues_a_prefix_bitwise() {
         // Half the rounds skip under heavy dropout, so the replayed
-        // draw count is not the round count.
-        let cfg = GridSystemConfig { dropout: Some(0.5), ..small_cfg(3) };
-        let plan = InjectionPlan::server(20, Ber::new(0.05).unwrap());
-        let mut whole = GridFrlSystem::new(cfg.clone()).unwrap();
-        whole.reseed_faults(5);
-        whole.train(40, Some(&plan), None, &mut BatchInferCtx::new()).unwrap();
+        // draw count is not the round count. The tight detector fires
+        // before and after the fork, so the fork must carry its
+        // streaks, baselines, checkpoint and counts.
+        let tight =
+            TrainingMitigation { p_percent: 10.0, k_consecutive: 2, checkpoint_interval: 2 };
+        for mitigation in [None, Some(tight)] {
+            let cfg = GridSystemConfig { dropout: Some(0.5), mitigation, ..small_cfg(3) };
+            let plan = InjectionPlan::server(20, Ber::new(0.05).unwrap());
+            let mut whole = GridFrlSystem::new(cfg.clone()).unwrap();
+            whole.reseed_faults(5);
+            whole.train(40, Some(&plan), &mut BatchInferCtx::new()).unwrap();
 
-        let mut prefix = GridFrlSystem::new(cfg).unwrap();
-        prefix.train(20, None, None, &mut BatchInferCtx::new()).unwrap();
-        let snap = prefix.prefix().unwrap();
-        let stop = snap.stop();
-        assert_eq!(stop.episodes_done, 20);
-        assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
-        let mut forked = GridFrlSystem::fork(&snap, 5).unwrap();
-        let shifted = InjectionPlan { episode: 0, ..plan };
-        forked.train(20, Some(&shifted), None, &mut BatchInferCtx::new()).unwrap();
+            let mut prefix = GridFrlSystem::new(cfg).unwrap();
+            prefix.train(20, None, &mut BatchInferCtx::new()).unwrap();
+            let snap = prefix.prefix().unwrap();
+            let stop = snap.stop();
+            assert_eq!(stop.episodes_done, 20);
+            assert!(stop.fault_draws < stop.comm_rounds, "no round was skipped");
+            let mut forked = GridFrlSystem::fork(&snap, 5).unwrap();
+            let shifted = InjectionPlan { episode: 0, ..plan };
+            forked.train(20, Some(&shifted), &mut BatchInferCtx::new()).unwrap();
 
-        for i in 0..3 {
-            assert_eq!(whole.agent(i).network().snapshot(), forked.agent(i).network().snapshot());
+            for i in 0..3 {
+                let (w, f) = (whole.agent(i).network(), forked.agent(i).network());
+                assert_eq!(w.snapshot(), f.snapshot(), "{mitigation:?}");
+            }
+            assert_eq!(whole.last_fault_records(), forked.last_fault_records());
+            assert!(!forked.last_fault_records().is_empty());
+            assert_eq!(whole.mitigation_stats(), forked.mitigation_stats());
+            if mitigation.is_some() {
+                let before = prefix.mitigation_stats().total();
+                assert!(before > 0, "the detector never fired before the fork");
+                assert!(forked.mitigation_stats().total() > before, "nor after it");
+            }
+            let ctx = &mut BatchInferCtx::new();
+            assert_eq!(whole.success_rate(ctx), forked.success_rate(ctx));
         }
-        assert_eq!(whole.last_fault_records(), forked.last_fault_records());
-        assert!(!forked.last_fault_records().is_empty());
-        let ctx = &mut BatchInferCtx::new();
-        assert_eq!(whole.success_rate(ctx), forked.success_rate(ctx));
     }
 
     #[test]
@@ -607,7 +619,7 @@ mod tests {
     #[test]
     fn batched_eval_matches_sequential_outcomes() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        s.train(120, None, None, &mut BatchInferCtx::new()).unwrap();
+        s.train(120, None, &mut BatchInferCtx::new()).unwrap();
         // Perturb one agent so the eval spans a mixed group structure
         // (two identical policies + one distinct).
         let mut snap = s.agent(0).network().snapshot();
@@ -634,7 +646,7 @@ mod tests {
         // zero weight, next to a subnormal.
         let mut s = GridFrlSystem::new(small_cfg(4)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(120, None, None, ctx).unwrap();
+        s.train(120, None, ctx).unwrap();
         let mut injected_nan = false;
         for repr in [ReprKind::F32, ReprKind::Int8] {
             for ber in [0.0, 0.001, 0.01, 0.05] {
@@ -690,7 +702,7 @@ mod tests {
         let mut seq = GridFrlSystem::new(small_cfg(3)).unwrap();
         let mut bat = GridFrlSystem::new(small_cfg(3)).unwrap();
         train_reference(&mut seq, 60);
-        bat.train(60, None, None, &mut BatchInferCtx::new()).unwrap();
+        bat.train(60, None, &mut BatchInferCtx::new()).unwrap();
         for i in 0..3 {
             assert_eq!(
                 seq.agent(i).network().snapshot(),
@@ -704,7 +716,7 @@ mod tests {
     fn episodes_to_converge_returns_zero_when_converged() {
         let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
         let ctx = &mut BatchInferCtx::new();
-        s.train(250, None, None, ctx).unwrap();
+        s.train(250, None, ctx).unwrap();
         if s.success_rate(ctx) >= 0.99 {
             assert_eq!(s.episodes_to_converge(0.99, 50, 200, ctx).unwrap(), Some(0));
         }

@@ -1,6 +1,7 @@
 use frlfi_fault::{Ber, DataRepr, FaultModel, FaultSide};
 use frlfi_nn::Network;
 use frlfi_quant::{QFormat, SymInt8Quantizer};
+use serde::{Deserialize, Serialize};
 
 /// Which machine representation the fault surface uses, materialized
 /// into a [`DataRepr`] at injection time (affine int8 quantizers must be
@@ -128,7 +129,7 @@ impl MitigationStats {
 
 /// Parameters of the training-time mitigation scheme (§V-A): the
 /// reward-drop detector plus server checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainingMitigation {
     /// Reward-drop threshold in percent (the paper uses p = 25).
     pub p_percent: f32,

@@ -32,7 +32,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut system = GridFrlSystem::new(GridSystemConfig { n_agents: 4, ..Default::default() })?;
 //! let ctx = &mut BatchInferCtx::new();
-//! system.train(300, None, None, ctx)?;
+//! system.train(300, None, ctx)?;
 //! let sr = system.success_rate(ctx);
 //! println!("success rate: {:.1}%", sr * 100.0);
 //! # Ok(())

@@ -81,12 +81,6 @@ impl Server {
         &self.consensus
     }
 
-    /// Mutable access to the consensus copy — the server-memory fault
-    /// surface and the checkpoint restore target.
-    pub fn consensus_mut(&mut self) -> &mut [f32] {
-        &mut self.consensus
-    }
-
     /// Resumes after `round` completed rounds, which fix the annealed
     /// self-weight. The consensus copy is left as it is: the next
     /// aggregation overwrites it without reading it, so until then it

@@ -3,7 +3,8 @@
 /// The server snapshots its consensus weights every
 /// `interval_rounds` communication rounds (the paper uses 5). On a
 /// detected *agent* fault the checkpoint is copied to that agent; on a
-/// detected *server* fault the server itself rolls back. Checkpointing
+/// detected *server* fault it is copied to every agent, whose next
+/// uploads rebuild the server's consensus. Checkpointing
 /// is asynchronous with aggregation in the paper ("bringing no runtime
 /// overhead"), which here corresponds to the snapshot being a plain
 /// buffer copy outside the training loop.
@@ -45,9 +46,11 @@ impl ServerCheckpoint {
     }
 
     /// Offers the server's consensus weights after communication round
-    /// `round`; a snapshot is stored on every `interval_rounds`-th round
-    /// (round 0 initializes the checkpoint so recovery is always
-    /// possible).
+    /// `round`; a snapshot is stored on every `interval_rounds`-th round,
+    /// and the first round offered initializes the checkpoint whatever
+    /// its index, so recovery is possible from then on. Offer only
+    /// rounds whose consensus an aggregation has just written: before
+    /// its first aggregation a server holds no one's weights.
     pub fn on_round(&mut self, round: usize, consensus: &[f32]) {
         if self.stored.is_none() || round.is_multiple_of(self.interval_rounds) {
             self.stored = Some(consensus.to_vec());

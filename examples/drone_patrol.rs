@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fleet.pretrain()?;
     println!("federated online fine-tuning (4 drones)...");
     let ctx = &mut BatchInferCtx::new();
-    fleet.train(25, None, None, ctx)?;
+    fleet.train(25, None, ctx)?;
     let clean = fleet.safe_flight_distance(3, ctx);
     println!("  clean safe flight distance: {clean:.0} m");
 

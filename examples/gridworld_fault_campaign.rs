@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut sys = GridFrlSystem::new(cfg)?;
     let ctx = &mut BatchInferCtx::new();
-    sys.train(400, None, None, ctx)?;
+    sys.train(400, None, ctx)?;
     println!("  clean success rate: {:.0}%\n", sys.success_rate(ctx) * 100.0);
     let clean_weights: Vec<Vec<f32>> =
         (0..4).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("training a fault-free baseline...");
     let mut baseline = GridFrlSystem::new(cfg.clone())?;
-    baseline.train(400, None, None, &mut ctx)?;
+    baseline.train(400, None, &mut ctx)?;
     println!("  baseline success rate: {:.0}%", baseline.success_rate(&mut ctx) * 100.0);
 
     // Now the same system, but a heavy transient fault strikes the
@@ -28,15 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("training with an unmitigated server fault (BER 20%, episode 390)...");
     let mut faulty = GridFrlSystem::new(cfg.clone())?;
-    faulty.train(400, Some(&plan), None, &mut ctx)?;
+    faulty.train(400, Some(&plan), &mut ctx)?;
     println!("  faulty success rate:   {:.0}%", faulty.success_rate(&mut ctx) * 100.0);
     println!("  fault injected {} bit flips into server memory", faulty.last_fault_records().len());
 
     // Same fault, but with the paper's mitigation: reward-drop detection
     // plus server checkpointing every 5 communication rounds.
     println!("training with the fault AND checkpoint mitigation...");
-    let mut mitigated = GridFrlSystem::new(cfg)?;
-    mitigated.train(400, Some(&plan), Some(&TrainingMitigation::scaled(8)), &mut ctx)?;
+    let mitigation = Some(TrainingMitigation::scaled(8));
+    let mut mitigated = GridFrlSystem::new(GridSystemConfig { mitigation, ..cfg })?;
+    mitigated.train(400, Some(&plan), &mut ctx)?;
     println!("  mitigated success rate: {:.0}%", mitigated.success_rate(&mut ctx) * 100.0);
     let stats = mitigated.mitigation_stats();
     println!(

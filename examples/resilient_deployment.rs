@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     })?;
     let ctx = &mut BatchInferCtx::new();
-    sys.train(400, None, None, ctx)?;
+    sys.train(400, None, ctx)?;
     let ber = Ber::new(2e-4)?;
     for q in [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5] {
         // Average over injection seeds: a single campaign is noisy.

@@ -17,7 +17,7 @@ fn training_is_bitwise_reproducible() {
         let mut sys =
             GridFrlSystem::new(GridSystemConfig { n_agents: 3, seed, ..Default::default() })
                 .expect("valid config");
-        sys.train(80, None, None, &mut BatchInferCtx::new()).expect("training");
+        sys.train(80, None, &mut BatchInferCtx::new()).expect("training");
         sys.agent(0).network().snapshot()
     };
     assert_eq!(run(5), run(5));
@@ -31,7 +31,7 @@ fn injected_training_is_reproducible() {
             GridFrlSystem::new(GridSystemConfig { n_agents: 3, seed: 50, ..Default::default() })
                 .expect("valid config");
         let plan = InjectionPlan::server(20, Ber::new(0.01).expect("ber"));
-        sys.train(60, Some(&plan), None, &mut BatchInferCtx::new()).expect("training");
+        sys.train(60, Some(&plan), &mut BatchInferCtx::new()).expect("training");
         // Compare bit patterns: f32 faults can produce NaN weights, and
         // NaN != NaN would fail equality on bit-identical runs.
         let bits: Vec<u32> =
@@ -99,10 +99,16 @@ fn fault_seed_changes_nothing_without_a_plan() {
         [(None, None), (Some(0.4), None), (None, mitigation), (Some(0.4), mitigation)]
     {
         let grid = |fault_seed: u64| {
-            let cfg = GridSystemConfig { n_agents: 3, seed: 7, dropout, ..Default::default() };
+            let cfg = GridSystemConfig {
+                n_agents: 3,
+                seed: 7,
+                dropout,
+                mitigation,
+                ..Default::default()
+            };
             let mut sys = GridFrlSystem::new(cfg).expect("valid config");
             sys.reseed_faults(fault_seed);
-            sys.train(40, None, mitigation.as_ref(), &mut BatchInferCtx::new()).expect("training");
+            sys.train(40, None, &mut BatchInferCtx::new()).expect("training");
             let stats = sys.mitigation_stats();
             let bits: Vec<u32> =
                 (0..3).flat_map(|i| sys.agent(i).network().snapshot()).map(f32::to_bits).collect();
@@ -125,13 +131,13 @@ fn fault_seed_changes_nothing_without_a_plan() {
                 pretrain_episodes: 2,
                 train_max_steps: 20,
                 dropout,
+                mitigation,
                 ..Default::default()
             };
             let mut sys = DroneFrlSystem::new(cfg).expect("valid config");
             sys.pretrain().expect("pre-training");
             sys.reseed_faults(fault_seed);
-            sys.train(6, None, mitigation.as_ref(), &mut BatchInferCtx::new())
-                .expect("fine-tuning");
+            sys.train(6, None, &mut BatchInferCtx::new()).expect("fine-tuning");
             let stats = sys.mitigation_stats();
             let bits: Vec<u32> =
                 (0..3).flat_map(|i| sys.agent(i).network().snapshot()).map(f32::to_bits).collect();

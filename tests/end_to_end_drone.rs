@@ -21,7 +21,7 @@ fn pipeline_runs_end_to_end() {
     let ctx = &mut BatchInferCtx::new();
     let mut sys = fleet(2, 3);
     sys.pretrain().expect("pretrain");
-    sys.train(6, None, None, ctx).expect("fine-tune");
+    sys.train(6, None, ctx).expect("fine-tune");
     let d = sys.safe_flight_distance(2, ctx);
     let cap = sys.config().sim.max_steps as f64 * sys.config().sim.speed as f64;
     assert!(d > 0.0 && d <= cap, "distance {d} out of (0, {cap}]");
@@ -32,7 +32,7 @@ fn heavy_static_faults_shorten_flights() {
     let ctx = &mut BatchInferCtx::new();
     let mut sys = fleet(2, 9);
     sys.pretrain().expect("pretrain");
-    sys.train(6, None, None, ctx).expect("fine-tune");
+    sys.train(6, None, ctx).expect("fine-tune");
     // Average both arms over several injection seeds: a single seed can
     // flip bits that happen to be harmless.
     let mut clean = 0.0;
@@ -66,7 +66,7 @@ fn server_fault_reaches_every_drone() {
     let before: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
     let plan = InjectionPlan::server(0, Ber::new(0.001).expect("ber")).with_repr(ReprKind::F32);
-    sys.train(1, Some(&plan), None, &mut BatchInferCtx::new()).expect("fine-tune");
+    sys.train(1, Some(&plan), &mut BatchInferCtx::new()).expect("fine-tune");
     let after: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
     let touched = before.iter().zip(after.iter()).filter(|(b, a)| b != a).count();

@@ -19,7 +19,7 @@ fn system(n: usize, seed: u64) -> GridFrlSystem {
 fn federated_training_converges() {
     let ctx = &mut BatchInferCtx::new();
     let mut sys = system(4, 7);
-    sys.train(400, None, None, ctx).expect("training");
+    sys.train(400, None, ctx).expect("training");
     let sr = sys.success_rate(ctx);
     assert!(sr >= 0.75, "federated GridWorld should converge, SR = {sr}");
 }
@@ -30,12 +30,12 @@ fn early_low_ber_fault_is_absorbed() {
     // effect since the system can recover itself".
     let ctx = &mut BatchInferCtx::new();
     let mut clean = system(4, 13);
-    clean.train(400, None, None, ctx).expect("training");
+    clean.train(400, None, ctx).expect("training");
     let baseline = clean.success_rate(ctx);
 
     let mut faulted = system(4, 13);
     let plan = InjectionPlan::server(30, Ber::new(0.002).expect("ber"));
-    faulted.train(400, Some(&plan), None, ctx).expect("training");
+    faulted.train(400, Some(&plan), ctx).expect("training");
     let sr = faulted.success_rate(ctx);
     assert!(
         sr >= baseline - 0.26,
@@ -53,12 +53,12 @@ fn late_high_ber_server_fault_degrades() {
     let mut faulted_sum = 0.0;
     for &seed in &seeds {
         let mut clean = system(4, seed);
-        clean.train(400, None, None, ctx).expect("training");
+        clean.train(400, None, ctx).expect("training");
         baseline_sum += clean.success_rate(ctx);
 
         let mut faulted = system(4, seed);
         let plan = InjectionPlan::server(395, Ber::new(0.05).expect("ber"));
-        faulted.train(400, Some(&plan), None, ctx).expect("training");
+        faulted.train(400, Some(&plan), ctx).expect("training");
         faulted_sum += faulted.success_rate(ctx);
     }
     assert!(
@@ -71,7 +71,7 @@ fn late_high_ber_server_fault_degrades() {
 fn inference_faults_scale_with_ber() {
     let ctx = &mut BatchInferCtx::new();
     let mut sys = system(4, 7);
-    sys.train(400, None, None, ctx).expect("training");
+    sys.train(400, None, ctx).expect("training");
     let mut eval = |sys: &mut GridFrlSystem, ber: f64| -> f64 {
         let mut total = 0.0;
         for seed in 0..6u64 {
@@ -98,7 +98,7 @@ fn fault_side_grouping_is_consistent() {
     // Agent-side plans touch exactly one agent; server-side plans (via
     // the next communication round) touch all of them.
     let mut sys = system(3, 29);
-    sys.train(50, None, None, &mut BatchInferCtx::new()).expect("training");
+    sys.train(50, None, &mut BatchInferCtx::new()).expect("training");
     let before: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
 

@@ -371,7 +371,7 @@ fn grid_training_weights_match_pinned_golden_in_both_modes() {
             ..Default::default()
         };
         let mut s = frlfi::GridFrlSystem::new(cfg).expect("system builds");
-        s.train(80, None, None, ctx).expect("training runs");
+        s.train(80, None, ctx).expect("training runs");
         (0..s.n_agents()).flat_map(|i| s.agent(i).network().snapshot()).collect()
     };
     let mut ctx = BatchInferCtx::new();
@@ -398,7 +398,7 @@ fn drone_training_weights_match_pinned_golden_in_both_modes() {
         };
         let mut s = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
         s.pretrain().expect("pretraining runs");
-        s.train(6, None, None, ctx).expect("fine-tuning runs");
+        s.train(6, None, ctx).expect("fine-tuning runs");
         s.fleet_weights()
     };
     let mut ctx = BatchInferCtx::new();

@@ -8,10 +8,15 @@ use frlfi::rl::Learner;
 use frlfi::{GridFrlSystem, GridSystemConfig, InjectionPlan, ReprKind, TrainingMitigation};
 
 fn system(seed: u64) -> GridFrlSystem {
+    mitigated(seed, None)
+}
+
+fn mitigated(seed: u64, mitigation: Option<TrainingMitigation>) -> GridFrlSystem {
     GridFrlSystem::new(GridSystemConfig {
         n_agents: 4,
         seed,
         epsilon_decay_episodes: 150,
+        mitigation,
         ..Default::default()
     })
     .expect("valid config")
@@ -28,11 +33,11 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
         let plan = InjectionPlan::server(250, Ber::new(0.05).expect("ber"));
 
         let mut without = system(seed);
-        without.train(400, Some(&plan), None, ctx).expect("training");
+        without.train(400, Some(&plan), ctx).expect("training");
         unmit += without.success_rate(ctx);
 
-        let mut with = system(seed);
-        with.train(400, Some(&plan), Some(&TrainingMitigation::scaled(8)), ctx).expect("training");
+        let mut with = mitigated(seed, Some(TrainingMitigation::scaled(8)));
+        with.train(400, Some(&plan), ctx).expect("training");
         mit += with.success_rate(ctx);
     }
     assert!(
@@ -45,7 +50,7 @@ fn checkpointing_beats_no_mitigation_under_server_fault() {
 fn range_detection_repairs_static_outliers() {
     let ctx = &mut BatchInferCtx::new();
     let mut sys = system(31);
-    sys.train(400, None, None, ctx).expect("training");
+    sys.train(400, None, ctx).expect("training");
     let detectors: Vec<RangeDetector> =
         (0..4).map(|i| RangeDetector::fit(sys.agent(i).network())).collect();
 
@@ -70,10 +75,10 @@ fn range_detection_repairs_static_outliers() {
 fn detector_is_silent_on_healthy_training() {
     // Mitigation enabled with no faults must not disturb convergence.
     let ctx = &mut BatchInferCtx::new();
-    let mut with = system(41);
-    with.train(400, None, Some(&TrainingMitigation::scaled(8)), ctx).expect("training");
+    let mut with = mitigated(41, Some(TrainingMitigation::scaled(8)));
+    with.train(400, None, ctx).expect("training");
     let mut without = system(41);
-    without.train(400, None, None, ctx).expect("training");
+    without.train(400, None, ctx).expect("training");
     let (with, without) = (with.success_rate(ctx), without.success_rate(ctx));
     assert!(
         (with - without).abs() <= 0.26,

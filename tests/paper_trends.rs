@@ -99,7 +99,7 @@ fn stuck_at_1_worse_than_stuck_at_0() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None, ctx).expect("training");
+    sys.train(300, None, ctx).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut sr0 = 0.0;
@@ -157,7 +157,7 @@ fn transient1_is_negligible_vs_transient_m() {
         ..Default::default()
     })
     .expect("valid config");
-    sys.train(300, None, None, ctx).expect("training");
+    sys.train(300, None, ctx).expect("training");
 
     let ber = Ber::new(0.05).expect("ber");
     let mut t1 = 0.0;
