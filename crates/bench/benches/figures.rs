@@ -1,6 +1,7 @@
 //! Criterion benches over one campaign *cell* of each figure — the unit
-//! the full tables are built from. Full tables are regenerated by the
-//! `fig*` binaries (`cargo run -p frlfi-bench --release --bin fig3`).
+//! the full tables are built from. Full tables are campaigns
+//! (`campaign run fig3a`, …); Fig. 9 and Table I print from
+//! `cargo run --release --example paper_tables`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use frlfi::fault::{Ber, FaultModel};

@@ -11,7 +11,7 @@
 //!   campaign: system, fleet, quantization, fault model, mitigation,
 //!   [`Scale`](frlfi::Scale);
 //! * [`registry`] — named built-ins covering the paper's two systems
-//!   (`fig3a/b/c`, `fig5a/b/c`, `fig7a/b`) plus new variants
+//!   (`fig3a/b/c/e`, `fig5a/b/c`, `fig6a/b`, `fig7a/b`) plus new variants
 //!   (`grid-dynamic`, `grid-dropout`, `grid-fleet`), and the
 //!   train-once / eval-many studies (`fig4`, `fig8a/b`, `datatypes`,
 //!   `layers`) that expand into task DAGs instead of flat sweeps;
@@ -81,4 +81,6 @@ pub use io::RetryPolicy;
 pub use profile::{CheckMode, Profile, WorkerProfile};
 pub use quarantine::QuarantineRecord;
 pub use runner::{CampaignOutcome, CoordMode, RunnerConfig, TrialRecord};
-pub use spec::{Campaign, CellGrid, ModelSpec, Scenario, SpecError, StudySpec, SystemKind, Trials};
+pub use spec::{
+    Campaign, CellGrid, MetricSpec, ModelSpec, Scenario, SpecError, StudySpec, SystemKind, Trials,
+};

@@ -1,7 +1,8 @@
 //! Named built-in scenarios.
 //!
 //! The `fig*`, `datatypes` and `layers` entries are the paper's
-//! figures: `campaign run fig3a` is how the Fig. 3a table is made. Their
+//! figures: `campaign run fig3a` is how the Fig. 3a table is made, and
+//! every fault figure of the paper has one. Their
 //! cell lists and statistics are pinned by tests (cell digests below,
 //! per-cell bits in `tests/orchestration.rs`, summary goldens in
 //! `tests/data/`). The remaining entries are scenario variants beyond
@@ -15,7 +16,7 @@
 use frlfi::experiments::DEFAULT_SEED;
 use frlfi::Scale;
 
-use crate::spec::{MitigationSpec, Scenario, SideKind, StudySpec, SystemKind};
+use crate::spec::{MetricSpec, MitigationSpec, Scenario, SideKind, StudySpec, SystemKind};
 
 /// One registry entry.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +64,12 @@ pub fn entries() -> &'static [RegistryEntry] {
             system: SystemKind::GridWorld,
             description: "GridWorld training, single-agent baseline (paper Fig. 3c)",
             builder: fig3c,
+        },
+        RegistryEntry {
+            name: "fig3e",
+            system: SystemKind::GridWorld,
+            description: "GridWorld episodes to re-converge after a late fault (paper Fig. 3e)",
+            builder: fig3e,
         },
         RegistryEntry {
             name: "fig4",
@@ -143,6 +150,18 @@ pub fn entries() -> &'static [RegistryEntry] {
             builder: fig5c,
         },
         RegistryEntry {
+            name: "fig6a",
+            system: SystemKind::DroneNav,
+            description: "DroneNav fault resilience by drone count and fault side (paper Fig. 6a)",
+            builder: fig6a,
+        },
+        RegistryEntry {
+            name: "fig6b",
+            system: SystemKind::DroneNav,
+            description: "DroneNav communication-interval trade-off under faults (paper Fig. 6b)",
+            builder: fig6b,
+        },
+        RegistryEntry {
             name: "fig7b",
             system: SystemKind::DroneNav,
             description: "DroneNav server faults with checkpoint mitigation (paper Fig. 7b)",
@@ -181,6 +200,14 @@ fn fig3c(scale: Scale) -> Scenario {
     s
 }
 
+fn fig3e(scale: Scale) -> Scenario {
+    let mut s = Scenario::new("fig3e", SystemKind::GridWorld, scale);
+    s.fault.sides = vec![SideKind::Agent, SideKind::Server];
+    s.train.metric = Some(MetricSpec::EpisodesToConverge);
+    s.master_seed = Some(DEFAULT_SEED ^ 0x3E);
+    s
+}
+
 fn fig5a(scale: Scale) -> Scenario {
     let mut s = Scenario::new("fig5a", SystemKind::DroneNav, scale);
     s.fault.side = SideKind::Agent;
@@ -200,6 +227,22 @@ fn fig5c(scale: Scale) -> Scenario {
     s.fault.side = SideKind::Agent;
     s.fleet.agents = Some(1);
     s.master_seed = Some(DEFAULT_SEED ^ 0xF15);
+    s
+}
+
+fn fig6a(scale: Scale) -> Scenario {
+    let mut s = Scenario::new("fig6a", SystemKind::DroneNav, scale);
+    s.fleet.agents_sweep = scale.pick(vec![2, 3], vec![2, 4, 6], vec![2, 4, 6]);
+    s.fault.sides = vec![SideKind::Server, SideKind::Agent];
+    s.master_seed = Some(DEFAULT_SEED ^ 0x6A);
+    s
+}
+
+fn fig6b(scale: Scale) -> Scenario {
+    let mut s = Scenario::new("fig6b", SystemKind::DroneNav, scale);
+    s.fleet.comm_boosts = vec![1, 2, 3];
+    s.fault.sides = vec![SideKind::Agent, SideKind::Server];
+    s.master_seed = Some(DEFAULT_SEED ^ 0x6B);
     s
 }
 
@@ -400,11 +443,13 @@ mod tests {
         // recorded from the
         // cell lists of the figure drivers these builtins replaced
         // (`fig3::heatmap_cells`, `fig7::gridworld_cells`,
-        // `fig5::heatmap_cells` and the cells `fig7::drone` built).
+        // `fig5::heatmap_cells`, and the cells `fig7::drone`,
+        // `fig3::convergence`, `fig6::drone_count` and
+        // `fig6::comm_interval` built).
         // fig7b @ Smoke differs from its driver's cells on purpose: its
         // smoke window is k = 2, not the driver's 3, which never fired.
         use crate::spec::Trials;
-        const PINNED: [(&str, Scale, u64); 24] = [
+        const PINNED: [(&str, Scale, u64); 33] = [
             ("fig3a", Scale::Smoke, 0x14e6_404e_ed9c_f38f),
             ("fig3b", Scale::Smoke, 0xa893_8227_01ef_9541),
             ("fig3c", Scale::Smoke, 0xef7a_8bf5_ec09_2de7),
@@ -417,6 +462,9 @@ mod tests {
             ("fig3b", Scale::Full, 0xb89c_7582_dbef_c29f),
             ("fig3c", Scale::Full, 0xe6e2_47cc_ca30_f39d),
             ("fig7a", Scale::Full, 0x5c9b_2818_334b_d4d8),
+            ("fig3e", Scale::Smoke, 0x56e8_aabc_3234_6ad1),
+            ("fig3e", Scale::Bench, 0xab84_1952_0052_cdc7),
+            ("fig3e", Scale::Full, 0x08d6_6fb0_105f_431d),
             ("fig5a", Scale::Smoke, 0xe9c2_4a3d_51b1_15cd),
             ("fig5b", Scale::Smoke, 0x1425_ee83_b507_00ef),
             ("fig5c", Scale::Smoke, 0x9f44_9c20_4dba_7897),
@@ -429,6 +477,12 @@ mod tests {
             ("fig5b", Scale::Full, 0x39f6_0f36_8305_3308),
             ("fig5c", Scale::Full, 0x6213_bf30_83b9_3b0d),
             ("fig7b", Scale::Full, 0xea17_e1dd_03d7_f148),
+            ("fig6a", Scale::Smoke, 0x1120_2e90_d21c_4f63),
+            ("fig6a", Scale::Bench, 0x5168_fd8c_3387_27dd),
+            ("fig6a", Scale::Full, 0x5f13_f026_4a0f_52e9),
+            ("fig6b", Scale::Smoke, 0x8e35_6ff4_c7a9_7b46),
+            ("fig6b", Scale::Bench, 0x7fab_16c8_6cff_a8ee),
+            ("fig6b", Scale::Full, 0x636b_1860_cba3_f764),
         ];
         for (name, scale, digest) in PINNED {
             let campaign = builtin(name, scale).expect("built-in").expand().expect("expands");

@@ -243,7 +243,8 @@ impl CampaignOutcome {
 /// Runs a scenario in `dir`, resuming any persisted progress.
 ///
 /// First call writes `campaign.toml`; later calls verify the stored
-/// scenario matches and skip completed `(cell, repeat)` trials.
+/// scenario matches and skip completed `(cell, repeat)` trials. A
+/// scenario that fails expansion writes nothing.
 ///
 /// # Errors
 ///
@@ -252,6 +253,7 @@ impl CampaignOutcome {
 pub fn run(scenario: &Scenario, dir: &Path, cfg: &RunnerConfig) -> Result<CampaignOutcome, String> {
     io::with_retry("campaign.create", || io::create_dir_all("campaign.create", dir))
         .map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let campaign = scenario.expand().map_err(|e| e.to_string())?;
     let manifest = dir.join("campaign.toml");
     if manifest.exists() {
         let stored = load_scenario(&manifest)?;
@@ -270,8 +272,6 @@ pub fn run(scenario: &Scenario, dir: &Path, cfg: &RunnerConfig) -> Result<Campai
         // bytes, so last-rename-wins is harmless.
         write_atomic(dir, "campaign.toml", &scenario.to_toml())?;
     }
-
-    let campaign = scenario.expand().map_err(|e| e.to_string())?;
     run_expanded(&campaign, dir, cfg)
 }
 
@@ -1289,11 +1289,7 @@ pub fn render_wide_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
                     .map(move |&e| format!("ber {} @ ep{e}", frlfi::experiments::ber_label(b)))
             })
             .collect(),
-        CellGrid::FleetByBer { sizes, bers } => sizes
-            .iter()
-            .flat_map(|&n| bers.iter().map(move |&b| format!("n={n} @ ber {b}")))
-            .collect(),
-        CellGrid::Study { rows, cols } => {
+        CellGrid::Labelled { rows, cols, .. } => {
             rows.iter().flat_map(|r| cols.iter().map(move |c| format!("{r} @ {c}"))).collect()
         }
     };
@@ -1310,6 +1306,9 @@ pub fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
         campaign.scenario.name,
         campaign.scenario.scale,
         match campaign.trials {
+            crate::spec::Trials::Grid(_) if campaign.scenario.train.metric.is_some() => {
+                "episodes to converge"
+            }
             crate::spec::Trials::Grid(_) => "success rate (%)",
             crate::spec::Trials::Drone(_) => "flight distance (m)",
             crate::spec::Trials::Study(_) => "study metric",
@@ -1319,23 +1318,14 @@ pub fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
         CellGrid::BerByEpisode { bers, episodes } => {
             frlfi::experiments::harness::heatmap_table(&title, bers, episodes, stats, 1)
         }
-        CellGrid::FleetByBer { sizes, bers } => {
-            let mut table =
-                Table::new(title, "fleet", bers.iter().map(|b| format!("ber {b}")).collect());
-            for (si, &n) in sizes.iter().enumerate() {
-                let row: Vec<f64> =
-                    (0..bers.len()).map(|bi| stats[si * bers.len() + bi].mean).collect();
-                table.push_row(format!("n={n}"), row);
-            }
-            table
-        }
-        // The byte-exact figure path for studies is `finalize`'s
-        // `StudyGeometry::render` over plain in-order means; from bare
-        // stats the same layout renders over the stats means.
-        CellGrid::Study { rows, cols } => match campaign.study() {
+        // A study renders its own figure layout (`finalize`'s
+        // byte-exact path is `StudyGeometry::render` over plain in-order
+        // means; here it renders over the stats means). Fleet, side and
+        // comm sweeps render the labelled grid.
+        CellGrid::Labelled { axis, rows, cols } => match campaign.study() {
             Some(g) => g.render(&stats.iter().map(|s| s.mean).collect::<Vec<f64>>()),
             None => {
-                let mut table = Table::new(title, "row", cols.clone());
+                let mut table = Table::new(title, axis.clone(), cols.clone());
                 for (ri, key) in rows.iter().enumerate() {
                     let row: Vec<f64> =
                         (0..cols.len()).map(|ci| stats[ri * cols.len() + ci].mean).collect();

@@ -5,13 +5,15 @@
 //! grids, injection episodes, repeats) resolve from the paper's
 //! per-scale campaign geometry at *expansion* time, so one scenario
 //! file works at every [`Scale`] and a figure campaign expands to
-//! exactly the trial cells its `frlfi::experiments` driver runs.
+//! exactly the trial cells its retired figure driver ran (the
+//! expansion digests in `registry.rs` pin them).
 
 use frlfi::experiments::harness::{
-    drone_geometry, grid_geometry, DroneTrial, GridTrial, Prefixes, PretrainedWeights, TrialFault,
+    drone_geometry, grid_geometry, DroneComm, DroneTrial, GridMetric, GridTrial, Prefixes,
+    PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::study::{StudyGeometry, StudyKind};
-use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
+use frlfi::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use frlfi::quant::QFormat;
 use frlfi::{DroneLayout, GridLayout, ReprKind, Scale, TrainingMitigation};
 use frlfi_fault::{FaultModel, FaultSide};
@@ -192,6 +194,12 @@ pub struct FleetSpec {
     pub agents_sweep: Vec<usize>,
     /// Per-round agent/drone-dropout probability, in `[0, 1)`.
     pub dropout: Option<f64>,
+    /// When non-empty, the campaign sweeps the communication schedule
+    /// as a cell axis (DroneNav, Fig. 6b): multiplier `m` stretches the
+    /// interval `m`× from 3/5 of fine-tuning on (`1` = every episode
+    /// throughout). Each row runs fault-free, then with a BER 1e-2
+    /// fault on each side halfway through the stretched phase.
+    pub comm_boosts: Vec<usize>,
 }
 
 /// Fault options. Empty vectors mean "use the per-scale geometry
@@ -208,6 +216,9 @@ pub struct FaultSpec {
     pub bers: Vec<f64>,
     /// Injection episodes (empty = geometry default).
     pub inject_episodes: Vec<usize>,
+    /// When non-empty, the campaign sweeps these sides as a cell axis
+    /// instead of striking `side` only.
+    pub sides: Vec<SideKind>,
 }
 
 impl Default for FaultSpec {
@@ -218,6 +229,7 @@ impl Default for FaultSpec {
             repr: ReprSpec::Int8,
             bers: Vec::new(),
             inject_episodes: Vec::new(),
+            sides: Vec::new(),
         }
     }
 }
@@ -231,6 +243,18 @@ pub struct TrainSpec {
     pub pretrain_episodes: Option<usize>,
     /// Flight-distance evaluation attempts (DroneNav).
     pub eval_attempts: Option<usize>,
+    /// Reported metric (GridWorld; `None` = the success rate).
+    pub metric: Option<MetricSpec>,
+}
+
+/// What a GridWorld trial reports instead of its success rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MetricSpec {
+    /// Training episodes until the greedy success rate is back at 96%
+    /// (Fig. 3e), checked every 20/25/50 episodes (smoke/bench/full)
+    /// for at most twice the training episodes. The fault defaults to
+    /// a late one, at 9/10 of training, at every nonzero geometry BER.
+    EpisodesToConverge,
 }
 
 /// Training-time mitigation parameters (enables the checkpoint scheme).
@@ -489,7 +513,11 @@ impl Scenario {
             scenario: self.clone(),
             repeats: g.repeats,
             master_seed: g.master_seed(),
-            grid: CellGrid::Study { rows: g.row_keys.clone(), cols: g.columns.clone() },
+            grid: CellGrid::Labelled {
+                axis: "row".into(),
+                rows: g.row_keys.clone(),
+                cols: g.columns.clone(),
+            },
             trials: Trials::Study(g),
             prefixes: Prefixes::default(),
         })
@@ -526,6 +554,24 @@ impl Scenario {
             // No episode runs, so no injection could ever fire.
             return Err(SpecError::new("train.total_episodes must be ≥ 1"));
         }
+        if let Some(m) = &self.mitigation {
+            // As for dropout, check the f32 the detector runs with.
+            let p = m.p_percent as f32;
+            if !(p.is_finite() && p > 0.0) || m.k_consecutive == 0 || m.checkpoint_interval == 0 {
+                return Err(SpecError::new(format!(
+                    "mitigation p_percent = {} must be finite and > 0 (as an f32), and \
+                     k_consecutive = {} and checkpoint_interval = {} must be ≥ 1",
+                    m.p_percent, m.k_consecutive, m.checkpoint_interval
+                )));
+            }
+            if self.fleet.agents == Some(1) || self.fleet.agents_sweep.contains(&1) {
+                return Err(SpecError::new(
+                    "mitigation restores agents from the server's checkpoint, so it needs a \
+                     fleet of ≥ 2 agents (fleet.agents and every agents_sweep entry): one agent \
+                     has no server",
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -543,27 +589,39 @@ impl Scenario {
                  per episode and have no motion parameters)",
             ));
         }
-        let system_seed = self.system_seed.unwrap_or(SYSTEM_SEED);
+        if !self.fleet.comm_boosts.is_empty() {
+            return Err(SpecError::new("fleet.comm_boosts applies to DroneNav scenarios"));
+        }
+        let (metric, defaults) = match self.train.metric {
+            None => (GridMetric::SuccessRatePct, (g.bers, g.inject_episodes)),
+            Some(MetricSpec::EpisodesToConverge) => (
+                GridMetric::EpisodesToConverge {
+                    threshold: 0.96,
+                    check_every: self.scale.pick(20, 25, 50),
+                    max_extra: total_episodes * 2,
+                },
+                (g.bers.into_iter().filter(|&b| b > 0.0).collect(), vec![total_episodes * 9 / 10]),
+            ),
+        };
         let base = GridTrial {
             n_agents: self.fleet.agents.unwrap_or(g.n_agents),
             total_episodes,
-            system_seed,
+            system_seed: self.system_seed.unwrap_or(SYSTEM_SEED),
             layout: self.env.layout.layout(),
             dropout: self.fleet.dropout.map(|d| d as f32),
             fault: None,
             mitigation: self.mitigation.as_ref().map(MitigationSpec::mitigation),
-            metric: frlfi::experiments::harness::GridMetric::SuccessRatePct,
+            metric,
         };
-        let (grid, trials) = self.fault_cells(
-            &base,
-            (&g.bers, &g.inject_episodes),
-            total_episodes,
-            "total_episodes",
-            |t, n, fault| {
-                t.n_agents = n.unwrap_or(t.n_agents);
-                t.fault = Some(fault);
-            },
-        )?;
+        let (grid, cells) = self.fault_cells(defaults, total_episodes, "total_episodes")?;
+        let trials = cells
+            .into_iter()
+            .map(|c| GridTrial {
+                n_agents: c.agents.unwrap_or(base.n_agents),
+                fault: c.fault,
+                ..base.clone()
+            })
+            .collect();
         Ok(Campaign {
             scenario: self.clone(),
             repeats: self.repeats.unwrap_or(g.repeats),
@@ -577,6 +635,9 @@ impl Scenario {
     fn expand_drone(&self) -> Result<Campaign, SpecError> {
         let g = drone_geometry(self.scale);
         let fine_tune = self.train.total_episodes.unwrap_or(g.fine_tune_episodes);
+        if self.train.metric.is_some() {
+            return Err(SpecError::new("train.metric applies to GridWorld scenarios"));
+        }
         if let Some(m) = self.env.motion {
             if self.env.layout != LayoutKind::DynamicObstacles {
                 return Err(SpecError::new(
@@ -604,7 +665,7 @@ impl Scenario {
             fine_tune_episodes: fine_tune,
             eval_attempts: self.train.eval_attempts.unwrap_or(g.eval_attempts),
             system_seed: self.system_seed.unwrap_or(SYSTEM_SEED),
-            comm: frlfi::experiments::harness::DroneComm::Every(1),
+            comm: DroneComm::Every(1),
             layout: self.env.layout.drone_layout(),
             motion: self.env.motion.as_ref().map(MotionSpec::motion),
             dropout: self.fleet.dropout.map(|d| d as f32),
@@ -612,16 +673,17 @@ impl Scenario {
             fault: None,
             mitigation: self.mitigation.as_ref().map(MitigationSpec::mitigation),
         };
-        let (grid, trials) = self.fault_cells(
-            &base,
-            (&g.bers, &g.inject_episodes),
-            fine_tune,
-            "fine_tune_episodes",
-            |t, n, fault| {
-                t.n_drones = n.unwrap_or(t.n_drones);
-                t.fault = Some(fault);
-            },
-        )?;
+        let (grid, cells) =
+            self.fault_cells((g.bers, g.inject_episodes), fine_tune, "fine_tune_episodes")?;
+        let trials = cells
+            .into_iter()
+            .map(|c| DroneTrial {
+                n_drones: c.agents.unwrap_or(base.n_drones),
+                comm: c.comm.unwrap_or(base.comm),
+                fault: c.fault,
+                ..base.clone()
+            })
+            .collect();
         Ok(Campaign {
             scenario: self.clone(),
             repeats: self.repeats.unwrap_or(g.repeats),
@@ -632,61 +694,132 @@ impl Scenario {
         })
     }
 
-    /// The fault cells GridWorld and DroneNav scenarios share: BER ×
-    /// injection episode, or — when `fleet.agents_sweep` is set — fleet
-    /// size × BER with the fault injected mid-training. `defaults` are
-    /// the geometry's `(bers, inject_episodes)` for omitted keys, and
+    /// The fault cells GridWorld and DroneNav scenarios share, on one of
+    /// three layouts:
+    ///
+    /// * BER × injection episode (× side, with `fault.sides`);
+    /// * with `fleet.agents_sweep`, fleet size (× side) × BER, the fault
+    ///   injected mid-training;
+    /// * with `fleet.comm_boosts`, comm multiplier × (no fault, then each
+    ///   side at BER 1e-2 halfway through the stretched phase).
+    ///
+    /// `defaults` are the `(bers, inject_episodes)` of omitted keys, and
     /// `trained` the episode count (`what` names its key in errors).
-    /// Each trial is a clone of `base` that `set` stamps with the
-    /// cell's fleet size (`Some` only in a fleet sweep) and fault.
-    fn fault_cells<T: Clone>(
+    fn fault_cells(
         &self,
-        base: &T,
-        defaults: (&[f64], &[usize]),
+        defaults: (Vec<f64>, Vec<usize>),
         trained: usize,
         what: &str,
-        set: impl Fn(&mut T, Option<usize>, TrialFault),
-    ) -> Result<(CellGrid, Vec<T>), SpecError> {
-        let bers =
-            if self.fault.bers.is_empty() { defaults.0.to_vec() } else { self.fault.bers.clone() };
-        let episodes = if self.fault.inject_episodes.is_empty() {
-            defaults.1.to_vec()
-        } else {
-            self.fault.inject_episodes.clone()
+    ) -> Result<(CellGrid, Vec<Cell>), SpecError> {
+        let f = &self.fault;
+        let sides = if f.sides.is_empty() { std::slice::from_ref(&f.side) } else { &f.sides };
+        let fault = |side: SideKind, episode: usize, ber: f64| TrialFault {
+            episode,
+            side: side.side(),
+            model: f.model.model(),
+            repr: f.repr.repr(),
+            ber,
         };
-        let cell = |n: Option<usize>, episode: usize, ber: f64| {
-            let mut t = base.clone();
-            let fault = TrialFault {
-                episode,
-                side: self.fault.side.side(),
-                model: self.fault.model.model(),
-                repr: self.fault.repr.repr(),
-                ber,
+        let sweep = &self.fleet.agents_sweep;
+        let boosts = &self.fleet.comm_boosts;
+        if !boosts.is_empty() {
+            if !sweep.is_empty() || !f.bers.is_empty() || !f.inject_episodes.is_empty() {
+                return Err(SpecError::new(
+                    "fleet.comm_boosts fixes its faults (BER 1e-2 halfway through the \
+                     stretched phase): leave fault.bers, fault.inject_episodes and \
+                     fleet.agents_sweep empty",
+                ));
+            }
+            if boosts.contains(&0) {
+                return Err(SpecError::new("comm_boosts entries must be ≥ 1"));
+            }
+            let switch = trained * 3 / 5;
+            let (episode, ber) = (switch + (trained - switch) / 2, 1e-2);
+            let comm = |mult| match mult {
+                1 => DroneComm::Every(1),
+                _ => DroneComm::Boost { base: 1, switch, mult },
             };
-            set(&mut t, n, fault);
-            t
-        };
-        if self.fleet.agents_sweep.is_empty() {
-            reachable(&episodes, trained, what)?;
-            let trials = bers
+            let rows = boosts
                 .iter()
-                .flat_map(|&ber| episodes.iter().map(move |&ep| (ber, ep)))
-                .map(|(ber, ep)| cell(None, ep, ber))
+                .map(|&m| {
+                    let saving = comm(m).schedule().cost_saving_vs_base(trained);
+                    format!("{m}x interval ({:.1}% comm saved)", saving * 100.0)
+                })
                 .collect();
-            Ok((CellGrid::BerByEpisode { bers, episodes }, trials))
+            let cols = std::iter::once("no fault".to_owned())
+                .chain(
+                    sides.iter().map(|s| format!("{} {} @ ep{episode}", s.side(), ber_label(ber))),
+                )
+                .collect();
+            let cells = boosts
+                .iter()
+                .flat_map(|&m| {
+                    let faults = sides.iter().map(|&s| Some(fault(s, episode, ber)));
+                    std::iter::once(None).chain(faults).map(move |fault| Cell {
+                        agents: None,
+                        comm: Some(comm(m)),
+                        fault,
+                    })
+                })
+                .collect();
+            return Ok((CellGrid::Labelled { axis: "schedule".into(), rows, cols }, cells));
+        }
+        let bers = if f.bers.is_empty() { defaults.0 } else { f.bers.clone() };
+        let episodes =
+            if f.inject_episodes.is_empty() { defaults.1 } else { f.inject_episodes.clone() };
+        let cell = |agents, side, episode, ber| Cell {
+            agents,
+            comm: None,
+            fault: Some(fault(side, episode, ber)),
+        };
+        if sweep.is_empty() {
+            reachable(&episodes, trained, what)?;
+            let mut cells = Vec::with_capacity(bers.len() * episodes.len() * sides.len());
+            for &ber in &bers {
+                for &ep in &episodes {
+                    cells.extend(sides.iter().map(|&side| cell(None, side, ep, ber)));
+                }
+            }
+            let grid = if f.sides.is_empty() {
+                CellGrid::BerByEpisode { bers, episodes }
+            } else {
+                let cols = episodes
+                    .iter()
+                    .flat_map(|e| sides.iter().map(move |s| format!("{} @ ep{e}", s.side())))
+                    .collect();
+                let rows = bers.iter().map(|&b| ber_label(b)).collect();
+                CellGrid::Labelled { axis: "BER".into(), rows, cols }
+            };
+            Ok((grid, cells))
         } else {
-            let sizes = self.fleet.agents_sweep.clone();
-            if sizes.contains(&0) {
+            if sweep.contains(&0) {
                 return Err(SpecError::new("agents_sweep entries must be ≥ 1"));
             }
-            let trials = sizes
-                .iter()
-                .flat_map(|&n| bers.iter().map(move |&ber| (n, ber)))
-                .map(|(n, ber)| cell(Some(n), trained / 2, ber))
-                .collect();
-            Ok((CellGrid::FleetByBer { sizes, bers }, trials))
+            let (mut rows, mut cells) = (Vec::new(), Vec::new());
+            for &n in sweep {
+                for &side in sides {
+                    rows.push(if f.sides.is_empty() {
+                        format!("n={n}")
+                    } else {
+                        format!("n={n} {}", side.side())
+                    });
+                    cells.extend(bers.iter().map(|&ber| cell(Some(n), side, trained / 2, ber)));
+                }
+            }
+            let cols = bers.iter().map(|b| format!("ber {b}")).collect();
+            Ok((CellGrid::Labelled { axis: "fleet".into(), rows, cols }, cells))
         }
     }
+}
+
+/// One cell's departures from its scenario's base trial.
+struct Cell {
+    /// Fleet size, in a fleet sweep.
+    agents: Option<usize>,
+    /// Communication schedule, in a comm sweep.
+    comm: Option<DroneComm>,
+    /// The injected fault (`None` in a comm sweep's fault-free column).
+    fault: Option<TrialFault>,
 }
 
 /// Rejects an injection episode the training loop never reaches: such a
@@ -748,16 +881,12 @@ pub enum CellGrid {
         /// Column axis.
         episodes: Vec<usize>,
     },
-    /// Rows = fleet sizes, columns = BERs (the fleet-sweep layout).
-    FleetByBer {
-        /// Row axis.
-        sizes: Vec<usize>,
-        /// Column axis.
-        bers: Vec<f64>,
-    },
-    /// Pre-rendered study axes (the figure's own row keys / columns).
-    Study {
-        /// Row-key labels, in row order.
+    /// Pre-rendered axes: a study's own row keys and columns, or a
+    /// fleet, side or comm sweep's.
+    Labelled {
+        /// Header of the row-label column.
+        axis: String,
+        /// Row labels, in row order.
         rows: Vec<String>,
         /// Column headers.
         cols: Vec<String>,
@@ -769,8 +898,7 @@ impl CellGrid {
     pub fn cell_count(&self) -> usize {
         match self {
             CellGrid::BerByEpisode { bers, episodes } => bers.len() * episodes.len(),
-            CellGrid::FleetByBer { sizes, bers } => sizes.len() * bers.len(),
-            CellGrid::Study { rows, cols } => rows.len() * cols.len(),
+            CellGrid::Labelled { rows, cols, .. } => rows.len() * cols.len(),
         }
     }
 }
@@ -949,6 +1077,56 @@ mod tests {
     }
 
     #[test]
+    fn bad_mitigation_fails_at_expansion_not_in_a_worker() {
+        // Each would panic the detector or the checkpoint inside a
+        // worker. The thresholds are checked as the f32 the detector
+        // runs with: 1e40 is infinite and 1e-50 zero as an f32.
+        let ok = MitigationSpec { p_percent: 10.0, k_consecutive: 2, checkpoint_interval: 1 };
+        let bad = [
+            MitigationSpec { k_consecutive: 0, ..ok },
+            MitigationSpec { checkpoint_interval: 0, ..ok },
+            MitigationSpec { p_percent: 0.0, ..ok },
+            MitigationSpec { p_percent: -5.0, ..ok },
+            MitigationSpec { p_percent: f64::NAN, ..ok },
+            MitigationSpec { p_percent: 1e40, ..ok },
+            MitigationSpec { p_percent: 1e-50, ..ok },
+        ];
+        for system in [SystemKind::GridWorld, SystemKind::DroneNav] {
+            let mut s = Scenario::new("m", system, Scale::Smoke);
+            s.mitigation = Some(ok.clone());
+            s.expand().expect("a valid mitigation expands");
+            for m in &bad {
+                s.mitigation = Some(m.clone());
+                let err = s.expand().expect_err("must reject").to_string();
+                assert!(err.contains("mitigation"), "{system:?} {m:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn mitigation_on_a_fleet_without_a_server_fails_at_expansion() {
+        // A one-agent fleet has no server and never offers a
+        // checkpoint, so its mitigation would silently do nothing.
+        for system in ["GridWorld", "DroneNav"] {
+            let text = format!(
+                "name = \"solo\"\nsystem = \"{system}\"\nscale = \"Smoke\"\n\n\
+                 [fleet]\nagents = 1\n\n\
+                 [mitigation]\np_percent = 10\nk_consecutive = 2\ncheckpoint_interval = 1\n"
+            );
+            let s = Scenario::from_toml(&text).expect("parses");
+            let err = s.expand().expect_err("must reject").to_string();
+            assert!(err.contains("≥ 2 agents"), "{system}: {err}");
+            let mut sweep = s.clone();
+            sweep.fleet.agents = None;
+            sweep.fleet.agents_sweep = vec![2, 1];
+            let err = sweep.expand().expect_err("must reject").to_string();
+            assert!(err.contains("≥ 2 agents"), "{system} sweep: {err}");
+            sweep.fleet.agents_sweep = vec![2, 3];
+            sweep.expand().expect("fleets with a server expand");
+        }
+    }
+
+    #[test]
     fn dropout_that_rounds_to_one_as_f32_fails_at_expansion() {
         // 0.999999999f64 is in [0, 1) but casts to 1.0f32 — the value
         // the trial config actually carries — which the system
@@ -1026,8 +1204,75 @@ mod tests {
     }
 
     #[test]
+    fn side_axis_sweeps_every_layout() {
+        // BER × episode × side: columns nest side inside episode.
+        let mut s = Scenario::new("s", SystemKind::GridWorld, Scale::Smoke);
+        s.fault.sides = vec![SideKind::Server, SideKind::Agent];
+        s.fault.bers = vec![0.0, 0.1];
+        let c = s.expand().expect("expands");
+        let CellGrid::Labelled { rows, cols, .. } = &c.grid else { panic!("labelled grid") };
+        assert_eq!(rows, &["0", "10%"]);
+        assert_eq!(cols, &["server @ ep40", "agent @ ep40", "server @ ep125", "agent @ ep125"]);
+        let Trials::Grid(t) = &c.trials else { panic!("grid expected") };
+        let side = |i: usize| t[i].fault.expect("fault").side;
+        assert_eq!(
+            (side(0), side(1), side(7)),
+            (FaultSide::ServerSide, FaultSide::AgentSide, FaultSide::AgentSide)
+        );
+        assert_eq!(t[7].fault.expect("fault").episode, 125);
+        // Fleet size × side rows over BER columns.
+        s.fleet.agents_sweep = vec![2, 3];
+        let c = s.expand().expect("expands");
+        let CellGrid::Labelled { rows, .. } = &c.grid else { panic!("labelled grid") };
+        assert_eq!(rows, &["n=2 server", "n=2 agent", "n=3 server", "n=3 agent"]);
+        assert_eq!(c.trials.len(), 8);
+    }
+
+    #[test]
+    fn comm_boosts_sweep_schedules_with_a_fault_free_column() {
+        let mut s = Scenario::new("c", SystemKind::DroneNav, Scale::Smoke);
+        s.fleet.comm_boosts = vec![1, 3];
+        let c = s.expand().expect("expands");
+        let CellGrid::Labelled { rows, cols, .. } = &c.grid else { panic!("labelled grid") };
+        assert_eq!(cols, &["no fault", "agent 1% @ ep9"]);
+        assert_eq!(rows, &["1x interval (0.0% comm saved)", "3x interval (33.3% comm saved)"]);
+        let Trials::Drone(t) = &c.trials else { panic!("drone expected") };
+        assert_eq!(t[0].comm, DroneComm::Every(1));
+        assert_eq!(t[2].comm, DroneComm::Boost { base: 1, switch: 7, mult: 3 });
+        assert_eq!((t[2].fault, t[3].fault.map(|f| f.ber)), (None, Some(1e-2)));
+        // The sweep fixes its faults and stands alone; it is DroneNav's.
+        for bad in [
+            |s: &mut Scenario| s.fault.bers = vec![0.1],
+            |s: &mut Scenario| s.fault.inject_episodes = vec![3],
+            |s: &mut Scenario| s.fleet.agents_sweep = vec![2],
+            |s: &mut Scenario| s.fleet.comm_boosts = vec![0],
+            |s: &mut Scenario| s.system = SystemKind::GridWorld,
+        ] {
+            let mut b = s.clone();
+            bad(&mut b);
+            assert!(b.expand().unwrap_err().to_string().contains("comm_boosts"));
+        }
+    }
+
+    #[test]
+    fn convergence_metric_defaults_to_a_late_fault_and_is_gridworld_only() {
+        let mut s = Scenario::new("e", SystemKind::GridWorld, Scale::Smoke);
+        s.train.metric = Some(MetricSpec::EpisodesToConverge);
+        s.train.total_episodes = Some(100);
+        let c = s.expand().expect("expands");
+        assert_eq!(c.grid, CellGrid::BerByEpisode { bers: vec![0.05, 0.2], episodes: vec![90] });
+        let Trials::Grid(t) = &c.trials else { panic!("grid expected") };
+        assert_eq!(
+            t[0].metric,
+            GridMetric::EpisodesToConverge { threshold: 0.96, check_every: 20, max_extra: 200 }
+        );
+        s.system = SystemKind::DroneNav;
+        s.train.total_episodes = None;
+        assert!(s.expand().unwrap_err().to_string().contains("metric"));
+    }
+
+    #[test]
     fn drone_scenario_accepts_layout_and_dropout() {
-        use frlfi::experiments::harness::DroneComm;
         let mut s = Scenario::new("d", SystemKind::DroneNav, Scale::Smoke);
         s.fleet.dropout = Some(0.25);
         s.env.layout = LayoutKind::DynamicObstacles;

@@ -26,6 +26,27 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+#[test]
+fn a_spec_refused_at_expansion_leaves_its_directory_usable() {
+    // A refused spec writes no manifest, so the corrected spec can
+    // still run in the same directory.
+    let dir = temp_dir("refused");
+    let mut bad = cheap_grid_scenario("refused");
+    bad.fleet.agents = Some(1);
+    bad.mitigation = Some(frlfi_campaign::spec::MitigationSpec {
+        p_percent: 10.0,
+        k_consecutive: 2,
+        checkpoint_interval: 1,
+    });
+    let err = runner::run(&bad, &dir, &RunnerConfig::default()).expect_err("refused");
+    assert!(err.contains("≥ 2 agents"), "{err}");
+    assert!(!dir.join("campaign.toml").exists(), "a refused spec wrote a manifest");
+    bad.fleet.agents = Some(2);
+    let cfg = RunnerConfig { max_new_trials: Some(1), ..RunnerConfig::default() };
+    runner::run(&bad, &dir, &cfg).expect("the corrected spec runs in the same directory");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn cheap_grid_scenario(name: &str) -> Scenario {
     let mut s = Scenario::new(name, SystemKind::GridWorld, Scale::Smoke);
     s.fault.bers = vec![0.0, 0.2];

@@ -28,8 +28,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The sequential reference: the figure driver's rendered table,
-/// exactly as `frlfi-bench --bin <study> -- smoke` computes it.
+/// The sequential reference: the study's rendered table, as the
+/// sequential `StudyGeometry::run` computes it at smoke scale.
 fn driver_table(kind: StudyKind) -> String {
     kind.geometry(Scale::Smoke)
         .expect("study geometry")

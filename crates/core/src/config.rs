@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// * [`Scale::Smoke`] — minutes-level CI scale (small grids, few
 ///   repeats); used by integration tests.
-/// * [`Scale::Bench`] — the default for the `fig*` binaries and
-///   criterion benches; enough repeats for stable trends.
+/// * [`Scale::Bench`] — the default of `examples/paper_tables.rs` and
+///   the scale of the criterion benches; enough repeats for stable
+///   trends.
 /// * [`Scale::Full`] — paper-sized campaigns (12 agents, 1000 episodes,
 ///   dense BER grids); hours of runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -69,8 +69,10 @@ impl DroneFrlSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`FrlfiError::BadConfig`] for zero drones or a dropout
-    /// probability outside `[0, 1)`, or propagates construction errors.
+    /// Returns [`FrlfiError::BadConfig`] for zero drones, a dropout
+    /// probability outside `[0, 1)`, or an invalid mitigation (including
+    /// any on a single drone, which has no server to checkpoint), or
+    /// propagates construction errors.
     pub fn new(cfg: DroneSystemConfig) -> Result<Self, FrlfiError> {
         let mut cfg = cfg;
         if cfg.n_drones == 0 {
@@ -122,7 +124,7 @@ impl DroneFrlSystem {
             injected: false,
             pending_server_fault: None,
             last_records: Vec::new(),
-            mitigation: Mitigation::new(cfg.mitigation, cfg.n_drones),
+            mitigation: Mitigation::new(cfg.mitigation, cfg.n_drones)?,
             pretrained: false,
             cfg,
         })

@@ -1,16 +1,12 @@
-//! Fig. 3: transient fault characterization in GridWorld **training**.
-//!
-//! * (a) agent faults, (b) server faults, (c) single-agent baseline —
-//!   heatmaps of average success rate over (BER × injection episode),
-//!   run as the `fig3a`/`fig3b`/`fig3c` campaign builtins;
-//! * (d) trained policy weight distribution and 0/1-bit census;
-//! * (e) episodes to re-converge after a fault at the end of training.
+//! Fig. 3d: the trained GridWorld policy's weight distribution and
+//! 0/1-bit census. The fault panels are campaigns: (a) agent faults,
+//! (b) server faults and (c) the single-agent baseline are the
+//! `fig3a`/`fig3b`/`fig3c` builtins, and (e), the episodes to
+//! re-converge after a late fault, is `fig3e`.
 
-use crate::experiments::harness::{self, grid_geometry, GridMetric, GridTrial, TrialFault};
-use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
+use crate::experiments::SYSTEM_SEED;
 use crate::report::Table;
 use crate::{GridFrlSystem, GridSystemConfig, Scale};
-use frlfi_fault::FaultSide;
 use frlfi_nn::BatchInferCtx;
 use frlfi_quant::{BitCensus, SymInt8Quantizer};
 use frlfi_rl::Learner;
@@ -72,40 +68,6 @@ pub fn weight_distribution(scale: Scale) -> WeightDistribution {
         min_weight: lo,
         max_weight: hi,
     }
-}
-
-/// Fig. 3e: episodes to re-converge (SR ≥ 96%) after a fault injected
-/// near the end of training, for agent vs server faults.
-pub fn convergence(scale: Scale) -> Table {
-    let g = grid_geometry(scale);
-    let bers: Vec<f64> = g.bers.iter().copied().filter(|&b| b > 0.0).collect();
-    let late_ep = g.total_episodes * 9 / 10;
-    let check_every = scale.pick(20, 25, 50);
-    let max_extra = g.total_episodes * 2;
-    let metric = GridMetric::EpisodesToConverge { threshold: 0.96, check_every, max_extra };
-
-    let cells: Vec<GridTrial> = bers
-        .iter()
-        .flat_map(|&b| {
-            [FaultSide::AgentSide, FaultSide::ServerSide].map(|side| {
-                GridTrial::new(g.n_agents, g.total_episodes)
-                    .with_fault(TrialFault::transient_int8(side, late_ep, b))
-                    .with_metric(metric)
-            })
-        })
-        .collect();
-    let stats = harness::sweep_grid(&cells, g.repeats, DEFAULT_SEED ^ 0x3E);
-
-    let mut table = Table::new(
-        "Fig 3e: episodes to converge after late fault",
-        "BER",
-        vec!["agent".into(), "server".into()],
-    )
-    .with_precision(0);
-    for (bi, &ber) in bers.iter().enumerate() {
-        table.push_row(ber_label(ber), vec![stats[bi * 2].mean, stats[bi * 2 + 1].mean]);
-    }
-    table
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ use crate::{
 use frlfi_fault::{Ber, CellStats, FaultModel, FaultSide};
 use frlfi_federated::CommSchedule;
 use frlfi_nn::BatchInferCtx;
-use frlfi_tensor::derive_seed;
 
 /// Campaign geometry of the GridWorld training heatmaps (Fig. 3/7a).
 #[derive(Debug, Clone, PartialEq)]
@@ -678,37 +677,6 @@ fn drone_value(
     Ok(sys.safe_flight_distance(t.eval_attempts, ctx))
 }
 
-/// [`frlfi_fault::sweep`] over GridWorld trial cells, each trial on a
-/// fresh arena (the Fig. 3e driver's engine; that figure has no
-/// campaign builtin).
-///
-/// # Panics
-///
-/// Panics on an invalid trial (figure cells are valid by construction).
-pub(crate) fn sweep_grid(cells: &[GridTrial], repeats: usize, master_seed: u64) -> Vec<CellStats> {
-    frlfi_fault::sweep(cells, repeats, master_seed, |t, seed| {
-        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new())
-            .expect("figure-driver grid trials are validated at construction")
-    })
-}
-
-/// [`sweep_grid`] over DroneNav trial cells (the Fig. 6 drivers'
-/// engine).
-///
-/// # Panics
-///
-/// Panics on an invalid trial.
-pub(crate) fn sweep_drone(
-    cells: &[DroneTrial],
-    repeats: usize,
-    master_seed: u64,
-) -> Vec<CellStats> {
-    frlfi_fault::sweep(cells, repeats, master_seed, |t, seed| {
-        run_drone_trial_batched(t, seed, &mut BatchInferCtx::new())
-            .expect("figure-driver drone trials are validated at construction")
-    })
-}
-
 /// Renders row-major `(BER × inject episode)` cell statistics as the
 /// standard heatmap table.
 pub fn heatmap_table(
@@ -730,42 +698,9 @@ pub fn heatmap_table(
     table
 }
 
-/// Averages `eval(seed)` over `repeats` derived seeds — the shared
-/// boilerplate of the sequential (one-trained-system) inference sweeps.
-/// The seed of repeat `r` in cell `cell_index` is
-/// `derive_seed(DEFAULT_SEED ^ salt, cell_index * repeats + r)`,
-/// matching the parallel engine's per-task scheme.
-pub fn mean_over_repeats(
-    salt: u64,
-    cell_index: usize,
-    repeats: usize,
-    mut eval: impl FnMut(u64) -> f64,
-) -> f64 {
-    let base = crate::experiments::DEFAULT_SEED ^ salt;
-    (0..repeats).map(|r| eval(derive_seed(base, (cell_index * repeats + r) as u64))).sum::<f64>()
-        / repeats as f64
-}
-
-/// Builds and trains the standard GridWorld system of the inference
-/// experiments at `scale` (episodes 150/600/1000).
-pub fn trained_grid_system(scale: Scale, n_agents: usize) -> GridFrlSystem {
-    let episodes = scale.pick(150, 600, 1000);
-    let mut sys = GridFrlSystem::new(GridSystemConfig {
-        n_agents,
-        seed: SYSTEM_SEED,
-        epsilon_decay_episodes: episodes / 2,
-        ..Default::default()
-    })
-    .expect("valid config");
-    sys.train(episodes, None, &mut BatchInferCtx::new()).expect("training");
-    sys
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::DEFAULT_SEED;
-    use frlfi_fault::sweep_with_threads;
 
     /// One grid trial on a fresh arena.
     fn grid(t: &GridTrial, seed: u64) -> f64 {
@@ -793,29 +728,6 @@ mod tests {
         assert!(f.plan().is_none());
         let f = TrialFault::transient_int8(FaultSide::AgentSide, 5, 0.1);
         assert_eq!(f.plan().expect("plan").episode, 5);
-    }
-
-    #[test]
-    fn grid_cells_sweep_like_fig3_smoke() {
-        // A 2-cell smoke sweep through the harness matches running the
-        // trial function by hand with the engine's derived seeds.
-        let g = grid_geometry(Scale::Smoke);
-        let cells: Vec<GridTrial> =
-            [0.0, 0.2]
-                .iter()
-                .map(|&ber| {
-                    GridTrial::new(g.n_agents, g.total_episodes)
-                        .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 40, ber))
-                })
-                .collect();
-        let stats = sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, grid);
-        for (ci, cell) in cells.iter().enumerate() {
-            let by_hand: Vec<f64> = (0..2)
-                .map(|r| grid(cell, frlfi_tensor::derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64)))
-                .collect();
-            let agg = frlfi_fault::aggregate_in_order(&by_hand);
-            assert_eq!(agg.mean.to_bits(), stats[ci].mean.to_bits());
-        }
     }
 
     /// FNV-1a over the little-endian bytes of each weight's bit
@@ -960,17 +872,5 @@ mod tests {
             .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
         assert_eq!(explicit.layout, DroneLayout::DynamicObstacles);
         assert_eq!(drone(&normalized, 11).to_bits(), drone(&explicit, 11).to_bits());
-    }
-
-    #[test]
-    fn mean_over_repeats_uses_engine_seed_scheme() {
-        let mut seen = Vec::new();
-        mean_over_repeats(0x5A17, 3, 4, |seed| {
-            seen.push(seed);
-            1.0
-        });
-        let expect: Vec<u64> =
-            (0..4).map(|r| derive_seed(DEFAULT_SEED ^ 0x5A17, (3 * 4 + r) as u64)).collect();
-        assert_eq!(seen, expect);
     }
 }

@@ -1,42 +1,30 @@
-//! Experiment drivers for the paper's evaluation (§IV and §V) that
-//! have no campaign builtin, plus the trial and study definitions the
-//! `frlfi-campaign` runner executes.
+//! The trial and study definitions the `frlfi-campaign` runner
+//! executes, plus the paper's three artifacts that run no fault trials.
 //!
-//! Fig. 3a–c, 4, 5a–c, 7a/b, 8a/b and the data-type and per-layer
-//! studies run only as campaigns (`campaign run fig3a` …). The modules
-//! here return printable [`crate::report::Table`]s at a chosen
-//! [`crate::Scale`] for the rest:
+//! Every fault figure (Fig. 3a–c/e, 4, 5a–c, 6a/b, 7a/b, 8a/b and the
+//! data-type and per-layer studies) runs only as a campaign
+//! (`campaign run fig3a` …): [`harness`] declares the training-fault
+//! trial cells and [`study`] the train-once / eval-many inference
+//! studies. The modules below return printable
+//! [`crate::report::Table`]s for the rest:
 //!
-//! | Module       | Paper artifact |
-//! |--------------|----------------|
-//! | [`fig3`]     | Fig. 3d/e: weight distribution, re-convergence after a late fault |
-//! | [`table1`]   | Table I: consensus-policy std vs agent count |
-//! | [`fig6`]     | Fig. 6a/b: drone count & communication-interval studies |
-//! | [`fig9`]     | Fig. 9: overhead vs DMR/TMR on two drone platforms |
-//! | [`ablations`]| extensions: sensitivity of every mitigation design choice |
-//! | [`surfaces`] | extension: weight vs activation vs register fault surfaces |
+//! | Module     | Paper artifact |
+//! |------------|----------------|
+//! | [`fig3`]   | Fig. 3d: trained weight distribution and bit census |
+//! | [`table1`] | Table I: consensus-policy std vs agent count |
+//! | [`fig9`]   | Fig. 9: overhead vs DMR/TMR on two drone platforms (analytic) |
 //!
-//! [`harness`] declares the training-fault trial cells and [`study`]
-//! the train-once / eval-many inference studies (Fig. 4/8, data-type,
-//! per-layer) that the `frlfi-campaign` crate distributes across
-//! workers.
-//!
-//! Experiments are deterministic for a given `(Scale, seed)`; the
-//! drivers above fan their cells out over worker threads via
-//! [`frlfi_fault::sweep`].
+//! Experiments are deterministic for a given `(Scale, seed)`.
 
-pub mod ablations;
 pub mod fig3;
-pub mod fig6;
 pub mod fig9;
 pub mod harness;
 mod prefix;
 pub mod study;
-pub mod surfaces;
 pub mod table1;
 
-/// Default master seed for the fault-injection campaigns (varies per
-/// cell/repeat; see [`frlfi_fault::sweep`]).
+/// Default master seed for the fault-injection campaigns (trial seeds
+/// derive from it by flat `(cell, repeat)` index).
 pub const DEFAULT_SEED: u64 = 0xF1F1_2022;
 
 /// Fixed system-construction seed shared by all experiments.

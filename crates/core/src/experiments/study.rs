@@ -87,8 +87,8 @@ impl StudyKind {
     }
 
     /// Per-cell seed salt (XORed into [`DEFAULT_SEED`]), the same salt
-    /// the pre-refactor sequential drivers passed to
-    /// [`mean_over_repeats`](crate::experiments::harness::mean_over_repeats).
+    /// the pre-refactor sequential drivers passed to their
+    /// `mean_over_repeats` seed scheme (now a test oracle here).
     pub fn salt(self) -> u64 {
         match self {
             StudyKind::Fig4 => 0xF164,
@@ -741,7 +741,50 @@ fn check_plane_count(model: &StudyModel, planes: &[Vec<f32>]) -> Result<(), Frlf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::harness::{mean_over_repeats, trained_grid_system};
+
+    /// The retired sequential drivers' seed scheme, the oracle of the
+    /// study seed streams: averages `eval(seed)` over `repeats` seeds,
+    /// repeat `r` of cell `cell_index` seeded
+    /// `derive_seed(DEFAULT_SEED ^ salt, cell_index * repeats + r)`.
+    fn mean_over_repeats(
+        salt: u64,
+        cell_index: usize,
+        repeats: usize,
+        mut eval: impl FnMut(u64) -> f64,
+    ) -> f64 {
+        let base = DEFAULT_SEED ^ salt;
+        (0..repeats)
+            .map(|r| eval(derive_seed(base, (cell_index * repeats + r) as u64)))
+            .sum::<f64>()
+            / repeats as f64
+    }
+
+    /// The standard GridWorld system of the inference studies, trained
+    /// in place at `scale` (episodes 150/600/1000).
+    fn trained_grid_system(scale: Scale, n_agents: usize) -> GridFrlSystem {
+        let episodes = scale.pick(150, 600, 1000);
+        let mut sys = GridFrlSystem::new(GridSystemConfig {
+            n_agents,
+            seed: SYSTEM_SEED,
+            epsilon_decay_episodes: episodes / 2,
+            ..Default::default()
+        })
+        .expect("valid config");
+        sys.train(episodes, None, &mut BatchInferCtx::new()).expect("training");
+        sys
+    }
+
+    #[test]
+    fn mean_over_repeats_uses_engine_seed_scheme() {
+        let mut seen = Vec::new();
+        mean_over_repeats(0x5A17, 3, 4, |seed| {
+            seen.push(seed);
+            1.0
+        });
+        let expect: Vec<u64> =
+            (0..4).map(|r| derive_seed(DEFAULT_SEED ^ 0x5A17, (3 * 4 + r) as u64)).collect();
+        assert_eq!(seen, expect);
+    }
 
     #[test]
     fn names_round_trip() {

@@ -93,12 +93,40 @@ pub(crate) struct Mitigation {
 
 impl Mitigation {
     /// The state of a fresh `n_agents` fleet mitigated by `m`.
-    pub(crate) fn new(m: Option<TrainingMitigation>, n_agents: usize) -> Option<Self> {
-        m.map(|m| Mitigation {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrlfiError::BadConfig`] for a fleet without a server
+    /// (one agent: no checkpoint to restore from), a threshold that is
+    /// not finite and positive, or a zero window or interval.
+    pub(crate) fn new(
+        m: Option<TrainingMitigation>,
+        n_agents: usize,
+    ) -> Result<Option<Self>, FrlfiError> {
+        let Some(m) = m else { return Ok(None) };
+        if n_agents < 2 {
+            return Err(FrlfiError::BadConfig {
+                detail: "mitigation restores from the server's checkpoint: it needs a fleet of \
+                         ≥ 2 agents"
+                    .into(),
+            });
+        }
+        if !(m.p_percent.is_finite() && m.p_percent > 0.0)
+            || m.k_consecutive == 0
+            || m.checkpoint_interval == 0
+        {
+            return Err(FrlfiError::BadConfig {
+                detail: format!(
+                    "{m:?}: p_percent must be finite and > 0, k_consecutive and \
+                     checkpoint_interval ≥ 1"
+                ),
+            });
+        }
+        Ok(Some(Mitigation {
             detector: RewardDropDetector::new(m.p_percent, m.k_consecutive, n_agents),
             checkpoint: ServerCheckpoint::new(m.checkpoint_interval),
             stats: MitigationStats::default(),
-        })
+        }))
     }
 
     /// Feeds one episode's rewards to the detector and restores the
@@ -620,6 +648,40 @@ mod tests {
 
     fn bits(w: &[f32]) -> Vec<u32> {
         w.iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn bad_or_serverless_mitigation_is_a_config_error() {
+        // One agent has no server and so no checkpoint: the mitigation
+        // would silently do nothing. Bad parameters would panic the
+        // detector or the checkpoint. Both systems refuse either.
+        let ok = TrainingMitigation { p_percent: 10.0, k_consecutive: 2, checkpoint_interval: 1 };
+        let bad = [
+            (1, ok),
+            (3, TrainingMitigation { k_consecutive: 0, ..ok }),
+            (3, TrainingMitigation { checkpoint_interval: 0, ..ok }),
+            (3, TrainingMitigation { p_percent: 0.0, ..ok }),
+            (3, TrainingMitigation { p_percent: f32::NAN, ..ok }),
+            (3, TrainingMitigation { p_percent: f32::INFINITY, ..ok }),
+        ];
+        for (n, m) in bad {
+            let grid = GridFrlSystem::new(GridSystemConfig {
+                n_agents: n,
+                mitigation: Some(m),
+                ..Default::default()
+            });
+            assert!(matches!(grid, Err(FrlfiError::BadConfig { .. })), "grid {n} {m:?}");
+            let drone = DroneFrlSystem::new(DroneSystemConfig {
+                n_drones: n,
+                mitigation: Some(m),
+                ..Default::default()
+            });
+            assert!(matches!(drone, Err(FrlfiError::BadConfig { .. })), "drone {n} {m:?}");
+        }
+        let grid = GridSystemConfig { n_agents: 2, mitigation: Some(ok), ..Default::default() };
+        assert!(GridFrlSystem::new(grid).is_ok());
+        let drone = DroneSystemConfig { n_drones: 2, mitigation: Some(ok), ..Default::default() };
+        assert!(DroneFrlSystem::new(drone).is_ok());
     }
 
     /// Trains `sys` one episode at a time (the same run as one call:

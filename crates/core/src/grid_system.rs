@@ -58,8 +58,10 @@ impl GridFrlSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`FrlfiError::BadConfig`] for zero agents, or propagates
-    /// construction errors.
+    /// Returns [`FrlfiError::BadConfig`] for zero agents, a dropout
+    /// probability outside `[0, 1)`, or an invalid mitigation (including
+    /// any on a single agent, which has no server to checkpoint), or
+    /// propagates construction errors.
     pub fn new(cfg: GridSystemConfig) -> Result<Self, FrlfiError> {
         if cfg.n_agents == 0 {
             return Err(FrlfiError::BadConfig { detail: "n_agents must be ≥ 1".into() });
@@ -102,7 +104,7 @@ impl GridFrlSystem {
             dropout_rng: StdRng::seed_from_u64(derive_seed(cfg.seed, 0xD80)),
             schedule: cfg.comm_schedule(),
             dropout: cfg.dropout,
-            mitigation: Mitigation::new(cfg.mitigation, cfg.n_agents),
+            mitigation: Mitigation::new(cfg.mitigation, cfg.n_agents)?,
             cfg,
             agents,
             envs,

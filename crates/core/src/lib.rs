@@ -12,8 +12,8 @@
 //! This crate is the top level of the workspace: it wires the substrate
 //! crates (`frlfi-tensor`, `frlfi-quant`, `frlfi-nn`, `frlfi-envs`,
 //! `frlfi-rl`, `frlfi-federated`, `frlfi-fault`, `frlfi-mitigation`)
-//! into two complete systems and the campaign drivers that regenerate
-//! every table and figure of the paper's evaluation:
+//! into two complete systems and the trial, study and table definitions
+//! that regenerate every table and figure of the paper's evaluation:
 //!
 //! * [`Fleet`] — the federated round protocol (train, inject,
 //!   communicate, checkpoint and detect), written once for both systems;
@@ -21,9 +21,11 @@
 //!   quantized MLP policy (§IV-A);
 //! * [`DroneFrlSystem`] — a fleet of drones fine-tuning a conv policy
 //!   over raycast depth images in a procedural corridor world (§IV-B);
-//! * [`experiments`] — one module per table/figure (`fig3` … `fig9`,
-//!   `table1`, `datatypes`, `layers`), each returning printable
-//!   [`report::Table`]s at a chosen [`Scale`].
+//! * [`experiments`] — the trial cells (`harness`) and train-once
+//!   studies (`study`) the `frlfi-campaign` runner executes for every
+//!   fault figure, plus `fig3` (Fig. 3d), `table1` and `fig9`, which
+//!   run no fault trials and return printable [`report::Table`]s at a
+//!   chosen [`Scale`].
 //!
 //! ```no_run
 //! use frlfi::nn::BatchInferCtx;

@@ -1,8 +1,8 @@
 //! Plain-text table/heatmap rendering for experiment results.
 //!
-//! Every experiment driver returns [`Table`]s; the `fig*`/`table*`
-//! binaries print them so a run regenerates the same rows/series the
-//! paper reports.
+//! Campaign summaries and the remaining experiment drivers render as
+//! [`Table`]s, so a run regenerates the same rows/series the paper
+//! reports.
 
 use std::fmt::Write as _;
 

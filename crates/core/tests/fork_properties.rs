@@ -47,6 +47,9 @@ fn fleet() -> impl Strategy<Value = (bool, usize, Option<f32>, Option<TrainingMi
         })
     });
     let dropout = (0usize..3).prop_map(|i| [None, Some(0.2), Some(0.5)][i]);
+    // At least two agents: a lone agent has no server, and the system
+    // constructors refuse mitigation without one. A draw of one agent
+    // must also draw mitigation off.
     (any::<bool>(), 2usize..5, dropout, mitigation)
 }
 

@@ -1,31 +1,16 @@
-//! Parallel fault-injection campaign engine.
+//! Per-cell campaign statistics.
 //!
 //! Every heatmap cell and curve point in the paper is a mean over many
 //! repeated injections (1000 repeats for GridWorld, 100 for the drone).
-//! `sweep` fans a `(cell × repeat)` grid over worker threads; each task
-//! derives its own seed from the campaign master seed, so any single
-//! cell/repeat can be reproduced in isolation and results are identical
-//! regardless of thread count.
-//!
-//! # Aggregation
-//!
-//! Per-cell statistics are accumulated with [`Welford`] streaming
-//! accumulators — O(1) memory per chunk instead of buffering every
-//! sample. To keep results **bit-identical across thread counts**, each
-//! cell's repeats are split into a fixed number of contiguous chunks
-//! (independent of the worker count); workers accumulate chunks locally
-//! and the engine merges each cell's chunk accumulators in chunk order.
-//! [`aggregate_in_order`] applies the same chunking to a flat slice of
-//! per-repeat values, so external runners (`frlfi-campaign`) that
-//! persist raw trial values reproduce `sweep`'s statistics exactly.
+//! The campaign runner (`frlfi-campaign`) persists each repeat's value
+//! and folds a cell's values, in repeat order, with
+//! [`aggregate_in_order`]: [`Welford`] streaming accumulators over a
+//! fixed number of contiguous chunks, merged in chunk order. The
+//! chunking depends only on the repeat count, so a cell's statistics
+//! are a pure function of its values, bit for bit, however many
+//! workers computed them and in whatever order they were committed.
 
-use frlfi_tensor::derive_seed;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Upper bound on Welford chunk accumulators per cell. Controls both
-/// the engine's memory per cell (≤ 32 accumulators regardless of the
-/// repeat count) and the work-sharing granularity of the repeat axis.
+/// Upper bound on Welford chunk accumulators per cell.
 const MAX_CHUNKS_PER_CELL: usize = 32;
 
 /// Aggregated statistics of one campaign cell.
@@ -48,8 +33,9 @@ impl CellStats {
     /// of the mean, `1.96 · s / √n` with the *sample* standard
     /// deviation `s` (Bessel-corrected from the stored population
     /// `std`). Returns `0.0` for `n < 2`, where no spread is
-    /// estimable. The paper's heatmaps need only means; ablations use
-    /// this to judge whether cell differences exceed repeat noise.
+    /// estimable. The paper's heatmaps need only means; the runner's
+    /// wide summary reports this to show whether cell differences
+    /// exceed repeat noise.
     pub fn ci95_half_width(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
@@ -64,8 +50,8 @@ impl CellStats {
 /// min/max tracking.
 ///
 /// O(1) state, one pass, no sample buffering. `merge` implements the
-/// Chan et al. parallel combination, used by the campaign engine to
-/// fold per-chunk accumulators deterministically. The min/max fields
+/// Chan et al. parallel combination, which [`aggregate_in_order`] uses
+/// to fold per-chunk accumulators deterministically. The min/max fields
 /// ride along without touching the mean/variance recurrences, so
 /// adding them keeps historical means bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +86,7 @@ impl Welford {
     }
 
     /// Folds another accumulator in (order matters at the ulp level;
-    /// the engine always merges in chunk order).
+    /// [`aggregate_in_order`] always merges in chunk order).
     pub fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
             return;
@@ -149,10 +135,8 @@ fn chunk_bounds(repeats: usize, k: usize, c: usize) -> (usize, usize) {
     (c * repeats / k, (c + 1) * repeats / k)
 }
 
-/// Folds per-repeat values (in repeat order) exactly the way the
-/// parallel engine does: chunked Welford accumulation, chunks merged in
-/// order. `sweep` over the same values yields bit-identical
-/// [`CellStats`].
+/// Folds one cell's per-repeat values (in repeat order): chunked
+/// Welford accumulation, chunks merged in order.
 pub fn aggregate_in_order(values: &[f64]) -> CellStats {
     if values.is_empty() {
         return Welford::new().stats();
@@ -170,152 +154,11 @@ pub fn aggregate_in_order(values: &[f64]) -> CellStats {
     acc.stats()
 }
 
-/// Runs `repeats` evaluations of every cell in parallel and aggregates
-/// per-cell statistics.
-///
-/// `eval(cell, seed)` must be a pure function of its arguments — it is
-/// called from multiple threads. The seed for cell `c`, repeat `r` is
-/// `derive_seed(master_seed, c * repeats + r)`.
-///
-/// ```
-/// use frlfi_fault::sweep;
-///
-/// let cells = vec![1.0f64, 2.0, 3.0];
-/// let stats = sweep(&cells, 8, 42, |&cell, _seed| cell * 10.0);
-/// assert_eq!(stats[1].mean, 20.0);
-/// assert_eq!(stats[1].n, 8);
-/// ```
-pub fn sweep<P, F>(cells: &[P], repeats: usize, master_seed: u64, eval: F) -> Vec<CellStats>
-where
-    P: Sync,
-    F: Fn(&P, u64) -> f64 + Sync,
-{
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    sweep_with_threads(cells, repeats, master_seed, threads, eval)
-}
-
-/// [`sweep`] with an explicit worker-thread count (1 = sequential).
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or `repeats == 0`.
-pub fn sweep_with_threads<P, F>(
-    cells: &[P],
-    repeats: usize,
-    master_seed: u64,
-    threads: usize,
-    eval: F,
-) -> Vec<CellStats>
-where
-    P: Sync,
-    F: Fn(&P, u64) -> f64 + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    assert!(repeats > 0, "need at least one repeat per cell");
-    if cells.is_empty() {
-        return Vec::new();
-    }
-
-    let k = chunks_per_cell(repeats);
-    let n_units = cells.len() * k;
-    // One slot per (cell, chunk) work unit; each is written exactly once.
-    let slots: Vec<OnceLock<Welford>> = (0..n_units).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let eval = &eval;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_units) {
-            scope.spawn(|| loop {
-                let unit = next.fetch_add(1, Ordering::Relaxed);
-                if unit >= n_units {
-                    break;
-                }
-                let (cell, chunk) = (unit / k, unit % k);
-                let (lo, hi) = chunk_bounds(repeats, k, chunk);
-                let mut acc = Welford::new();
-                for r in lo..hi {
-                    let task = cell * repeats + r;
-                    let seed = derive_seed(master_seed, task as u64);
-                    acc.push(eval(&cells[cell], seed));
-                }
-                slots[unit].set(acc).expect("each work unit is computed exactly once");
-            });
-        }
-    });
-
-    (0..cells.len())
-        .map(|cell| {
-            let mut acc = Welford::new();
-            for chunk in 0..k {
-                let slot =
-                    slots[cell * k + chunk].get().expect("all work units completed before join");
-                acc.merge(slot);
-            }
-            acc.stats()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Mutex;
-
-    #[test]
-    fn aggregates_per_cell() {
-        let cells = vec![0.0f64, 100.0];
-        let stats = sweep_with_threads(&cells, 4, 1, 2, |&c, _| c + 1.0);
-        assert_eq!(stats[0].mean, 1.0);
-        assert_eq!(stats[1].mean, 101.0);
-        assert_eq!(stats[0].std, 0.0);
-        assert_eq!(stats[0].n, 4);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results_bitwise() {
-        let cells: Vec<u64> = (0..5).collect();
-        let eval = |&c: &u64, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            c as f64 + rng.gen_range(0.0..1.0)
-        };
-        let seq = sweep_with_threads(&cells, 16, 9, 1, eval);
-        for threads in [2, 3, 8, 32] {
-            let par = sweep_with_threads(&cells, 16, 9, threads, eval);
-            for (a, b) in seq.iter().zip(par.iter()) {
-                assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-                assert_eq!(a.std.to_bits(), b.std.to_bits());
-                assert_eq!(a.n, b.n);
-            }
-        }
-    }
-
-    #[test]
-    fn seeds_are_unique_per_task() {
-        let cells = vec![(); 3];
-        let seen = Mutex::new(Vec::new());
-        sweep_with_threads(&cells, 5, 3, 4, |_, seed| {
-            seen.lock().expect("uncontended").push(seed);
-            0.0
-        });
-        let mut seeds = seen.into_inner().expect("scope joined");
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 15);
-    }
-
-    #[test]
-    fn empty_cells_ok() {
-        let stats = sweep_with_threads::<u32, _>(&[], 4, 0, 2, |_, _| 0.0);
-        assert!(stats.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_repeats_panics() {
-        sweep_with_threads(&[1u8], 0, 0, 1, |_, _| 0.0);
-    }
 
     #[test]
     fn welford_matches_two_pass() {
@@ -335,44 +178,22 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_in_order_matches_sweep_bitwise() {
-        for repeats in [1usize, 2, 7, 32, 100] {
-            let cells = vec![3u64, 11];
-            let eval = |&c: &u64, seed: u64| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                c as f64 * rng.gen_range(0.0..1.0)
-            };
-            let stats = sweep_with_threads(&cells, repeats, 5, 4, eval);
-            for (ci, &cell) in cells.iter().enumerate() {
-                let values: Vec<f64> = (0..repeats)
-                    .map(|r| eval(&cell, derive_seed(5, (ci * repeats + r) as u64)))
-                    .collect();
-                let agg = aggregate_in_order(&values);
-                assert_eq!(agg.mean.to_bits(), stats[ci].mean.to_bits());
-                assert_eq!(agg.std.to_bits(), stats[ci].std.to_bits());
-                assert_eq!(agg.n, stats[ci].n);
-            }
-        }
-    }
-
-    #[test]
-    fn min_max_track_extremes_across_chunks_and_threads() {
-        let cells: Vec<u64> = (0..3).collect();
-        let eval = |&c: &u64, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            c as f64 + rng.gen_range(-2.0..5.0)
-        };
-        for threads in [1, 4] {
-            let stats = sweep_with_threads(&cells, 40, 11, threads, eval);
-            for (ci, &cell) in cells.iter().enumerate() {
-                let values: Vec<f64> =
-                    (0..40).map(|r| eval(&cell, derive_seed(11, (ci * 40 + r) as u64))).collect();
-                let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(stats[ci].min, lo);
-                assert_eq!(stats[ci].max, hi);
-                assert!(stats[ci].min <= stats[ci].mean && stats[ci].mean <= stats[ci].max);
-            }
+    fn aggregate_in_order_covers_every_chunk() {
+        // Repeat counts below, at and above the chunk cap, with uneven
+        // chunk sizes: every value lands in exactly one chunk.
+        let mut rng = StdRng::seed_from_u64(5);
+        for repeats in [1usize, 2, 7, 32, 33, 100] {
+            let values: Vec<f64> = (0..repeats).map(|_| rng.gen_range(-2.0..5.0)).collect();
+            let stats = aggregate_in_order(&values);
+            let n = values.len() as f64;
+            let mean = values.iter().sum::<f64>() / n;
+            let var = values.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / n;
+            assert_eq!(stats.n, repeats);
+            assert!((stats.mean - mean).abs() < 1e-12, "{repeats}");
+            assert!((stats.std - var.sqrt()).abs() < 1e-12, "{repeats}");
+            let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!((stats.min, stats.max), (lo, hi), "{repeats}");
         }
     }
 

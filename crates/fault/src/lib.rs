@@ -20,9 +20,9 @@
 //!   reusing `frlfi-quant`;
 //! * [`inject_slice`] / [`inject_network`] — seeded injectors returning
 //!   a [`FaultRecord`] audit trail;
-//! * [`sweep`] — the parallel campaign engine that fans a (cell ×
-//!   repeat) grid over worker threads with per-task derived seeds, used
-//!   by every heatmap and curve in the evaluation.
+//! * [`aggregate_in_order`] / [`Welford`] / [`CellStats`] — the
+//!   chunked streaming reduction that folds one campaign cell's
+//!   per-repeat values into its statistics.
 //!
 //! ```
 //! use frlfi_fault::{inject_slice, Ber, DataRepr, FaultModel};
@@ -48,7 +48,7 @@ mod model;
 mod record;
 mod repr;
 
-pub use campaign::{aggregate_in_order, sweep, sweep_with_threads, CellStats, Welford};
+pub use campaign::{aggregate_in_order, CellStats, Welford};
 pub use error::FaultError;
 pub use inject::{inject_network, inject_network_ber, inject_slice, inject_slice_ber};
 pub use location::{FaultLocation, FaultSide};

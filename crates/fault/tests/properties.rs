@@ -1,6 +1,6 @@
-//! Property-based tests for the fault injector and campaign engine.
+//! Property-based tests for the fault injector and cell statistics.
 
-use frlfi_fault::{inject_slice, inject_slice_ber, sweep_with_threads, Ber, DataRepr, FaultModel};
+use frlfi_fault::{aggregate_in_order, inject_slice, inject_slice_ber, Ber, DataRepr, FaultModel};
 use frlfi_quant::{QFormat, SymInt8Quantizer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,13 +85,11 @@ proptest! {
     }
 
     #[test]
-    fn sweep_statistics_exact_for_constant(cells in proptest::collection::vec(-5.0f64..5.0, 1..6), repeats in 1usize..6) {
-        let stats = sweep_with_threads(&cells, repeats, 3, 2, |&c, _| c);
-        for (s, &c) in stats.iter().zip(cells.iter()) {
-            prop_assert!((s.mean - c).abs() < 1e-9);
-            // Repeated identical samples: std is zero up to rounding.
-            prop_assert!(s.std < 1e-9);
-            prop_assert_eq!(s.n, repeats);
-        }
+    fn aggregate_statistics_exact_for_constant(c in -5.0f64..5.0, repeats in 1usize..80) {
+        let s = aggregate_in_order(&vec![c; repeats]);
+        prop_assert!((s.mean - c).abs() < 1e-9);
+        // Repeated identical samples: std is zero up to rounding.
+        prop_assert!(s.std < 1e-9);
+        prop_assert_eq!(s.n, repeats);
     }
 }

@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: identical seeds yield identical systems,
-//! campaigns, and fault sites — thread count included.
+//! fault sites and training, with or without an injection plan.
 
-use frlfi::fault::{inject_slice_ber, sweep_with_threads, Ber, DataRepr, FaultModel};
+use frlfi::fault::{inject_slice_ber, Ber, DataRepr, FaultModel};
 use frlfi::nn::BatchInferCtx;
 use frlfi::rl::Learner;
 use frlfi::{
@@ -62,29 +62,6 @@ fn fault_sites_depend_only_on_seed() {
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
-}
-
-#[test]
-fn campaign_results_independent_of_thread_count() {
-    let cells: Vec<f64> = vec![0.0, 0.01, 0.02];
-    let eval = |&ber: &f64, seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut buf = vec![0.5f32; 64];
-        let recs = inject_slice_ber(
-            &mut buf,
-            DataRepr::F32,
-            FaultModel::TransientMulti,
-            Ber::new(ber).expect("ber"),
-            &mut rng,
-        );
-        recs.len() as f64
-    };
-    let seq = sweep_with_threads(&cells, 8, 77, 1, eval);
-    let par = sweep_with_threads(&cells, 8, 77, 8, eval);
-    for (a, b) in seq.iter().zip(par.iter()) {
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.n, b.n);
-    }
 }
 
 #[test]

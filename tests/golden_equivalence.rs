@@ -2,15 +2,15 @@
 //!
 //! The constants below were captured on the pre-fast-path build (seed
 //! `Network::forward` everywhere). The whole stack — trial harness,
-//! sweep engine, campaign runner — now evaluates greedy policies
+//! prefix forks, campaign runner — now evaluates greedy policies
 //! through `Network::infer`, and these tests pin the campaign-level
 //! statistics to the slow path's values **bit for bit**. Any kernel
 //! change that reorders floating-point accumulation will trip them.
 
 use frlfi::envs::{DroneConfig, DroneSim};
 use frlfi::experiments::harness::{
-    drone_geometry, drone_pretrained_weights, run_drone_trial_batched, run_grid_trial_batched,
-    DroneTrial, GridTrial, PretrainedWeights, TrialFault,
+    drone_geometry, drone_pretrained_weights, run_drone_trial_batched, run_grid_cell_batched,
+    run_grid_trial_batched, DroneTrial, GridTrial, Prefixes, PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::study::{StudyKind, StudyModel};
 use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
@@ -69,14 +69,22 @@ fn fig3_test_scale_trials_match_pre_fast_path_values_bitwise() {
 
 #[test]
 fn fig3_test_scale_campaign_statistics_unchanged() {
-    // The parallel sweep engine must fold the same per-trial values
-    // into the same cell means as the seed build — this is the
+    // The campaign's work unit (each trial forking from the campaign's
+    // cached fault-free prefixes) and its in-order aggregation must
+    // fold to the same cell statistics as the seed build — this is the
     // campaign-level statistics gate.
     let cells = grid_cells();
-    let stats = frlfi::fault::sweep_with_threads(&cells, 2, DEFAULT_SEED, 3, |t, seed| {
-        run_grid_trial_batched(t, seed, &mut BatchInferCtx::new()).expect("trial runs")
+    let (prefixes, mut ctx) = (Prefixes::default(), BatchInferCtx::new());
+    let stats = (0..cells.len()).map(|ci| {
+        let values: Vec<f64> = (0..2)
+            .map(|r| {
+                let seed = derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64);
+                run_grid_cell_batched(&cells, ci, seed, &prefixes, &mut ctx).expect("trial runs")
+            })
+            .collect();
+        frlfi::fault::aggregate_in_order(&values)
     });
-    for (ci, s) in stats.iter().enumerate() {
+    for (ci, s) in stats.enumerate() {
         let golden: Vec<f64> =
             (0..2).map(|r| f64::from_bits(GRID_GOLDEN_BITS[ci * 2 + r])).collect();
         let expect = frlfi::fault::aggregate_in_order(&golden);
@@ -328,6 +336,27 @@ fn committed_grid_dropout_smoke_summary_matches_a_fresh_single_process_run() {
          regenerate tests/data/grid_dropout_smoke_summary.txt if the change is intended"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn committed_fig3e_fig6a_fig6b_smoke_summaries_match_fresh_runs() {
+    // These builtins replaced the Fig. 3e and Fig. 6a/b drivers. Their
+    // goldens were rendered before the drivers were deleted, from a
+    // build whose smoke cell means were bit-equal to the drivers'.
+    for name in ["fig3e", "fig6a", "fig6b"] {
+        let path = format!("{}/tests/data/{name}_smoke_summary.txt", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("golden ships in the repo");
+        let scenario = frlfi_campaign::registry::builtin(name, Scale::Smoke).expect("built-in");
+        let dir = std::env::temp_dir().join(format!("frlfi-golden-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg =
+            frlfi_campaign::RunnerConfig { threads: 2, ..frlfi_campaign::RunnerConfig::default() };
+        let out = frlfi_campaign::runner::run(&scenario, &dir, &cfg).expect("campaign runs");
+        assert!(out.complete(), "{name}");
+        let fresh = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
+        assert_eq!(fresh, committed, "{name} smoke drifted from {path}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ---- Batched-training gates (PR 8). The constants below pin the
