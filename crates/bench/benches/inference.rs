@@ -111,27 +111,5 @@ fn batched_inference(c: &mut Criterion) {
     group.finish();
 }
 
-fn activation_fault_inference(c: &mut Criterion) {
-    let mut group = c.benchmark_group("inference_faulted");
-    let (net, obs) = grid_policy();
-    group.throughput(Throughput::Elements(net.param_count() as u64));
-    let mut ctx = BatchInferCtx::new();
-    let mut flip = 0u32;
-    group.bench_function("grid_mlp_infer_with_activation_hook", |b| {
-        b.iter(|| {
-            let out = net
-                .infer_with_activation_faults(&obs, &mut ctx, &mut |buf| {
-                    // Cheap deterministic corruption: one bit per layer.
-                    flip = flip.wrapping_add(1);
-                    let i = (flip as usize) % buf.len();
-                    buf[i] = f32::from_bits(buf[i].to_bits() ^ 1);
-                })
-                .expect("infer");
-            black_box(out).len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, policy_inference, batched_inference, activation_fault_inference);
+criterion_group!(benches, policy_inference, batched_inference);
 criterion_main!(benches);

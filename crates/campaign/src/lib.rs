@@ -82,5 +82,5 @@ pub use profile::{CheckMode, Profile, WorkerProfile};
 pub use quarantine::QuarantineRecord;
 pub use runner::{CampaignOutcome, CoordMode, RunnerConfig, TrialRecord};
 pub use spec::{
-    Campaign, CellGrid, MetricSpec, ModelSpec, Scenario, SpecError, StudySpec, SystemKind, Trials,
+    Campaign, CellGrid, MetricSpec, Scenario, SpecError, StudySpec, SystemKind, Trials,
 };

@@ -23,8 +23,8 @@
 //! interrupted at any point and resumed — with any thread count, in
 //! either mode — replays the missing trials with identical seeds.
 //! Final per-cell statistics fold the persisted values in repeat order
-//! through [`frlfi_fault::aggregate_in_order`], which is bit-identical
-//! to what the in-process `sweep` engine produces for the same trials.
+//! through [`frlfi_fault::aggregate_in_order`], so they depend on
+//! neither the thread count nor the order trials finished in.
 //!
 //! The trial log's integrity policy is data chosen once per call (see
 //! `LogPolicy`): a directory that never ran shared is a strict
@@ -1049,8 +1049,8 @@ impl RunState<'_> {
 }
 
 /// Folds the completion map into the outcome; when every trial is
-/// persisted, renders and publishes `summary.txt` — per-cell stats in
-/// repeat order, exactly as the in-process sweep engine folds them.
+/// persisted, renders and publishes `summary.txt` — per-cell stats
+/// folded in repeat order by [`aggregate_in_order`].
 ///
 /// When the queue drained but some trials were **quarantined**
 /// (their I/O retries exhausted), publishes an explicitly marked

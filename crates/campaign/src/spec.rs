@@ -317,16 +317,6 @@ impl StudySpec {
     }
 }
 
-/// Model-artifact options (study scenarios only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModelSpec {
-    /// Train each model exactly once per campaign and share the
-    /// serialized weight artifact across every eval task. Studies
-    /// require `true` — it is the contract that makes N-worker runs
-    /// byte-identical to the sequential drivers.
-    pub shared: bool,
-}
-
 /// A complete declarative campaign scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -339,8 +329,6 @@ pub struct Scenario {
     /// Train-once / eval-many study (`None` = a classic sweep where
     /// every trial trains its own model).
     pub study: Option<StudySpec>,
-    /// Model-artifact options; required (`shared = true`) with `study`.
-    pub model: Option<ModelSpec>,
     /// Repeats per cell (`None` = geometry default).
     pub repeats: Option<usize>,
     /// Campaign master seed (`None` = the experiments' default).
@@ -367,7 +355,6 @@ impl Scenario {
             system,
             scale,
             study: None,
-            model: None,
             repeats: None,
             master_seed: None,
             system_seed: None,
@@ -379,13 +366,11 @@ impl Scenario {
         }
     }
 
-    /// A train-once / eval-many study scenario skeleton at `scale`:
-    /// the study's system, plus the `model = { shared = true }`
-    /// artifact contract every study requires.
+    /// A train-once / eval-many study scenario skeleton at `scale`,
+    /// on the study's system.
     pub fn study(name: impl Into<String>, study: StudySpec, scale: Scale) -> Self {
         let mut s = Scenario::new(name, study.system(), scale);
         s.study = Some(study);
-        s.model = Some(ModelSpec { shared: true });
         s
     }
 
@@ -423,12 +408,6 @@ impl Scenario {
         if let Some(study) = self.study {
             return self.expand_study(study);
         }
-        if self.model.is_some() {
-            return Err(SpecError::new(
-                "model applies to study scenarios; set `study = \"Fig4\"` (or another study) \
-                 to use shared model artifacts",
-            ));
-        }
         match self.system {
             SystemKind::GridWorld => self.expand_grid(),
             SystemKind::DroneNav => self.expand_drone(),
@@ -443,22 +422,6 @@ impl Scenario {
     /// the byte-identity contract with the sequential driver.
     fn expand_study(&self, study: StudySpec) -> Result<Campaign, SpecError> {
         let kind = study.kind();
-        match self.model {
-            Some(ModelSpec { shared: true }) => {}
-            Some(ModelSpec { shared: false }) => {
-                return Err(SpecError::new(
-                    "model.shared = false is unsupported for study scenarios: every eval task \
-                     loads the published weight artifact of its train task",
-                ));
-            }
-            None => {
-                return Err(SpecError::new(format!(
-                    "study \"{}\" trains once and evaluates many times from a shared weight \
-                     artifact; add `model = {{ shared = true }}`",
-                    kind.name()
-                )));
-            }
-        }
         if self.system != study.system() {
             return Err(SpecError::new(format!(
                 "study \"{}\" runs on {:?}, not {:?}",
@@ -835,7 +798,8 @@ fn reachable(inject_episodes: &[usize], trained: usize, what: &str) -> Result<()
 }
 
 /// Fills omitted sections/keys of a parsed scenario document with
-/// their defaults (top-level required keys are left alone).
+/// their defaults (top-level required keys are left alone) and drops
+/// the legacy `[model] shared = true` table.
 fn fill_section_defaults(value: &mut serde::Value) {
     let Some(table) = value.as_table_mut() else { return };
     let defaults = [
@@ -857,9 +821,12 @@ fn fill_section_defaults(value: &mut serde::Value) {
             .serialize();
         merge_missing(m, &d);
     }
-    if let Some(m) = table.get_mut("model") {
-        // `model = {}` means the only supported artifact contract.
-        merge_missing(m, &ModelSpec { shared: true }.serialize());
+    // Manifests written while studies also required the artifact
+    // contract `[model] shared = true` still load: a study alone now
+    // implies it. Any other `model` table stays an unknown field.
+    let legacy = serde::Value::Table([("shared".to_owned(), serde::Value::Bool(true))].into());
+    if table.get("model") == Some(&legacy) {
+        table.remove("model");
     }
 }
 
@@ -1343,15 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn study_without_shared_model_fails_at_expansion() {
-        let mut s = Scenario::study("fig8a", StudySpec::Fig8a, Scale::Smoke);
-        s.model = None;
-        assert!(s.expand().unwrap_err().to_string().contains("shared = true"));
-        s.model = Some(ModelSpec { shared: false });
-        assert!(s.expand().unwrap_err().to_string().contains("unsupported"));
-    }
-
-    #[test]
     fn study_rejects_system_mismatch_and_classic_overrides() {
         let mut s = Scenario::study("fig8b", StudySpec::Fig8b, Scale::Smoke);
         s.system = SystemKind::GridWorld;
@@ -1364,19 +1322,18 @@ mod tests {
         let mut s = Scenario::study("datatypes", StudySpec::Datatypes, Scale::Smoke);
         s.repeats = Some(999);
         assert!(s.expand().unwrap_err().to_string().contains("repeats"));
-
-        let mut s = Scenario::new("classic", SystemKind::GridWorld, Scale::Smoke);
-        s.model = Some(ModelSpec { shared: true });
-        assert!(s.expand().unwrap_err().to_string().contains("study"));
     }
 
     #[test]
-    fn model_section_defaults_to_shared_in_toml() {
-        let text =
-            "name = \"f\"\nsystem = \"GridWorld\"\nscale = \"Smoke\"\nstudy = \"Fig4\"\n\n[model]\n";
-        let s = Scenario::from_toml(text).expect("parses");
-        assert_eq!(s.model, Some(ModelSpec { shared: true }));
-        s.expand().expect("expands");
+    fn legacy_shared_model_table_is_stripped_and_any_other_refused() {
+        let builtin = Scenario::study("fig4", StudySpec::Fig4, Scale::Smoke);
+        let legacy = format!("{}\n[model]\nshared = true\n", builtin.to_toml());
+        assert_eq!(Scenario::from_toml(&legacy).expect("legacy manifest parses"), builtin);
+        for other in ["[model]\n", "[model]\nshared = false\n", "[model]\nshared = true\nx = 1\n"] {
+            let text = format!("{}\n{other}", builtin.to_toml());
+            let err = Scenario::from_toml(&text).unwrap_err().to_string();
+            assert!(err.contains("model"), "{other:?}: {err}");
+        }
     }
 
     #[test]

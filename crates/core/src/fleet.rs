@@ -295,8 +295,8 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
             FaultSide::ServerSide => 0,
         };
         let net = self.agents[victim].network_mut();
-        let repr = plan.repr.materialize(net);
         let mut snap = net.snapshot();
+        let repr = plan.repr.materialize_for(&snap);
         self.last_records = inject_slice_ber(&mut snap, repr, plan.model, plan.ber, &mut self.rng);
         net.restore(&snap).expect("snapshot length invariant");
     }
@@ -360,8 +360,8 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         let clean: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for agent in &mut self.agents {
-            let repr = repr.materialize(agent.network());
             let mut snap = agent.network().snapshot();
+            let repr = repr.materialize_for(&snap);
             // Deploy-time quantization: faults strike the encoded form.
             for w in &mut snap {
                 *w = repr.quantize(*w);

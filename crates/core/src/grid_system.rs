@@ -6,7 +6,7 @@ use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
 use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
-use frlfi_rl::{greedy_argmax, run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner};
+use frlfi_rl::{run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner};
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,7 +243,7 @@ impl GridFrlSystem {
             let action = if step == fault_step {
                 // Corrupt a transient copy for this single decision.
                 let clean = self.agents[agent].network().snapshot();
-                let repr_m = repr.materialize(self.agents[agent].network());
+                let repr_m = repr.materialize_for(&clean);
                 let mut corrupted = clean.clone();
                 inject_slice_ber(&mut corrupted, repr_m, FaultModel::TransientMulti, ber, rng);
                 self.agents[agent]
@@ -270,51 +270,6 @@ impl GridFrlSystem {
             }
         }
         Outcome::Timeout
-    }
-
-    /// Evaluates the success rate when transient faults strike the
-    /// *activations* (feature maps) of every forward pass instead of the
-    /// stored weights — the paper's third fault surface (§III-C).
-    ///
-    /// Each layer output has `ber × bits` of its scalars' bits flipped
-    /// on every inference step, emulating upsets in an accelerator's
-    /// activation buffers. The corruption hook runs over `ctx`'s
-    /// scratch-buffer activations, one call per layer in layer order.
-    pub fn success_rate_activation_faults(
-        &mut self,
-        ber: Ber,
-        repr: ReprKind,
-        seed: u64,
-        ctx: &mut BatchInferCtx,
-    ) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
-        for i in 0..self.cfg.n_agents {
-            let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + i as u64));
-            let mut state = self.envs[i].reset(&mut eval_rng);
-            let mut outcome = Outcome::Timeout;
-            for _ in 0..200 {
-                let action = {
-                    let net = self.agents[i].network();
-                    let out = net
-                        .infer_with_activation_faults(&state, ctx, &mut |buf| {
-                            let repr = repr.materialize_for(buf);
-                            inject_slice_ber(buf, repr, FaultModel::TransientMulti, ber, &mut rng);
-                        })
-                        .expect("infer");
-                    // Greedy over (possibly corrupted) outputs.
-                    greedy_argmax(out)
-                };
-                let step = self.envs[i].step(action, &mut eval_rng);
-                state = step.state;
-                if step.outcome.is_terminal() {
-                    outcome = step.outcome;
-                    break;
-                }
-            }
-            outcomes.push(outcome);
-        }
-        crate::metrics::success_rate_of(&outcomes)
     }
 
     /// Samples the observation space together with each state's
@@ -446,41 +401,6 @@ mod tests {
             recovered >= baseline - 1.0 / 3.0,
             "mitigated SR {recovered} should recover toward baseline {baseline}"
         );
-    }
-
-    #[test]
-    fn activation_faults_evaluate_in_range() {
-        let mut s = GridFrlSystem::new(small_cfg(2)).unwrap();
-        let ctx = &mut BatchInferCtx::new();
-        s.train(60, None, ctx).unwrap();
-        let clean = s.agent(0).network().snapshot();
-        let sr = s.success_rate_activation_faults(Ber::new(0.01).unwrap(), ReprKind::Int8, 3, ctx);
-        assert!((0.0..=1.0).contains(&sr));
-        // Activation faults are transient: stored weights untouched.
-        assert_eq!(s.agent(0).network().snapshot(), clean);
-    }
-
-    #[test]
-    fn heavy_activation_faults_hurt_more_than_light() {
-        let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
-        let ctx = &mut BatchInferCtx::new();
-        s.train(250, None, ctx).unwrap();
-        let mut avg = |s: &mut GridFrlSystem, ber: f64| -> f64 {
-            (0..6u64)
-                .map(|seed| {
-                    s.success_rate_activation_faults(
-                        Ber::new(ber).unwrap(),
-                        ReprKind::Int8,
-                        seed,
-                        ctx,
-                    )
-                })
-                .sum::<f64>()
-                / 6.0
-        };
-        let light = avg(&mut s, 0.001);
-        let heavy = avg(&mut s, 0.2);
-        assert!(heavy <= light, "heavier activation faults should hurt: {light} vs {heavy}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use frlfi_quant::{QFormat, SymInt8Quantizer};
 use serde::{Deserialize, Serialize};
 
 /// Which machine representation the fault surface uses, materialized
-/// into a [`DataRepr`] at injection time (affine int8 quantizers must be
+/// into a [`DataRepr`] at injection time (the int8 quantizer's scale is
 /// fit on the weights as they are when the fault strikes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReprKind {
@@ -20,16 +20,7 @@ pub enum ReprKind {
 impl ReprKind {
     /// Materializes the representation for a network's current weights.
     pub fn materialize(self, net: &Network) -> DataRepr {
-        match self {
-            ReprKind::F32 => DataRepr::F32,
-            ReprKind::Int8 => {
-                let snap = net.snapshot();
-                let q = SymInt8Quantizer::fit(&snap)
-                    .unwrap_or_else(|_| SymInt8Quantizer::from_max_abs(1.0).expect("static range"));
-                DataRepr::SymInt8(q)
-            }
-            ReprKind::Fixed(q) => DataRepr::Fixed(q),
-        }
+        self.materialize_for(&net.snapshot())
     }
 
     /// Materializes the representation for a raw parameter buffer.

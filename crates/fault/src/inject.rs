@@ -114,7 +114,7 @@ pub fn inject_network_ber(
 mod tests {
     use super::*;
     use frlfi_nn::NetworkBuilder;
-    use frlfi_quant::Int8Quantizer;
+    use frlfi_quant::SymInt8Quantizer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -161,11 +161,32 @@ mod tests {
     #[test]
     fn dense_injection_caps_at_total_bits() {
         let mut rng = StdRng::seed_from_u64(3);
-        let q = Int8Quantizer::from_range(-1.0, 1.0).unwrap();
+        let q = SymInt8Quantizer::from_max_abs(1.0).unwrap();
         let mut buf = vec![0.0f32; 4]; // 32 exposed bits
-        let recs =
-            inject_slice(&mut buf, DataRepr::Int8(q), FaultModel::TransientMulti, 1000, &mut rng);
+        let recs = inject_slice(
+            &mut buf,
+            DataRepr::SymInt8(q),
+            FaultModel::TransientMulti,
+            1000,
+            &mut rng,
+        );
         assert_eq!(recs.len(), 32);
+        // Every bit of every code flipped: 0.0 becomes the most
+        // negative code.
+        assert!(buf.iter().all(|&v| v == q.decode(0xFF)), "{buf:?}");
+    }
+
+    #[test]
+    fn int8_injection_stays_within_the_code_range() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let q = SymInt8Quantizer::from_max_abs(0.5).unwrap();
+        let mut buf: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 64.0).collect();
+        let recs =
+            inject_slice(&mut buf, DataRepr::SymInt8(q), FaultModel::TransientMulti, 100, &mut rng);
+        assert_eq!(recs.len(), 100);
+        // Sign-magnitude codes bound every faulty value by the largest
+        // magnitude code.
+        assert!(buf.iter().all(|v| v.abs() <= q.decode(0x7F)), "{buf:?}");
     }
 
     #[test]
@@ -202,10 +223,14 @@ mod tests {
     #[test]
     fn stuck_at_0_on_zero_weights_is_silent() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = vec![0.0f32; 16];
-        let recs = inject_slice(&mut buf, DataRepr::F32, FaultModel::StuckAt0, 8, &mut rng);
-        assert!(recs.iter().all(|r| !r.is_effective()));
-        assert!(buf.iter().all(|&v| v == 0.0));
+        for repr in [DataRepr::F32, DataRepr::SymInt8(SymInt8Quantizer::from_max_abs(1.0).unwrap())]
+        {
+            let mut buf = vec![0.0f32; 16];
+            let recs = inject_slice(&mut buf, repr, FaultModel::StuckAt0, 8, &mut rng);
+            assert_eq!(recs.len(), 8);
+            assert!(recs.iter().all(|r| !r.is_effective()));
+            assert!(buf.iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]
@@ -225,10 +250,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut net = NetworkBuilder::new(4).dense(16).relu().dense(4).build(&mut rng).unwrap();
         let n_params = net.param_count();
-        let q = Int8Quantizer::from_range(-1.0, 1.0).unwrap();
+        let q = SymInt8Quantizer::from_max_abs(1.0).unwrap();
         let recs = inject_network_ber(
             &mut net,
-            DataRepr::Int8(q),
+            DataRepr::SymInt8(q),
             FaultModel::TransientMulti,
             Ber::new(0.01).unwrap(),
             &mut rng,

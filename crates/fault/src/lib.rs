@@ -16,8 +16,8 @@
 //! * [`FaultModel`] / [`Ber`] — the fault taxonomy and bit-error-rate
 //!   arithmetic (number of faults = BER × exposed bits);
 //! * [`DataRepr`] — which machine representation the bits live in
-//!   (IEEE-754 `f32`, affine int8 codes, or 16-bit `Q` fixed point),
-//!   reusing `frlfi-quant`;
+//!   (IEEE-754 `f32`, symmetric sign-magnitude int8 codes, or 16-bit
+//!   `Q` fixed point), reusing `frlfi-quant`;
 //! * [`inject_slice`] / [`inject_network`] — seeded injectors returning
 //!   a [`FaultRecord`] audit trail;
 //! * [`aggregate_in_order`] / [`Welford`] / [`CellStats`] — the

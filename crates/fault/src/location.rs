@@ -1,7 +1,7 @@
 /// A precise fault location in the FRL system (§III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultLocation {
-    /// Fault in one agent's local memory (weights / activations).
+    /// Fault in one agent's local memory (its policy weights).
     Agent(usize),
     /// Fault in server memory (the aggregated parameter sets).
     Server,

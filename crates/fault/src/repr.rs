@@ -1,7 +1,7 @@
 use crate::FaultModel;
 use frlfi_quant::{
-    flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_f32, stuck_bit_u16, stuck_bit_u8,
-    Int8Quantizer, QFormat, SymInt8Quantizer,
+    flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_f32, stuck_bit_u16, stuck_bit_u8, QFormat,
+    SymInt8Quantizer,
 };
 
 /// The machine representation a fault surface stores its scalars in.
@@ -15,8 +15,6 @@ use frlfi_quant::{
 pub enum DataRepr {
     /// IEEE-754 single precision (32 exposed bits per scalar).
     F32,
-    /// Affine int8 codes (8 exposed bits per scalar).
-    Int8(Int8Quantizer),
     /// Symmetric sign-magnitude int8 codes (8 exposed bits per scalar) —
     /// the deployed GridWorld policy format.
     SymInt8(SymInt8Quantizer),
@@ -29,7 +27,7 @@ impl DataRepr {
     pub fn width(&self) -> u32 {
         match self {
             DataRepr::F32 => 32,
-            DataRepr::Int8(_) | DataRepr::SymInt8(_) => 8,
+            DataRepr::SymInt8(_) => 8,
             DataRepr::Fixed(_) => 16,
         }
     }
@@ -58,17 +56,6 @@ impl DataRepr {
                 FaultModel::StuckAt0 => stuck_bit_f32(value, bit, false),
                 FaultModel::StuckAt1 => stuck_bit_f32(value, bit, true),
             },
-            DataRepr::Int8(q) => {
-                let code = q.encode(value);
-                let corrupted = match model {
-                    FaultModel::TransientSingle | FaultModel::TransientMulti => {
-                        flip_bit_u8(code, bit)
-                    }
-                    FaultModel::StuckAt0 => stuck_bit_u8(code, bit, false),
-                    FaultModel::StuckAt1 => stuck_bit_u8(code, bit, true),
-                };
-                q.decode(corrupted)
-            }
             DataRepr::SymInt8(q) => {
                 let code = q.encode(value);
                 let corrupted = match model {
@@ -99,7 +86,6 @@ impl DataRepr {
     pub fn quantize(&self, value: f32) -> f32 {
         match self {
             DataRepr::F32 => value,
-            DataRepr::Int8(q) => q.quantize(value),
             DataRepr::SymInt8(q) => q.quantize(value),
             DataRepr::Fixed(q) => q.quantize(value),
         }
@@ -112,7 +98,7 @@ mod tests {
 
     #[test]
     fn widths() {
-        let int8 = DataRepr::Int8(Int8Quantizer::from_range(-1.0, 1.0).unwrap());
+        let int8 = DataRepr::SymInt8(SymInt8Quantizer::from_max_abs(1.0).unwrap());
         assert_eq!(DataRepr::F32.width(), 32);
         assert_eq!(int8.width(), 8);
         assert_eq!(DataRepr::Fixed(QFormat::Q4_11).width(), 16);
@@ -129,11 +115,27 @@ mod tests {
 
     #[test]
     fn int8_flip_changes_value() {
-        let q = Int8Quantizer::from_range(-1.0, 1.0).unwrap();
-        let repr = DataRepr::Int8(q);
+        let q = SymInt8Quantizer::from_max_abs(1.0).unwrap();
+        let repr = DataRepr::SymInt8(q);
         let v = 0.25f32;
+        // Bit 7 is the sign: the flip negates the decoded value.
         let c = repr.corrupt(v, 7, FaultModel::TransientMulti);
         assert_ne!(q.encode(c), q.encode(v));
+        assert_eq!(c, -q.quantize(v));
+    }
+
+    #[test]
+    fn int8_stuck_at_only_moves_bits_that_differ() {
+        let q = SymInt8Quantizer::from_max_abs(1.0).unwrap();
+        let repr = DataRepr::SymInt8(q);
+        // 0.0 encodes to all-zero bits: stuck-at-0 is silent on every
+        // bit, stuck-at-1 sets exactly the chosen one.
+        for bit in 0..8 {
+            assert_eq!(repr.corrupt(0.0, bit, FaultModel::StuckAt0), 0.0);
+            let stuck = repr.corrupt(0.0, bit, FaultModel::StuckAt1);
+            assert_eq!(q.encode(stuck), 1 << bit, "bit {bit}");
+            assert_eq!(repr.corrupt(stuck, bit, FaultModel::StuckAt1), stuck);
+        }
     }
 
     #[test]

@@ -77,10 +77,6 @@ impl ActShape {
 /// harness names it (`TimedLearner::act_greedy_ctx`, `time_infer`).
 pub type InferCtx = BatchInferCtx;
 
-/// The activation-fault hook of a single-observation walk: called with
-/// every freshly produced activation row, in layer order.
-pub(crate) type ActivationHook<'a> = &'a mut dyn FnMut(&mut [f32]);
-
 /// Which planes a forward walk reads and writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Arena {
@@ -254,13 +250,9 @@ impl BatchInferCtx {
     /// observation rows in `input` through `arena`'s planes and returns
     /// the final activation as `batch` sample-major rows. A batch of one
     /// runs the per-observation [`Layer::forward_into`] kernels, larger
-    /// batches [`Layer::forward_batch_into`]. When `visit` is present
-    /// (batch 1 only) it is called with every freshly produced
-    /// activation row, in layer order — the activation-fault hook
-    /// point; mutations propagate to the next layer. A
-    /// [`Arena::Train`] walk retains every layer's input for
-    /// [`BatchInferCtx::run_backward`]; an [`Arena::Eval`] walk leaves
-    /// that cache as it was.
+    /// batches [`Layer::forward_batch_into`]. A [`Arena::Train`] walk
+    /// retains every layer's input for [`BatchInferCtx::run_backward`];
+    /// an [`Arena::Eval`] walk leaves that cache as it was.
     ///
     /// # Errors
     ///
@@ -273,9 +265,7 @@ impl BatchInferCtx {
         input_shape: ActShape,
         batch: usize,
         arena: Arena,
-        mut visit: Option<ActivationHook<'_>>,
     ) -> Result<&'c [f32], NnError> {
-        debug_assert!(visit.is_none() || batch == 1, "the activation hook runs at batch 1");
         let train = arena == Arena::Train;
         let in_vol = input_shape.volume();
         if batch == 0 || input.len() != batch * in_vol {
@@ -331,9 +321,6 @@ impl BatchInferCtx {
                 layer.forward_into(src, &shape, out)?;
             } else {
                 layer.forward_batch_into(src, &shape, batch, out)?;
-            }
-            if let Some(visit) = visit.as_deref_mut() {
-                visit(out);
             }
             if train {
                 self.act_shapes[l + 1] = out_shape;

@@ -66,30 +66,6 @@ impl Network {
         Ok(x)
     }
 
-    /// Runs the network forward while letting `corrupt` mutate every
-    /// intermediate activation buffer (including the final output) —
-    /// the *feature-map/activation* fault surface of FRL-FI §III-C.
-    ///
-    /// The corruption applies to transient copies; no layer caches are
-    /// suitable for a subsequent backward pass, so this is an
-    /// inference-only path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn forward_with_activation_faults(
-        &mut self,
-        input: &Tensor,
-        corrupt: &mut dyn FnMut(&mut [f32]),
-    ) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x)?;
-            corrupt(x.data_mut());
-        }
-        Ok(x)
-    }
-
     /// Runs the network forward on the zero-allocation inference fast
     /// path: [`Network::infer_batch`] at batch 1, which runs the
     /// per-observation kernels on `ctx`'s eval planes. No layer caches
@@ -110,26 +86,7 @@ impl Network {
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
         let shape = ActShape::from_dims(input.shape().dims())?;
-        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval, None)
-    }
-
-    /// [`Network::infer`] with the activation-fault hook of
-    /// [`Network::forward_with_activation_faults`]: `corrupt` mutates
-    /// every freshly produced activation buffer (including the final
-    /// output), in layer order, on the same fast path — so seeded
-    /// fault campaigns produce bit-identical statistics on either path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn infer_with_activation_faults<'c>(
-        &self,
-        input: &Tensor,
-        ctx: &'c mut BatchInferCtx,
-        corrupt: &mut dyn FnMut(&mut [f32]),
-    ) -> Result<&'c [f32], NnError> {
-        let shape = ActShape::from_dims(input.shape().dims())?;
-        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval, Some(corrupt))
+        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval)
     }
 
     /// Runs the network forward over a whole **batch** of observations
@@ -156,7 +113,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Eval, None)
+        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Eval)
     }
 
     /// Training forward over a whole **batch** of observations: like
@@ -181,7 +138,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Train, None)
+        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Train)
     }
 
     /// Batched training backward over the activations retained by the
@@ -621,25 +578,6 @@ mod tests {
         let x = Tensor::random(vec![2, 8, 9], frlfi_tensor::Init::Uniform(-1.0, 1.0), &mut rng);
         let slow = net.forward(&x).unwrap();
         let fast = net.infer(&x, &mut ctx).unwrap();
-        assert_eq!(slow.data(), fast);
-    }
-
-    #[test]
-    fn infer_with_activation_faults_matches_slow_path() {
-        let mut net = mlp();
-        let x = Tensor::from_vec(vec![4], vec![0.3, -0.2, 0.9, -1.5]).unwrap();
-        let corrupt_with = |mut rng: StdRng| {
-            move |buf: &mut [f32]| {
-                use rand::Rng;
-                let i = rng.gen_range(0..buf.len());
-                buf[i] = f32::from_bits(buf[i].to_bits() ^ (1 << rng.gen_range(0..32)));
-            }
-        };
-        let mut slow_corrupt = corrupt_with(StdRng::seed_from_u64(11));
-        let slow = net.forward_with_activation_faults(&x, &mut slow_corrupt).unwrap();
-        let mut ctx = BatchInferCtx::new();
-        let mut fast_corrupt = corrupt_with(StdRng::seed_from_u64(11));
-        let fast = net.infer_with_activation_faults(&x, &mut ctx, &mut fast_corrupt).unwrap();
         assert_eq!(slow.data(), fast);
     }
 

@@ -1,106 +1,11 @@
-//! Affine int8 quantization.
+//! Symmetric int8 quantization.
 //!
 //! The GridWorld policy is deployed "quantized to 8-bit" (§IV-A-1): each
-//! tensor stores `u8` codes plus an affine `(scale, zero_point)` pair fit
-//! on the observed value range. The int8 codes are the fault surface for
-//! the GridWorld experiments.
+//! weight buffer stores sign-magnitude `u8` codes plus one scale fit on
+//! the largest observed magnitude. The int8 codes are the fault surface
+//! for the GridWorld experiments.
 
 use crate::QuantError;
-
-/// An affine `f32 → u8` quantizer: `value ≈ scale * (code − zero_point)`.
-///
-/// ```
-/// use frlfi_quant::Int8Quantizer;
-///
-/// # fn main() -> Result<(), frlfi_quant::QuantError> {
-/// let q = Int8Quantizer::fit(&[-1.0, 0.0, 2.0])?;
-/// let code = q.encode(1.0);
-/// assert!((q.decode(code) - 1.0).abs() < q.scale());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Int8Quantizer {
-    scale: f32,
-    zero_point: f32,
-}
-
-impl Int8Quantizer {
-    /// Fits a quantizer covering `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DegenerateRange`] if `hi <= lo` or either
-    /// bound is non-finite.
-    pub fn from_range(lo: f32, hi: f32) -> Result<Int8Quantizer, QuantError> {
-        if !(lo.is_finite() && hi.is_finite()) || hi <= lo {
-            return Err(QuantError::DegenerateRange { lo, hi });
-        }
-        let scale = (hi - lo) / 255.0;
-        let zero_point = -lo / scale;
-        Ok(Int8Quantizer { scale, zero_point })
-    }
-
-    /// Fits a quantizer on the min/max of observed values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DegenerateRange`] if the slice is empty or
-    /// all values are identical/non-finite.
-    pub fn fit(values: &[f32]) -> Result<Int8Quantizer, QuantError> {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in values {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        // Widen a degenerate single-value range so constants still encode.
-        if lo == hi && lo.is_finite() {
-            lo -= 0.5;
-            hi += 0.5;
-        }
-        Int8Quantizer::from_range(lo, hi)
-    }
-
-    /// The quantization step size.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The (real-valued) zero point.
-    pub fn zero_point(&self) -> f32 {
-        self.zero_point
-    }
-
-    /// Encodes a value, saturating to the `[0, 255]` code range.
-    pub fn encode(&self, value: f32) -> u8 {
-        let code = value / self.scale + self.zero_point;
-        let code = if code.is_nan() { 0.0 } else { code.clamp(0.0, 255.0) };
-        code.round() as u8
-    }
-
-    /// Decodes a code back to a value.
-    pub fn decode(&self, code: u8) -> f32 {
-        (code as f32 - self.zero_point) * self.scale
-    }
-
-    /// Round-trips a value through the quantizer.
-    pub fn quantize(&self, value: f32) -> f32 {
-        self.decode(self.encode(value))
-    }
-
-    /// Encodes a slice to codes.
-    pub fn encode_slice(&self, values: &[f32]) -> Vec<u8> {
-        values.iter().map(|&v| self.encode(v)).collect()
-    }
-
-    /// Decodes codes into an `f32` vector.
-    pub fn decode_slice(&self, codes: &[u8]) -> Vec<f32> {
-        codes.iter().map(|&c| self.decode(c)).collect()
-    }
-}
 
 /// A symmetric sign-magnitude `f32 → u8` quantizer:
 /// `code = sign << 7 | round(|value| / scale)` with a 7-bit magnitude.
@@ -242,54 +147,5 @@ mod sym_tests {
         assert!(SymInt8Quantizer::fit(&[]).is_err());
         assert!(SymInt8Quantizer::from_max_abs(0.0).is_err());
         assert!(SymInt8Quantizer::from_max_abs(f32::NAN).is_err());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip_within_scale() {
-        let q = Int8Quantizer::from_range(-2.0, 2.0).unwrap();
-        for i in -20..=20 {
-            let v = i as f32 / 10.0;
-            assert!((q.quantize(v) - v).abs() <= q.scale() / 2.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn saturates() {
-        let q = Int8Quantizer::from_range(-1.0, 1.0).unwrap();
-        assert_eq!(q.encode(100.0), 255);
-        assert_eq!(q.encode(-100.0), 0);
-    }
-
-    #[test]
-    fn fit_rejects_empty() {
-        assert!(Int8Quantizer::fit(&[]).is_err());
-    }
-
-    #[test]
-    fn fit_widens_constant() {
-        let q = Int8Quantizer::fit(&[3.0, 3.0]).unwrap();
-        assert!((q.quantize(3.0) - 3.0).abs() < q.scale());
-    }
-
-    #[test]
-    fn from_range_rejects_degenerate() {
-        assert!(Int8Quantizer::from_range(1.0, 1.0).is_err());
-        assert!(Int8Quantizer::from_range(2.0, 1.0).is_err());
-        assert!(Int8Quantizer::from_range(f32::NAN, 1.0).is_err());
-    }
-
-    #[test]
-    fn encode_decode_slices() {
-        let q = Int8Quantizer::from_range(0.0, 10.0).unwrap();
-        let vals = vec![0.0, 5.0, 10.0];
-        let back = q.decode_slice(&q.encode_slice(&vals));
-        for (a, b) in vals.iter().zip(back.iter()) {
-            assert!((a - b).abs() <= q.scale() / 2.0 + 1e-6);
-        }
     }
 }

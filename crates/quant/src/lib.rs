@@ -8,8 +8,8 @@
 //!
 //! * signed fixed-point `Q(sign, int, frac)` formats — the data-type study
 //!   uses `Q(1,4,11)`, `Q(1,7,8)` and `Q(1,10,5)` (§IV-B-3);
-//! * affine int8 quantization — the GridWorld policy is "quantized to
-//!   8-bit without loss of performance" (§IV-A-1);
+//! * symmetric sign-magnitude int8 quantization — the GridWorld policy
+//!   is "quantized to 8-bit without loss of performance" (§IV-A-1);
 //! * raw IEEE-754 `f32` bit access — the unquantized server/comm surface;
 //! * bit-pattern census (how many 0 vs 1 bits a trained policy holds),
 //!   which explains why 0→1 flips dominate (Fig. 3d).
@@ -36,4 +36,4 @@ pub use bits::{
 };
 pub use error::QuantError;
 pub use fixed::QFormat;
-pub use int8::{Int8Quantizer, SymInt8Quantizer};
+pub use int8::SymInt8Quantizer;

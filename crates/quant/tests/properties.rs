@@ -1,7 +1,7 @@
 //! Property-based tests for number formats and bit primitives.
 
 use frlfi_quant::{
-    flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_u16, BitCensus, Int8Quantizer, QFormat,
+    flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_u16, BitCensus, QFormat, SymInt8Quantizer,
 };
 use proptest::prelude::*;
 
@@ -60,13 +60,13 @@ proptest! {
 
     #[test]
     fn int8_round_trip_error_bounded(v in -5.0f32..5.0) {
-        let q = Int8Quantizer::from_range(-5.0, 5.0).unwrap();
+        let q = SymInt8Quantizer::from_max_abs(5.0).unwrap();
         prop_assert!((q.quantize(v) - v).abs() <= q.scale() / 2.0 + 1e-5);
     }
 
     #[test]
     fn int8_quantize_idempotent(v in -5.0f32..5.0) {
-        let q = Int8Quantizer::from_range(-5.0, 5.0).unwrap();
+        let q = SymInt8Quantizer::from_max_abs(5.0).unwrap();
         let once = q.quantize(v);
         prop_assert!((q.quantize(once) - once).abs() < 1e-6);
     }

@@ -99,7 +99,7 @@ pub trait Learner: Send {
     /// twice: its lock-step batches mix the rows of many episodes, and
     /// its per-call memo reuses the action chosen for a row's bits
     /// instead of forwarding that row again. A learner whose forward
-    /// draws randomness (activation faults do) must not be evaluated
+    /// draws randomness or mutates its weights must not be evaluated
     /// through it.
     ///
     /// # Errors
