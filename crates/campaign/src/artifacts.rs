@@ -44,11 +44,11 @@ use crate::io;
 
 /// File name of the artifact publication log inside a campaign
 /// directory.
-pub const ARTIFACTS_FILE: &str = "artifacts.jsonl";
+pub(crate) const ARTIFACTS_FILE: &str = "artifacts.jsonl";
 
 /// Directory name of the weight-artifact files inside a campaign
 /// directory.
-pub const ARTIFACTS_DIR: &str = "artifacts";
+pub(crate) const ARTIFACTS_DIR: &str = "artifacts";
 
 /// Path of model `m`'s weight artifact inside campaign directory
 /// `dir`.
@@ -67,9 +67,9 @@ pub struct ArtifactRecord {
     /// verify before trusting the file.
     pub digest: u64,
     /// Worker that trained and published the model.
-    pub worker: String,
+    pub(crate) worker: String,
     /// Publication time (ms since the Unix epoch). Informational.
-    pub ts_ms: u64,
+    pub(crate) ts_ms: u64,
 }
 
 impl ArtifactRecord {
@@ -215,20 +215,9 @@ impl ArtifactTracker {
         self.published.get(m).copied().flatten()
     }
 
-    /// How many of the study's models have landed.
-    pub fn published_count(&self) -> usize {
-        self.published.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// Whether every model artifact has landed — the dependency gate
-    /// that makes eval tasks claimable.
-    pub fn all_published(&self) -> bool {
-        self.published.iter().all(Option::is_some)
-    }
-
     /// Model indices still missing a publication record — the
     /// unsatisfied dependencies blocking every eval task.
-    pub fn missing(&self) -> Vec<usize> {
+    pub(crate) fn missing(&self) -> Vec<usize> {
         (0..self.published.len()).filter(|&m| self.published[m].is_none()).collect()
     }
 }
@@ -308,7 +297,7 @@ mod tests {
         let mut tracker = ArtifactTracker::new(&dir, 1);
         tracker.refresh().expect("refresh");
         assert_eq!(tracker.digest(0), Some(d1));
-        assert!(tracker.all_published());
+        assert!(tracker.missing().is_empty());
         assert_eq!(load_records(&dir).expect("records").len(), 2, "the log keeps both");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -318,7 +307,6 @@ mod tests {
         let dir = temp_dir("gate");
         let mut tracker = ArtifactTracker::new(&dir, 2);
         tracker.refresh().expect("empty");
-        assert!(!tracker.all_published());
         assert_eq!(tracker.missing(), vec![0, 1]);
         publish(&dir, 1, &planes(2.0), "w1").expect("publish");
         // A record naming a model outside the study is advisory noise.
@@ -328,10 +316,9 @@ mod tests {
         drop(f);
         tracker.refresh().expect("refresh");
         assert_eq!(tracker.missing(), vec![0], "model 1 landed, model 0 still blocks");
-        assert_eq!(tracker.published_count(), 1);
         publish(&dir, 0, &planes(3.0), "w2").expect("publish");
         tracker.refresh().expect("refresh");
-        assert!(tracker.all_published());
+        assert!(tracker.missing().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,9 +17,9 @@
 //! 1. read `trials.jsonl` (completed set) and `claims.jsonl`;
 //! 2. pick an incomplete trial that is unclaimed, or whose winning
 //!    claim's lease deadline has passed;
-//! 3. append a [`ClaimRecord`] carrying this worker's id and a lease
+//! 3. append a `ClaimRecord` carrying this worker's id and a lease
 //!    deadline (`now + lease_ms`), and fsync it;
-//! 4. re-read the log and [`arbitrate`]: the worker owns the trial iff
+//! 4. re-read the log and `arbitrate`: the worker owns the trial iff
 //!    its record won. Losers simply move on to another trial.
 //!
 //! Arbitration is a pure function of log order: for each trial, the
@@ -31,7 +31,7 @@
 //!
 //! ## Leases, heartbeats and reaping
 //!
-//! A claim is a *lease*, not a lock. The [`Coordinator`]'s heartbeat
+//! A claim is a *lease*, not a lock. The `Coordinator`'s heartbeat
 //! thread appends renewal records (same trial, same generation, later
 //! deadline) at `lease_ms / 3` cadence for every trial its process has
 //! in flight, so healthy workers keep their claims indefinitely. When
@@ -61,7 +61,7 @@ use crate::fmt::json;
 use crate::io::{self, lock_recover};
 
 /// File name of the claim log inside a campaign directory.
-pub const CLAIMS_FILE: &str = "claims.jsonl";
+pub(crate) const CLAIMS_FILE: &str = "claims.jsonl";
 
 /// The shortest usable lease: the heartbeat renews at `lease_ms / 3`
 /// cadence on a 25 ms tick, so a lease below ~6 ticks cannot be
@@ -70,7 +70,7 @@ pub const CLAIMS_FILE: &str = "claims.jsonl";
 /// on generation bumps and duplicate (if still bitwise-identical)
 /// trial runs. [`CoordConfig::validate`] rejects such leases at
 /// CLI/config level with a typed error.
-pub const MIN_LEASE_MS: u64 = 150;
+pub(crate) const MIN_LEASE_MS: u64 = 150;
 
 /// A rejected [`CoordConfig`] — the typed error `--lease-ms`
 /// validation surfaces.
@@ -102,21 +102,21 @@ pub fn now_ms() -> u64 {
 /// (renewals are claims for a trial/generation the worker already
 /// holds; arbitration folds them into the winner's deadline).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClaimRecord {
+pub(crate) struct ClaimRecord {
     /// Flat trial index: `cell * repeats + repeat`.
-    pub trial: usize,
+    pub(crate) trial: usize,
     /// Claim generation: 0 for a fresh trial, `g + 1` when reaping the
     /// expired generation-`g` lease.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Claiming worker's id.
-    pub worker: String,
+    pub(crate) worker: String,
     /// Lease deadline, milliseconds since the Unix epoch.
-    pub deadline_ms: u64,
+    pub(crate) deadline_ms: u64,
     /// When the record was issued (ms since the Unix epoch). Purely
     /// informational — arbitration never reads it — it is what lets
     /// `campaign status` show per-worker elapsed time and heartbeat
     /// age. `0` on records from builds that predate the field.
-    pub ts_ms: u64,
+    pub(crate) ts_ms: u64,
 }
 
 impl ClaimRecord {
@@ -153,19 +153,19 @@ impl ClaimRecord {
 
 /// The arbitration winner for one trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrialClaim {
+pub(crate) struct TrialClaim {
     /// Winning generation.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Winning worker id.
-    pub worker: String,
+    pub(crate) worker: String,
     /// Effective lease deadline: the maximum over the winner's records
     /// at the winning generation, so renewals extend the lease.
-    pub deadline_ms: u64,
+    pub(crate) deadline_ms: u64,
 }
 
 impl TrialClaim {
     /// Whether the lease has passed at wall-clock `now_ms`.
-    pub fn expired(&self, now_ms: u64) -> bool {
+    pub(crate) fn expired(&self, now_ms: u64) -> bool {
         self.deadline_ms <= now_ms
     }
 }
@@ -204,7 +204,7 @@ fn fold_claim(winners: &mut HashMap<usize, TrialClaim>, r: &ClaimRecord) {
 /// agrees on ownership. Per trial: the highest generation wins; within
 /// a generation, the first record in log order wins; later records by
 /// the winner at the winning generation extend the deadline.
-pub fn arbitrate(records: &[ClaimRecord]) -> HashMap<usize, TrialClaim> {
+pub(crate) fn arbitrate(records: &[ClaimRecord]) -> HashMap<usize, TrialClaim> {
     let mut winners: HashMap<usize, TrialClaim> = HashMap::new();
     for r in records {
         fold_claim(&mut winners, r);
@@ -270,13 +270,6 @@ pub(crate) struct JsonlTailReader {
 impl JsonlTailReader {
     pub(crate) fn new(path: PathBuf, tag: &'static str) -> Self {
         JsonlTailReader { path, tag, offset: 0, line_no: 0 }
-    }
-
-    /// Byte offset of the last complete line consumed: everything
-    /// before it is never read again. `campaign top` sums offset
-    /// deltas to report (and test) per-tick read cost.
-    pub(crate) fn offset(&self) -> u64 {
-        self.offset
     }
 
     /// Hands every complete line appended since the last refresh to
@@ -370,13 +363,13 @@ impl ClaimReader {
 
 /// The append-only claim log of one campaign directory.
 #[derive(Debug, Clone)]
-pub struct ClaimLog {
+pub(crate) struct ClaimLog {
     path: PathBuf,
 }
 
 impl ClaimLog {
     /// The claim log of campaign directory `dir`.
-    pub fn in_dir(dir: &Path) -> Self {
+    pub(crate) fn in_dir(dir: &Path) -> Self {
         ClaimLog { path: dir.join(CLAIMS_FILE) }
     }
 
@@ -391,7 +384,7 @@ impl ClaimLog {
     /// # Errors
     ///
     /// Returns a message only for I/O failures.
-    pub fn load(&self) -> Result<Vec<ClaimRecord>, String> {
+    pub(crate) fn load(&self) -> Result<Vec<ClaimRecord>, String> {
         let mut records = Vec::new();
         JsonlTailReader::new(self.path.clone(), "claims.read").refresh(CLAIM_SKIP, |v| {
             records.push(ClaimRecord::from_value(&v?)?);
@@ -412,7 +405,7 @@ impl ClaimLog {
     /// # Errors
     ///
     /// Returns a message on I/O failures.
-    pub fn append(&self, record: &ClaimRecord) -> Result<(), String> {
+    pub(crate) fn append(&self, record: &ClaimRecord) -> Result<(), String> {
         let line = json::render(&record.to_value());
         io::with_retry("claims.append", || {
             let mut file = io::open_append("claims.append", &self.path)?;
@@ -486,8 +479,8 @@ impl Default for CoordConfig {
 
 impl CoordConfig {
     /// Validates user-facing knobs — what the CLI/config layer calls
-    /// before constructing a [`Coordinator`]. Rejects leases shorter
-    /// than [`MIN_LEASE_MS`] (too short for the `lease_ms / 3`
+    /// before constructing a `Coordinator`. Rejects leases shorter
+    /// than `MIN_LEASE_MS` (too short for the `lease_ms / 3`
     /// heartbeat cadence: the worker would self-reap — see the
     /// constant's docs) and empty worker ids.
     ///
@@ -521,7 +514,7 @@ impl CoordConfig {
 /// A worker id unique per process instance: pid plus startup clock, so
 /// a SIGKILLed worker's replacement (same pid space, same host) never
 /// collides with the corpse's claims.
-pub fn default_worker_id() -> String {
+pub(crate) fn default_worker_id() -> String {
     format!("w{}-{:x}", std::process::id(), now_ms() & 0xFFFF_FFFF)
 }
 
@@ -538,7 +531,7 @@ struct CoordShared {
 /// threads plus the background heartbeat that keeps this process's
 /// leases alive. Dropping the coordinator stops the heartbeat (any
 /// leases still held then simply expire).
-pub struct Coordinator {
+pub(crate) struct Coordinator {
     shared: Arc<CoordShared>,
     cfg: CoordConfig,
     /// The process-wide incremental view of the claim log. Locking it
@@ -553,7 +546,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates the coordination handle for campaign directory `dir`
     /// and starts the heartbeat thread.
-    pub fn new(dir: &Path, cfg: CoordConfig) -> Self {
+    pub(crate) fn new(dir: &Path, cfg: CoordConfig) -> Self {
         let shared = Arc::new(CoordShared {
             log: ClaimLog::in_dir(dir),
             worker_id: cfg.worker_id.clone(),
@@ -575,23 +568,6 @@ impl Coordinator {
         }
     }
 
-    /// This worker's id.
-    pub fn worker_id(&self) -> &str {
-        &self.cfg.worker_id
-    }
-
-    /// Tries to acquire the lease on `trial`: append + fsync + re-read
-    /// arbitration. Returns `Ok(true)` when this worker now owns the
-    /// trial (it is added to the heartbeat set; call
-    /// [`Coordinator::complete`] when done).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on claim-log I/O failures.
-    pub fn try_claim(&self, trial: usize) -> Result<bool, String> {
-        Ok(self.claim_next(&[trial], 0)?.is_some())
-    }
-
     /// Claims the first acquirable trial out of `pending`, scanning
     /// from `offset` (callers stagger offsets to spread workers over
     /// the queue). The claim log is loaded and arbitrated **once per
@@ -604,7 +580,11 @@ impl Coordinator {
     /// # Errors
     ///
     /// Returns a message on claim-log I/O failures.
-    pub fn claim_next(&self, pending: &[usize], offset: usize) -> Result<Option<usize>, String> {
+    pub(crate) fn claim_next(
+        &self,
+        pending: &[usize],
+        offset: usize,
+    ) -> Result<Option<usize>, String> {
         if pending.is_empty() {
             return Ok(None);
         }
@@ -666,7 +646,7 @@ impl Coordinator {
     /// Marks `trial` finished: drops it from the heartbeat set (its
     /// lease simply expires; completion itself is what the trial log
     /// records).
-    pub fn complete(&self, trial: usize) {
+    pub(crate) fn complete(&self, trial: usize) {
         lock_recover(&self.shared.active).remove(&trial);
     }
 }
@@ -965,6 +945,16 @@ pub fn status(dir: &Path) -> Result<CampaignStatus, String> {
 }
 
 #[cfg(test)]
+impl JsonlTailReader {
+    /// Byte offset of the last complete line consumed: everything
+    /// before it is never read again. The `campaign top` tests sum
+    /// offset deltas to check per-tick read cost.
+    pub(crate) fn offset(&self) -> u64 {
+        self.offset
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
@@ -1032,6 +1022,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Tries to acquire the lease on one trial.
+    fn try_claim(c: &Coordinator, trial: usize) -> bool {
+        c.claim_next(&[trial], 0).expect("claim").is_some()
+    }
+
     #[test]
     fn coordinator_claims_arbitrates_and_reaps() {
         let dir = temp_dir("coordinator");
@@ -1043,18 +1038,18 @@ mod tests {
         };
         let a = mk("a", 60_000);
         let b = mk("b", 60_000);
-        assert!(a.try_claim(0).expect("claim"), "fresh trial must be claimable");
-        assert!(!b.try_claim(0).expect("claim"), "live lease must repel other workers");
-        assert!(!a.try_claim(0).expect("claim"), "own in-flight trial is not re-claimable");
-        assert!(b.try_claim(1).expect("claim"), "other trials stay claimable");
+        assert!(try_claim(&a, 0), "fresh trial must be claimable");
+        assert!(!try_claim(&b, 0), "live lease must repel other workers");
+        assert!(!try_claim(&a, 0), "own in-flight trial is not re-claimable");
+        assert!(try_claim(&b, 1), "other trials stay claimable");
 
         // A crashed worker: lease expires without renewal, any worker
         // reaps at the next generation.
         let c = mk("c", 1);
-        assert!(c.try_claim(2).expect("claim"));
+        assert!(try_claim(&c, 2));
         drop(c); // heartbeat stops; the 1 ms lease is long gone
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(b.try_claim(2).expect("reap"), "expired lease must be re-claimable");
+        assert!(try_claim(&b, 2), "expired lease must be re-claimable");
         let state = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"));
         assert_eq!(state[&2].generation, 1, "reaping bumps the generation");
         assert_eq!(state[&2].worker, "b");
@@ -1100,7 +1095,7 @@ mod tests {
             &dir,
             CoordConfig { worker_id: "hb".into(), lease_ms: 180, ..CoordConfig::default() },
         );
-        assert!(coordinator.try_claim(0).expect("claim"));
+        assert!(try_claim(&coordinator, 0));
         let first = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"))[&0].deadline_ms;
         // Well past the original 180 ms lease, renewals (every ~60 ms)
         // must have pushed the deadline forward.

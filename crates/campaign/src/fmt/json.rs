@@ -14,9 +14,9 @@ use serde::{Map, Value};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Humane message.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset of the failure.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 impl std::fmt::Display for JsonError {

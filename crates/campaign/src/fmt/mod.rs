@@ -1,4 +1,4 @@
 //! Text codecs over the [`serde::Value`] data model.
 
 pub mod json;
-pub mod toml;
+pub(crate) mod toml;

@@ -11,11 +11,11 @@ use serde::{Map, Value};
 
 /// A TOML parse/render failure with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TomlError {
+pub(crate) struct TomlError {
     /// Humane message.
-    pub message: String,
+    pub(crate) message: String,
     /// 1-based line of the offending input, when known.
-    pub line: Option<usize>,
+    pub(crate) line: Option<usize>,
 }
 
 impl TomlError {
@@ -44,7 +44,7 @@ impl std::error::Error for TomlError {}
 /// # Errors
 ///
 /// Returns [`TomlError`] on syntax outside the supported subset.
-pub fn parse(input: &str) -> Result<Value, TomlError> {
+pub(crate) fn parse(input: &str) -> Result<Value, TomlError> {
     let mut root = Map::new();
     let mut path: Vec<String> = Vec::new();
 
@@ -282,7 +282,7 @@ fn parse_number(src: &str, line_no: usize) -> Result<Value, TomlError> {
 ///
 /// Returns [`TomlError`] if the root is not a table or an array
 /// contains a table (outside the supported subset).
-pub fn render(value: &Value) -> Result<String, TomlError> {
+pub(crate) fn render(value: &Value) -> Result<String, TomlError> {
     let table = value.as_table().ok_or_else(|| TomlError::new("root must be a table"))?;
     let mut out = String::new();
     render_table(table, &mut Vec::new(), &mut out)?;

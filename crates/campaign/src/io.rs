@@ -29,7 +29,7 @@
 //!
 //! ## Retry policy
 //!
-//! [`with_retry`] classifies errors transient-vs-fatal and retries
+//! `with_retry` classifies errors transient-vs-fatal and retries
 //! transients with bounded exponential backoff plus seeded jitter.
 //! Transient: injected chaos faults marked transient, `Interrupted` /
 //! `TimedOut` / `WouldBlock`, and raw `EIO`/`EAGAIN` — the classes a
@@ -72,7 +72,7 @@ fn mix(seed: u64, x: u64) -> u64 {
 /// What kind of filesystem operation a wrapper performs — bounds
 /// which fault kinds can be injected into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
+pub(crate) enum OpClass {
     /// Opening or creating a file / directory.
     Open,
     /// A bulk read.
@@ -237,7 +237,7 @@ pub mod chaos {
     }
 
     /// Whether chaos mode is armed.
-    pub fn armed() -> bool {
+    pub(crate) fn armed() -> bool {
         ARMED.load(Ordering::Relaxed)
     }
 
@@ -353,7 +353,7 @@ fn check(tag: &str, class: OpClass) -> std::io::Result<()> {
 /// chaos faults are transient by construction — persistence is
 /// modeled by the injector re-faulting the retry, exactly like a
 /// genuinely failing disk.
-pub fn is_transient(e: &std::io::Error) -> bool {
+pub(crate) fn is_transient(e: &std::io::Error) -> bool {
     if e.get_ref().is_some_and(|inner| inner.is::<ChaosFault>()) {
         return true;
     }
@@ -368,13 +368,13 @@ pub fn is_transient(e: &std::io::Error) -> bool {
 /// Bounded-retry policy: `attempts` total tries, exponential backoff
 /// from `base_ms` capped at `cap_ms`, seeded jitter on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total attempts (1 = no retry).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// First backoff sleep (ms); doubles per retry.
-    pub base_ms: u64,
+    pub(crate) base_ms: u64,
     /// Backoff ceiling (ms).
-    pub cap_ms: u64,
+    pub(crate) cap_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -389,7 +389,7 @@ impl RetryPolicy {
     /// # Errors
     ///
     /// Returns a message on malformed values or zero attempts.
-    pub fn parse(text: &str) -> Result<Self, String> {
+    pub(crate) fn parse(text: &str) -> Result<Self, String> {
         let parts: Vec<&str> = text.split(',').map(str::trim).collect();
         let [attempts, base_ms, cap_ms] = parts[..] else {
             return Err("CAMPAIGN_RETRY wants `attempts,base_ms,cap_ms`".into());
@@ -409,7 +409,7 @@ impl RetryPolicy {
 /// The process retry policy: `CAMPAIGN_RETRY` or the default.
 /// (A malformed value falls back to the default with a warning —
 /// a typo must not disable retries.)
-pub fn retry_policy() -> RetryPolicy {
+pub(crate) fn retry_policy() -> RetryPolicy {
     static POLICY: OnceLock<RetryPolicy> = OnceLock::new();
     *POLICY.get_or_init(|| match std::env::var("CAMPAIGN_RETRY") {
         Err(_) => RetryPolicy::default(),
@@ -435,7 +435,7 @@ static RETRY_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// The first fatal error, or the last transient error once the
 /// attempt budget is spent.
-pub fn with_retry<T>(
+pub(crate) fn with_retry<T>(
     tag: &'static str,
     mut op: impl FnMut() -> std::io::Result<T>,
 ) -> std::io::Result<T> {
@@ -495,7 +495,7 @@ impl SaturatingShl for u64 {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn create_dir_all(tag: &'static str, path: &Path) -> std::io::Result<()> {
+pub(crate) fn create_dir_all(tag: &'static str, path: &Path) -> std::io::Result<()> {
     check(tag, OpClass::Open)?;
     std::fs::create_dir_all(path)
 }
@@ -505,7 +505,7 @@ pub fn create_dir_all(tag: &'static str, path: &Path) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn open_read(tag: &'static str, path: &Path) -> std::io::Result<File> {
+pub(crate) fn open_read(tag: &'static str, path: &Path) -> std::io::Result<File> {
     check(tag, OpClass::Open)?;
     File::open(path)
 }
@@ -516,7 +516,7 @@ pub fn open_read(tag: &'static str, path: &Path) -> std::io::Result<File> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn open_append(tag: &'static str, path: &Path) -> std::io::Result<File> {
+pub(crate) fn open_append(tag: &'static str, path: &Path) -> std::io::Result<File> {
     check(tag, OpClass::Open)?;
     std::fs::OpenOptions::new().create(true).append(true).read(true).open(path)
 }
@@ -526,7 +526,7 @@ pub fn open_append(tag: &'static str, path: &Path) -> std::io::Result<File> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn create_trunc(tag: &'static str, path: &Path) -> std::io::Result<File> {
+pub(crate) fn create_trunc(tag: &'static str, path: &Path) -> std::io::Result<File> {
     check(tag, OpClass::Open)?;
     File::create(path)
 }
@@ -536,7 +536,7 @@ pub fn create_trunc(tag: &'static str, path: &Path) -> std::io::Result<File> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn read_to_string(tag: &'static str, path: &Path) -> std::io::Result<String> {
+pub(crate) fn read_to_string(tag: &'static str, path: &Path) -> std::io::Result<String> {
     check(tag, OpClass::Read)?;
     std::fs::read_to_string(path)
 }
@@ -546,7 +546,11 @@ pub fn read_to_string(tag: &'static str, path: &Path) -> std::io::Result<String>
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn read_to_end(tag: &'static str, file: &mut File, buf: &mut Vec<u8>) -> std::io::Result<()> {
+pub(crate) fn read_to_end(
+    tag: &'static str,
+    file: &mut File,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
     check(tag, OpClass::Read)?;
     file.read_to_end(buf).map(|_| ())
 }
@@ -561,7 +565,7 @@ pub fn read_to_end(tag: &'static str, file: &mut File, buf: &mut Vec<u8>) -> std
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn write_all(tag: &'static str, file: &mut File, buf: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_all(tag: &'static str, file: &mut File, buf: &[u8]) -> std::io::Result<()> {
     if chaos::armed() {
         match chaos::decide(tag, OpClass::Write) {
             None => {}
@@ -583,7 +587,7 @@ pub fn write_all(tag: &'static str, file: &mut File, buf: &[u8]) -> std::io::Res
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn sync_data(tag: &'static str, file: &File) -> std::io::Result<()> {
+pub(crate) fn sync_data(tag: &'static str, file: &File) -> std::io::Result<()> {
     check(tag, OpClass::Fsync)?;
     file.sync_data()
 }
@@ -593,7 +597,7 @@ pub fn sync_data(tag: &'static str, file: &File) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn sync_all(tag: &'static str, file: &File) -> std::io::Result<()> {
+pub(crate) fn sync_all(tag: &'static str, file: &File) -> std::io::Result<()> {
     check(tag, OpClass::Fsync)?;
     file.sync_all()
 }
@@ -603,7 +607,7 @@ pub fn sync_all(tag: &'static str, file: &File) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Injected faults or real I/O errors.
-pub fn rename(tag: &'static str, from: &Path, to: &Path) -> std::io::Result<()> {
+pub(crate) fn rename(tag: &'static str, from: &Path, to: &Path) -> std::io::Result<()> {
     check(tag, OpClass::Rename)?;
     std::fs::rename(from, to)
 }

@@ -73,14 +73,7 @@ pub mod spec;
 pub mod top;
 pub mod trace;
 
-pub use artifacts::{ArtifactRecord, ArtifactTracker};
-pub use coord::{
-    CampaignStatus, CoordConfig, CoordConfigError, Coordinator, KindCounts, TaskKinds,
-};
-pub use io::RetryPolicy;
-pub use profile::{CheckMode, Profile, WorkerProfile};
-pub use quarantine::QuarantineRecord;
-pub use runner::{CampaignOutcome, CoordMode, RunnerConfig, TrialRecord};
-pub use spec::{
-    Campaign, CellGrid, MetricSpec, Scenario, SpecError, StudySpec, SystemKind, Trials,
-};
+pub use artifacts::ArtifactTracker;
+pub use coord::CoordConfig;
+pub use runner::{CampaignOutcome, CoordMode, RunnerConfig};
+pub use spec::{Campaign, Scenario, SystemKind, Trials};

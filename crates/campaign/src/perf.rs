@@ -23,35 +23,35 @@ use crate::fmt::json;
 use crate::profile::{self, CheckMode};
 
 /// Record schema version.
-pub const PERF_SCHEMA: u64 = 1;
+pub(crate) const PERF_SCHEMA: u64 = 1;
 
 /// Phases below this per-trial baseline cost (µs) are excluded from
 /// the per-phase gate: they are measurement noise at quick scales.
-pub const PHASE_GATE_FLOOR_US: f64 = 100.0;
+pub(crate) const PHASE_GATE_FLOOR_US: f64 = 100.0;
 
 /// One folded perf record: what the ledger stores and the gate
 /// compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRecord {
     /// Scenario name (from the campaign manifest).
-    pub name: String,
+    pub(crate) name: String,
     /// Scenario scale, rendered (`Smoke`/`Bench`/`Full`).
-    pub scale: String,
+    pub(crate) scale: String,
     /// Execution-mode tag: `per-obs` (default), `batched`, or any
     /// label the measuring pipeline chooses.
-    pub mode: String,
+    pub(crate) mode: String,
     /// Completed trial spans across all workers.
-    pub trials: u64,
+    pub(crate) trials: u64,
     /// Campaign wall window (s), earliest to latest event.
-    pub wall_s: f64,
+    pub(crate) wall_s: f64,
     /// Observed aggregate completion rate.
     pub trials_per_s: f64,
     /// Total wall-clock per phase, seconds (spans + timers:
     /// `trial`, `train`, `eval`, `aggregate`, `io`, …).
-    pub phase_s: BTreeMap<String, f64>,
+    pub(crate) phase_s: BTreeMap<String, f64>,
     /// Per-trial phase cost in µs — the scale-independent number the
     /// gate compares.
-    pub phase_us_per_trial: BTreeMap<String, f64>,
+    pub(crate) phase_us_per_trial: BTreeMap<String, f64>,
 }
 
 impl PerfRecord {
@@ -79,7 +79,7 @@ impl PerfRecord {
     /// # Errors
     ///
     /// A missing or mistyped field.
-    pub fn from_value(v: &Value) -> Result<PerfRecord, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<PerfRecord, String> {
         let str_field = |k: &str| {
             v.get(k)
                 .and_then(Value::as_str)

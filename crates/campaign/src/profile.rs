@@ -10,7 +10,7 @@
 //! will it finish.
 //!
 //! This module also owns the one obs event decoder: [`decode`] turns
-//! a line into a typed [`Event`], and [`worker_streams`] lists a
+//! a line into a typed [`Event`], and `worker_streams` lists a
 //! directory's streams. `campaign profile`, `trace`, `top` and `perf`
 //! are all folds over those events, so the schema and its readers
 //! cannot drift apart. The decoder lives here rather than next to the
@@ -64,18 +64,18 @@ pub struct WorkerProfile {
     pub counters: BTreeMap<String, u64>,
     /// Merged histograms: name → power-of-two buckets
     /// ([`frlfi_obs::HIST_BUCKETS`] wide).
-    pub hists: BTreeMap<String, Vec<u64>>,
+    pub(crate) hists: BTreeMap<String, Vec<u64>>,
     /// Exact histogram maxima: name → largest recorded value (v2
     /// streams; 0 for v1 streams, whose overflow bucket lost the
     /// tail).
-    pub hist_max: BTreeMap<String, u64>,
+    pub(crate) hist_max: BTreeMap<String, u64>,
     /// Earliest and latest event timestamps (ms since epoch; 0,0 when
     /// the stream had no events) — the worker's observed wall window.
-    pub first_ts_ms: u64,
+    pub(crate) first_ts_ms: u64,
     /// See [`WorkerProfile::first_ts_ms`].
-    pub last_ts_ms: u64,
+    pub(crate) last_ts_ms: u64,
     /// Event lines folded.
-    pub events: u64,
+    pub(crate) events: u64,
 }
 
 /// Widens the wall window `first..=last` (ms since epoch; 0 = unset)
@@ -143,7 +143,7 @@ impl WorkerProfile {
     }
 
     /// The worker's observed wall window in seconds.
-    pub fn window_s(&self) -> f64 {
+    pub(crate) fn window_s(&self) -> f64 {
         self.last_ts_ms.saturating_sub(self.first_ts_ms) as f64 / 1e3
     }
 }
@@ -177,7 +177,7 @@ impl Profile {
 
     /// Campaign-level wall window (s): earliest to latest event across
     /// all workers.
-    pub fn window_s(&self) -> f64 {
+    pub(crate) fn window_s(&self) -> f64 {
         let first =
             self.workers.iter().map(|w| w.first_ts_ms).filter(|&t| t > 0).min().unwrap_or(0);
         let last = self.workers.iter().map(|w| w.last_ts_ms).max().unwrap_or(0);
@@ -192,7 +192,7 @@ impl Profile {
     }
 
     /// Counter totals summed across workers.
-    pub fn counter_totals(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn counter_totals(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for w in &self.workers {
             for (name, &n) in &w.counters {
@@ -221,7 +221,7 @@ impl Profile {
 
     /// Exact histogram maxima merged across workers (0 for a
     /// histogram only ever seen in v1 streams).
-    pub fn hist_max_totals(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn hist_max_totals(&self) -> BTreeMap<String, u64> {
         let mut out: BTreeMap<String, u64> = BTreeMap::new();
         for w in &self.workers {
             for (name, &m) in &w.hist_max {
@@ -311,7 +311,7 @@ pub enum Event {
 
 impl Event {
     /// The wall-clock stamp (ms since the Unix epoch).
-    pub fn ts_ms(&self) -> u64 {
+    pub(crate) fn ts_ms(&self) -> u64 {
         match self {
             Event::Meta { ts_ms, .. }
             | Event::Span { ts_ms, .. }
@@ -438,7 +438,7 @@ pub(crate) const OBS_SKIP: &str = "telemetry only — campaign results are unaff
 /// # Errors
 ///
 /// I/O failures listing `obs/`.
-pub fn worker_streams(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+pub(crate) fn worker_streams(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
     let obs_dir = dir.join(OBS_DIR);
     let entries = match std::fs::read_dir(&obs_dir) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -497,7 +497,7 @@ pub fn load_dir(dir: &Path, mode: CheckMode) -> Result<Profile, String> {
 /// trials, and each worker's observed completion rate. `prefix s` is
 /// the part of `train s` spent obtaining fault-free training prefixes
 /// (cache lookups, and the chain training of cache misses).
-pub fn render_profile_table(profile: &Profile) -> Table {
+pub(crate) fn render_profile_table(profile: &Profile) -> Table {
     let columns =
         ["trials", "trial s", "train s", "prefix s", "eval s", "agg s", "io s", "trial/s"]
             .map(String::from)

@@ -3,7 +3,7 @@
 //!
 //! A trial whose *evaluation* is deterministic can still be
 //! undeliverable: if every attempt to append its record exhausts the
-//! [`crate::io::with_retry`] budget (a genuinely failing disk, or a
+//! `crate::io::with_retry` budget (a genuinely failing disk, or a
 //! persistent injected fault), killing the worker would also abandon
 //! every healthy trial behind it in the queue. Instead the worker
 //! **quarantines** the trial — appends a durable record here and
@@ -39,7 +39,7 @@ use serde::{Map, Value};
 use crate::fmt::json;
 
 /// File name of the quarantine log inside a campaign directory.
-pub const QUARANTINE_FILE: &str = "quarantine.jsonl";
+pub(crate) const QUARANTINE_FILE: &str = "quarantine.jsonl";
 
 /// Which kind of task a quarantine record poisons.
 ///
@@ -74,17 +74,17 @@ pub struct QuarantineRecord {
     pub kind: QuarantineKind,
     /// Flat trial index (`cell * repeats + repeat`) for trial records;
     /// the model index for train records.
-    pub trial: usize,
+    pub(crate) trial: usize,
     /// Cell index (row-major in the campaign's grid).
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// Repeat index within the cell.
-    pub repeat: usize,
+    pub(crate) repeat: usize,
     /// Worker that exhausted its retries.
-    pub worker: String,
+    pub(crate) worker: String,
     /// The final error, after the retry budget was spent.
     pub error: String,
     /// When the trial was quarantined (ms since the Unix epoch).
-    pub ts_ms: u64,
+    pub(crate) ts_ms: u64,
 }
 
 impl QuarantineRecord {
@@ -137,7 +137,7 @@ impl QuarantineRecord {
 /// # Errors
 ///
 /// Returns a message on I/O failure; callers warn and continue.
-pub fn append(dir: &Path, record: &QuarantineRecord) -> Result<(), String> {
+pub(crate) fn append(dir: &Path, record: &QuarantineRecord) -> Result<(), String> {
     let path = dir.join(QUARANTINE_FILE);
     let mut file = std::fs::OpenOptions::new()
         .create(true)

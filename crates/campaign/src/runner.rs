@@ -158,15 +158,15 @@ impl Drop for ObsSession {
 
 /// One persisted trial result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrialRecord {
+pub(crate) struct TrialRecord {
     /// Cell index (row-major in the campaign's grid).
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// Repeat index within the cell.
-    pub repeat: usize,
+    pub(crate) repeat: usize,
     /// The derived seed the trial ran with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The trial's metric value.
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 impl TrialRecord {
@@ -1272,7 +1272,7 @@ fn fxhash(bytes: &[u8]) -> u64 {
 /// (row-major in the scenario's grid), with the PR 2 `CellStats`
 /// spread columns — mean, min, max and the 95% confidence-interval
 /// half-width of the mean — that the standard means grid omits.
-pub fn render_wide_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
+pub(crate) fn render_wide_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
     let title = format!(
         "Campaign {} ({:?} scale): per-cell spread over {} repeats",
         campaign.scenario.name, campaign.scenario.scale, campaign.repeats,
@@ -1300,7 +1300,7 @@ pub fn render_wide_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
 }
 
 /// Renders campaign statistics in the scenario's grid layout.
-pub fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
+pub(crate) fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
     let title = format!(
         "Campaign {} ({:?} scale): {}",
         campaign.scenario.name,

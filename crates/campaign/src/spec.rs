@@ -57,7 +57,7 @@ pub enum SystemKind {
 
 /// Fault side, spec-level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SideKind {
+pub(crate) enum SideKind {
     /// One agent's policy memory.
     Agent,
     /// Server memory during aggregation.
@@ -75,7 +75,7 @@ impl SideKind {
 
 /// Fault model, spec-level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModelKind {
+pub(crate) enum ModelKind {
     /// Independent transient multi-bit flips (the paper's default).
     TransientMulti,
     /// Bits stuck at 0.
@@ -96,7 +96,7 @@ impl ModelKind {
 
 /// Fault-surface representation, spec-level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReprSpec {
+pub(crate) enum ReprSpec {
     /// Symmetric int8 codes fit at injection time (deployment format).
     Int8,
     /// Raw IEEE-754 f32.
@@ -123,16 +123,16 @@ impl ReprSpec {
 
 /// Environment options.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnvSpec {
+pub(crate) struct EnvSpec {
     /// Layout family — GridWorld maze jitter or DroneNav oscillating
     /// obstacles, depending on the scenario's system.
-    pub layout: LayoutKind,
+    pub(crate) layout: LayoutKind,
     /// Obstacle-motion parameters for DroneNav
     /// [`LayoutKind::DynamicObstacles`] layouts: how far and how fast
     /// the obstacles oscillate. `None` = the environment default
     /// (byte-identical to pre-knob campaigns); sweeping it varies the
     /// non-stationarity strength.
-    pub motion: Option<MotionSpec>,
+    pub(crate) motion: Option<MotionSpec>,
 }
 
 impl Default for EnvSpec {
@@ -143,11 +143,11 @@ impl Default for EnvSpec {
 
 /// Obstacle-motion parameters, spec-level (DroneNav dynamic layouts).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MotionSpec {
+pub(crate) struct MotionSpec {
     /// Peak displacement from an obstacle's base position, metres.
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
     /// Oscillation period in environment steps.
-    pub period: f64,
+    pub(crate) period: f64,
 }
 
 impl MotionSpec {
@@ -158,7 +158,7 @@ impl MotionSpec {
 
 /// Layout family, spec-level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayoutKind {
+pub(crate) enum LayoutKind {
     /// The paper's fixed mazes / static corridors.
     Standard,
     /// GridWorld: obstacles re-jitter every episode. DroneNav:
@@ -193,13 +193,13 @@ pub struct FleetSpec {
     /// injected mid-training.
     pub agents_sweep: Vec<usize>,
     /// Per-round agent/drone-dropout probability, in `[0, 1)`.
-    pub dropout: Option<f64>,
+    pub(crate) dropout: Option<f64>,
     /// When non-empty, the campaign sweeps the communication schedule
     /// as a cell axis (DroneNav, Fig. 6b): multiplier `m` stretches the
     /// interval `m`× from 3/5 of fine-tuning on (`1` = every episode
     /// throughout). Each row runs fault-free, then with a BER 1e-2
     /// fault on each side halfway through the stretched phase.
-    pub comm_boosts: Vec<usize>,
+    pub(crate) comm_boosts: Vec<usize>,
 }
 
 /// Fault options. Empty vectors mean "use the per-scale geometry
@@ -207,18 +207,18 @@ pub struct FleetSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Which side the fault strikes.
-    pub side: SideKind,
+    pub(crate) side: SideKind,
     /// Fault model.
-    pub model: ModelKind,
+    pub(crate) model: ModelKind,
     /// Fault-surface representation.
-    pub repr: ReprSpec,
+    pub(crate) repr: ReprSpec,
     /// BER grid (empty = geometry default).
     pub bers: Vec<f64>,
     /// Injection episodes (empty = geometry default).
     pub inject_episodes: Vec<usize>,
     /// When non-empty, the campaign sweeps these sides as a cell axis
     /// instead of striking `side` only.
-    pub sides: Vec<SideKind>,
+    pub(crate) sides: Vec<SideKind>,
 }
 
 impl Default for FaultSpec {
@@ -244,12 +244,12 @@ pub struct TrainSpec {
     /// Flight-distance evaluation attempts (DroneNav).
     pub eval_attempts: Option<usize>,
     /// Reported metric (GridWorld; `None` = the success rate).
-    pub metric: Option<MetricSpec>,
+    pub(crate) metric: Option<MetricSpec>,
 }
 
 /// What a GridWorld trial reports instead of its success rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricSpec {
+pub(crate) enum MetricSpec {
     /// Training episodes until the greedy success rate is back at 96%
     /// (Fig. 3e), checked every 20/25/50 episodes (smoke/bench/full)
     /// for at most twice the training episodes. The fault defaults to
@@ -283,7 +283,7 @@ impl MitigationSpec {
 /// model-training tasks that publish weight artifacts, plus eval tasks
 /// gated on those artifacts — instead of a flat train-per-trial sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StudySpec {
+pub(crate) enum StudySpec {
     /// Fig. 4: fleet-size resilience vs the single-agent baseline.
     Fig4,
     /// Fig. 8a: GridWorld inference mitigation (range detection).
@@ -298,7 +298,7 @@ pub enum StudySpec {
 
 impl StudySpec {
     /// The core-crate study this spec selects.
-    pub fn kind(self) -> StudyKind {
+    pub(crate) fn kind(self) -> StudyKind {
         match self {
             StudySpec::Fig4 => StudyKind::Fig4,
             StudySpec::Fig8a => StudyKind::Fig8Grid,
@@ -309,7 +309,7 @@ impl StudySpec {
     }
 
     /// The system the study runs on (fixed per study).
-    pub fn system(self) -> SystemKind {
+    pub(crate) fn system(self) -> SystemKind {
         match self {
             StudySpec::Fig8b => SystemKind::DroneNav,
             _ => SystemKind::GridWorld,
@@ -328,15 +328,15 @@ pub struct Scenario {
     pub scale: Scale,
     /// Train-once / eval-many study (`None` = a classic sweep where
     /// every trial trains its own model).
-    pub study: Option<StudySpec>,
+    pub(crate) study: Option<StudySpec>,
     /// Repeats per cell (`None` = geometry default).
     pub repeats: Option<usize>,
     /// Campaign master seed (`None` = the experiments' default).
     pub master_seed: Option<u64>,
     /// System-construction seed (`None` = the experiments' default).
-    pub system_seed: Option<u64>,
+    pub(crate) system_seed: Option<u64>,
     /// Environment options.
-    pub env: EnvSpec,
+    pub(crate) env: EnvSpec,
     /// Fleet options.
     pub fleet: FleetSpec,
     /// Fault options.
@@ -368,7 +368,7 @@ impl Scenario {
 
     /// A train-once / eval-many study scenario skeleton at `scale`,
     /// on the study's system.
-    pub fn study(name: impl Into<String>, study: StudySpec, scale: Scale) -> Self {
+    pub(crate) fn study(name: impl Into<String>, study: StudySpec, scale: Scale) -> Self {
         let mut s = Scenario::new(name, study.system(), scale);
         s.study = Some(study);
         s
@@ -840,7 +840,7 @@ fn merge_missing(dst: &mut serde::Value, defaults: &serde::Value) {
 
 /// The cell-axis structure, for labelling results.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CellGrid {
+pub(crate) enum CellGrid {
     /// Rows = BERs, columns = injection episodes (the heatmap layout).
     BerByEpisode {
         /// Row axis.
@@ -858,16 +858,6 @@ pub enum CellGrid {
         /// Column headers.
         cols: Vec<String>,
     },
-}
-
-impl CellGrid {
-    /// Rows × columns — must equal the trial count.
-    pub fn cell_count(&self) -> usize {
-        match self {
-            CellGrid::BerByEpisode { bers, episodes } => bers.len() * episodes.len(),
-            CellGrid::Labelled { rows, cols, .. } => rows.len() * cols.len(),
-        }
-    }
 }
 
 /// The concrete trial cells of an expanded campaign.
@@ -908,8 +898,8 @@ pub struct Campaign {
     /// Master seed of the `derive_seed` scheme.
     pub master_seed: u64,
     /// Cell-axis structure.
-    pub grid: CellGrid,
-    /// The cells, row-major with respect to [`Campaign::grid`].
+    pub(crate) grid: CellGrid,
+    /// The cells, row-major with respect to `Campaign::grid`.
     pub trials: Trials,
     /// Fault-free training prefixes shared by this campaign's trials,
     /// trained on first use.
@@ -919,7 +909,7 @@ pub struct Campaign {
 impl Campaign {
     /// Total `(cell × repeat)` trial count. Model-training tasks are
     /// *not* trials: they prefix the task id space (see
-    /// [`Campaign::n_models`]) and publish artifacts, not records.
+    /// `Campaign::n_models`) and publish artifacts, not records.
     pub fn total_trials(&self) -> usize {
         self.trials.len() * self.repeats
     }
@@ -935,7 +925,7 @@ impl Campaign {
     /// Number of model-training tasks that precede the eval trials in
     /// the task id space (`0` for classic sweep campaigns, where every
     /// trial trains its own model).
-    pub fn n_models(&self) -> usize {
+    pub(crate) fn n_models(&self) -> usize {
         self.study().map_or(0, |g| g.models().len())
     }
 
@@ -998,6 +988,17 @@ impl Campaign {
                     g.kind.name()
                 ),
             }),
+        }
+    }
+}
+
+#[cfg(test)]
+impl CellGrid {
+    /// Rows × columns — must equal the trial count.
+    pub(crate) fn cell_count(&self) -> usize {
+        match self {
+            CellGrid::BerByEpisode { bers, episodes } => bers.len() * episodes.len(),
+            CellGrid::Labelled { rows, cols, .. } => rows.len() * cols.len(),
         }
     }
 }

@@ -7,8 +7,7 @@
 //! `claims.jsonl`, `quarantine.jsonl` and every `obs/worker-*.jsonl`
 //! stream keeps a per-file byte offset and each tick folds **only the
 //! appended bytes** — a tick against an idle campaign reads zero log
-//! bytes however large the logs have grown (the [`Frame`] reports the
-//! exact count, which is how the incremental property is tested).
+//! bytes however large the logs have grown.
 //!
 //! Per worker, a frame shows the last completed phase span and trial,
 //! completed-trial count and observed rate, heartbeat age (claim
@@ -116,16 +115,6 @@ pub struct TopState {
     obs: BTreeMap<String, (JsonlTailReader, WorkerView)>,
 }
 
-/// One rendered frame plus its read-cost accounting.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// The rendered dashboard text.
-    pub text: String,
-    /// Log bytes consumed by this tick across every tailed file —
-    /// zero when nothing was appended since the previous tick.
-    pub bytes_read: u64,
-}
-
 impl TopState {
     /// Opens campaign directory `dir`: reads the manifest once; all
     /// log folding happens per [`tick`](TopState::tick).
@@ -163,18 +152,15 @@ impl TopState {
         }
     }
 
-    /// Folds everything appended since the last tick and renders a
-    /// frame.
+    /// Folds everything appended since the last tick and renders the
+    /// dashboard text.
     ///
     /// # Errors
     ///
     /// I/O failures reading a tailed log (missing files are fine —
     /// they simply have not been created yet).
-    pub fn tick(&mut self) -> Result<Frame, String> {
+    pub fn tick(&mut self) -> Result<String, String> {
         self.discover_obs();
-        let mut bytes = 0u64;
-
-        let before = self.trials_tail.offset();
         let completed = &mut self.completed;
         self.trials_tail.refresh(VIEW_SKIP, |v| {
             let v = v?;
@@ -188,9 +174,7 @@ impl TopState {
             }
             Err(FoldError::Skip("trial record missing cell/repeat".into()))
         })?;
-        bytes += self.trials_tail.offset() - before;
 
-        let before = self.claims_tail.offset();
         let claim_seen = &mut self.claim_seen;
         self.claims_tail.refresh(VIEW_SKIP, |v| {
             let v = v?;
@@ -204,9 +188,7 @@ impl TopState {
             }
             Ok(())
         })?;
-        bytes += self.claims_tail.offset() - before;
 
-        let before = self.quarantine_tail.offset();
         let qcount = &mut self.quarantine_records;
         self.quarantine_tail.refresh(VIEW_SKIP, |v| {
             if v?.get("kind").and_then(Value::as_str).is_some() {
@@ -214,18 +196,15 @@ impl TopState {
             }
             Ok(())
         })?;
-        bytes += self.quarantine_tail.offset() - before;
 
         for (tail, view) in self.obs.values_mut() {
-            let before = tail.offset();
             tail.refresh(OBS_SKIP, |line| {
                 view.fold(decode(&line?)?);
                 Ok(())
             })?;
-            bytes += tail.offset() - before;
         }
 
-        Ok(Frame { text: self.render(), bytes_read: bytes })
+        Ok(self.render())
     }
 
     fn render(&self) -> String {
@@ -328,15 +307,14 @@ impl TopState {
 pub fn run(dir: &Path, opts: &TopOptions) -> Result<(), String> {
     let mut state = TopState::new(dir)?;
     if opts.once {
-        let frame = state.tick()?;
-        print!("{}", frame.text);
+        print!("{}", state.tick()?);
         return Ok(());
     }
     loop {
         let frame = state.tick()?;
         // Clear screen + home, then the frame: flicker-free enough
         // at one frame per second without pulling in a TUI stack.
-        print!("\x1b[2J\x1b[H{}", frame.text);
+        print!("\x1b[2J\x1b[H{frame}");
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms.max(100)));
@@ -363,6 +341,13 @@ mod tests {
         std::fs::write(dir.join("campaign.toml"), scenario.to_toml()).unwrap();
     }
 
+    /// Log bytes the state has consumed so far across every tailed file.
+    fn consumed(state: &TopState) -> u64 {
+        let tails = [&state.trials_tail, &state.claims_tail, &state.quarantine_tail];
+        tails.iter().map(|t| t.offset()).sum::<u64>()
+            + state.obs.values().map(|(t, _)| t.offset()).sum::<u64>()
+    }
+
     #[test]
     fn ticks_read_only_appended_bytes() {
         let dir = tmpdir("incremental");
@@ -380,20 +365,21 @@ mod tests {
 
         let mut state = TopState::new(&dir).unwrap();
         let first = state.tick().unwrap();
-        assert!(first.bytes_read > 0);
-        assert!(first.text.contains("w0"), "{}", first.text);
+        let read = consumed(&state);
+        assert!(read > 0);
+        assert!(first.contains("w0"), "{first}");
 
         // Nothing appended: the next tick must read zero bytes.
-        let second = state.tick().unwrap();
-        assert_eq!(second.bytes_read, 0, "idle tick re-read log bytes");
+        state.tick().unwrap();
+        assert_eq!(consumed(&state), read, "idle tick re-read log bytes");
 
         // One appended line: the third tick reads exactly that line.
         let line = r#"{"v":2,"kind":"span","name":"trial","trial":1,"dur_us":5,"ts_ms":3000,"id":2,"tid":1,"mono_us":20}"#;
         writeln!(f, "{line}").unwrap();
         f.flush().unwrap();
         let third = state.tick().unwrap();
-        assert_eq!(third.bytes_read, line.len() as u64 + 1);
-        assert!(third.text.contains(" 2 "), "two trials now: {}", third.text);
+        assert_eq!(consumed(&state) - read, line.len() as u64 + 1);
+        assert!(third.contains(" 2 "), "two trials now: {third}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -438,13 +424,13 @@ mod tests {
         .unwrap();
         let mut state = TopState::new(&dir).unwrap();
         let frame = state.tick().unwrap();
-        assert!(frame.text.contains("w0"), "{}", frame.text);
-        assert!(frame.text.contains("quarantine records: 1"), "{}", frame.text);
+        assert!(frame.contains("w0"), "{frame}");
+        assert!(frame.contains("quarantine records: 1"), "{frame}");
         // w1 is ~100× slower than w0; with two workers the z-score of
         // the slow one is -1 (population σ of two points), so assert
         // the columns render rather than the flag fire here.
-        assert!(frame.text.contains("chaos"), "{}", frame.text);
-        let w1_line = frame.text.lines().find(|l| l.starts_with("w1")).unwrap();
+        assert!(frame.contains("chaos"), "{frame}");
+        let w1_line = frame.lines().find(|l| l.starts_with("w1")).unwrap();
         assert!(w1_line.contains('3') && w1_line.contains('4'), "{w1_line}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -426,8 +426,8 @@ fn v1_fixture_mixes_with_a_v2_run_in_profile_trace_and_top() {
     // a row and the finished campaign reads complete.
     let mut state = top::TopState::new(&dir).expect("top state");
     let frame = state.tick().expect("tick");
-    assert!(frame.text.contains("v1"), "{}", frame.text);
-    assert!(frame.text.contains("campaign complete"), "{}", frame.text);
+    assert!(frame.contains("v1"), "{frame}");
+    assert!(frame.contains("campaign complete"), "{frame}");
     let (ok, out, err) = run_cli(&["top", dir_s, "--once"]);
     assert!(ok, "{out}\n{err}");
     assert!(out.contains("campaign complete"), "{out}");

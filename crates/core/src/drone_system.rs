@@ -166,7 +166,7 @@ impl DroneFrlSystem {
     /// # Errors
     ///
     /// Propagates restore failures on length mismatch.
-    pub fn set_fleet_weights(&mut self, weights: &[f32]) -> Result<(), FrlfiError> {
+    pub(crate) fn set_fleet_weights(&mut self, weights: &[f32]) -> Result<(), FrlfiError> {
         for d in &mut self.agents {
             d.network_mut().restore(weights)?;
         }

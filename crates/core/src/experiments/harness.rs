@@ -174,7 +174,7 @@ impl PretrainedWeights {
     }
 
     /// The weights, pre-training on first call.
-    pub fn get(&self) -> &[f32] {
+    pub(crate) fn get(&self) -> &[f32] {
         self.cell.get_or_init(|| drone_pretrained_weights(self.pretrain_episodes))
     }
 }
@@ -277,20 +277,6 @@ impl GridTrial {
     #[must_use]
     pub fn with_fault(mut self, fault: TrialFault) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Enables training-time mitigation.
-    #[must_use]
-    pub fn with_mitigation(mut self, m: TrainingMitigation) -> Self {
-        self.mitigation = Some(m);
-        self
-    }
-
-    /// Sets the reported metric.
-    #[must_use]
-    pub fn with_metric(mut self, metric: GridMetric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -543,29 +529,6 @@ impl DroneTrial {
     #[must_use]
     pub fn with_mitigation(mut self, m: TrainingMitigation) -> Self {
         self.mitigation = Some(m);
-        self
-    }
-
-    /// Sets the communication schedule.
-    #[must_use]
-    pub fn with_comm(mut self, comm: DroneComm) -> Self {
-        self.comm = comm;
-        self
-    }
-
-    /// Sets the corridor layout family.
-    #[must_use]
-    pub fn with_layout(mut self, layout: DroneLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Sets explicit obstacle-motion parameters (and the dynamic
-    /// layout they animate).
-    #[must_use]
-    pub fn with_motion(mut self, motion: frlfi_envs::ObstacleMotion) -> Self {
-        self.layout = DroneLayout::DynamicObstacles;
-        self.motion = Some(motion);
         self
     }
 
@@ -830,13 +793,17 @@ mod tests {
         // fires on both sides, so the digests pin checkpoint restores
         // of single agents and of the whole fleet (taken, like those,
         // after the checkpoint stopped storing skipped rounds).
-        let t = GridTrial { system_seed: 7, dropout: Some(0.4), ..GridTrial::new(3, 60) }
-            .with_mitigation(TrainingMitigation {
+        let t = GridTrial {
+            system_seed: 7,
+            dropout: Some(0.4),
+            mitigation: Some(TrainingMitigation {
                 p_percent: 10.0,
                 k_consecutive: 2,
                 checkpoint_interval: 1,
-            })
-            .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 30, 0.1));
+            }),
+            ..GridTrial::new(3, 60)
+        }
+        .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 30, 0.1));
         let pins = [
             (3u64, 0xff5e_b2a8_88d9_bbc6u64, (29usize, 4usize)),
             (17, 0x492b_6d43_b6c9_d6fe, (27, 6)),
@@ -864,13 +831,18 @@ mod tests {
         // unchanged when specs start carrying explicit motion.
         let g = drone_geometry(Scale::Smoke);
         let weights = PretrainedWeights::lazy(g.pretrain_episodes);
-        let normalized = DroneTrial::new(&g, weights.clone(), 2)
-            .with_layout(DroneLayout::DynamicObstacles)
-            .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
-        let explicit = DroneTrial::new(&g, weights, 2)
-            .with_motion(frlfi_envs::ObstacleMotion::default())
-            .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
-        assert_eq!(explicit.layout, DroneLayout::DynamicObstacles);
+        let fault = TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2);
+        let normalized = DroneTrial {
+            layout: DroneLayout::DynamicObstacles,
+            ..DroneTrial::new(&g, weights.clone(), 2)
+        }
+        .with_fault(fault);
+        let explicit = DroneTrial {
+            layout: DroneLayout::DynamicObstacles,
+            motion: Some(frlfi_envs::ObstacleMotion::default()),
+            ..DroneTrial::new(&g, weights, 2)
+        }
+        .with_fault(fault);
         assert_eq!(drone(&normalized, 11).to_bits(), drone(&explicit, 11).to_bits());
     }
 }

@@ -61,15 +61,6 @@ pub enum StudyKind {
 }
 
 impl StudyKind {
-    /// Every study, in scenario-name order.
-    pub const ALL: [StudyKind; 5] = [
-        StudyKind::Datatypes,
-        StudyKind::Fig4,
-        StudyKind::Fig8Grid,
-        StudyKind::Fig8Drone,
-        StudyKind::Layers,
-    ];
-
     /// Stable scenario name (also the builtin campaign-scenario name).
     pub fn name(self) -> &'static str {
         match self {
@@ -81,15 +72,10 @@ impl StudyKind {
         }
     }
 
-    /// Parses a [`name`](Self::name) back into a kind.
-    pub fn parse(s: &str) -> Option<StudyKind> {
-        StudyKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-
     /// Per-cell seed salt (XORed into [`DEFAULT_SEED`]), the same salt
     /// the pre-refactor sequential drivers passed to their
     /// `mean_over_repeats` seed scheme (now a test oracle here).
-    pub fn salt(self) -> u64 {
+    pub(crate) fn salt(self) -> u64 {
         match self {
             StudyKind::Fig4 => 0xF164,
             StudyKind::Fig8Grid => 0x8A,
@@ -273,7 +259,7 @@ pub enum StudyModel {
 impl StudyModel {
     /// Number of weight planes [`train`](Self::train) publishes (one
     /// per agent — fleet members diverge, so each keeps its own plane).
-    pub fn n_planes(&self) -> usize {
+    pub(crate) fn n_planes(&self) -> usize {
         match *self {
             StudyModel::Grid { n_agents, .. } => n_agents,
             StudyModel::Drone { n_drones, .. } => n_drones,
@@ -359,11 +345,11 @@ pub struct StudyGeometry {
     /// Which study this is.
     pub kind: StudyKind,
     /// Table title (byte-exact figure header).
-    pub title: String,
+    pub(crate) title: String,
     /// Label of the row-key column.
-    pub row_label: String,
+    pub(crate) row_label: String,
     /// Value formatting precision.
-    pub precision: usize,
+    pub(crate) precision: usize,
     /// Rendered row keys, in row order.
     pub row_keys: Vec<String>,
     /// Column headers.
@@ -388,7 +374,7 @@ pub struct StudyGeometry {
 
 impl StudyGeometry {
     /// Number of rows.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.row_keys.len()
     }
 
@@ -424,11 +410,11 @@ impl StudyGeometry {
     }
 
     /// The evaluation seed of repeat `repeat` in cell `cell`.
-    pub fn trial_seed(&self, cell: usize, repeat: usize) -> u64 {
+    pub(crate) fn trial_seed(&self, cell: usize, repeat: usize) -> u64 {
         derive_seed(self.master_seed(), (self.seed_index(cell) * self.repeats + repeat) as u64)
     }
 
-    /// [`trial_seed`](Self::trial_seed) by flat eval index
+    /// `trial_seed` by flat eval index
     /// (`cell * repeats + repeat`), the campaign stack's task indexing.
     pub fn trial_seed_flat(&self, flat: usize) -> u64 {
         self.trial_seed(flat / self.repeats, flat % self.repeats)
@@ -784,14 +770,6 @@ mod tests {
         let expect: Vec<u64> =
             (0..4).map(|r| derive_seed(DEFAULT_SEED ^ 0x5A17, (3 * 4 + r) as u64)).collect();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for kind in StudyKind::ALL {
-            assert_eq!(StudyKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(StudyKind::parse("fig3a"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use frlfi_nn::BatchInferCtx;
 use frlfi_rl::Learner;
 
 /// Agent counts evaluated at each scale (the paper uses 1/4/8/12).
-pub fn agent_counts(scale: Scale) -> Vec<usize> {
+pub(crate) fn agent_counts(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Smoke => vec![1, 3],
         Scale::Bench => vec![1, 4, 8],

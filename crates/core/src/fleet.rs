@@ -144,10 +144,9 @@ impl Mitigation {
                 (0..agents.len()).collect()
             }
         };
-        for i in flagged {
-            let mut buf = agents[i].network().snapshot();
-            if self.checkpoint.restore_into(&mut buf) {
-                agents[i].network_mut().restore(&buf)?;
+        if let Some(weights) = self.checkpoint.stored() {
+            for i in flagged {
+                agents[i].network_mut().restore(weights)?;
             }
         }
         Ok(())
@@ -176,7 +175,7 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
     }
 
     /// Total training episodes completed so far.
-    pub fn episodes_done(&self) -> usize {
+    pub(crate) fn episodes_done(&self) -> usize {
         self.episodes_done
     }
 
@@ -223,7 +222,7 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
     /// Drops every agent's layer input caches ([`frlfi_nn::Network::eval_mode`]),
     /// shrinking resident memory for the eval-only phase of a campaign
     /// trial. Training transparently re-caches.
-    pub fn eval_mode(&mut self) {
+    pub(crate) fn eval_mode(&mut self) {
         for agent in &mut self.agents {
             agent.network_mut().eval_mode();
         }
@@ -471,7 +470,7 @@ impl<C: FleetConfig> FleetPrefix<C> {
     }
 
     /// Where the snapshot was taken.
-    pub fn stop(&self) -> Stop {
+    pub(crate) fn stop(&self) -> Stop {
         self.stop
     }
 }

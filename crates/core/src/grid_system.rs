@@ -123,7 +123,7 @@ impl GridFrlSystem {
     /// Average success rate of all agents under greedy exploitation —
     /// the paper's `SR = (1/n) Σ SRᵢ` — on `ctx`'s arena. GridWorld is
     /// deterministic, so a single greedy attempt per agent fully
-    /// determines `SRᵢ` (see [`GridFrlSystem::eval_outcomes`]).
+    /// determines `SRᵢ` (see `GridFrlSystem::eval_outcomes`).
     pub fn success_rate(&mut self, ctx: &mut BatchInferCtx) -> f64 {
         crate::metrics::success_rate_of(&self.eval_outcomes(ctx))
     }
@@ -140,7 +140,7 @@ impl GridFrlSystem {
     /// own environment and RNG stream, and every batched action is
     /// bit-identical to single-observation greedy selection, so the
     /// grouping never changes an outcome.
-    pub fn eval_outcomes(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
+    pub(crate) fn eval_outcomes(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
         let n = self.cfg.n_agents;
         let seed = self.cfg.seed;
         // Group agents by bit-identical parameter vectors (ascending
@@ -189,7 +189,7 @@ impl GridFrlSystem {
     /// # Errors
     ///
     /// Propagates training failures.
-    pub fn episodes_to_converge(
+    pub(crate) fn episodes_to_converge(
         &mut self,
         threshold: f64,
         check_every: usize,
@@ -274,7 +274,7 @@ impl GridFrlSystem {
 
     /// Samples the observation space together with each state's
     /// improving-action mask (Table I's differentiation probes).
-    pub fn sample_probes(&self) -> Vec<(Tensor, [bool; 4])> {
+    pub(crate) fn sample_probes(&self) -> Vec<(Tensor, [bool; 4])> {
         let mut probes = Vec::new();
         for env in &self.envs {
             for r in 0..GRID_SIZE {

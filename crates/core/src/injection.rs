@@ -24,7 +24,7 @@ impl ReprKind {
     }
 
     /// Materializes the representation for a raw parameter buffer.
-    pub fn materialize_for(self, params: &[f32]) -> DataRepr {
+    pub(crate) fn materialize_for(self, params: &[f32]) -> DataRepr {
         match self {
             ReprKind::F32 => DataRepr::F32,
             ReprKind::Int8 => {
@@ -93,12 +93,6 @@ impl InjectionPlan {
         self.repr = repr;
         self
     }
-
-    /// The same plan with a different fault model.
-    pub fn with_model(mut self, model: FaultModel) -> Self {
-        self.model = model;
-        self
-    }
 }
 
 /// Counters describing what the training-time mitigation scheme did
@@ -138,16 +132,6 @@ impl Default for TrainingMitigation {
 }
 
 impl TrainingMitigation {
-    /// The paper's GridWorld setting (p = 25, k = 50).
-    pub fn gridworld() -> Self {
-        TrainingMitigation::default()
-    }
-
-    /// The paper's drone setting (p = 25, k = 200).
-    pub fn drone() -> Self {
-        TrainingMitigation { k_consecutive: 200, ..TrainingMitigation::default() }
-    }
-
     /// A fast-reacting variant for reduced-scale experiments.
     pub fn scaled(k: usize) -> Self {
         TrainingMitigation { k_consecutive: k, ..TrainingMitigation::default() }
@@ -182,15 +166,13 @@ mod tests {
     fn plan_builders() {
         let p = InjectionPlan::agent(100, Ber::new(0.01).unwrap());
         assert_eq!(p.side, FaultSide::AgentSide);
-        let p = p.with_model(FaultModel::StuckAt1).with_repr(ReprKind::F32);
-        assert_eq!(p.model, FaultModel::StuckAt1);
+        assert_eq!(p.model, FaultModel::TransientMulti);
+        let p = p.with_repr(ReprKind::F32);
         assert_eq!(p.repr, ReprKind::F32);
     }
 
     #[test]
     fn mitigation_presets() {
-        assert_eq!(TrainingMitigation::gridworld().k_consecutive, 50);
-        assert_eq!(TrainingMitigation::drone().k_consecutive, 200);
         assert_eq!(TrainingMitigation::scaled(8).k_consecutive, 8);
     }
 }

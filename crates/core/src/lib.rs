@@ -57,7 +57,7 @@ pub use error::FrlfiError;
 pub use fleet::{Fleet, FleetConfig, FleetPrefix, ForkLearner, Stop};
 pub use grid_system::GridFrlSystem;
 pub use injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
-pub use metrics::{policy_action_std, policy_differentiation, success_rate_of};
+pub use metrics::success_rate_of;
 
 // Re-export the substrate crates so downstream users need one dependency.
 pub use frlfi_envs as envs;

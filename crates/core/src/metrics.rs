@@ -29,7 +29,7 @@ pub fn success_rate_of(outcomes: &[Outcome]) -> f64 {
 /// better differentiation between good and bad actions for a given
 /// state" (§IV-A-2) — a near-uniform policy has std ≈ 0; a confident
 /// policy concentrates mass and its per-state std grows.
-pub fn policy_action_std(net: &mut Network, states: &[Tensor]) -> f32 {
+pub(crate) fn policy_action_std(net: &mut Network, states: &[Tensor]) -> f32 {
     if states.is_empty() {
         return 0.0;
     }
@@ -66,7 +66,7 @@ pub fn policy_action_std(net: &mut Network, states: &[Tensor]) -> f32 {
 /// agent count (gradient cancellation: averaged weights pull opposing
 /// per-maze preferences towards zero), so the margin form is the
 /// faithful way to reproduce the claimed trend.
-pub fn policy_differentiation(net: &mut Network, probes: &[(Tensor, [bool; 4])]) -> f32 {
+pub(crate) fn policy_differentiation(net: &mut Network, probes: &[(Tensor, [bool; 4])]) -> f32 {
     let mut total = 0.0;
     let mut counted = 0;
     for (state, improving) in probes {

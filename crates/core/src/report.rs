@@ -10,15 +10,15 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Title, e.g. `Fig 3b: GridWorld training, server faults`.
-    pub title: String,
+    pub(crate) title: String,
     /// Label of the row-key column.
-    pub row_label: String,
+    pub(crate) row_label: String,
     /// Column headers (after the row key).
     pub columns: Vec<String>,
     /// Rows: `(row key, values)`.
     pub rows: Vec<(String, Vec<f64>)>,
     /// Number formatting precision.
-    pub precision: usize,
+    pub(crate) precision: usize,
 }
 
 impl Table {

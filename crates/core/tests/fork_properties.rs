@@ -8,7 +8,9 @@
 //! stop at or before the plan's episode. The fleet trains once straight
 //! through and once as prefix → [`Fleet::fork`] → suffix; the two must
 //! agree on every agent's weights and learner state, the fault records,
-//! the mitigation counters and the evaluated value.
+//! the mitigation counters and the evaluated value. A case without a
+//! plan also trains straight through under a second drawn fault seed:
+//! with nothing to inject, the fault seed must change nothing.
 //!
 //! Cases are drawn at smoke sizes so the default case count runs in the
 //! workspace tests; `PROPTEST_CASES` raises it. A failing case prints
@@ -35,6 +37,7 @@ struct Case {
     episodes: usize,
     stop: usize,
     fault_seed: u64,
+    other_seed: u64,
 }
 
 /// The system, its size, dropout and mitigation.
@@ -68,7 +71,9 @@ fn schedule(episodes: usize) -> impl Strategy<Value = (Option<InjectionPlan>, us
 }
 
 fn case() -> impl Strategy<Value = Case> {
-    (fleet(), any::<u64>()).prop_flat_map(|((drone, agents, dropout, mitigation), fault_seed)| {
+    let seeds = (any::<u64>(), any::<u64>());
+    (fleet(), seeds).prop_flat_map(|((drone, agents, dropout, mitigation), seeds)| {
+        let (fault_seed, other_seed) = seeds;
         let episodes = if drone { 6 } else { 24 };
         schedule(episodes).prop_map(move |(plan, stop)| Case {
             drone,
@@ -79,20 +84,27 @@ fn case() -> impl Strategy<Value = Case> {
             episodes,
             stop,
             fault_seed,
+            other_seed,
         })
     })
 }
 
 /// Trains `c` from `fresh()` straight through and as prefix → fork →
-/// suffix; returns the two fleets.
-fn straight_and_forked<C: FleetConfig>(
+/// suffix; without a plan, also straight through under `c.other_seed`.
+/// Returns the fleets, the straight-through run first: every later one
+/// must equal it.
+fn runs<C: FleetConfig>(
     c: &Case,
     fresh: impl Fn() -> Fleet<C::Learner, C::Env, C>,
     ctx: &mut BatchInferCtx,
-) -> [Fleet<C::Learner, C::Env, C>; 2] {
-    let mut whole = fresh();
-    whole.reseed_faults(c.fault_seed);
-    whole.train(c.episodes, c.plan.as_ref(), ctx).expect("training");
+) -> Vec<Fleet<C::Learner, C::Env, C>> {
+    let straight = |seed, ctx: &mut BatchInferCtx| {
+        let mut whole = fresh();
+        whole.reseed_faults(seed);
+        whole.train(c.episodes, c.plan.as_ref(), ctx).expect("training");
+        whole
+    };
+    let whole = straight(c.fault_seed, ctx);
 
     let mut prefix = fresh();
     prefix.train(c.stop, None, ctx).expect("prefix training");
@@ -100,7 +112,11 @@ fn straight_and_forked<C: FleetConfig>(
     let mut forked = Fleet::fork(&snapshot, c.fault_seed).expect("fork");
     let shifted = c.plan.map(|p| InjectionPlan { episode: p.episode - c.stop, ..p });
     forked.train(c.episodes - c.stop, shifted.as_ref(), ctx).expect("suffix training");
-    [whole, forked]
+    let mut fleets = vec![whole, forked];
+    if c.plan.is_none() {
+        fleets.push(straight(c.other_seed, ctx));
+    }
+    fleets
 }
 
 /// Every agent's weights, the fault records and the mitigation
@@ -140,14 +156,18 @@ proptest! {
                 s.pretrain().expect("pre-training");
                 s
             };
-            let [mut whole, mut forked] = straight_and_forked(&c, fresh, ctx);
-            prop_assert_eq!(trace(&whole), trace(&forked), "{:?}", c);
-            for i in 0..c.agents {
-                let (w, f) = (whole.agent(i).baseline(), forked.agent(i).baseline());
-                prop_assert_eq!(w.to_bits(), f.to_bits(), "drone {} baseline, {:?}", i, c);
+            let mut fleets = runs(&c, fresh, ctx);
+            let (whole, others) = fleets.split_first_mut().expect("a straight-through run");
+            let value = whole.safe_flight_distance(1, ctx);
+            for (k, other) in (1..).zip(others) {
+                prop_assert_eq!(trace(whole), trace(other), "run {}, {:?}", k, c);
+                for i in 0..c.agents {
+                    let (w, f) = (whole.agent(i).baseline(), other.agent(i).baseline());
+                    prop_assert_eq!(w.to_bits(), f.to_bits(), "run {} drone {} baseline, {:?}", k, i, c);
+                }
+                let f = other.safe_flight_distance(1, ctx);
+                prop_assert_eq!(value.to_bits(), f.to_bits(), "run {}, {:?}", k, c);
             }
-            let (w, f) = (whole.safe_flight_distance(1, ctx), forked.safe_flight_distance(1, ctx));
-            prop_assert_eq!(w.to_bits(), f.to_bits(), "{:?}", c);
         } else {
             let cfg = GridSystemConfig {
                 n_agents: c.agents,
@@ -158,10 +178,14 @@ proptest! {
                 ..Default::default()
             };
             let fresh = || GridFrlSystem::new(cfg.clone()).expect("valid config");
-            let [mut whole, mut forked] = straight_and_forked(&c, fresh, ctx);
-            prop_assert_eq!(trace(&whole), trace(&forked), "{:?}", c);
-            let (w, f) = (whole.success_rate(ctx), forked.success_rate(ctx));
-            prop_assert_eq!(w.to_bits(), f.to_bits(), "{:?}", c);
+            let mut fleets = runs(&c, fresh, ctx);
+            let (whole, others) = fleets.split_first_mut().expect("a straight-through run");
+            let value = whole.success_rate(ctx);
+            for (k, other) in (1..).zip(others) {
+                prop_assert_eq!(trace(whole), trace(other), "run {}, {:?}", k, c);
+                let f = other.success_rate(ctx);
+                prop_assert_eq!(value.to_bits(), f.to_bits(), "run {}, {:?}", k, c);
+            }
         }
     }
 }

@@ -6,12 +6,12 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
 /// Horizontal resolution of the raycast depth image.
-pub const DEPTH_W: usize = 16;
+pub(crate) const DEPTH_W: usize = 16;
 /// Vertical resolution of the raycast depth image.
-pub const DEPTH_H: usize = 9;
+pub(crate) const DEPTH_H: usize = 9;
 /// DroneNav's action count: 5 lateral × 5 vertical motion primitives
 /// (the paper uses a 25-action perception-based probabilistic space).
-pub const N_DRONE_ACTIONS: usize = 25;
+pub(crate) const N_DRONE_ACTIONS: usize = 25;
 
 const LATERAL_OFFSETS: [f32; 5] = [-2.0, -1.0, 0.0, 1.0, 2.0];
 const VERTICAL_OFFSETS: [f32; 5] = [-1.0, -0.5, 0.0, 0.5, 1.0];
@@ -86,8 +86,8 @@ impl Default for DroneConfig {
 ///
 /// The drone advances at constant forward speed through a procedurally
 /// generated obstacle corridor. Each step it renders a raycast depth
-/// image ([`DEPTH_H`]×[`DEPTH_W`]) from its front-facing sensor, picks
-/// one of [`N_DRONE_ACTIONS`] motion primitives, and earns a depth-based
+/// image (`DEPTH_H`×`DEPTH_W`) from its front-facing sensor, picks
+/// one of `N_DRONE_ACTIONS` motion primitives, and earns a depth-based
 /// reward that encourages keeping clear of obstacles. An episode ends on
 /// collision (with an obstacle or a corridor wall) or when the step
 /// budget runs out; the score is the **safe flight distance**.
@@ -171,20 +171,10 @@ impl DroneSim {
         }
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &DroneConfig {
-        &self.cfg
-    }
-
     /// Forward distance travelled so far this episode (m) — the paper's
     /// *safe flight distance* once the episode terminates.
     pub fn distance(&self) -> f32 {
         self.pos[0]
-    }
-
-    /// Current drone position.
-    pub fn position(&self) -> [f32; 3] {
-        self.pos
     }
 
     fn chunk_obstacles(&mut self, chunk: i64) -> &[ChunkObstacle] {
@@ -508,7 +498,7 @@ mod tests {
                 break;
             }
         }
-        assert!(s.distance() >= s.config().speed);
+        assert!(s.distance() >= s.cfg.speed);
     }
 
     #[test]

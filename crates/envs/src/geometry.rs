@@ -4,9 +4,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner `(x, y, z)`.
-    pub min: [f32; 3],
+    pub(crate) min: [f32; 3],
     /// Maximum corner `(x, y, z)`.
-    pub max: [f32; 3],
+    pub(crate) max: [f32; 3],
 }
 
 impl Aabb {

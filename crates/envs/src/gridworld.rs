@@ -7,11 +7,11 @@ use rand::RngCore;
 pub const GRID_SIZE: usize = 10;
 
 /// GridWorld's action count: up, down, right, left (§IV-A-1).
-pub const N_GRID_ACTIONS: usize = 4;
+pub(crate) const N_GRID_ACTIONS: usize = 4;
 
 /// GridWorld observation length: four surrounding cells plus the
 /// goal-direction signs (see [`GridWorld`] and DESIGN.md §2).
-pub const OBS_DIM: usize = 6;
+pub(crate) const OBS_DIM: usize = 6;
 
 /// Maximum steps per attempt before the episode times out.
 const MAX_STEPS: usize = 120;
@@ -111,11 +111,6 @@ impl GridWorld {
         world
     }
 
-    /// Whether this maze re-jitters obstacles on reset.
-    pub fn is_dynamic(&self) -> bool {
-        self.dynamic.is_some()
-    }
-
     /// Replaces the obstacle set with a solvable jitter of the base
     /// layout.
     fn rejitter(&mut self, rng: &mut dyn RngCore) {
@@ -178,16 +173,6 @@ impl GridWorld {
     /// of three environments each).
     pub fn standard_layouts(master_seed: u64) -> Vec<GridWorld> {
         standard_layout_specs(master_seed, 12).iter().map(GridWorld::from_spec).collect()
-    }
-
-    /// The agent's current cell.
-    pub fn agent_pos(&self) -> (usize, usize) {
-        self.agent
-    }
-
-    /// The goal cell.
-    pub fn goal_pos(&self) -> (usize, usize) {
-        self.goal
     }
 
     /// The cell type at `(row, col)`.
@@ -360,7 +345,7 @@ mod tests {
         let s = w.step(0, &mut rng); // up, toward goal at (0,5)
         assert_eq!(s.reward, 0.1);
         assert_eq!(s.outcome, Outcome::Continue);
-        assert_eq!(w.agent_pos(), (4, 5));
+        assert_eq!(w.agent, (4, 5));
     }
 
     #[test]
@@ -452,7 +437,7 @@ mod tests {
     fn dynamic_obstacles_move_between_resets() {
         let spec = crate::standard_layout_specs(3, 1).remove(0);
         let mut w = GridWorld::with_dynamic_obstacles(&spec, 2);
-        assert!(w.is_dynamic());
+        assert!(w.dynamic.is_some());
         let mut rng = StdRng::seed_from_u64(5);
         let hell_set = |w: &GridWorld| -> Vec<(usize, usize)> {
             let mut v = Vec::new();

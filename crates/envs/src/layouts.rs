@@ -19,7 +19,7 @@ pub struct LayoutSpec {
     /// Goal cell `(row, col)`.
     pub goal: (usize, usize),
     /// Obstacle ("hell") cells.
-    pub hells: Vec<(usize, usize)>,
+    pub(crate) hells: Vec<(usize, usize)>,
 }
 
 /// Generates the `n` standard layouts for a master seed.

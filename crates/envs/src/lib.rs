@@ -38,8 +38,8 @@ mod geometry;
 mod gridworld;
 mod layouts;
 
-pub use drone::{DroneConfig, DroneSim, ObstacleMotion, DEPTH_H, DEPTH_W, N_DRONE_ACTIONS};
+pub use drone::{DroneConfig, DroneSim, ObstacleMotion};
 pub use env::{Environment, Outcome, Step};
 pub use geometry::{Aabb, Ray};
-pub use gridworld::{Cell, GridWorld, GRID_SIZE, N_GRID_ACTIONS, OBS_DIM};
-pub use layouts::standard_layout_specs;
+pub use gridworld::{Cell, GridWorld, GRID_SIZE};
+pub use layouts::{standard_layout_specs, LayoutSpec};

@@ -55,7 +55,7 @@ impl CellStats {
 /// ride along without touching the mean/variance recurrences, so
 /// adding them keeps historical means bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Welford {
+pub(crate) struct Welford {
     n: u64,
     mean: f64,
     m2: f64,
@@ -71,12 +71,12 @@ impl Default for Welford {
 
 impl Welford {
     /// An empty accumulator.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Welford { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     /// Folds one sample in.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -87,7 +87,7 @@ impl Welford {
 
     /// Folds another accumulator in (order matters at the ulp level;
     /// [`aggregate_in_order`] always merges in chunk order).
-    pub fn merge(&mut self, other: &Welford) {
+    pub(crate) fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
             return;
         }
@@ -105,13 +105,8 @@ impl Welford {
         self.max = self.max.max(other.max);
     }
 
-    /// Number of samples folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// The accumulated statistics (population std).
-    pub fn stats(&self) -> CellStats {
+    pub(crate) fn stats(&self) -> CellStats {
         if self.n == 0 {
             return CellStats { mean: 0.0, std: 0.0, n: 0, min: 0.0, max: 0.0 };
         }
@@ -220,7 +215,7 @@ mod tests {
         let mut a = Welford::new();
         let b = Welford::new();
         a.merge(&b);
-        assert_eq!(a.count(), 0);
+        assert_eq!(a.stats().n, 0);
         let mut c = Welford::new();
         c.push(2.0);
         a.merge(&c);

@@ -9,8 +9,6 @@ pub enum FaultError {
         /// The offending value.
         value: f64,
     },
-    /// An injection targeted an empty parameter buffer.
-    EmptyTarget,
 }
 
 impl fmt::Display for FaultError {
@@ -19,7 +17,6 @@ impl fmt::Display for FaultError {
             FaultError::InvalidBer { value } => {
                 write!(f, "bit error rate {value} must lie in [0, 1]")
             }
-            FaultError::EmptyTarget => write!(f, "cannot inject faults into an empty buffer"),
         }
     }
 }

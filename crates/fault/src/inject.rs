@@ -1,5 +1,4 @@
 use crate::{Ber, DataRepr, FaultModel, FaultRecord};
-use frlfi_nn::Network;
 use rand::{Rng, RngCore};
 use std::collections::HashSet;
 
@@ -80,40 +79,9 @@ pub fn inject_slice_ber(
     inject_slice(params, repr, model, n, rng)
 }
 
-/// Injects `n_faults` faults into a network's flat parameter vector.
-///
-/// This is the *agent-memory* and *static inference* fault surface: the
-/// network's weights are snapshotted, corrupted in their encoded
-/// representation, and restored.
-pub fn inject_network(
-    net: &mut Network,
-    repr: DataRepr,
-    model: FaultModel,
-    n_faults: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<FaultRecord> {
-    let mut snapshot = net.snapshot();
-    let records = inject_slice(&mut snapshot, repr, model, n_faults, rng);
-    net.restore(&snapshot).expect("snapshot length is invariant");
-    records
-}
-
-/// Injects faults into a network at a given [`Ber`].
-pub fn inject_network_ber(
-    net: &mut Network,
-    repr: DataRepr,
-    model: FaultModel,
-    ber: Ber,
-    rng: &mut dyn RngCore,
-) -> Vec<FaultRecord> {
-    let n = ber.fault_count(repr.total_bits(net.param_count()));
-    inject_network(net, repr, model, n, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frlfi_nn::NetworkBuilder;
     use frlfi_quant::SymInt8Quantizer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -231,33 +199,5 @@ mod tests {
             assert!(recs.iter().all(|r| !r.is_effective()));
             assert!(buf.iter().all(|&v| v == 0.0));
         }
-    }
-
-    #[test]
-    fn network_injection_changes_outputs() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut net = NetworkBuilder::new(4).dense(16).relu().dense(4).build(&mut rng).unwrap();
-        let x = frlfi_tensor::Tensor::from_vec(vec![4], vec![1.0, -1.0, 0.5, 0.0]).unwrap();
-        let before = net.forward(&x).unwrap();
-        // Flip many high bits; outputs should change.
-        inject_network(&mut net, DataRepr::F32, FaultModel::TransientMulti, 200, &mut rng);
-        let after = net.forward(&x).unwrap();
-        assert_ne!(before.data(), after.data());
-    }
-
-    #[test]
-    fn network_ber_uses_repr_width() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut net = NetworkBuilder::new(4).dense(16).relu().dense(4).build(&mut rng).unwrap();
-        let n_params = net.param_count();
-        let q = SymInt8Quantizer::from_max_abs(1.0).unwrap();
-        let recs = inject_network_ber(
-            &mut net,
-            DataRepr::SymInt8(q),
-            FaultModel::TransientMulti,
-            Ber::new(0.01).unwrap(),
-            &mut rng,
-        );
-        assert_eq!(recs.len(), (n_params as f64 * 8.0 * 0.01).round() as usize);
     }
 }

@@ -18,11 +18,11 @@
 //! * [`DataRepr`] — which machine representation the bits live in
 //!   (IEEE-754 `f32`, symmetric sign-magnitude int8 codes, or 16-bit
 //!   `Q` fixed point), reusing `frlfi-quant`;
-//! * [`inject_slice`] / [`inject_network`] — seeded injectors returning
-//!   a [`FaultRecord`] audit trail;
-//! * [`aggregate_in_order`] / [`Welford`] / [`CellStats`] — the
-//!   chunked streaming reduction that folds one campaign cell's
-//!   per-repeat values into its statistics.
+//! * [`inject_slice`] / [`inject_slice_ber`] — seeded injectors over a
+//!   flat parameter buffer, returning a [`FaultRecord`] audit trail;
+//! * [`aggregate_in_order`] / [`CellStats`] — the chunked streaming
+//!   reduction that folds one campaign cell's per-repeat values into
+//!   its statistics.
 //!
 //! ```
 //! use frlfi_fault::{inject_slice, Ber, DataRepr, FaultModel};
@@ -48,10 +48,10 @@ mod model;
 mod record;
 mod repr;
 
-pub use campaign::{aggregate_in_order, CellStats, Welford};
+pub use campaign::{aggregate_in_order, CellStats};
 pub use error::FaultError;
-pub use inject::{inject_network, inject_network_ber, inject_slice, inject_slice_ber};
-pub use location::{FaultLocation, FaultSide};
+pub use inject::{inject_slice, inject_slice_ber};
+pub use location::FaultSide;
 pub use model::{Ber, FaultModel};
 pub use record::FaultRecord;
 pub use repr::DataRepr;

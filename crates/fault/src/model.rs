@@ -16,13 +16,6 @@ pub enum FaultModel {
     StuckAt1,
 }
 
-impl FaultModel {
-    /// True for transient (flip) models, false for stuck-at models.
-    pub fn is_transient(self) -> bool {
-        matches!(self, FaultModel::TransientSingle | FaultModel::TransientMulti)
-    }
-}
-
 impl std::fmt::Display for FaultModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -68,11 +61,6 @@ impl Ber {
         Ok(Ber(value))
     }
 
-    /// The raw rate.
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
     /// Number of faulty bits on a surface of `total_bits` exposed bits.
     ///
     /// Rounds to the nearest integer; a non-zero BER always yields at
@@ -84,11 +72,6 @@ impl Ber {
         }
         let n = (self.0 * total_bits as f64).round() as usize;
         n.max(1)
-    }
-
-    /// A percentage string such as `0.2%` (heatmap axis labels).
-    pub fn as_percent(self) -> String {
-        format!("{}%", self.0 * 100.0)
     }
 }
 
@@ -131,16 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn model_classification() {
-        assert!(FaultModel::TransientSingle.is_transient());
-        assert!(FaultModel::TransientMulti.is_transient());
-        assert!(!FaultModel::StuckAt0.is_transient());
-        assert!(!FaultModel::StuckAt1.is_transient());
-    }
-
-    #[test]
     fn display_labels() {
         assert_eq!(FaultModel::TransientMulti.to_string(), "Transient-M");
-        assert_eq!(Ber::new(0.002).unwrap().as_percent(), "0.2%");
     }
 }

@@ -20,11 +20,6 @@ impl FaultRecord {
     pub fn is_effective(&self) -> bool {
         self.before.to_bits() != self.after.to_bits()
     }
-
-    /// Magnitude of the value deviation introduced.
-    pub fn deviation(&self) -> f32 {
-        (self.after - self.before).abs()
-    }
 }
 
 #[cfg(test)]
@@ -37,6 +32,5 @@ mod tests {
         let loud = FaultRecord { index: 0, bit: 0, before: 1.0, after: -1.0 };
         assert!(!silent.is_effective());
         assert!(loud.is_effective());
-        assert_eq!(loud.deviation(), 2.0);
     }
 }

@@ -24,7 +24,7 @@ pub enum DataRepr {
 
 impl DataRepr {
     /// Exposed bits per scalar.
-    pub fn width(&self) -> u32 {
+    pub(crate) fn width(&self) -> u32 {
         match self {
             DataRepr::F32 => 32,
             DataRepr::SymInt8(_) => 8,
@@ -47,7 +47,7 @@ impl DataRepr {
     /// # Panics
     ///
     /// Panics if `bit >= self.width()`.
-    pub fn corrupt(&self, value: f32, bit: u32, model: FaultModel) -> f32 {
+    pub(crate) fn corrupt(&self, value: f32, bit: u32, model: FaultModel) -> f32 {
         match self {
             DataRepr::F32 => match model {
                 FaultModel::TransientSingle | FaultModel::TransientMulti => {

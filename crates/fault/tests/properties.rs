@@ -75,13 +75,16 @@ proptest! {
     }
 
     #[test]
-    fn ber_fault_count_scales(len in 1usize..256, ber_pct in 0.0f64..0.5) {
+    fn ber_fault_count_scales(len in 1usize..256, ber_pct in 0.0f64..0.5, repr_idx in 0usize..2) {
+        // f32 exposes 32 bits per scalar, int8 codes 8: the BER counts
+        // faults over the representation's exposed bits.
+        let (repr, width) = [(reprs()[0], 32), (reprs()[1], 8)][repr_idx];
         let ber = Ber::new(ber_pct).expect("valid");
-        let expected = ber.fault_count(len * 32);
+        let expected = ber.fault_count(len * width);
         let mut rng = StdRng::seed_from_u64(1);
         let mut buf = vec![1.0f32; len];
-        let recs = inject_slice_ber(&mut buf, DataRepr::F32, FaultModel::TransientMulti, ber, &mut rng);
-        prop_assert_eq!(recs.len(), expected.min(len * 32));
+        let recs = inject_slice_ber(&mut buf, repr, FaultModel::TransientMulti, ber, &mut rng);
+        prop_assert_eq!(recs.len(), expected.min(len * width));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 ///
 /// let s = CommSchedule::with_boost(1, 2000, 3);
 /// assert!(s.communicates_at(10));
-/// assert_eq!(s.interval_at(2500), 3);
 /// assert!(!s.communicates_at(2501));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +48,7 @@ impl CommSchedule {
     }
 
     /// The interval in force at a given episode.
-    pub fn interval_at(&self, episode: usize) -> usize {
+    pub(crate) fn interval_at(&self, episode: usize) -> usize {
         match self.switch_episode {
             Some(sw) if episode >= sw => self.base_interval * self.late_multiplier,
             _ => self.base_interval,

@@ -56,11 +56,6 @@ impl Server {
         Ok(Server { n_agents, consensus: vec![0.0; param_len], round: 0, alpha0, anneal_rounds })
     }
 
-    /// Number of participating agents.
-    pub fn n_agents(&self) -> usize {
-        self.n_agents
-    }
-
     /// Completed aggregation rounds.
     pub fn round(&self) -> usize {
         self.round

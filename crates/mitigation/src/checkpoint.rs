@@ -21,7 +21,6 @@
 pub struct ServerCheckpoint {
     interval_rounds: usize,
     stored: Option<Vec<f32>>,
-    updates: usize,
 }
 
 impl ServerCheckpoint {
@@ -32,17 +31,7 @@ impl ServerCheckpoint {
     /// Panics if `interval_rounds == 0`.
     pub fn new(interval_rounds: usize) -> Self {
         assert!(interval_rounds > 0, "checkpoint interval must be positive");
-        ServerCheckpoint { interval_rounds, stored: None, updates: 0 }
-    }
-
-    /// The checkpoint update interval in communication rounds.
-    pub fn interval_rounds(&self) -> usize {
-        self.interval_rounds
-    }
-
-    /// Number of snapshots taken so far.
-    pub fn updates(&self) -> usize {
-        self.updates
+        ServerCheckpoint { interval_rounds, stored: None }
     }
 
     /// Offers the server's consensus weights after communication round
@@ -54,27 +43,12 @@ impl ServerCheckpoint {
     pub fn on_round(&mut self, round: usize, consensus: &[f32]) {
         if self.stored.is_none() || round.is_multiple_of(self.interval_rounds) {
             self.stored = Some(consensus.to_vec());
-            self.updates += 1;
         }
     }
 
     /// The stored snapshot, if any.
     pub fn stored(&self) -> Option<&[f32]> {
         self.stored.as_deref()
-    }
-
-    /// Copies the checkpoint into `target` (an agent's or the server's
-    /// parameter buffer). Returns `false` (and leaves `target` alone) if
-    /// no snapshot exists yet or lengths mismatch.
-    #[must_use]
-    pub fn restore_into(&self, target: &mut [f32]) -> bool {
-        match &self.stored {
-            Some(s) if s.len() == target.len() => {
-                target.copy_from_slice(s);
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -91,32 +65,14 @@ mod tests {
         assert_eq!(cp.stored(), Some(&[0.0][..]));
         cp.on_round(5, &[5.0]);
         assert_eq!(cp.stored(), Some(&[5.0][..]));
-        assert_eq!(cp.updates(), 2);
     }
 
     #[test]
-    fn restore_copies_snapshot() {
-        let mut cp = ServerCheckpoint::new(1);
-        cp.on_round(0, &[7.0, 8.0]);
-        let mut buf = [0.0, 0.0];
-        assert!(cp.restore_into(&mut buf));
-        assert_eq!(buf, [7.0, 8.0]);
-    }
-
-    #[test]
-    fn restore_without_snapshot_fails() {
-        let cp = ServerCheckpoint::new(1);
-        let mut buf = [1.0];
-        assert!(!cp.restore_into(&mut buf));
-        assert_eq!(buf, [1.0]);
-    }
-
-    #[test]
-    fn restore_length_mismatch_fails() {
-        let mut cp = ServerCheckpoint::new(1);
-        cp.on_round(0, &[1.0, 2.0]);
-        let mut buf = [0.0];
-        assert!(!cp.restore_into(&mut buf));
+    fn first_offer_initializes_whatever_its_round() {
+        let mut cp = ServerCheckpoint::new(5);
+        assert_eq!(cp.stored(), None);
+        cp.on_round(3, &[7.0, 8.0]);
+        assert_eq!(cp.stored(), Some(&[7.0, 8.0][..]));
     }
 
     #[test]

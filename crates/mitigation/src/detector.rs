@@ -55,16 +55,6 @@ impl RewardDropDetector {
         }
     }
 
-    /// Number of monitored agents.
-    pub fn n_agents(&self) -> usize {
-        self.baselines.len()
-    }
-
-    /// Current reward baseline of an agent, if warmed up.
-    pub fn baseline(&self, agent: usize) -> Option<f32> {
-        self.baselines[agent]
-    }
-
     /// Feeds one episode's rewards (index = agent) and returns any
     /// detection. After a detection the involved streaks reset, so the
     /// caller can apply recovery and continue feeding.
@@ -116,13 +106,6 @@ impl RewardDropDetector {
             }
             Detection::AgentFault(flagged)
         }
-    }
-
-    /// Clears all streaks and baselines (e.g. after a recovery that
-    /// replaced the policies wholesale).
-    pub fn reset(&mut self) {
-        self.baselines.iter_mut().for_each(|b| *b = None);
-        self.drop_streaks.iter_mut().for_each(|s| *s = 0);
     }
 }
 
@@ -193,11 +176,11 @@ mod tests {
     #[test]
     fn baseline_freezes_during_drop() {
         let mut d = warmed(1, 100);
-        let b_before = d.baseline(0).unwrap();
+        let b_before = d.baselines[0].unwrap();
         for _ in 0..50 {
             d.observe(&[-1.0]);
         }
-        assert_eq!(d.baseline(0).unwrap(), b_before);
+        assert_eq!(d.baselines[0].unwrap(), b_before);
     }
 
     #[test]
@@ -214,14 +197,5 @@ mod tests {
             last = d.observe(&[-2.0]);
         }
         assert_eq!(last, Detection::AgentFault(vec![0]));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut d = warmed(2, 2);
-        d.observe(&[-1.0, 1.0]);
-        d.reset();
-        assert!(d.baseline(0).is_none());
-        assert_eq!(d.observe(&[-1.0, 1.0]), Detection::None);
     }
 }

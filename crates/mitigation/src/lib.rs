@@ -13,14 +13,15 @@
 //! * **Training-time recovery** ([`ServerCheckpoint`]): the server
 //!   snapshots its consensus weights every 5 communication rounds; a
 //!   detected agent fault restores that agent from the checkpoint, a
-//!   detected server fault rolls the server back (§V-A).
+//!   detected server fault restores every agent, whose next uploads
+//!   rebuild the server's consensus (§V-A).
 //! * **Inference-time detection** ([`RangeDetector`]): per-layer weight
 //!   ranges are tallied before deployment, widened by a 10% margin; any
 //!   weight outside its layer's range is an anomaly and the operations
 //!   around it are skipped (zeroed), exploiting NN sparsity (§V-B).
 //!
-//! The crate also implements the cyber-physical [`overhead`] model the
-//! paper uses for Fig. 9: extra protection hardware (DMR/TMR) adds
+//! The crate also implements the cyber-physical overhead model
+//! ([`DronePlatform`], [`ProtectionScheme`]) the paper uses for Fig. 9: extra protection hardware (DMR/TMR) adds
 //! compute power and payload mass, which lowers achievable velocity and
 //! endurance and therefore end-to-end safe flight distance — while the
 //! proposed schemes cost <2.7% runtime.
@@ -38,7 +39,7 @@
 
 mod checkpoint;
 mod detector;
-pub mod overhead;
+pub(crate) mod overhead;
 mod range;
 
 pub use checkpoint::ServerCheckpoint;

@@ -48,7 +48,7 @@ impl ProtectionScheme {
     }
 
     /// Extra payload mass in grams (compute boards, wiring, voter).
-    pub fn extra_mass_g(self) -> f32 {
+    pub(crate) fn extra_mass_g(self) -> f32 {
         match self {
             ProtectionScheme::Unprotected | ProtectionScheme::RangeDetection => 0.0,
             ProtectionScheme::Dmr => 25.0,
@@ -57,7 +57,7 @@ impl ProtectionScheme {
     }
 
     /// Compute-power multiplier relative to the unprotected stack.
-    pub fn compute_multiplier(self) -> f32 {
+    pub(crate) fn compute_multiplier(self) -> f32 {
         match self {
             ProtectionScheme::Unprotected => 1.0,
             ProtectionScheme::RangeDetection => 1.027,
@@ -94,18 +94,18 @@ pub struct DronePlatform {
     /// Platform name.
     pub name: &'static str,
     /// Airframe mass in grams.
-    pub mass_g: f32,
+    pub(crate) mass_g: f32,
     /// Battery energy in watt-hours.
-    pub battery_wh: f32,
+    pub(crate) battery_wh: f32,
     /// Hover power at airframe mass, in watts.
-    pub hover_w: f32,
+    pub(crate) hover_w: f32,
     /// Compute power of the unprotected autonomy stack, in watts.
-    pub compute_w: f32,
+    pub(crate) compute_w: f32,
     /// Payload margin in grams (extra mass the thrust budget tolerates
     /// before velocity collapses).
-    pub payload_capacity_g: f32,
+    pub(crate) payload_capacity_g: f32,
     /// Baseline mission distance in metres (Fig. 9's y-axis scale).
-    pub reference_distance_m: f32,
+    pub(crate) reference_distance_m: f32,
 }
 
 impl DronePlatform {
@@ -167,7 +167,7 @@ impl DronePlatform {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
     /// The evaluated scheme.
-    pub scheme: ProtectionScheme,
+    pub(crate) scheme: ProtectionScheme,
     /// Achievable velocity relative to unprotected.
     pub velocity_factor: f32,
     /// Endurance relative to unprotected.

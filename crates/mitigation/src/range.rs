@@ -27,7 +27,6 @@ use frlfi_nn::Network;
 pub struct RangeDetector {
     // (flat start, len, lo, hi) per parameterized layer.
     spans: Vec<(usize, usize, f32, f32)>,
-    margin: f32,
 }
 
 impl RangeDetector {
@@ -41,7 +40,7 @@ impl RangeDetector {
     /// # Panics
     ///
     /// Panics if `margin < 0`.
-    pub fn fit_with_margin(net: &Network, margin: f32) -> Self {
+    pub(crate) fn fit_with_margin(net: &Network, margin: f32) -> Self {
         assert!(margin >= 0.0, "margin must be non-negative");
         let spans = net
             .layer_ranges()
@@ -52,17 +51,7 @@ impl RangeDetector {
                 (span.start, span.len, lo, hi)
             })
             .collect();
-        RangeDetector { spans, margin }
-    }
-
-    /// The margin fraction the detector was fit with.
-    pub fn margin(&self) -> f32 {
-        self.margin
-    }
-
-    /// Per-layer `(lo, hi)` acceptance ranges.
-    pub fn ranges(&self) -> Vec<(f32, f32)> {
-        self.spans.iter().map(|&(_, _, lo, hi)| (lo, hi)).collect()
+        RangeDetector { spans }
     }
 
     /// Scans a flat parameter vector and returns the flat indices of
@@ -174,7 +163,6 @@ mod tests {
     fn per_layer_ranges_are_independent() {
         let n = net();
         let det = RangeDetector::fit(&n);
-        let ranges = det.ranges();
-        assert_eq!(ranges.len(), 2, "two dense layers tallied separately");
+        assert_eq!(det.spans.len(), 2, "two dense layers tallied separately");
     }
 }

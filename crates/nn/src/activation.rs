@@ -23,7 +23,7 @@ impl Relu {
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    /// [`Layer::forward_into`](crate::Layer::forward_into) for a ReLU.
+    /// `Layer::forward_into` for a ReLU.
     pub fn forward_into(
         &self,
         input: &[f32],
@@ -37,7 +37,7 @@ impl Relu {
     }
 
     /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a ReLU.
-    pub fn forward_batch_into(
+    pub(crate) fn forward_batch_into(
         &self,
         input: &[f32],
         _in_shape: &ActShape,
@@ -75,7 +75,7 @@ impl Relu {
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a ReLU.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()

@@ -30,17 +30,17 @@ use std::error::Error;
 use std::fmt;
 
 /// Leading magic of an encoded weight artifact.
-pub const WEIGHT_MAGIC: [u8; 4] = *b"FRLW";
+pub(crate) const WEIGHT_MAGIC: [u8; 4] = *b"FRLW";
 
 /// Current (and only) format version.
-pub const WEIGHT_VERSION: u32 = 1;
+pub(crate) const WEIGHT_VERSION: u32 = 1;
 
 /// Errors produced by [`decode_weight_planes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WeightCodecError {
-    /// The buffer does not start with [`WEIGHT_MAGIC`].
+    /// The buffer does not start with `WEIGHT_MAGIC`.
     BadMagic,
-    /// The version field is not [`WEIGHT_VERSION`].
+    /// The version field is not `WEIGHT_VERSION`.
     UnsupportedVersion(u32),
     /// The buffer ended before the declared contents.
     Truncated {

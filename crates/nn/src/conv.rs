@@ -9,15 +9,14 @@ use rand::Rng;
 /// these over the raycast depth image before two dense layers (§IV-B-1).
 ///
 /// ```
-/// use frlfi_nn::Conv2d;
-/// use frlfi_tensor::Tensor;
+/// use frlfi_nn::{ActShape, Conv2d};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut conv = Conv2d::new("conv0", 1, 4, 3, &mut rng);
-/// let out = conv.forward(&Tensor::zeros(vec![1, 9, 16]))?;
-/// assert_eq!(out.shape().dims(), &[4, 7, 14]);
+/// let conv = Conv2d::new("conv0", 1, 4, 3, &mut rng);
+/// let out = conv.out_shape(&ActShape::image(1, 9, 16))?;
+/// assert_eq!(out.dims(), &[4, 7, 14]);
 /// # Ok(())
 /// # }
 /// ```
@@ -68,17 +67,12 @@ impl Conv2d {
         }
     }
 
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.k
-    }
-
     /// Output spatial size for an input of `(h, w)`.
     ///
     /// # Errors
     ///
     /// Returns an error if the input is smaller than the kernel.
-    pub fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), NnError> {
+    pub(crate) fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), NnError> {
         if h < self.k || w < self.k {
             return Err(NnError::BadDimensions {
                 detail: format!("input {h}x{w} smaller than kernel {}", self.k),
@@ -577,7 +571,7 @@ fn tap<const MASKED: bool>(acc: f32, g: f32, w: f32) -> f32 {
 
 impl Conv2d {
     /// [`Layer::forward`](crate::Layer::forward) for a conv layer.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let (oh, ow) = self.check_input(input)?;
         let dims = input.shape().dims();
         let (h, w) = (dims[1], dims[2]);
@@ -614,7 +608,7 @@ impl Conv2d {
         Ok(ActShape::image(self.out_c, oh, ow))
     }
 
-    /// [`Layer::forward_into`](crate::Layer::forward_into) for a conv layer.
+    /// `Layer::forward_into` for a conv layer.
     pub fn forward_into(
         &self,
         input: &[f32],
@@ -702,7 +696,7 @@ impl Conv2d {
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a conv layer.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()

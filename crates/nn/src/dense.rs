@@ -14,16 +14,12 @@ const BW: usize = 16;
 ///
 /// ```
 /// use frlfi_nn::Dense;
-/// use frlfi_tensor::Tensor;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut layer = Dense::new("fc0", 3, 2, &mut rng);
-/// let y = layer.forward(&Tensor::from_vec(vec![3], vec![1.0, 0.0, -1.0])?)?;
-/// assert_eq!(y.len(), 2);
-/// # Ok(())
-/// # }
+/// let layer = Dense::new("fc0", 3, 2, &mut rng);
+/// assert_eq!((layer.in_dim(), layer.out_dim()), (3, 2));
+/// assert_eq!(layer.param_count(), 3 * 2 + 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -68,16 +64,6 @@ impl Dense {
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.w.shape().dims()[0]
-    }
-
-    /// The weight matrix.
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
-    /// The bias vector.
-    pub fn bias(&self) -> &Tensor {
-        &self.b
     }
 }
 
@@ -124,7 +110,7 @@ fn backward_sample(
 
 impl Dense {
     /// [`Layer::forward`](crate::Layer::forward) for a dense layer.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         // Accept any shape whose volume matches `in_dim` (a conv feature
         // map flattens implicitly, as in the DroneNav conv→dense stack).
         let flat = input.reshape(vec![input.len()])?;
@@ -135,7 +121,7 @@ impl Dense {
     }
 
     /// [`Layer::out_shape`](crate::Layer::out_shape) for a dense layer.
-    pub fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
+    pub(crate) fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
         // Any shape whose volume matches `in_dim` flattens implicitly,
         // exactly as in `forward`.
         if in_shape.volume() != self.in_dim() {
@@ -148,7 +134,7 @@ impl Dense {
         Ok(ActShape::flat(self.out_dim()))
     }
 
-    /// [`Layer::forward_into`](crate::Layer::forward_into) for a dense layer.
+    /// `Layer::forward_into` for a dense layer.
     pub fn forward_into(
         &self,
         input: &[f32],
@@ -198,7 +184,7 @@ impl Dense {
     }
 
     /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a dense layer.
-    pub fn forward_batch_into(
+    pub(crate) fn forward_batch_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -362,7 +348,7 @@ impl Dense {
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a dense layer.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()

@@ -193,23 +193,6 @@ impl BatchInferCtx {
         BatchInferCtx::default()
     }
 
-    /// A context preallocated for activations up to `max_len`
-    /// (`batch × features`) elements, so even the first inference
-    /// allocates nothing.
-    pub fn with_capacity(max_len: usize) -> Self {
-        BatchInferCtx {
-            bufs: [vec![0.0; max_len], vec![0.0; max_len]],
-            staging: vec![0.0; max_len],
-            ..BatchInferCtx::default()
-        }
-    }
-
-    /// Largest activation (`batch × features` elements) the eval arena
-    /// can currently hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.bufs[0].len().min(self.bufs[1].len()).min(self.staging.len())
-    }
-
     /// The input row, its shape and the output row of the last cached
     /// training forward ([`crate::Network::forward_batch_cached`]) when
     /// it ran on a single observation; `None` when nothing is cached or
@@ -402,5 +385,14 @@ impl BatchInferCtx {
             cur = dst;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl BatchInferCtx {
+    /// Largest activation (`batch × features` elements) the eval arena
+    /// can currently hold without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.bufs[0].len().min(self.bufs[1].len()).min(self.staging.len())
     }
 }

@@ -144,12 +144,12 @@ pub enum Layer {
 
 impl Layer {
     /// Human-readable layer name (unique within its network).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         each_variant!(self, l => &l.name)
     }
 
     /// The layer kind.
-    pub fn kind(&self) -> LayerKind {
+    pub(crate) fn kind(&self) -> LayerKind {
         match self {
             Layer::Dense(_) => LayerKind::Dense,
             Layer::Conv(_) => LayerKind::Conv,
@@ -191,7 +191,7 @@ impl Layer {
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible.
-    pub fn forward_into(
+    pub(crate) fn forward_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
@@ -207,7 +207,7 @@ impl Layer {
     /// `out_shape(in_shape).volume() * batch`.
     ///
     /// Contract: every sample's output row is **bit-identical** to
-    /// running [`Layer::forward_into`] on that sample alone — batching
+    /// running `Layer::forward_into` on that sample alone — batching
     /// only reorders work *across* samples and output elements, never
     /// the floating-point accumulation order *within* one output
     /// element.
@@ -270,7 +270,7 @@ impl Layer {
     /// Drops the cached forward input (if any), shrinking resident
     /// memory for eval-only deployments. A later [`Layer::backward`]
     /// without a fresh [`Layer::forward`] then fails.
-    pub fn clear_cache(&mut self) {
+    pub(crate) fn clear_cache(&mut self) {
         each_variant!(self, l => l.cached_input = None)
     }
 
@@ -296,7 +296,7 @@ impl Layer {
     }
 
     /// Clears accumulated gradients without applying them.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         match self {
             Layer::Dense(l) => l.zero_grads(),
             Layer::Conv(l) => l.zero_grads(),
@@ -305,7 +305,7 @@ impl Layer {
     }
 
     /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.params().iter().map(|t| t.len()).sum()
     }
 
@@ -321,7 +321,7 @@ impl Layer {
     /// Mutable views of the parameter tensors (weights first, then bias).
     ///
     /// This is the fault-injection surface.
-    pub fn params_mut(&mut self) -> Params<&mut Tensor> {
+    pub(crate) fn params_mut(&mut self) -> Params<&mut Tensor> {
         match self {
             Layer::Dense(l) => Params(Some(l.params_mut())),
             Layer::Conv(l) => Params(Some(l.params_mut())),

@@ -36,7 +36,7 @@
 //! ```
 
 mod activation;
-pub mod codec;
+pub(crate) mod codec;
 mod conv;
 mod dense;
 mod error;
@@ -45,10 +45,7 @@ mod layer;
 mod network;
 
 pub use activation::Relu;
-pub use codec::{
-    decode_weight_planes, encode_weight_planes, weight_digest, WeightCodecError, WEIGHT_MAGIC,
-    WEIGHT_VERSION,
-};
+pub use codec::{decode_weight_planes, encode_weight_planes, weight_digest, WeightCodecError};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;

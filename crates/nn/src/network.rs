@@ -27,7 +27,6 @@ use rand::Rng;
 #[derive(Clone)]
 pub struct Network {
     layers: Vec<Layer>,
-    input_dim: usize,
     // Total trainable parameters, fixed at construction (layer tensor
     // sizes never change), so snapshot/restore size exactly once.
     param_total: usize,
@@ -43,11 +42,6 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Expected flat input volume.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Number of layers (including parameter-free activations).
     pub fn layer_count(&self) -> usize {
         self.layers.len()
@@ -282,9 +276,8 @@ impl Network {
         spans
     }
 
-    /// Visits every parameter mutably with its flat index.
-    ///
-    /// The fault injector uses this to flip bits of selected scalars.
+    /// Visits every parameter mutably with its flat index, in
+    /// [`Network::snapshot`] order.
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(usize, &mut f32)) {
         let mut idx = 0;
         for layer in &mut self.layers {
@@ -318,7 +311,6 @@ impl Network {
 /// example.
 #[derive(Debug)]
 pub struct NetworkBuilder {
-    input_dim: usize,
     // Running activation shape: either flat (dense) or [c, h, w] (conv).
     cur_shape: Vec<usize>,
     specs: Vec<LayerSpec>,
@@ -335,17 +327,12 @@ enum LayerSpec {
 impl NetworkBuilder {
     /// Starts a builder for networks taking a flat input of `input_dim`.
     pub fn new(input_dim: usize) -> Self {
-        NetworkBuilder { input_dim, cur_shape: vec![input_dim], specs: Vec::new(), error: None }
+        NetworkBuilder { cur_shape: vec![input_dim], specs: Vec::new(), error: None }
     }
 
     /// Starts a builder for networks taking a `[c, h, w]` image input.
     pub fn new_image(c: usize, h: usize, w: usize) -> Self {
-        NetworkBuilder {
-            input_dim: c * h * w,
-            cur_shape: vec![c, h, w],
-            specs: Vec::new(),
-            error: None,
-        }
+        NetworkBuilder { cur_shape: vec![c, h, w], specs: Vec::new(), error: None }
     }
 
     /// Appends a dense layer producing `out_dim` features; any current
@@ -425,7 +412,7 @@ impl NetworkBuilder {
             }
         }
         let param_total = layers.iter().map(Layer::param_count).sum();
-        Ok(Network { layers, input_dim: self.input_dim, param_total })
+        Ok(Network { layers, param_total })
     }
 }
 
@@ -592,10 +579,6 @@ mod tests {
             net.infer(&x, &mut ctx).unwrap();
         }
         assert_eq!(ctx.capacity(), cap, "warm ctx must not grow");
-        // A presized ctx never grows at all.
-        let mut pre = BatchInferCtx::with_capacity(8);
-        net.infer(&x, &mut pre).unwrap();
-        assert_eq!(pre.capacity(), 8);
     }
 
     #[test]
@@ -640,9 +623,6 @@ mod tests {
             net.infer_batch(&flat[..batch * 4], &ActShape::flat(4), batch, &mut ctx).unwrap();
         }
         assert_eq!(ctx.capacity(), cap, "warm batch ctx must not grow");
-        let mut pre = BatchInferCtx::with_capacity(8 * 8);
-        net.infer_batch(&flat, &ActShape::flat(4), 8, &mut pre).unwrap();
-        assert_eq!(pre.capacity(), 8 * 8);
     }
 
     #[test]

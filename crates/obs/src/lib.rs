@@ -90,7 +90,7 @@ pub enum Level {
 impl Level {
     /// Parses a `CAMPAIGN_LOG` value. Unknown strings mean the
     /// default ([`Level::Warn`]) — a typo must not silence warnings.
-    pub fn parse(s: &str) -> Level {
+    pub(crate) fn parse(s: &str) -> Level {
         match s.trim().to_ascii_lowercase().as_str() {
             "quiet" | "off" | "0" => Level::Quiet,
             "info" => Level::Info,
@@ -100,7 +100,7 @@ impl Level {
     }
 
     /// The stable lower-case name (`quiet`/`warn`/`info`/`debug`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Level::Quiet => "quiet",
             Level::Warn => "warn",
@@ -115,7 +115,7 @@ static LOG_LEVEL: AtomicU8 = AtomicU8::new(255);
 
 /// The process stderr threshold, resolved from `CAMPAIGN_LOG` on
 /// first use (default [`Level::Warn`]).
-pub fn log_level() -> Level {
+pub(crate) fn log_level() -> Level {
     match LOG_LEVEL.load(Ordering::Relaxed) {
         0 => Level::Quiet,
         1 => Level::Warn,

@@ -5,16 +5,6 @@
 //! every storage width used by the fault surfaces (u8 int8 codes, u16
 //! fixed-point codes, f32 IEEE-754 words).
 
-/// Reinterprets an `f32` as its IEEE-754 bit pattern.
-pub fn f32_to_bits(x: f32) -> u32 {
-    x.to_bits()
-}
-
-/// Reinterprets an IEEE-754 bit pattern as an `f32`.
-pub fn f32_from_bits(bits: u32) -> f32 {
-    f32::from_bits(bits)
-}
-
 /// Flips bit `bit` (0 = LSB) of an 8-bit code.
 ///
 /// # Panics
@@ -96,13 +86,13 @@ pub fn stuck_bit_f32(x: f32, bit: u32, value: bool) -> f32 {
 ///
 /// let census = BitCensus::of_u8(&[0b0000_0001, 0b0000_0011]);
 /// assert_eq!(census.ones, 3);
-/// assert_eq!(census.zeros, 13);
+/// assert_eq!(census.total(), 16);
 /// assert!((census.fraction_ones() - 3.0 / 16.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BitCensus {
     /// Number of 0 bits.
-    pub zeros: u64,
+    pub(crate) zeros: u64,
     /// Number of 1 bits.
     pub ones: u64,
 }
@@ -118,12 +108,6 @@ impl BitCensus {
     pub fn of_u16(codes: &[u16]) -> BitCensus {
         let ones: u64 = codes.iter().map(|c| c.count_ones() as u64).sum();
         BitCensus { ones, zeros: codes.len() as u64 * 16 - ones }
-    }
-
-    /// Census of a buffer of `f32`s interpreted as IEEE-754 words.
-    pub fn of_f32(values: &[f32]) -> BitCensus {
-        let ones: u64 = values.iter().map(|v| v.to_bits().count_ones() as u64).sum();
-        BitCensus { ones, zeros: values.len() as u64 * 32 - ones }
     }
 
     /// Total number of bits counted.
@@ -203,15 +187,8 @@ mod tests {
 
     #[test]
     fn census_fractions_sum_to_one() {
-        let c = BitCensus::of_f32(&[1.0, -2.5, 0.125]);
+        let c = BitCensus::of_u16(&[0x0001, 0x8000, 0xBEEF]);
         assert!((c.fraction_ones() + c.fraction_zeros() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f32_bits_round_trip() {
-        for &x in &[0.0f32, -1.5, 3.25e7, f32::MIN_POSITIVE] {
-            assert_eq!(f32_from_bits(f32_to_bits(x)), x);
-        }
     }
 
     #[test]

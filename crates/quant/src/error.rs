@@ -4,14 +4,6 @@ use std::fmt;
 /// Errors produced by quantizer construction and use.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuantError {
-    /// A fixed-point format was requested with a bit layout that does not
-    /// fit the 16-bit storage word.
-    InvalidFormat {
-        /// Integer bits requested.
-        int_bits: u8,
-        /// Fraction bits requested.
-        frac_bits: u8,
-    },
     /// A quantizer was fit on an empty or degenerate value range.
     DegenerateRange {
         /// Lower bound observed.
@@ -19,26 +11,13 @@ pub enum QuantError {
         /// Upper bound observed.
         hi: f32,
     },
-    /// A bit index was outside the representation's width.
-    BitOutOfRange {
-        /// Offending bit index.
-        bit: u32,
-        /// Width of the representation in bits.
-        width: u32,
-    },
 }
 
 impl fmt::Display for QuantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QuantError::InvalidFormat { int_bits, frac_bits } => {
-                write!(f, "fixed-point layout 1+{int_bits}+{frac_bits} does not fit 16 bits")
-            }
             QuantError::DegenerateRange { lo, hi } => {
                 write!(f, "cannot fit quantizer on degenerate range [{lo}, {hi}]")
-            }
-            QuantError::BitOutOfRange { bit, width } => {
-                write!(f, "bit index {bit} out of range for {width}-bit representation")
             }
         }
     }

@@ -5,8 +5,6 @@
 //! "unnecessarily large range" so high-bit flips produce larger outliers;
 //! narrow formats that match the parameter range are more resilient.
 
-use crate::QuantError;
-
 /// A 16-bit signed fixed-point format with `1 + int_bits + frac_bits = 16`.
 ///
 /// Values are stored as two's-complement codes scaled by `2^frac_bits`.
@@ -33,29 +31,6 @@ impl QFormat {
     pub const Q7_8: QFormat = QFormat { int_bits: 7, frac_bits: 8 };
     /// `Q(1,10,5)` — the wide format the paper finds most vulnerable.
     pub const Q10_5: QFormat = QFormat { int_bits: 10, frac_bits: 5 };
-
-    /// Creates a format with the given integer/fraction split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidFormat`] unless
-    /// `1 + int_bits + frac_bits == 16`.
-    pub fn new(int_bits: u8, frac_bits: u8) -> Result<QFormat, QuantError> {
-        if 1 + int_bits as u32 + frac_bits as u32 != 16 {
-            return Err(QuantError::InvalidFormat { int_bits, frac_bits });
-        }
-        Ok(QFormat { int_bits, frac_bits })
-    }
-
-    /// Integer bits (excluding sign).
-    pub fn int_bits(&self) -> u8 {
-        self.int_bits
-    }
-
-    /// Fraction bits.
-    pub fn frac_bits(&self) -> u8 {
-        self.frac_bits
-    }
 
     /// Smallest representable positive step, `2^-frac_bits`.
     pub fn resolution(&self) -> f32 {
@@ -91,13 +66,6 @@ impl QFormat {
         self.decode(self.encode(value))
     }
 
-    /// Quantizes every element of a slice in place.
-    pub fn quantize_slice(&self, values: &mut [f32]) {
-        for v in values {
-            *v = self.quantize(*v);
-        }
-    }
-
     /// A short name such as `Q(1,4,11)`.
     pub fn name(&self) -> String {
         format!("Q(1,{},{})", self.int_bits, self.frac_bits)
@@ -114,13 +82,6 @@ impl std::fmt::Display for QFormat {
 mod tests {
     use super::*;
     use crate::flip_bit_u16;
-
-    #[test]
-    fn layout_must_fill_16_bits() {
-        assert!(QFormat::new(4, 11).is_ok());
-        assert!(QFormat::new(4, 10).is_err());
-        assert!(QFormat::new(15, 15).is_err());
-    }
 
     #[test]
     fn round_trip_within_resolution() {

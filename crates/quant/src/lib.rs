@@ -31,8 +31,7 @@ mod fixed;
 mod int8;
 
 pub use bits::{
-    f32_from_bits, f32_to_bits, flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_f32,
-    stuck_bit_u16, stuck_bit_u8, BitCensus,
+    flip_bit_f32, flip_bit_u16, flip_bit_u8, stuck_bit_f32, stuck_bit_u16, stuck_bit_u8, BitCensus,
 };
 pub use error::QuantError;
 pub use fixed::QFormat;

@@ -15,13 +15,6 @@ pub struct EpisodeSummary {
     pub outcome: Outcome,
 }
 
-impl EpisodeSummary {
-    /// True if the episode ended at the goal (GridWorld success metric).
-    pub fn succeeded(&self) -> bool {
-        self.outcome == Outcome::Goal
-    }
-}
-
 /// Runs one *training* episode: the learner explores, observes every
 /// transition and receives `end_episode` at the end.
 ///

@@ -49,10 +49,10 @@ pub use episode::{
 };
 pub use error::RlError;
 pub use learner::{Learner, Transition};
-pub use policy::{
-    eps_greedy, eps_greedy_slice, greedy_argmax, sample_categorical, sample_categorical_slice,
-    softmax, softmax_argmax, softmax_into,
+pub(crate) use policy::{
+    eps_greedy, greedy_argmax, sample_categorical_slice, softmax_argmax, softmax_into,
 };
+pub use policy::{eps_greedy_slice, sample_categorical, softmax};
 pub use qlearn::QLearner;
 pub use reinforce::Reinforce;
 pub use schedule::EpsilonSchedule;

@@ -29,7 +29,7 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 /// allocation-free training fast path; it performs exactly the tensor
 /// version's computation — [`softmax`] delegates here — so the produced
 /// probabilities are bit-identical.
-pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
+pub(crate) fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
     let sanitize = |x: f32| if x.is_finite() { x } else { -1e30 };
     let max = logits.iter().map(|&x| sanitize(x)).fold(f32::NEG_INFINITY, f32::max);
     out.clear();
@@ -58,7 +58,7 @@ pub fn sample_categorical(probs: &Tensor, rng: &mut dyn RngCore) -> usize {
 /// [`sample_categorical`] over a borrowed probability slice — the tensor
 /// version delegates here, so both draw identically from the same RNG
 /// stream.
-pub fn sample_categorical_slice(probs: &[f32], rng: &mut dyn RngCore) -> usize {
+pub(crate) fn sample_categorical_slice(probs: &[f32], rng: &mut dyn RngCore) -> usize {
     let n = probs.len();
     let total: f32 = probs.iter().filter(|p| p.is_finite() && **p > 0.0).sum();
     if !(total.is_finite() && total > 0.0) {
@@ -87,7 +87,7 @@ fn uniform_f32(rng: &mut dyn RngCore) -> f32 {
 /// resolve to the earliest index — the exact greedy rule the learners
 /// have always used, shared here so the inference fast path cannot
 /// drift from the tensor path.
-pub fn greedy_argmax(values: &[f32]) -> usize {
+pub(crate) fn greedy_argmax(values: &[f32]) -> usize {
     let mut best = 0;
     let mut best_v = f32::NEG_INFINITY;
     for (i, &v) in values.iter().enumerate() {
@@ -106,7 +106,7 @@ pub fn greedy_argmax(values: &[f32]) -> usize {
 /// rounding-induced ties and the degenerate all-non-finite fallback
 /// (uniform → index 0) resolve identically. This keeps the greedy
 /// inference fast path free of per-step heap allocation.
-pub fn softmax_argmax(logits: &[f32]) -> usize {
+pub(crate) fn softmax_argmax(logits: &[f32]) -> usize {
     let sanitize = |x: f32| if x.is_finite() { x } else { -1e30 };
     let max = logits.iter().map(|&x| sanitize(x)).fold(f32::NEG_INFINITY, f32::max);
     let sum: f32 = logits.iter().map(|&x| (sanitize(x) - max).exp()).sum();
@@ -131,11 +131,11 @@ pub fn softmax_argmax(logits: &[f32]) -> usize {
 }
 
 /// ε-greedy selection over a rank-1 Q-value tensor.
-pub fn eps_greedy(q_values: &Tensor, epsilon: f32, rng: &mut dyn RngCore) -> usize {
+pub(crate) fn eps_greedy(q_values: &Tensor, epsilon: f32, rng: &mut dyn RngCore) -> usize {
     eps_greedy_slice(q_values.data(), epsilon, rng)
 }
 
-/// [`eps_greedy`] over a borrowed Q-value slice — the tensor version
+/// `eps_greedy` over a borrowed Q-value slice — the tensor version
 /// delegates here, so both consume the RNG stream identically.
 pub fn eps_greedy_slice(q_values: &[f32], epsilon: f32, rng: &mut dyn RngCore) -> usize {
     let n = q_values.len();

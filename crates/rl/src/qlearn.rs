@@ -71,21 +71,6 @@ impl QLearner {
         Ok(QLearner::new(net, 0.9, 0.01, EpsilonSchedule::new(1.0, 0.05, 400)))
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Discount factor.
-    pub fn gamma(&self) -> f32 {
-        self.gamma
-    }
-
-    /// Current exploration rate.
-    pub fn epsilon(&self) -> f32 {
-        self.schedule.epsilon(self.episode)
-    }
-
     /// One TD update on the batched-training fast path, in this
     /// learner's own arena. The next-state target runs through the
     /// eval kernels (no gradients flow through it, and eval inference
@@ -283,9 +268,9 @@ mod tests {
     fn epsilon_decays_with_episodes() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut q = QLearner::gridworld_default(&mut rng).unwrap();
-        let e0 = q.epsilon();
+        let e0 = q.schedule.epsilon(q.episode);
         q.set_episode(399);
-        assert!(q.epsilon() < e0);
+        assert!(q.schedule.epsilon(q.episode) < e0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct Reinforce {
 
 impl Reinforce {
     /// Creates a REINFORCE learner around an existing logits network.
-    pub fn new(net: Network, gamma: f32, lr: f32) -> Self {
+    pub(crate) fn new(net: Network, gamma: f32, lr: f32) -> Self {
         Reinforce {
             net,
             gamma,
@@ -91,11 +91,6 @@ impl Reinforce {
         Ok(Reinforce::new(net, 0.9, 0.005))
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Current reward baseline (EMA of episode returns).
     pub fn baseline(&self) -> f32 {
         self.baseline
@@ -132,7 +127,7 @@ impl Reinforce {
     /// the first forward, so a rejected episode leaves no partial
     /// gradient behind; the episode buffer is left intact so the
     /// caller can inspect it.
-    pub fn learn_batch(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
+    pub(crate) fn learn_batch(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
         self.learn_chunked(ctx, CHUNK_ROWS)
     }
 

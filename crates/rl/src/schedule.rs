@@ -33,11 +33,6 @@ impl EpsilonSchedule {
         EpsilonSchedule { start, end, decay_episodes }
     }
 
-    /// A schedule that never explores (inference phase).
-    pub fn greedy() -> Self {
-        EpsilonSchedule { start: 0.0, end: 0.0, decay_episodes: 1 }
-    }
-
     /// ε at a given episode index.
     pub fn epsilon(&self, episode: usize) -> f32 {
         if self.decay_episodes == 0 || episode >= self.decay_episodes {
@@ -45,11 +40,6 @@ impl EpsilonSchedule {
         }
         let frac = episode as f32 / self.decay_episodes as f32;
         self.start + (self.end - self.start) * frac
-    }
-
-    /// Final exploration floor.
-    pub fn end(&self) -> f32 {
-        self.end
     }
 }
 
@@ -66,13 +56,6 @@ mod tests {
             assert!(e <= prev + 1e-6);
             prev = e;
         }
-    }
-
-    #[test]
-    fn greedy_is_zero_everywhere() {
-        let s = EpsilonSchedule::greedy();
-        assert_eq!(s.epsilon(0), 0.0);
-        assert_eq!(s.epsilon(999), 0.0);
     }
 
     #[test]

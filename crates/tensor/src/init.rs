@@ -33,7 +33,7 @@ pub enum Init {
 
 impl Init {
     /// Samples one value under this scheme for the given fans.
-    pub fn sample<R: Rng>(self, fan_in: usize, fan_out: usize, rng: &mut R) -> f32 {
+    pub(crate) fn sample<R: Rng>(self, fan_in: usize, fan_out: usize, rng: &mut R) -> f32 {
         match self {
             Init::Zeros => 0.0,
             Init::Constant(c) => c,

@@ -34,7 +34,7 @@ mod tensor;
 
 pub use error::TensorError;
 pub use init::Init;
-pub use rng::{derive_seed, SplitMix64};
+pub use rng::derive_seed;
 pub use shape::Shape;
 pub use stats::{histogram, Summary};
 pub use tensor::Tensor;

@@ -10,28 +10,19 @@
 ///
 /// Not intended as a general-purpose RNG; use `rand::rngs::StdRng` seeded
 /// via [`derive_seed`] for simulation randomness.
-///
-/// ```
-/// use frlfi_tensor::SplitMix64;
-///
-/// let mut g = SplitMix64::new(42);
-/// let a = g.next_u64();
-/// let b = g.next_u64();
-/// assert_ne!(a, b);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator with the given state.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Produces the next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

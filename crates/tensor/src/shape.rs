@@ -5,11 +5,10 @@ use crate::TensorError;
 /// A `Shape` is an inexpensive value type; cloning copies a small `Vec`.
 ///
 /// ```
-/// use frlfi_tensor::Shape;
+/// use frlfi_tensor::Tensor;
 ///
-/// let s = Shape::new(vec![3, 4]);
-/// assert_eq!(s.volume(), 12);
-/// assert_eq!(s.rank(), 2);
+/// let t = Tensor::zeros(vec![3, 4]);
+/// assert_eq!(t.shape().dims(), &[3, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -18,7 +17,7 @@ pub struct Shape {
 
 impl Shape {
     /// Creates a shape from its dimensions.
-    pub fn new(dims: Vec<usize>) -> Self {
+    pub(crate) fn new(dims: Vec<usize>) -> Self {
         Shape { dims }
     }
 
@@ -28,38 +27,22 @@ impl Shape {
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
     /// Total number of elements (product of the dims; 1 for a rank-0 shape).
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Returns an error if the shape is empty or has a zero-sized dimension.
-    pub fn validate(&self) -> Result<(), TensorError> {
+    pub(crate) fn validate(&self) -> Result<(), TensorError> {
         if self.dims.is_empty() || self.dims.contains(&0) {
             Err(TensorError::EmptyShape)
         } else {
             Ok(())
         }
-    }
-
-    /// Row-major flat offset of a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() != self.rank()` or any coordinate is out of
-    /// range; this is an internal addressing helper and misuse is a bug.
-    pub fn offset(&self, idx: &[usize]) -> usize {
-        assert_eq!(idx.len(), self.rank(), "index rank mismatch");
-        let mut off = 0;
-        for (i, (&x, &d)) in idx.iter().zip(self.dims.iter()).enumerate() {
-            assert!(x < d, "index {x} out of range for dim {i} of size {d}");
-            off = off * d + x;
-        }
-        off
     }
 }
 
@@ -88,24 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn offset_row_major() {
-        let s = Shape::new(vec![2, 3]);
-        assert_eq!(s.offset(&[0, 0]), 0);
-        assert_eq!(s.offset(&[0, 2]), 2);
-        assert_eq!(s.offset(&[1, 0]), 3);
-        assert_eq!(s.offset(&[1, 2]), 5);
-    }
-
-    #[test]
     fn validate_rejects_empty() {
         assert!(Shape::new(vec![]).validate().is_err());
         assert!(Shape::new(vec![3, 0]).validate().is_err());
         assert!(Shape::new(vec![1]).validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic]
-    fn offset_out_of_range_panics() {
-        Shape::new(vec![2, 2]).offset(&[2, 0]);
     }
 }

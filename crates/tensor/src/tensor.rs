@@ -1,4 +1,4 @@
-use crate::{Init, Shape, Summary, TensorError};
+use crate::{Init, Shape, TensorError};
 use rand::Rng;
 
 /// A dense, row-major, `f32` tensor.
@@ -122,30 +122,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.shape.offset(idx)]
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn set(&mut self, idx: &[usize], value: f32) {
-        let off = self.shape.offset(idx);
-        self.data[off] = value;
-    }
-
     /// Applies a function to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
@@ -165,15 +141,6 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         self.zip(other, "add", |a, b| a + b)
-    }
-
-    /// Elementwise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip(other, "sub", |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product.
@@ -203,29 +170,6 @@ impl Tensor {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Multiplies every element by a scalar, in place.
-    pub fn scale(&mut self, alpha: f32) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
-    }
-
-    /// Dot product of two tensors viewed as flat vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if lengths differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32, TensorError> {
-        if self.len() != other.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.dims().to_vec(),
-                right: other.shape.dims().to_vec(),
-                op: "dot",
-            });
-        }
-        Ok(self.data.iter().zip(other.data.iter()).map(|(a, b)| a * b).sum())
     }
 
     /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
@@ -350,11 +294,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Summary statistics (mean, std, min, max) of the elements.
-    pub fn summary(&self) -> Summary {
-        Summary::of(&self.data)
     }
 
     fn zip(
