@@ -1,10 +1,10 @@
 //! Criterion micro-benches of the heavy substrate components: bit-level
-//! injection, federated aggregation, conv policy inference, raycast
-//! depth rendering and anomaly-detector scans.
+//! injection into one policy plane, federated aggregation, conv policy
+//! inference, raycast depth rendering and anomaly-detector scans.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use frlfi::envs::{DroneConfig, DroneSim, Environment};
-use frlfi::fault::{inject_slice, DataRepr, FaultModel};
+use frlfi::fault::{corrupt_slice_ber, inject_slice_ber, Ber, DataRepr, FaultModel};
 use frlfi::federated::Server;
 use frlfi::mitigation::RangeDetector;
 use frlfi::nn::NetworkBuilder;
@@ -14,28 +14,33 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+/// Weights in one GridWorld policy plane (the Fig. 4/8 fault surface).
+const GRID_POLICY_WEIGHTS: usize = 1412;
+
 fn injection(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
-    let mut buf = vec![0.5f32; 10_000];
-    c.bench_function("inject_100_bits_f32_10k_params", |b| {
+    let clean: Vec<f32> =
+        (0..GRID_POLICY_WEIGHTS).map(|i| ((i % 97) as f32 - 48.0) / 64.0).collect();
+    let mut plane = clean.clone();
+    let ber = Ber::new(0.01).expect("ber");
+    // A static (inference-time) fault: 452 flips, no records.
+    c.bench_function("corrupt_f32_policy_plane_ber_1pct", |b| {
         b.iter(|| {
-            black_box(inject_slice(
-                &mut buf,
-                DataRepr::F32,
-                FaultModel::TransientMulti,
-                100,
-                &mut rng,
-            ))
+            corrupt_slice_ber(&mut plane, DataRepr::F32, FaultModel::TransientMulti, ber, &mut rng);
+            black_box(&plane);
         })
     });
-    let q = SymInt8Quantizer::from_max_abs(1.0).expect("range");
-    c.bench_function("inject_100_bits_int8_10k_params", |b| {
+    // A dynamic (training-time) fault on the deployed int8 codes, as
+    // `inject_now` records it: 113 flips.
+    let q = SymInt8Quantizer::fit(&clean).expect("range");
+    let mut plane = clean;
+    c.bench_function("inject_int8_policy_plane_ber_1pct", |b| {
         b.iter(|| {
-            black_box(inject_slice(
-                &mut buf,
+            black_box(inject_slice_ber(
+                &mut plane,
                 DataRepr::SymInt8(q),
                 FaultModel::TransientMulti,
-                100,
+                ber,
                 &mut rng,
             ))
         })

@@ -58,7 +58,8 @@ pub struct WorkerProfile {
     /// Span totals: name → (count, total µs). `trial` spans carry the
     /// whole per-trial compute; `train` / `eval` partition it.
     pub spans: BTreeMap<String, (u64, u64)>,
-    /// Timer totals: name → (count, total µs) — `aggregate`, `io`.
+    /// Timer totals: name → (count, total µs) — `aggregate`, `inject`,
+    /// `io`.
     pub timers: BTreeMap<String, (u64, u64)>,
     /// Counter totals: name → n.
     pub counters: BTreeMap<String, u64>,
@@ -496,12 +497,16 @@ pub fn load_dir(dir: &Path, mode: CheckMode) -> Result<Profile, String> {
 /// worker plus a `total` row; phase columns in seconds, completed
 /// trials, and each worker's observed completion rate. `prefix s` is
 /// the part of `train s` spent obtaining fault-free training prefixes
-/// (cache lookups, and the chain training of cache misses).
+/// (cache lookups, and the chain training of cache misses); `inject s`
+/// is the part of `eval s` spent corrupting policies for static
+/// (inference-time) faults.
 pub(crate) fn render_profile_table(profile: &Profile) -> Table {
-    let columns =
-        ["trials", "trial s", "train s", "prefix s", "eval s", "agg s", "io s", "trial/s"]
-            .map(String::from)
-            .to_vec();
+    let columns = [
+        "trials", "trial s", "train s", "prefix s", "eval s", "inject s", "agg s", "io s",
+        "trial/s",
+    ]
+    .map(String::from)
+    .to_vec();
     let mut table =
         Table::new("Campaign profile: wall-clock by phase", "worker", columns).with_precision(2);
     let s = |us: u64| us as f64 / 1e6;
@@ -517,12 +522,13 @@ pub(crate) fn render_profile_table(profile: &Profile) -> Table {
             span_s("train"),
             span_s("prefix"),
             span_s("eval"),
+            timer_s("inject"),
             timer_s("aggregate"),
             timer_s("io"),
             rate,
         ]
     };
-    let mut total = vec![0.0; 8];
+    let mut total = vec![0.0; 9];
     for w in &profile.workers {
         let r = row(w);
         for (t, v) in total.iter_mut().zip(&r) {

@@ -138,6 +138,25 @@ fn obs_enabled_run_is_byte_identical_and_its_stream_parses_strictly() {
 }
 
 #[test]
+fn static_injection_is_booked_as_its_own_phase_inside_eval() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let scenario = frlfi_campaign::registry::builtin("fig8a", Scale::Smoke).expect("built-in");
+    let dir = temp_dir("inject");
+    let cfg = RunnerConfig { threads: 1, obs: true, ..RunnerConfig::default() };
+    runner::run(&scenario, &dir, &cfg).expect("obs run").stats.expect("complete");
+
+    // Every fig8a trial corrupts its fleet once, inside its eval span.
+    let p = profile::load_dir(&dir, profile::CheckMode::Strict).expect("strict load");
+    let w = &p.workers[0];
+    assert_eq!(w.timers["inject"].0, w.trials());
+    assert!(w.timers["inject"].1 <= w.spans["eval"].1, "inject is part of eval");
+    let report = profile::render_report(&p, Some(0));
+    assert!(report.contains("inject s"), "{report}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn two_shared_workers_stream_obs_and_profile_renders_their_phases() {
     let _guard = OBS_LOCK.lock().unwrap();
     let spec = write_spec("mp-obs");

@@ -28,7 +28,7 @@ use crate::experiments::harness::{drone_geometry, pretrained};
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
 use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig, ReprKind, Scale};
-use frlfi_fault::{inject_slice, Ber, FaultModel};
+use frlfi_fault::{corrupt_slice, Ber, FaultModel};
 use frlfi_mitigation::RangeDetector;
 use frlfi_nn::{BatchInferCtx, ParamSpan};
 use frlfi_quant::QFormat;
@@ -477,9 +477,9 @@ impl StudyGeometry {
     ///
     /// # Errors
     ///
-    /// Returns a typed error on an invalid BER or a snapshot-length
-    /// mismatch, so a campaign quarantines the trial instead of a
-    /// worker dying mid-campaign.
+    /// Returns a typed error on an invalid BER, a cell out of range or
+    /// a context built for another study, so a campaign quarantines the
+    /// trial instead of a worker dying mid-campaign.
     pub fn eval_cell(&self, ctx: &mut StudyCtx, cell: usize, seed: u64) -> Result<f64, FrlfiError> {
         // Observability only — cannot affect any evaluated value.
         let _eval = frlfi_obs::span("eval");
@@ -581,28 +581,20 @@ impl StudyGeometry {
             }
             (StudySystems::Layers { sys }, RowAxis::FaultCounts(fault_counts)) => {
                 let n_faults = fault_counts[row];
-                let span = &self.spans[col];
+                let span = self.spans[col].range();
                 let mut rng = StdRng::seed_from_u64(seed);
-                // Snapshot all agents, corrupt the span, evaluate, restore.
-                let clean: Vec<Vec<f32>> =
-                    (0..sys.n_agents()).map(|i| sys.agent(i).network().snapshot()).collect();
-                for (i, clean_snap) in clean.iter().enumerate() {
-                    let mut snap = clean_snap.clone();
-                    let repr = ReprKind::Int8.materialize_for(&snap);
-                    inject_slice(
-                        &mut snap[span.range()],
-                        repr,
-                        FaultModel::TransientMulti,
-                        n_faults,
-                        &mut rng,
-                    );
-                    sys.agent_mut(i).network_mut().restore(&snap)?;
-                }
-                let sr = sys.success_rate(arena);
-                for (i, clean_snap) in clean.iter().enumerate() {
-                    sys.agent_mut(i).network_mut().restore(clean_snap)?;
-                }
-                Ok(sr)
+                // The int8 scale is fit on the whole plane, but unlike
+                // `with_faulted_policies` the weights are not quantized
+                // first: only the flipped ones pass through the codec.
+                Ok(sys.with_corrupted(
+                    0..sys.n_agents(),
+                    |plane| {
+                        let repr = ReprKind::Int8.materialize_for(plane);
+                        let layer = &mut plane[span.clone()];
+                        corrupt_slice(layer, repr, FaultModel::TransientMulti, n_faults, &mut rng);
+                    },
+                    |s| s.success_rate(arena),
+                ))
             }
             _ => Err(FrlfiError::BadConfig {
                 detail: format!("evaluation context does not match study {}", self.kind.name()),

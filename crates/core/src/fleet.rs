@@ -38,13 +38,14 @@
 use crate::error::FrlfiError;
 use crate::injection::{InjectionPlan, MitigationStats, ReprKind, TrainingMitigation};
 use frlfi_envs::Environment;
-use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
+use frlfi_fault::{corrupt_slice_ber, inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
 use frlfi_federated::{CommSchedule, RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
 use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{run_episode_batched, Learner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A federated fleet of `L` learners in `E` environments, configured by
@@ -356,21 +357,47 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         seed: u64,
         f: impl FnOnce(&mut Self) -> T,
     ) -> T {
-        let clean: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        for agent in &mut self.agents {
-            let mut snap = agent.network().snapshot();
-            let repr = repr.materialize_for(&snap);
-            // Deploy-time quantization: faults strike the encoded form.
-            for w in &mut snap {
-                *w = repr.quantize(*w);
-            }
-            inject_slice_ber(&mut snap, repr, model, ber, &mut rng);
-            agent.network_mut().restore(&snap).expect("snapshot length invariant");
-        }
+        self.with_corrupted(
+            0..self.agents.len(),
+            |plane| {
+                let repr = repr.materialize_for(plane);
+                // Deploy-time quantization: faults strike the encoded form.
+                repr.quantize_slice(plane);
+                corrupt_slice_ber(plane, repr, model, ber, &mut rng);
+            },
+            f,
+        )
+    }
+
+    /// Runs `f` with the policies of `agents` corrupted, then restores
+    /// their clean weights, undoing whatever `f` wrote into them too.
+    /// `corrupt` sees each agent's weight plane in index order, so one
+    /// fault stream threads through the agents in a fixed order.
+    pub(crate) fn with_corrupted<T>(
+        &mut self,
+        agents: Range<usize>,
+        mut corrupt: impl FnMut(&mut [f32]),
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let clean: Vec<Vec<f32>> = {
+            // Wall-clock accounting only.
+            let _inject = frlfi_obs::timed("inject");
+            let mut plane = Vec::new();
+            self.agents[agents.clone()]
+                .iter_mut()
+                .map(|agent| {
+                    let clean = agent.network().snapshot();
+                    plane.clone_from(&clean);
+                    corrupt(&mut plane);
+                    agent.network_mut().restore(&plane).expect("snapshot length invariant");
+                    clean
+                })
+                .collect()
+        };
         let out = f(self);
-        for (agent, snap) in self.agents.iter_mut().zip(clean.iter()) {
-            agent.network_mut().restore(snap).expect("snapshot length invariant");
+        for (agent, clean) in self.agents[agents].iter_mut().zip(&clean) {
+            agent.network_mut().restore(clean).expect("snapshot length invariant");
         }
         out
     }
@@ -644,6 +671,7 @@ impl RoundHook for ServerFaultHook {
 mod tests {
     use super::*;
     use crate::{DroneFrlSystem, DroneSystemConfig, GridFrlSystem, GridSystemConfig};
+    use frlfi_mitigation::RangeDetector;
 
     fn bits(w: &[f32]) -> Vec<u32> {
         w.iter().map(|w| w.to_bits()).collect()
@@ -754,5 +782,41 @@ mod tests {
             }
         }
         assert!(checked > 0, "no detection fired: no restore was checked");
+    }
+
+    #[test]
+    fn faulted_policies_hand_back_clean_weights_after_a_repair() {
+        // The Fig. 8 range detector rewrites the faulted weights inside
+        // the scope; the scope must still restore every agent's clean
+        // plane bit for bit, repair included.
+        let mut grid = GridFrlSystem::new(GridSystemConfig {
+            n_agents: 3,
+            seed: 5,
+            epsilon_decay_episodes: 30,
+            ..Default::default()
+        })
+        .unwrap();
+        grid.train(40, None, &mut BatchInferCtx::new()).unwrap();
+        let clean: Vec<Vec<u32>> =
+            grid.agents.iter().map(|a| bits(&a.network().snapshot())).collect();
+        let detectors: Vec<RangeDetector> =
+            grid.agents.iter().map(|a| RangeDetector::fit(a.network())).collect();
+        let ber = Ber::new(0.02).unwrap();
+        let repaired =
+            grid.with_faulted_policies(FaultModel::TransientMulti, ber, ReprKind::F32, 9, |s| {
+                for (agent, clean) in s.agents.iter().zip(&clean) {
+                    assert_ne!(
+                        &bits(&agent.network().snapshot()),
+                        clean,
+                        "the fault changed nothing"
+                    );
+                }
+                let agents = s.agents.iter_mut();
+                agents.zip(&detectors).map(|(a, d)| d.repair(a.network_mut())).sum::<usize>()
+            });
+        assert!(repaired > 0, "the detector repaired nothing");
+        for (agent, clean) in grid.agents.iter().zip(&clean) {
+            assert_eq!(&bits(&agent.network().snapshot()), clean);
+        }
     }
 }

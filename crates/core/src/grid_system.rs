@@ -3,7 +3,7 @@ use crate::error::FrlfiError;
 use crate::fleet::{check_dropout, Fleet, FleetConfig, ForkLearner, Mitigation};
 use crate::injection::ReprKind;
 use frlfi_envs::{Environment, GridWorld, Outcome, GRID_SIZE};
-use frlfi_fault::{inject_slice_ber, Ber, FaultModel};
+use frlfi_fault::{corrupt_slice_ber, Ber, FaultModel};
 use frlfi_federated::Server;
 use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner};
@@ -241,28 +241,19 @@ impl GridFrlSystem {
         let mut state = self.envs[agent].reset(&mut eval_rng);
         for step in 0..200 {
             let action = if step == fault_step {
-                // Corrupt a transient copy for this single decision.
-                let clean = self.agents[agent].network().snapshot();
-                let repr_m = repr.materialize_for(&clean);
-                let mut corrupted = clean.clone();
-                inject_slice_ber(&mut corrupted, repr_m, FaultModel::TransientMulti, ber, rng);
-                self.agents[agent]
-                    .network_mut()
-                    .restore(&corrupted)
-                    .expect("snapshot length invariant");
-                let a = self.agents[agent]
-                    .act_greedy_ctx(&state, ctx)
-                    .expect("grid policy and observation shapes are fixed at construction");
-                self.agents[agent]
-                    .network_mut()
-                    .restore(&clean)
-                    .expect("snapshot length invariant");
-                a
+                // Corrupt the policy for this single decision only.
+                self.with_corrupted(
+                    agent..agent + 1,
+                    |plane| {
+                        let repr = repr.materialize_for(plane);
+                        corrupt_slice_ber(plane, repr, FaultModel::TransientMulti, ber, rng);
+                    },
+                    |s| s.agents[agent].act_greedy_ctx(&state, ctx),
+                )
             } else {
-                self.agents[agent]
-                    .act_greedy_ctx(&state, ctx)
-                    .expect("grid policy and observation shapes are fixed at construction")
-            };
+                self.agents[agent].act_greedy_ctx(&state, ctx)
+            }
+            .expect("grid policy and observation shapes are fixed at construction");
             let step_result = self.envs[agent].step(action, &mut eval_rng);
             state = step_result.state;
             if step_result.outcome.is_terminal() {

@@ -1,6 +1,5 @@
 use crate::{Ber, DataRepr, FaultModel, FaultRecord};
 use rand::{Rng, RngCore};
-use std::collections::HashSet;
 
 /// Injects `n_faults` bit-level faults into a parameter buffer.
 ///
@@ -10,7 +9,9 @@ use std::collections::HashSet;
 /// flipped". [`FaultModel::TransientSingle`] forces `n_faults = 1`.
 ///
 /// Returns one [`FaultRecord`] per injected site (including silent
-/// stuck-at hits).
+/// stuck-at hits), in ascending site order: the order the faults are
+/// applied in. [`corrupt_slice`] draws the same sites and leaves the
+/// same bits without building the records.
 pub fn inject_slice(
     params: &mut [f32],
     repr: DataRepr,
@@ -18,51 +19,9 @@ pub fn inject_slice(
     n_faults: usize,
     rng: &mut dyn RngCore,
 ) -> Vec<FaultRecord> {
-    if params.is_empty() {
-        return Vec::new();
-    }
-    let n_faults = match model {
-        FaultModel::TransientSingle => 1,
-        _ => n_faults,
-    };
-    let total_bits = repr.total_bits(params.len());
-    let n_faults = n_faults.min(total_bits);
-    if n_faults == 0 {
-        return Vec::new();
-    }
-
-    let width = repr.width() as usize;
-    let mut sites: HashSet<usize> = HashSet::with_capacity(n_faults);
-    // With n ≪ total_bits rejection sampling terminates fast; for dense
-    // corruption (n close to total_bits) fall back to a shuffle.
-    if n_faults * 4 <= total_bits {
-        while sites.len() < n_faults {
-            sites.insert(rng.gen_range(0..total_bits));
-        }
-    } else {
-        let mut all: Vec<usize> = (0..total_bits).collect();
-        // Partial Fisher–Yates.
-        for i in 0..n_faults {
-            let j = rng.gen_range(i..total_bits);
-            all.swap(i, j);
-            sites.insert(all[i]);
-        }
-    }
-
-    // Apply in sorted site order: HashSet iteration order is not
-    // deterministic, and flips through quantized encode/decode round
-    // trips do not commute, so ordering matters for reproducibility.
-    let mut sites: Vec<usize> = sites.into_iter().collect();
-    sites.sort_unstable();
-    let mut records = Vec::with_capacity(n_faults);
-    for site in sites {
-        let index = site / width;
-        let bit = (site % width) as u32;
-        let before = params[index];
-        let after = repr.corrupt(before, bit, model);
-        params[index] = after;
-        records.push(FaultRecord { index, bit, before, after });
-    }
+    let n = site_count(params.len(), repr, model, n_faults);
+    let mut records = Vec::with_capacity(n);
+    apply_sorted(params, repr, model, n, rng, |record| records.push(record));
     records
 }
 
@@ -77,6 +36,136 @@ pub fn inject_slice_ber(
 ) -> Vec<FaultRecord> {
     let n = ber.fault_count(repr.total_bits(params.len()));
     inject_slice(params, repr, model, n, rng)
+}
+
+/// [`inject_slice`] without the records, for callers that never read
+/// them (static inference-time faults).
+///
+/// It makes the same draws and leaves the same bits. On
+/// [`DataRepr::F32`] each fault is applied as its site is drawn: flips,
+/// sets and clears of distinct bits of one `u32` commute, so draw order
+/// gives the bits sorted order does, without the scan over one bitset
+/// word per 64 exposed bits (its cost is measured in the README's
+/// *Static fault injection* section). Quantized representations apply
+/// in ascending site order, as [`inject_slice`] does.
+pub fn corrupt_slice(
+    params: &mut [f32],
+    repr: DataRepr,
+    model: FaultModel,
+    n_faults: usize,
+    rng: &mut dyn RngCore,
+) {
+    let n = site_count(params.len(), repr, model, n_faults);
+    if n == 0 {
+        return;
+    }
+    if matches!(repr, DataRepr::F32) {
+        draw_sites(repr.total_bits(params.len()), n, rng, |site| {
+            params[site / 32] = repr.corrupt(params[site / 32], (site % 32) as u32, model);
+        });
+    } else {
+        apply_sorted(params, repr, model, n, rng, |_| {});
+    }
+}
+
+/// [`corrupt_slice`] at a given [`Ber`], deriving the fault count from
+/// the buffer's exposed bits.
+pub fn corrupt_slice_ber(
+    params: &mut [f32],
+    repr: DataRepr,
+    model: FaultModel,
+    ber: Ber,
+    rng: &mut dyn RngCore,
+) {
+    let n = ber.fault_count(repr.total_bits(params.len()));
+    corrupt_slice(params, repr, model, n, rng);
+}
+
+/// The number of distinct sites an injection of `n_faults` into `len`
+/// scalars draws: one for [`FaultModel::TransientSingle`], and never
+/// more than the exposed bits.
+fn site_count(len: usize, repr: DataRepr, model: FaultModel, n_faults: usize) -> usize {
+    let n = match model {
+        FaultModel::TransientSingle => 1,
+        _ => n_faults,
+    };
+    n.min(repr.total_bits(len))
+}
+
+/// Draws `n` distinct sites with [`draw_sites`] and applies a fault at
+/// each in ascending site order, handing every flip to `on_flip`.
+///
+/// The order matters: on a quantized representation each flip is an
+/// encode/decode round trip, and those agree in any order only while
+/// every code round-trips exactly.
+fn apply_sorted(
+    params: &mut [f32],
+    repr: DataRepr,
+    model: FaultModel,
+    n: usize,
+    rng: &mut dyn RngCore,
+    mut on_flip: impl FnMut(FaultRecord),
+) {
+    if n == 0 {
+        return;
+    }
+    let width = repr.width() as usize;
+    let sites = draw_sites(repr.total_bits(params.len()), n, rng, |_| {});
+    for (w, &word) in sites.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let site = w * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let (index, bit) = (site / width, (site % width) as u32);
+            let before = params[index];
+            let after = repr.corrupt(before, bit, model);
+            params[index] = after;
+            on_flip(FaultRecord { index, bit, before, after });
+        }
+    }
+}
+
+/// Draws `n` distinct sites out of `0..total_bits` and returns them as a
+/// bitset (bit `s % 64` of word `s / 64` set for site `s`), calling
+/// `on_draw` on each site as it is accepted.
+///
+/// With `n ≪ total_bits` rejection sampling terminates fast: each draw
+/// is one `gen_range(0..total_bits)`, and a repeat is rejected and
+/// drawn again, so the cost is one draw per accepted or rejected site
+/// plus a zeroed word per 64 exposed bits. For dense corruption
+/// (`4n > total_bits`) a partial Fisher–Yates shuffle over the list of
+/// every site draws `gen_range(i..total_bits)` for the `i`-th site
+/// instead. Both make the draws the `HashSet` sampler this replaced
+/// made, so the draw stream and the site set are unchanged.
+fn draw_sites(
+    total_bits: usize,
+    n: usize,
+    rng: &mut dyn RngCore,
+    mut on_draw: impl FnMut(usize),
+) -> Vec<u64> {
+    let mut words = vec![0u64; total_bits.div_ceil(64)];
+    if n * 4 <= total_bits {
+        let mut drawn = 0;
+        while drawn < n {
+            let site = rng.gen_range(0..total_bits);
+            let (word, mask) = (&mut words[site / 64], 1u64 << (site % 64));
+            if *word & mask == 0 {
+                *word |= mask;
+                drawn += 1;
+                on_draw(site);
+            }
+        }
+    } else {
+        let mut all: Vec<usize> = (0..total_bits).collect();
+        for i in 0..n {
+            let j = rng.gen_range(i..total_bits);
+            all.swap(i, j);
+            let site = all[i];
+            words[site / 64] |= 1u64 << (site % 64);
+            on_draw(site);
+        }
+    }
+    words
 }
 
 #[cfg(test)]

@@ -90,6 +90,18 @@ impl DataRepr {
             DataRepr::Fixed(q) => q.quantize(value),
         }
     }
+
+    /// Quantizes every value of `values` in place (deploy-time rounding
+    /// of a whole parameter plane). Returns at once for
+    /// [`DataRepr::F32`], where quantizing is the identity.
+    pub fn quantize_slice(&self, values: &mut [f32]) {
+        if matches!(self, DataRepr::F32) {
+            return;
+        }
+        for v in values {
+            *v = self.quantize(*v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -161,5 +173,17 @@ mod tests {
         let repr = DataRepr::Fixed(q);
         assert_eq!(repr.quantize(0.123), q.quantize(0.123));
         assert_eq!(DataRepr::F32.quantize(0.123), 0.123);
+    }
+
+    #[test]
+    fn quantize_slice_matches_scalar_quantize() {
+        let values = [0.123f32, -0.75, f32::NAN, -0.0, 3.5];
+        for repr in [DataRepr::F32, DataRepr::Fixed(QFormat::Q4_11)] {
+            let mut plane = values;
+            repr.quantize_slice(&mut plane);
+            for (q, &v) in plane.iter().zip(&values) {
+                assert_eq!(q.to_bits(), repr.quantize(v).to_bits(), "{repr:?} {v}");
+            }
+        }
     }
 }
