@@ -83,19 +83,23 @@ fn policy_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched multi-trial inference: one `infer_batch` call serves a
-/// whole batch of observations (one campaign-cell trial batch), so
-/// throughput is `params × batch` elements per iteration. Batch 1 is
-/// `inference/drone_policy_infer_fast`: `Network::infer` is the same
-/// walk at batch 1. Batch ≥ 32 is the campaign sweet spot the ≥2x
-/// acceptance gate measures against that per-observation row.
+/// Batched inference at the batch sizes the DroneNav policy really
+/// runs: one `infer_batch` call per batch, so throughput is
+/// `params × batch` elements per iteration. Batch 1 is the act of a
+/// fine-tuning step (`Network::infer` is the same walk at batch 1).
+/// Batch 3 is the lock-step evaluator, which forwards only the rows
+/// its action memo misses (about 3 per call on fig5a @ Bench, never
+/// more than the flight attempts per drone). Batches 27 and 32 are
+/// the forward of a REINFORCE update chunk: its median on fig5a
+/// (`nn.train.batch_size` p50 26.5) and its largest size; 32 is also
+/// the row the ≥2x acceptance gate measures against batch 1.
 fn batched_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_batched");
     let (net, _) = drone_policy();
     let mut rng = StdRng::seed_from_u64(7);
     let vol = 9 * 16;
     let mut ctx = BatchInferCtx::new();
-    for &batch in &[8usize, 32, 128] {
+    for &batch in &[1usize, 3, 27, 32] {
         let obs =
             Tensor::random(vec![batch * vol], frlfi::tensor::Init::Uniform(-1.0, 1.0), &mut rng);
         let flat = obs.data();

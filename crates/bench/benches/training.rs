@@ -20,11 +20,12 @@
 //! the apply/clear cost is measured, but weights stay fixed so every
 //! iteration times the identical numeric work.
 //!
-//! Two row families use the largest DroneNav fine-tuning update chunk
+//! One row uses the largest DroneNav fine-tuning update chunk
 //! production runs: one 32-row REINFORCE update (`learn_batch` never
-//! runs more rows at once), and each conv layer's batched backward
-//! alone at that batch, where `conv0` computes parameter gradients
-//! only, as inside `Network::backward_batch`.
+//! runs more rows at once). Next to it, each DroneNav conv layer runs
+//! alone at the batches production calls it with: forward at 1, 3 and
+//! 32 rows, backward at 32 (and at 1 and 3 for the two layers that
+//! compute an input gradient).
 //!
 //! Next to them, each GridWorld Q-network layer runs alone at batch 1,
 //! forward and backward, as one TD step calls it: the three dense
@@ -168,13 +169,20 @@ fn bench_batched_update(
 /// largest update batch production runs.
 const DRONE_UPDATE_BATCH: usize = 32;
 
-/// Each DroneNav conv layer's batched backward on its own, at its
-/// input shape in the policy and the update-chunk batch. Inputs past
-/// `conv0` are post-ReLU (about half zeros) and every upstream
-/// gradient is ReLU-sparse, as in training.
-fn drone_conv_backward(c: &mut Criterion) {
+/// Each DroneNav conv layer on its own, at its input shape in the
+/// policy. Inputs past `conv0` are post-ReLU (about half zeros) and
+/// every upstream gradient is ReLU-sparse, as in training.
+///
+/// Forward rows run at batch 1 (the act of a fine-tuning step, through
+/// `forward_into` as `Network::infer` calls it), 3 (the lock-step
+/// evaluator's memo misses) and 32 (an update chunk). The
+/// backward rows run at the update-chunk batch, `conv0` computing
+/// parameter gradients only, as inside `Network::backward_batch`;
+/// `conv1` and `conv2` also run at batches 1 and 3, each next to a
+/// `params_only` row without the input gradient, so the input-gradient
+/// pass costs the difference of the two rows.
+fn drone_conv_layers(c: &mut Criterion) {
     let mut group = c.benchmark_group("training_layers");
-    let batch = DRONE_UPDATE_BATCH;
     let mut rng = StdRng::seed_from_u64(3);
     for (l, (in_c, out_c, h, w)) in
         [(1, 8, 9, 16), (8, 12, 7, 14), (12, 16, 5, 12)].into_iter().enumerate()
@@ -182,24 +190,48 @@ fn drone_conv_backward(c: &mut Criterion) {
         let mut conv = Conv2d::new(format!("conv{l}"), in_c, out_c, 3, &mut rng);
         let in_shape = ActShape::image(in_c, h, w);
         let out_vol = conv.out_shape(&in_shape).expect("shape").volume();
-        let x: Vec<f32> = (0..in_c * h * w * batch)
-            .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
-            .collect();
-        let g: Vec<f32> = (0..out_vol * batch)
-            .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-0.5f32..0.5) })
-            .collect();
-        let mut dx = vec![0.0f32; in_shape.volume() * batch];
-        let mut scratch = Vec::new();
-        group.throughput(Throughput::Elements(conv.param_count() as u64 * batch as u64));
-        group.bench_function(format!("drone_conv{l}_backward_batch{batch}").as_str(), |b| {
-            b.iter(|| {
-                let grad_in = (l > 0).then_some(&mut dx[..]);
-                conv.backward_batch_into(&x, &in_shape, batch, &g, grad_in, &mut scratch)
-                    .expect("backward");
-                conv.zero_grads();
-                black_box(&dx);
-            })
-        });
+        // `conv0`'s input gradient has no reader.
+        let backward_rows: &[(&str, bool)] = if l == 0 {
+            &[("backward", false)]
+        } else {
+            &[("backward", true), ("params_only", false)]
+        };
+        for batch in [1, 3, DRONE_UPDATE_BATCH] {
+            let x: Vec<f32> = (0..in_c * h * w * batch)
+                .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
+                .collect();
+            let mut y = vec![0.0f32; out_vol * batch];
+            group.throughput(Throughput::Elements(conv.param_count() as u64 * batch as u64));
+            group.bench_function(format!("drone_conv{l}_forward_batch{batch}").as_str(), |b| {
+                b.iter(|| {
+                    if batch == 1 {
+                        conv.forward_into(&x, &in_shape, &mut y).expect("forward");
+                    } else {
+                        conv.forward_batch_into(&x, &in_shape, batch, &mut y).expect("forward");
+                    }
+                    black_box(&y);
+                })
+            });
+            if l == 0 && batch != DRONE_UPDATE_BATCH {
+                continue;
+            }
+            let g: Vec<f32> = (0..out_vol * batch)
+                .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-0.5f32..0.5) })
+                .collect();
+            let mut dx = vec![0.0f32; in_shape.volume() * batch];
+            let mut scratch = Vec::new();
+            for &(tag, with_dx) in backward_rows {
+                group.bench_function(format!("drone_conv{l}_{tag}_batch{batch}").as_str(), |b| {
+                    b.iter(|| {
+                        let grad_in = with_dx.then_some(&mut dx[..]);
+                        conv.backward_batch_into(&x, &in_shape, batch, &g, grad_in, &mut scratch)
+                            .expect("backward");
+                        conv.zero_grads();
+                        black_box(&dx);
+                    })
+                });
+            }
+        }
     }
     group.finish();
 }
@@ -369,7 +401,7 @@ fn policy_training(c: &mut Criterion) {
     let name = format!("drone_policy_update_batch{DRONE_UPDATE_BATCH}");
     bench_batched_update(&mut group, &name, drone_policy, DRONE_UPDATE_BATCH);
     group.finish();
-    drone_conv_backward(c);
+    drone_conv_layers(c);
     grid_mlp_layers(c);
     grid_td_step(c);
 }

@@ -215,6 +215,9 @@ pub mod chaos {
         matched: u64,
         /// Faults injected since arm.
         injected: u64,
+        /// The one thread whose operations the injector sees (`None`:
+        /// every thread, as [`arm`] sets it).
+        owner: Option<std::thread::ThreadId>,
     }
 
     /// One relaxed load on the disarmed fast path.
@@ -224,8 +227,15 @@ pub mod chaos {
     /// Arms chaos mode: subsequent campaign I/O routes every
     /// operation through the injector. Resets the operation counter.
     pub fn arm(spec: ChaosSpec) {
-        let mut state = lock_recover(&STATE);
-        *state = Some(ChaosState { spec, ops: 0, matched: 0, injected: 0 });
+        arm_for(spec, None);
+    }
+
+    /// [`arm`], seen only by the operations of thread `owner` when it
+    /// is set: other threads' operations run clean and take no
+    /// operation index. Unit tests share their process with other
+    /// tests doing campaign I/O, so they arm for their own thread.
+    pub(super) fn arm_for(spec: ChaosSpec, owner: Option<std::thread::ThreadId>) {
+        *lock_recover(&STATE) = Some(ChaosState { spec, ops: 0, matched: 0, injected: 0, owner });
         ARMED.store(true, Ordering::Release);
     }
 
@@ -258,6 +268,9 @@ pub mod chaos {
     pub(super) fn decide(tag: &str, class: OpClass) -> Option<FaultKind> {
         let mut guard = lock_recover(&STATE);
         let state = guard.as_mut()?;
+        if state.owner.is_some_and(|t| t != std::thread::current().id()) {
+            return None;
+        }
         let idx = state.ops;
         state.ops += 1;
         if let Some(want) = &state.spec.tag {
@@ -620,6 +633,13 @@ mod tests {
     /// Chaos state is process-global; tests that arm it serialize.
     static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Arms `spec` for the calling test's thread only, so the I/O of
+    /// tests running on other threads neither takes operation indices
+    /// nor meets an injected fault.
+    fn arm_this_thread(spec: chaos::ChaosSpec) {
+        chaos::arm_for(spec, Some(std::thread::current().id()));
+    }
+
     #[test]
     fn spec_parses_the_full_grammar() {
         let spec =
@@ -702,7 +722,7 @@ mod tests {
         let path = dir.join("x.jsonl");
 
         // rate=0: every op succeeds, ops are counted.
-        chaos::arm(chaos::ChaosSpec { seed: 1, ..chaos::ChaosSpec::default() });
+        arm_this_thread(chaos::ChaosSpec { seed: 1, ..chaos::ChaosSpec::default() });
         let mut f = open_append("t.open", &path).unwrap();
         write_all("t.write", &mut f, b"hello\n").unwrap();
         sync_data("t.fsync", &f).unwrap();
@@ -712,7 +732,7 @@ mod tests {
 
         // op=K: exactly one fault at index K (an error, or a latency
         // spike that succeeds after sleeping — both count), then clean.
-        chaos::arm(chaos::ChaosSpec { seed: 1, op: Some(1), ..chaos::ChaosSpec::default() });
+        arm_this_thread(chaos::ChaosSpec { seed: 1, op: Some(1), ..chaos::ChaosSpec::default() });
         let mut f = open_append("t.open", &path).unwrap();
         // (an Ok here means the seed-derived fault kind was a latency
         // spike, which sleeps and succeeds — it still counts)
@@ -724,7 +744,7 @@ mod tests {
         assert_eq!(chaos::injected(), 1, "an op-targeted fault must not recur");
 
         // tag+persist: every matching op faults, others run clean.
-        chaos::arm(chaos::ChaosSpec {
+        arm_this_thread(chaos::ChaosSpec {
             seed: 1,
             tag: Some("t.write".into()),
             persist: true,
@@ -736,7 +756,7 @@ mod tests {
         sync_data("t.fsync", &f).unwrap();
 
         // every=2 on a tag: first matching op faults, retry recovers.
-        chaos::arm(chaos::ChaosSpec {
+        arm_this_thread(chaos::ChaosSpec {
             seed: 9,
             tag: Some("t.write".into()),
             every: 2,
@@ -764,7 +784,7 @@ mod tests {
         // Find a seed whose first write op injects a short write.
         let mut found = false;
         for seed in 0..64 {
-            chaos::arm(chaos::ChaosSpec {
+            arm_this_thread(chaos::ChaosSpec {
                 seed,
                 tag: Some("s.write".into()),
                 persist: true,

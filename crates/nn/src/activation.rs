@@ -30,9 +30,7 @@ impl Relu {
         _in_shape: &ActShape,
         out: &mut [f32],
     ) -> Result<(), NnError> {
-        for (o, &x) in out.iter_mut().zip(input.iter()) {
-            *o = x.max(0.0);
-        }
+        self.forward_kernel(input, out);
         Ok(())
     }
 
@@ -44,12 +42,17 @@ impl Relu {
         _batch: usize,
         out: &mut [f32],
     ) -> Result<(), NnError> {
-        // Elementwise and layout-oblivious: the batch-minor buffer is
-        // clamped in place, identical per sample to `forward_into`.
+        self.forward_kernel(input, out);
+        Ok(())
+    }
+
+    /// The inference forward at any batch: elementwise and
+    /// layout-oblivious, so a batch-minor plane is clamped exactly as
+    /// each sample alone would be.
+    pub(crate) fn forward_kernel(&self, input: &[f32], out: &mut [f32]) {
         for (o, &x) in out.iter_mut().zip(input.iter()) {
             *o = x.max(0.0);
         }
-        Ok(())
     }
 
     /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a ReLU.

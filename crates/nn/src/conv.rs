@@ -96,227 +96,24 @@ impl Conv2d {
         self.out_hw(dims[1], dims[2])
     }
 
-    /// The blocked generic inference kernel: convolution as a sum of
-    /// weight-scaled shifted input rows. The loop nest is
-    /// `oc → ic → ky → oy → kx → ox`, so every *output element* still
-    /// accumulates its terms in the reference `ic → ky → kx` order
-    /// (bit-identical to [`Conv2d::forward`]) while the innermost `ox`
-    /// sweep updates independent elements and vectorizes.
-    fn forward_into_generic(
+    /// The inference forward at any batch, with `in_shape` already
+    /// validated ([`BatchInferCtx`](crate::BatchInferCtx)'s walk checks
+    /// each layer's shape once): the output planes start at the bias
+    /// and the input is correlated into them.
+    pub(crate) fn forward_kernel(
         &self,
-        x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut [f32],
-    ) {
-        let k = self.k;
-        let wt = self.w.data();
-        let b = self.b.data();
-        for oc in 0..self.out_c {
-            let out_plane = &mut out[oc * oh * ow..(oc + 1) * oh * ow];
-            out_plane.fill(b[oc]);
-            for ic in 0..self.in_c {
-                let x_chan = &x[ic * h * w..(ic + 1) * h * w];
-                let w_base = (oc * self.in_c + ic) * k * k;
-                for ky in 0..k {
-                    let w_row = &wt[w_base + ky * k..w_base + (ky + 1) * k];
-                    for oy in 0..oh {
-                        let x_row = &x_chan[(oy + ky) * w..(oy + ky) * w + w];
-                        let o_row = &mut out_plane[oy * ow..(oy + 1) * ow];
-                        for (kx, &wv) in w_row.iter().enumerate() {
-                            let x_shift = &x_row[kx..kx + ow];
-                            for (o, &xv) in o_row.iter_mut().zip(x_shift.iter()) {
-                                *o += xv * wv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Kernel-size-specialized inference path for the ubiquitous 3×3
-    /// case (the DroneNav policy is three k=3 convs): the `kx` loop is
-    /// fully unrolled into three in-order `+=` updates per output
-    /// element, preserving the reference accumulation order.
-    fn forward_into_k3(
-        &self,
-        x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut [f32],
-    ) {
-        let wt = self.w.data();
-        let b = self.b.data();
-        for oc in 0..self.out_c {
-            let out_plane = &mut out[oc * oh * ow..(oc + 1) * oh * ow];
-            out_plane.fill(b[oc]);
-            for ic in 0..self.in_c {
-                let x_chan = &x[ic * h * w..(ic + 1) * h * w];
-                let w_base = (oc * self.in_c + ic) * 9;
-                for ky in 0..3 {
-                    let w_row = &wt[w_base + ky * 3..w_base + ky * 3 + 3];
-                    let (w0, w1, w2) = (w_row[0], w_row[1], w_row[2]);
-                    for oy in 0..oh {
-                        let x_row = &x_chan[(oy + ky) * w..(oy + ky) * w + w];
-                        let o_row = &mut out_plane[oy * ow..(oy + 1) * ow];
-                        // Three shifted, equal-length views of the input
-                        // row: the zip carries no bounds checks and the
-                        // per-element updates are independent, so the
-                        // loop vectorizes while each output element
-                        // still receives its kx = 0, 1, 2 terms in
-                        // order.
-                        let x0 = &x_row[..ow];
-                        let x1 = &x_row[1..1 + ow];
-                        let x2 = &x_row[2..2 + ow];
-                        for (((o, &a), &b), &c) in o_row.iter_mut().zip(x0).zip(x1).zip(x2) {
-                            *o += a * w0;
-                            *o += b * w1;
-                            *o += c * w2;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The batched generic inference kernel over **batch-minor**
-    /// activations (element `j` of sample `b` at `j * batch + b`),
-    /// fused like the k=3 specialization: the loop nest is
-    /// `oc → ic → oy → ox → ky → kx → batch`, so each output position's
-    /// whole k×k window is applied in one pass — the `batch`-wide
-    /// accumulator chunk is loaded and stored once per `(ic, position)`
-    /// instead of the output row being swept k² times per input
-    /// channel, and the innermost sweep updates `batch` contiguous,
-    /// independent per-sample accumulators and vectorizes across the
-    /// batch axis. Every *output element* of every sample still
-    /// accumulates its terms in the reference `ic → ky → kx` order,
-    /// bit-identical to [`Conv2d::forward_into`] on that sample alone.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_batch_into_generic(
-        &self,
-        x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
+        input: &[f32],
+        in_shape: &ActShape,
         batch: usize,
         out: &mut [f32],
     ) {
-        let k = self.k;
-        let wt = self.w.data();
-        let b = self.b.data();
-        for oc in 0..self.out_c {
-            let out_plane = &mut out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
-            out_plane.fill(b[oc]);
-            for ic in 0..self.in_c {
-                let x_chan = &x[ic * h * w * batch..(ic + 1) * h * w * batch];
-                let w_win = &wt[(oc * self.in_c + ic) * k * k..(oc * self.in_c + ic + 1) * k * k];
-                for oy in 0..oh {
-                    let o_row = &mut out_plane[oy * ow * batch..(oy + 1) * ow * batch];
-                    for (ox, os) in o_row.chunks_exact_mut(batch).enumerate() {
-                        for ky in 0..k {
-                            let x_win = &x_chan
-                                [((oy + ky) * w + ox) * batch..((oy + ky) * w + ox + k) * batch];
-                            for (xs, &wv) in x_win.chunks_exact(batch).zip(&w_win[ky * k..]) {
-                                for (o, &xv) in os.iter_mut().zip(xs.iter()) {
-                                    *o += xv * wv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let (h, w) = (in_shape.dims()[1], in_shape.dims()[2]);
+        let plane = (h - self.k + 1) * (w - self.k + 1) * batch;
+        let out = &mut out[..self.out_c * plane];
+        for (o, &bias) in out.chunks_exact_mut(plane).zip(self.b.data()) {
+            o.fill(bias);
         }
-    }
-
-    /// Batched kernel-size-3 specialization (see
-    /// [`Conv2d::forward_into_k3`]): the whole 3×3 window is fused
-    /// into nine in-order `+=` updates per output element, applied to
-    /// all batch rows of each window position in one pass — the output
-    /// row is loaded and stored once per input channel instead of once
-    /// per kernel row, and the inner loop runs over `batch` contiguous
-    /// independent accumulators, vectorizing across the batch axis.
-    /// Per element the contributions still arrive in the reference
-    /// `ky → kx` order within each `ic`, so every sample's output is
-    /// bit-identical to the single-observation kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_batch_into_k3(
-        &self,
-        x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        batch: usize,
-        out: &mut [f32],
-    ) {
-        let wt = self.w.data();
-        let b = self.b.data();
-        for oc in 0..self.out_c {
-            let out_plane = &mut out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
-            out_plane.fill(b[oc]);
-            for ic in 0..self.in_c {
-                let x_chan = &x[ic * h * w * batch..(ic + 1) * h * w * batch];
-                let w_base = (oc * self.in_c + ic) * 9;
-                let wv: [f32; 9] = wt[w_base..w_base + 9].try_into().expect("3x3 kernel");
-                for oy in 0..oh {
-                    let r0 = &x_chan[oy * w * batch..(oy + 1) * w * batch];
-                    let r1 = &x_chan[(oy + 1) * w * batch..(oy + 2) * w * batch];
-                    let r2 = &x_chan[(oy + 2) * w * batch..(oy + 3) * w * batch];
-                    let o_row = &mut out_plane[oy * ow * batch..(oy + 1) * ow * batch];
-                    for (ox, os) in o_row.chunks_exact_mut(batch).enumerate() {
-                        let base = ox * batch;
-                        fn win(r: &[f32], base: usize, kx: usize, batch: usize) -> &[f32] {
-                            &r[base + kx * batch..base + (kx + 1) * batch]
-                        }
-                        let (x00, x01, x02) = (
-                            win(r0, base, 0, batch),
-                            win(r0, base, 1, batch),
-                            win(r0, base, 2, batch),
-                        );
-                        let (x10, x11, x12) = (
-                            win(r1, base, 0, batch),
-                            win(r1, base, 1, batch),
-                            win(r1, base, 2, batch),
-                        );
-                        let (x20, x21, x22) = (
-                            win(r2, base, 0, batch),
-                            win(r2, base, 1, batch),
-                            win(r2, base, 2, batch),
-                        );
-                        let it = os
-                            .iter_mut()
-                            .zip(x00)
-                            .zip(x01)
-                            .zip(x02)
-                            .zip(x10)
-                            .zip(x11)
-                            .zip(x12)
-                            .zip(x20)
-                            .zip(x21)
-                            .zip(x22);
-                        for (((((((((o, &a0), &a1), &a2), &b0), &b1), &b2), &c0), &c1), &c2) in it {
-                            let mut acc = *o;
-                            acc += a0 * wv[0];
-                            acc += a1 * wv[1];
-                            acc += a2 * wv[2];
-                            acc += b0 * wv[3];
-                            acc += b1 * wv[4];
-                            acc += b2 * wv[5];
-                            acc += c0 * wv[6];
-                            acc += c1 * wv[7];
-                            acc += c2 * wv[8];
-                            *o = acc;
-                        }
-                    }
-                }
-            }
-        }
+        correlate::<false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
     }
 
     /// Batched-backward pass 1: parameter gradients. Sample-outer on
@@ -398,171 +195,110 @@ impl Conv2d {
             }
         }
     }
+}
 
-    /// Batched-backward pass 2, kernel-size-3 specialization: input
-    /// gradients as a forward-style correlation. `dx` is the full
-    /// convolution of the output gradient with the 180°-rotated kernel,
-    /// so per output channel the gradient plane is copied into the
-    /// interior of the zeroed `plane` (`(h+2)×(w+2)×batch`; only the
-    /// interior is ever written, so the borders stay zero) and every
-    /// `dx[ic]` element then
-    /// takes the same fused nine-tap, batch-lane window pass as
-    /// [`Conv2d::forward_batch_into_k3`].
-    ///
-    /// Bitwise contract: rotated tap `(a, b)` of input position
-    /// `(iy, ix)` is the reference term of output position
-    /// `(iy + a − 2, ix + b − 2)`, so taps in ascending `a → b` order
-    /// deliver each `dx` element's terms in the reference
-    /// `oc → oy → ox` order. The reference skips `g == 0.0` terms;
-    /// adding them instead is bit-neutral while every weight is finite
-    /// (the product is ±0, the accumulator starts at +0.0 and in
-    /// round-to-nearest can never reach −0.0, and `x + ±0 == x`
-    /// otherwise). With a non-finite weight `0 · w` is NaN, so the
-    /// `MASKED` instantiation blends each tap against the lane's old
-    /// bits wherever `g == 0.0` — a select on bits, which stays
-    /// branch-free under ReLU-sparse gradients. Finite results match
-    /// the reference bitwise; a lane that is NaN is NaN on both paths,
-    /// but its payload may differ.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_batch_dx_corr_k3<const MASKED: bool>(
-        &self,
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        batch: usize,
-        grad_out: &[f32],
-        plane: &mut [f32],
-        grad_in: &mut [f32],
-    ) {
-        let pw = w + 2;
-        let wt = self.w.data();
-        for oc in 0..self.out_c {
-            let g_plane = &grad_out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
-            for (oy, g_row) in g_plane.chunks_exact(ow * batch).enumerate() {
-                let dst = ((oy + 2) * pw + 2) * batch;
-                plane[dst..dst + ow * batch].copy_from_slice(g_row);
-            }
-            for ic in 0..self.in_c {
-                let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
-                let w_base = (oc * self.in_c + ic) * 9;
-                let mut wr = [0.0f32; 9];
-                for (t, r) in wr.iter_mut().enumerate() {
-                    *r = wt[w_base + 8 - t];
-                }
-                for iy in 0..h {
-                    let r0 = &plane[iy * pw * batch..(iy + 1) * pw * batch];
-                    let r1 = &plane[(iy + 1) * pw * batch..(iy + 2) * pw * batch];
-                    let r2 = &plane[(iy + 2) * pw * batch..(iy + 3) * pw * batch];
-                    let d_row = &mut chan[iy * w * batch..(iy + 1) * w * batch];
-                    for (ix, ds) in d_row.chunks_exact_mut(batch).enumerate() {
-                        let base = ix * batch;
-                        fn win(r: &[f32], base: usize, b: usize, batch: usize) -> &[f32] {
-                            &r[base + b * batch..base + (b + 1) * batch]
-                        }
-                        let (g00, g01, g02) = (
-                            win(r0, base, 0, batch),
-                            win(r0, base, 1, batch),
-                            win(r0, base, 2, batch),
-                        );
-                        let (g10, g11, g12) = (
-                            win(r1, base, 0, batch),
-                            win(r1, base, 1, batch),
-                            win(r1, base, 2, batch),
-                        );
-                        let (g20, g21, g22) = (
-                            win(r2, base, 0, batch),
-                            win(r2, base, 1, batch),
-                            win(r2, base, 2, batch),
-                        );
-                        let it = ds
-                            .iter_mut()
-                            .zip(g00)
-                            .zip(g01)
-                            .zip(g02)
-                            .zip(g10)
-                            .zip(g11)
-                            .zip(g12)
-                            .zip(g20)
-                            .zip(g21)
-                            .zip(g22);
-                        for (((((((((d, &a0), &a1), &a2), &b0), &b1), &b2), &c0), &c1), &c2) in it {
-                            let mut acc = *d;
-                            acc = tap::<MASKED>(acc, a0, wr[0]);
-                            acc = tap::<MASKED>(acc, a1, wr[1]);
-                            acc = tap::<MASKED>(acc, a2, wr[2]);
-                            acc = tap::<MASKED>(acc, b0, wr[3]);
-                            acc = tap::<MASKED>(acc, b1, wr[4]);
-                            acc = tap::<MASKED>(acc, b2, wr[5]);
-                            acc = tap::<MASKED>(acc, c0, wr[6]);
-                            acc = tap::<MASKED>(acc, c1, wr[7]);
-                            acc = tap::<MASKED>(acc, c2, wr[8]);
-                            *d = acc;
-                        }
-                    }
-                }
-            }
-        }
+/// The one correlation body behind every conv kernel, over batch-minor
+/// planes (element `(y, x)` of sample `b` at `(y · w + x) · batch + b`):
+///
+/// `dst[d][y][x] += Σ_s Σ_ky Σ_kx src[s][y + ky][x + kx] · taps[d][s][ky][kx]`
+///
+/// with `src` of `src_c` planes of `sh × sw` and `dst` of planes of
+/// `(sh − k + 1) × (sw − k + 1)`. For each `(d, s, output row)` one
+/// contiguous sweep over the row's `ow · batch` elements applies the
+/// taps, tap `(ky, kx)` reading source row `y + ky` at offset
+/// `kx · batch`, so the sweep is long at every batch size, batch 1
+/// included. Every element receives its terms in `s → ky → kx` order.
+///
+/// The forward is `d = oc`, `s = ic` over the input, from the bias.
+/// The input gradient is the full convolution of the output gradient
+/// with the 180°-rotated kernel: one call per output channel `s = oc`
+/// over that channel's zero-padded gradient plane, `d = ic`, rotated
+/// taps in ascending order — each `dx` element's reference
+/// `oc → oy → ox` order.
+fn correlate<const MASKED: bool>(
+    k: usize,
+    taps: &[f32],
+    src: &[f32],
+    src_dims: (usize, usize, usize),
+    batch: usize,
+    dst: &mut [f32],
+) {
+    // k = 3 (every DroneNav conv) is a const instance of the same body:
+    // its tap offsets fold to constants.
+    if k == 3 {
+        correlate_k::<3, MASKED>(k, taps, src, src_dims, batch, dst);
+    } else {
+        correlate_k::<0, MASKED>(k, taps, src, src_dims, batch, dst);
     }
+}
 
-    /// Batched-backward pass 2, generic kernel size: the correlation of
-    /// [`Conv2d::backward_batch_dx_corr_k3`] over a `(h+k−1)×(w+k−1)`
-    /// padded plane, with the whole rotated k×k window applied per
-    /// `dx` position like [`Conv2d::forward_batch_into_generic`] (same
-    /// bitwise contract).
-    #[allow(clippy::too_many_arguments)]
-    fn backward_batch_dx_corr_generic<const MASKED: bool>(
-        &self,
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        batch: usize,
-        grad_out: &[f32],
-        plane: &mut [f32],
-        grad_in: &mut [f32],
-    ) {
-        let k = self.k;
-        let pw = w + k - 1;
-        let wt = self.w.data();
-        for oc in 0..self.out_c {
-            let g_plane = &grad_out[oc * oh * ow * batch..(oc + 1) * oh * ow * batch];
-            for (oy, g_row) in g_plane.chunks_exact(ow * batch).enumerate() {
-                let dst = ((oy + k - 1) * pw + k - 1) * batch;
-                plane[dst..dst + ow * batch].copy_from_slice(g_row);
-            }
-            for ic in 0..self.in_c {
-                let chan = &mut grad_in[ic * h * w * batch..(ic + 1) * h * w * batch];
-                let w_win = &wt[(oc * self.in_c + ic) * k * k..(oc * self.in_c + ic + 1) * k * k];
-                for iy in 0..h {
-                    let d_row = &mut chan[iy * w * batch..(iy + 1) * w * batch];
-                    for (ix, ds) in d_row.chunks_exact_mut(batch).enumerate() {
-                        for a in 0..k {
-                            let g_win = &plane
-                                [((iy + a) * pw + ix) * batch..((iy + a) * pw + ix + k) * batch];
-                            // Rotated row `a` is kernel row `k−1−a` reversed.
-                            let w_row = &w_win[(k - 1 - a) * k..(k - a) * k];
-                            for (gs, &wv) in g_win.chunks_exact(batch).zip(w_row.iter().rev()) {
-                                for (d, &g) in ds.iter_mut().zip(gs) {
-                                    *d = tap::<MASKED>(*d, g, wv);
-                                }
-                            }
-                        }
-                    }
+/// [`correlate`] with the kernel size fixed at compile time (`K > 0`)
+/// or read from `k` (`K == 0`). Each sweep applies nine taps, one 3×3
+/// window, so the row is loaded and stored once per nine taps; the
+/// taps past the last full nine sweep one at a time.
+#[inline(always)]
+fn correlate_k<const K: usize, const MASKED: bool>(
+    k: usize,
+    taps: &[f32],
+    src: &[f32],
+    (src_c, sh, sw): (usize, usize, usize),
+    batch: usize,
+    dst: &mut [f32],
+) {
+    let k = if K == 0 { k } else { K };
+    let kk = k * k;
+    let row = sw * batch;
+    let o_row = (sw - k + 1) * batch;
+    let o_plane = (sh - k + 1) * o_row;
+    for (d, d_plane) in dst.chunks_exact_mut(o_plane).enumerate() {
+        for s in 0..src_c {
+            let t = &taps[(d * src_c + s) * kk..(d * src_c + s + 1) * kk];
+            let s_plane = &src[s * sh * row..(s + 1) * sh * row];
+            for (y, out) in d_plane.chunks_exact_mut(o_row).enumerate() {
+                // Tap `i`'s source row, shifted to line up with `out`.
+                let view = |i: usize| {
+                    let at = (y + i / k) * row + i % k * batch;
+                    &s_plane[at..at + o_row]
+                };
+                let mut nines = t.chunks_exact(9);
+                for (c, w) in nines.by_ref().enumerate() {
+                    let views = std::array::from_fn(|i| view(9 * c + i));
+                    sweep::<9, MASKED>(out, &views, w.try_into().expect("nine taps"));
+                }
+                let done = kk - nines.remainder().len();
+                for (i, &w) in nines.remainder().iter().enumerate() {
+                    sweep::<1, MASKED>(out, &[view(done + i)], &[w]);
                 }
             }
         }
     }
 }
 
-/// One `dx += g · w` correlation tap. `MASKED` keeps the old bits
-/// wherever `g == 0.0`, matching the reference's skip exactly when `w`
-/// may be non-finite; the unmasked tap is the finite-weight fast path.
+/// One stencil sweep: `out[j]` takes the `G` taps `views[g][j] · w[g]`
+/// in ascending `g`. Indexing by `j` over views cut to `out`'s length
+/// lets the loop vectorize across `j` with no bounds checks.
 #[inline(always)]
-fn tap<const MASKED: bool>(acc: f32, g: f32, w: f32) -> f32 {
-    let upd = acc + g * w;
+fn sweep<const G: usize, const MASKED: bool>(out: &mut [f32], views: &[&[f32]; G], w: &[f32; G]) {
+    let n = out.len();
+    let views: [&[f32]; G] = std::array::from_fn(|g| &views[g][..n]);
+    for j in 0..n {
+        let mut acc = out[j];
+        for g in 0..G {
+            acc = tap::<MASKED>(acc, views[g][j], w[g]);
+        }
+        out[j] = acc;
+    }
+}
+
+/// One `acc += x · w` correlation tap. `MASKED` keeps the old bits
+/// wherever `x == 0.0`, matching the reference backward's skip of zero
+/// gradients exactly when `w` may be non-finite; the unmasked tap is
+/// the forward and the finite-weight input gradient.
+#[inline(always)]
+fn tap<const MASKED: bool>(acc: f32, x: f32, w: f32) -> f32 {
+    let upd = acc + x * w;
     if MASKED {
-        let m = ((g != 0.0) as u32).wrapping_neg();
+        let m = ((x != 0.0) as u32).wrapping_neg();
         f32::from_bits(upd.to_bits() & m | acc.to_bits() & !m)
     } else {
         upd
@@ -608,22 +344,15 @@ impl Conv2d {
         Ok(ActShape::image(self.out_c, oh, ow))
     }
 
-    /// `Layer::forward_into` for a conv layer.
+    /// `Layer::forward_into` for a conv layer: the batched forward at
+    /// batch 1, where both layouts coincide.
     pub fn forward_into(
         &self,
         input: &[f32],
         in_shape: &ActShape,
         out: &mut [f32],
     ) -> Result<(), NnError> {
-        let (oh, ow) = self.check_dims(in_shape.dims())?;
-        let dims = in_shape.dims();
-        let (h, w) = (dims[1], dims[2]);
-        if self.k == 3 {
-            self.forward_into_k3(input, h, w, oh, ow, out);
-        } else {
-            self.forward_into_generic(input, h, w, oh, ow, out);
-        }
-        Ok(())
+        self.forward_batch_into(input, in_shape, 1, out)
     }
 
     /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a conv layer.
@@ -634,14 +363,8 @@ impl Conv2d {
         batch: usize,
         out: &mut [f32],
     ) -> Result<(), NnError> {
-        let (oh, ow) = self.check_dims(in_shape.dims())?;
-        let dims = in_shape.dims();
-        let (h, w) = (dims[1], dims[2]);
-        if self.k == 3 {
-            self.forward_batch_into_k3(input, h, w, oh, ow, batch, out);
-        } else {
-            self.forward_batch_into_generic(input, h, w, oh, ow, batch, out);
-        }
+        self.check_dims(in_shape.dims())?;
+        self.forward_kernel(input, in_shape, batch, out);
         Ok(())
     }
 
@@ -668,29 +391,46 @@ impl Conv2d {
         };
         let grad_in = &mut grad_in[..self.in_c * h * w * batch];
         grad_in.fill(0.0);
-        // Exact reservation: growing by doubling as episode batches grow
+        // `scratch` holds the rotated kernels, then one output channel's
+        // gradient plane zero-padded by k − 1 on every side; only its
+        // interior is ever written, so the border stays zero. Exact
+        // reservation: growing by doubling as episode batches grow
         // would keep up to twice the largest plane resident per worker.
-        let plane_len = (h + self.k - 1) * (w + self.k - 1) * batch;
+        let (k, kk) = (self.k, self.k * self.k);
+        let (ph, pw) = (h + k - 1, w + k - 1);
+        let taps_len = self.w.len();
         scratch.clear();
-        scratch.reserve_exact(plane_len);
-        scratch.resize(plane_len, 0.0);
-        let plane = &mut scratch[..];
-        // The unmasked kernel needs every weight finite. Running the
-        // masked one always cost about a fifth of `drone-finetune`
+        scratch.reserve_exact(taps_len + ph * pw * batch);
+        scratch.resize(taps_len + ph * pw * batch, 0.0);
+        let (taps, plane) = scratch.split_at_mut(taps_len);
+        // The 180° rotation reverses each k×k window in place, so
+        // `taps[oc]` is laid out `[ic][a][b]`: `d = ic` over one
+        // source channel.
+        for (r, win) in taps.chunks_exact_mut(kk).zip(self.w.data().chunks_exact(kk)) {
+            for (t, &v) in r.iter_mut().zip(win.iter().rev()) {
+                *t = v;
+            }
+        }
+        // Adding the zero-gradient terms the reference skips is
+        // bit-neutral while every weight is finite: the product is ±0,
+        // the accumulator starts at +0.0 and in round-to-nearest can
+        // never reach −0.0. With a non-finite weight `0 · w` is NaN, so
+        // the masked taps keep the old bits wherever `g == 0.0`.
+        // Running them always cost about a fifth of `drone-finetune`
         // throughput (2-core Xeon), so one sweep picks per call.
         let finite = self.w.data().iter().all(|v| v.is_finite());
         frlfi_obs::count(if finite { "nn.train.dx.fast" } else { "nn.train.dx.masked" }, 1);
-        match (self.k == 3, finite) {
-            (true, true) => self
-                .backward_batch_dx_corr_k3::<false>(h, w, oh, ow, batch, grad_out, plane, grad_in),
-            (true, false) => self
-                .backward_batch_dx_corr_k3::<true>(h, w, oh, ow, batch, grad_out, plane, grad_in),
-            (false, true) => self.backward_batch_dx_corr_generic::<false>(
-                h, w, oh, ow, batch, grad_out, plane, grad_in,
-            ),
-            (false, false) => self.backward_batch_dx_corr_generic::<true>(
-                h, w, oh, ow, batch, grad_out, plane, grad_in,
-            ),
+        let planes = grad_out.chunks_exact(oh * ow * batch);
+        for (g_plane, oc_taps) in planes.zip(taps.chunks_exact(self.in_c * kk)) {
+            for (oy, g_row) in g_plane.chunks_exact(ow * batch).enumerate() {
+                let dst = ((oy + k - 1) * pw + k - 1) * batch;
+                plane[dst..dst + ow * batch].copy_from_slice(g_row);
+            }
+            if finite {
+                correlate::<false>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+            } else {
+                correlate::<true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+            }
         }
         Ok(())
     }

@@ -142,6 +142,36 @@ impl Dense {
         out: &mut [f32],
     ) -> Result<(), NnError> {
         self.out_shape(in_shape)?;
+        self.forward_row(input, out);
+        Ok(())
+    }
+
+    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a dense layer.
+    pub(crate) fn forward_batch_into(
+        &self,
+        input: &[f32],
+        in_shape: &ActShape,
+        batch: usize,
+        out: &mut [f32],
+    ) -> Result<(), NnError> {
+        self.out_shape(in_shape)?;
+        self.forward_kernel(input, batch, out);
+        Ok(())
+    }
+
+    /// The inference forward at any batch on an input shape the caller
+    /// has already checked: the matvec for one observation, the tiled
+    /// matrix product for more.
+    pub(crate) fn forward_kernel(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+        if batch == 1 {
+            self.forward_row(input, out);
+        } else {
+            self.forward_cols(input, batch, out);
+        }
+    }
+
+    /// One observation: `out = W·x + b`.
+    fn forward_row(&self, input: &[f32], out: &mut [f32]) {
         let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
         let w = self.w.data();
         let b = self.b.data();
@@ -180,18 +210,10 @@ impl Dense {
             out[i] = acc + b[i];
             i += 1;
         }
-        Ok(())
     }
 
-    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a dense layer.
-    pub(crate) fn forward_batch_into(
-        &self,
-        input: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.out_shape(in_shape)?;
+    /// A batch-minor batch of observations.
+    fn forward_cols(&self, input: &[f32], batch: usize, out: &mut [f32]) {
         let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
         let w = self.w.data();
         let bias = self.b.data();
@@ -273,7 +295,6 @@ impl Dense {
                 bb += width;
             }
         }
-        Ok(())
     }
 
     /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a dense layer.

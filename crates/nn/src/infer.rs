@@ -4,21 +4,22 @@
 //! the input, heap-allocates a fresh output tensor per layer and caches
 //! a clone of every layer input for a backward pass that eval loops
 //! never run. [`BatchInferCtx`] replaces all of that with preallocated
-//! scratch planes that layers write into through
-//! [`crate::Layer::forward_into`] (one observation) and
-//! [`crate::Layer::forward_batch_into`] (a batch); after the first call
-//! on a given architecture, inference performs no allocation at all.
+//! scratch planes that layers write into; after the first call on a
+//! given architecture, inference performs no allocation at all.
 //!
 //! One private layer walk serves every forward: single-observation
-//! inference ([`crate::Network::infer`]) is the walk at batch 1, which
-//! dispatches to the per-observation kernels, and the cached training
-//! forward ([`crate::Network::forward_batch_cached`]) is the same walk
-//! over retained per-layer planes.
+//! inference ([`crate::Network::infer`]) is the walk at batch 1, and
+//! the cached training forward ([`crate::Network::forward_batch_cached`])
+//! is the same walk over retained per-layer planes. The walk checks each
+//! layer's input shape once, with [`crate::Layer::out_shape`], and then
+//! calls kernels that do not check it again. `Dense` runs a matvec at
+//! batch 1 and a tiled matrix product above; `Conv2d` runs one
+//! row-stencil correlation at every batch size.
 //!
 //! The fast path is **bit-identical** to `forward`: every kernel in
 //! `Dense`/`Conv2d`/`Relu` preserves the exact floating-point
-//! accumulation order of the reference implementation, and the batched
-//! kernels only share weight loads and vectorize across samples, so
+//! accumulation order of the reference implementation per output
+//! element, and only reorders work across elements and samples, so
 //! every output row matches the slow path to the last ulp
 //! (golden-equivalence proptests enforce this).
 
@@ -90,16 +91,17 @@ pub(crate) enum Arena {
 /// Reusable inference and training scratch arena.
 ///
 /// Internally activations flow **batch-minor** (feature-major): element
-/// `j` of sample `b` lives at index `j * batch + b`, so every batched
-/// kernel's innermost loop runs over contiguous, independent per-sample
-/// accumulators and vectorizes across the batch axis while each
-/// sample's floating-point accumulation order stays exactly that of the
-/// single-observation reference kernels. Callers see only the natural
-/// sample-major layout: inputs are `batch` concatenated observation
-/// rows, and the returned activation is `batch` concatenated output
-/// rows. A batch of one is a single observation
-/// ([`crate::Network::infer`]): both layouts coincide and the
-/// per-observation kernels run.
+/// `j` of sample `b` lives at index `j * batch + b`, so the batched
+/// kernels' innermost loops run over contiguous, independent
+/// accumulators — the batch lanes of the dense product, a whole
+/// `width × batch` output row of the conv stencil — and vectorize while
+/// each sample's floating-point accumulation order stays exactly that of
+/// the single-observation reference kernels. Callers see only the
+/// natural sample-major layout: inputs are `batch` concatenated
+/// observation rows, and the returned activation is `batch`
+/// concatenated output rows. A batch of one is a single observation
+/// ([`crate::Network::infer`]): both layouts coincide and no transposes
+/// run.
 ///
 /// One ctx serves any number of networks, input shapes and batch sizes
 /// (including ragged final batches) — buffers grow to the high-water
@@ -231,9 +233,9 @@ impl BatchInferCtx {
 
     /// The forward walk: runs `layers` over `batch` sample-major
     /// observation rows in `input` through `arena`'s planes and returns
-    /// the final activation as `batch` sample-major rows. A batch of one
-    /// runs the per-observation [`Layer::forward_into`] kernels, larger
-    /// batches [`Layer::forward_batch_into`]. A [`Arena::Train`] walk
+    /// the final activation as `batch` sample-major rows. Each layer's
+    /// input shape is checked once, by [`Layer::out_shape`], before
+    /// [`Layer::forward_kernel`] runs on it. A [`Arena::Train`] walk
     /// retains every layer's input for [`BatchInferCtx::run_backward`];
     /// an [`Arena::Eval`] walk leaves that cache as it was.
     ///
@@ -299,12 +301,7 @@ impl BatchInferCtx {
             let (src, dst) = self.planes(arena, l);
             let src = if direct && l == 0 { input } else { &src[..shape.volume() * batch] };
             grow(dst, n);
-            let out = &mut dst[..n];
-            if batch == 1 {
-                layer.forward_into(src, &shape, out)?;
-            } else {
-                layer.forward_batch_into(src, &shape, batch, out)?;
-            }
+            layer.forward_kernel(src, &shape, batch, &mut dst[..n]);
             if train {
                 self.act_shapes[l + 1] = out_shape;
             }

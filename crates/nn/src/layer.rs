@@ -180,24 +180,28 @@ impl Layer {
         }
     }
 
-    /// Inference-only forward: reads the flat activation `input` (laid
-    /// out as `in_shape`) and writes the full output activation into
-    /// `out`, which the caller sizes to `out_shape(in_shape).volume()`.
+    /// The forward walk's layer call: like
+    /// [`Layer::forward_batch_into`] (the single-observation kernels at
+    /// `batch == 1`), on an `in_shape` the walk has already validated
+    /// with [`Layer::out_shape`], so the kernel does not check it again.
+    /// `out` is sized to `out_shape(in_shape).volume() * batch`.
     ///
-    /// Contract: no allocation, no input caching, and **bit-identical**
-    /// output to [`Layer::forward`] — every kernel preserves the
-    /// reference kernels' floating-point accumulation order exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible.
-    pub(crate) fn forward_into(
+    /// Contract: no allocation, no input caching, and every sample's
+    /// output row **bit-identical** to [`Layer::forward`] on that sample
+    /// alone — every kernel preserves the reference kernels'
+    /// floating-point accumulation order exactly.
+    pub(crate) fn forward_kernel(
         &self,
         input: &[f32],
         in_shape: &ActShape,
+        batch: usize,
         out: &mut [f32],
-    ) -> Result<(), NnError> {
-        each_variant!(self, l => l.forward_into(input, in_shape, out))
+    ) {
+        match self {
+            Layer::Dense(l) => l.forward_kernel(input, batch, out),
+            Layer::Conv(l) => l.forward_kernel(input, in_shape, batch, out),
+            Layer::Relu(l) => l.forward_kernel(input, out),
+        }
     }
 
     /// Batched inference-only forward over **batch-minor** activations:
@@ -207,10 +211,9 @@ impl Layer {
     /// `out_shape(in_shape).volume() * batch`.
     ///
     /// Contract: every sample's output row is **bit-identical** to
-    /// running `Layer::forward_into` on that sample alone — batching
-    /// only reorders work *across* samples and output elements, never
-    /// the floating-point accumulation order *within* one output
-    /// element.
+    /// [`Layer::forward`] on that sample alone — batching only reorders
+    /// work *across* samples and output elements, never the
+    /// floating-point accumulation order *within* one output element.
     ///
     /// # Errors
     ///

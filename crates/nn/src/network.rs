@@ -61,8 +61,8 @@ impl Network {
     }
 
     /// Runs the network forward on the zero-allocation inference fast
-    /// path: [`Network::infer_batch`] at batch 1, which runs the
-    /// per-observation kernels on `ctx`'s eval planes. No layer caches
+    /// path: [`Network::infer_batch`] at batch 1, on `ctx`'s eval
+    /// planes. No layer caches
     /// its input (so no subsequent [`Network::backward`] is possible
     /// from this call), a pending [`Network::forward_batch_cached`] on
     /// `ctx` stays intact, and outputs are **bit-identical** to
@@ -91,9 +91,9 @@ impl Network {
     /// inference through it.
     ///
     /// Each output row is **bit-identical** to [`Network::infer`] on
-    /// that observation alone — the batched kernels only share weight
-    /// loads and vectorize across samples, never reorder any single
-    /// sample's accumulation — so batched campaign evaluation produces
+    /// that observation alone — the batched kernels only reorder work
+    /// across samples and output elements, never any single element's
+    /// accumulation — so batched campaign evaluation produces
     /// exactly the per-observation statistics.
     ///
     /// # Errors

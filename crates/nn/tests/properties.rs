@@ -1,6 +1,6 @@
 //! Property-based tests for the network substrate.
 
-use frlfi_nn::{ActShape, BatchInferCtx, Dense, Layer, NetworkBuilder, Relu};
+use frlfi_nn::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, NetworkBuilder, Relu};
 use frlfi_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,21 +149,62 @@ const SPECIAL_WEIGHT_BITS: [u32; 11] = [
     0x7fbf_ffff,
 ];
 
+/// Replaces a random share (up to 30%) of the parameters with bit
+/// patterns drawn from `pool`.
+fn sprinkle_bits(params: [&mut Tensor; 2], pool: &[u32], rng: &mut StdRng) {
+    let rate = rng.gen_range(0.0..0.3);
+    for p in params {
+        for v in p.data_mut() {
+            if rng.gen_bool(rate) {
+                *v = f32::from_bits(pool[rng.gen_range(0..pool.len())]);
+            }
+        }
+    }
+}
+
 /// A dense layer whose weights and biases are partly replaced by
 /// [`SPECIAL_WEIGHT_BITS`].
 fn special_dense(seed: u64, in_dim: usize, out_dim: usize) -> Dense {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut layer = Dense::new("d", in_dim, out_dim, &mut rng);
-    let rate = rng.gen_range(0.0..0.3);
-    for p in layer.params_mut() {
-        for v in p.data_mut() {
-            if rng.gen_bool(rate) {
-                let k = rng.gen_range(0..SPECIAL_WEIGHT_BITS.len());
-                *v = f32::from_bits(SPECIAL_WEIGHT_BITS[k]);
-            }
-        }
-    }
+    sprinkle_bits(layer.params_mut(), &SPECIAL_WEIGHT_BITS, &mut rng);
     layer
+}
+
+/// The input planes of the DroneNav policy's three convs.
+const DRONE_PLANES: [(usize, usize); 3] = [(9, 16), (7, 14), (5, 12)];
+
+/// A conv layer over one of [`DRONE_PLANES`], with parameters partly
+/// replaced by [`SPECIAL_WEIGHT_BITS`]: in half the cases only the
+/// finite ones (±0 and subnormals), so that those cases compare
+/// bit-exact. Returns the layer, its input shape and whether any
+/// parameter is non-finite.
+fn special_conv(
+    seed: u64,
+    plane: usize,
+    k: usize,
+    in_c: usize,
+    out_c: usize,
+) -> (Conv2d, ActShape, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut conv = Conv2d::new("c", in_c, out_c, k, &mut rng);
+    let pool = if rng.gen_bool(0.5) { &SPECIAL_WEIGHT_BITS[..4] } else { &SPECIAL_WEIGHT_BITS[..] };
+    sprinkle_bits(conv.params_mut(), pool, &mut rng);
+    let non_finite = conv.params().iter().any(|p| p.data().iter().any(|v| !v.is_finite()));
+    let (h, w) = DRONE_PLANES[plane];
+    (conv, ActShape::image(in_c, h, w), non_finite)
+}
+
+/// `batch` post-ReLU-like activation rows of `n` elements: exact zeros
+/// mixed with values of either sign.
+fn activation_rows(rng: &mut StdRng, batch: usize, n: usize) -> Vec<Vec<f32>> {
+    (0..batch)
+        .map(|_| {
+            (0..n)
+                .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
+                .collect()
+        })
+        .collect()
 }
 
 /// An output-gradient row with `+0.0` and `-0.0` entries mixed in.
@@ -377,6 +418,85 @@ proptest! {
                 );
             }
         }
+    }
+
+
+    // ---- The conv row stencil at the DroneNav policy's shapes: every
+    // ---- batch size a forward or an update chunk runs (1..=33), every
+    // ---- kernel size to 5, weights seeded with special bit patterns.
+    // ---- Each sample is pinned to the reference `Conv2d::forward` /
+    // ---- `backward`, bit-exact while every parameter is finite and
+    // ---- modulo NaN payloads otherwise. CI also runs these with
+    // ---- PROPTEST_CASES=1024.
+
+    #[test]
+    fn conv_stencil_forward_matches_the_reference_on_drone_shapes(
+        seed in any::<u64>(),
+        plane in 0usize..3,
+        k in 1usize..=5,
+        in_c in 1usize..=12,
+        out_c in 1usize..=16,
+        batch in 1usize..=33,
+    ) {
+        let (conv, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x57E7);
+        let samples = activation_rows(&mut rng, batch, shape.volume());
+        let ovol = conv.out_shape(&shape).expect("out shape").volume();
+        let mut packed = vec![0.0f32; shape.volume() * batch];
+        for (b, s) in samples.iter().enumerate() {
+            for (j, &v) in s.iter().enumerate() {
+                packed[j * batch + b] = v;
+            }
+        }
+        let mut batched = vec![f32::NAN; ovol * batch];
+        conv.forward_batch_into(&packed, &shape, batch, &mut batched).expect("batched");
+        let mut single = vec![f32::NAN; ovol];
+        conv.forward_into(&samples[0], &shape, &mut single).expect("single");
+        let mut reference = Layer::Conv(conv);
+        for (b, s) in samples.iter().enumerate() {
+            let x = Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("sample");
+            let y = reference.forward(&x).expect("reference forward");
+            for (j, &v) in y.data().iter().enumerate() {
+                prop_assert_eq!(
+                    cmp_bits(batched[j * batch + b], modulo_nan),
+                    cmp_bits(v, modulo_nan),
+                    "k={} sample {} element {}", k, b, j
+                );
+                if b == 0 {
+                    prop_assert_eq!(
+                        cmp_bits(single[j], modulo_nan),
+                        cmp_bits(v, modulo_nan),
+                        "forward_into, k={} element {}", k, j
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_stencil_input_gradient_matches_the_reference_on_drone_shapes(
+        seed in any::<u64>(),
+        plane in 0usize..3,
+        k in 1usize..=5,
+        in_c in 1usize..=12,
+        out_c in 1usize..=16,
+        batch in 1usize..=33,
+    ) {
+        let (batched, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
+        let (reference, _, _) = special_conv(seed, plane, k, in_c, out_c);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD0D0);
+        let samples = activation_rows(&mut rng, batch, shape.volume());
+        let ovol = batched.out_shape(&shape).expect("out shape").volume();
+        let grad_rows: Vec<Vec<f32>> =
+            (0..batch).map(|_| grad_row_with_zeros(&mut rng, ovol)).collect();
+        assert_batched_backward_matches_reference(
+            &mut Layer::Conv(batched),
+            &mut Layer::Conv(reference),
+            &shape,
+            &samples,
+            &grad_rows,
+            modulo_nan,
+        )?;
     }
 
     // ---- Golden equivalence: batched inference rows are bit-identical
