@@ -180,7 +180,9 @@ const DRONE_UPDATE_BATCH: usize = 32;
 /// parameter gradients only, as inside `Network::backward_batch`;
 /// `conv1` and `conv2` also run at batches 1 and 3, each next to a
 /// `params_only` row without the input gradient, so the input-gradient
-/// pass costs the difference of the two rows.
+/// pass costs the difference of the two rows. A `params_only_masked`
+/// row at the update-chunk batch times the parameter-gradient pass on
+/// input with a non-finite value in every channel.
 fn drone_conv_layers(c: &mut Criterion) {
     let mut group = c.benchmark_group("training_layers");
     let mut rng = StdRng::seed_from_u64(3);
@@ -228,6 +230,22 @@ fn drone_conv_layers(c: &mut Criterion) {
                             .expect("backward");
                         conv.zero_grads();
                         black_box(&dx);
+                    })
+                });
+            }
+            if l > 0 && batch == DRONE_UPDATE_BATCH {
+                // One ∞ in every input channel: the whole pass runs the
+                // masked instance, as after a fault upstream.
+                let mut x_inf = x.clone();
+                for plane in x_inf.chunks_exact_mut(h * w * batch) {
+                    plane[0] = f32::INFINITY;
+                }
+                let name = format!("drone_conv{l}_params_only_masked_batch{batch}");
+                group.bench_function(name.as_str(), |b| {
+                    b.iter(|| {
+                        conv.backward_batch_into(&x_inf, &in_shape, batch, &g, None, &mut scratch)
+                            .expect("backward");
+                        conv.zero_grads();
                     })
                 });
             }

@@ -4,6 +4,7 @@ use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Horizontal resolution of the raycast depth image.
 pub(crate) const DEPTH_W: usize = 16;
@@ -234,27 +235,23 @@ impl DroneSim {
     /// Renders the raycast depth image at the current position.
     pub fn render_depth(&mut self) -> Tensor {
         let cfg = self.cfg;
-        let obstacles = self.nearby_obstacles();
+        let origin = self.pos;
+        let mut obstacles = self.nearby_obstacles();
+        // Every ray points forward (`dir.x > 0`, `1 / dir.x >= 1`), so a
+        // box behind the drone misses every ray, and one starting past
+        // the sensor range is hit, if at all, beyond it.
+        obstacles.retain(|b| !(b.max[0] < origin[0] || b.min[0] - origin[0] > cfg.max_range));
         let mut img = Tensor::zeros(vec![1, DEPTH_H, DEPTH_W]);
-        let data = img.data_mut();
-        for iy in 0..DEPTH_H {
-            // Elevation from +30° (top row) to −30° (bottom row).
-            let elev =
-                (0.5 - (iy as f32 + 0.5) / DEPTH_H as f32) * std::f32::consts::FRAC_PI_3 * 2.0;
-            for ix in 0..DEPTH_W {
-                // Azimuth from −45° (left) to +45° (right).
-                let azim = ((ix as f32 + 0.5) / DEPTH_W as f32 - 0.5) * std::f32::consts::FRAC_PI_2;
-                let dir = [elev.cos() * azim.cos(), elev.cos() * azim.sin(), elev.sin()];
-                let ray = Ray { origin: self.pos, dir };
-                let mut depth = cfg.max_range;
-                for b in &obstacles {
-                    if let Some(t) = ray.hit(b) {
-                        depth = depth.min(t);
-                    }
+        for (px, &(dir, inv)) in img.data_mut().iter_mut().zip(depth_rays()) {
+            let ray = Ray { origin, dir };
+            let mut depth = cfg.max_range;
+            for b in &obstacles {
+                if let Some(t) = ray.hit_inv(&inv, b) {
+                    depth = depth.min(t);
                 }
-                depth = depth.min(wall_distance(&ray, &cfg));
-                data[iy * DEPTH_W + ix] = depth / cfg.max_range;
             }
+            depth = depth.min(wall_distance(&ray, &cfg));
+            *px = depth / cfg.max_range;
         }
         img
     }
@@ -287,6 +284,28 @@ impl DroneSim {
         let obstacles = self.nearby_obstacles();
         obstacles.iter().any(|b| b.inflate(r).contains(p))
     }
+}
+
+/// The depth sensor's pixel ray directions, row-major, each with its
+/// reciprocal: computed once per process, as they depend only on
+/// `DEPTH_H` and `DEPTH_W`.
+fn depth_rays() -> &'static [([f32; 3], [f32; 3]); DEPTH_H * DEPTH_W] {
+    static RAYS: OnceLock<[([f32; 3], [f32; 3]); DEPTH_H * DEPTH_W]> = OnceLock::new();
+    RAYS.get_or_init(|| {
+        std::array::from_fn(|px| {
+            let dir = pixel_dir(px / DEPTH_W, px % DEPTH_W);
+            (dir, dir.map(|d| 1.0 / d))
+        })
+    })
+}
+
+/// The direction of pixel `(iy, ix)`'s ray.
+fn pixel_dir(iy: usize, ix: usize) -> [f32; 3] {
+    // Elevation from +30° (top row) to −30° (bottom row).
+    let elev = (0.5 - (iy as f32 + 0.5) / DEPTH_H as f32) * std::f32::consts::FRAC_PI_3 * 2.0;
+    // Azimuth from −45° (left) to +45° (right).
+    let azim = ((ix as f32 + 0.5) / DEPTH_W as f32 - 0.5) * std::f32::consts::FRAC_PI_2;
+    [elev.cos() * azim.cos(), elev.cos() * azim.sin(), elev.sin()]
 }
 
 /// Distance along a ray to the corridor walls (sides, floor, ceiling).
@@ -545,6 +564,61 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         s.reset(&mut rng);
         assert!(!s.collided(), "drone must not spawn inside an obstacle");
+    }
+
+    /// The render as first written: per-pixel trig, every nearby box,
+    /// one division per ray, box and axis.
+    fn reference_render(s: &mut DroneSim) -> Vec<f32> {
+        let cfg = s.cfg;
+        let obstacles = s.nearby_obstacles();
+        let mut out = Vec::new();
+        for iy in 0..DEPTH_H {
+            let elev =
+                (0.5 - (iy as f32 + 0.5) / DEPTH_H as f32) * std::f32::consts::FRAC_PI_3 * 2.0;
+            for ix in 0..DEPTH_W {
+                let azim = ((ix as f32 + 0.5) / DEPTH_W as f32 - 0.5) * std::f32::consts::FRAC_PI_2;
+                let dir = [elev.cos() * azim.cos(), elev.cos() * azim.sin(), elev.sin()];
+                let ray = Ray { origin: s.pos, dir };
+                let mut depth = cfg.max_range;
+                for b in &obstacles {
+                    if let Some(t) = ray.hit(b) {
+                        depth = depth.min(t);
+                    }
+                }
+                out.push(depth.min(wall_distance(&ray, &cfg)) / cfg.max_range);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn render_matches_the_per_pixel_reference_across_chunk_edges() {
+        // Dense corridors, static and moving, with the drone placed
+        // around chunk boundaries (boxes just behind it, just inside
+        // and just past the sensor range) and anywhere across the
+        // corridor's cross-section.
+        let mut rng = StdRng::seed_from_u64(77);
+        for cfg in [DroneConfig::default(), dynamic_cfg()] {
+            let cfg = DroneConfig { obstacles_per_chunk: 16, ..cfg };
+            for seed in 0..4 {
+                let mut s = DroneSim::new(cfg, seed);
+                s.reset(&mut rng);
+                for _ in 0..64 {
+                    let chunk = rng.gen_range(0..6) as f32;
+                    s.pos = [
+                        chunk * cfg.chunk_len + rng.gen_range(-4.0..4.0f32),
+                        rng.gen_range(-11.0..11.0f32),
+                        rng.gen_range(0.5..11.5f32),
+                    ];
+                    s.steps = rng.gen_range(0..cfg.max_steps);
+                    let fast: Vec<u32> =
+                        s.render_depth().data().iter().map(|v| v.to_bits()).collect();
+                    let slow: Vec<u32> =
+                        reference_render(&mut s).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(fast, slow, "pos {:?} step {}", s.pos, s.steps);
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,15 +51,20 @@ impl Ray {
     /// Returns the smallest non-negative `t` such that
     /// `origin + t * dir` is on the box, or `None` if the ray misses.
     pub fn hit(&self, b: &Aabb) -> Option<f32> {
+        self.hit_inv(&self.dir.map(|d| 1.0 / d), b)
+    }
+
+    /// [`Ray::hit`] given the reciprocal direction `inv` (`1 / dir` per
+    /// axis), so a ray cast against many boxes divides once.
+    pub(crate) fn hit_inv(&self, inv: &[f32; 3], b: &Aabb) -> Option<f32> {
         let mut tmin = 0.0f32;
         let mut tmax = f32::INFINITY;
-        for i in 0..3 {
+        for (i, &inv) in inv.iter().enumerate() {
             if self.dir[i].abs() < 1e-9 {
                 if self.origin[i] < b.min[i] || self.origin[i] > b.max[i] {
                     return None;
                 }
             } else {
-                let inv = 1.0 / self.dir[i];
                 let mut t0 = (b.min[i] - self.origin[i]) * inv;
                 let mut t1 = (b.max[i] - self.origin[i]) * inv;
                 if t0 > t1 {

@@ -65,8 +65,20 @@ impl Relu {
         grad_in: Option<&mut [f32]>,
         _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
+        self.backward_kernel(input, grad_out, grad_in);
+        Ok(())
+    }
+
+    /// The backward walk's layer call: elementwise, so any shape and
+    /// layout is valid.
+    pub(crate) fn backward_kernel(
+        &self,
+        input: &[f32],
+        grad_out: &[f32],
+        grad_in: Option<&mut [f32]>,
+    ) {
         let Some(grad_in) = grad_in else {
-            return Ok(());
+            return;
         };
         // The reference backward multiplies by a materialized 1.0/0.0
         // mask (not a select), so NaN/∞ upstream gradients propagate
@@ -74,7 +86,6 @@ impl Relu {
         for ((o, &d), &x) in grad_in.iter_mut().zip(grad_out.iter()).zip(input.iter()) {
             *o = d * (if x > 0.0 { 1.0 } else { 0.0 });
         }
-        Ok(())
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a ReLU.

@@ -31,15 +31,6 @@ pub struct Conv2d {
     pub(crate) gw: Tensor,
     pub(crate) gb: Tensor,
     pub(crate) cached_input: Option<Tensor>,
-    /// Reusable per-sample gather buffers (one activation volume + one
-    /// gradient volume) for the batched parameter-gradient pass, so the
-    /// batched backward stays allocation-free after warm-up.
-    x_gather: Vec<f32>,
-    g_gather: Vec<f32>,
-    /// One receptive-field window in `gw`-row layout (`ic → ky → kx`),
-    /// regathered per output position so every output channel's
-    /// gradient row updates as one contiguous axpy.
-    patch: Vec<f32>,
 }
 
 impl Conv2d {
@@ -61,9 +52,6 @@ impl Conv2d {
             gw: Tensor::zeros(vec![out_c, in_c, k, k]),
             gb: Tensor::zeros(vec![out_c]),
             cached_input: None,
-            x_gather: Vec::new(),
-            g_gather: Vec::new(),
-            patch: Vec::new(),
         }
     }
 
@@ -113,88 +101,206 @@ impl Conv2d {
         for (o, &bias) in out.chunks_exact_mut(plane).zip(self.b.data()) {
             o.fill(bias);
         }
-        correlate::<false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
+        correlate::<false, false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
     }
 
-    /// Batched-backward pass 1: parameter gradients. Sample-outer on
-    /// purpose — every `gw`/`gb` element accumulates the batch's
-    /// contributions in ascending sample order.
+    /// Batched-backward pass 1: parameter gradients. Every `gw`/`gb`
+    /// element takes its terms in the reference `(sample, oy, ox)`
+    /// order, with the same `g * x` products, so the gradients stay
+    /// bitwise what `batch` sequential [`Conv2d::backward`] calls leave.
     ///
-    /// Inside one sample the reference nest runs `oc → oy → ox`, so for
-    /// any single `gw`/`gb` element (which belongs to exactly one `oc`)
-    /// the contributions arrive in ascending `(oy, ox)` order. This
-    /// kernel hoists the position loop *outside* the channel loop and
-    /// gathers the position's receptive-field window into a contiguous
-    /// `patch` laid out exactly like one `gw` row (`ic → ky → kx`);
-    /// each output channel with a non-zero gradient then updates its
-    /// whole row as one vectorizable `gw_row += g · patch` axpy. Per
-    /// element the visit order over `(sample, oy, ox)` — and the
-    /// `g * x` product feeding each `+=` — is unchanged, so the
-    /// accumulated gradients stay bitwise what `batch` sequential
-    /// [`Conv2d::backward`] calls leave. The reference skips a position
-    /// entirely (including the `gb` add) when its `g == 0.0`; the
-    /// per-channel skip here preserves that.
+    /// `scratch` holds the output gradient regrouped into blocks of
+    /// [`LANES`] output channels, `[block][sample][oy][ox][lane]`, and
+    /// one input channel's plane, sample-major. For each input channel
+    /// and block, [`window_grads`] keeps a 3×3 window row's
+    /// accumulators in registers across every sample's positions: each
+    /// position loads the gradient lanes once and applies three
+    /// scalar-times-lanes taps.
     ///
-    /// Each sample's batch-minor activations and gradient plane are
-    /// first gathered into contiguous scratch rows: reading at stride
-    /// `batch` costs one cache line per scalar, while the gather is a
-    /// single strided sweep amortized over the `out_c · in_c · k²` MACs
-    /// every position performs.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_batch_params(
+    /// The reference skips a position whose `g == 0.0`. Adding its term
+    /// anyway is bit-neutral while the activation is finite: the
+    /// product is ±0, and an accumulator that starts at +0.0 never
+    /// reaches −0.0 in round-to-nearest. With a non-finite activation
+    /// `0 · x` is NaN, so a channel holding one runs the masked taps,
+    /// which add +0.0 in place of every `g == 0.0` term. `gb` adds every
+    /// `g` unmasked: a ±0 there is always bit-neutral.
+    fn backward_params(
         &mut self,
         x: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
+        (h, w): (usize, usize),
         batch: usize,
         grad_out: &[f32],
+        scratch: &mut Vec<f32>,
     ) {
-        let k = self.k;
-        let vol = self.in_c * h * w;
-        let ovol = self.out_c * oh * ow;
-        let row = self.in_c * k * k;
-        self.x_gather.resize(vol, 0.0);
-        self.g_gather.resize(ovol, 0.0);
-        self.patch.resize(row, 0.0);
+        let (k, kk) = (self.k, self.k * self.k);
+        let positions = (h - k + 1) * (w - k + 1);
+        let (plane, block) = (positions * batch, positions * batch * LANES);
+        let blocks = self.out_c.div_ceil(LANES);
+        let (lanes, rest) = grown(scratch, blocks * block + batch * h * w + kk * LANES)
+            .split_at_mut(blocks * block);
+        let (x_plane, win) = rest.split_at_mut(batch * h * w);
+        // Regroup the gradient into lanes, adding each `g` to its `gb`
+        // on the way, in `(sample, oy, ox)` order. The lanes of a last,
+        // partial block repeat its last channel and are never stored.
+        for (b, (lane_block, gb)) in
+            lanes.chunks_exact_mut(block).zip(self.gb.data_mut().chunks_mut(LANES)).enumerate()
+        {
+            let n = gb.len();
+            let planes: [&[f32]; LANES] =
+                std::array::from_fn(|l| &grad_out[(b * LANES + l.min(n - 1)) * plane..][..plane]);
+            let mut acc: [f32; LANES] = std::array::from_fn(|l| gb[l.min(n - 1)]);
+            for (t, dst) in lane_block.chunks_exact_mut(positions * LANES).enumerate() {
+                for (p, d) in dst.chunks_exact_mut(LANES).enumerate() {
+                    for l in 0..LANES {
+                        d[l] = planes[l][p * batch + t];
+                        acc[l] += d[l];
+                    }
+                }
+            }
+            gb.copy_from_slice(&acc[..n]);
+        }
+        // `gw[oc][ic]` windows, `row` apart: a block's are copied into
+        // `win` lane-minor, `[tap][lane]`, and back.
+        let row = self.in_c * kk;
         let gw = self.gw.data_mut();
-        let gb = self.gb.data_mut();
-        for t in 0..batch {
-            for (j, xs) in self.x_gather.iter_mut().enumerate() {
-                *xs = x[j * batch + t];
+        let mut all_finite = true;
+        for (ic, x_ic) in x.chunks_exact(h * w * batch).enumerate() {
+            // A channel's activations meet only its own `gw` windows,
+            // so one sweep over the channel picks its instance.
+            let finite = x_ic.iter().fold(true, |ok, v| ok & (v.abs() < f32::INFINITY));
+            all_finite &= finite;
+            for (t, dst) in x_plane.chunks_exact_mut(h * w).enumerate() {
+                for (j, d) in dst.iter_mut().enumerate() {
+                    *d = x_ic[j * batch + t];
+                }
             }
-            for (j, gs) in self.g_gather.iter_mut().enumerate() {
-                *gs = grad_out[j * batch + t];
-            }
-            let (xs, gs) = (&self.x_gather[..], &self.g_gather[..]);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    if (0..self.out_c).all(|oc| gs[oc * oh * ow + oy * ow + ox] == 0.0) {
-                        continue;
+            for (b, g_block) in lanes.chunks_exact(block).enumerate() {
+                let oc0 = b * LANES;
+                let n = LANES.min(self.out_c - oc0);
+                let at = |tap: usize, l: usize| (oc0 + l) * row + ic * kk + tap;
+                for (tap, w_tap) in win.chunks_exact_mut(LANES).enumerate() {
+                    for (l, v) in w_tap.iter_mut().enumerate() {
+                        *v = if l < n { gw[at(tap, l)] } else { 0.0 };
                     }
-                    for ic in 0..self.in_c {
-                        for ky in 0..k {
-                            let xrow = ic * h * w + (oy + ky) * w + ox;
-                            let prow = (ic * k + ky) * k;
-                            self.patch[prow..prow + k].copy_from_slice(&xs[xrow..xrow + k]);
-                        }
-                    }
-                    for oc in 0..self.out_c {
-                        let g = gs[oc * oh * ow + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        gb[oc] += g;
-                        let gwrow = &mut gw[oc * row..(oc + 1) * row];
-                        for (gv, &pv) in gwrow.iter_mut().zip(self.patch.iter()) {
-                            *gv += g * pv;
-                        }
+                }
+                if finite {
+                    window_grads::<false>(k, x_plane, (h, w), g_block, win);
+                } else {
+                    window_grads::<true>(k, x_plane, (h, w), g_block, win);
+                }
+                for (tap, w_tap) in win.chunks_exact(LANES).enumerate() {
+                    for (l, &v) in w_tap.iter().enumerate().take(n) {
+                        gw[at(tap, l)] = v;
                     }
                 }
             }
         }
+        frlfi_obs::count(if all_finite { "nn.train.dw.fast" } else { "nn.train.dw.masked" }, 1);
     }
+}
+
+/// `scratch` as at least `n` elements of stale contents. Exact
+/// reservation: growing by doubling as episode batches grow would keep
+/// up to twice the largest request resident per worker.
+fn grown(scratch: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if scratch.len() < n {
+        scratch.reserve_exact(n - scratch.len());
+        scratch.resize(n, 0.0);
+    }
+    &mut scratch[..n]
+}
+
+/// `scratch` as exactly `n` zeros. Exact reservation: growing by
+/// doubling as episode batches grow would keep up to twice the largest
+/// request resident per worker.
+fn zeroed(scratch: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    scratch.clear();
+    scratch.reserve_exact(n);
+    scratch.resize(n, 0.0);
+    scratch
+}
+
+/// Output channels a parameter-gradient block updates together: one
+/// 128-bit vector of `f32`.
+const LANES: usize = 4;
+
+/// One (input channel, output-channel block) of the parameter-gradient
+/// pass: `win` holds the block's k×k windows lane-minor, `[tap][lane]`,
+/// `x` the input channel's `h × w` plane of each sample and `g` the
+/// block's gradient lanes. A 3×3 window goes one row (three taps) a
+/// pass; other kernel sizes one tap a pass.
+fn window_grads<const MASKED: bool>(
+    k: usize,
+    x: &[f32],
+    hw: (usize, usize),
+    g: &[f32],
+    win: &mut [f32],
+) {
+    if k == 3 {
+        for first in [0, 3, 6] {
+            window_taps::<3, 3, MASKED>(k, first, x, hw, g, win);
+        }
+    } else {
+        for first in 0..k * k {
+            window_taps::<0, 1, MASKED>(k, first, x, hw, g, win);
+        }
+    }
+}
+
+/// Taps `first..first + G` of [`window_grads`]' windows, with the kernel
+/// size fixed at compile time (`K > 0`) or read from `k` (`K == 0`):
+/// their `G × LANES` accumulators stay in registers across every
+/// sample's positions, which arrive in `(sample, oy, ox)` order.
+#[inline(always)]
+fn window_taps<const K: usize, const G: usize, const MASKED: bool>(
+    k: usize,
+    first: usize,
+    x: &[f32],
+    (h, w): (usize, usize),
+    g: &[f32],
+    win: &mut [f32],
+) {
+    let k = if K == 0 { k } else { K };
+    let ow = w - k + 1;
+    let offs: [usize; G] = std::array::from_fn(|i| (first + i) / k * w + (first + i) % k);
+    let win = &mut win[first * LANES..(first + G) * LANES];
+    let mut acc: [[f32; LANES]; G] =
+        std::array::from_fn(|i| win[i * LANES..(i + 1) * LANES].try_into().expect("lanes"));
+    for (xs, gs) in x.chunks_exact(h * w).zip(g.chunks_exact((h - k + 1) * ow * LANES)) {
+        for (oy, g_row) in gs.chunks_exact(ow * LANES).enumerate() {
+            let mut views = [&xs[..0]; G];
+            for (v, &off) in views.iter_mut().zip(&offs) {
+                *v = &xs[oy * w + off..][..ow];
+            }
+            lane_sweep::<G, MASKED>(&mut acc, &views, g_row);
+        }
+    }
+    for (w, a) in win.chunks_exact_mut(LANES).zip(&acc) {
+        w.copy_from_slice(a);
+    }
+}
+
+/// One output row of [`window_taps`]: position `j` adds the taps
+/// `g[j][l] · views[i][j]` to `acc[i][l]`.
+#[inline(always)]
+fn lane_sweep<const G: usize, const MASKED: bool>(
+    acc: &mut [[f32; LANES]; G],
+    views: &[&[f32]; G],
+    g: &[f32],
+) {
+    let n = g.len() / LANES;
+    let views: [&[f32]; G] = std::array::from_fn(|i| &views[i][..n]);
+    let mut a = *acc;
+    for j in 0..n {
+        let gv = &g[j * LANES..j * LANES + LANES];
+        for i in 0..G {
+            let xv = views[i][j];
+            for l in 0..LANES {
+                a[i][l] = tap::<MASKED>(a[i][l], gv[l], xv);
+            }
+        }
+    }
+    *acc = a;
 }
 
 /// The one correlation body behind every conv kernel, over batch-minor
@@ -214,8 +320,10 @@ impl Conv2d {
 /// with the 180°-rotated kernel: one call per output channel `s = oc`
 /// over that channel's zero-padded gradient plane, `d = ic`, rotated
 /// taps in ascending order — each `dx` element's reference
-/// `oc → oy → ox` order.
-fn correlate<const MASKED: bool>(
+/// `oc → oy → ox` order. `PADDED` says the source's top and bottom
+/// k − 1 rows are zero, as there: the tap rows that read only them are
+/// skipped, each a term of `0 · w`.
+fn correlate<const MASKED: bool, const PADDED: bool>(
     k: usize,
     taps: &[f32],
     src: &[f32],
@@ -226,18 +334,19 @@ fn correlate<const MASKED: bool>(
     // k = 3 (every DroneNav conv) is a const instance of the same body:
     // its tap offsets fold to constants.
     if k == 3 {
-        correlate_k::<3, MASKED>(k, taps, src, src_dims, batch, dst);
+        correlate_k::<3, MASKED, PADDED>(k, taps, src, src_dims, batch, dst);
     } else {
-        correlate_k::<0, MASKED>(k, taps, src, src_dims, batch, dst);
+        correlate_k::<0, MASKED, PADDED>(k, taps, src, src_dims, batch, dst);
     }
 }
 
 /// [`correlate`] with the kernel size fixed at compile time (`K > 0`)
-/// or read from `k` (`K == 0`). Each sweep applies nine taps, one 3×3
-/// window, so the row is loaded and stored once per nine taps; the
-/// taps past the last full nine sweep one at a time.
+/// or read from `k` (`K == 0`). Each sweep applies up to nine taps, at
+/// most one 3×3 window, so the row is loaded and stored once per nine
+/// taps: the live taps go nine at a time, then a leftover six or three
+/// (the live rows of a 3×3 window) in one sweep, or one at a time.
 #[inline(always)]
-fn correlate_k<const K: usize, const MASKED: bool>(
+fn correlate_k<const K: usize, const MASKED: bool, const PADDED: bool>(
     k: usize,
     taps: &[f32],
     src: &[f32],
@@ -260,15 +369,50 @@ fn correlate_k<const K: usize, const MASKED: bool>(
                     let at = (y + i / k) * row + i % k * batch;
                     &s_plane[at..at + o_row]
                 };
-                let mut nines = t.chunks_exact(9);
-                for (c, w) in nines.by_ref().enumerate() {
-                    let views = std::array::from_fn(|i| view(9 * c + i));
-                    sweep::<9, MASKED>(out, &views, w.try_into().expect("nine taps"));
+                // Tap rows `ky0..ky1` read non-zero source rows: all of
+                // them unless `PADDED`.
+                let (ky0, ky1) = if PADDED {
+                    ((k - 1).saturating_sub(y), (sh + 1 - k).saturating_sub(y).min(k))
+                } else {
+                    (0, k)
+                };
+                if ky1 - ky0 == k {
+                    sweep_taps::<MASKED>(out, t, view);
+                } else {
+                    sweep_taps::<MASKED>(out, &t[ky0 * k..ky1 * k], |i| view(ky0 * k + i));
                 }
-                let done = kk - nines.remainder().len();
-                for (i, &w) in nines.remainder().iter().enumerate() {
-                    sweep::<1, MASKED>(out, &[view(done + i)], &[w]);
-                }
+            }
+        }
+    }
+}
+
+/// Applies the taps `t` to one output row, tap `i` reading `view(i)`:
+/// nine taps a sweep, then a leftover six or three (the live rows of a
+/// 3×3 window) in one sweep, or one at a time.
+#[inline(always)]
+fn sweep_taps<'a, const MASKED: bool>(
+    out: &mut [f32],
+    t: &[f32],
+    view: impl Fn(usize) -> &'a [f32],
+) {
+    let mut nines = t.chunks_exact(9);
+    for (c, w) in nines.by_ref().enumerate() {
+        let views = std::array::from_fn(|i| view(9 * c + i));
+        sweep::<9, MASKED>(out, &views, w.try_into().expect("nine taps"));
+    }
+    let done = t.len() - nines.remainder().len();
+    match nines.remainder() {
+        w @ [_, _, _, _, _, _] => {
+            let views = std::array::from_fn(|i| view(done + i));
+            sweep::<6, MASKED>(out, &views, w.try_into().expect("six taps"));
+        }
+        w @ [_, _, _] => {
+            let views = std::array::from_fn(|i| view(done + i));
+            sweep::<3, MASKED>(out, &views, w.try_into().expect("three taps"));
+        }
+        rest => {
+            for (i, &w) in rest.iter().enumerate() {
+                sweep::<1, MASKED>(out, &[view(done + i)], &[w]);
             }
         }
     }
@@ -290,18 +434,20 @@ fn sweep<const G: usize, const MASKED: bool>(out: &mut [f32], views: &[&[f32]; G
     }
 }
 
-/// One `acc += x · w` correlation tap. `MASKED` keeps the old bits
-/// wherever `x == 0.0`, matching the reference backward's skip of zero
-/// gradients exactly when `w` may be non-finite; the unmasked tap is
-/// the forward and the finite-weight input gradient.
+/// One `acc += x · w` tap. `MASKED` adds +0.0 instead wherever
+/// `x == 0.0`, which keeps `acc`'s bits (a backward accumulator starts
+/// at +0.0 and never reaches −0.0), matching the reference backward's
+/// skip of zero gradients exactly when `w` may be non-finite: the input
+/// gradient passes the output gradient as `x` and a weight as `w`, the
+/// parameter gradient the output gradient as `x` and an activation as
+/// `w`. The unmasked tap is the forward and the all-finite backward.
 #[inline(always)]
 fn tap<const MASKED: bool>(acc: f32, x: f32, w: f32) -> f32 {
-    let upd = acc + x * w;
     if MASKED {
         let m = ((x != 0.0) as u32).wrapping_neg();
-        f32::from_bits(upd.to_bits() & m | acc.to_bits() & !m)
+        acc + f32::from_bits((x * w).to_bits() & m)
     } else {
-        upd
+        acc + x * w
     }
 }
 
@@ -378,31 +524,41 @@ impl Conv2d {
         grad_in: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
-        let (oh, ow) = self.check_dims(in_shape.dims())?;
-        let dims = in_shape.dims();
-        let (h, w) = (dims[1], dims[2]);
+        self.check_dims(in_shape.dims())?;
+        self.backward_kernel(input, in_shape, batch, grad_out, grad_in, scratch);
+        Ok(())
+    }
+
+    /// The backward walk's layer call: [`Conv2d::backward_batch_into`]
+    /// on an `in_shape` the forward walk has already validated.
+    pub(crate) fn backward_kernel(
+        &mut self,
+        input: &[f32],
+        in_shape: &ActShape,
+        batch: usize,
+        grad_out: &[f32],
+        grad_in: Option<&mut [f32]>,
+        scratch: &mut Vec<f32>,
+    ) {
+        let (h, w) = (in_shape.dims()[1], in_shape.dims()[2]);
         // The reference backward interleaves gw/gb/dx updates in one
         // nest; splitting them into two passes is safe bitwise because
         // they accumulate into disjoint arrays, so each array's
         // per-element contribution order is unchanged.
-        self.backward_batch_params(input, h, w, oh, ow, batch, grad_out);
+        self.backward_params(input, (h, w), batch, grad_out, scratch);
         let Some(grad_in) = grad_in else {
-            return Ok(());
+            return;
         };
         let grad_in = &mut grad_in[..self.in_c * h * w * batch];
         grad_in.fill(0.0);
         // `scratch` holds the rotated kernels, then one output channel's
         // gradient plane zero-padded by k − 1 on every side; only its
-        // interior is ever written, so the border stays zero. Exact
-        // reservation: growing by doubling as episode batches grow
-        // would keep up to twice the largest plane resident per worker.
+        // interior is ever written, so the border stays zero.
         let (k, kk) = (self.k, self.k * self.k);
+        let (oh, ow) = (h - k + 1, w - k + 1);
         let (ph, pw) = (h + k - 1, w + k - 1);
         let taps_len = self.w.len();
-        scratch.clear();
-        scratch.reserve_exact(taps_len + ph * pw * batch);
-        scratch.resize(taps_len + ph * pw * batch, 0.0);
-        let (taps, plane) = scratch.split_at_mut(taps_len);
+        let (taps, plane) = zeroed(scratch, taps_len + ph * pw * batch).split_at_mut(taps_len);
         // The 180° rotation reverses each k×k window in place, so
         // `taps[oc]` is laid out `[ic][a][b]`: `d = ic` over one
         // source channel.
@@ -427,12 +583,11 @@ impl Conv2d {
                 plane[dst..dst + ow * batch].copy_from_slice(g_row);
             }
             if finite {
-                correlate::<false>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+                correlate::<false, true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
             } else {
-                correlate::<true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+                correlate::<true, true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
             }
         }
-        Ok(())
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a conv layer.

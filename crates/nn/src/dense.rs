@@ -304,10 +304,23 @@ impl Dense {
         in_shape: &ActShape,
         batch: usize,
         grad_out: &[f32],
-        mut grad_in: Option<&mut [f32]>,
+        grad_in: Option<&mut [f32]>,
         _scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         self.out_shape(in_shape)?;
+        self.backward_kernel(input, batch, grad_out, grad_in);
+        Ok(())
+    }
+
+    /// The backward walk's layer call: [`Dense::backward_batch_into`]
+    /// on an input shape the forward walk has already validated.
+    pub(crate) fn backward_kernel(
+        &mut self,
+        input: &[f32],
+        batch: usize,
+        grad_out: &[f32],
+        mut grad_in: Option<&mut [f32]>,
+    ) {
         let in_dim = self.in_dim();
         // Sample-outer, exactly the reference [`Layer::backward`] loop
         // structure run once per sample with `t` ascending — so every
@@ -337,7 +350,7 @@ impl Dense {
             });
             let (w, gw, gb) = (self.w.data(), self.gw.data_mut(), self.gb.data_mut());
             backward_sample(w, gw, gb, &input[..in_dim], |i| grad_out[i], grad_in);
-            return Ok(());
+            return;
         }
         let want_dx = grad_in.is_some();
         self.x_gather.resize(in_dim, 0.0);
@@ -365,7 +378,6 @@ impl Dense {
                 }
             }
         }
-        Ok(())
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a dense layer.

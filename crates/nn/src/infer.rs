@@ -145,9 +145,9 @@ pub struct BatchInferCtx {
     act_shapes: Vec<ActShape>,
     /// Batch size of the cached training forward; 0 = nothing cached.
     cached_batch: usize,
-    /// Layer backward scratch (Conv2d's zero-padded gradient plane),
-    /// one per ctx rather than per layer: the ctx is per worker, while
-    /// layers multiply by agents × conv layers.
+    /// Layer backward scratch (Conv2d's gradient lanes and padded
+    /// gradient plane), one per ctx rather than per layer: the ctx is
+    /// per worker, while layers multiply by agents × conv layers.
     bwd_scratch: Vec<f32>,
 }
 
@@ -321,18 +321,18 @@ impl BatchInferCtx {
 
     /// Training backward over the activations retained by the last
     /// [`Arena::Train`] walk: `grads` holds `batch` sample-major
-    /// output-gradient rows; each layer's
-    /// [`Layer::backward_batch_into`] accumulates parameter gradients
-    /// (ascending sample order — bitwise what per-sample reference
-    /// backward calls leave) and the input gradient ping-pongs through
-    /// the scratch buffers down to the first layer, which is asked for
-    /// none: the gradient with respect to the network input has no
-    /// reader.
+    /// output-gradient rows; each layer's [`Layer::backward_kernel`]
+    /// accumulates parameter gradients (ascending sample order —
+    /// bitwise what per-sample reference backward calls leave) and the
+    /// input gradient ping-pongs through the scratch buffers down to the
+    /// first layer, which is asked for none: the gradient with respect
+    /// to the network input has no reader. The forward walk validated
+    /// every retained shape, so the kernels do not check them again.
     ///
     /// # Errors
     ///
     /// Rejects a `batch`/network mismatch with the cached forward and
-    /// gradient length mismatches; propagates layer shape errors.
+    /// gradient length mismatches.
     pub(crate) fn run_backward(
         &mut self,
         layers: &mut [Layer],
@@ -371,14 +371,14 @@ impl BatchInferCtx {
             }
             let [a, b] = &mut self.bufs;
             let (g_out, g_in) = if cur == 0 { (&a[..g_out_n], b) } else { (&b[..g_out_n], a) };
-            layers[l].backward_batch_into(
+            layers[l].backward_kernel(
                 &self.acts[l][..in_vol * batch],
                 &self.act_shapes[l],
                 batch,
                 g_out,
                 (l > 0).then(|| &mut g_in[..in_vol * batch]),
                 &mut self.bwd_scratch,
-            )?;
+            );
             cur = dst;
         }
         Ok(())

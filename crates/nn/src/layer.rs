@@ -240,8 +240,8 @@ impl Layer {
     /// and the caller sizes it to `in_shape.volume() * batch`; `None`
     /// skips the input gradient (the first layer's would be
     /// discarded). `scratch` is a caller-owned buffer the layer may
-    /// resize and overwrite (Conv2d's padded gradient plane); nothing
-    /// in it carries over between calls.
+    /// resize and overwrite (Conv2d's gradient lanes and padded
+    /// gradient plane); nothing in it carries over between calls.
     ///
     /// Contract: for every parameter-gradient element the batch's
     /// contributions accumulate in **ascending sample order**, and
@@ -268,6 +268,26 @@ impl Layer {
         each_variant!(self, l => {
             l.backward_batch_into(input, in_shape, batch, grad_out, grad_in, scratch)
         })
+    }
+
+    /// The backward walk's layer call: like
+    /// [`Layer::backward_batch_into`], on an `in_shape` the forward walk
+    /// has already validated with [`Layer::out_shape`], so the kernel
+    /// does not check it again. Same contract, no error.
+    pub(crate) fn backward_kernel(
+        &mut self,
+        input: &[f32],
+        in_shape: &ActShape,
+        batch: usize,
+        grad_out: &[f32],
+        grad_in: Option<&mut [f32]>,
+        scratch: &mut Vec<f32>,
+    ) {
+        match self {
+            Layer::Dense(l) => l.backward_kernel(input, batch, grad_out, grad_in),
+            Layer::Conv(l) => l.backward_kernel(input, in_shape, batch, grad_out, grad_in, scratch),
+            Layer::Relu(l) => l.backward_kernel(input, grad_out, grad_in),
+        }
     }
 
     /// Drops the cached forward input (if any), shrinking resident

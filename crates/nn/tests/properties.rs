@@ -251,6 +251,96 @@ fn backward_batch1_and_padded(
     Ok(())
 }
 
+/// Packs sample-major rows batch-minor: element `j` of row `b` at
+/// `j * rows.len() + b`.
+fn batch_minor(rows: &[Vec<f32>]) -> Vec<f32> {
+    let mut packed = vec![0.0f32; rows.first().map_or(0, Vec::len) * rows.len()];
+    for (b, r) in rows.iter().enumerate() {
+        for (j, &v) in r.iter().enumerate() {
+            packed[j * rows.len() + b] = v;
+        }
+    }
+    packed
+}
+
+/// Runs `samples` through `batched`'s parameter-gradient pass in
+/// consecutive chunks of the given sizes (one `backward_batch_into`
+/// each, gradients accumulating as across an episode's update chunks)
+/// and through `reference` one sample at a time, steps both, and
+/// compares the parameters (modulo NaN payloads when `modulo_nan`).
+fn assert_chunked_params_match_reference(
+    mut batched: Conv2d,
+    reference: Conv2d,
+    shape: &ActShape,
+    samples: &[Vec<f32>],
+    grad_rows: &[Vec<f32>],
+    chunks: &[usize],
+    modulo_nan: bool,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let out_shape = batched.out_shape(shape).expect("out shape");
+    let mut scratch = Vec::new();
+    let mut done = 0;
+    for &n in chunks {
+        let x = batch_minor(&samples[done..done + n]);
+        let g = batch_minor(&grad_rows[done..done + n]);
+        batched
+            .backward_batch_into(&x, shape, n, &g, None, &mut scratch)
+            .expect("batched backward");
+        done += n;
+    }
+    batched.apply_grads(0.05);
+    let mut reference = Layer::Conv(reference);
+    for (s, gr) in samples[..done].iter().zip(grad_rows) {
+        let xs = Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("sample");
+        reference.forward(&xs).expect("reference forward");
+        let gt = Tensor::from_vec(out_shape.dims().to_vec(), gr.clone()).expect("grad row");
+        reference.backward(&gt).expect("reference backward");
+    }
+    reference.apply_grads(0.05);
+    for (pb, pr) in batched.params().iter().zip(reference.params().iter()) {
+        let bb: Vec<u32> = pb.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
+        let rb: Vec<u32> = pr.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
+        prop_assert_eq!(bb, rb, "stepped parameters drifted from the sequential reference");
+    }
+    Ok(())
+}
+
+/// Activation rows as [`activation_rows`], with a few entries of half
+/// the rows replaced by ±∞ or NaN (quiet or signalling).
+fn non_finite_rows(rng: &mut StdRng, batch: usize, n: usize) -> Vec<Vec<f32>> {
+    let specials =
+        [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, f32::from_bits(0x7f80_0001)];
+    let mut rows = activation_rows(rng, batch, n);
+    for row in &mut rows {
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(1..4) {
+                row[rng.gen_range(0..n)] = specials[rng.gen_range(0..specials.len())];
+            }
+        }
+    }
+    rows
+}
+
+/// A fresh conv layer over one of [`DRONE_PLANES`] and `batch` samples
+/// for it, drawn by `rows`, each with an output-gradient row holding
+/// ±0.0 entries.
+#[allow(clippy::type_complexity)]
+fn drone_conv_case(
+    seed: u64,
+    plane: usize,
+    (k, in_c, out_c): (usize, usize, usize),
+    batch: usize,
+    rows: fn(&mut StdRng, usize, usize) -> Vec<Vec<f32>>,
+) -> (ActShape, Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1AF5);
+    let (h, w) = DRONE_PLANES[plane];
+    let shape = ActShape::image(in_c, h, w);
+    let samples = rows(&mut rng, batch, shape.volume());
+    let ovol = out_c * (h - k + 1) * (w - k + 1);
+    let grad_rows = (0..batch).map(|_| grad_row_with_zeros(&mut rng, ovol)).collect();
+    (shape, samples, grad_rows)
+}
+
 proptest! {
     #[test]
     fn snapshot_restore_is_identity(
@@ -496,6 +586,66 @@ proptest! {
             &samples,
             &grad_rows,
             modulo_nan,
+        )?;
+    }
+
+    #[test]
+    fn conv_stencil_parameter_gradient_masks_non_finite_activations(
+        seed in any::<u64>(),
+        plane in 0usize..3,
+        k in 1usize..=5,
+        in_c in 1usize..=12,
+        out_c in 1usize..=16,
+        batch in 1usize..=33,
+    ) {
+        // A fault upstream can leave ±∞ or NaN activations, and then
+        // `0 · x` is NaN: the channels holding one run the masked
+        // instance, which must skip `g == 0.0` like the reference.
+        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let (shape, samples, grads) =
+            drone_conv_case(seed, plane, (k, in_c, out_c), batch, non_finite_rows);
+        assert_chunked_params_match_reference(
+            layer(), layer(), &shape, &samples, &grads, &[batch], true,
+        )?;
+    }
+
+    #[test]
+    fn conv_stencil_parameter_gradients_accumulate_across_update_chunks(
+        seed in any::<u64>(),
+        plane in 0usize..3,
+        k in 1usize..=5,
+        in_c in 1usize..=12,
+        out_c in 1usize..=16,
+        chunks in (1usize..=32, 1usize..=32),
+    ) {
+        // An episode's update runs in chunks whose gradients add up
+        // before one `apply_grads`: the second chunk's terms must land
+        // after the first's, each element in reference order.
+        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let (shape, samples, grads) =
+            drone_conv_case(seed, plane, (k, in_c, out_c), chunks.0 + chunks.1, activation_rows);
+        assert_chunked_params_match_reference(
+            layer(), layer(), &shape, &samples, &grads, &[chunks.0, chunks.1], false,
+        )?;
+    }
+
+    #[test]
+    fn conv_stencil_parameter_gradient_fills_ragged_lane_blocks(
+        seed in any::<u64>(),
+        plane in 0usize..3,
+        k in (0usize..4).prop_map(|i| [1, 2, 4, 5][i]),
+        in_c in 1usize..=12,
+        out_c in (0usize..12).prop_map(|i| [1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15][i]),
+        batch in 1usize..=33,
+    ) {
+        // Output channels go four to a block: a last, partial block
+        // computes padding lanes that must never reach `gw`, and
+        // kernels other than 3×3 take their taps one at a time.
+        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let (shape, samples, grads) =
+            drone_conv_case(seed, plane, (k, in_c, out_c), batch, activation_rows);
+        assert_chunked_params_match_reference(
+            layer(), layer(), &shape, &samples, &grads, &[batch], false,
         )?;
     }
 
