@@ -101,7 +101,7 @@ impl Conv2d {
         for (o, &bias) in out.chunks_exact_mut(plane).zip(self.b.data()) {
             o.fill(bias);
         }
-        correlate::<false, false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
+        correlate::<false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
     }
 
     /// Batched-backward pass 1: parameter gradients. Every `gw`/`gb`
@@ -122,7 +122,7 @@ impl Conv2d {
     /// product is ±0, and an accumulator that starts at +0.0 never
     /// reaches −0.0 in round-to-nearest. With a non-finite activation
     /// `0 · x` is NaN, so a channel holding one runs the masked taps,
-    /// which add +0.0 in place of every `g == 0.0` term. `gb` adds every
+    /// which keep the old bits wherever `g == 0.0`. `gb` adds every
     /// `g` unmasked: a ±0 there is always bit-neutral.
     fn backward_params(
         &mut self,
@@ -320,10 +320,8 @@ fn lane_sweep<const G: usize, const MASKED: bool>(
 /// with the 180°-rotated kernel: one call per output channel `s = oc`
 /// over that channel's zero-padded gradient plane, `d = ic`, rotated
 /// taps in ascending order — each `dx` element's reference
-/// `oc → oy → ox` order. `PADDED` says the source's top and bottom
-/// k − 1 rows are zero, as there: the tap rows that read only them are
-/// skipped, each a term of `0 · w`.
-fn correlate<const MASKED: bool, const PADDED: bool>(
+/// `oc → oy → ox` order.
+fn correlate<const MASKED: bool>(
     k: usize,
     taps: &[f32],
     src: &[f32],
@@ -334,19 +332,18 @@ fn correlate<const MASKED: bool, const PADDED: bool>(
     // k = 3 (every DroneNav conv) is a const instance of the same body:
     // its tap offsets fold to constants.
     if k == 3 {
-        correlate_k::<3, MASKED, PADDED>(k, taps, src, src_dims, batch, dst);
+        correlate_k::<3, MASKED>(k, taps, src, src_dims, batch, dst);
     } else {
-        correlate_k::<0, MASKED, PADDED>(k, taps, src, src_dims, batch, dst);
+        correlate_k::<0, MASKED>(k, taps, src, src_dims, batch, dst);
     }
 }
 
 /// [`correlate`] with the kernel size fixed at compile time (`K > 0`)
-/// or read from `k` (`K == 0`). Each sweep applies up to nine taps, at
-/// most one 3×3 window, so the row is loaded and stored once per nine
-/// taps: the live taps go nine at a time, then a leftover six or three
-/// (the live rows of a 3×3 window) in one sweep, or one at a time.
+/// or read from `k` (`K == 0`). Each sweep applies nine taps, one 3×3
+/// window, so the row is loaded and stored once per nine taps; the
+/// taps past the last full nine sweep one at a time.
 #[inline(always)]
-fn correlate_k<const K: usize, const MASKED: bool, const PADDED: bool>(
+fn correlate_k<const K: usize, const MASKED: bool>(
     k: usize,
     taps: &[f32],
     src: &[f32],
@@ -369,50 +366,15 @@ fn correlate_k<const K: usize, const MASKED: bool, const PADDED: bool>(
                     let at = (y + i / k) * row + i % k * batch;
                     &s_plane[at..at + o_row]
                 };
-                // Tap rows `ky0..ky1` read non-zero source rows: all of
-                // them unless `PADDED`.
-                let (ky0, ky1) = if PADDED {
-                    ((k - 1).saturating_sub(y), (sh + 1 - k).saturating_sub(y).min(k))
-                } else {
-                    (0, k)
-                };
-                if ky1 - ky0 == k {
-                    sweep_taps::<MASKED>(out, t, view);
-                } else {
-                    sweep_taps::<MASKED>(out, &t[ky0 * k..ky1 * k], |i| view(ky0 * k + i));
+                let mut nines = t.chunks_exact(9);
+                for (c, w) in nines.by_ref().enumerate() {
+                    let views = std::array::from_fn(|i| view(9 * c + i));
+                    sweep::<9, MASKED>(out, &views, w.try_into().expect("nine taps"));
                 }
-            }
-        }
-    }
-}
-
-/// Applies the taps `t` to one output row, tap `i` reading `view(i)`:
-/// nine taps a sweep, then a leftover six or three (the live rows of a
-/// 3×3 window) in one sweep, or one at a time.
-#[inline(always)]
-fn sweep_taps<'a, const MASKED: bool>(
-    out: &mut [f32],
-    t: &[f32],
-    view: impl Fn(usize) -> &'a [f32],
-) {
-    let mut nines = t.chunks_exact(9);
-    for (c, w) in nines.by_ref().enumerate() {
-        let views = std::array::from_fn(|i| view(9 * c + i));
-        sweep::<9, MASKED>(out, &views, w.try_into().expect("nine taps"));
-    }
-    let done = t.len() - nines.remainder().len();
-    match nines.remainder() {
-        w @ [_, _, _, _, _, _] => {
-            let views = std::array::from_fn(|i| view(done + i));
-            sweep::<6, MASKED>(out, &views, w.try_into().expect("six taps"));
-        }
-        w @ [_, _, _] => {
-            let views = std::array::from_fn(|i| view(done + i));
-            sweep::<3, MASKED>(out, &views, w.try_into().expect("three taps"));
-        }
-        rest => {
-            for (i, &w) in rest.iter().enumerate() {
-                sweep::<1, MASKED>(out, &[view(done + i)], &[w]);
+                let done = kk - nines.remainder().len();
+                for (i, &w) in nines.remainder().iter().enumerate() {
+                    sweep::<1, MASKED>(out, &[view(done + i)], &[w]);
+                }
             }
         }
     }
@@ -434,20 +396,20 @@ fn sweep<const G: usize, const MASKED: bool>(out: &mut [f32], views: &[&[f32]; G
     }
 }
 
-/// One `acc += x · w` tap. `MASKED` adds +0.0 instead wherever
-/// `x == 0.0`, which keeps `acc`'s bits (a backward accumulator starts
-/// at +0.0 and never reaches −0.0), matching the reference backward's
-/// skip of zero gradients exactly when `w` may be non-finite: the input
-/// gradient passes the output gradient as `x` and a weight as `w`, the
-/// parameter gradient the output gradient as `x` and an activation as
-/// `w`. The unmasked tap is the forward and the all-finite backward.
+/// One `acc += x · w` tap. `MASKED` keeps the old bits wherever
+/// `x == 0.0`, matching the reference backward's skip of zero gradients
+/// exactly when `w` may be non-finite: the input gradient passes the
+/// output gradient as `x` and a weight as `w`, the parameter gradient
+/// the output gradient as `x` and an activation as `w`. The unmasked
+/// tap is the forward and the all-finite backward.
 #[inline(always)]
 fn tap<const MASKED: bool>(acc: f32, x: f32, w: f32) -> f32 {
+    let upd = acc + x * w;
     if MASKED {
         let m = ((x != 0.0) as u32).wrapping_neg();
-        acc + f32::from_bits((x * w).to_bits() & m)
+        f32::from_bits(upd.to_bits() & m | acc.to_bits() & !m)
     } else {
-        acc + x * w
+        upd
     }
 }
 
@@ -583,9 +545,9 @@ impl Conv2d {
                 plane[dst..dst + ow * batch].copy_from_slice(g_row);
             }
             if finite {
-                correlate::<false, true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+                correlate::<false>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
             } else {
-                correlate::<true, true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
+                correlate::<true>(k, oc_taps, plane, (1, ph, pw), batch, grad_in);
             }
         }
     }
