@@ -22,7 +22,10 @@
 //!
 //! One row uses the largest DroneNav fine-tuning update chunk
 //! production runs: one 32-row REINFORCE update (`learn_batch` never
-//! runs more rows at once). Next to it, each DroneNav conv layer runs
+//! runs more rows at once). The `_taped` row next to it is the same
+//! chunk as `learn_batch` runs it when the episode's acts taped every
+//! step: a load from the training tape, then the backward. Next to
+//! them, each DroneNav conv layer runs
 //! alone at the batches production calls it with: forward at 1, 3 and
 //! 32 rows, backward at 32 (and at 1 and 3 for the two layers that
 //! compute an input gradient).
@@ -157,6 +160,33 @@ fn bench_batched_update(
     group.bench_function(name, |b| {
         b.iter(|| {
             net.forward_batch_cached(&states, &shape, batch, &mut ctx).expect("forward");
+            net.backward_batch(&grads, batch, &mut ctx).expect("backward");
+            net.apply_grads(0.0);
+            black_box(&net);
+        })
+    });
+}
+
+/// One update chunk of `batch` rows fed from a training tape, as
+/// `learn_batch` runs it after an episode whose acts taped every step:
+/// `batch` batch-1 act forwards (`Network::forward_taped`) fill the
+/// tape before the timing, and each iteration loads the rows
+/// (`Network::load_tape`, which reruns only the first layer), runs the
+/// backward and applies the gradients at `lr = 0`, so the tape stays
+/// valid.
+fn bench_taped_update(group: &mut BenchmarkGroup<'_>, name: &str, batch: usize) {
+    let (mut net, shape) = drone_policy();
+    let (states, grads, _) = replay(&mut net, &shape, batch, 0x5E0);
+    let mut ctx = BatchInferCtx::new();
+    let tape = ctx.begin_tape(batch);
+    for row in states.chunks_exact(shape.volume()) {
+        net.forward_taped(row, &shape, tape, &mut ctx).expect("act");
+    }
+    let rows: Vec<usize> = (0..batch).collect();
+    group.throughput(Throughput::Elements(net.param_count() as u64 * batch as u64));
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            net.load_tape(tape, &rows, &states, &mut ctx).expect("load");
             net.backward_batch(&grads, batch, &mut ctx).expect("backward");
             net.apply_grads(0.0);
             black_box(&net);
@@ -418,6 +448,8 @@ fn policy_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("training_batched");
     let name = format!("drone_policy_update_batch{DRONE_UPDATE_BATCH}");
     bench_batched_update(&mut group, &name, drone_policy, DRONE_UPDATE_BATCH);
+    let name = format!("drone_policy_update_taped_batch{DRONE_UPDATE_BATCH}");
+    bench_taped_update(&mut group, &name, DRONE_UPDATE_BATCH);
     group.finish();
     drone_conv_layers(c);
     grid_mlp_layers(c);

@@ -95,7 +95,7 @@ impl DroneFrlSystem {
             }
         }
         let mut init_rng = StdRng::seed_from_u64(derive_seed(cfg.seed, 0xD0E));
-        let template = Reinforce::drone_default(&mut init_rng)?;
+        let template = Reinforce::drone_default(&mut init_rng)?.with_tape_rows(cfg.train_max_steps);
         let agents: Vec<Reinforce> = (0..cfg.n_drones).map(|_| template.clone()).collect();
         let train_sim = DroneConfig { max_steps: cfg.train_max_steps, ..cfg.sim };
         let envs: Vec<DroneSim> = (0..cfg.n_drones)

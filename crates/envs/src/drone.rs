@@ -110,6 +110,12 @@ pub struct DroneSim {
     pos: [f32; 3],
     steps: usize,
     chunks: HashMap<i64, Vec<ChunkObstacle>>,
+    /// Scratch: every obstacle within sensor reach at the current
+    /// position and step, as `fill_nearby` last built it. A step builds
+    /// it once for both its collision test and its render.
+    nearby: Vec<Aabb>,
+    /// Scratch: the boxes of `nearby` the render's rays can hit.
+    visible: Vec<Aabb>,
 }
 
 /// One generated obstacle: its base box plus (in dynamic mode) the
@@ -169,6 +175,8 @@ impl DroneSim {
             pos: [0.0, 0.0, cfg.corridor_height / 2.0],
             steps: 0,
             chunks: HashMap::new(),
+            nearby: Vec::new(),
+            visible: Vec::new(),
         }
     }
 
@@ -217,35 +225,48 @@ impl DroneSim {
         })
     }
 
-    /// All obstacles within sensor reach, materialized at the current
-    /// step (dynamic obstacles at their current oscillation offset).
-    fn nearby_obstacles(&mut self) -> Vec<Aabb> {
+    /// Rebuilds `nearby`: all obstacles within sensor reach,
+    /// materialized at the current step (dynamic obstacles at their
+    /// current oscillation offset), chunk by chunk.
+    fn fill_nearby(&mut self) {
         let chunk_len = self.cfg.chunk_len;
         let cur = (self.pos[0] / chunk_len).floor() as i64;
         let reach = (self.cfg.max_range / chunk_len).ceil() as i64 + 1;
         let motion = self.cfg.dynamic;
         let step = self.steps;
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.nearby);
+        out.clear();
         for c in cur..=cur + reach {
             out.extend(self.chunk_obstacles(c).iter().map(|o| o.at(motion, step)));
         }
-        out
+        self.nearby = out;
     }
 
     /// Renders the raycast depth image at the current position.
     pub fn render_depth(&mut self) -> Tensor {
+        self.fill_nearby();
+        self.render_nearby()
+    }
+
+    /// [`DroneSim::render_depth`] over `nearby` as built at the current
+    /// position and step.
+    fn render_nearby(&mut self) -> Tensor {
         let cfg = self.cfg;
         let origin = self.pos;
-        let mut obstacles = self.nearby_obstacles();
         // Every ray points forward (`dir.x > 0`, `1 / dir.x >= 1`), so a
         // box behind the drone misses every ray, and one starting past
         // the sensor range is hit, if at all, beyond it.
-        obstacles.retain(|b| !(b.max[0] < origin[0] || b.min[0] - origin[0] > cfg.max_range));
+        self.visible.clear();
+        self.visible.extend(
+            self.nearby
+                .iter()
+                .filter(|b| !(b.max[0] < origin[0] || b.min[0] - origin[0] > cfg.max_range)),
+        );
         let mut img = Tensor::zeros(vec![1, DEPTH_H, DEPTH_W]);
         for (px, &(dir, inv)) in img.data_mut().iter_mut().zip(depth_rays()) {
             let ray = Ray { origin, dir };
             let mut depth = cfg.max_range;
-            for b in &obstacles {
+            for b in &self.visible {
                 if let Some(t) = ray.hit_inv(&inv, b) {
                     depth = depth.min(t);
                 }
@@ -273,7 +294,9 @@ impl DroneSim {
         min_d
     }
 
-    fn collided(&mut self) -> bool {
+    /// Whether the drone hits a wall or a box of `nearby` as built at
+    /// the current position and step.
+    fn collided(&self) -> bool {
         let r = self.cfg.drone_radius;
         let half_w = self.cfg.corridor_width / 2.0;
         let h = self.cfg.corridor_height;
@@ -281,8 +304,7 @@ impl DroneSim {
         if p[1] - r < -half_w || p[1] + r > half_w || p[2] - r < 0.0 || p[2] + r > h {
             return true;
         }
-        let obstacles = self.nearby_obstacles();
-        obstacles.iter().any(|b| b.inflate(r).contains(p))
+        self.nearby.iter().any(|b| b.inflate(r).contains(p))
     }
 }
 
@@ -361,10 +383,11 @@ impl Environment for DroneSim {
         self.pos[2] += dz;
         self.steps += 1;
 
+        self.fill_nearby();
         if self.collided() {
-            return Step { state: self.render_depth(), reward: -2.0, outcome: Outcome::Crash };
+            return Step { state: self.render_nearby(), reward: -2.0, outcome: Outcome::Crash };
         }
-        let img = self.render_depth();
+        let img = self.render_nearby();
         let reward = self.depth_reward(&img);
         let outcome =
             if self.steps >= self.cfg.max_steps { Outcome::Timeout } else { Outcome::Continue };
@@ -375,6 +398,15 @@ impl Environment for DroneSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DroneSim {
+        /// A copy of the obstacles within sensor reach at the current
+        /// position and step.
+        fn nearby_obstacles(&mut self) -> Vec<Aabb> {
+            self.fill_nearby();
+            self.nearby.clone()
+        }
+    }
 
     fn sim() -> DroneSim {
         DroneSim::new(DroneConfig::default(), 42)

@@ -55,6 +55,15 @@ impl Relu {
         }
     }
 
+    /// [`Relu::forward_kernel`] over `plane` itself: the training
+    /// walk's ReLU past the first layer, whose clamped plane then
+    /// serves as its backward's input too (`x > 0` iff `x.max(0.0) > 0`).
+    pub(crate) fn clamp_in_place(&self, plane: &mut [f32]) {
+        for v in plane {
+            *v = v.max(0.0);
+        }
+    }
+
     /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a ReLU.
     pub fn backward_batch_into(
         &mut self,

@@ -26,6 +26,10 @@ pub enum NnError {
         /// Human-readable description of the inconsistency.
         detail: String,
     },
+    /// A taped forward or a tape load named a tape its context no
+    /// longer holds, or a load named rows it never taped or a network
+    /// other than the one that taped them.
+    StaleTape,
 }
 
 impl fmt::Display for NnError {
@@ -43,6 +47,7 @@ impl fmt::Display for NnError {
                 )
             }
             NnError::BadDimensions { detail } => write!(f, "bad dimensions: {detail}"),
+            NnError::StaleTape => write!(f, "training tape the context does not hold"),
         }
     }
 }

@@ -49,6 +49,6 @@ pub use codec::{decode_weight_planes, encode_weight_planes, weight_digest, Weigh
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
-pub use infer::{ActShape, BatchInferCtx, InferCtx};
+pub use infer::{ActShape, BatchInferCtx, InferCtx, TapeId};
 pub use layer::{Layer, LayerKind, ParamSpan, Params};
 pub use network::{Network, NetworkBuilder};

@@ -1,5 +1,5 @@
 use crate::infer::Arena;
-use crate::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, NnError, ParamSpan, Relu};
+use crate::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, NnError, ParamSpan, Relu, TapeId};
 use frlfi_tensor::{Summary, Tensor};
 use rand::Rng;
 
@@ -135,10 +135,66 @@ impl Network {
         ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Train)
     }
 
+    /// Training forward of one observation that also appends, as one
+    /// row of `ctx`'s open tape `tape`, every plane a backward reads
+    /// ([`BatchInferCtx::begin_tape`]). The output is bit-identical to
+    /// [`Network::infer`], and `ctx` is left holding a batch-1 cached
+    /// forward, as [`Network::forward_batch_cached`] leaves it.
+    ///
+    /// A row costs every activation plane the backward reads except the
+    /// observation and the first layer's output: 1289 floats (5.0 KiB)
+    /// for the DroneNav policy.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::StaleTape`] when `ctx` no longer holds `tape`;
+    /// otherwise as for [`Network::forward_batch_cached`]. A rejected
+    /// forward appends no row.
+    pub fn forward_taped<'c>(
+        &self,
+        input: &[f32],
+        in_shape: &ActShape,
+        tape: TapeId,
+        ctx: &'c mut BatchInferCtx,
+    ) -> Result<&'c [f32], NnError> {
+        if ctx.tape_len(tape).is_none() {
+            return Err(NnError::StaleTape);
+        }
+        ctx.run(&self.layers, input, *in_shape, 1, Arena::Tape)
+    }
+
+    /// Loads rows `rows` of `ctx`'s tape `tape` as the cached forward of
+    /// a batch of `rows.len()` observations, in that order, and returns
+    /// its output rows: what [`Network::forward_batch_cached`] over
+    /// `inputs` would return and retain, bit for bit, so a
+    /// [`Network::backward_batch`] can follow. `inputs` holds the rows'
+    /// observations, sample-major, since the tape keeps none; only the
+    /// first layer runs again on them (with the ReLUs on its output).
+    /// Valid only while this network's weights are the ones that taped
+    /// the rows, and `inputs` the observations they were taped on: the
+    /// tape cannot tell.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::StaleTape`] when `ctx` no longer holds `tape`, a row
+    /// was never taped, `rows` is empty, or this network's layers are
+    /// not those that taped the rows; [`NnError::BadDimensions`] when
+    /// `inputs` is not `rows.len()` observations of the taped shape.
+    pub fn load_tape<'c>(
+        &self,
+        tape: TapeId,
+        rows: &[usize],
+        inputs: &[f32],
+        ctx: &'c mut BatchInferCtx,
+    ) -> Result<&'c [f32], NnError> {
+        ctx.load_tape(&self.layers, tape, rows, inputs)
+    }
+
     /// Batched training backward over the activations retained by the
-    /// last [`Network::forward_batch_cached`] on `ctx`: `grads` holds
-    /// `batch` concatenated sample-major output-gradient rows, and every
-    /// layer accumulates its parameter gradients for the whole batch.
+    /// last [`Network::forward_batch_cached`] or [`Network::load_tape`]
+    /// on `ctx`: `grads` holds `batch` concatenated sample-major
+    /// output-gradient rows, and every layer accumulates its parameter
+    /// gradients for the whole batch.
     ///
     /// Bitwise contract: with the same weights, the gradients (and thus
     /// the weights after [`Network::apply_grads`]) are identical to

@@ -36,6 +36,31 @@ fn random_stack(seed: u64, c: usize, h: usize, w: usize) -> (frlfi_nn::Network, 
     (net, x)
 }
 
+/// A random stack with ReLUs anywhere — first, doubled, last — over a
+/// `[c, h, w]` image: 0–2 conv stages (k ∈ {1, 2, 3}) and 1–2 dense
+/// stages, each followed by 0–2 ReLUs, after 0–2 leading ReLUs. The
+/// training walk clamps every ReLU past the first layer in place.
+fn relu_anywhere_stack(seed: u64) -> (frlfi_nn::Network, ActShape) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (c, h, w) = (rng.gen_range(1..3usize), rng.gen_range(5..9usize), rng.gen_range(5..10usize));
+    let relus = |mut b: NetworkBuilder, rng: &mut StdRng| {
+        for _ in 0..rng.gen_range(0..3) {
+            b = b.relu();
+        }
+        b
+    };
+    let mut b = relus(NetworkBuilder::new_image(c, h, w), &mut rng);
+    for _ in 0..rng.gen_range(0..3) {
+        b = b.conv(rng.gen_range(1..5usize), rng.gen_range(1..=2usize));
+        b = relus(b, &mut rng);
+    }
+    for _ in 0..rng.gen_range(1..3) {
+        b = b.dense(rng.gen_range(1..10usize));
+        b = relus(b, &mut rng);
+    }
+    (b.build(&mut rng).expect("stack dims stay >= 1x1"), ActShape::image(c, h, w))
+}
+
 /// Writes every parameter's flat index into it through
 /// `for_each_param_mut` and checks that `snapshot()[i]` reads back `i`:
 /// the visit walks the flat vector in order, one scalar per index.
@@ -1044,6 +1069,57 @@ proptest! {
             n.snapshot().iter().map(|v| v.to_bits()).collect()
         };
         prop_assert_eq!(bits(&net), bits(&twin), "inference changed the training step");
+    }
+
+    // ---- The training tape: a load of taped rows is the cached
+    // ---- forward of those rows, bit for bit, and so is the training
+    // ---- step run on it.
+
+    #[test]
+    fn tape_load_equals_the_cached_forward_and_its_training_step(
+        seed in any::<u64>(),
+        steps in 1usize..10,
+        picked in 1usize..10,
+    ) {
+        let (mut net, shape) = relu_anywhere_stack(seed);
+        let mut twin = net.clone();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A9E);
+        let vol = shape.volume();
+        let obs: Vec<f32> = (0..steps * vol).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let mut ctx = BatchInferCtx::new();
+        let tape = ctx.begin_tape(rng.gen_range(0..12));
+        for row in obs.chunks_exact(vol) {
+            let x = Tensor::from_vec(shape.dims().to_vec(), row.to_vec()).expect("observation");
+            let acted = net.forward_taped(row, &shape, tape, &mut ctx).expect("taped").to_vec();
+            prop_assert_eq!(&acted[..], net.infer(&x, &mut BatchInferCtx::new()).expect("infer"));
+        }
+        prop_assert_eq!(ctx.tape_len(tape), Some(steps));
+        // Any rows, in any order; the twin runs their forward instead.
+        let rows: Vec<usize> = (0..picked).map(|_| rng.gen_range(0..steps)).collect();
+        let inputs: Vec<f32> = rows.iter().flat_map(|&r| obs[r * vol..][..vol].to_vec()).collect();
+        let out = net.load_tape(tape, &rows, &inputs, &mut ctx).expect("load").to_vec();
+        let mut twin_ctx = BatchInferCtx::new();
+        let twin_out = twin
+            .forward_batch_cached(&inputs, &shape, picked, &mut twin_ctx)
+            .expect("cached forward")
+            .to_vec();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        prop_assert_eq!(bits(&out), bits(&twin_out));
+        let grads: Vec<f32> = (0..out.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        net.backward_batch(&grads, picked, &mut ctx).expect("backward");
+        twin.backward_batch(&grads, picked, &mut twin_ctx).expect("twin backward");
+        net.apply_grads(0.05);
+        twin.apply_grads(0.05);
+        prop_assert_eq!(bits(&net.snapshot()), bits(&twin.snapshot()));
+        // A new tape closes this one: its rows no longer load, and no
+        // forward appends to it.
+        let next = ctx.begin_tape(0);
+        prop_assert_eq!((ctx.tape_len(tape), ctx.tape_len(next)), (None, Some(0)));
+        prop_assert!(net.load_tape(tape, &rows, &inputs, &mut ctx).is_err());
+        prop_assert!(net.forward_taped(&obs[..vol], &shape, tape, &mut ctx).is_err());
+        prop_assert_eq!(ctx.tape_len(next), Some(0));
+        // A copy of the ctx holds no tape.
+        prop_assert_eq!(ctx.clone().tape_len(next), None);
     }
 
     #[test]

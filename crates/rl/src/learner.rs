@@ -66,8 +66,25 @@ pub trait Learner: Send {
     /// exploration draw must consume `rng` exactly like `act` and pick
     /// the same action (the fast path is bit-identical per observation),
     /// which the default delegation trivially guarantees. A learner may
-    /// keep the forward it ran here for the [`Learner::observe_ctx`] of
-    /// the transition from `state`, as [`crate::QLearner`] does.
+    /// keep the forward it ran here for its update, as long as the
+    /// update is bit-identical to one that recomputes it:
+    ///
+    /// - [`crate::QLearner`] keeps it in an arena of its own for the
+    ///   [`Learner::observe_ctx`] of the transition from `state`.
+    /// - [`crate::Reinforce`] appends it to `ctx`'s training tape
+    ///   ([`BatchInferCtx::begin_tape`]): one row per step of the
+    ///   episode, holding every activation plane the backward reads
+    ///   but the observation and the first layer's output, which the
+    ///   update recomputes (1289 floats, 5.0 KiB, per DroneNav step;
+    ///   the tape is reserved once for the training step cap,
+    ///   [`crate::Reinforce::with_tape_rows`]). The episode-end update
+    ///   ([`Learner::end_episode_ctx`]) then loads its chunks from the
+    ///   tape and runs only the backward. It runs its own forward for
+    ///   the episode instead when the tape cannot vouch for it: a step
+    ///   observed on another observation than its act's or without a
+    ///   taped act, another learner acting on `ctx` (which opens its
+    ///   own tape), a [`Learner::network_mut`] call mid-episode, or
+    ///   the act and the update running on different contexts.
     ///
     /// # Errors
     ///
@@ -160,8 +177,9 @@ pub trait Learner: Send {
     fn end_episode(&mut self) -> Result<(), RlError>;
 
     /// [`Learner::end_episode`] on the batched-training scratch arena:
-    /// Monte-Carlo methods may run their per-episode update as one
-    /// batched forward/backward over the buffered steps, but the
+    /// Monte-Carlo methods may run their per-episode update as batched
+    /// backwards over the buffered steps, on batched forwards or on the
+    /// forwards their acts taped ([`Learner::act_train_ctx`]), but the
     /// resulting weights must stay **bit-identical** to `end_episode` —
     /// which the default delegation trivially guarantees.
     ///

@@ -2,7 +2,7 @@ use crate::{
     sample_categorical, sample_categorical_slice, softmax, softmax_argmax, softmax_into, Learner,
     RlError, Transition,
 };
-use frlfi_nn::{ActShape, BatchInferCtx, Network, NetworkBuilder, NnError};
+use frlfi_nn::{ActShape, BatchInferCtx, Network, NetworkBuilder, NnError, TapeId};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
 
@@ -41,6 +41,30 @@ pub struct Reinforce {
     episode: usize,
     /// Scratch probability row for the batched-training fast path.
     probs_scratch: Vec<f32>,
+    /// Where the current episode's act-time forwards are.
+    tape: Tape,
+    /// The observation of the last taped act: the step observed next
+    /// must be on it for its row to serve the update.
+    acted: (ActShape, Vec<f32>),
+    /// Rows a new tape reserves: the longest episode this learner trains
+    /// on, when known (0 lets the tape grow as it goes).
+    tape_rows: usize,
+}
+
+/// The current episode's act-time forwards, as far as the learner can
+/// vouch for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tape {
+    /// No act has run this episode yet.
+    Fresh,
+    /// Row `i` of this tape is the forward of episode step `i`'s
+    /// observation under the current weights, for every step observed
+    /// so far.
+    On(TapeId),
+    /// The forwards cannot be vouched for (a step observed on another
+    /// observation than its act's, another learner's tape,
+    /// `network_mut`): this episode's update runs its own forward.
+    Lost,
 }
 
 impl Reinforce {
@@ -55,7 +79,20 @@ impl Reinforce {
             episode_buf: Vec::new(),
             episode: 0,
             probs_scratch: Vec::new(),
+            tape: Tape::Fresh,
+            acted: (ActShape::flat(0), Vec::new()),
+            tape_rows: 0,
         }
+    }
+
+    /// Sizes the training tape for episodes of up to `steps` steps —
+    /// the training environment's step cap — so that the tape is
+    /// allocated once, at its first row (see
+    /// [`Learner::act_train_ctx`]). Longer episodes still train; their
+    /// tape grows as it goes.
+    pub fn with_tape_rows(mut self, steps: usize) -> Self {
+        self.tape_rows = steps;
+        self
     }
 
     /// The standard DroneNav configuration: three conv layers and two
@@ -103,22 +140,31 @@ impl Reinforce {
     }
 
     /// The per-episode REINFORCE update on `ctx`'s cached-activation
-    /// arena: the kept steps run as batched forwards and backwards of
-    /// **at most 32 rows each**, however long the episode. For a
-    /// T-step episode the sequential reference runs T tensor-allocating
-    /// forwards and T backwards; this path runs ⌈kept / 32⌉ arena-backed
-    /// batches, and the 32-row bound caps the arena's size.
+    /// arena: the kept steps run as batched backwards of **at most 32
+    /// rows each**, however long the episode, and the 32-row bound caps
+    /// the arena's size. Each chunk's forward comes from the training
+    /// tape the episode's acts wrote ([`Learner::act_train_ctx`]) when
+    /// the tape still holds exactly this episode's steps, each on the
+    /// observation the step buffered; otherwise (a step observed
+    /// without a taped act or on another observation than its act's,
+    /// another learner's tape on `ctx`, a [`Learner::network_mut`] call
+    /// mid-episode, the act on another ctx) the chunk runs its own
+    /// batched forward. For a T-step
+    /// episode the sequential reference runs T tensor-allocating
+    /// forwards and T backwards; this path runs ⌈kept / 32⌉ batched
+    /// backwards and, off the tape, no forward but the first layer's.
     ///
     /// Bitwise contract with [`Learner::end_episode`]: returns,
     /// advantages, the `advantage == 0.0` step filter, per-row softmax,
     /// gradient rows, the `lr / T` scale and the baseline EMA are all
-    /// computed identically, and every batched backward adds each
-    /// parameter-gradient element's contributions in ascending step
-    /// order straight into the accumulated gradient — exactly the order
-    /// the sequential per-step backwards accumulate, so splitting the
-    /// kept steps into chunks changes no bit (weights only change at
-    /// the single `apply_grads`). Trained weights are therefore
-    /// bit-identical.
+    /// computed identically; a taped forward is the batch-1 forward
+    /// the reference runs, and a batched one matches it row for row;
+    /// and every batched backward adds each parameter-gradient
+    /// element's contributions in ascending step order straight into
+    /// the accumulated gradient — exactly the order the sequential
+    /// per-step backwards accumulate, so splitting the kept steps into
+    /// chunks changes no bit (weights only change at the single
+    /// `apply_grads`). Trained weights are therefore bit-identical.
     ///
     /// # Errors
     ///
@@ -134,6 +180,7 @@ impl Reinforce {
     /// [`Reinforce::learn_batch`] with batches of at most `rows` kept
     /// steps (the seam the chunking tests drive).
     fn learn_chunked(&mut self, ctx: &mut BatchInferCtx, rows: usize) -> Result<(), RlError> {
+        let tape = std::mem::replace(&mut self.tape, Tape::Fresh);
         if self.episode_buf.is_empty() {
             self.episode += 1;
             return Ok(());
@@ -149,19 +196,18 @@ impl Reinforce {
 
         // Steps the sequential path would actually train on (it skips
         // zero-advantage steps before running any forward).
-        let kept: Vec<(usize, f32)> = returns
+        let (kept, advantages): (Vec<usize>, Vec<f32>) = returns
             .iter()
             .enumerate()
             .filter_map(|(i, &g_t)| {
                 let advantage = (g_t - self.baseline).clamp(-50.0, 50.0);
                 (advantage != 0.0).then_some((i, advantage))
             })
-            .collect();
+            .unzip();
         if !kept.is_empty() {
-            let shape = ActShape::from_dims(self.episode_buf[kept[0].0].state.shape().dims())?;
+            let shape = ActShape::from_dims(self.episode_buf[kept[0]].state.shape().dims())?;
             let vol = shape.volume();
-            if let Some(&(i, _)) =
-                kept.iter().find(|&&(i, _)| self.episode_buf[i].state.data().len() != vol)
+            if let Some(&i) = kept.iter().find(|&&i| self.episode_buf[i].state.data().len() != vol)
             {
                 return Err(RlError::Nn(NnError::BadDimensions {
                     detail: format!(
@@ -170,19 +216,27 @@ impl Reinforce {
                     ),
                 }));
             }
+            // The tape serves when it holds one row per step observed.
+            let taped = match tape {
+                Tape::On(id) if ctx.tape_len(id) == Some(self.episode_buf.len()) => Some(id),
+                _ => None,
+            };
             let mut states = Vec::with_capacity(vol * rows.min(kept.len()));
             let mut grads = Vec::new();
-            for chunk in kept.chunks(rows) {
+            for (chunk, advantages) in kept.chunks(rows).zip(advantages.chunks(rows)) {
+                let batch = chunk.len();
                 states.clear();
-                for &(i, _) in chunk {
+                for &i in chunk {
                     states.extend_from_slice(self.episode_buf[i].state.data());
                 }
-                let batch = chunk.len();
-                let logits = self.net.forward_batch_cached(&states, &shape, batch, ctx)?;
+                let logits = match taped {
+                    Some(id) => self.net.load_tape(id, chunk, &states, ctx)?,
+                    None => self.net.forward_batch_cached(&states, &shape, batch, ctx)?,
+                };
                 let n = logits.len() / batch;
                 grads.clear();
                 grads.resize(logits.len(), 0.0f32);
-                for (s, &(i, advantage)) in chunk.iter().enumerate() {
+                for (s, (&i, &advantage)) in chunk.iter().zip(advantages).enumerate() {
                     // ∇_logits −log π(a) · A = (π − one_hot(a)) · A, with
                     // the bit-exact softmax replay per row.
                     softmax_into(&logits[s * n..(s + 1) * n], &mut self.probs_scratch);
@@ -240,9 +294,25 @@ impl Learner for Reinforce {
     ) -> Result<usize, RlError> {
         // Same logits bit for bit as `act`, the bit-exact softmax
         // replay, and the same sampler RNG consumption — training
-        // trajectories are unchanged.
+        // trajectories are unchanged. The forward goes on the tape as
+        // the row of the step about to be observed, as long as the
+        // tape holds exactly the steps observed so far.
         let shape = ActShape::from_dims(state.shape().dims())?;
-        let logits = self.net.infer_batch(state.data(), &shape, 1, ctx)?;
+        let row = self.episode_buf.len();
+        self.tape = match self.tape {
+            Tape::Fresh if row == 0 => Tape::On(ctx.begin_tape(self.tape_rows)),
+            Tape::On(id) if ctx.tape_len(id) == Some(row) => Tape::On(id),
+            _ => Tape::Lost,
+        };
+        let logits = match self.tape {
+            Tape::On(id) => {
+                self.acted.0 = shape;
+                self.acted.1.clear();
+                self.acted.1.extend_from_slice(state.data());
+                self.net.forward_taped(state.data(), &shape, id, ctx)?
+            }
+            _ => self.net.infer_batch(state.data(), &shape, 1, ctx)?,
+        };
         softmax_into(logits, &mut self.probs_scratch);
         Ok(sample_categorical_slice(&self.probs_scratch, rng))
     }
@@ -273,6 +343,16 @@ impl Learner for Reinforce {
         if let Ok(out) = out {
             RlError::check_action(t.action, out.volume())?;
         }
+        // A taped row serves only a step observed on its act's
+        // observation, bit for bit.
+        if let Tape::On(_) = self.tape {
+            let (shape, x) = &self.acted;
+            let acted_on = shape.dims() == t.state.shape().dims()
+                && x.iter().zip(t.state.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+            if !acted_on {
+                self.tape = Tape::Lost;
+            }
+        }
         self.episode_buf.push(t);
         Ok(())
     }
@@ -280,6 +360,7 @@ impl Learner for Reinforce {
     fn end_episode(&mut self) -> Result<(), RlError> {
         if self.episode_buf.is_empty() {
             self.episode += 1;
+            self.tape = Tape::Fresh;
             return Ok(());
         }
         // Discounted returns, computed backward.
@@ -312,6 +393,7 @@ impl Learner for Reinforce {
             + (1.0 - self.baseline_momentum) * episode_return;
         self.episode_buf.clear();
         self.episode += 1;
+        self.tape = Tape::Fresh;
         Ok(())
     }
 
@@ -327,7 +409,12 @@ impl Learner for Reinforce {
         &self.net
     }
 
+    /// The weights may change through the returned network, so this
+    /// episode's taped forwards are no longer vouched for.
     fn network_mut(&mut self) -> &mut Network {
+        if let Tape::On(_) = self.tape {
+            self.tape = Tape::Lost;
+        }
         &mut self.net
     }
 }
@@ -486,6 +573,178 @@ mod tests {
             // episode's forced-zero returns are ordinary kept steps.
             let steps = random_episode(&pi, drone, BOUNDARY_LENGTHS[second], seed ^ 2);
             assert_chunked_matches_oracle(&pi, &steps);
+        }
+    }
+
+    /// What happens to a taped episode before its update.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Disturb {
+        /// Nothing: every step acts on the tape, and the update reads it.
+        Nothing,
+        /// `network_mut()` halves every weight before step `at` (the
+        /// oracle's too): the rows taped before it are stale.
+        NetworkMut,
+        /// Another learner acts on the same ctx before step `at`.
+        SecondLearner,
+        /// The steps from `at` on act on another ctx.
+        OtherCtx,
+        /// The update runs on another ctx than the acts.
+        UpdateElsewhere,
+        /// Step `at` is observed without an act.
+        Unacted,
+        /// Step `at` acts on another observation than the one observed.
+        Misobserved,
+    }
+
+    const DISTURBANCES: [Disturb; 7] = [
+        Disturb::Nothing,
+        Disturb::NetworkMut,
+        Disturb::SecondLearner,
+        Disturb::OtherCtx,
+        Disturb::UpdateElsewhere,
+        Disturb::Unacted,
+        Disturb::Misobserved,
+    ];
+
+    /// Whether `disturb` needs a step `at` to act on.
+    fn needs_step(disturb: Disturb) -> bool {
+        matches!(disturb, Disturb::Unacted | Disturb::Misobserved)
+    }
+
+    /// Bit-equal weights, except that a NaN matches any NaN.
+    fn same_weights(a: &Reinforce, b: &Reinforce) -> bool {
+        let (a, b) = (a.net.snapshot(), b.net.snapshot());
+        a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Trains clones of `pi` on `steps`: through the per-observation
+    /// oracle, and through `act_train_ctx` + `observe` per step and the
+    /// chunked update at 1-, 7- and 32-row chunks, disturbed by
+    /// `disturb` at step `at`. Asserts weights equal modulo NaN payload
+    /// and bit-equal baselines, that an undisturbed update read the
+    /// tape, and returns the oracle's learner.
+    fn assert_taped_matches_oracle(
+        pi: &Reinforce,
+        steps: &[Transition],
+        disturb: Disturb,
+        at: usize,
+    ) -> Reinforce {
+        let halve = |pi: &mut Reinforce| pi.network_mut().for_each_param_mut(|_, w| *w *= 0.5);
+        let mut oracle = pi.clone();
+        if disturb == Disturb::NetworkMut {
+            halve(&mut oracle);
+        }
+        for t in steps {
+            oracle.observe(t.clone()).unwrap();
+        }
+        oracle.end_episode().unwrap();
+        let mut second = pi.clone();
+        halve(&mut second);
+        for rows in [1, 7, CHUNK_ROWS] {
+            let (mut ctx, mut ctx2) = (BatchInferCtx::new(), BatchInferCtx::new());
+            let mut rng = StdRng::seed_from_u64(rows as u64);
+            let (mut taped, mut other) = (pi.clone(), second.clone());
+            // Step `steps.len()` is the update: a disturbance there
+            // comes after the last step.
+            for i in 0..=steps.len() {
+                let t = &steps[i.min(steps.len() - 1)];
+                if i == at {
+                    match disturb {
+                        Disturb::NetworkMut => halve(&mut taped),
+                        Disturb::SecondLearner => {
+                            other.act_train_ctx(&t.state, &mut rng, &mut ctx).unwrap();
+                        }
+                        Disturb::Unacted | Disturb::Misobserved => {
+                            if disturb == Disturb::Misobserved {
+                                let elsewhere = t.state.map(|x| x * 0.5 - 0.25);
+                                taped.act_train_ctx(&elsewhere, &mut rng, &mut ctx).unwrap();
+                            }
+                            taped.observe(t.clone()).unwrap();
+                            continue;
+                        }
+                        _ => {}
+                    }
+                }
+                if i == steps.len() {
+                    break;
+                }
+                let on = if disturb == Disturb::OtherCtx && i >= at { &mut ctx2 } else { &mut ctx };
+                taped.act_train_ctx(&t.state, &mut rng, on).unwrap();
+                taped.observe(t.clone()).unwrap();
+            }
+            if disturb == Disturb::Nothing {
+                assert!(
+                    matches!(taped.tape, Tape::On(id) if ctx.tape_len(id) == Some(steps.len())),
+                    "an undisturbed episode must update from its tape"
+                );
+            }
+            let update_ctx = if disturb == Disturb::UpdateElsewhere { &mut ctx2 } else { &mut ctx };
+            taped.learn_chunked(update_ctx, rows).unwrap();
+            assert!(
+                same_weights(&taped, &oracle),
+                "{disturb:?} at step {at} of a {}-step episode, {rows}-row chunks",
+                steps.len()
+            );
+            assert_eq!(taped.baseline.to_bits(), oracle.baseline.to_bits());
+            assert_eq!(taped.tape, Tape::Fresh);
+        }
+        oracle
+    }
+
+    /// Sets `count` weights of `pi`, picked by `seed`, to +∞, −∞ or NaN.
+    fn poison(pi: &mut Reinforce, count: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = pi.net.param_count();
+        let picks: Vec<(usize, f32)> = (0..count)
+            .map(|k| (rng.gen_range(0..n), [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][k % 3]))
+            .collect();
+        pi.network_mut().for_each_param_mut(|i, w| {
+            if let Some(&(_, v)) = picks.iter().find(|&&(j, _)| j == i) {
+                *w = v;
+            }
+        });
+    }
+
+    #[test]
+    fn tape_update_matches_oracle_at_every_boundary_length() {
+        for drone in [false, true] {
+            let pi = default_learner(drone, 5);
+            for (k, &len) in BOUNDARY_LENGTHS.iter().enumerate() {
+                let steps = random_episode(&pi, drone, len, k as u64);
+                for disturb in DISTURBANCES {
+                    for at in [0, len / 2, len - 1, len] {
+                        if needs_step(disturb) && at == len {
+                            continue;
+                        }
+                        assert_taped_matches_oracle(&pi, &steps, disturb, at);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tape_update_matches_per_observation_oracle(
+            drone in proptest::prelude::any::<bool>(),
+            first in 0usize..BOUNDARY_LENGTHS.len(),
+            second in 0usize..BOUNDARY_LENGTHS.len(),
+            disturb in 0usize..DISTURBANCES.len(),
+            at in 0usize..=120,
+            poisoned in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut pi = default_learner(drone, seed);
+            poison(&mut pi, poisoned, seed ^ 3);
+            let steps = random_episode(&pi, drone, BOUNDARY_LENGTHS[first], seed ^ 1);
+            let pi = assert_taped_matches_oracle(&pi, &steps, Disturb::Nothing, 0);
+            // The second episode starts off a moved baseline and is
+            // disturbed at a step inside it, or just past its end.
+            let steps = random_episode(&pi, drone, BOUNDARY_LENGTHS[second], seed ^ 2);
+            let at = at % (steps.len() + 1);
+            let disturb = DISTURBANCES[disturb];
+            let at = if needs_step(disturb) { at.min(steps.len() - 1) } else { at };
+            assert_taped_matches_oracle(&pi, &steps, disturb, at);
         }
     }
 
