@@ -5,6 +5,25 @@ use rand::Rng;
 /// Batch-tile width of the batched dense kernel (lanes per micro-tile).
 const BW: usize = 16;
 
+/// Smallest batch on which `Dense::forward_cols` runs its AVX2 instance
+/// ([`crate::wide`]), on a layer of at least `WIDE_IN` inputs. Batches
+/// 2–7 measured within ±8% of the baseline instance, batches from 8 on
+/// 14–39% faster (480×64, 64×25 and 32×32 layers).
+#[cfg(target_arch = "x86_64")]
+const WIDE_BATCH: usize = 8;
+
+/// Smallest `in_dim` on which `Dense::backward_kernel` and
+/// `Dense::forward_cols` run their AVX2 instances. In the backward,
+/// the length of each per-sample `gw` and `dx` row update, rows of 8–24
+/// inputs measured 4–27% slower, 40–56 between 11% faster and 2%
+/// slower, and from 64 on 10–27% faster. Rows of 32 measured faster in
+/// isolation too, but the GridWorld layers (6 and 32 inputs) stay on
+/// the baseline instance: with its batched greedy evaluation on the
+/// AVX2 `forward_cols`, grid-train ran 6% slower end to end, although
+/// that evaluation is well under 1% of its time.
+#[cfg(target_arch = "x86_64")]
+const WIDE_IN: usize = 64;
+
 /// A fully connected layer: `y = W·x + b` with `W ∈ [out, in]`.
 ///
 /// Inputs and outputs are rank-1 tensors — reinforcement-learning
@@ -212,87 +231,125 @@ impl Dense {
         }
     }
 
-    /// A batch-minor batch of observations.
+    /// A batch-minor batch of observations. A batch of at least
+    /// `WIDE_BATCH` through a layer of at least `WIDE_IN` inputs runs
+    /// the AVX2 instance.
     fn forward_cols(&self, input: &[f32], batch: usize, out: &mut [f32]) {
-        let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
-        let w = self.w.data();
-        let bias = self.b.data();
-        // Register-tiled matrix–matrix product `W[out,in] × X[in,batch]`
-        // over batch-minor activations: two output rows share each
-        // streaming read of a 16-wide batch column block, so every
-        // weight scalar is reused across the whole block and the inner
-        // loop vectorizes across independent per-sample accumulators.
-        // Each sample still sums `w[i][j] * x_b[j]` sequentially in `j`
-        // — the exact accumulation order of `forward_into` — so rows
-        // are bit-identical to single-observation inference.
+        #[cfg(target_arch = "x86_64")]
+        if batch >= WIDE_BATCH && crate::wide::avx2(self.in_dim(), WIDE_IN) {
+            // SAFETY: `avx2` has detected AVX2 on this host.
+            return unsafe { self.forward_cols_avx2(input, batch, out) };
+        }
+        self.forward_cols_body(input, batch, out);
+    }
+
+    /// [`Dense::forward_cols`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn forward_cols_avx2(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+        self.forward_cols_body(input, batch, out);
+    }
+
+    /// The body of [`Dense::forward_cols`], inlined into each instance:
+    /// the register-tiled matrix–matrix product `W[out,in] × X[in,batch]`
+    /// over batch-minor activations. Samples up to the last multiple of
+    /// four go in tiles of [`BW`], 8 and 4 samples, two output rows a
+    /// tile (an odd last row alone). The one to three samples left
+    /// cannot fill a vector, so their tiles take four rows to keep
+    /// enough independent accumulators in flight. Every tile width is a
+    /// constant, so each tile's accumulators vectorize: a ragged tile
+    /// with a run-time width cost as much as a full one.
+    #[inline(always)]
+    pub(crate) fn forward_cols_body(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+        let quads = batch - batch % 4;
+        let out_dim = self.out_dim();
         let mut i = 0;
         while i + 2 <= out_dim {
-            let r0 = &w[i * in_dim..(i + 1) * in_dim];
-            let r1 = &w[(i + 1) * in_dim..(i + 2) * in_dim];
-            let (b0, b1) = (bias[i], bias[i + 1]);
-            let mut bb = 0;
-            // Hot full-width tiles. The ragged tail below duplicates
-            // this block with a dynamic width on purpose: folding the
-            // two into one clamped-width loop (or an inlined helper)
-            // loses the constant `BW` trip count LLVM needs to
-            // vectorize the accumulators, costing ~2x on the whole
-            // batched drone-policy forward. Keep the two blocks'
-            // accumulation statements textually identical.
-            while bb + BW <= batch {
-                let mut a0 = [0.0f32; BW];
-                let mut a1 = [0.0f32; BW];
-                for j in 0..in_dim {
-                    let (w0, w1) = (r0[j], r1[j]);
-                    let xj = &input[j * batch + bb..j * batch + bb + BW];
-                    for (k, &xv) in xj.iter().enumerate() {
-                        a0[k] += w0 * xv;
-                        a1[k] += w1 * xv;
-                    }
-                }
-                for k in 0..BW {
-                    out[i * batch + bb + k] = a0[k] + b0;
-                    out[(i + 1) * batch + bb + k] = a1[k] + b1;
-                }
-                bb += BW;
-            }
-            if bb < batch {
-                // Clamped ragged tail tile (see the comment above).
-                let width = batch - bb;
-                let mut a0 = [0.0f32; BW];
-                let mut a1 = [0.0f32; BW];
-                for j in 0..in_dim {
-                    let (w0, w1) = (r0[j], r1[j]);
-                    let xj = &input[j * batch + bb..j * batch + bb + width];
-                    for (k, &xv) in xj.iter().enumerate() {
-                        a0[k] += w0 * xv;
-                        a1[k] += w1 * xv;
-                    }
-                }
-                for k in 0..width {
-                    out[i * batch + bb + k] = a0[k] + b0;
-                    out[(i + 1) * batch + bb + k] = a1[k] + b1;
-                }
-            }
+            self.cols_quads::<2>(i, quads, input, batch, out);
             i += 2;
         }
         if i < out_dim {
-            // Odd final output row: one row across the whole batch.
-            let row = &w[i * in_dim..(i + 1) * in_dim];
-            let bi = bias[i];
-            let mut bb = 0;
-            while bb < batch {
-                let width = BW.min(batch - bb);
-                let mut acc = [0.0f32; BW];
-                for (j, &wv) in row.iter().enumerate() {
-                    let xj = &input[j * batch + bb..j * batch + bb + width];
-                    for (k, &xv) in xj.iter().enumerate() {
-                        acc[k] += wv * xv;
-                    }
+            self.cols_quads::<1>(i, quads, input, batch, out);
+        }
+        match batch - quads {
+            1 => self.cols_rest::<1>(quads, input, batch, out),
+            2 => self.cols_rest::<2>(quads, input, batch, out),
+            3 => self.cols_rest::<3>(quads, input, batch, out),
+            _ => {}
+        }
+    }
+
+    /// Output rows `i..i + R` for samples `0..quads`, a multiple of four.
+    #[inline(always)]
+    fn cols_quads<const R: usize>(
+        &self,
+        i: usize,
+        quads: usize,
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        let mut bb = 0;
+        while bb + BW <= quads {
+            self.cols_tile::<R, BW>(i, bb, input, batch, out);
+            bb += BW;
+        }
+        if quads - bb >= 8 {
+            self.cols_tile::<R, 8>(i, bb, input, batch, out);
+            bb += 8;
+        }
+        if quads - bb >= 4 {
+            self.cols_tile::<R, 4>(i, bb, input, batch, out);
+        }
+    }
+
+    /// Every output row for the last `W` samples, from sample `bb`.
+    #[inline(always)]
+    fn cols_rest<const W: usize>(&self, bb: usize, input: &[f32], batch: usize, out: &mut [f32]) {
+        let out_dim = self.out_dim();
+        let mut i = 0;
+        while i + 4 <= out_dim {
+            self.cols_tile::<4, W>(i, bb, input, batch, out);
+            i += 4;
+        }
+        for i in i..out_dim {
+            self.cols_tile::<1, W>(i, bb, input, batch, out);
+        }
+    }
+
+    /// Output rows `i..i + R` for samples `bb..bb + W`. The rows share
+    /// each streaming read of the samples' input columns, so every
+    /// weight scalar is reused across the tile, and the inner loop runs
+    /// across independent per-sample accumulators. Each sample still
+    /// sums `w[i][j] * x_b[j]` sequentially in `j` — the exact
+    /// accumulation order of `forward_into` — so rows are bit-identical
+    /// to single-observation inference.
+    #[inline(always)]
+    fn cols_tile<const R: usize, const W: usize>(
+        &self,
+        i: usize,
+        bb: usize,
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        let in_dim = self.in_dim();
+        let w = self.w.data();
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &w[(i + r) * in_dim..][..in_dim]);
+        let mut acc = [[0.0f32; W]; R];
+        for j in 0..in_dim {
+            let xj = &input[j * batch + bb..][..W];
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                let wv = row[j];
+                for (a, &xv) in a.iter_mut().zip(xj) {
+                    *a += wv * xv;
                 }
-                for k in 0..width {
-                    out[i * batch + bb + k] = acc[k] + bi;
-                }
-                bb += width;
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            let b = self.b.data()[i + r];
+            for (o, &a) in out[(i + r) * batch + bb..][..W].iter_mut().zip(a) {
+                *o = a + b;
             }
         }
     }
@@ -313,8 +370,40 @@ impl Dense {
     }
 
     /// The backward walk's layer call: [`Dense::backward_batch_into`]
-    /// on an input shape the forward walk has already validated.
+    /// on an input shape the forward walk has already validated. A layer
+    /// of at least `WIDE_IN` inputs runs the AVX2 instance.
     pub(crate) fn backward_kernel(
+        &mut self,
+        input: &[f32],
+        batch: usize,
+        grad_out: &[f32],
+        grad_in: Option<&mut [f32]>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::wide::avx2(self.in_dim(), WIDE_IN) {
+            // SAFETY: `avx2` has detected AVX2 on this host.
+            return unsafe { self.backward_avx2(input, batch, grad_out, grad_in) };
+        }
+        self.backward_body(input, batch, grad_out, grad_in);
+    }
+
+    /// [`Dense::backward_kernel`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn backward_avx2(
+        &mut self,
+        input: &[f32],
+        batch: usize,
+        grad_out: &[f32],
+        grad_in: Option<&mut [f32]>,
+    ) {
+        self.backward_body(input, batch, grad_out, grad_in);
+    }
+
+    /// The body of [`Dense::backward_kernel`], inlined into each
+    /// instance.
+    #[inline(always)]
+    pub(crate) fn backward_body(
         &mut self,
         input: &[f32],
         batch: usize,

@@ -22,6 +22,29 @@
 //! batch 1 and a tiled matrix product above; `Conv2d` runs one
 //! row-stencil correlation at every batch size.
 //!
+//! The four hottest kernel bodies are compiled twice from one
+//! `#[inline(always)]` body: once for baseline x86-64 (4-wide SSE2) and
+//! once inside a `#[target_feature(enable = "avx2")]` function (8-wide).
+//! Each call picks its instance by its shape first, then by
+//! `is_x86_feature_detected!("avx2")`, which std caches. Each threshold
+//! sits where the AVX2 instance measured faster, one kernel call at a
+//! time on a 2-vCPU Xeon:
+//!
+//! | kernel | AVX2 instance from | measured |
+//! |---|---|---|
+//! | conv stencil (forward, input gradient) | rows of `ow · batch` ≥ 40 | rows of 10–36 up to 1.5× slower unless near a multiple of 8; from 40 on 5–35% faster |
+//! | conv parameter-gradient taps | `positions · batch` ≥ 8 | even at 4, 8% faster at 8, 23–39% on DroneNav shapes |
+//! | `Dense` tiled product | `batch` ≥ 8, `in_dim` ≥ 64 | batches 2–7 within ±8%, from 8 on 14–39% faster |
+//! | `Dense` backward | `in_dim` ≥ 64 | 8–24 inputs 4–27% slower, from 64 on 10–27% faster |
+//!
+//! So a short call pays one compare and stays on the baseline
+//! instance: the DroneNav act's conv rows (14, 12 and 10 elements at
+//! batch 1) and every GridWorld layer (at most 32 inputs). Both
+//! instances give every output element its terms in the reference
+//! order, and rustc never contracts a multiply and an add into an FMA,
+//! so they agree bit for bit (NaN payloads aside). Off x86-64 only the
+//! baseline instance exists.
+//!
 //! The fast path is **bit-identical** to `forward`: every kernel in
 //! `Dense`/`Conv2d`/`Relu` preserves the exact floating-point
 //! accumulation order of the reference implementation per output

@@ -43,6 +43,7 @@ mod error;
 mod infer;
 mod layer;
 mod network;
+mod wide;
 
 pub use activation::Relu;
 pub use codec::{decode_weight_planes, encode_weight_planes, weight_digest, WeightCodecError};
