@@ -69,8 +69,8 @@ fn fig5_cell(c: &mut Criterion) {
             })
             .expect("valid config");
             sys.pretrain().expect("pretrain");
-            let plan =
-                InjectionPlan::server(1, Ber::new(1e-3).expect("ber")).with_repr(ReprKind::F32);
+            let server = InjectionPlan::server(1, Ber::new(1e-3).expect("ber"));
+            let plan = InjectionPlan { repr: ReprKind::F32, ..server };
             let ctx = &mut BatchInferCtx::new();
             sys.train(4, Some(&plan), ctx).expect("fine-tune");
             black_box(sys.safe_flight_distance(1, ctx))

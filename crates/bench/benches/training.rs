@@ -43,7 +43,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use frlfi::envs::{Environment, GridWorld};
-use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Dense, Network, NetworkBuilder, Relu};
+use frlfi::nn::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, Network, NetworkBuilder, Relu};
 use frlfi::rl::{eps_greedy_slice, EpsilonSchedule, Learner, QLearner, Transition};
 use frlfi::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -203,8 +203,8 @@ const DRONE_UPDATE_BATCH: usize = 32;
 /// policy. Inputs past `conv0` are post-ReLU (about half zeros) and
 /// every upstream gradient is ReLU-sparse, as in training.
 ///
-/// Forward rows run at batch 1 (the act of a fine-tuning step, through
-/// `forward_into` as `Network::infer` calls it), 3 (the lock-step
+/// Forward rows run at batch 1 (the act of a fine-tuning step, the
+/// single-observation kernels `Network::infer` runs), 3 (the lock-step
 /// evaluator's memo misses) and 32 (an update chunk). The
 /// backward rows run at the update-chunk batch, `conv0` computing
 /// parameter gradients only, as inside `Network::backward_batch`;
@@ -219,7 +219,10 @@ fn drone_conv_layers(c: &mut Criterion) {
     for (l, (in_c, out_c, h, w)) in
         [(1, 8, 9, 16), (8, 12, 7, 14), (12, 16, 5, 12)].into_iter().enumerate()
     {
-        let mut conv = Conv2d::new(format!("conv{l}"), in_c, out_c, 3, &mut rng);
+        let mut p = Vec::new();
+        let mut conv =
+            Layer::Conv(Conv2d::new(format!("conv{l}"), in_c, out_c, 3, &mut p, &mut rng));
+        let mut grads = vec![0.0f32; p.len()];
         let in_shape = ActShape::image(in_c, h, w);
         let out_vol = conv.out_shape(&in_shape).expect("shape").volume();
         // `conv0`'s input gradient has no reader.
@@ -233,14 +236,10 @@ fn drone_conv_layers(c: &mut Criterion) {
                 .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
                 .collect();
             let mut y = vec![0.0f32; out_vol * batch];
-            group.throughput(Throughput::Elements(conv.param_count() as u64 * batch as u64));
+            group.throughput(Throughput::Elements(p.len() as u64 * batch as u64));
             group.bench_function(format!("drone_conv{l}_forward_batch{batch}").as_str(), |b| {
                 b.iter(|| {
-                    if batch == 1 {
-                        conv.forward_into(&x, &in_shape, &mut y).expect("forward");
-                    } else {
-                        conv.forward_batch_into(&x, &in_shape, batch, &mut y).expect("forward");
-                    }
+                    conv.forward_batch_into(&p, &x, &in_shape, batch, &mut y).expect("forward");
                     black_box(&y);
                 })
             });
@@ -256,9 +255,10 @@ fn drone_conv_layers(c: &mut Criterion) {
                 group.bench_function(format!("drone_conv{l}_{tag}_batch{batch}").as_str(), |b| {
                     b.iter(|| {
                         let grad_in = with_dx.then_some(&mut dx[..]);
-                        conv.backward_batch_into(&x, &in_shape, batch, &g, grad_in, &mut scratch)
+                        let planes = (&p[..], &mut grads[..]);
+                        conv.backward_batch_into(planes, &x, &in_shape, &g, grad_in, &mut scratch)
                             .expect("backward");
-                        conv.zero_grads();
+                        grads.fill(0.0);
                         black_box(&dx);
                     })
                 });
@@ -273,9 +273,10 @@ fn drone_conv_layers(c: &mut Criterion) {
                 let name = format!("drone_conv{l}_params_only_masked_batch{batch}");
                 group.bench_function(name.as_str(), |b| {
                     b.iter(|| {
-                        conv.backward_batch_into(&x_inf, &in_shape, batch, &g, None, &mut scratch)
+                        let planes = (&p[..], &mut grads[..]);
+                        conv.backward_batch_into(planes, &x_inf, &in_shape, &g, None, &mut scratch)
                             .expect("backward");
-                        conv.zero_grads();
+                        grads.fill(0.0);
                     })
                 });
             }
@@ -295,7 +296,10 @@ fn grid_mlp_layers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let mut group = c.benchmark_group("training_layers");
     for (l, (in_dim, out_dim)) in [(6, 32), (32, 32), (32, 4)].into_iter().enumerate() {
-        let mut dense = Dense::new(format!("dense{l}"), in_dim, out_dim, &mut rng);
+        let mut p = Vec::new();
+        let mut dense =
+            Layer::Dense(Dense::new(format!("dense{l}"), in_dim, out_dim, &mut p, &mut rng));
+        let mut grads = vec![0.0f32; p.len()];
         let shape = ActShape::flat(in_dim);
         let x: Vec<f32> = (0..in_dim)
             .map(|_| rng.gen_range(-1.0f32..1.0).max(if l > 0 { 0.0 } else { -1.0 }))
@@ -313,39 +317,49 @@ fn grid_mlp_layers(c: &mut Criterion) {
         let mut dx = vec![0.0f32; in_dim];
         let mut scratch = Vec::new();
         let tag = format!("grid_dense{in_dim}x{out_dim}");
-        group.throughput(Throughput::Elements(dense.param_count() as u64));
+        group.throughput(Throughput::Elements(p.len() as u64));
         group.bench_function(format!("{tag}_forward_batch1").as_str(), |b| {
             b.iter(|| {
-                dense.forward_into(&x, &shape, &mut y).expect("forward");
+                dense.forward_batch_into(&p, &x, &shape, 1, &mut y).expect("forward");
                 black_box(&y);
             })
         });
         group.bench_function(format!("{tag}_backward_batch1").as_str(), |b| {
             b.iter(|| {
                 let grad_in = (l > 0).then_some(&mut dx[..]);
-                dense.backward_batch_into(&x, &shape, 1, &g, grad_in, &mut scratch).expect("bwd");
-                dense.zero_grads();
+                let planes = (&p[..], &mut grads[..]);
+                dense
+                    .backward_batch_into(planes, &x, &shape, &g, grad_in, &mut scratch)
+                    .expect("bwd");
+                grads.fill(0.0);
                 black_box(&dx);
             })
         });
     }
     group.finish();
     let mut group = c.benchmark_group("training_layers");
-    let mut relu = Relu::new("relu0");
+    let mut relu = Layer::Relu(Relu::new("relu0"));
     let shape = ActShape::flat(32);
     let x: Vec<f32> = (0..32).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let g: Vec<f32> = (0..32).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
     let (mut y, mut dx) = (vec![0.0f32; 32], vec![0.0f32; 32]);
     group.bench_function("grid_relu32_forward_batch1", |b| {
         b.iter(|| {
-            relu.forward_into(&x, &shape, &mut y).expect("forward");
+            relu.forward_batch_into(&[], &x, &shape, 1, &mut y).expect("forward");
             black_box(&y);
         })
     });
     group.bench_function("grid_relu32_backward_batch1", |b| {
         b.iter(|| {
-            relu.backward_batch_into(&x, &shape, 1, &g, Some(&mut dx), &mut Vec::new())
-                .expect("backward");
+            relu.backward_batch_into(
+                (&[], &mut []),
+                &x,
+                &shape,
+                &g,
+                Some(&mut dx),
+                &mut Vec::new(),
+            )
+            .expect("backward");
             black_box(&dx);
         })
     });

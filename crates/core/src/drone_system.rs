@@ -307,7 +307,10 @@ mod tests {
     fn server_fault_applies_at_next_round() {
         let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
         s.pretrain().unwrap();
-        let plan = InjectionPlan::server(0, Ber::new(0.01).unwrap()).with_repr(ReprKind::F32);
+        let plan = InjectionPlan {
+            repr: ReprKind::F32,
+            ..InjectionPlan::server(0, Ber::new(0.01).unwrap())
+        };
         s.train(2, Some(&plan), &mut BatchInferCtx::new()).unwrap();
         assert!(!s.last_fault_records().is_empty());
     }
@@ -449,7 +452,10 @@ mod tests {
         let cfg = DroneSystemConfig { dropout: Some(0.8), ..tiny_cfg(3) };
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         s.pretrain().unwrap();
-        let plan = InjectionPlan::server(0, Ber::new(0.05).unwrap()).with_repr(ReprKind::F32);
+        let plan = InjectionPlan {
+            repr: ReprKind::F32,
+            ..InjectionPlan::server(0, Ber::new(0.05).unwrap())
+        };
         s.inject_now(&plan);
         s.train(80, None, &mut BatchInferCtx::new()).unwrap();
         assert!(

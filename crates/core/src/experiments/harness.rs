@@ -525,20 +525,6 @@ impl DroneTrial {
         self
     }
 
-    /// Enables training-time mitigation.
-    #[must_use]
-    pub fn with_mitigation(mut self, m: TrainingMitigation) -> Self {
-        self.mitigation = Some(m);
-        self
-    }
-
-    /// Sets the per-round dropout probability.
-    #[must_use]
-    pub fn with_dropout(mut self, dropout: f32) -> Self {
-        self.dropout = Some(dropout);
-        self
-    }
-
     /// The configuration of the system this trial fine-tunes.
     pub(crate) fn system_config(&self) -> DroneSystemConfig {
         DroneSystemConfig {
@@ -764,14 +750,16 @@ mod tests {
         // come from the arena path once the checkpoint stopped storing
         // the consensus of dropout-skipped rounds (before any
         // aggregation, a fresh server's all-zero vector).
-        let mt = DroneTrial::new(&g, weights, 3)
-            .with_dropout(0.4)
-            .with_mitigation(TrainingMitigation {
+        let mt = DroneTrial {
+            dropout: Some(0.4),
+            mitigation: Some(TrainingMitigation {
                 p_percent: 10.0,
                 k_consecutive: 2,
                 checkpoint_interval: 1,
-            })
-            .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 4, 0.1));
+            }),
+            ..DroneTrial::new(&g, weights, 3)
+        }
+        .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 4, 0.1));
         let mitigated_pins = [
             (3u64, 0xe326_ddf8_9692_f471u64, (0usize, 4usize)),
             (17, 0xbb95_04d6_7a15_0268, (6, 1)),

@@ -203,7 +203,7 @@ impl StudyKind {
                     epsilon_decay_episodes: episodes / 2,
                     ..Default::default()
                 })?;
-                let spans = probe.agent(0).network().param_spans();
+                let spans = probe.agent(0).network().param_spans().to_vec();
                 StudyGeometry {
                     kind: self,
                     title: "Per-layer resilience: SR (%) with faults confined to one layer".into(),

@@ -294,11 +294,9 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
             // Single-agent system: the only memory is the agent's.
             FaultSide::ServerSide => 0,
         };
-        let net = self.agents[victim].network_mut();
-        let mut snap = net.snapshot();
-        let repr = plan.repr.materialize_for(&snap);
-        self.last_records = inject_slice_ber(&mut snap, repr, plan.model, plan.ber, &mut self.rng);
-        net.restore(&snap).expect("snapshot length invariant");
+        let plane = self.agents[victim].network_mut().params_mut();
+        let repr = plan.repr.materialize_for(plane);
+        self.last_records = inject_slice_ber(plane, repr, plan.model, plan.ber, &mut self.rng);
     }
 
     /// Runs one communication round and reports whether it aggregated
@@ -372,8 +370,9 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
 
     /// Runs `f` with the policies of `agents` corrupted, then restores
     /// their clean weights, undoing whatever `f` wrote into them too.
-    /// `corrupt` sees each agent's weight plane in index order, so one
-    /// fault stream threads through the agents in a fixed order.
+    /// `corrupt` sees each agent's weight plane, in place, in index
+    /// order, so one fault stream threads through the agents in a fixed
+    /// order; one clean copy per agent is all this allocates.
     pub(crate) fn with_corrupted<T>(
         &mut self,
         agents: Range<usize>,
@@ -383,14 +382,11 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         let clean: Vec<Vec<f32>> = {
             // Wall-clock accounting only.
             let _inject = frlfi_obs::timed("inject");
-            let mut plane = Vec::new();
             self.agents[agents.clone()]
                 .iter_mut()
                 .map(|agent| {
                     let clean = agent.network().snapshot();
-                    plane.clone_from(&clean);
-                    corrupt(&mut plane);
-                    agent.network_mut().restore(&plane).expect("snapshot length invariant");
+                    corrupt(agent.network_mut().params_mut());
                     clean
                 })
                 .collect()
@@ -439,6 +435,11 @@ pub(crate) type System<C> = Fleet<<C as FleetConfig>::Learner, <C as FleetConfig
 /// server round, random-stream and counter state — everything a later
 /// [`Fleet::fork`] needs to continue training bit for bit.
 ///
+/// A network's weights are one flat plane
+/// ([`frlfi_nn::Network::params`]), so taking a snapshot appends each
+/// agent's plane to the block as one slice copy, and a fork copies each
+/// slice back with [`frlfi_nn::Network::restore`].
+///
 /// With mitigation it also holds the detector, the checkpoint and
 /// their counters.
 ///
@@ -446,8 +447,8 @@ pub(crate) type System<C> = Fleet<<C as FleetConfig>::Learner, <C as FleetConfig
 /// - the fault stream: before any injection it only feeds one seed
 ///   draw per aggregating round, which never touches the weights, so a
 ///   fork reseeds it and replays `fault_draws` draws;
-/// - gradient buffers: every update zeroes them, so they are zero at
-///   every episode boundary;
+/// - the gradient planes: every update zeroes them, so they are zero
+///   at every episode boundary;
 /// - the server's consensus copy: an aggregation overwrites it without
 ///   reading it, and the checkpoint reads it only right after an
 ///   aggregation, so nothing reads the copy a fork leaves stale.
@@ -581,7 +582,7 @@ impl<C: FleetConfig> Fleet<C::Learner, C::Env, C> {
         }
         let offset = block.len();
         for agent in &self.agents {
-            block.0.extend(agent.network().snapshot());
+            block.0.extend_from_slice(agent.network().params());
         }
         Ok(FleetPrefix {
             cfg: self.cfg.clone(),

@@ -143,16 +143,14 @@ impl GridFrlSystem {
     pub(crate) fn eval_outcomes(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
         let n = self.cfg.n_agents;
         let seed = self.cfg.seed;
-        // Group agents by bit-identical parameter vectors (ascending
+        // Group agents by bit-identical parameter planes (ascending
         // index order within and across groups). Bits, not `==`: NaN
         // weights equal themselves, and +0 and -0 are different
         // policies.
-        let snaps: Vec<Vec<f32>> = self.agents.iter().map(|a| a.network().snapshot()).collect();
-        let same_bits =
-            |a: &[f32], b: &[f32]| a.iter().map(|w| w.to_bits()).eq(b.iter().map(|w| w.to_bits()));
+        let plane = |i: usize| self.agents[i].network().params().iter().map(|w| w.to_bits());
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for i in 0..n {
-            match groups.iter_mut().find(|g| same_bits(&snaps[g[0]], &snaps[i])) {
+            match groups.iter_mut().find(|g| plane(g[0]).eq(plane(i))) {
                 Some(g) => g.push(i),
                 None => groups.push(vec![i]),
             }

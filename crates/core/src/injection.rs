@@ -20,7 +20,7 @@ pub enum ReprKind {
 impl ReprKind {
     /// Materializes the representation for a network's current weights.
     pub fn materialize(self, net: &Network) -> DataRepr {
-        self.materialize_for(&net.snapshot())
+        self.materialize_for(net.params())
     }
 
     /// Materializes the representation for a raw parameter buffer.
@@ -86,12 +86,6 @@ impl InjectionPlan {
             ber,
             repr: ReprKind::Int8,
         }
-    }
-
-    /// The same plan on a different representation.
-    pub fn with_repr(mut self, repr: ReprKind) -> Self {
-        self.repr = repr;
-        self
     }
 }
 
@@ -167,8 +161,7 @@ mod tests {
         let p = InjectionPlan::agent(100, Ber::new(0.01).unwrap());
         assert_eq!(p.side, FaultSide::AgentSide);
         assert_eq!(p.model, FaultModel::TransientMulti);
-        let p = p.with_repr(ReprKind::F32);
-        assert_eq!(p.repr, ReprKind::F32);
+        assert_eq!(p.repr, ReprKind::Int8);
     }
 
     #[test]

@@ -237,4 +237,39 @@ proptest! {
         prop_assert!(s.std < 1e-9);
         prop_assert_eq!(s.n, repeats);
     }
+
+    // ---- Codec round trip: `apply_sorted` applies quantized flips in
+    // ---- ascending site order, and flips of one scalar commute only
+    // ---- while every code decodes to a value that encodes back to
+    // ---- it. CI also runs these with PROPTEST_CASES=1024.
+
+    #[test]
+    fn codec_round_trip_holds_for_every_int8_code_under_fitted_scales(
+        raw in proptest::collection::vec(any::<u32>(), 0..64),
+        max_bits in 0x0080_0000u32..=0x7f7f_ffff,
+        negative in any::<bool>(),
+    ) {
+        // A plane whose largest finite magnitude is the normal `max`:
+        // every other finite value is scaled into it, and the specials
+        // (zeros, subnormals, infinities, NaNs) stay.
+        let max = f32::from_bits(max_bits);
+        let mut weights: Vec<f32> = plane(&raw)
+            .into_iter()
+            .map(|w| if w.is_finite() && w.abs() > max { max * (w / f32::MAX) } else { w })
+            .collect();
+        weights.push(if negative { -max } else { max });
+        let q = SymInt8Quantizer::fit(&weights).expect("a normal magnitude fits");
+        for code in 0..=u8::MAX {
+            prop_assert_eq!(q.encode(q.decode(code)), code, "scale {:e}", q.scale());
+        }
+    }
+}
+
+#[test]
+fn codec_round_trip_holds_for_every_u16_code_of_the_datatype_formats() {
+    for q in [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5] {
+        for code in 0..=u16::MAX {
+            assert_eq!(q.encode(q.decode(code)), code, "{q}");
+        }
+    }
 }

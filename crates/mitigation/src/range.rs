@@ -60,7 +60,7 @@ impl RangeDetector {
         let mut anomalies = Vec::new();
         for &(start, len, lo, hi) in &self.spans {
             for (i, &v) in params[start..start + len].iter().enumerate() {
-                if !v.is_finite() || v < lo || v > hi {
+                if anomalous(v, lo, hi) {
                     anomalies.push(start + i);
                 }
             }
@@ -68,20 +68,28 @@ impl RangeDetector {
         anomalies
     }
 
-    /// Scans a network and zeroes every anomalous weight ("skip the
-    /// operations around this value"). Returns the number of weights
-    /// repaired.
+    /// Scans a network's parameter plane in place and zeroes every
+    /// anomalous weight ("skip the operations around this value").
+    /// Returns the number of weights repaired.
     pub fn repair(&self, net: &mut Network) -> usize {
-        let mut snapshot = net.snapshot();
-        let anomalies = self.scan(&snapshot);
-        for &i in &anomalies {
-            snapshot[i] = 0.0;
+        let params = net.params_mut();
+        let mut repaired = 0;
+        for &(start, len, lo, hi) in &self.spans {
+            for v in &mut params[start..start + len] {
+                if anomalous(*v, lo, hi) {
+                    *v = 0.0;
+                    repaired += 1;
+                }
+            }
         }
-        if !anomalies.is_empty() {
-            net.restore(&snapshot).expect("snapshot length invariant");
-        }
-        anomalies.len()
+        repaired
     }
+}
+
+/// Whether a weight is outside its layer's widened range `[lo, hi]` or
+/// not finite.
+fn anomalous(v: f32, lo: f32, hi: f32) -> bool {
+    !v.is_finite() || v < lo || v > hi
 }
 
 #[cfg(test)]

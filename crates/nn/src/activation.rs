@@ -1,4 +1,4 @@
-use crate::{ActShape, NnError};
+use crate::NnError;
 use frlfi_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(x, 0)`, applied elementwise.
@@ -18,32 +18,9 @@ impl Relu {
     }
 
     /// [`Layer::forward`](crate::Layer::forward) for a ReLU.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.cached_input = Some(input.clone());
         Ok(input.map(|x| x.max(0.0)))
-    }
-
-    /// `Layer::forward_into` for a ReLU.
-    pub fn forward_into(
-        &self,
-        input: &[f32],
-        _in_shape: &ActShape,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.forward_kernel(input, out);
-        Ok(())
-    }
-
-    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a ReLU.
-    pub(crate) fn forward_batch_into(
-        &self,
-        input: &[f32],
-        _in_shape: &ActShape,
-        _batch: usize,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.forward_kernel(input, out);
-        Ok(())
     }
 
     /// The inference forward at any batch: elementwise and
@@ -62,20 +39,6 @@ impl Relu {
         for v in plane {
             *v = v.max(0.0);
         }
-    }
-
-    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a ReLU.
-    pub fn backward_batch_into(
-        &mut self,
-        input: &[f32],
-        _in_shape: &ActShape,
-        _batch: usize,
-        grad_out: &[f32],
-        grad_in: Option<&mut [f32]>,
-        _scratch: &mut Vec<f32>,
-    ) -> Result<(), NnError> {
-        self.backward_kernel(input, grad_out, grad_in);
-        Ok(())
     }
 
     /// The backward walk's layer call: elementwise, so any shape and
@@ -135,8 +98,6 @@ mod tests {
 
     #[test]
     fn has_no_params() {
-        let r = crate::Layer::Relu(Relu::new("relu"));
-        assert_eq!(r.param_count(), 0);
-        assert!(r.params().is_empty());
+        assert!(crate::Layer::Relu(Relu::new("relu")).span().is_none());
     }
 }

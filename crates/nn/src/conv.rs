@@ -1,21 +1,25 @@
 use crate::{ActShape, NnError};
 use frlfi_tensor::{Init, Tensor, TensorError};
 use rand::Rng;
+use std::ops::Range;
 
 /// A 2-D convolution layer with stride 1 and no padding ("valid").
 ///
 /// Input is a rank-3 tensor `[in_c, h, w]`; output is
 /// `[out_c, h − k + 1, w − k + 1]`. The DroneNav policy stacks three of
 /// these over the raycast depth image before two dense layers (§IV-B-1).
+/// The layer reads its kernels `[out_c, in_c, k, k]` and then its bias
+/// from its span of a parameter plane.
 ///
 /// ```
-/// use frlfi_nn::{ActShape, Conv2d};
+/// use frlfi_nn::{ActShape, Conv2d, Layer};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let conv = Conv2d::new("conv0", 1, 4, 3, &mut rng);
-/// let out = conv.out_shape(&ActShape::image(1, 9, 16))?;
+/// let mut plane = Vec::new();
+/// let conv = Conv2d::new("conv0", 1, 4, 3, &mut plane, &mut StdRng::seed_from_u64(0));
+/// assert_eq!(plane.len(), 4 * 3 * 3 + 4);
+/// let out = Layer::Conv(conv).out_shape(&ActShape::image(1, 9, 16))?;
 /// assert_eq!(out.dims(), &[4, 7, 14]);
 /// # Ok(())
 /// # }
@@ -26,33 +30,42 @@ pub struct Conv2d {
     in_c: usize,
     out_c: usize,
     k: usize,
-    pub(crate) w: Tensor,
-    pub(crate) b: Tensor,
-    pub(crate) gw: Tensor,
-    pub(crate) gb: Tensor,
+    /// Where the kernels start in the plane; the bias follows them.
+    start: usize,
     pub(crate) cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
-    /// Creates a conv layer with He-uniform kernels and zero bias.
+    /// Appends a conv layer's He-uniform kernels and zero bias to
+    /// `plane` and returns the layer that reads them there.
     pub fn new<R: Rng>(
         name: impl Into<String>,
         in_c: usize,
         out_c: usize,
         k: usize,
+        plane: &mut Vec<f32>,
         rng: &mut R,
     ) -> Self {
-        Conv2d {
-            name: name.into(),
-            in_c,
-            out_c,
-            k,
-            w: Tensor::random(vec![out_c, in_c, k, k], Init::HeUniform, rng),
-            b: Tensor::zeros(vec![out_c]),
-            gw: Tensor::zeros(vec![out_c, in_c, k, k]),
-            gb: Tensor::zeros(vec![out_c]),
-            cached_input: None,
-        }
+        let start = plane.len();
+        let w = Tensor::random(vec![out_c, in_c, k, k], Init::HeUniform, rng);
+        plane.extend_from_slice(w.data());
+        plane.resize(plane.len() + out_c, 0.0);
+        Conv2d { name: name.into(), in_c, out_c, k, start, cached_input: None }
+    }
+
+    /// Number of kernel weights.
+    fn n_weights(&self) -> usize {
+        self.out_c * self.in_c * self.k * self.k
+    }
+
+    /// The layer's span of the plane: the kernels, then the bias.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.start..self.start + self.n_weights() + self.out_c
+    }
+
+    /// The kernels and the bias in `params`.
+    fn wb<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
+        params[self.range()].split_at(self.n_weights())
     }
 
     /// Output spatial size for an input of `(h, w)`.
@@ -90,18 +103,20 @@ impl Conv2d {
     /// and the input is correlated into them.
     pub(crate) fn forward_kernel(
         &self,
+        params: &[f32],
         input: &[f32],
         in_shape: &ActShape,
         batch: usize,
         out: &mut [f32],
     ) {
         let (h, w) = (in_shape.dims()[1], in_shape.dims()[2]);
+        let (taps, b) = self.wb(params);
         let plane = (h - self.k + 1) * (w - self.k + 1) * batch;
         let out = &mut out[..self.out_c * plane];
-        for (o, &bias) in out.chunks_exact_mut(plane).zip(self.b.data()) {
+        for (o, &bias) in out.chunks_exact_mut(plane).zip(b) {
             o.fill(bias);
         }
-        correlate::<false>(self.k, self.w.data(), input, (self.in_c, h, w), batch, out);
+        correlate::<false>(self.k, taps, input, (self.in_c, h, w), batch, out);
     }
 
     /// Batched-backward pass 1: parameter gradients. Every `gw`/`gb`
@@ -125,7 +140,8 @@ impl Conv2d {
     /// which keep the old bits wherever `g == 0.0`. `gb` adds every
     /// `g` unmasked: a ±0 there is always bit-neutral.
     fn backward_params(
-        &mut self,
+        &self,
+        grads: &mut [f32],
         x: &[f32],
         (h, w): (usize, usize),
         batch: usize,
@@ -139,11 +155,12 @@ impl Conv2d {
         let (lanes, rest) = grown(scratch, blocks * block + batch * h * w + kk * LANES)
             .split_at_mut(blocks * block);
         let (x_plane, win) = rest.split_at_mut(batch * h * w);
+        let (gw, gb) = grads[self.range()].split_at_mut(self.n_weights());
         // Regroup the gradient into lanes, adding each `g` to its `gb`
         // on the way, in `(sample, oy, ox)` order. The lanes of a last,
         // partial block repeat its last channel and are never stored.
         for (b, (lane_block, gb)) in
-            lanes.chunks_exact_mut(block).zip(self.gb.data_mut().chunks_mut(LANES)).enumerate()
+            lanes.chunks_exact_mut(block).zip(gb.chunks_mut(LANES)).enumerate()
         {
             let n = gb.len();
             let planes: [&[f32]; LANES] =
@@ -162,7 +179,6 @@ impl Conv2d {
         // `gw[oc][ic]` windows, `row` apart: a block's are copied into
         // `win` lane-minor, `[tap][lane]`, and back.
         let row = self.in_c * kk;
-        let gw = self.gw.data_mut();
         let mut all_finite = true;
         for (ic, x_ic) in x.chunks_exact(h * w * batch).enumerate() {
             // A channel's activations meet only its own `gw` windows,
@@ -500,17 +516,17 @@ fn tap<const MASKED: bool>(acc: f32, x: f32, w: f32) -> f32 {
 
 impl Conv2d {
     /// [`Layer::forward`](crate::Layer::forward) for a conv layer.
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor, NnError> {
         let (oh, ow) = self.check_input(input)?;
         let dims = input.shape().dims();
         let (h, w) = (dims[1], dims[2]);
         let k = self.k;
         let mut out = Tensor::zeros(vec![self.out_c, oh, ow]);
         let x = input.data();
-        let wt = self.w.data();
+        let (wt, b) = self.wb(params);
         let od = out.data_mut();
         for oc in 0..self.out_c {
-            let bias = self.b.data()[oc];
+            let bias = b[oc];
             for oy in 0..oh {
                 for ox in 0..ow {
                     let mut acc = bias;
@@ -532,67 +548,30 @@ impl Conv2d {
     }
 
     /// [`Layer::out_shape`](crate::Layer::out_shape) for a conv layer.
-    pub fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
+    pub(crate) fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
         let (oh, ow) = self.check_dims(in_shape.dims())?;
         Ok(ActShape::image(self.out_c, oh, ow))
     }
 
-    /// `Layer::forward_into` for a conv layer: the batched forward at
-    /// batch 1, where both layouts coincide.
-    pub fn forward_into(
-        &self,
-        input: &[f32],
-        in_shape: &ActShape,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.forward_batch_into(input, in_shape, 1, out)
-    }
-
-    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a conv layer.
-    pub fn forward_batch_into(
-        &self,
-        input: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.check_dims(in_shape.dims())?;
-        self.forward_kernel(input, in_shape, batch, out);
-        Ok(())
-    }
-
-    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a conv layer.
-    pub fn backward_batch_into(
-        &mut self,
-        input: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        grad_out: &[f32],
-        grad_in: Option<&mut [f32]>,
-        scratch: &mut Vec<f32>,
-    ) -> Result<(), NnError> {
-        self.check_dims(in_shape.dims())?;
-        self.backward_kernel(input, in_shape, batch, grad_out, grad_in, scratch);
-        Ok(())
-    }
-
-    /// The backward walk's layer call: [`Conv2d::backward_batch_into`]
+    /// The backward walk's layer call: the conv
+    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into)
     /// on an `in_shape` the forward walk has already validated.
     pub(crate) fn backward_kernel(
-        &mut self,
+        &self,
+        (params, grads): (&[f32], &mut [f32]),
         input: &[f32],
         in_shape: &ActShape,
-        batch: usize,
         grad_out: &[f32],
         grad_in: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) {
         let (h, w) = (in_shape.dims()[1], in_shape.dims()[2]);
+        let batch = input.len() / in_shape.volume();
         // The reference backward interleaves gw/gb/dx updates in one
         // nest; splitting them into two passes is safe bitwise because
         // they accumulate into disjoint arrays, so each array's
         // per-element contribution order is unchanged.
-        self.backward_params(input, (h, w), batch, grad_out, scratch);
+        self.backward_params(grads, input, (h, w), batch, grad_out, scratch);
         let Some(grad_in) = grad_in else {
             return;
         };
@@ -604,12 +583,13 @@ impl Conv2d {
         let (k, kk) = (self.k, self.k * self.k);
         let (oh, ow) = (h - k + 1, w - k + 1);
         let (ph, pw) = (h + k - 1, w + k - 1);
-        let taps_len = self.w.len();
+        let (weights, _) = self.wb(params);
+        let taps_len = weights.len();
         let (taps, plane) = zeroed(scratch, taps_len + ph * pw * batch).split_at_mut(taps_len);
         // The 180° rotation reverses each k×k window in place, so
         // `taps[oc]` is laid out `[ic][a][b]`: `d = ic` over one
         // source channel.
-        for (r, win) in taps.chunks_exact_mut(kk).zip(self.w.data().chunks_exact(kk)) {
+        for (r, win) in taps.chunks_exact_mut(kk).zip(weights.chunks_exact(kk)) {
             for (t, &v) in r.iter_mut().zip(win.iter().rev()) {
                 *t = v;
             }
@@ -621,7 +601,7 @@ impl Conv2d {
         // the masked taps keep the old bits wherever `g == 0.0`.
         // Running them always cost about a fifth of `drone-finetune`
         // throughput (2-core Xeon), so one sweep picks per call.
-        let finite = self.w.data().iter().all(|v| v.is_finite());
+        let finite = weights.iter().all(|v| v.is_finite());
         frlfi_obs::count(if finite { "nn.train.dx.fast" } else { "nn.train.dx.masked" }, 1);
         let planes = grad_out.chunks_exact(oh * ow * batch);
         for (g_plane, oc_taps) in planes.zip(taps.chunks_exact(self.in_c * kk)) {
@@ -638,7 +618,11 @@ impl Conv2d {
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a conv layer.
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn backward(
+        &mut self,
+        (params, grads): (&[f32], &mut [f32]),
+        grad_out: &Tensor,
+    ) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -660,9 +644,8 @@ impl Conv2d {
         let dy = grad_out.data();
         let mut dx = Tensor::zeros(vec![self.in_c, h, w]);
         {
-            let gw = self.gw.data_mut();
-            let gb = self.gb.data_mut();
-            let wt = self.w.data();
+            let (wt, _) = self.wb(params);
+            let (gw, gb) = grads[self.range()].split_at_mut(self.n_weights());
             let dxd = dx.data_mut();
             for oc in 0..self.out_c {
                 for oy in 0..oh {
@@ -696,91 +679,91 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A conv layer seeded with `seed`, its plane and a zero gradient
+    /// plane.
+    fn conv(seed: u64, in_c: usize, out_c: usize, k: usize) -> (Conv2d, Vec<f32>, Vec<f32>) {
+        let mut p = Vec::new();
+        let c = Conv2d::new("c", in_c, out_c, k, &mut p, &mut StdRng::seed_from_u64(seed));
+        let g = vec![0.0; p.len()];
+        (c, p, g)
+    }
+
     #[test]
     fn forward_shape() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut c = Conv2d::new("c", 2, 3, 3, &mut rng);
-        let out = c.forward(&Tensor::zeros(vec![2, 9, 16])).unwrap();
+        let (mut c, p, _) = conv(0, 2, 3, 3);
+        let out = c.forward(&p, &Tensor::zeros(vec![2, 9, 16])).unwrap();
         assert_eq!(out.shape().dims(), &[3, 7, 14]);
     }
 
     #[test]
     fn rejects_wrong_channels() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut c = Conv2d::new("c", 2, 3, 3, &mut rng);
-        assert!(c.forward(&Tensor::zeros(vec![1, 9, 16])).is_err());
+        let (mut c, p, _) = conv(0, 2, 3, 3);
+        assert!(c.forward(&p, &Tensor::zeros(vec![1, 9, 16])).is_err());
     }
 
     #[test]
     fn rejects_too_small_input() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut c = Conv2d::new("c", 1, 1, 3, &mut rng);
-        assert!(c.forward(&Tensor::zeros(vec![1, 2, 2])).is_err());
+        let (mut c, p, _) = conv(0, 1, 1, 3);
+        assert!(c.forward(&p, &Tensor::zeros(vec![1, 2, 2])).is_err());
     }
 
     #[test]
     fn identity_kernel_passes_through() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut c = Conv2d::new("c", 1, 1, 1, &mut rng);
-        c.w = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.0]).unwrap();
+        let (mut c, _, _) = conv(0, 1, 1, 1);
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = c.forward(&x).unwrap();
+        let y = c.forward(&[1.0, 0.0], &x).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn known_convolution() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut c = Conv2d::new("c", 1, 1, 2, &mut rng);
-        c.w = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        c.b = Tensor::from_vec(vec![1], vec![0.5]).unwrap();
+        let (mut c, _, _) = conv(0, 1, 1, 2);
         let x = Tensor::from_vec(vec![1, 3, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
             .unwrap();
-        let y = c.forward(&x).unwrap();
+        let y = c.forward(&[1.0, 0.0, 0.0, 1.0, 0.5], &x).unwrap();
         // Main-diagonal sums + bias: (1+5, 2+6, 4+8, 5+9) + 0.5
         assert_eq!(y.data(), &[6.5, 8.5, 12.5, 14.5]);
     }
 
     #[test]
     fn numerical_gradient_check() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut c = Conv2d::new("c", 1, 2, 2, &mut rng);
-        let x = Tensor::random(vec![1, 4, 4], Init::Uniform(-1.0, 1.0), &mut rng);
-        c.forward(&x).unwrap();
+        let (mut c, mut p, mut g) = conv(3, 1, 2, 2);
+        let x =
+            Tensor::random(vec![1, 4, 4], Init::Uniform(-1.0, 1.0), &mut StdRng::seed_from_u64(3));
+        c.forward(&p, &x).unwrap();
         let dy = Tensor::full(vec![2, 3, 3], 1.0);
-        c.backward(&dy).unwrap();
-        let analytic = c.gw.clone();
+        c.backward((&p, &mut g), &dy).unwrap();
         let eps = 1e-3f32;
-        for idx in 0..c.w.len() {
-            let orig = c.w.data()[idx];
-            c.w.data_mut()[idx] = orig + eps;
-            let hi = c.forward(&x).unwrap().sum();
-            c.w.data_mut()[idx] = orig - eps;
-            let lo = c.forward(&x).unwrap().sum();
-            c.w.data_mut()[idx] = orig;
+        for idx in 0..p.len() {
+            let orig = p[idx];
+            p[idx] = orig + eps;
+            let hi = c.forward(&p, &x).unwrap().sum();
+            p[idx] = orig - eps;
+            let lo = c.forward(&p, &x).unwrap().sum();
+            p[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
-                (numeric - analytic.data()[idx]).abs() < 2e-2,
-                "kernel grad mismatch at {idx}: {numeric} vs {}",
-                analytic.data()[idx]
+                (numeric - g[idx]).abs() < 2e-2,
+                "parameter grad mismatch at {idx}: {numeric} vs {}",
+                g[idx]
             );
         }
     }
 
     #[test]
     fn input_gradient_check() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut c = Conv2d::new("c", 1, 1, 2, &mut rng);
-        let mut x = Tensor::random(vec![1, 3, 3], Init::Uniform(-1.0, 1.0), &mut rng);
-        c.forward(&x).unwrap();
-        let dx = c.backward(&Tensor::full(vec![1, 2, 2], 1.0)).unwrap();
+        let (mut c, p, mut g) = conv(4, 1, 1, 2);
+        let mut x =
+            Tensor::random(vec![1, 3, 3], Init::Uniform(-1.0, 1.0), &mut StdRng::seed_from_u64(4));
+        c.forward(&p, &x).unwrap();
+        let dx = c.backward((&p, &mut g), &Tensor::full(vec![1, 2, 2], 1.0)).unwrap();
         let eps = 1e-3f32;
         for idx in 0..x.len() {
             let orig = x.data()[idx];
             x.data_mut()[idx] = orig + eps;
-            let hi = c.forward(&x).unwrap().sum();
+            let hi = c.forward(&p, &x).unwrap().sum();
             x.data_mut()[idx] = orig - eps;
-            let lo = c.forward(&x).unwrap().sum();
+            let lo = c.forward(&p, &x).unwrap().sum();
             x.data_mut()[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(

@@ -1,6 +1,7 @@
 use crate::{ActShape, NnError};
 use frlfi_tensor::{Init, Tensor, TensorError};
 use rand::Rng;
+use std::ops::Range;
 
 /// Batch-tile width of the batched dense kernel (lanes per micro-tile).
 const BW: usize = 16;
@@ -28,25 +29,26 @@ const WIDE_IN: usize = 64;
 ///
 /// Inputs and outputs are rank-1 tensors — reinforcement-learning
 /// interaction is inherently step-by-step, so there is no batch
-/// dimension. Gradients accumulate across backward calls (episode sums)
-/// until [`Dense::apply_grads`].
+/// dimension. The layer reads `W` (row-major) and then `b` from its
+/// span of a parameter plane, and gradients accumulate across backward
+/// calls (episode sums) into the same span of a gradient plane.
 ///
 /// ```
 /// use frlfi_nn::Dense;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let layer = Dense::new("fc0", 3, 2, &mut rng);
+/// let mut plane = Vec::new();
+/// let layer = Dense::new("fc0", 3, 2, &mut plane, &mut StdRng::seed_from_u64(0));
 /// assert_eq!((layer.in_dim(), layer.out_dim()), (3, 2));
-/// assert_eq!(layer.param_count(), 3 * 2 + 2);
+/// assert_eq!(plane.len(), 3 * 2 + 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
     pub(crate) name: String,
-    pub(crate) w: Tensor,
-    pub(crate) b: Tensor,
-    pub(crate) gw: Tensor,
-    pub(crate) gb: Tensor,
+    in_dim: usize,
+    out_dim: usize,
+    /// Where the weights start in the plane; the bias follows them.
+    start: usize,
     pub(crate) cached_input: Option<Tensor>,
     /// Reusable per-sample gather/accumulator rows (one input volume
     /// each) for the batched backward, so it stays allocation-free
@@ -56,19 +58,23 @@ pub struct Dense {
 }
 
 impl Dense {
-    /// Creates a dense layer with He-uniform weights and zero bias.
+    /// Appends a dense layer's He-uniform weights and zero bias to
+    /// `plane` and returns the layer that reads them there.
     pub fn new<R: Rng>(
         name: impl Into<String>,
         in_dim: usize,
         out_dim: usize,
+        plane: &mut Vec<f32>,
         rng: &mut R,
     ) -> Self {
+        let start = plane.len();
+        plane.extend_from_slice(Tensor::random(vec![out_dim, in_dim], Init::HeUniform, rng).data());
+        plane.resize(plane.len() + out_dim, 0.0);
         Dense {
             name: name.into(),
-            w: Tensor::random(vec![out_dim, in_dim], Init::HeUniform, rng),
-            b: Tensor::zeros(vec![out_dim]),
-            gw: Tensor::zeros(vec![out_dim, in_dim]),
-            gb: Tensor::zeros(vec![out_dim]),
+            in_dim,
+            out_dim,
+            start,
             cached_input: None,
             x_gather: Vec::new(),
             dx_gather: Vec::new(),
@@ -77,12 +83,22 @@ impl Dense {
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.w.shape().dims()[1]
+        self.in_dim
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.w.shape().dims()[0]
+        self.out_dim
+    }
+
+    /// The layer's span of the plane: `W`, then `b`.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.start..self.start + self.out_dim * (self.in_dim + 1)
+    }
+
+    /// `W` and `b` in `params`.
+    fn wb<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
+        params[self.range()].split_at(self.out_dim * self.in_dim)
     }
 }
 
@@ -129,12 +145,17 @@ fn backward_sample(
 
 impl Dense {
     /// [`Layer::forward`](crate::Layer::forward) for a dense layer.
-    pub(crate) fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor, NnError> {
         // Accept any shape whose volume matches `in_dim` (a conv feature
         // map flattens implicitly, as in the DroneNav conv→dense stack).
-        let flat = input.reshape(vec![input.len()])?;
-        let mut out = self.w.matvec(&flat)?;
-        out.axpy(1.0, &self.b)?;
+        self.out_shape(&ActShape::flat(input.len()))?;
+        let (w, b) = self.wb(params);
+        let mut out = Tensor::zeros(vec![self.out_dim]);
+        // `Tensor::matvec`'s row sums, then the bias.
+        for ((o, row), &bias) in out.data_mut().iter_mut().zip(w.chunks_exact(self.in_dim)).zip(b) {
+            *o = row.iter().zip(input.data()).map(|(a, b)| a * b).sum();
+            *o += bias;
+        }
         self.cached_input = Some(input.clone());
         Ok(out)
     }
@@ -143,57 +164,37 @@ impl Dense {
     pub(crate) fn out_shape(&self, in_shape: &ActShape) -> Result<ActShape, NnError> {
         // Any shape whose volume matches `in_dim` flattens implicitly,
         // exactly as in `forward`.
-        if in_shape.volume() != self.in_dim() {
+        if in_shape.volume() != self.in_dim {
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                left: self.w.shape().dims().to_vec(),
+                left: vec![self.out_dim, self.in_dim],
                 right: in_shape.dims().to_vec(),
                 op: "matvec",
             }));
         }
-        Ok(ActShape::flat(self.out_dim()))
-    }
-
-    /// `Layer::forward_into` for a dense layer.
-    pub fn forward_into(
-        &self,
-        input: &[f32],
-        in_shape: &ActShape,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.out_shape(in_shape)?;
-        self.forward_row(input, out);
-        Ok(())
-    }
-
-    /// [`Layer::forward_batch_into`](crate::Layer::forward_batch_into) for a dense layer.
-    pub(crate) fn forward_batch_into(
-        &self,
-        input: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        out: &mut [f32],
-    ) -> Result<(), NnError> {
-        self.out_shape(in_shape)?;
-        self.forward_kernel(input, batch, out);
-        Ok(())
+        Ok(ActShape::flat(self.out_dim))
     }
 
     /// The inference forward at any batch on an input shape the caller
     /// has already checked: the matvec for one observation, the tiled
     /// matrix product for more.
-    pub(crate) fn forward_kernel(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+    pub(crate) fn forward_kernel(
+        &self,
+        params: &[f32],
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
         if batch == 1 {
-            self.forward_row(input, out);
+            self.forward_row(params, input, out);
         } else {
-            self.forward_cols(input, batch, out);
+            self.forward_cols(params, input, batch, out);
         }
     }
 
     /// One observation: `out = W·x + b`.
-    fn forward_row(&self, input: &[f32], out: &mut [f32]) {
-        let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
-        let w = self.w.data();
-        let b = self.b.data();
+    fn forward_row(&self, params: &[f32], input: &[f32], out: &mut [f32]) {
+        let (out_dim, in_dim) = (self.out_dim, self.in_dim);
+        let (w, b) = self.wb(params);
         let x = &input[..in_dim];
         // Register-blocked matvec: four output rows per pass share one
         // streaming read of `x`. Each row keeps its own accumulator and
@@ -234,20 +235,26 @@ impl Dense {
     /// A batch-minor batch of observations. A batch of at least
     /// `WIDE_BATCH` through a layer of at least `WIDE_IN` inputs runs
     /// the AVX2 instance.
-    fn forward_cols(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+    fn forward_cols(&self, params: &[f32], input: &[f32], batch: usize, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
-        if batch >= WIDE_BATCH && crate::wide::avx2(self.in_dim(), WIDE_IN) {
+        if batch >= WIDE_BATCH && crate::wide::avx2(self.in_dim, WIDE_IN) {
             // SAFETY: `avx2` has detected AVX2 on this host.
-            return unsafe { self.forward_cols_avx2(input, batch, out) };
+            return unsafe { self.forward_cols_avx2(params, input, batch, out) };
         }
-        self.forward_cols_body(input, batch, out);
+        self.forward_cols_body(params, input, batch, out);
     }
 
     /// [`Dense::forward_cols`] compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn forward_cols_avx2(&self, input: &[f32], batch: usize, out: &mut [f32]) {
-        self.forward_cols_body(input, batch, out);
+    pub(crate) fn forward_cols_avx2(
+        &self,
+        params: &[f32],
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        self.forward_cols_body(params, input, batch, out);
     }
 
     /// The body of [`Dense::forward_cols`], inlined into each instance:
@@ -260,21 +267,28 @@ impl Dense {
     /// constant, so each tile's accumulators vectorize: a ragged tile
     /// with a run-time width cost as much as a full one.
     #[inline(always)]
-    pub(crate) fn forward_cols_body(&self, input: &[f32], batch: usize, out: &mut [f32]) {
+    pub(crate) fn forward_cols_body(
+        &self,
+        params: &[f32],
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        let wb = self.wb(params);
         let quads = batch - batch % 4;
-        let out_dim = self.out_dim();
+        let out_dim = self.out_dim;
         let mut i = 0;
         while i + 2 <= out_dim {
-            self.cols_quads::<2>(i, quads, input, batch, out);
+            self.cols_quads::<2>(wb, i, quads, input, batch, out);
             i += 2;
         }
         if i < out_dim {
-            self.cols_quads::<1>(i, quads, input, batch, out);
+            self.cols_quads::<1>(wb, i, quads, input, batch, out);
         }
         match batch - quads {
-            1 => self.cols_rest::<1>(quads, input, batch, out),
-            2 => self.cols_rest::<2>(quads, input, batch, out),
-            3 => self.cols_rest::<3>(quads, input, batch, out),
+            1 => self.cols_rest::<1>(wb, quads, input, batch, out),
+            2 => self.cols_rest::<2>(wb, quads, input, batch, out),
+            3 => self.cols_rest::<3>(wb, quads, input, batch, out),
             _ => {}
         }
     }
@@ -283,6 +297,7 @@ impl Dense {
     #[inline(always)]
     fn cols_quads<const R: usize>(
         &self,
+        wb: (&[f32], &[f32]),
         i: usize,
         quads: usize,
         input: &[f32],
@@ -291,29 +306,36 @@ impl Dense {
     ) {
         let mut bb = 0;
         while bb + BW <= quads {
-            self.cols_tile::<R, BW>(i, bb, input, batch, out);
+            self.cols_tile::<R, BW>(wb, (i, bb), input, batch, out);
             bb += BW;
         }
         if quads - bb >= 8 {
-            self.cols_tile::<R, 8>(i, bb, input, batch, out);
+            self.cols_tile::<R, 8>(wb, (i, bb), input, batch, out);
             bb += 8;
         }
         if quads - bb >= 4 {
-            self.cols_tile::<R, 4>(i, bb, input, batch, out);
+            self.cols_tile::<R, 4>(wb, (i, bb), input, batch, out);
         }
     }
 
     /// Every output row for the last `W` samples, from sample `bb`.
     #[inline(always)]
-    fn cols_rest<const W: usize>(&self, bb: usize, input: &[f32], batch: usize, out: &mut [f32]) {
-        let out_dim = self.out_dim();
+    fn cols_rest<const W: usize>(
+        &self,
+        wb: (&[f32], &[f32]),
+        bb: usize,
+        input: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        let out_dim = self.out_dim;
         let mut i = 0;
         while i + 4 <= out_dim {
-            self.cols_tile::<4, W>(i, bb, input, batch, out);
+            self.cols_tile::<4, W>(wb, (i, bb), input, batch, out);
             i += 4;
         }
         for i in i..out_dim {
-            self.cols_tile::<1, W>(i, bb, input, batch, out);
+            self.cols_tile::<1, W>(wb, (i, bb), input, batch, out);
         }
     }
 
@@ -322,19 +344,18 @@ impl Dense {
     /// weight scalar is reused across the tile, and the inner loop runs
     /// across independent per-sample accumulators. Each sample still
     /// sums `w[i][j] * x_b[j]` sequentially in `j` — the exact
-    /// accumulation order of `forward_into` — so rows are bit-identical
+    /// accumulation order of `forward_row` — so rows are bit-identical
     /// to single-observation inference.
     #[inline(always)]
     fn cols_tile<const R: usize, const W: usize>(
         &self,
-        i: usize,
-        bb: usize,
+        (w, b): (&[f32], &[f32]),
+        (i, bb): (usize, usize),
         input: &[f32],
         batch: usize,
         out: &mut [f32],
     ) {
-        let in_dim = self.in_dim();
-        let w = self.w.data();
+        let in_dim = self.in_dim;
         let rows: [&[f32]; R] = std::array::from_fn(|r| &w[(i + r) * in_dim..][..in_dim]);
         let mut acc = [[0.0f32; W]; R];
         for j in 0..in_dim {
@@ -347,44 +368,30 @@ impl Dense {
             }
         }
         for (r, a) in acc.iter().enumerate() {
-            let b = self.b.data()[i + r];
+            let b = b[i + r];
             for (o, &a) in out[(i + r) * batch + bb..][..W].iter_mut().zip(a) {
                 *o = a + b;
             }
         }
     }
 
-    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into) for a dense layer.
-    pub fn backward_batch_into(
-        &mut self,
-        input: &[f32],
-        in_shape: &ActShape,
-        batch: usize,
-        grad_out: &[f32],
-        grad_in: Option<&mut [f32]>,
-        _scratch: &mut Vec<f32>,
-    ) -> Result<(), NnError> {
-        self.out_shape(in_shape)?;
-        self.backward_kernel(input, batch, grad_out, grad_in);
-        Ok(())
-    }
-
-    /// The backward walk's layer call: [`Dense::backward_batch_into`]
-    /// on an input shape the forward walk has already validated. A layer
-    /// of at least `WIDE_IN` inputs runs the AVX2 instance.
+    /// The backward walk's layer call: the dense
+    /// [`Layer::backward_batch_into`](crate::Layer::backward_batch_into)
+    /// on an input shape the forward walk has already validated. A
+    /// layer of at least `WIDE_IN` inputs runs the AVX2 instance.
     pub(crate) fn backward_kernel(
         &mut self,
+        planes: (&[f32], &mut [f32]),
         input: &[f32],
-        batch: usize,
         grad_out: &[f32],
         grad_in: Option<&mut [f32]>,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if crate::wide::avx2(self.in_dim(), WIDE_IN) {
+        if crate::wide::avx2(self.in_dim, WIDE_IN) {
             // SAFETY: `avx2` has detected AVX2 on this host.
-            return unsafe { self.backward_avx2(input, batch, grad_out, grad_in) };
+            return unsafe { self.backward_avx2(planes, input, grad_out, grad_in) };
         }
-        self.backward_body(input, batch, grad_out, grad_in);
+        self.backward_body(planes, input, grad_out, grad_in);
     }
 
     /// [`Dense::backward_kernel`] compiled for AVX2.
@@ -392,12 +399,12 @@ impl Dense {
     #[target_feature(enable = "avx2")]
     pub(crate) fn backward_avx2(
         &mut self,
+        planes: (&[f32], &mut [f32]),
         input: &[f32],
-        batch: usize,
         grad_out: &[f32],
         grad_in: Option<&mut [f32]>,
     ) {
-        self.backward_body(input, batch, grad_out, grad_in);
+        self.backward_body(planes, input, grad_out, grad_in);
     }
 
     /// The body of [`Dense::backward_kernel`], inlined into each
@@ -405,12 +412,15 @@ impl Dense {
     #[inline(always)]
     pub(crate) fn backward_body(
         &mut self,
+        (params, grads): (&[f32], &mut [f32]),
         input: &[f32],
-        batch: usize,
         grad_out: &[f32],
         mut grad_in: Option<&mut [f32]>,
     ) {
-        let in_dim = self.in_dim();
+        let in_dim = self.in_dim;
+        let batch = input.len() / in_dim;
+        let (w, _) = self.wb(params);
+        let (gw, gb) = grads[self.range()].split_at_mut(self.out_dim * in_dim);
         // Sample-outer, exactly the reference [`Layer::backward`] loop
         // structure run once per sample with `t` ascending — so every
         // `gw`/`gb` element accumulates the batch's contributions in
@@ -437,7 +447,6 @@ impl Dense {
                 dx.fill(0.0);
                 dx
             });
-            let (w, gw, gb) = (self.w.data(), self.gw.data_mut(), self.gb.data_mut());
             backward_sample(w, gw, gb, &input[..in_dim], |i| grad_out[i], grad_in);
             return;
         }
@@ -454,9 +463,9 @@ impl Dense {
                 self.dx_gather.fill(0.0);
             }
             backward_sample(
-                self.w.data(),
-                self.gw.data_mut(),
-                self.gb.data_mut(),
+                w,
+                gw,
+                gb,
                 &self.x_gather,
                 |i| grad_out[i * batch + t],
                 want_dx.then_some(&mut self.dx_gather[..]),
@@ -470,12 +479,16 @@ impl Dense {
     }
 
     /// [`Layer::backward`](crate::Layer::backward) for a dense layer.
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn backward(
+        &mut self,
+        (params, grads): (&[f32], &mut [f32]),
+        grad_out: &Tensor,
+    ) -> Result<Tensor, NnError> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name.clone() })?;
-        let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
+        let (out_dim, in_dim) = (self.out_dim, self.in_dim);
         if grad_out.len() != out_dim {
             return Err(NnError::Tensor(frlfi_tensor::TensorError::ShapeMismatch {
                 left: vec![out_dim],
@@ -483,21 +496,22 @@ impl Dense {
                 op: "dense backward",
             }));
         }
+        let (w, _) = self.wb(params);
+        let (gw, gb) = grads[self.range()].split_at_mut(out_dim * in_dim);
         // gw += dy ⊗ x ; gb += dy ; dx = Wᵀ dy
-        {
-            let gw = self.gw.data_mut();
-            for i in 0..out_dim {
-                let dy = grad_out.data()[i];
-                if dy == 0.0 {
-                    continue;
-                }
-                let row = &mut gw[i * in_dim..(i + 1) * in_dim];
-                for (g, &x) in row.iter_mut().zip(input.data().iter()) {
-                    *g += dy * x;
-                }
+        for i in 0..out_dim {
+            let dy = grad_out.data()[i];
+            if dy == 0.0 {
+                continue;
+            }
+            let row = &mut gw[i * in_dim..(i + 1) * in_dim];
+            for (g, &x) in row.iter_mut().zip(input.data().iter()) {
+                *g += dy * x;
             }
         }
-        self.gb.axpy(1.0, grad_out)?;
+        for (g, &dy) in gb.iter_mut().zip(grad_out.data()) {
+            *g += dy;
+        }
         let mut dx = Tensor::zeros(vec![in_dim]);
         {
             let dxd = dx.data_mut();
@@ -506,7 +520,7 @@ impl Dense {
                 if dy == 0.0 {
                     continue;
                 }
-                let row = &self.w.data()[i * in_dim..(i + 1) * in_dim];
+                let row = &w[i * in_dim..(i + 1) * in_dim];
                 for (d, &w) in dxd.iter_mut().zip(row.iter()) {
                     *d += w * dy;
                 }
@@ -525,89 +539,76 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn fixed_layer() -> Dense {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Dense::new("fc", 2, 2, &mut rng);
-        // W = [[1, 2], [3, 4]], b = [0.5, -0.5]
-        l.w = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        l.b = Tensor::from_vec(vec![2], vec![0.5, -0.5]).unwrap();
-        l
+    /// `W = [[1, 2], [3, 4]]`, `b = [0.5, -0.5]`, its plane and a zero
+    /// gradient plane.
+    fn fixed_layer() -> (Dense, Vec<f32>, Vec<f32>) {
+        let mut plane = Vec::new();
+        let l = Dense::new("fc", 2, 2, &mut plane, &mut StdRng::seed_from_u64(0));
+        plane.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        (l, plane, vec![0.0; 6])
     }
 
     #[test]
     fn forward_affine() {
-        let mut l = fixed_layer();
-        let y = l.forward(&Tensor::from_vec(vec![2], vec![1.0, 1.0]).unwrap()).unwrap();
+        let (mut l, p, _) = fixed_layer();
+        let y = l.forward(&p, &Tensor::from_vec(vec![2], vec![1.0, 1.0]).unwrap()).unwrap();
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
     #[test]
     fn backward_before_forward_errors() {
-        let mut l = fixed_layer();
-        let e = l.backward(&Tensor::zeros(vec![2]));
+        let (mut l, p, mut g) = fixed_layer();
+        let e = l.backward((&p, &mut g), &Tensor::zeros(vec![2]));
         assert!(matches!(e, Err(NnError::BackwardBeforeForward { .. })));
     }
 
     #[test]
     fn backward_gradients() {
-        let mut l = fixed_layer();
+        let (mut l, p, mut g) = fixed_layer();
         let x = Tensor::from_vec(vec![2], vec![2.0, -1.0]).unwrap();
-        l.forward(&x).unwrap();
+        l.forward(&p, &x).unwrap();
         let dy = Tensor::from_vec(vec![2], vec![1.0, 0.5]).unwrap();
-        let dx = l.backward(&dy).unwrap();
+        let dx = l.backward((&p, &mut g), &dy).unwrap();
         // dx = Wᵀ dy = [1*1 + 3*0.5, 2*1 + 4*0.5] = [2.5, 4.0]
         assert_eq!(dx.data(), &[2.5, 4.0]);
-        // gw = dy ⊗ x = [[2,-1],[1,-0.5]]
-        assert_eq!(l.gw.data(), &[2.0, -1.0, 1.0, -0.5]);
-        assert_eq!(l.gb.data(), &[1.0, 0.5]);
+        // gw = dy ⊗ x = [[2,-1],[1,-0.5]], then gb = dy
+        assert_eq!(g, [2.0, -1.0, 1.0, -0.5, 1.0, 0.5]);
     }
 
     #[test]
     fn numerical_gradient_check() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut l = Dense::new("fc", 3, 2, &mut rng);
+        let mut p = Vec::new();
+        let mut l = Dense::new("fc", 3, 2, &mut p, &mut StdRng::seed_from_u64(7));
+        let mut g = vec![0.0; p.len()];
         let x = Tensor::from_vec(vec![3], vec![0.3, -0.7, 1.1]).unwrap();
         // loss = sum(y); dL/dy = ones
         let eps = 1e-3f32;
-        l.forward(&x).unwrap();
-        l.backward(&Tensor::full(vec![2], 1.0)).unwrap();
-        let analytic = l.gw.clone();
-        for idx in 0..l.w.len() {
-            let orig = l.w.data()[idx];
-            l.w.data_mut()[idx] = orig + eps;
-            let hi = l.forward(&x).unwrap().sum();
-            l.w.data_mut()[idx] = orig - eps;
-            let lo = l.forward(&x).unwrap().sum();
-            l.w.data_mut()[idx] = orig;
+        l.forward(&p, &x).unwrap();
+        l.backward((&p, &mut g), &Tensor::full(vec![2], 1.0)).unwrap();
+        for idx in 0..p.len() {
+            let orig = p[idx];
+            p[idx] = orig + eps;
+            let hi = l.forward(&p, &x).unwrap().sum();
+            p[idx] = orig - eps;
+            let lo = l.forward(&p, &x).unwrap().sum();
+            p[idx] = orig;
             let numeric = (hi - lo) / (2.0 * eps);
             assert!(
-                (numeric - analytic.data()[idx]).abs() < 1e-2,
+                (numeric - g[idx]).abs() < 1e-2,
                 "grad mismatch at {idx}: numeric {numeric} vs analytic {}",
-                analytic.data()[idx]
+                g[idx]
             );
         }
     }
 
     #[test]
-    fn apply_grads_descends_and_clears() {
-        let mut l = fixed_layer();
-        let x = Tensor::from_vec(vec![2], vec![1.0, 0.0]).unwrap();
-        l.forward(&x).unwrap();
-        l.backward(&Tensor::full(vec![2], 1.0)).unwrap();
-        let w_before = l.w.clone();
-        l.apply_grads(0.1);
-        assert!(l.w.data()[0] < w_before.data()[0]);
-        assert!(l.gw.data().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
     fn grads_accumulate_across_steps() {
-        let mut l = fixed_layer();
+        let (mut l, p, mut g) = fixed_layer();
         let x = Tensor::from_vec(vec![2], vec![1.0, 0.0]).unwrap();
         for _ in 0..3 {
-            l.forward(&x).unwrap();
-            l.backward(&Tensor::full(vec![2], 1.0)).unwrap();
+            l.forward(&p, &x).unwrap();
+            l.backward((&p, &mut g), &Tensor::full(vec![2], 1.0)).unwrap();
         }
-        assert_eq!(l.gb.data(), &[3.0, 3.0]);
+        assert_eq!(g[4..], [3.0, 3.0]);
     }
 }

@@ -404,9 +404,10 @@ impl BatchInferCtx {
         }
     }
 
-    /// Layer `l` of a training walk at `batch`, from slot `slots[l]` to
-    /// slot `slots[l + 1]` (the same slot when it runs `in_place`).
-    fn train_layer(&mut self, layer: &Layer, l: usize, batch: usize) {
+    /// Layer `l` of a training walk at `batch`, on its weights in
+    /// `params`, from slot `slots[l]` to slot `slots[l + 1]` (the same
+    /// slot when it runs `in_place`).
+    fn train_layer(&mut self, layer: &Layer, params: &[f32], l: usize, batch: usize) {
         let (shape, out_vol) = (self.act_shapes[l], self.act_shapes[l + 1].volume());
         let s = self.slots[l];
         if let Some(relu) = in_place(layer, l) {
@@ -420,6 +421,7 @@ impl BatchInferCtx {
         let dst = &mut tail[0];
         grow(dst, out_vol * batch);
         layer.forward_kernel(
+            params,
             &head[s][..shape.volume() * batch],
             &shape,
             batch,
@@ -427,15 +429,15 @@ impl BatchInferCtx {
         );
     }
 
-    /// The forward walk: runs `layers` over `batch` sample-major
-    /// observation rows in `input` through `arena`'s planes and returns
-    /// the final activation as `batch` sample-major rows. Each layer's
-    /// input shape is checked once, by [`Layer::out_shape`], before
-    /// [`Layer::forward_kernel`] runs on it. A [`Arena::Train`] walk
-    /// retains every plane the backward reads for
-    /// [`BatchInferCtx::run_backward`], and a [`Arena::Tape`] walk
-    /// appends them to the tape too; an [`Arena::Eval`] walk leaves
-    /// that cache as it was.
+    /// The forward walk: runs `layers`, on their weights in `params`,
+    /// over `batch` sample-major observation rows in `input` through
+    /// `arena`'s planes and returns the final activation as `batch`
+    /// sample-major rows. Each layer's input shape is checked once, by
+    /// [`Layer::out_shape`], before [`Layer::forward_kernel`] runs on
+    /// it. A [`Arena::Train`] walk retains every plane the backward
+    /// reads for [`BatchInferCtx::run_backward`], and a [`Arena::Tape`]
+    /// walk appends them to the tape too; an [`Arena::Eval`] walk
+    /// leaves that cache as it was.
     ///
     /// # Errors
     ///
@@ -444,6 +446,7 @@ impl BatchInferCtx {
     pub(crate) fn run<'c>(
         &'c mut self,
         layers: &[Layer],
+        params: &[f32],
         input: &[f32],
         input_shape: ActShape,
         batch: usize,
@@ -507,13 +510,13 @@ impl BatchInferCtx {
                 let s = self.slots[l];
                 self.slots.push(if in_place(layer, l).is_some() { s } else { s + 1 });
                 self.act_shapes[l + 1] = out_shape;
-                self.train_layer(layer, l, batch);
+                self.train_layer(layer, params, l, batch);
             } else {
                 let n = out_shape.volume() * batch;
                 let (src, dst) = self.eval_planes(l);
                 let src = if direct && l == 0 { input } else { &src[..shape.volume() * batch] };
                 grow(dst, n);
-                layer.forward_kernel(src, &shape, batch, &mut dst[..n]);
+                layer.forward_kernel(params, src, &shape, batch, &mut dst[..n]);
             }
             shape = out_shape;
         }
@@ -550,6 +553,7 @@ impl BatchInferCtx {
     pub(crate) fn load_tape(
         &mut self,
         layers: &[Layer],
+        params: &[f32],
         id: TapeId,
         rows: &[usize],
         inputs: &[f32],
@@ -602,7 +606,7 @@ impl BatchInferCtx {
             off += vol;
         }
         for (l, layer) in layers.iter().enumerate().take(rerun) {
-            self.train_layer(layer, l, batch);
+            self.train_layer(layer, params, l, batch);
         }
         let (out, vol) = (self.slots[n_layers], self.act_shapes[n_layers].volume());
         to_sample_major(&self.acts[out], vol, batch, &mut self.staging);
@@ -613,7 +617,8 @@ impl BatchInferCtx {
     /// Training backward over the activations retained by the last
     /// training walk or tape load: `grads` holds `batch` sample-major
     /// output-gradient rows; each layer's [`Layer::backward_kernel`]
-    /// accumulates parameter gradients (ascending sample order —
+    /// accumulates the gradients of its weights in `params` into
+    /// `param_grads` (ascending sample order —
     /// bitwise what per-sample reference backward calls leave) and the
     /// input gradient ping-pongs through the scratch buffers down to the
     /// first layer, which is asked for none: the gradient with respect
@@ -627,6 +632,7 @@ impl BatchInferCtx {
     pub(crate) fn run_backward(
         &mut self,
         layers: &mut [Layer],
+        (params, param_grads): (&[f32], &mut [f32]),
         grads: &[f32],
         batch: usize,
     ) -> Result<(), NnError> {
@@ -663,9 +669,9 @@ impl BatchInferCtx {
             let [a, b] = &mut self.bufs;
             let (g_out, g_in) = if cur == 0 { (&a[..g_out_n], b) } else { (&b[..g_out_n], a) };
             layers[l].backward_kernel(
+                (params, &mut *param_grads),
                 &self.acts[self.slots[l]][..in_vol * batch],
                 &self.act_shapes[l],
-                batch,
                 g_out,
                 (l > 0).then(|| &mut g_in[..in_vol * batch]),
                 &mut self.bwd_scratch,

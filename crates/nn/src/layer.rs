@@ -46,71 +46,6 @@ impl ParamSpan {
     }
 }
 
-/// Borrowed parameter tensors of one layer — weights, then bias; none
-/// for a ReLU — without allocating. Derefs to a slice and iterates by
-/// value.
-#[derive(Debug)]
-pub struct Params<T>(Option<[T; 2]>);
-
-impl<T> std::ops::Deref for Params<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        self.0.as_slice().as_flattened()
-    }
-}
-
-impl<T> IntoIterator for Params<T> {
-    type Item = T;
-    type IntoIter = std::iter::Flatten<std::option::IntoIter<[T; 2]>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter().flatten()
-    }
-}
-
-/// The parameter bookkeeping of the layers that have parameters: each
-/// holds weights `w` and bias `b` plus their accumulated gradients `gw`
-/// and `gb`, and this is the one copy of the code that steps, clears,
-/// counts and exposes them.
-macro_rules! weights_and_bias {
-    ($($layer:ty),*) => {$(
-        impl $layer {
-            /// Applies accumulated gradients with learning rate `lr` and
-            /// clears them.
-            pub fn apply_grads(&mut self, lr: f32) {
-                self.w.axpy(-lr, &self.gw).expect("gradient shape invariant");
-                self.b.axpy(-lr, &self.gb).expect("gradient shape invariant");
-                self.zero_grads();
-            }
-
-            /// Clears accumulated gradients without applying them.
-            pub fn zero_grads(&mut self) {
-                self.gw.map_inplace(|_| 0.0);
-                self.gb.map_inplace(|_| 0.0);
-            }
-
-            /// Total number of trainable parameters.
-            pub fn param_count(&self) -> usize {
-                self.w.len() + self.b.len()
-            }
-
-            /// The parameter tensors: weights, then bias.
-            pub fn params(&self) -> [&Tensor; 2] {
-                [&self.w, &self.b]
-            }
-
-            /// Mutable parameter tensors (weights, then bias): the
-            /// fault-injection surface.
-            pub fn params_mut(&mut self) -> [&mut Tensor; 2] {
-                [&mut self.w, &mut self.b]
-            }
-        }
-    )*};
-}
-
-weights_and_bias!(Dense, Conv2d);
-
 /// Evaluates `$body` with `$l` bound to the layer inside whichever
 /// variant `$layer` holds: the dispatch of every operation all three
 /// layer types implement.
@@ -128,9 +63,16 @@ macro_rules! each_variant {
 /// [`crate::NetworkBuilder`] builds. Every operation is one exhaustive
 /// `match` that runs the variant's own kernel.
 ///
+/// A layer holds its shape and where its parameters start in its
+/// network's parameter plane, not the parameters themselves: every
+/// kernel reads the weights and bias from the plane `params` and
+/// accumulates their gradients into the plane `grads`, which has the
+/// same layout. A layer built on its own ([`Dense::new`],
+/// [`Conv2d::new`]) appends its parameters to a plane the caller owns.
+///
 /// Layers cache their forward input so that a subsequent [`Layer::backward`]
 /// can compute parameter gradients; gradients *accumulate* across calls
-/// until [`Layer::apply_grads`], which is what REINFORCE needs to sum
+/// until the caller applies them, which is what REINFORCE needs to sum
 /// per-step gradients over an episode.
 #[derive(Debug, Clone)]
 pub enum Layer {
@@ -148,22 +90,29 @@ impl Layer {
         each_variant!(self, l => &l.name)
     }
 
-    /// The layer kind.
-    pub(crate) fn kind(&self) -> LayerKind {
-        match self {
-            Layer::Dense(_) => LayerKind::Dense,
-            Layer::Conv(_) => LayerKind::Conv,
-            Layer::Relu(_) => LayerKind::Activation,
-        }
+    /// Where the layer's parameters (weights, then bias) sit in the
+    /// plane; `None` for a ReLU.
+    pub(crate) fn span(&self) -> Option<ParamSpan> {
+        let (kind, range) = match self {
+            Layer::Dense(l) => (LayerKind::Dense, l.range()),
+            Layer::Conv(l) => (LayerKind::Conv, l.range()),
+            Layer::Relu(_) => return None,
+        };
+        Some(ParamSpan { name: self.name().to_owned(), kind, start: range.start, len: range.len() })
     }
 
-    /// Runs the layer forward, caching whatever is needed for backward.
+    /// Runs the layer forward on its weights in `params`, caching
+    /// whatever is needed for backward.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        each_variant!(self, l => l.forward(input))
+    pub fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor, NnError> {
+        match self {
+            Layer::Dense(l) => l.forward(params, input),
+            Layer::Conv(l) => l.forward(params, input),
+            Layer::Relu(l) => l.forward(input),
+        }
     }
 
     /// Output shape for an input of `in_shape` on the inference fast
@@ -192,14 +141,15 @@ impl Layer {
     /// floating-point accumulation order exactly.
     pub(crate) fn forward_kernel(
         &self,
+        params: &[f32],
         input: &[f32],
         in_shape: &ActShape,
         batch: usize,
         out: &mut [f32],
     ) {
         match self {
-            Layer::Dense(l) => l.forward_kernel(input, batch, out),
-            Layer::Conv(l) => l.forward_kernel(input, in_shape, batch, out),
+            Layer::Dense(l) => l.forward_kernel(params, input, batch, out),
+            Layer::Conv(l) => l.forward_kernel(params, input, in_shape, batch, out),
             Layer::Relu(l) => l.forward_kernel(input, out),
         }
     }
@@ -208,7 +158,8 @@ impl Layer {
     /// element `j` of sample `b` lives at `input[j * batch + b]`, and
     /// the layer writes the full batched output in the same layout into
     /// `out`, which the caller sizes to
-    /// `out_shape(in_shape).volume() * batch`.
+    /// `out_shape(in_shape).volume() * batch`. A batch of one is a
+    /// single observation.
     ///
     /// Contract: every sample's output row is **bit-identical** to
     /// [`Layer::forward`] on that sample alone — batching only reorders
@@ -220,28 +171,33 @@ impl Layer {
     /// Returns an error if the input shape is incompatible.
     pub fn forward_batch_into(
         &self,
+        params: &[f32],
         input: &[f32],
         in_shape: &ActShape,
         batch: usize,
         out: &mut [f32],
     ) -> Result<(), NnError> {
-        each_variant!(self, l => l.forward_batch_into(input, in_shape, batch, out))
+        self.out_shape(in_shape)?;
+        self.forward_kernel(params, input, in_shape, batch, out);
+        Ok(())
     }
 
     /// Batched *training* backward over **batch-minor** activations:
-    /// `input` is the batched activation this layer consumed on the
-    /// cached training forward (element `j` of sample `b` at
-    /// `input[j * batch + b]`, as retained by
-    /// [`crate::BatchInferCtx`]), `grad_out` the upstream gradient in
-    /// the same layout. Parameter gradients for the whole batch
-    /// accumulate into the layer (exactly like repeated
-    /// [`Layer::backward`] calls). When `grad_in` is present the input
-    /// gradient is written into it — fully, no stale bytes survive —
-    /// and the caller sizes it to `in_shape.volume() * batch`; `None`
-    /// skips the input gradient (the first layer's would be
-    /// discarded). `scratch` is a caller-owned buffer the layer may
-    /// resize and overwrite (Conv2d's gradient lanes and padded
-    /// gradient plane); nothing in it carries over between calls.
+    /// `input` is the batch of `in_shape` activations this layer
+    /// consumed on the cached training forward (element `j` of sample
+    /// `b` at `input[j * batch + b]`, as retained by
+    /// [`crate::BatchInferCtx`]; the batch is
+    /// `input.len() / in_shape.volume()` samples), `grad_out` the
+    /// upstream gradient in the same layout. The gradients of the
+    /// weights in `params` for the whole batch accumulate into `grads`
+    /// (exactly like repeated [`Layer::backward`] calls). When
+    /// `grad_in` is present the input gradient is written into it —
+    /// fully, no stale bytes survive — and the caller sizes it to
+    /// `input.len()`; `None` skips the input gradient (the first
+    /// layer's would be discarded). `scratch` is a caller-owned buffer
+    /// the layer may resize and overwrite (Conv2d's gradient lanes and
+    /// padded gradient plane); nothing in it carries over between
+    /// calls.
     ///
     /// Contract: for every parameter-gradient element the batch's
     /// contributions accumulate in **ascending sample order**, and
@@ -258,16 +214,16 @@ impl Layer {
     /// Returns an error if the input shape is incompatible.
     pub fn backward_batch_into(
         &mut self,
+        planes: (&[f32], &mut [f32]),
         input: &[f32],
         in_shape: &ActShape,
-        batch: usize,
         grad_out: &[f32],
         grad_in: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) -> Result<(), NnError> {
-        each_variant!(self, l => {
-            l.backward_batch_into(input, in_shape, batch, grad_out, grad_in, scratch)
-        })
+        self.out_shape(in_shape)?;
+        self.backward_kernel(planes, input, in_shape, grad_out, grad_in, scratch);
+        Ok(())
     }
 
     /// The backward walk's layer call: like
@@ -276,16 +232,18 @@ impl Layer {
     /// does not check it again. Same contract, no error.
     pub(crate) fn backward_kernel(
         &mut self,
+        planes: (&[f32], &mut [f32]),
         input: &[f32],
         in_shape: &ActShape,
-        batch: usize,
         grad_out: &[f32],
         grad_in: Option<&mut [f32]>,
         scratch: &mut Vec<f32>,
     ) {
         match self {
-            Layer::Dense(l) => l.backward_kernel(input, batch, grad_out, grad_in),
-            Layer::Conv(l) => l.backward_kernel(input, in_shape, batch, grad_out, grad_in, scratch),
+            Layer::Dense(l) => l.backward_kernel(planes, input, grad_out, grad_in),
+            Layer::Conv(l) => {
+                l.backward_kernel(planes, input, in_shape, grad_out, grad_in, scratch)
+            }
             Layer::Relu(l) => l.backward_kernel(input, grad_out, grad_in),
         }
     }
@@ -297,58 +255,23 @@ impl Layer {
         each_variant!(self, l => l.cached_input = None)
     }
 
-    /// Back-propagates `grad_out`, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
+    /// Back-propagates `grad_out`, accumulating the gradients of the
+    /// weights in `params` into `grads` and returning the gradient with
+    /// respect to the layer input.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if no forward pass has
     /// cached an input, or a tensor error on shape mismatch.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        each_variant!(self, l => l.backward(grad_out))
-    }
-
-    /// Applies accumulated gradients with learning rate `lr` and clears
-    /// them.
-    pub fn apply_grads(&mut self, lr: f32) {
+    pub fn backward(
+        &mut self,
+        planes: (&[f32], &mut [f32]),
+        grad_out: &Tensor,
+    ) -> Result<Tensor, NnError> {
         match self {
-            Layer::Dense(l) => l.apply_grads(lr),
-            Layer::Conv(l) => l.apply_grads(lr),
-            Layer::Relu(_) => {}
-        }
-    }
-
-    /// Clears accumulated gradients without applying them.
-    pub(crate) fn zero_grads(&mut self) {
-        match self {
-            Layer::Dense(l) => l.zero_grads(),
-            Layer::Conv(l) => l.zero_grads(),
-            Layer::Relu(_) => {}
-        }
-    }
-
-    /// Total number of trainable parameters.
-    pub(crate) fn param_count(&self) -> usize {
-        self.params().iter().map(|t| t.len()).sum()
-    }
-
-    /// The parameter tensors (weights first, then bias).
-    pub fn params(&self) -> Params<&Tensor> {
-        match self {
-            Layer::Dense(l) => Params(Some(l.params())),
-            Layer::Conv(l) => Params(Some(l.params())),
-            Layer::Relu(_) => Params(None),
-        }
-    }
-
-    /// Mutable views of the parameter tensors (weights first, then bias).
-    ///
-    /// This is the fault-injection surface.
-    pub(crate) fn params_mut(&mut self) -> Params<&mut Tensor> {
-        match self {
-            Layer::Dense(l) => Params(Some(l.params_mut())),
-            Layer::Conv(l) => Params(Some(l.params_mut())),
-            Layer::Relu(_) => Params(None),
+            Layer::Dense(l) => l.backward(planes, grad_out),
+            Layer::Conv(l) => l.backward(planes, grad_out),
+            Layer::Relu(l) => l.backward(grad_out),
         }
     }
 }

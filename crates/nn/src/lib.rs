@@ -9,12 +9,18 @@
 //!
 //! * [`Dense`] and [`Conv2d`] layers with forward and backward passes —
 //!   the GridWorld policy is an MLP, the DroneNav policy is
-//!   Conv×3 + FC×2 (§IV-B-1);
+//!   Conv×3 + FC×2 (§IV-B-1). A layer holds its shape and its offset
+//!   into a parameter plane; its kernels read their weights from that
+//!   plane and accumulate gradients into a second plane of the same
+//!   layout;
 //! * [`Layer`], the closed enum over those two and [`Relu`]: every
 //!   layer operation is one `match` over the three variants;
-//! * [`Network`], an owned `Vec<Layer>` stack with flat parameter snapshots
-//!   (used by server checkpointing), per-layer parameter spans (used by
-//!   layer-targeted injection and range-based anomaly detection), and SGD;
+//! * [`Network`], an owned `Vec<Layer>` stack over one flat parameter
+//!   plane (layer order, each layer's weights before its bias) that
+//!   injection, repair, aggregation and checkpointing read or corrupt
+//!   in place ([`Network::params`], [`Network::params_mut`]), per-layer
+//!   parameter spans (used by layer-targeted injection and range-based
+//!   anomaly detection), and SGD over the gradient plane;
 //! * [`BatchInferCtx`], the zero-allocation arena every fast forward
 //!   runs through: one observation ([`Network::infer`]) is a batch of
 //!   one, and the cached training forward retains per-layer planes for
@@ -51,5 +57,5 @@ pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
 pub use infer::{ActShape, BatchInferCtx, InferCtx, TapeId};
-pub use layer::{Layer, LayerKind, ParamSpan, Params};
+pub use layer::{Layer, LayerKind, ParamSpan};
 pub use network::{Network, NetworkBuilder};

@@ -7,10 +7,12 @@ use rand::Rng;
 ///
 /// `Network` is the unit that federated agents train, the server
 /// aggregates, the checkpointing scheme snapshots, and the fault injector
-/// corrupts. Its central affordance is the *flat parameter view*: all
-/// trainable scalars concatenated in layer order, addressable by a single
-/// flat index ([`Network::snapshot`], [`Network::restore`],
-/// [`Network::param_spans`], [`Network::for_each_param_mut`]).
+/// corrupts. Its parameters are one flat *plane*: every trainable scalar
+/// in layer order, each layer's weights before its bias, addressable by
+/// a single flat index ([`Network::params`], [`Network::params_mut`],
+/// [`Network::param_spans`]). The layers hold only their shapes and
+/// their offsets into it, and their gradients accumulate into a second
+/// plane of the same layout.
 ///
 /// ```
 /// use frlfi_nn::NetworkBuilder;
@@ -18,18 +20,23 @@ use rand::Rng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let net = NetworkBuilder::new(4).dense(8).relu().dense(4).build(&mut rng)?;
-/// let snap = net.snapshot();
-/// assert_eq!(snap.len(), net.param_count());
+/// let mut net = NetworkBuilder::new(4).dense(8).relu().dense(4).build(&mut rng)?;
+/// assert_eq!(net.params().len(), net.param_count());
+/// net.params_mut()[0] = 0.5; // the first weight of `dense0`
+/// assert_eq!(net.snapshot()[0], 0.5);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone)]
 pub struct Network {
     layers: Vec<Layer>,
-    // Total trainable parameters, fixed at construction (layer tensor
-    // sizes never change), so snapshot/restore size exactly once.
-    param_total: usize,
+    /// The parameter plane: every layer's weights, then its bias, in
+    /// layer order.
+    params: Vec<f32>,
+    /// The accumulated gradients, laid out as `params`.
+    grads: Vec<f32>,
+    /// Each parameterized layer's span of the planes.
+    spans: Vec<ParamSpan>,
 }
 
 impl std::fmt::Debug for Network {
@@ -55,7 +62,7 @@ impl Network {
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x)?;
+            x = layer.forward(&self.params, &x)?;
         }
         Ok(x)
     }
@@ -80,7 +87,7 @@ impl Network {
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
         let shape = ActShape::from_dims(input.shape().dims())?;
-        ctx.run(&self.layers, input.data(), shape, 1, Arena::Eval)
+        ctx.run(&self.layers, &self.params, input.data(), shape, 1, Arena::Eval)
     }
 
     /// Runs the network forward over a whole **batch** of observations
@@ -107,7 +114,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Eval)
+        ctx.run(&self.layers, &self.params, inputs, *in_shape, batch, Arena::Eval)
     }
 
     /// Training forward over a whole **batch** of observations: like
@@ -132,7 +139,7 @@ impl Network {
         batch: usize,
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        ctx.run(&self.layers, inputs, *in_shape, batch, Arena::Train)
+        ctx.run(&self.layers, &self.params, inputs, *in_shape, batch, Arena::Train)
     }
 
     /// Training forward of one observation that also appends, as one
@@ -160,7 +167,7 @@ impl Network {
         if ctx.tape_len(tape).is_none() {
             return Err(NnError::StaleTape);
         }
-        ctx.run(&self.layers, input, *in_shape, 1, Arena::Tape)
+        ctx.run(&self.layers, &self.params, input, *in_shape, 1, Arena::Tape)
     }
 
     /// Loads rows `rows` of `ctx`'s tape `tape` as the cached forward of
@@ -187,7 +194,7 @@ impl Network {
         inputs: &[f32],
         ctx: &'c mut BatchInferCtx,
     ) -> Result<&'c [f32], NnError> {
-        ctx.load_tape(&self.layers, tape, rows, inputs)
+        ctx.load_tape(&self.layers, &self.params, tape, rows, inputs)
     }
 
     /// Batched training backward over the activations retained by the
@@ -218,7 +225,7 @@ impl Network {
         batch: usize,
         ctx: &mut BatchInferCtx,
     ) -> Result<(), NnError> {
-        ctx.run_backward(&mut self.layers, grads, batch)
+        ctx.run_backward(&mut self.layers, (&self.params, &mut self.grads), grads, batch)
     }
 
     /// Output shape of the network for one input of `in_shape` — a
@@ -250,45 +257,49 @@ impl Network {
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let mut g = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = layer.backward((&self.params, &mut self.grads), &g)?;
         }
         Ok(g)
     }
 
-    /// Applies all accumulated gradients with learning rate `lr` and
+    /// Applies all accumulated gradients with learning rate `lr`
+    /// (`p += -lr · g`, element by element, as `Tensor::axpy` does) and
     /// clears them.
     pub fn apply_grads(&mut self, lr: f32) {
-        for layer in &mut self.layers {
-            layer.apply_grads(lr);
+        for (p, g) in self.params.iter_mut().zip(&mut self.grads) {
+            *p += -lr * *g;
+            *g = 0.0;
         }
     }
 
     /// Clears accumulated gradients without applying them.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
-    /// Total number of trainable parameters (precomputed; O(1)).
+    /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.param_total
+        self.params.len()
     }
 
-    /// Copies all parameters into a flat vector (layer order, weights
-    /// before biases). This is the payload agents send to the server and
-    /// the state the checkpointing scheme saves.
+    /// The parameter plane (layer order, weights before biases): the
+    /// payload agents send to the server, the state the checkpointing
+    /// scheme saves and the fault injector's surface.
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    /// The parameter plane, writable in place.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// Copies the parameter plane into a new vector.
     pub fn snapshot(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            for t in layer.params() {
-                out.extend_from_slice(t.data());
-            }
-        }
-        out
+        self.params.to_vec()
     }
 
-    /// Restores all parameters from a flat vector.
+    /// Overwrites the parameter plane with `snapshot`.
     ///
     /// # Errors
     ///
@@ -301,61 +312,21 @@ impl Network {
                 actual: snapshot.len(),
             });
         }
-        let mut off = 0;
-        for layer in &mut self.layers {
-            for t in layer.params_mut() {
-                let n = t.len();
-                t.data_mut().copy_from_slice(&snapshot[off..off + n]);
-                off += n;
-            }
-        }
+        self.params.copy_from_slice(snapshot);
         Ok(())
     }
 
-    /// Describes where each parameterized layer's scalars live in the
-    /// flat vector.
-    pub fn param_spans(&self) -> Vec<ParamSpan> {
-        let mut spans = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for layer in &self.layers {
-            let len = layer.param_count();
-            if len > 0 {
-                spans.push(ParamSpan {
-                    name: layer.name().to_owned(),
-                    kind: layer.kind(),
-                    start: off,
-                    len,
-                });
-                off += len;
-            }
-        }
-        spans
-    }
-
-    /// Visits every parameter mutably with its flat index, in
-    /// [`Network::snapshot`] order.
-    pub fn for_each_param_mut(&mut self, mut f: impl FnMut(usize, &mut f32)) {
-        let mut idx = 0;
-        for layer in &mut self.layers {
-            for t in layer.params_mut() {
-                for v in t.data_mut() {
-                    f(idx, v);
-                    idx += 1;
-                }
-            }
-        }
+    /// Where each parameterized layer's scalars live in the plane.
+    pub fn param_spans(&self) -> &[ParamSpan] {
+        &self.spans
     }
 
     /// Per-layer `(min, max)` weight ranges, the statistic tallied by the
     /// range-based anomaly detector before deployment (§V-B).
     pub fn layer_ranges(&self) -> Vec<(ParamSpan, Summary)> {
-        let snap = self.snapshot();
-        self.param_spans()
-            .into_iter()
-            .map(|span| {
-                let summary = Summary::of(&snap[span.range()]);
-                (span, summary)
-            })
+        self.spans
+            .iter()
+            .map(|span| (span.clone(), Summary::of(&self.params[span.range()])))
             .collect()
     }
 }
@@ -432,7 +403,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Materializes the network with seeded random initialization.
+    /// Materializes the network with seeded random initialization. This
+    /// is where the parameter layout is decided: each layer, in order,
+    /// appends its He-uniform weights (drawn in that order from `rng`)
+    /// and then its zero bias to the plane.
     ///
     /// # Errors
     ///
@@ -446,6 +420,7 @@ impl NetworkBuilder {
             return Err(NnError::EmptyNetwork);
         }
         let mut layers = Vec::with_capacity(self.specs.len());
+        let mut params = Vec::new();
         let mut dense_idx = 0;
         let mut conv_idx = 0;
         let mut relu_idx = 0;
@@ -453,12 +428,12 @@ impl NetworkBuilder {
             match *spec {
                 LayerSpec::Dense { in_dim, out_dim } => {
                     let name = format!("dense{dense_idx}");
-                    layers.push(Layer::Dense(Dense::new(name, in_dim, out_dim, rng)));
+                    layers.push(Layer::Dense(Dense::new(name, in_dim, out_dim, &mut params, rng)));
                     dense_idx += 1;
                 }
                 LayerSpec::Conv { in_c, out_c, k } => {
                     let name = format!("conv{conv_idx}");
-                    layers.push(Layer::Conv(Conv2d::new(name, in_c, out_c, k, rng)));
+                    layers.push(Layer::Conv(Conv2d::new(name, in_c, out_c, k, &mut params, rng)));
                     conv_idx += 1;
                 }
                 LayerSpec::Relu => {
@@ -467,8 +442,9 @@ impl NetworkBuilder {
                 }
             }
         }
-        let param_total = layers.iter().map(Layer::param_count).sum();
-        Ok(Network { layers, param_total })
+        let spans = layers.iter().filter_map(Layer::span).collect();
+        let grads = vec![0.0; params.len()];
+        Ok(Network { layers, params, grads, spans })
     }
 }
 
@@ -524,24 +500,27 @@ mod tests {
     }
 
     #[test]
-    fn for_each_param_visits_all_once() {
-        let mut net = mlp();
-        let mut seen = vec![false; net.param_count()];
-        net.for_each_param_mut(|i, _| {
-            assert!(!seen[i]);
-            seen[i] = true;
-        });
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn param_mutation_changes_forward() {
         let mut net = mlp();
         let x = Tensor::from_vec(vec![4], vec![1.0, -1.0, 0.5, 0.0]).unwrap();
         let before = net.forward(&x).unwrap();
-        net.for_each_param_mut(|_, v| *v += 10.0);
+        net.params_mut().iter_mut().for_each(|v| *v += 10.0);
         let after = net.forward(&x).unwrap();
         assert_ne!(before.data(), after.data());
+    }
+
+    #[test]
+    fn apply_grads_descends_and_clears() {
+        let mut net = mlp();
+        let x = Tensor::from_vec(vec![4], vec![1.0, -1.0, 0.5, 0.25]).unwrap();
+        net.forward(&x).unwrap();
+        net.backward(&Tensor::full(vec![4], 1.0)).unwrap();
+        let (before, grads) = (net.snapshot(), net.grads.clone());
+        net.apply_grads(0.1);
+        for ((&p, &b), &g) in net.params().iter().zip(&before).zip(&grads) {
+            assert_eq!(p.to_bits(), (b + -0.1 * g).to_bits());
+        }
+        assert!(net.grads.iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -717,7 +696,7 @@ mod tests {
     fn clone_is_independent() {
         let mut net = mlp();
         let clone = net.clone();
-        net.for_each_param_mut(|_, v| *v = 99.0);
+        net.params_mut().fill(99.0);
         assert_ne!(clone.snapshot()[0], 99.0);
     }
 }

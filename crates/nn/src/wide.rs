@@ -98,18 +98,22 @@ mod tests {
         parts.iter().all(|p| p.iter().all(|v| v.is_finite()))
     }
 
-    /// A dense layer with special weights, its inputs and output
-    /// gradients for `batch` samples, batch-minor.
-    fn dense_case(rng: &mut StdRng, shape: usize, batch: usize) -> (Dense, Vec<f32>, Vec<f32>) {
+    /// A dense layer, its plane of special weights, and its inputs and
+    /// output gradients for `batch` samples, batch-minor.
+    fn dense_case(
+        rng: &mut StdRng,
+        shape: usize,
+        batch: usize,
+    ) -> (Dense, Vec<f32>, Vec<f32>, Vec<f32>) {
         let (i, o) = DENSE_SHAPES[shape];
         let special = rng.gen_bool(0.5);
-        let mut d = Dense::new("d", i, o, rng);
-        d.w = frlfi_tensor::Tensor::from_vec(vec![o, i], values(rng, o * i, special)).unwrap();
-        d.b = frlfi_tensor::Tensor::from_vec(vec![o], values(rng, o, special)).unwrap();
+        let mut p = Vec::new();
+        let d = Dense::new("d", i, o, &mut p, rng);
+        let p = values(rng, p.len(), special);
         let special_x = rng.gen_bool(0.3);
         let x = values(rng, i * batch, special_x);
         let g = values(rng, o * batch, false);
-        (d, x, g)
+        (d, p, x, g)
     }
 
     proptest! {
@@ -194,13 +198,13 @@ mod tests {
                 return Ok(());
             }
             let mut rng = StdRng::seed_from_u64(seed);
-            let (d, x, _) = dense_case(&mut rng, shape, batch);
-            let modulo_nan = !finite(&[d.w.data(), d.b.data(), &x]);
+            let (d, p, x, _) = dense_case(&mut rng, shape, batch);
+            let modulo_nan = !finite(&[&p, &x]);
             let mut base = vec![f32::NAN; d.out_dim() * batch];
             let mut wide = base.clone();
-            d.forward_cols_body(&x, batch, &mut base);
+            d.forward_cols_body(&p, &x, batch, &mut base);
             // SAFETY: the host has AVX2.
-            unsafe { d.forward_cols_avx2(&x, batch, &mut wide) };
+            unsafe { d.forward_cols_avx2(&p, &x, batch, &mut wide) };
             prop_assert_eq!(bits(&base, modulo_nan), bits(&wide, modulo_nan));
         }
 
@@ -215,17 +219,20 @@ mod tests {
                 return Ok(());
             }
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut base, x, g) = dense_case(&mut rng, shape, batch);
+            let (mut base, p, x, g) = dense_case(&mut rng, shape, batch);
             let mut wide = base.clone();
-            let modulo_nan = !finite(&[base.w.data(), &x]);
-            // Stale input-gradient buffers, as in the backward arena.
+            let modulo_nan = !finite(&[&p, &x]);
+            // Pending gradients and stale input-gradient buffers, as in
+            // the backward arena.
+            let mut grads_base = values(&mut rng, p.len(), false);
+            let mut grads_wide = grads_base.clone();
             let mut dx_base = vec![f32::NAN; base.in_dim() * batch];
             let mut dx_wide = dx_base.clone();
-            base.backward_body(&x, batch, &g, with_dx.then_some(&mut dx_base[..]));
+            base.backward_body((&p, &mut grads_base), &x, &g, with_dx.then_some(&mut dx_base[..]));
+            let dx = with_dx.then_some(&mut dx_wide[..]);
             // SAFETY: the host has AVX2.
-            unsafe { wide.backward_avx2(&x, batch, &g, with_dx.then_some(&mut dx_wide[..])) };
-            prop_assert_eq!(bits(base.gw.data(), modulo_nan), bits(wide.gw.data(), modulo_nan));
-            prop_assert_eq!(bits(base.gb.data(), modulo_nan), bits(wide.gb.data(), modulo_nan));
+            unsafe { wide.backward_avx2((&p, &mut grads_wide), &x, &g, dx) };
+            prop_assert_eq!(bits(&grads_base, modulo_nan), bits(&grads_wide, modulo_nan));
             prop_assert_eq!(bits(&dx_base, modulo_nan), bits(&dx_wide, modulo_nan));
         }
     }

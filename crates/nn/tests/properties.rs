@@ -1,7 +1,10 @@
 //! Property-based tests for the network substrate.
 
-use frlfi_nn::{ActShape, BatchInferCtx, Conv2d, Dense, Layer, NetworkBuilder, Relu};
-use frlfi_tensor::Tensor;
+use frlfi_nn::{
+    encode_weight_planes, weight_digest, ActShape, BatchInferCtx, Conv2d, Dense, Layer, Network,
+    NetworkBuilder, Relu,
+};
+use frlfi_tensor::{Init, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,18 +64,65 @@ fn relu_anywhere_stack(seed: u64) -> (frlfi_nn::Network, ActShape) {
     (b.build(&mut rng).expect("stack dims stay >= 1x1"), ActShape::image(c, h, w))
 }
 
-/// Writes every parameter's flat index into it through
-/// `for_each_param_mut` and checks that `snapshot()[i]` reads back `i`:
-/// the visit walks the flat vector in order, one scalar per index.
-/// Leaves the network's weights overwritten.
-fn assert_param_walk_matches_snapshot(
-    net: &mut frlfi_nn::Network,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    net.for_each_param_mut(|i, v| *v = i as f32);
-    for (i, &v) in net.snapshot().iter().enumerate() {
-        prop_assert_eq!(v, i as f32, "for_each_param_mut index {} is not snapshot()[{}]", i, i);
+/// One layer on planes of its own, as a network holds them: its
+/// parameters and a gradient plane of the same layout.
+#[derive(Clone)]
+struct Solo {
+    layer: Layer,
+    params: Vec<f32>,
+    grads: Vec<f32>,
+}
+
+impl Solo {
+    fn new(build: impl FnOnce(&mut Vec<f32>) -> Layer) -> Solo {
+        let mut params = Vec::new();
+        let layer = build(&mut params);
+        let grads = vec![0.0; params.len()];
+        Solo { layer, params, grads }
     }
-    Ok(())
+
+    fn dense(rng: &mut StdRng, in_dim: usize, out_dim: usize) -> Solo {
+        Solo::new(|p| Layer::Dense(Dense::new("d", in_dim, out_dim, p, rng)))
+    }
+
+    fn conv(rng: &mut StdRng, in_c: usize, out_c: usize, k: usize) -> Solo {
+        Solo::new(|p| Layer::Conv(Conv2d::new("c", in_c, out_c, k, p, rng)))
+    }
+
+    fn relu() -> Solo {
+        Solo::new(|_| Layer::Relu(Relu::new("r")))
+    }
+
+    /// The reference forward of one sample.
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.layer.forward(&self.params, x).expect("reference forward")
+    }
+
+    /// The reference backward of the last [`Solo::forward`].
+    fn backward(&mut self, g: &Tensor) -> Tensor {
+        self.layer.backward((&self.params, &mut self.grads), g).expect("reference backward")
+    }
+
+    /// [`Layer::backward_batch_into`] of a batch-minor batch.
+    fn backward_batch(
+        &mut self,
+        x: &[f32],
+        shape: &ActShape,
+        g: &[f32],
+        dx: Option<&mut [f32]>,
+        scratch: &mut Vec<f32>,
+    ) {
+        let planes = (&self.params[..], &mut self.grads[..]);
+        self.layer.backward_batch_into(planes, x, shape, g, dx, scratch).expect("batched backward");
+    }
+
+    /// The SGD step a network takes: `p += -lr · g`, then `g = 0`.
+    fn step(&mut self, lr: f32) {
+        for (p, g) in self.params.iter_mut().zip(&mut self.grads) {
+            *p += -lr * *g;
+            *g = 0.0;
+        }
+    }
 }
 
 /// Bit pattern compared by the backward equivalence checks. With
@@ -87,9 +137,14 @@ fn cmp_bits(v: f32, modulo_nan: bool) -> u32 {
     }
 }
 
+/// Bit patterns of a plane, compared as [`cmp_bits`] does.
+fn plane_bits(v: &[f32], modulo_nan: bool) -> Vec<u32> {
+    v.iter().map(|&v| cmp_bits(v, modulo_nan)).collect()
+}
+
 /// Drives one batched training backward against the per-sample
 /// reference path on an identical twin layer and asserts bitwise
-/// equality of the stepped parameters and of every input-gradient row
+/// equality of the gradient planes and of every input-gradient row
 /// (modulo NaN payloads when `modulo_nan`).
 ///
 /// `batched` and `reference` must start with identical parameters (same
@@ -98,8 +153,8 @@ fn cmp_bits(v: f32, modulo_nan: bool) -> u32 {
 /// with the weights fixed — exactly the accumulation the batched
 /// kernels contract to reproduce.
 fn assert_batched_backward_matches_reference(
-    batched: &mut Layer,
-    reference: &mut Layer,
+    batched: &mut Solo,
+    reference: &mut Solo,
     in_shape: &ActShape,
     samples: &[Vec<f32>],
     grad_rows: &[Vec<f32>],
@@ -107,7 +162,7 @@ fn assert_batched_backward_matches_reference(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let batch = samples.len();
     let in_vol = in_shape.volume();
-    let out_shape = batched.out_shape(in_shape).expect("out shape");
+    let out_shape = batched.layer.out_shape(in_shape).expect("out shape");
     let out_vol = out_shape.volume();
     // Pack batch-minor: element j of sample b at j * batch + b.
     let mut x = vec![0.0f32; in_vol * batch];
@@ -123,25 +178,20 @@ fn assert_batched_backward_matches_reference(
         }
     }
     let mut fwd = vec![0.0f32; out_vol * batch];
-    batched.forward_batch_into(&x, in_shape, batch, &mut fwd).expect("batched forward");
+    batched.layer.forward_batch_into(&batched.params, &x, in_shape, batch, &mut fwd).expect("fwd");
     let mut dx = vec![0.0f32; in_vol * batch];
-    batched
-        .backward_batch_into(&x, in_shape, batch, &g, Some(&mut dx), &mut Vec::new())
-        .expect("batched backward");
-    batched.apply_grads(0.05);
+    batched.backward_batch(&x, in_shape, &g, Some(&mut dx), &mut Vec::new());
     let mut ref_dx_rows = Vec::with_capacity(batch);
     for (s, gr) in samples.iter().zip(grad_rows.iter()) {
-        let xs = Tensor::from_vec(in_shape.dims().to_vec(), s.clone()).expect("sample");
-        reference.forward(&xs).expect("reference forward");
+        reference.forward(&Tensor::from_vec(in_shape.dims().to_vec(), s.clone()).expect("sample"));
         let gt = Tensor::from_vec(out_shape.dims().to_vec(), gr.clone()).expect("grad row");
-        ref_dx_rows.push(reference.backward(&gt).expect("reference backward"));
+        ref_dx_rows.push(reference.backward(&gt));
     }
-    reference.apply_grads(0.05);
-    for (pb, pr) in batched.params().iter().zip(reference.params().iter()) {
-        let bb: Vec<u32> = pb.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
-        let rb: Vec<u32> = pr.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
-        prop_assert_eq!(bb, rb, "stepped parameters drifted from the sequential reference");
-    }
+    prop_assert_eq!(
+        plane_bits(&batched.grads, modulo_nan),
+        plane_bits(&reference.grads, modulo_nan),
+        "gradients drifted from the sequential reference"
+    );
     for (b, d) in ref_dx_rows.iter().enumerate() {
         for (j, &v) in d.data().iter().enumerate() {
             prop_assert_eq!(
@@ -176,23 +226,21 @@ const SPECIAL_WEIGHT_BITS: [u32; 11] = [
 
 /// Replaces a random share (up to 30%) of the parameters with bit
 /// patterns drawn from `pool`.
-fn sprinkle_bits(params: [&mut Tensor; 2], pool: &[u32], rng: &mut StdRng) {
+fn sprinkle_bits(params: &mut [f32], pool: &[u32], rng: &mut StdRng) {
     let rate = rng.gen_range(0.0..0.3);
-    for p in params {
-        for v in p.data_mut() {
-            if rng.gen_bool(rate) {
-                *v = f32::from_bits(pool[rng.gen_range(0..pool.len())]);
-            }
+    for v in params {
+        if rng.gen_bool(rate) {
+            *v = f32::from_bits(pool[rng.gen_range(0..pool.len())]);
         }
     }
 }
 
 /// A dense layer whose weights and biases are partly replaced by
 /// [`SPECIAL_WEIGHT_BITS`].
-fn special_dense(seed: u64, in_dim: usize, out_dim: usize) -> Dense {
+fn special_dense(seed: u64, in_dim: usize, out_dim: usize) -> Solo {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut layer = Dense::new("d", in_dim, out_dim, &mut rng);
-    sprinkle_bits(layer.params_mut(), &SPECIAL_WEIGHT_BITS, &mut rng);
+    let mut layer = Solo::dense(&mut rng, in_dim, out_dim);
+    sprinkle_bits(&mut layer.params, &SPECIAL_WEIGHT_BITS, &mut rng);
     layer
 }
 
@@ -214,12 +262,12 @@ fn special_conv(
     k: usize,
     in_c: usize,
     out_c: usize,
-) -> (Conv2d, ActShape, bool) {
+) -> (Solo, ActShape, bool) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut conv = Conv2d::new("c", in_c, out_c, k, &mut rng);
+    let mut conv = Solo::conv(&mut rng, in_c, out_c, k);
     let pool = if rng.gen_bool(0.5) { &SPECIAL_WEIGHT_BITS[..4] } else { &SPECIAL_WEIGHT_BITS[..] };
-    sprinkle_bits(conv.params_mut(), pool, &mut rng);
-    let non_finite = conv.params().iter().any(|p| p.data().iter().any(|v| !v.is_finite()));
+    sprinkle_bits(&mut conv.params, pool, &mut rng);
+    let non_finite = conv.params.iter().any(|v| !v.is_finite());
     let (h, w) = DRONE_PLANES[plane];
     (conv, ActShape::image(in_c, h, w), non_finite)
 }
@@ -252,28 +300,24 @@ fn grad_row_with_zeros(rng: &mut StdRng, n: usize) -> Vec<f32> {
 /// gradient row and so adds nothing; checks the input gradients agree
 /// bit for bit.
 fn backward_batch1_and_padded(
-    single: &mut Dense,
-    padded: &mut Dense,
+    single: &mut Solo,
+    padded: &mut Solo,
+    (i, o): (usize, usize),
     rng: &mut StdRng,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let (i, o) = (single.in_dim(), single.out_dim());
     let shape = ActShape::flat(i);
     let x: Vec<f32> =
         (0..i).map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
     let g = grad_row_with_zeros(rng, o);
     // Stale input-gradient buffers, as in the backward arena.
     let mut dx = vec![f32::NAN; i];
-    single
-        .backward_batch_into(&x, &shape, 1, &g, Some(&mut dx), &mut Vec::new())
-        .expect("batch-1 backward");
+    single.backward_batch(&x, &shape, &g, Some(&mut dx), &mut Vec::new());
     // Batch-minor pair: sample 0 is the row above, sample 1 an
     // unrelated input.
     let x2: Vec<f32> = x.iter().flat_map(|&v| [v, rng.gen_range(-2.0f32..2.0)]).collect();
     let g2: Vec<f32> = g.iter().flat_map(|&v| [v, -0.0]).collect();
     let mut dx2 = vec![f32::NAN; 2 * i];
-    padded
-        .backward_batch_into(&x2, &shape, 2, &g2, Some(&mut dx2), &mut Vec::new())
-        .expect("batch-2 backward");
+    padded.backward_batch(&x2, &shape, &g2, Some(&mut dx2), &mut Vec::new());
     let dx_bits: Vec<u32> = dx.iter().map(|v| v.to_bits()).collect();
     let dx2_bits: Vec<u32> = dx2.iter().step_by(2).map(|v| v.to_bits()).collect();
     prop_assert_eq!(dx_bits, dx2_bits, "input gradient");
@@ -295,42 +339,35 @@ fn batch_minor(rows: &[Vec<f32>]) -> Vec<f32> {
 /// Runs `samples` through `batched`'s parameter-gradient pass in
 /// consecutive chunks of the given sizes (one `backward_batch_into`
 /// each, gradients accumulating as across an episode's update chunks)
-/// and through `reference` one sample at a time, steps both, and
-/// compares the parameters (modulo NaN payloads when `modulo_nan`).
+/// and through `reference` one sample at a time, and compares the
+/// gradient planes (modulo NaN payloads when `modulo_nan`).
 fn assert_chunked_params_match_reference(
-    mut batched: Conv2d,
-    reference: Conv2d,
+    mut batched: Solo,
+    mut reference: Solo,
     shape: &ActShape,
     samples: &[Vec<f32>],
     grad_rows: &[Vec<f32>],
     chunks: &[usize],
     modulo_nan: bool,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let out_shape = batched.out_shape(shape).expect("out shape");
+    let out_shape = batched.layer.out_shape(shape).expect("out shape");
     let mut scratch = Vec::new();
     let mut done = 0;
     for &n in chunks {
         let x = batch_minor(&samples[done..done + n]);
         let g = batch_minor(&grad_rows[done..done + n]);
-        batched
-            .backward_batch_into(&x, shape, n, &g, None, &mut scratch)
-            .expect("batched backward");
+        batched.backward_batch(&x, shape, &g, None, &mut scratch);
         done += n;
     }
-    batched.apply_grads(0.05);
-    let mut reference = Layer::Conv(reference);
     for (s, gr) in samples[..done].iter().zip(grad_rows) {
-        let xs = Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("sample");
-        reference.forward(&xs).expect("reference forward");
-        let gt = Tensor::from_vec(out_shape.dims().to_vec(), gr.clone()).expect("grad row");
-        reference.backward(&gt).expect("reference backward");
+        reference.forward(&Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("sample"));
+        reference.backward(&Tensor::from_vec(out_shape.dims().to_vec(), gr.clone()).expect("g"));
     }
-    reference.apply_grads(0.05);
-    for (pb, pr) in batched.params().iter().zip(reference.params().iter()) {
-        let bb: Vec<u32> = pb.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
-        let rb: Vec<u32> = pr.data().iter().map(|&v| cmp_bits(v, modulo_nan)).collect();
-        prop_assert_eq!(bb, rb, "stepped parameters drifted from the sequential reference");
-    }
+    prop_assert_eq!(
+        plane_bits(&batched.grads, modulo_nan),
+        plane_bits(&reference.grads, modulo_nan),
+        "gradients drifted from the sequential reference"
+    );
     Ok(())
 }
 
@@ -370,6 +407,119 @@ fn drone_conv_case(
     (shape, samples, grad_rows)
 }
 
+/// A builder stack drawn from `seed` over a `[c, h, w]` input: 0–2
+/// conv stages (k ≤ 3), then 1–3 dense stages, each maybe followed by a
+/// ReLU. Returns the builder and each parameterized layer's weight
+/// shape, in layer order.
+fn layout_stack(seed: u64) -> (NetworkBuilder, Vec<Vec<usize>>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1A70);
+    let (mut c, mut h, mut w) =
+        (rng.gen_range(1..4usize), rng.gen_range(3..10usize), rng.gen_range(3..12usize));
+    let mut b = NetworkBuilder::new_image(c, h, w);
+    let mut weights = Vec::new();
+    for _ in 0..rng.gen_range(0..3) {
+        let (out_c, k) = (rng.gen_range(1..6usize), rng.gen_range(1..=3usize).min(h).min(w));
+        b = b.conv(out_c, k);
+        weights.push(vec![out_c, c, k, k]);
+        (c, h, w) = (out_c, h - k + 1, w - k + 1);
+        if rng.gen_bool(0.5) {
+            b = b.relu();
+        }
+    }
+    let mut in_dim = c * h * w;
+    for _ in 0..rng.gen_range(1..4) {
+        let out = rng.gen_range(1..20usize);
+        b = b.dense(out);
+        weights.push(vec![out, in_dim]);
+        in_dim = out;
+        if rng.gen_bool(0.5) {
+            b = b.relu();
+        }
+    }
+    (b, weights)
+}
+
+/// The DroneNav policy (`Reinforce::drone_default`): Conv×3 + FC×2.
+fn drone_default(seed: u64) -> Network {
+    let b = NetworkBuilder::new_image(1, 9, 16).conv(8, 3).relu().conv(12, 3).relu().conv(16, 3);
+    b.relu().dense(64).relu().dense(25).build(&mut StdRng::seed_from_u64(seed)).expect("drone")
+}
+
+/// The GridWorld policy (`QLearner::gridworld_default`): MLP 6→32→32→4.
+fn gridworld_default(seed: u64) -> Network {
+    let b = NetworkBuilder::new(6).dense(32).relu().dense(32).relu().dense(4);
+    b.build(&mut StdRng::seed_from_u64(seed)).expect("grid")
+}
+
+/// `weight_digest` of the networks' planes, encoded as one artifact.
+fn plane_digest(nets: &[Network]) -> u64 {
+    weight_digest(&encode_weight_planes(&nets.iter().map(Network::snapshot).collect::<Vec<_>>()))
+}
+
+/// Checks the parameter plane's layout on `net`, built by `weights`'
+/// stack from `seed`:
+/// - `params()` is each layer's He-uniform weights (drawn in layer
+///   order from `seed`) then its zero bias, concatenated in layer order;
+/// - `param_spans()` tile `0..param_count()` with no gap;
+/// - `restore(snapshot())` round-trips bit for bit on a plane of special
+///   values (±0, subnormals, ±∞, NaN payloads).
+fn assert_plane_layout(
+    mut net: Network,
+    weights: &[Vec<usize>],
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut expected = Vec::new();
+    for dims in weights {
+        let bias = dims[0];
+        expected.extend_from_slice(Tensor::random(dims.clone(), Init::HeUniform, &mut rng).data());
+        expected.resize(expected.len() + bias, 0.0);
+    }
+    prop_assert_eq!(plane_bits(net.params(), false), plane_bits(&expected, false));
+    prop_assert_eq!(net.snapshot(), net.params());
+    let mut next = 0;
+    for (span, dims) in net.param_spans().iter().zip(weights) {
+        prop_assert_eq!(span.start, next, "span {} leaves a gap", span.name);
+        prop_assert_eq!(span.len, dims.iter().product::<usize>() + dims[0]);
+        next = span.start + span.len;
+    }
+    prop_assert_eq!(net.param_spans().len(), weights.len());
+    prop_assert_eq!(next, net.param_count());
+    let mut special = net.snapshot();
+    sprinkle_bits(&mut special, &SPECIAL_WEIGHT_BITS, &mut rng);
+    let at = rng.gen_range(0..special.len());
+    special[at] = f32::from_bits(0xffc1_2345);
+    net.restore(&special).expect("restore");
+    prop_assert_eq!(plane_bits(net.params(), false), plane_bits(&special, false));
+    let snap = net.snapshot();
+    net.restore(&snap).expect("restore");
+    prop_assert_eq!(plane_bits(net.params(), false), plane_bits(&special, false));
+    Ok(())
+}
+
+/// `plane_digest` of `drone_default` and `gridworld_default` at seeds 0,
+/// 1 and 2, and of the 64 `layout_stack`s built from seeds 0..64: the
+/// digests the per-layer tensor storage drew before the parameters
+/// moved into one plane.
+const PINNED_DRONE_DIGESTS: [u64; 3] =
+    [0x50a4_c321_d472_0f9e, 0xacb6_0e90_3214_eb6a, 0xcaad_7e53_415d_4757];
+const PINNED_GRID_DIGESTS: [u64; 3] =
+    [0x0977_9fec_b236_1977, 0x3426_cd89_b712_8b91, 0x0a08_f9a9_de4b_713d];
+const PINNED_STACKS_DIGEST: u64 = 0x0d50_723b_f6e4_7b6a;
+
+#[test]
+fn parameter_plane_digests_match_the_pinned_initialization() {
+    for seed in 0..3u64 {
+        let i = seed as usize;
+        assert_eq!(plane_digest(&[drone_default(seed)]), PINNED_DRONE_DIGESTS[i], "drone {seed}");
+        assert_eq!(plane_digest(&[gridworld_default(seed)]), PINNED_GRID_DIGESTS[i], "grid {seed}");
+    }
+    let stacks: Vec<Network> = (0..64u64)
+        .map(|s| layout_stack(s).0.build(&mut StdRng::seed_from_u64(s)).expect("stack"))
+        .collect();
+    assert_eq!(plane_digest(&stacks), PINNED_STACKS_DIGEST);
+}
+
 proptest! {
     #[test]
     fn snapshot_restore_is_identity(
@@ -383,7 +533,6 @@ proptest! {
             let snap = net.snapshot();
             net.restore(&snap).expect("restore");
             prop_assert_eq!(net.snapshot(), snap);
-            assert_param_walk_matches_snapshot(&mut net)?;
         }
     }
 
@@ -402,17 +551,16 @@ proptest! {
         image in (1usize..3, 5usize..10, 5usize..12),
     ) {
         let (c, h, w) = image;
-        for mut net in [mlp(seed, 4, 8, 3), random_stack(seed, c, h, w).0] {
+        for net in [mlp(seed, 4, 8, 3), random_stack(seed, c, h, w).0] {
             let spans = net.param_spans();
             let mut covered = 0;
             let mut next = 0;
-            for s in &spans {
+            for s in spans {
                 prop_assert_eq!(s.start, next, "spans must be contiguous");
                 covered += s.len;
                 next = s.start + s.len;
             }
             prop_assert_eq!(covered, net.param_count());
-            assert_param_walk_matches_snapshot(&mut net)?;
         }
     }
 
@@ -439,9 +587,8 @@ proptest! {
 
     #[test]
     fn relu_output_nonnegative(x in proptest::collection::vec(-10.0f32..10.0, 1..32)) {
-        let mut r = Relu::new("r");
         let n = x.len();
-        let y = r.forward(&Tensor::from_vec(vec![n], x).expect("input")).expect("forward");
+        let y = Solo::relu().forward(&Tensor::from_vec(vec![n], x).expect("input"));
         prop_assert!(y.data().iter().all(|&v| v >= 0.0));
     }
 
@@ -506,10 +653,9 @@ proptest! {
         out_c in 1usize..4,
         batch in 1usize..10,
     ) {
-        use frlfi_nn::Conv2d;
         let mut rng = StdRng::seed_from_u64(seed);
         let (h, w) = (k + rng.gen_range(0..4), k + rng.gen_range(0..4));
-        let conv = Conv2d::new("c", in_c, out_c, k, &mut rng);
+        let conv = Solo::conv(&mut rng, in_c, out_c, k);
         let shape = ActShape::image(in_c, h, w);
         let (oh, ow) = (h - k + 1, w - k + 1);
         let vol = in_c * h * w;
@@ -525,10 +671,11 @@ proptest! {
             }
         }
         let mut batched = vec![0.0f32; ovol * batch];
-        conv.forward_batch_into(&packed, &shape, batch, &mut batched).expect("batched");
+        conv.layer.forward_batch_into(&conv.params, &packed, &shape, batch, &mut batched)
+            .expect("batched");
         let mut single = vec![0.0f32; ovol];
         for (b, s) in samples.iter().enumerate() {
-            conv.forward_into(s, &shape, &mut single).expect("single");
+            conv.layer.forward_batch_into(&conv.params, s, &shape, 1, &mut single).expect("single");
             for (j, &v) in single.iter().enumerate() {
                 prop_assert_eq!(
                     batched[j * batch + b].to_bits(),
@@ -557,10 +704,10 @@ proptest! {
         out_c in 1usize..=16,
         batch in 1usize..=33,
     ) {
-        let (conv, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
+        let (mut conv, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x57E7);
         let samples = activation_rows(&mut rng, batch, shape.volume());
-        let ovol = conv.out_shape(&shape).expect("out shape").volume();
+        let ovol = conv.layer.out_shape(&shape).expect("out shape").volume();
         let mut packed = vec![0.0f32; shape.volume() * batch];
         for (b, s) in samples.iter().enumerate() {
             for (j, &v) in s.iter().enumerate() {
@@ -568,13 +715,13 @@ proptest! {
             }
         }
         let mut batched = vec![f32::NAN; ovol * batch];
-        conv.forward_batch_into(&packed, &shape, batch, &mut batched).expect("batched");
+        conv.layer.forward_batch_into(&conv.params, &packed, &shape, batch, &mut batched)
+            .expect("batched");
         let mut single = vec![f32::NAN; ovol];
-        conv.forward_into(&samples[0], &shape, &mut single).expect("single");
-        let mut reference = Layer::Conv(conv);
+        conv.layer.forward_batch_into(&conv.params, &samples[0], &shape, 1, &mut single)
+            .expect("single");
         for (b, s) in samples.iter().enumerate() {
-            let x = Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("sample");
-            let y = reference.forward(&x).expect("reference forward");
+            let y = conv.forward(&Tensor::from_vec(shape.dims().to_vec(), s.clone()).expect("x"));
             for (j, &v) in y.data().iter().enumerate() {
                 prop_assert_eq!(
                     cmp_bits(batched[j * batch + b], modulo_nan),
@@ -585,7 +732,7 @@ proptest! {
                     prop_assert_eq!(
                         cmp_bits(single[j], modulo_nan),
                         cmp_bits(v, modulo_nan),
-                        "forward_into, k={} element {}", k, j
+                        "batch 1, k={} element {}", k, j
                     );
                 }
             }
@@ -601,16 +748,16 @@ proptest! {
         out_c in 1usize..=16,
         batch in 1usize..=33,
     ) {
-        let (batched, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
-        let (reference, _, _) = special_conv(seed, plane, k, in_c, out_c);
+        let (mut batched, shape, modulo_nan) = special_conv(seed, plane, k, in_c, out_c);
+        let mut reference = batched.clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD0D0);
         let samples = activation_rows(&mut rng, batch, shape.volume());
-        let ovol = batched.out_shape(&shape).expect("out shape").volume();
+        let ovol = batched.layer.out_shape(&shape).expect("out shape").volume();
         let grad_rows: Vec<Vec<f32>> =
             (0..batch).map(|_| grad_row_with_zeros(&mut rng, ovol)).collect();
         assert_batched_backward_matches_reference(
-            &mut Layer::Conv(batched),
-            &mut Layer::Conv(reference),
+            &mut batched,
+            &mut reference,
             &shape,
             &samples,
             &grad_rows,
@@ -630,7 +777,7 @@ proptest! {
         // A fault upstream can leave ±∞ or NaN activations, and then
         // `0 · x` is NaN: the channels holding one run the masked
         // instance, which must skip `g == 0.0` like the reference.
-        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let layer = || Solo::conv(&mut StdRng::seed_from_u64(seed), in_c, out_c, k);
         let (shape, samples, grads) =
             drone_conv_case(seed, plane, (k, in_c, out_c), batch, non_finite_rows);
         assert_chunked_params_match_reference(
@@ -650,7 +797,7 @@ proptest! {
         // An episode's update runs in chunks whose gradients add up
         // before one `apply_grads`: the second chunk's terms must land
         // after the first's, each element in reference order.
-        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let layer = || Solo::conv(&mut StdRng::seed_from_u64(seed), in_c, out_c, k);
         let (shape, samples, grads) =
             drone_conv_case(seed, plane, (k, in_c, out_c), chunks.0 + chunks.1, activation_rows);
         assert_chunked_params_match_reference(
@@ -671,7 +818,7 @@ proptest! {
         // computes padding lanes that must never reach `gw` (conv1's 12
         // channels end in one), and kernels other than 3×3 take their
         // taps one at a time.
-        let layer = || Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let layer = || Solo::conv(&mut StdRng::seed_from_u64(seed), in_c, out_c, k);
         let (shape, samples, grads) =
             drone_conv_case(seed, plane, (k, in_c, out_c), batch, activation_rows);
         assert_chunked_params_match_reference(
@@ -754,9 +901,8 @@ proptest! {
         out_dim in 1usize..12,
         batch in 1usize..10,
     ) {
-        use frlfi_nn::Dense;
-        let batched = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
-        let reference = Dense::new("d", in_dim, out_dim, &mut StdRng::seed_from_u64(seed));
+        let mut batched = Solo::dense(&mut StdRng::seed_from_u64(seed), in_dim, out_dim);
+        let mut reference = batched.clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7D15);
         let samples: Vec<Vec<f32>> = (0..batch)
             .map(|_| (0..in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
@@ -771,8 +917,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut Layer::Dense(batched),
-            &mut Layer::Dense(reference),
+            &mut batched,
+            &mut reference,
             &ActShape::flat(in_dim),
             &samples,
             &grad_rows,
@@ -793,12 +939,10 @@ proptest! {
         // underflow to ±0), gradients exact ±0.0 and subnormals: the
         // unmasked correlation adds the ±0 terms the reference skips,
         // which must leave every bit unchanged.
-        use frlfi_nn::Conv2d;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC09F);
         let (h, w) = (k + rng.gen_range(0..4), k + rng.gen_range(0..4));
-        let mut batched = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
-        let mut reference = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
-        for v in batched.params_mut()[0].data_mut() {
+        let mut batched = Solo::conv(&mut StdRng::seed_from_u64(seed), in_c, out_c, k);
+        for v in &mut batched.params[..out_c * in_c * k * k] {
             *v = match rng.gen_range(0..8) {
                 0 => 0.0,
                 1 => -0.0,
@@ -806,7 +950,7 @@ proptest! {
                 _ => *v,
             };
         }
-        reference.params_mut()[0].data_mut().copy_from_slice(batched.params()[0].data());
+        let mut reference = batched.clone();
         let in_shape = ActShape::image(in_c, h, w);
         let (oh, ow) = (h - k + 1, w - k + 1);
         let samples: Vec<Vec<f32>> = (0..batch)
@@ -825,8 +969,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut Layer::Conv(batched),
-            &mut Layer::Conv(reference),
+            &mut batched,
+            &mut reference,
             &in_shape,
             &samples,
             &grad_rows,
@@ -847,23 +991,20 @@ proptest! {
         // its masked instantiation, which skips `g == 0.0` terms like
         // the reference. Finite lanes stay bitwise equal and every NaN
         // lane is NaN on both sides (payloads may differ).
-        use frlfi_nn::Conv2d;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0BAD);
         let (h, w) = (k + rng.gen_range(0..4), k + rng.gen_range(0..4));
-        let mut batched = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
-        let mut reference = Conv2d::new("c", in_c, out_c, k, &mut StdRng::seed_from_u64(seed));
+        let mut batched = Solo::conv(&mut StdRng::seed_from_u64(seed), in_c, out_c, k);
         let specials =
             [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::from_bits(0x7f80_0001), -f32::NAN];
-        let params = batched.params_mut();
-        let weights = params[0].data_mut();
-        let n = weights.len();
+        let n = out_c * in_c * k * k;
+        let weights = &mut batched.params[..n];
         weights[rng.gen_range(0..n)] = specials[rng.gen_range(0..specials.len())];
         for v in weights.iter_mut() {
             if rng.gen_bool(0.1) {
                 *v = specials[rng.gen_range(0..specials.len())];
             }
         }
-        reference.params_mut()[0].data_mut().copy_from_slice(batched.params()[0].data());
+        let mut reference = batched.clone();
         let in_shape = ActShape::image(in_c, h, w);
         let (oh, ow) = (h - k + 1, w - k + 1);
         let samples: Vec<Vec<f32>> = (0..batch)
@@ -881,8 +1022,8 @@ proptest! {
             })
             .collect();
         assert_batched_backward_matches_reference(
-            &mut Layer::Conv(batched),
-            &mut Layer::Conv(reference),
+            &mut batched,
+            &mut reference,
             &in_shape,
             &samples,
             &grad_rows,
@@ -896,8 +1037,7 @@ proptest! {
         n in 1usize..32,
         batch in 1usize..8,
     ) {
-        let batched = Relu::new("r");
-        let reference = Relu::new("r");
+        let (mut batched, mut reference) = (Solo::relu(), Solo::relu());
         let mut rng = StdRng::seed_from_u64(seed);
         // Exact zeros on both sides of the gate exercise the masking.
         let samples: Vec<Vec<f32>> = (0..batch)
@@ -911,8 +1051,8 @@ proptest! {
             .map(|_| (0..n).map(|_| rng.gen_range(-1.5f32..1.5)).collect())
             .collect();
         assert_batched_backward_matches_reference(
-            &mut Layer::Relu(batched),
-            &mut Layer::Relu(reference),
+            &mut batched,
+            &mut reference,
             &ActShape::flat(n),
             &samples,
             &grad_rows,
@@ -1165,21 +1305,39 @@ proptest! {
         let mut single = special_dense(seed, i, o);
         let mut padded = special_dense(seed, i, o);
         if pending {
-            // A gradient left pending by a backward without an apply.
-            backward_batch1_and_padded(&mut single, &mut padded, &mut rng)?;
+            // A gradient left pending by a backward without a step.
+            backward_batch1_and_padded(&mut single, &mut padded, (i, o), &mut rng)?;
         }
-        // Two steps: the second one also sees whether the first left
-        // every gradient cleared.
+        // Two steps: the second one also starts from the gradients the
+        // first cleared.
         for k in 0..2 {
-            backward_batch1_and_padded(&mut single, &mut padded, &mut rng)?;
+            backward_batch1_and_padded(&mut single, &mut padded, (i, o), &mut rng)?;
+            prop_assert_eq!(plane_bits(&single.grads, false), plane_bits(&padded.grads, false));
             let lr = rng.gen_range(0.001f32..0.1);
-            single.apply_grads(lr);
-            padded.apply_grads(lr);
-            for (a, b) in single.params().iter().zip(padded.params().iter()) {
-                let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(ab, bb, "parameters after step {}", k);
-            }
+            single.step(lr);
+            padded.step(lr);
+            let (a, b) = (plane_bits(&single.params, false), plane_bits(&padded.params, false));
+            prop_assert_eq!(a, b, "parameters after step {}", k);
         }
+    }
+
+    // ---- The parameter plane: one layout, decided by the builder. CI
+    // ---- also runs these with PROPTEST_CASES=1024.
+
+    #[test]
+    fn parameter_plane_layout_holds_on_the_default_policies(seed in any::<u64>()) {
+        let drone = vec![
+            vec![8, 1, 3, 3], vec![12, 8, 3, 3], vec![16, 12, 3, 3], vec![64, 480], vec![25, 64],
+        ];
+        assert_plane_layout(drone_default(seed), &drone, seed)?;
+        let grid = vec![vec![32, 6], vec![32, 32], vec![4, 32]];
+        assert_plane_layout(gridworld_default(seed), &grid, seed)?;
+    }
+
+    #[test]
+    fn parameter_plane_layout_holds_on_random_builder_stacks(seed in any::<u64>()) {
+        let (b, weights) = layout_stack(seed);
+        let net = b.build(&mut StdRng::seed_from_u64(seed)).expect("stack");
+        assert_plane_layout(net, &weights, seed)?;
     }
 }

@@ -104,12 +104,6 @@ impl BitCensus {
         BitCensus { ones, zeros: codes.len() as u64 * 8 - ones }
     }
 
-    /// Census of a buffer of 16-bit codes.
-    pub fn of_u16(codes: &[u16]) -> BitCensus {
-        let ones: u64 = codes.iter().map(|c| c.count_ones() as u64).sum();
-        BitCensus { ones, zeros: codes.len() as u64 * 16 - ones }
-    }
-
     /// Total number of bits counted.
     pub fn total(&self) -> u64 {
         self.zeros + self.ones
@@ -179,7 +173,7 @@ mod tests {
 
     #[test]
     fn census_counts() {
-        let c = BitCensus::of_u16(&[0x0001, 0x8000]);
+        let c = BitCensus::of_u8(&[0x01, 0x80, 0x00, 0x00]);
         assert_eq!(c.ones, 2);
         assert_eq!(c.zeros, 30);
         assert_eq!(c.total(), 32);
@@ -187,7 +181,7 @@ mod tests {
 
     #[test]
     fn census_fractions_sum_to_one() {
-        let c = BitCensus::of_u16(&[0x0001, 0x8000, 0xBEEF]);
+        let c = BitCensus::of_u8(&[0x01, 0x80, 0xBE, 0xEF]);
         assert!((c.fraction_ones() + c.fraction_zeros() - 1.0).abs() < 1e-12);
     }
 

@@ -54,7 +54,8 @@ proptest! {
     fn qformat_decode_within_declared_range(code in any::<u16>()) {
         for q in [QFormat::Q4_11, QFormat::Q7_8, QFormat::Q10_5] {
             let v = q.decode(code);
-            prop_assert!(v >= q.min_value() - 1e-4 && v <= q.max_value() + 1e-4);
+            let min = f32::from(i16::MIN) * q.resolution();
+            prop_assert!(v >= min - 1e-4 && v <= q.max_value() + 1e-4);
         }
     }
 
@@ -72,9 +73,9 @@ proptest! {
     }
 
     #[test]
-    fn census_total_is_bit_count(codes in proptest::collection::vec(any::<u16>(), 0..64)) {
-        let c = BitCensus::of_u16(&codes);
-        prop_assert_eq!(c.total(), codes.len() as u64 * 16);
+    fn census_total_is_bit_count(codes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let c = BitCensus::of_u8(&codes);
+        prop_assert_eq!(c.total(), codes.len() as u64 * 8);
         prop_assert!((c.fraction_ones() + c.fraction_zeros() - 1.0).abs() < 1e-12 || c.total() == 0);
     }
 

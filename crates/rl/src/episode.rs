@@ -145,6 +145,7 @@ const _: () = assert!(GREEDY_MEMO_KEY_BYTES >= 729 * 6 * 4, "every GridWorld obs
 /// flat `u32` arena (entry `e` at `keys[e * vol..(e + 1) * vol]`); an
 /// open-addressed table of `entry + 1` (0 = empty) indexes them by
 /// hash, and a hit compares the full row bits.
+#[derive(Default)]
 struct GreedyMemo {
     vol: usize,
     keys: Vec<u32>,
@@ -154,19 +155,28 @@ struct GreedyMemo {
     cap: usize,
 }
 
+thread_local! {
+    /// Each thread's memo, emptied and reused by every
+    /// [`run_greedy_episodes_batch`] call on it, so that evaluation
+    /// allocates the table once per thread rather than once per call.
+    static MEMO: std::cell::Cell<GreedyMemo> = std::cell::Cell::default();
+}
+
 impl GreedyMemo {
-    fn new(vol: usize) -> Self {
+    /// Empties the memo for rows of `vol` elements, keeping its
+    /// buffers.
+    fn reset(&mut self, vol: usize) {
         let cap = GREEDY_MEMO_KEY_BYTES / (vol.max(1) * 4);
         // At most half full, so linear probes stay short; a table of
         // at least two slots keeps the hash shift below 64.
-        let slots = if cap == 0 { Vec::new() } else { vec![0; (2 * cap).next_power_of_two()] };
-        GreedyMemo {
-            vol,
-            keys: Vec::with_capacity(cap * vol),
-            actions: Vec::with_capacity(cap),
-            slots,
-            cap,
-        }
+        let slots = if cap == 0 { 0 } else { (2 * cap).next_power_of_two() };
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        self.keys.clear();
+        self.keys.reserve(cap * vol);
+        self.actions.clear();
+        self.actions.reserve(cap);
+        (self.vol, self.cap) = (vol, cap);
     }
 
     /// The table slot holding `row`'s entry (`Ok`), or the empty slot
@@ -273,7 +283,8 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
         fill_row(&mut states[s * vol..(s + 1) * vol], obs.data())?;
     }
 
-    let mut memo = GreedyMemo::new(vol);
+    let mut memo = MEMO.take();
+    memo.reset(vol);
     // This step's memo misses: their slots, and their rows compacted
     // into one batch.
     let mut miss_slots: Vec<usize> = Vec::with_capacity(n);
@@ -331,6 +342,7 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
         }
         active.truncate(live);
     }
+    MEMO.set(memo);
     if frlfi_obs::enabled() {
         frlfi_obs::count("rl.greedy_memo.hit", hits);
         frlfi_obs::count("rl.greedy_memo.miss", misses);
@@ -525,7 +537,8 @@ mod tests {
         let cap = GREEDY_MEMO_KEY_BYTES / (vol * 4);
         assert_eq!(cap, 56);
         let row = |k: usize| vec![k as f32; vol];
-        let mut memo = GreedyMemo::new(vol);
+        let mut memo = GreedyMemo::default();
+        memo.reset(vol);
         for k in 0..cap + 10 {
             memo.insert(&row(k), k % 25);
         }
@@ -537,13 +550,29 @@ mod tests {
 
     #[test]
     fn memo_keys_on_exact_bits() {
-        let mut memo = GreedyMemo::new(2);
+        let mut memo = GreedyMemo::default();
+        memo.reset(2);
         memo.insert(&[0.0, f32::NAN], 1);
         memo.insert(&[-0.0, f32::NAN], 2);
         assert_eq!(memo.get(&[0.0, f32::NAN]), Some(1));
         assert_eq!(memo.get(&[-0.0, f32::NAN]), Some(2));
         assert_eq!(memo.get(&[0.0, -f32::NAN]), None);
         assert_eq!(memo.get(&[f32::from_bits(1), f32::NAN]), None);
+    }
+
+    #[test]
+    fn reset_memo_forgets_every_entry() {
+        // The thread's memo is reused across calls: a reset, to the
+        // same row length or another, leaves nothing a lookup finds.
+        let mut memo = GreedyMemo::default();
+        memo.reset(2);
+        memo.insert(&[1.0, 2.0], 3);
+        for vol in [2, 3, 2] {
+            memo.reset(vol);
+            assert_eq!(memo.get(&[1.0, 2.0, 0.0][..vol]), None, "row length {vol}");
+            memo.insert(&vec![0.5; vol], 1);
+            assert_eq!(memo.get(&vec![0.5; vol]), Some(1));
+        }
     }
 
     #[test]

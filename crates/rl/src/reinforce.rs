@@ -629,7 +629,8 @@ mod tests {
         disturb: Disturb,
         at: usize,
     ) -> Reinforce {
-        let halve = |pi: &mut Reinforce| pi.network_mut().for_each_param_mut(|_, w| *w *= 0.5);
+        let halve =
+            |pi: &mut Reinforce| pi.network_mut().params_mut().iter_mut().for_each(|w| *w *= 0.5);
         let mut oracle = pi.clone();
         if disturb == Disturb::NetworkMut {
             halve(&mut oracle);
@@ -698,11 +699,11 @@ mod tests {
         let picks: Vec<(usize, f32)> = (0..count)
             .map(|k| (rng.gen_range(0..n), [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][k % 3]))
             .collect();
-        pi.network_mut().for_each_param_mut(|i, w| {
+        for (i, w) in pi.network_mut().params_mut().iter_mut().enumerate() {
             if let Some(&(_, v)) = picks.iter().find(|&&(j, _)| j == i) {
                 *w = v;
             }
-        });
+        }
     }
 
     #[test]

@@ -55,7 +55,9 @@ fn weight_change_between_act_and_observe_recomputes_the_forward() {
     // An aggregation or injection between act and observe writes the
     // weights through `network_mut`.
     for l in [&mut fast, &mut oracle] {
-        l.network_mut().for_each_param_mut(|i, v| *v += 0.01 * (i % 7) as f32);
+        for (i, v) in l.network_mut().params_mut().iter_mut().enumerate() {
+            *v += 0.01 * (i % 7) as f32;
+        }
     }
     fast.observe_ctx(transition(&s(), action), &mut ctx).expect("observe_ctx");
     oracle.observe(transition(&s(), action)).expect("observe");

@@ -55,10 +55,12 @@ fn mitigation() -> TrainingMitigation {
 fn dropout_trial_with_mitigation_is_deterministic_per_observation_and_batched() {
     let g = drone_geometry(Scale::Smoke);
     let weights = PretrainedWeights::lazy(g.pretrain_episodes);
-    let t = DroneTrial::new(&g, weights, 3)
-        .with_dropout(0.4)
-        .with_mitigation(mitigation())
-        .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 4, 0.1));
+    let t = DroneTrial {
+        dropout: Some(0.4),
+        mitigation: Some(mitigation()),
+        ..DroneTrial::new(&g, weights, 3)
+    }
+    .with_fault(TrialFault::transient_int8(FaultSide::ServerSide, 4, 0.1));
 
     // Pure in the seed: mitigation restores and dropout skips replay
     // identically run over run.

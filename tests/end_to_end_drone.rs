@@ -65,7 +65,8 @@ fn server_fault_reaches_every_drone() {
     sys.pretrain().expect("pretrain");
     let before: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
-    let plan = InjectionPlan::server(0, Ber::new(0.001).expect("ber")).with_repr(ReprKind::F32);
+    let server = InjectionPlan::server(0, Ber::new(0.001).expect("ber"));
+    let plan = InjectionPlan { repr: ReprKind::F32, ..server };
     sys.train(1, Some(&plan), &mut BatchInferCtx::new()).expect("fine-tune");
     let after: Vec<Vec<f32>> =
         (0..3).map(|i| frlfi::rl::Learner::network(sys.agent(i)).snapshot()).collect();
