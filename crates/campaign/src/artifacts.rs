@@ -253,6 +253,14 @@ pub fn load_planes(dir: &Path, m: usize, expect_digest: u64) -> Result<Vec<Vec<f
 }
 
 #[cfg(test)]
+impl ArtifactTracker {
+    /// Log bytes consumed so far.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.tail.offset()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -15,7 +15,7 @@
 //! campaign profile <dir> [--check]
 //! campaign trace <dir> [--trial N] [--out FILE.json]
 //! campaign top <dir> [--once] [--interval-ms N]
-//! campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--mode TAG] [--out FILE.json]
+//! campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--out FILE.json]
 //! ```
 //!
 //! `expand` validates and expands a scenario without running anything
@@ -77,7 +77,7 @@ fn usage() -> &'static str {
      campaign profile <dir> [--check]\n  \
      campaign trace <dir> [--trial N] [--out FILE.json]\n  \
      campaign top <dir> [--once] [--interval-ms N]\n  \
-     campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--mode TAG] [--out FILE.json]\n\n\
+     campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--out FILE.json]\n\n\
      --batched is accepted and ignored: every trial runs on the batched arena path;\n\
      CAMPAIGN_OBS=1 enables --obs; CAMPAIGN_LOG=quiet|warn|info|debug sets the stderr level;\n\
      CAMPAIGN_CHAOS=seed=N[,rate=P,tag=T,op=K,every=M,persist,latency-ms=L] arms fault \
@@ -98,7 +98,6 @@ struct Options {
     interval_ms: u64,
     baseline: Option<PathBuf>,
     gate: Option<f64>,
-    mode: String,
     coord: CoordConfig,
     cfg: RunnerConfig,
     positional: Vec<String>,
@@ -124,7 +123,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         interval_ms: 1000,
         baseline: None,
         gate: None,
-        mode: "per-obs".to_owned(),
         coord: CoordConfig::default(),
         cfg: RunnerConfig { obs: env_obs(), ..RunnerConfig::default() },
         positional: Vec::new(),
@@ -188,7 +186,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--gate" => {
                 opts.gate = Some(take("--gate")?.parse().map_err(|e| format!("--gate: {e}"))?)
             }
-            "--mode" => opts.mode = take("--mode")?.to_owned(),
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other => opts.positional.push(other.to_owned()),
         }
@@ -417,7 +414,7 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 return Err(usage().to_owned());
             };
             let dir = PathBuf::from(dir);
-            let record = perf::measure(&dir, &opts.mode)?;
+            let record = perf::measure(&dir, "")?;
             let rendered = frlfi_campaign::fmt::json::render(&record.to_value());
             if let Some(path) = &opts.out {
                 std::fs::write(path, format!("{rendered}\n"))

@@ -19,7 +19,7 @@
 //!    claim's lease deadline has passed;
 //! 3. append a `ClaimRecord` carrying this worker's id and a lease
 //!    deadline (`now + lease_ms`), and fsync it;
-//! 4. re-read the log and `arbitrate`: the worker owns the trial iff
+//! 4. re-read the log and arbitrate: the worker owns the trial iff
 //!    its record won. Losers simply move on to another trial.
 //!
 //! Arbitration is a pure function of log order: for each trial, the
@@ -49,7 +49,7 @@
 //! burns the CPU, never what `summary.txt` says: an N-process campaign
 //! is byte-identical to the single-process, single-thread run.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,8 +57,12 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Map, Value};
 
+use crate::artifacts::ArtifactTracker;
 use crate::fmt::json;
 use crate::io::{self, lock_recover};
+use crate::quarantine::{QuarantineKind, QuarantineReader};
+use crate::runner::{record_flat_index, TrialRecord};
+use crate::spec::Campaign;
 
 /// File name of the claim log inside a campaign directory.
 pub(crate) const CLAIMS_FILE: &str = "claims.jsonl";
@@ -199,19 +203,6 @@ fn fold_claim(winners: &mut HashMap<usize, TrialClaim>, r: &ClaimRecord) {
     }
 }
 
-/// Resolves the claim log into one winner per trial — a pure function
-/// of record order, so every process that reads the same log prefix
-/// agrees on ownership. Per trial: the highest generation wins; within
-/// a generation, the first record in log order wins; later records by
-/// the winner at the winning generation extend the deadline.
-pub(crate) fn arbitrate(records: &[ClaimRecord]) -> HashMap<usize, TrialClaim> {
-    let mut winners: HashMap<usize, TrialClaim> = HashMap::new();
-    for r in records {
-        fold_claim(&mut winners, r);
-    }
-    winners
-}
-
 /// Splits `buf` into complete lines (each **excluding** its trailing
 /// `\n`), returning them plus the number of bytes consumed. An
 /// incomplete trailing piece — a record some writer is mid-append on,
@@ -248,11 +239,11 @@ impl From<String> for FoldError {
 }
 
 /// The incremental JSONL tail reader behind every log view in a
-/// campaign directory (claim arbitration state, trial completion
-/// state, artifact records, full claim loads, `campaign top`, and
-/// every obs stream reader): remembers the byte offset of the last
-/// complete line parsed and, on refresh, reads and folds **only the
-/// appended tail** — so a per-claim poll costs O(new records), not O(log),
+/// campaign directory: the one typed reader each log has (trials,
+/// claims, artifacts, quarantine; see [`StatusView`]) and every obs
+/// stream reader. It remembers the byte offset of the last complete
+/// line parsed and, on refresh, reads and folds **only the appended
+/// tail** — so a per-claim poll costs O(new records), not O(log),
 /// however large the append-only log grows (heartbeat renewals grow
 /// `claims.jsonl` without bound). Old bytes are never re-read, so a
 /// permanently corrupt line warns once per process, not once per
@@ -261,15 +252,24 @@ impl From<String> for FoldError {
 pub(crate) struct JsonlTailReader {
     path: PathBuf,
     /// The retry/chaos tag of this log's reads (`claims.read`,
-    /// `trials.read`).
-    tag: &'static str,
+    /// `trials.read`); `None` reads with plain `std::fs`, outside the
+    /// chaos shim and its retry loop.
+    tag: Option<&'static str>,
     offset: u64,
     line_no: usize,
 }
 
 impl JsonlTailReader {
     pub(crate) fn new(path: PathBuf, tag: &'static str) -> Self {
-        JsonlTailReader { path, tag, offset: 0, line_no: 0 }
+        JsonlTailReader { path, tag: Some(tag), offset: 0, line_no: 0 }
+    }
+
+    /// A reader whose reads bypass the [`crate::io`] chaos shim and
+    /// retry loop: for the quarantine log, which is written *because*
+    /// instrumented I/O failed and must stay readable while the
+    /// injector is armed.
+    pub(crate) fn uninstrumented(path: PathBuf) -> Self {
+        JsonlTailReader { path, tag: None, offset: 0, line_no: 0 }
     }
 
     /// Hands every complete line appended since the last refresh to
@@ -288,8 +288,12 @@ impl JsonlTailReader {
         mut fold: impl FnMut(Result<Value, String>) -> Result<(), FoldError>,
     ) -> Result<bool, String> {
         let (tag, path, offset) = (self.tag, &self.path, self.offset);
-        let buf = io::with_retry(tag, || {
-            let mut file = match io::open_read(tag, path) {
+        let read_tail = || {
+            let opened = match tag {
+                Some(tag) => io::open_read(tag, path),
+                None => std::fs::File::open(path),
+            };
+            let mut file = match opened {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
                 Err(e) => return Err(e),
                 Ok(f) => f,
@@ -300,9 +304,18 @@ impl JsonlTailReader {
             }
             file.seek(SeekFrom::Start(offset))?;
             let mut buf = Vec::with_capacity((len - offset) as usize);
-            io::read_to_end(tag, &mut file, &mut buf)?;
+            match tag {
+                Some(tag) => io::read_to_end(tag, &mut file, &mut buf)?,
+                None => {
+                    file.read_to_end(&mut buf)?;
+                }
+            }
             Ok(Some(buf))
-        })
+        };
+        let buf = match tag {
+            Some(tag) => io::with_retry(tag, read_tail),
+            None => read_tail(),
+        }
         .map_err(|e| format!("read {}: {e}", self.path.display()))?;
         let Some(buf) = buf else { return Ok(false) }; // no log yet
         let (lines, consumed) = complete_lines(&buf);
@@ -334,12 +347,17 @@ impl JsonlTailReader {
 const CLAIM_SKIP: &str =
     "claims are advisory: a lost claim at worst re-runs its trial bitwise-identically";
 
-/// An incrementally folded view of the claim log: a
-/// [`JsonlTailReader`] whose fold is [`fold_claim`] — exact, because
-/// arbitration is an order-based fold.
+/// The one typed reader of the claim log: a [`JsonlTailReader`]
+/// whose fold is `fold_claim` — exact, because arbitration is an
+/// order-based fold — plus each worker's first and last record issue
+/// times over the whole log (completed trials' claims and heartbeat
+/// renewals count toward a worker's elapsed time and heartbeat age).
 struct ClaimReader {
     tail: JsonlTailReader,
     state: HashMap<usize, TrialClaim>,
+    /// Per worker: `(first, last)` record `ts_ms`, over the records
+    /// that carry one.
+    seen: HashMap<String, (u64, u64)>,
 }
 
 impl ClaimReader {
@@ -347,14 +365,22 @@ impl ClaimReader {
         ClaimReader {
             tail: JsonlTailReader::new(dir.join(CLAIMS_FILE), "claims.read"),
             state: HashMap::new(),
+            seen: HashMap::new(),
         }
     }
 
     /// Folds every complete line appended since the last refresh.
     fn refresh(&mut self) -> Result<(), String> {
-        let state = &mut self.state;
+        let (state, seen) = (&mut self.state, &mut self.seen);
         self.tail.refresh(CLAIM_SKIP, |v| {
-            fold_claim(state, &ClaimRecord::from_value(&v?)?);
+            let r = ClaimRecord::from_value(&v?)?;
+            fold_claim(state, &r);
+            // A record that predates the `ts_ms` field has no stamp.
+            if r.ts_ms > 0 {
+                let (first, last) = seen.entry(r.worker).or_insert((r.ts_ms, r.ts_ms));
+                *first = (*first).min(r.ts_ms);
+                *last = (*last).max(r.ts_ms);
+            }
             Ok(())
         })?;
         Ok(())
@@ -371,26 +397,6 @@ impl ClaimLog {
     /// The claim log of campaign directory `dir`.
     pub(crate) fn in_dir(dir: &Path) -> Self {
         ClaimLog { path: dir.join(CLAIMS_FILE) }
-    }
-
-    /// Loads every parseable claim record.
-    ///
-    /// Claims are advisory — losing one costs at most a duplicate,
-    /// bitwise-identical trial run — so unparseable lines (a torn tail
-    /// from a SIGKILLed writer, or a fragment another writer healed
-    /// into an interior line) are skipped with a warning naming the
-    /// line number, never a hard error.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message only for I/O failures.
-    pub(crate) fn load(&self) -> Result<Vec<ClaimRecord>, String> {
-        let mut records = Vec::new();
-        JsonlTailReader::new(self.path.clone(), "claims.read").refresh(CLAIM_SKIP, |v| {
-            records.push(ClaimRecord::from_value(&v?)?);
-            Ok(())
-        })?;
-        Ok(records)
     }
 
     /// Appends one record and fsyncs it — the durability the re-read
@@ -793,155 +799,233 @@ impl CampaignStatus {
     }
 }
 
-/// Reads the live coordination state of campaign directory `dir` (the
-/// `campaign status` command).
-///
-/// # Errors
-///
-/// Returns a message if the directory is not a campaign directory or
-/// its manifest/trial log is unreadable.
-pub fn status(dir: &Path) -> Result<CampaignStatus, String> {
-    let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
-    let campaign = scenario.expand().map_err(|e| e.to_string())?;
-    let repeats = campaign.repeats;
-    let total = campaign.total_trials();
-    let done = crate::runner::completed_trials(&campaign, dir)?;
-    let completed = done.iter().filter(|d| d.is_some()).count();
+/// What skipping a bad trial-log line costs.
+const TRIAL_SKIP: &str =
+    "a lost trial record only costs a bitwise-identical re-run, so statistics are unaffected";
 
-    // Study campaigns put *tasks* in the claim log, not bare trials:
-    // ids below `n_models` are train tasks — done once their artifact
-    // record lands — and eval trials sit at `n_models + flat`.
-    // `n_models` is 0 for classic campaigns, so nothing shifts there.
-    let n_models = campaign.n_models();
-    let published: Vec<bool> = if n_models > 0 {
-        let mut tracker = crate::artifacts::ArtifactTracker::new(dir, n_models);
-        tracker.refresh()?;
-        (0..n_models).map(|m| tracker.digest(m).is_some()).collect()
-    } else {
-        Vec::new()
-    };
+/// The one typed reader of `trials.jsonl`: a [`JsonlTailReader`]
+/// whose fold validates each record against the campaign's seed
+/// scheme and marks its flat trial done, so a shared worker's
+/// per-claim poll costs O(new records), not O(log). Safe because a
+/// shared-history log is never truncated. A record that is not shaped
+/// like a trial record is skipped (it re-runs bitwise-identically);
+/// one with wrong coordinates or seed is fatal — the log belongs to a
+/// different campaign. Duplicate records (a reaped trial finished by
+/// two workers) mark one trial once.
+pub(crate) struct TrialTracker {
+    tail: JsonlTailReader,
+    done: Vec<bool>,
+}
 
-    let now = now_ms();
-    let records = ClaimLog::in_dir(dir).load()?;
-    // Per-worker first/last record issue times over the *whole* log —
-    // completed trials' claims and heartbeat renewals count toward a
-    // worker's elapsed time and heartbeat age.
-    let mut seen: HashMap<&str, (u64, u64)> = HashMap::new();
-    for r in &records {
-        if r.ts_ms == 0 {
-            continue; // record predates the ts_ms field
+impl TrialTracker {
+    pub(crate) fn new(dir: &Path, total: usize) -> Self {
+        TrialTracker {
+            tail: JsonlTailReader::new(dir.join(crate::runner::TRIALS_FILE), "trials.read"),
+            done: vec![false; total],
         }
-        let (first, last) = seen.entry(r.worker.as_str()).or_insert((u64::MAX, 0));
-        *first = (*first).min(r.ts_ms);
-        *last = (*last).max(r.ts_ms);
     }
-    let mut workers: HashMap<String, WorkerStatus> = HashMap::new();
-    let mut stale = 0usize;
-    let mut train_claimed = 0usize;
-    let mut eval_claimed = 0usize;
-    for (&task, claim) in arbitrate(&records).iter() {
-        let is_train = task < n_models;
-        if is_train {
-            if published[task] {
-                continue; // artifact landed — the claim is moot
-            }
-        } else {
-            let trial = task - n_models;
-            if trial >= total || done[trial].is_some() {
-                continue; // finished or foreign — the claim is moot
-            }
+
+    /// Folds every complete line appended since the last refresh.
+    pub(crate) fn refresh(&mut self, campaign: &Campaign) -> Result<(), String> {
+        let done = &mut self.done;
+        self.tail.refresh(TRIAL_SKIP, |v| {
+            let r = TrialRecord::from_value(&v?)?;
+            done[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = true;
+            Ok(())
+        })?;
+        Ok(())
+    }
+
+    /// Refreshes, then lists the task ids of the trials still open: not
+    /// in the log and not in `skip` (empty once the campaign is
+    /// complete).
+    pub(crate) fn open(
+        &mut self,
+        campaign: &Campaign,
+        skip: &BTreeSet<usize>,
+    ) -> Result<Vec<usize>, String> {
+        self.refresh(campaign)?;
+        let n_models = campaign.n_models();
+        Ok((0..self.done.len())
+            .filter(|&t| !self.done[t] && !skip.contains(&t))
+            .map(|t| t + n_models)
+            .collect())
+    }
+}
+
+/// The live view of a campaign directory behind `campaign status` and
+/// `campaign top`: the expanded campaign, loaded once, plus the one
+/// typed reader of each of its logs. [`StatusView::refresh`] folds
+/// only the bytes appended since the last call, so refreshing an idle
+/// campaign reads no log bytes.
+pub(crate) struct StatusView {
+    dir: PathBuf,
+    campaign: Campaign,
+    trials: TrialTracker,
+    claims: ClaimReader,
+    artifacts: ArtifactTracker,
+    quarantine: QuarantineReader,
+}
+
+impl StatusView {
+    /// Opens campaign directory `dir`: reads and expands its manifest
+    /// once. No log is read until [`StatusView::refresh`].
+    ///
+    /// # Errors
+    ///
+    /// A directory without a readable, expandable `campaign.toml`.
+    pub(crate) fn open(dir: &Path) -> Result<StatusView, String> {
+        let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
+        let campaign = scenario.expand().map_err(|e| e.to_string())?;
+        Ok(StatusView {
+            dir: dir.to_path_buf(),
+            trials: TrialTracker::new(dir, campaign.total_trials()),
+            claims: ClaimReader::new(dir),
+            artifacts: ArtifactTracker::new(dir, campaign.n_models()),
+            quarantine: QuarantineReader::new(dir),
+            campaign,
+        })
+    }
+
+    /// Folds what every log gained since the last refresh.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or a trial record of another campaign.
+    pub(crate) fn refresh(&mut self) -> Result<(), String> {
+        self.trials.refresh(&self.campaign)?;
+        self.claims.refresh()?;
+        if self.campaign.n_models() > 0 {
+            self.artifacts.refresh()?;
         }
-        if claim.expired(now) {
-            stale += 1;
-        } else {
+        self.quarantine.refresh()
+    }
+
+    /// The latest claim-log record stamp of `worker` (ms since epoch),
+    /// if any of its records carries one.
+    pub(crate) fn last_claim_ms(&self, worker: &str) -> Option<u64> {
+        self.claims.seen.get(worker).map(|&(_, last)| last)
+    }
+
+    /// The status snapshot as of the last refresh, leases judged at
+    /// the current wall-clock time.
+    pub(crate) fn status(&self) -> CampaignStatus {
+        let campaign = &self.campaign;
+        let total = campaign.total_trials();
+        let done = &self.trials.done;
+        let completed = done.iter().filter(|&&d| d).count();
+
+        // Study campaigns put *tasks* in the claim log, not bare trials:
+        // ids below `n_models` are train tasks — done once their artifact
+        // record lands — and eval trials sit at `n_models + flat`.
+        // `n_models` is 0 for classic campaigns, so nothing shifts there.
+        let n_models = campaign.n_models();
+        let published = |m: usize| self.artifacts.digest(m).is_some();
+
+        let now = now_ms();
+        let mut workers: HashMap<String, WorkerStatus> = HashMap::new();
+        let mut stale = 0usize;
+        let mut train_claimed = 0usize;
+        let mut eval_claimed = 0usize;
+        for (&task, claim) in &self.claims.state {
+            let is_train = task < n_models;
+            let moot = if is_train {
+                published(task) // artifact landed
+            } else {
+                let trial = task - n_models;
+                trial >= total || done[trial] // finished or foreign
+            };
+            if moot {
+                continue;
+            }
+            if claim.expired(now) {
+                stale += 1;
+                continue;
+            }
             if is_train {
                 train_claimed += 1;
             } else {
                 eval_claimed += 1;
             }
             let w = workers.entry(claim.worker.clone()).or_insert_with(|| {
-                let (first, last) = seen.get(claim.worker.as_str()).copied().unwrap_or((0, 0));
+                let (first, last) = self.claims.seen.get(&claim.worker).copied().unwrap_or((0, 0));
                 WorkerStatus {
                     worker: claim.worker.clone(),
                     active_trials: Vec::new(),
                     latest_deadline_ms: 0,
-                    first_seen_ms: if first == u64::MAX { 0 } else { first },
+                    first_seen_ms: first,
                     last_seen_ms: last,
                 }
             });
             w.active_trials.push(task);
             w.latest_deadline_ms = w.latest_deadline_ms.max(claim.deadline_ms);
         }
-    }
-    let mut workers: Vec<WorkerStatus> = workers.into_values().collect();
-    for w in &mut workers {
-        w.active_trials.sort_unstable();
-    }
-    workers.sort_by(|a, b| a.worker.cmp(&b.worker));
-
-    // Quarantine records are advisory — only those naming a task
-    // that is still incomplete count (a completed trial record / a
-    // published artifact overrides).
-    let qrecords = crate::quarantine::load(dir)?;
-    let eval_quarantined = {
-        let mut trials: Vec<usize> = qrecords
-            .iter()
-            .filter(|q| q.kind == crate::quarantine::QuarantineKind::Trial)
-            .map(|q| q.trial)
-            .filter(|&t| t < total && done[t].is_none())
-            .collect();
-        trials.sort_unstable();
-        trials.dedup();
-        trials.len()
-    };
-    let train_quarantined = {
-        let mut models: Vec<usize> = qrecords
-            .iter()
-            .filter(|q| q.kind == crate::quarantine::QuarantineKind::Train)
-            .map(|q| q.trial)
-            .filter(|&m| m < n_models && !published[m])
-            .collect();
-        models.sort_unstable();
-        models.dedup();
-        models.len()
-    };
-
-    let tasks = campaign.study().map(|g| {
-        let train_done = published.iter().filter(|&&p| p).count();
-        let eval_done = completed;
-        TaskKinds {
-            train: KindCounts {
-                pending: n_models.saturating_sub(train_done + train_claimed + train_quarantined),
-                claimed: train_claimed,
-                done: train_done,
-                quarantined: train_quarantined,
-            },
-            eval: KindCounts {
-                pending: total.saturating_sub(eval_done + eval_claimed + eval_quarantined),
-                claimed: eval_claimed,
-                done: eval_done,
-                quarantined: eval_quarantined,
-            },
-            unsatisfied: (0..n_models)
-                .filter(|&m| !published[m])
-                .map(|m| format!("model-{m} ({})", g.models()[m].label()))
-                .collect(),
+        let mut workers: Vec<WorkerStatus> = workers.into_values().collect();
+        for w in &mut workers {
+            w.active_trials.sort_unstable();
         }
-    });
+        workers.sort_by(|a, b| a.worker.cmp(&b.worker));
 
-    Ok(CampaignStatus {
-        name: scenario.name.clone(),
-        scale: format!("{:?}", scenario.scale),
-        cells: campaign.trials.len(),
-        repeats,
-        completed_trials: completed,
-        total_trials: total,
-        workers,
-        stale_claims: stale,
-        quarantined: eval_quarantined + train_quarantined,
-        summary_written: dir.join("summary.txt").exists(),
-        tasks,
-    })
+        // Quarantine records are advisory — only those naming a task
+        // that is still incomplete count (a completed trial record / a
+        // published artifact overrides).
+        let eval_quarantined =
+            self.quarantine.count(QuarantineKind::Trial, |t| t < total && !done[t]);
+        let train_quarantined =
+            self.quarantine.count(QuarantineKind::Train, |m| m < n_models && !published(m));
+
+        let tasks = campaign.study().map(|g| {
+            let train_done = (0..n_models).filter(|&m| published(m)).count();
+            let eval_done = completed;
+            TaskKinds {
+                train: KindCounts {
+                    pending: n_models
+                        .saturating_sub(train_done + train_claimed + train_quarantined),
+                    claimed: train_claimed,
+                    done: train_done,
+                    quarantined: train_quarantined,
+                },
+                eval: KindCounts {
+                    pending: total.saturating_sub(eval_done + eval_claimed + eval_quarantined),
+                    claimed: eval_claimed,
+                    done: eval_done,
+                    quarantined: eval_quarantined,
+                },
+                unsatisfied: (0..n_models)
+                    .filter(|&m| !published(m))
+                    .map(|m| format!("model-{m} ({})", g.models()[m].label()))
+                    .collect(),
+            }
+        });
+
+        CampaignStatus {
+            name: campaign.scenario.name.clone(),
+            scale: format!("{:?}", campaign.scenario.scale),
+            cells: campaign.trials.len(),
+            repeats: campaign.repeats,
+            completed_trials: completed,
+            total_trials: total,
+            workers,
+            stale_claims: stale,
+            quarantined: eval_quarantined + train_quarantined,
+            summary_written: self.dir.join("summary.txt").exists(),
+            tasks,
+        }
+    }
+}
+
+/// Reads the live coordination state of campaign directory `dir` (the
+/// `campaign status` command): a `StatusView` opened and refreshed
+/// once.
+///
+/// # Errors
+///
+/// Returns a message if the directory is not a campaign directory, a
+/// log is unreadable, or the trial log belongs to another campaign.
+pub fn status(dir: &Path) -> Result<CampaignStatus, String> {
+    let mut view = StatusView::open(dir)?;
+    view.refresh()?;
+    Ok(view.status())
 }
 
 #[cfg(test)]
@@ -951,6 +1035,17 @@ impl JsonlTailReader {
     /// offset deltas to check per-tick read cost.
     pub(crate) fn offset(&self) -> u64 {
         self.offset
+    }
+}
+
+#[cfg(test)]
+impl StatusView {
+    /// Log bytes consumed so far across the view's four readers.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.trials.tail.offset()
+            + self.claims.tail.offset()
+            + self.artifacts.consumed()
+            + self.quarantine.consumed()
     }
 }
 
@@ -974,6 +1069,28 @@ mod tests {
 
     fn rec(trial: usize, generation: u64, worker: &str, deadline_ms: u64) -> ClaimRecord {
         ClaimRecord { trial, generation, worker: worker.into(), deadline_ms, ts_ms: 0 }
+    }
+
+    /// The arbitration oracle: `fold_claim` over whole records in log
+    /// order, one winner per trial.
+    fn arbitrate(records: &[ClaimRecord]) -> HashMap<usize, TrialClaim> {
+        let mut winners = HashMap::new();
+        for r in records {
+            fold_claim(&mut winners, r);
+        }
+        winners
+    }
+
+    /// Every parseable record of `dir`'s claim log, read in one pass.
+    fn load(dir: &Path) -> Vec<ClaimRecord> {
+        let mut records = Vec::new();
+        JsonlTailReader::new(dir.join(CLAIMS_FILE), "claims.read")
+            .refresh(CLAIM_SKIP, |v| {
+                records.push(ClaimRecord::from_value(&v?)?);
+                Ok(())
+            })
+            .expect("read claim log");
+        records
     }
 
     #[test]
@@ -1003,7 +1120,7 @@ mod tests {
     fn claim_log_round_trips_and_skips_garbage() {
         let dir = temp_dir("log");
         let log = ClaimLog::in_dir(&dir);
-        assert_eq!(log.load().expect("empty"), Vec::new());
+        assert_eq!(load(&dir), Vec::new());
         log.append(&rec(1, 0, "a", 10)).expect("append");
         log.append(&rec(2, 1, "b", 20)).expect("append");
         // A torn tail from a killed writer...
@@ -1013,12 +1130,9 @@ mod tests {
         drop(f);
         // ...is skipped on load, and healed into its own line by the
         // next append instead of merging with it.
-        assert_eq!(log.load().expect("load"), vec![rec(1, 0, "a", 10), rec(2, 1, "b", 20)]);
+        assert_eq!(load(&dir), vec![rec(1, 0, "a", 10), rec(2, 1, "b", 20)]);
         log.append(&rec(3, 0, "c", 30)).expect("append heals");
-        assert_eq!(
-            log.load().expect("load"),
-            vec![rec(1, 0, "a", 10), rec(2, 1, "b", 20), rec(3, 0, "c", 30)]
-        );
+        assert_eq!(load(&dir), vec![rec(1, 0, "a", 10), rec(2, 1, "b", 20), rec(3, 0, "c", 30)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1050,7 +1164,7 @@ mod tests {
         drop(c); // heartbeat stops; the 1 ms lease is long gone
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(try_claim(&b, 2), "expired lease must be re-claimable");
-        let state = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"));
+        let state = arbitrate(&load(&dir));
         assert_eq!(state[&2].generation, 1, "reaping bumps the generation");
         assert_eq!(state[&2].worker, "b");
         std::fs::remove_dir_all(&dir).ok();
@@ -1096,18 +1210,18 @@ mod tests {
             CoordConfig { worker_id: "hb".into(), lease_ms: 180, ..CoordConfig::default() },
         );
         assert!(try_claim(&coordinator, 0));
-        let first = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"))[&0].deadline_ms;
+        let first = arbitrate(&load(&dir))[&0].deadline_ms;
         // Well past the original 180 ms lease, renewals (every ~60 ms)
         // must have pushed the deadline forward.
         std::thread::sleep(std::time::Duration::from_millis(400));
-        let state = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"));
+        let state = arbitrate(&load(&dir));
         assert!(!state[&0].expired(now_ms()), "heartbeat must keep the lease alive");
         assert!(state[&0].deadline_ms > first, "renewals must extend the deadline");
         // Completion drops the trial from the renewal set.
         coordinator.complete(0);
-        let last = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"))[&0].deadline_ms;
+        let last = arbitrate(&load(&dir))[&0].deadline_ms;
         std::thread::sleep(std::time::Duration::from_millis(200));
-        let state = arbitrate(&ClaimLog::in_dir(&dir).load().expect("load"));
+        let state = arbitrate(&load(&dir));
         assert_eq!(state[&0].deadline_ms, last, "completed trials are not renewed");
         std::fs::remove_dir_all(&dir).ok();
     }

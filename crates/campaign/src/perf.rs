@@ -6,8 +6,7 @@
 //! A record is measured from the same obs streams `campaign profile`
 //! reads, so any campaign run with `--obs` can be gated. The baseline
 //! file (`BENCH_campaign.json` at the repo root by convention) holds
-//! one record per `(name, scale, mode)` triple — `mode` is a free-form
-//! tag that keeps differently run records of one scenario apart — and
+//! one record per `(name, scale)` pair, and
 //! `campaign perf <dir> --baseline <file> --gate <pct>` exits nonzero
 //! when the current run is more than `pct` percent worse than the
 //! matching record: lower `trials_per_s`, or a higher per-trial phase
@@ -37,9 +36,6 @@ pub struct PerfRecord {
     pub(crate) name: String,
     /// Scenario scale, rendered (`Smoke`/`Bench`/`Full`).
     pub(crate) scale: String,
-    /// Execution-mode tag: `per-obs` (default), `batched`, or any
-    /// label the measuring pipeline chooses.
-    pub(crate) mode: String,
     /// Completed trial spans across all workers.
     pub(crate) trials: u64,
     /// Campaign wall window (s), earliest to latest event.
@@ -65,7 +61,6 @@ impl PerfRecord {
         m.insert("schema".into(), Value::Int(PERF_SCHEMA as i64));
         m.insert("name".into(), Value::Str(self.name.clone()));
         m.insert("scale".into(), Value::Str(self.scale.clone()));
-        m.insert("mode".into(), Value::Str(self.mode.clone()));
         m.insert("trials".into(), Value::Int(self.trials as i64));
         m.insert("wall_s".into(), Value::Float(self.wall_s));
         m.insert("trials_per_s".into(), Value::Float(self.trials_per_s));
@@ -107,7 +102,6 @@ impl PerfRecord {
         Ok(PerfRecord {
             name: str_field("name")?,
             scale: str_field("scale")?,
-            mode: str_field("mode").unwrap_or_else(|_| "per-obs".into()),
             trials: num("trials")? as u64,
             wall_s: num("wall_s")?,
             trials_per_s: num("trials_per_s")?,
@@ -118,13 +112,15 @@ impl PerfRecord {
 }
 
 /// Measures a perf record from campaign directory `dir`'s obs streams
-/// and manifest. `mode` tags the record (`per-obs`, `batched`, …).
+/// and manifest. `_mode` is ignored: records are keyed by
+/// `(name, scale)` alone, and the parameter stays so existing callers
+/// still build.
 ///
 /// # Errors
 ///
 /// An unreadable manifest, unreadable streams, or a campaign with no
 /// completed trial spans (there is nothing to gate).
-pub fn measure(dir: &Path, mode: &str) -> Result<PerfRecord, String> {
+pub fn measure(dir: &Path, _mode: &str) -> Result<PerfRecord, String> {
     let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
     let profile = profile::load_dir(dir, CheckMode::Lenient)?;
     let trials = profile.trials();
@@ -151,7 +147,6 @@ pub fn measure(dir: &Path, mode: &str) -> Result<PerfRecord, String> {
     Ok(PerfRecord {
         name: scenario.name.clone(),
         scale: format!("{:?}", scenario.scale),
-        mode: mode.to_owned(),
         trials,
         wall_s,
         trials_per_s,
@@ -180,7 +175,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<PerfRecord>, String> {
 ///
 /// # Errors
 ///
-/// No baseline record matches `(name, scale, mode)` — a silent pass
+/// No baseline record matches `(name, scale)` — a silent pass
 /// on a mismatched baseline would defeat the gate.
 pub fn compare(
     current: &PerfRecord,
@@ -189,16 +184,15 @@ pub fn compare(
 ) -> Result<Vec<String>, String> {
     let base = baseline
         .iter()
-        .find(|b| b.name == current.name && b.scale == current.scale && b.mode == current.mode)
+        .find(|b| b.name == current.name && b.scale == current.scale)
         .ok_or_else(|| {
             format!(
-                "no baseline record for ({}, {}, {}) — candidates: {}",
+                "no baseline record for ({}, {}) — candidates: {}",
                 current.name,
                 current.scale,
-                current.mode,
                 baseline
                     .iter()
-                    .map(|b| format!("({}, {}, {})", b.name, b.scale, b.mode))
+                    .map(|b| format!("({}, {})", b.name, b.scale))
                     .collect::<Vec<_>>()
                     .join(", ")
             )
@@ -234,7 +228,6 @@ mod tests {
         PerfRecord {
             name: "fig3a".into(),
             scale: "Smoke".into(),
-            mode: "per-obs".into(),
             trials: 12,
             wall_s: 2.0,
             trials_per_s: rate,
@@ -279,7 +272,7 @@ mod tests {
     #[test]
     fn mismatched_baseline_is_an_error_not_a_pass() {
         let mut base = record(6.0, 500.0);
-        base.mode = "batched".into();
+        base.scale = "Bench".into();
         assert!(compare(&record(6.0, 500.0), &[base], 20.0).is_err());
     }
 }

@@ -77,11 +77,16 @@ pub struct WorkerProfile {
     pub(crate) last_ts_ms: u64,
     /// Event lines folded.
     pub(crate) events: u64,
+    /// Name of the most recent span: the last phase the worker
+    /// finished.
+    pub(crate) last_span: String,
+    /// Trial id of the most recent `trial` span.
+    pub(crate) last_trial: Option<u64>,
 }
 
 /// Widens the wall window `first..=last` (ms since epoch; 0 = unset)
 /// to cover event stamp `ts` (0 = unknown, ignored).
-pub(crate) fn note_ts(first: &mut u64, last: &mut u64, ts: u64) {
+fn note_ts(first: &mut u64, last: &mut u64, ts: u64) {
     if ts == 0 {
         return;
     }
@@ -108,10 +113,14 @@ impl WorkerProfile {
                     ));
                 }
             }
-            Event::Span { name, dur_us, .. } => {
-                let e = self.spans.entry(name).or_insert((0, 0));
+            Event::Span { name, dur_us, trial, .. } => {
+                if name == "trial" {
+                    self.last_trial = trial;
+                }
+                let e = self.spans.entry(name.clone()).or_insert((0, 0));
                 e.0 += 1;
                 e.1 += dur_us;
+                self.last_span = name;
             }
             Event::Timer { name, n, total_us, .. } => {
                 let e = self.timers.entry(name).or_insert((0, 0));
@@ -146,6 +155,19 @@ impl WorkerProfile {
     /// The worker's observed wall window in seconds.
     pub(crate) fn window_s(&self) -> f64 {
         self.last_ts_ms.saturating_sub(self.first_ts_ms) as f64 / 1e3
+    }
+
+    /// Observed completion rate (trials/s) over the worker's wall
+    /// window; `None` until a trial completed in a window wide enough
+    /// to divide by.
+    pub(crate) fn rate(&self) -> Option<f64> {
+        let window = self.window_s();
+        (window > 1e-3 && self.trials() > 0).then(|| self.trials() as f64 / window)
+    }
+
+    /// Sum of the counters whose name satisfies `pick`.
+    pub(crate) fn counter_sum(&self, pick: impl Fn(&str) -> bool) -> u64 {
+        self.counters.iter().filter(|(name, _)| pick(name)).map(|(_, &n)| n).sum()
     }
 }
 
@@ -458,39 +480,104 @@ pub(crate) fn worker_streams(dir: &Path) -> Result<Vec<(String, PathBuf)>, Strin
     Ok(streams)
 }
 
+/// One obs stream's reader and fold.
+struct Stream {
+    /// Worker id from the file name: the row's name until the stream's
+    /// `meta` line is folded (a torn-off meta never is).
+    file_worker: String,
+    tail: JsonlTailReader,
+    profile: WorkerProfile,
+    /// Whether the last refresh left an unterminated trailing piece.
+    torn: bool,
+}
+
+/// The incremental reader of a campaign directory's obs streams —
+/// `WorkerProfile` folds over [`decode`], one per
+/// `obs/worker-*.jsonl` stream. [`ProfileView::refresh`] discovers
+/// streams that appeared since the last call and folds only the bytes
+/// each gained, so refreshing an idle campaign reads no log bytes. A
+/// campaign that never ran with `--obs` has no streams (no error:
+/// telemetry is opt-in). A stream's unterminated final piece is a torn
+/// tail from a killed writer (or a record mid-append) and is never
+/// folded, in either mode.
+pub(crate) struct ProfileView {
+    dir: PathBuf,
+    mode: CheckMode,
+    /// Keyed by stream path.
+    streams: BTreeMap<PathBuf, Stream>,
+    /// Complete-but-invalid lines skipped (lenient mode only).
+    skipped_lines: usize,
+}
+
+impl ProfileView {
+    /// A view of campaign directory `dir`'s streams; reads nothing
+    /// until [`ProfileView::refresh`].
+    pub(crate) fn open(dir: &Path, mode: CheckMode) -> ProfileView {
+        ProfileView { dir: dir.to_path_buf(), mode, streams: BTreeMap::new(), skipped_lines: 0 }
+    }
+
+    /// Discovers new streams, then folds what every stream gained.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures; plus, under [`CheckMode::Strict`], the first
+    /// schema-invalid complete line.
+    pub(crate) fn refresh(&mut self) -> Result<(), String> {
+        for (file_worker, path) in worker_streams(&self.dir)? {
+            self.streams.entry(path.clone()).or_insert_with(|| Stream {
+                file_worker,
+                tail: JsonlTailReader::new(path, "obs.read"),
+                profile: WorkerProfile::default(),
+                torn: false,
+            });
+        }
+        let (mode, skipped) = (self.mode, &mut self.skipped_lines);
+        for s in self.streams.values_mut() {
+            let w = &mut s.profile;
+            s.torn = s.tail.refresh(OBS_SKIP, |line| {
+                line.and_then(|v| decode(&v)).and_then(|ev| w.fold(ev)).map_err(|e| match mode {
+                    CheckMode::Strict => FoldError::Fatal(e),
+                    CheckMode::Lenient => {
+                        *skipped += 1;
+                        FoldError::Skip(e)
+                    }
+                })
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Every stream's worker name and profile, by stream path.
+    pub(crate) fn workers(&self) -> impl Iterator<Item = (&str, &WorkerProfile)> {
+        self.streams.values().map(|s| {
+            let name = if s.profile.worker.is_empty() { &s.file_worker } else { &s.profile.worker };
+            (name.as_str(), &s.profile)
+        })
+    }
+
+    /// The folded profile, workers sorted by id.
+    pub(crate) fn profile(&self) -> Profile {
+        let mut workers: Vec<WorkerProfile> = self
+            .workers()
+            .map(|(name, w)| WorkerProfile { worker: name.to_owned(), ..w.clone() })
+            .collect();
+        workers.sort_by(|a, b| a.worker.cmp(&b.worker));
+        let torn_tails = self.streams.values().filter(|s| s.torn).count();
+        Profile { workers, skipped_lines: self.skipped_lines, torn_tails }
+    }
+}
+
 /// Loads every `obs/worker-*.jsonl` stream under campaign directory
-/// `dir`. A campaign that never ran with `--obs` yields an empty
-/// profile (no error: telemetry is opt-in). Each stream's
-/// unterminated final piece, if any, is a torn tail from a killed
-/// writer and is counted but never folded, in either mode.
+/// `dir`: a `ProfileView` opened and refreshed once.
 ///
 /// # Errors
 ///
 /// I/O failures; plus, under [`CheckMode::Strict`], the first
 /// schema-invalid complete line.
 pub fn load_dir(dir: &Path, mode: CheckMode) -> Result<Profile, String> {
-    let mut profile = Profile::default();
-    for (worker, path) in worker_streams(dir)? {
-        let mut w = WorkerProfile::default();
-        let skipped = &mut profile.skipped_lines;
-        let torn = JsonlTailReader::new(path, "obs.read").refresh(OBS_SKIP, |line| {
-            line.and_then(|v| decode(&v)).and_then(|ev| w.fold(ev)).map_err(|e| match mode {
-                CheckMode::Strict => FoldError::Fatal(e),
-                CheckMode::Lenient => {
-                    *skipped += 1;
-                    FoldError::Skip(e)
-                }
-            })
-        })?;
-        profile.torn_tails += usize::from(torn);
-        if w.worker.is_empty() {
-            // Meta line lost (torn off or skipped).
-            w.worker = worker;
-        }
-        profile.workers.push(w);
-    }
-    profile.workers.sort_by(|a, b| a.worker.cmp(&b.worker));
-    Ok(profile)
+    let mut view = ProfileView::open(dir, mode);
+    view.refresh()?;
+    Ok(view.profile())
 }
 
 /// Renders the per-worker, per-phase wall-clock table: one row per
@@ -514,8 +601,7 @@ pub(crate) fn render_profile_table(profile: &Profile) -> Table {
         let trials = w.trials();
         let span_s = |name: &str| s(w.spans.get(name).map_or(0, |&(_, us)| us));
         let timer_s = |name: &str| s(w.timers.get(name).map_or(0, |&(_, us)| us));
-        let window = w.window_s();
-        let rate = if window > 1e-3 { trials as f64 / window } else { 0.0 };
+        let rate = w.rate().unwrap_or(0.0);
         vec![
             trials as f64,
             s(w.trial_us()),
@@ -603,6 +689,14 @@ pub fn render_report(profile: &Profile, remaining_trials: Option<usize>) -> Stri
         None => out.push_str("observed: no trial spans yet\n"),
     }
     out
+}
+
+#[cfg(test)]
+impl ProfileView {
+    /// Log bytes consumed so far across every stream.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.streams.values().map(|s| s.tail.offset()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -31,11 +31,13 @@
 //! a quarantine record costs only a status line — the trial log and
 //! the degraded exit code carry the real state).
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
 
 use serde::{Map, Value};
 
+use crate::coord::JsonlTailReader;
 use crate::fmt::json;
 
 /// File name of the quarantine log inside a campaign directory.
@@ -159,41 +161,70 @@ pub(crate) fn append(dir: &Path, record: &QuarantineRecord) -> Result<(), String
         .map_err(|e| format!("append {}: {e}", path.display()))
 }
 
-/// Loads every parseable quarantine record (lenient, like every
-/// shared-log reader: a torn or healed garbage line is skipped with a
-/// warning). Missing file means no quarantines. Uninstrumented, so
-/// status paths work even while the chaos injector is armed against
-/// the very I/O being inspected.
+/// What skipping a bad quarantine-log line costs.
+const QUARANTINE_SKIP: &str = "quarantine records are advisory only";
+
+/// The one typed reader of `quarantine.jsonl`: an incremental,
+/// **uninstrumented** tail reader (status paths must work even while
+/// the chaos injector is armed against the very I/O being inspected),
+/// lenient like every shared-log reader — a torn or healed garbage
+/// line is skipped with a warning. A missing file means no
+/// quarantines.
+pub(crate) struct QuarantineReader {
+    tail: JsonlTailReader,
+    /// Every parseable record, in log order.
+    records: Vec<QuarantineRecord>,
+}
+
+impl QuarantineReader {
+    pub(crate) fn new(dir: &Path) -> Self {
+        QuarantineReader {
+            tail: JsonlTailReader::uninstrumented(dir.join(QUARANTINE_FILE)),
+            records: Vec::new(),
+        }
+    }
+
+    /// Folds every record appended since the last refresh.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message only for I/O failures.
+    pub(crate) fn refresh(&mut self) -> Result<(), String> {
+        let records = &mut self.records;
+        self.tail.refresh(QUARANTINE_SKIP, |v| {
+            records.push(QuarantineRecord::from_value(&v?)?);
+            Ok(())
+        })?;
+        Ok(())
+    }
+
+    /// How many distinct tasks of `kind` carry a record and are still
+    /// `incomplete` (by flat trial index for trials, by model index for
+    /// train tasks): a completed task's records are history.
+    pub(crate) fn count(&self, kind: QuarantineKind, incomplete: impl Fn(usize) -> bool) -> usize {
+        let open = self.records.iter().filter(|q| q.kind == kind && incomplete(q.trial));
+        open.map(|q| q.trial).collect::<BTreeSet<_>>().len()
+    }
+}
+
+/// Loads every parseable quarantine record, in log order, through a
+/// `QuarantineReader`.
 ///
 /// # Errors
 ///
 /// Returns a message only for I/O failures.
 pub fn load(dir: &Path) -> Result<Vec<QuarantineRecord>, String> {
-    let path = dir.join(QUARANTINE_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-        Ok(t) => t,
-    };
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|v| QuarantineRecord::from_value(&v))
-        {
-            Ok(r) => records.push(r),
-            Err(e) => frlfi_obs::warn!(
-                "{} line {}: {e}; skipping quarantine record (advisory only)",
-                path.display(),
-                i + 1
-            ),
-        }
+    let mut reader = QuarantineReader::new(dir);
+    reader.refresh()?;
+    Ok(reader.records)
+}
+
+#[cfg(test)]
+impl QuarantineReader {
+    /// Log bytes consumed so far.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.tail.offset()
     }
-    Ok(records)
 }
 
 #[cfg(test)]

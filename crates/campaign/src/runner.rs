@@ -64,7 +64,7 @@ use frlfi_fault::{aggregate_in_order, CellStats};
 use serde::{Map, Value};
 
 use crate::artifacts::ArtifactTracker;
-use crate::coord::{CoordConfig, Coordinator};
+use crate::coord::{CoordConfig, Coordinator, TrialTracker};
 use crate::fmt::json;
 use crate::io::{self, lock_recover};
 use crate::quarantine::{self, QuarantineKind, QuarantineRecord};
@@ -179,7 +179,7 @@ impl TrialRecord {
         Value::Table(m)
     }
 
-    fn from_value(v: &Value) -> Result<Self, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
         let get_int = |k: &str| {
             v.get(k)
                 .and_then(Value::as_int)
@@ -296,8 +296,11 @@ pub fn load_scenario(manifest: &Path) -> Result<Scenario, String> {
     Scenario::from_toml(&text).map_err(|e| format!("{}: {e}", manifest.display()))
 }
 
+/// File name of the trial log inside a campaign directory.
+pub(crate) const TRIALS_FILE: &str = "trials.jsonl";
+
 fn trials_path(dir: &Path) -> PathBuf {
-    dir.join("trials.jsonl")
+    dir.join(TRIALS_FILE)
 }
 
 /// How one run call reads and appends `trials.jsonl`. Chosen once per
@@ -471,7 +474,7 @@ impl TrialSink {
 /// Validates one persisted record's coordinates and seed against the
 /// campaign's seed scheme (a mismatch means the log belongs to a
 /// different campaign) and returns its flat trial index.
-fn record_flat_index(campaign: &Campaign, r: &TrialRecord) -> Result<usize, String> {
+pub(crate) fn record_flat_index(campaign: &Campaign, r: &TrialRecord) -> Result<usize, String> {
     let n_cells = campaign.trials.len();
     let repeats = campaign.repeats;
     if r.cell >= n_cells || r.repeat >= repeats {
@@ -509,50 +512,6 @@ fn fold_records(
     Ok(done)
 }
 
-/// What skipping a bad trial-log line costs.
-const TRIAL_SKIP: &str =
-    "a lost trial record only costs a bitwise-identical re-run, so statistics are unaffected";
-
-/// An incrementally folded completion view of `trials.jsonl` for the
-/// shared claim source: a [`crate::coord::JsonlTailReader`] whose
-/// fold validates each record and marks its flat trial done, so a
-/// worker's per-claim poll costs O(new records), not O(log). Safe
-/// because a shared-history log is never truncated.
-struct TrialTracker {
-    tail: crate::coord::JsonlTailReader,
-    done: Vec<bool>,
-}
-
-impl TrialTracker {
-    fn new(dir: &Path, total: usize) -> Self {
-        TrialTracker {
-            tail: crate::coord::JsonlTailReader::new(trials_path(dir), "trials.read"),
-            done: vec![false; total],
-        }
-    }
-
-    /// Folds every complete line appended since the last poll, then
-    /// lists the task ids of the trials still open: not in the log and
-    /// not in `skip` (empty once the campaign is complete). A record
-    /// that is not shaped like a trial record is skipped (it re-runs
-    /// bitwise-identically); one with wrong coordinates or seed is
-    /// fatal — the log belongs to a different campaign.
-    fn open(&mut self, campaign: &Campaign, skip: &BTreeSet<usize>) -> Result<Vec<usize>, String> {
-        use crate::coord::FoldError;
-        let done = &mut self.done;
-        self.tail.refresh(TRIAL_SKIP, |v| {
-            let r = TrialRecord::from_value(&v?)?;
-            done[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = true;
-            Ok(())
-        })?;
-        let n_models = campaign.n_models();
-        Ok((0..done.len())
-            .filter(|&t| !done[t] && !skip.contains(&t))
-            .map(|t| t + n_models)
-            .collect())
-    }
-}
-
 /// Resolves a thread-count option (0 = available parallelism).
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -581,17 +540,6 @@ fn write_atomic(dir: &Path, name: &str, text: &str) -> Result<(), String> {
         io::rename("publish.rename", &tmp, &dir.join(name))
     })
     .map_err(|e| format!("publish {name}: {e}"))
-}
-
-/// The flat completion map (`cell * repeats + repeat` order) of the
-/// campaign persisted in `dir`, read leniently — the view `campaign
-/// status` works from.
-pub(crate) fn completed_trials(
-    campaign: &Campaign,
-    dir: &Path,
-) -> Result<Vec<Option<f64>>, String> {
-    let (records, _) = load_records(dir, LogPolicy::Lenient)?;
-    Ok(fold_records(campaign, records)?.into_iter().flatten().collect())
 }
 
 /// One claim attempt's result.

@@ -2,12 +2,18 @@
 //! fleet is doing *right now* — `status` + `profile`, merged, cheap
 //! enough to re-render every second.
 //!
-//! Every data source is tailed incrementally through
-//! `coord::JsonlTailReader`: each of `trials.jsonl`,
-//! `claims.jsonl`, `quarantine.jsonl` and every `obs/worker-*.jsonl`
-//! stream keeps a per-file byte offset and each tick folds **only the
-//! appended bytes** — a tick against an idle campaign reads zero log
-//! bytes however large the logs have grown.
+//! `top` reads no log itself: it renders the two views the other
+//! commands are built on. `coord::StatusView` holds the one typed
+//! reader of each of `trials.jsonl`, `claims.jsonl`,
+//! `artifacts.jsonl` and `quarantine.jsonl` (the readers the runner
+//! and `campaign status` use), and `profile::ProfileView` folds every
+//! `obs/worker-*.jsonl` stream into a `WorkerProfile`. Both keep
+//! per-file byte offsets, and each tick folds **only the appended
+//! bytes** — a tick against an idle campaign reads zero log bytes
+//! however large the logs have grown. So `top` and `status` agree on
+//! progress and quarantine by construction: a trial record of another
+//! campaign is an error in both, and a quarantine record counts only
+//! while its task is incomplete.
 //!
 //! Per worker, a frame shows the last completed phase span and trial,
 //! completed-trial count and observed rate, heartbeat age (claim
@@ -17,15 +23,10 @@
 //! −2.0 is marked `STRAGGLER`. The footer extrapolates an ETA from
 //! the aggregate rate, exactly like `campaign profile`.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use serde::Value;
-
-use crate::coord::{FoldError, JsonlTailReader};
-#[cfg(test)]
-use crate::profile::OBS_DIR;
-use crate::profile::{decode, note_ts, worker_streams, Event, OBS_SKIP};
+use crate::coord::{CampaignStatus, StatusView};
+use crate::profile::{CheckMode, ProfileView, WorkerProfile};
 
 /// Options for [`run`].
 #[derive(Debug, Clone, Copy)]
@@ -42,77 +43,11 @@ impl Default for TopOptions {
     }
 }
 
-/// One worker's live view, folded incrementally from its obs stream.
-#[derive(Debug, Default)]
-struct WorkerView {
-    /// Completed `trial` spans.
-    trials: u64,
-    /// Name of the most recent span event — the last finished phase.
-    last_span: String,
-    /// Trial id of the most recent trial span.
-    last_trial: Option<u64>,
-    /// Wall window of the stream (ms since epoch).
-    first_ts_ms: u64,
-    last_ts_ms: u64,
-    /// Folded counters: chaos injections, io retries, quarantines.
-    chaos: u64,
-    retries: u64,
-    quarantined: u64,
-}
-
-impl WorkerView {
-    /// Observed completion rate over the stream's wall window.
-    fn rate(&self) -> Option<f64> {
-        let window = self.last_ts_ms.saturating_sub(self.first_ts_ms) as f64 / 1e3;
-        (window > 1e-3 && self.trials > 0).then(|| self.trials as f64 / window)
-    }
-
-    fn fold(&mut self, ev: Event) {
-        note_ts(&mut self.first_ts_ms, &mut self.last_ts_ms, ev.ts_ms());
-        match ev {
-            Event::Span { name, trial, .. } => {
-                if name == "trial" {
-                    self.trials += 1;
-                    self.last_trial = trial;
-                }
-                self.last_span = name;
-            }
-            Event::Count { name, n, .. } => {
-                if name.starts_with("chaos.inject") {
-                    self.chaos += n;
-                } else if name.starts_with("io.retry") {
-                    self.retries += n;
-                } else if name.ends_with(".quarantined") {
-                    self.quarantined += n;
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// What skipping a bad line of a non-obs log costs `campaign top`.
-const VIEW_SKIP: &str = "left out of this view only; the campaign itself is unaffected";
-
-/// The incremental fold state behind `campaign top`. Create once,
+/// The two incremental views behind `campaign top`. Create once,
 /// [`tick`](TopState::tick) per frame.
 pub struct TopState {
-    dir: PathBuf,
-    /// Campaign identity, loaded once from the manifest.
-    name: String,
-    scale: String,
-    total_trials: usize,
-    /// Distinct `(cell, repeat)` pairs seen in `trials.jsonl`.
-    completed: BTreeSet<(u64, u64)>,
-    trials_tail: JsonlTailReader,
-    claims_tail: JsonlTailReader,
-    /// Per-worker latest claim/heartbeat stamp (ms since epoch).
-    claim_seen: BTreeMap<String, u64>,
-    quarantine_tail: JsonlTailReader,
-    quarantine_records: u64,
-    /// One tail per obs stream, keyed by file name; discovered on
-    /// every tick so late-joining workers appear.
-    obs: BTreeMap<String, (JsonlTailReader, WorkerView)>,
+    status: StatusView,
+    profile: ProfileView,
 }
 
 impl TopState {
@@ -123,178 +58,103 @@ impl TopState {
     ///
     /// A directory without a readable `campaign.toml` manifest.
     pub fn new(dir: &Path) -> Result<TopState, String> {
-        let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
-        let campaign = scenario.expand().map_err(|e| e.to_string())?;
         Ok(TopState {
-            dir: dir.to_path_buf(),
-            name: scenario.name.clone(),
-            scale: format!("{:?}", scenario.scale),
-            total_trials: campaign.total_trials(),
-            completed: BTreeSet::new(),
-            trials_tail: JsonlTailReader::new(dir.join("trials.jsonl"), "trials.read"),
-            claims_tail: JsonlTailReader::new(dir.join(crate::coord::CLAIMS_FILE), "claims.read"),
-            claim_seen: BTreeMap::new(),
-            quarantine_tail: JsonlTailReader::new(
-                dir.join(crate::quarantine::QUARANTINE_FILE),
-                "quarantine.read",
-            ),
-            quarantine_records: 0,
-            obs: BTreeMap::new(),
+            status: StatusView::open(dir)?,
+            profile: ProfileView::open(dir, CheckMode::Lenient),
         })
     }
 
-    /// Discovers obs streams that appeared since the last tick.
-    fn discover_obs(&mut self) {
-        for (worker, path) in worker_streams(&self.dir).unwrap_or_default() {
-            self.obs
-                .entry(format!("worker-{worker}.jsonl"))
-                .or_insert_with(|| (JsonlTailReader::new(path, "obs.read"), WorkerView::default()));
-        }
-    }
-
-    /// Folds everything appended since the last tick and renders the
-    /// dashboard text.
+    /// Refreshes both views and renders the dashboard text.
     ///
     /// # Errors
     ///
-    /// I/O failures reading a tailed log (missing files are fine —
-    /// they simply have not been created yet).
+    /// I/O failures reading a log (missing files are fine — they
+    /// simply have not been created yet), or a trial record of another
+    /// campaign.
     pub fn tick(&mut self) -> Result<String, String> {
-        self.discover_obs();
-        let completed = &mut self.completed;
-        self.trials_tail.refresh(VIEW_SKIP, |v| {
-            let v = v?;
-            let cell = v.get("cell").and_then(Value::as_int);
-            let rep = v.get("repeat").and_then(Value::as_int);
-            if let (Some(c), Some(r)) = (cell, rep) {
-                if c >= 0 && r >= 0 {
-                    completed.insert((c as u64, r as u64));
-                    return Ok(());
-                }
-            }
-            Err(FoldError::Skip("trial record missing cell/repeat".into()))
-        })?;
-
-        let claim_seen = &mut self.claim_seen;
-        self.claims_tail.refresh(VIEW_SKIP, |v| {
-            let v = v?;
-            let worker = v.get("worker").and_then(Value::as_str);
-            let ts = v.get("ts_ms").and_then(Value::as_int).unwrap_or(0);
-            if let Some(w) = worker {
-                if ts > 0 {
-                    let e = claim_seen.entry(w.to_owned()).or_insert(0);
-                    *e = (*e).max(ts as u64);
-                }
-            }
-            Ok(())
-        })?;
-
-        let qcount = &mut self.quarantine_records;
-        self.quarantine_tail.refresh(VIEW_SKIP, |v| {
-            if v?.get("kind").and_then(Value::as_str).is_some() {
-                *qcount += 1;
-            }
-            Ok(())
-        })?;
-
-        for (tail, view) in self.obs.values_mut() {
-            tail.refresh(OBS_SKIP, |line| {
-                view.fold(decode(&line?)?);
-                Ok(())
-            })?;
-        }
-
-        Ok(self.render())
+        self.status.refresh()?;
+        self.profile.refresh()?;
+        let workers: Vec<_> = self.profile.workers().collect();
+        Ok(render(&self.status.status(), &workers, |w| self.status.last_claim_ms(w)))
     }
+}
 
-    fn render(&self) -> String {
-        let now = crate::coord::now_ms();
-        let completed = self.completed.len();
-        let pct = if self.total_trials == 0 {
-            100.0
+/// Renders one frame: progress and quarantine from `status`, one row
+/// per obs stream in `workers`. `last_claim` is a worker's latest
+/// claim-log stamp, if it has one.
+fn render(
+    status: &CampaignStatus,
+    workers: &[(&str, &WorkerProfile)],
+    last_claim: impl Fn(&str) -> Option<u64>,
+) -> String {
+    let now = crate::coord::now_ms();
+    let (completed, total) = (status.completed_trials, status.total_trials);
+    let mut out = format!(
+        "campaign top — {} ({}) — {completed}/{total} trials ({:.1}%)\n",
+        status.name,
+        status.scale,
+        status.percent()
+    );
+    // Fleet rate statistics for the straggler z-score.
+    let rates: Vec<f64> = workers.iter().filter_map(|(_, w)| w.rate()).collect();
+    let mean = if rates.is_empty() { 0.0 } else { rates.iter().sum::<f64>() / rates.len() as f64 };
+    let std = if rates.len() < 2 {
+        0.0
+    } else {
+        (rates.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rates.len() as f64).sqrt()
+    };
+    out.push_str(&format!(
+        "{:<14} {:>10} {:>7} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}  {}\n",
+        "worker", "phase", "trial", "trials", "rate/s", "hb age", "quar", "chaos", "retry", "flag"
+    ));
+    let mut fleet_rate = 0.0;
+    for &(worker, w) in workers {
+        let rate = w.rate();
+        fleet_rate += rate.unwrap_or(0.0);
+        // Heartbeat: a shared worker renews claims; exclusive
+        // workers only have their obs stamps.
+        let last = last_claim(worker).unwrap_or(0).max(w.last_ts_ms);
+        let hb = if last == 0 {
+            "?".to_owned()
         } else {
-            100.0 * completed as f64 / self.total_trials as f64
+            format!("{:.1}s", now.saturating_sub(last) as f64 / 1e3)
         };
-        let mut out = format!(
-            "campaign top — {} ({}) — {completed}/{} trials ({pct:.1}%)\n",
-            self.name, self.scale, self.total_trials
-        );
-        // Fleet rate statistics for the straggler z-score.
-        let rates: Vec<f64> = self.obs.values().filter_map(|(_, v)| v.rate()).collect();
-        let mean =
-            if rates.is_empty() { 0.0 } else { rates.iter().sum::<f64>() / rates.len() as f64 };
-        let std = if rates.len() < 2 {
-            0.0
-        } else {
-            (rates.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rates.len() as f64).sqrt()
-        };
+        let straggler = rate.is_some_and(|r| std > 1e-9 && (r - mean) / std <= -2.0);
         out.push_str(&format!(
             "{:<14} {:>10} {:>7} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}  {}\n",
-            "worker",
-            "phase",
-            "trial",
-            "trials",
-            "rate/s",
-            "hb age",
-            "quar",
-            "chaos",
-            "retry",
-            "flag"
+            worker,
+            if w.last_span.is_empty() { "-" } else { &w.last_span },
+            w.last_trial.map_or("-".to_owned(), |t| t.to_string()),
+            w.trials(),
+            rate.map_or("-".to_owned(), |r| format!("{r:.2}")),
+            hb,
+            w.counter_sum(|n| n.ends_with(".quarantined")),
+            w.counter_sum(|n| n.starts_with("chaos.inject")),
+            w.counter_sum(|n| n.starts_with("io.retry")),
+            if straggler { "STRAGGLER" } else { "" },
         ));
-        let mut fleet_rate = 0.0;
-        for (file, (_, view)) in &self.obs {
-            let worker = file.trim_end_matches(".jsonl").strip_prefix("worker-").unwrap_or(file);
-            let rate = view.rate();
-            fleet_rate += rate.unwrap_or(0.0);
-            // Heartbeat: a shared worker renews claims; exclusive
-            // workers only have their obs stamps.
-            let last = self.claim_seen.get(worker).copied().unwrap_or(0).max(view.last_ts_ms);
-            let hb = if last == 0 {
-                "?".to_owned()
-            } else {
-                format!("{:.1}s", now.saturating_sub(last) as f64 / 1e3)
-            };
-            let z = match (rate, std > 1e-9) {
-                (Some(r), true) => Some((r - mean) / std),
-                _ => None,
-            };
-            let flag = match z {
-                Some(z) if z <= -2.0 => "STRAGGLER",
-                _ => "",
-            };
-            out.push_str(&format!(
-                "{:<14} {:>10} {:>7} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}  {}\n",
-                worker,
-                if view.last_span.is_empty() { "-" } else { &view.last_span },
-                view.last_trial.map_or("-".to_owned(), |t| t.to_string()),
-                view.trials,
-                rate.map_or("-".to_owned(), |r| format!("{r:.2}")),
-                hb,
-                view.quarantined,
-                view.chaos,
-                view.retries,
-                flag,
-            ));
-        }
-        if self.obs.is_empty() {
-            out.push_str("(no obs streams yet — did this campaign run with --obs?)\n");
-        }
-        if self.quarantine_records > 0 {
-            out.push_str(&format!("quarantine records: {}\n", self.quarantine_records));
-        }
-        let remaining = self.total_trials.saturating_sub(completed);
-        if remaining == 0 {
-            out.push_str("campaign complete\n");
-        } else if fleet_rate > 1e-9 {
-            out.push_str(&format!(
-                "eta: ~{:.0} s for {remaining} remaining trials at {fleet_rate:.2} trials/s\n",
-                remaining as f64 / fleet_rate
-            ));
-        } else {
-            out.push_str(&format!("{remaining} trials remaining (no observed rate yet)\n"));
-        }
-        out
     }
+    if workers.is_empty() {
+        out.push_str("(no obs streams yet — did this campaign run with --obs?)\n");
+    }
+    if status.quarantined > 0 {
+        out.push_str(&format!(
+            "quarantined: {} incomplete task(s) — see quarantine.jsonl\n",
+            status.quarantined
+        ));
+    }
+    let remaining = total.saturating_sub(completed);
+    if remaining == 0 {
+        out.push_str("campaign complete\n");
+    } else if fleet_rate > 1e-9 {
+        out.push_str(&format!(
+            "eta: ~{:.0} s for {remaining} remaining trials at {fleet_rate:.2} trials/s\n",
+            remaining as f64 / fleet_rate
+        ));
+    } else {
+        out.push_str(&format!("{remaining} trials remaining (no observed rate yet)\n"));
+    }
+    out
 }
 
 /// Runs the dashboard: one frame in `--once` mode, otherwise a
@@ -324,7 +184,10 @@ pub fn run(dir: &Path, opts: &TopOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::OBS_DIR;
+    use std::collections::BTreeMap;
     use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("frlfi-top-{tag}-{}", std::process::id()));
@@ -333,53 +196,79 @@ mod tests {
         dir
     }
 
-    /// A minimal manifest top can load (mirrors the builtin smoke
-    /// scenario closely enough to expand).
-    fn write_manifest(dir: &Path) {
+    /// Writes the fig3a smoke manifest into `dir` and returns its
+    /// expanded campaign.
+    fn write_manifest(dir: &Path) -> crate::Campaign {
         let scenario =
             crate::registry::builtin("fig3a", frlfi::Scale::Smoke).expect("builtin fig3a");
         std::fs::write(dir.join("campaign.toml"), scenario.to_toml()).unwrap();
+        scenario.expand().expect("expand fig3a")
     }
 
-    /// Log bytes the state has consumed so far across every tailed file.
+    /// A valid `trials.jsonl` line for flat trial `flat` of `campaign`.
+    fn trial_line(campaign: &crate::Campaign, flat: usize) -> String {
+        let (cell, repeat) = (flat / campaign.repeats, flat % campaign.repeats);
+        let seed = campaign.trial_seed(flat) as i64;
+        format!(r#"{{"cell":{cell},"repeat":{repeat},"seed":{seed},"value":1.0}}"#)
+    }
+
+    /// Appends `line` plus a newline to `path`.
+    fn append(path: &Path, line: &str) {
+        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path).unwrap();
+        writeln!(f, "{line}").unwrap();
+    }
+
+    /// Log bytes both views have consumed so far, across every file.
     fn consumed(state: &TopState) -> u64 {
-        let tails = [&state.trials_tail, &state.claims_tail, &state.quarantine_tail];
-        tails.iter().map(|t| t.offset()).sum::<u64>()
-            + state.obs.values().map(|(t, _)| t.offset()).sum::<u64>()
+        state.status.consumed() + state.profile.consumed()
     }
 
     #[test]
     fn ticks_read_only_appended_bytes() {
         let dir = tmpdir("incremental");
-        write_manifest(&dir);
+        let campaign = write_manifest(&dir);
         let obs = dir.join(OBS_DIR).join("worker-w0.jsonl");
-        let mut f = std::fs::File::create(&obs).unwrap();
-        writeln!(f, r#"{{"v":2,"kind":"meta","worker":"w0","pid":1,"ts_ms":1000,"mono_us":1}}"#)
-            .unwrap();
-        writeln!(
-            f,
-            r#"{{"v":2,"kind":"span","name":"trial","trial":0,"dur_us":5,"ts_ms":2000,"id":1,"tid":1,"mono_us":9}}"#
-        )
-        .unwrap();
-        f.flush().unwrap();
+        append(&obs, r#"{"v":2,"kind":"meta","worker":"w0","pid":1,"ts_ms":1000,"mono_us":1}"#);
+        append(
+            &obs,
+            r#"{"v":2,"kind":"span","name":"trial","trial":0,"dur_us":5,"ts_ms":2000,"id":1,"tid":1,"mono_us":9}"#,
+        );
+        let trials = dir.join(crate::runner::TRIALS_FILE);
+        append(&trials, &trial_line(&campaign, 0));
+        append(
+            &dir.join(crate::coord::CLAIMS_FILE),
+            r#"{"trial":1,"gen":0,"worker":"w0","deadline_ms":1,"ts_ms":1500}"#,
+        );
+        append(
+            &dir.join(crate::quarantine::QUARANTINE_FILE),
+            r#"{"kind":"trial","trial":2,"cell":0,"repeat":2,"worker":"w0","error":"x","ts_ms":1}"#,
+        );
 
         let mut state = TopState::new(&dir).unwrap();
         let first = state.tick().unwrap();
         let read = consumed(&state);
-        assert!(read > 0);
+        let on_disk: u64 = [&obs, &trials]
+            .into_iter()
+            .chain([&dir.join("claims.jsonl"), &dir.join("quarantine.jsonl")])
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        assert_eq!(read, on_disk, "the first tick reads every log once");
         assert!(first.contains("w0"), "{first}");
+        assert!(first.contains(&format!("1/{}", campaign.total_trials())), "{first}");
 
         // Nothing appended: the next tick must read zero bytes.
         state.tick().unwrap();
         assert_eq!(consumed(&state), read, "idle tick re-read log bytes");
 
-        // One appended line: the third tick reads exactly that line.
+        // Two appended lines: the third tick reads exactly those.
         let line = r#"{"v":2,"kind":"span","name":"trial","trial":1,"dur_us":5,"ts_ms":3000,"id":2,"tid":1,"mono_us":20}"#;
-        writeln!(f, "{line}").unwrap();
-        f.flush().unwrap();
+        append(&obs, line);
+        let record = trial_line(&campaign, 1);
+        append(&trials, &record);
         let third = state.tick().unwrap();
-        assert_eq!(consumed(&state) - read, line.len() as u64 + 1);
+        assert_eq!(consumed(&state) - read, (line.len() + record.len()) as u64 + 2);
         assert!(third.contains(" 2 "), "two trials now: {third}");
+        assert!(third.contains(&format!("2/{}", campaign.total_trials())), "{third}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -404,28 +293,20 @@ mod tests {
         };
         w("w0", 20, 10);
         w("w1", 20, 1000);
-        std::fs::write(dir.join(OBS_DIR).join("worker-w1.jsonl"), {
-            let mut t = std::fs::read_to_string(dir.join(OBS_DIR).join("worker-w1.jsonl")).unwrap();
-            t.push_str(
-                r#"{"v":2,"kind":"count","name":"chaos.inject.read","n":3,"ts_ms":2000,"tid":1}"#,
-            );
-            t.push('\n');
-            t.push_str(r#"{"v":2,"kind":"count","name":"io.retry","n":4,"ts_ms":2000,"tid":1}"#);
-            t.push('\n');
-            t
-        })
-        .unwrap();
-        std::fs::write(
-            dir.join(crate::quarantine::QUARANTINE_FILE),
-            r#"{"kind":"trial","trial":1,"cell":0,"repeat":1,"worker":"w1","error":"x","ts_ms":1}"#
-                .to_owned()
-                + "\n",
-        )
-        .unwrap();
+        let w1 = dir.join(OBS_DIR).join("worker-w1.jsonl");
+        append(
+            &w1,
+            r#"{"v":2,"kind":"count","name":"chaos.inject.read","n":3,"ts_ms":2000,"tid":1}"#,
+        );
+        append(&w1, r#"{"v":2,"kind":"count","name":"io.retry","n":4,"ts_ms":2000,"tid":1}"#);
+        append(
+            &dir.join(crate::quarantine::QUARANTINE_FILE),
+            r#"{"kind":"trial","trial":1,"cell":0,"repeat":1,"worker":"w1","error":"x","ts_ms":1}"#,
+        );
         let mut state = TopState::new(&dir).unwrap();
         let frame = state.tick().unwrap();
         assert!(frame.contains("w0"), "{frame}");
-        assert!(frame.contains("quarantine records: 1"), "{frame}");
+        assert!(frame.contains("quarantined: 1 incomplete task(s)"), "{frame}");
         // w1 is ~100× slower than w0; with two workers the z-score of
         // the slow one is -1 (population σ of two points), so assert
         // the columns render rather than the flag fire here.
@@ -437,41 +318,34 @@ mod tests {
 
     #[test]
     fn straggler_flag_fires_below_minus_two_sigma() {
-        // Synthetic views: many equal rates plus one far-low outlier.
-        let mut state = TopState {
-            dir: PathBuf::new(),
-            name: "t".into(),
-            scale: "Smoke".into(),
-            total_trials: 100,
-            completed: BTreeSet::new(),
-            trials_tail: JsonlTailReader::new(PathBuf::from("/nonexistent"), "trials.read"),
-            claims_tail: JsonlTailReader::new(PathBuf::from("/nonexistent"), "claims.read"),
-            claim_seen: BTreeMap::new(),
-            quarantine_tail: JsonlTailReader::new(PathBuf::from("/nonexistent"), "quarantine.read"),
-            quarantine_records: 0,
-            obs: BTreeMap::new(),
-        };
-        let mk = |trials: u64, window_ms: u64| WorkerView {
-            trials,
+        // Synthetic profiles: many equal rates plus one far-low outlier.
+        let mk = |trials: u64| WorkerProfile {
+            spans: BTreeMap::from([("trial".to_owned(), (trials, 0))]),
             last_span: "trial".into(),
             last_trial: Some(0),
             first_ts_ms: 1000,
-            last_ts_ms: 1000 + window_ms,
-            chaos: 0,
-            retries: 0,
-            quarantined: 0,
+            last_ts_ms: 11_000,
+            ..WorkerProfile::default()
         };
-        for i in 0..9 {
-            state.obs.insert(
-                format!("worker-w{i}.jsonl"),
-                (JsonlTailReader::new(PathBuf::from("/nonexistent"), "obs.read"), mk(100, 10_000)),
-            );
-        }
-        state.obs.insert(
-            "worker-slow.jsonl".into(),
-            (JsonlTailReader::new(PathBuf::from("/nonexistent"), "obs.read"), mk(1, 10_000)),
-        );
-        let text = state.render();
+        let status = CampaignStatus {
+            name: "t".into(),
+            scale: "Smoke".into(),
+            cells: 1,
+            repeats: 100,
+            completed_trials: 0,
+            total_trials: 100,
+            workers: Vec::new(),
+            stale_claims: 0,
+            quarantined: 0,
+            summary_written: false,
+            tasks: None,
+        };
+        let (fast, slow) = (mk(100), mk(1));
+        let names: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
+        let mut workers: Vec<(&str, &WorkerProfile)> =
+            names.iter().map(|n| (n.as_str(), &fast)).collect();
+        workers.push(("slow", &slow));
+        let text = render(&status, &workers, |_| None);
         let slow = text.lines().find(|l| l.starts_with("slow")).unwrap();
         assert!(slow.contains("STRAGGLER"), "{text}");
         for l in text.lines().filter(|l| l.starts_with("w")) {

@@ -318,14 +318,11 @@ impl ForkTrial for GridTrial {
     }
 }
 
-/// A campaign's prefix cache together with the campaign's cells.
-type Shared<'a, T> = Option<(&'a Prefixes, &'a [T])>;
-
-/// Evaluates one GridWorld trial: a pure function of `(trial, seed)`.
-/// Training runs through `ctx`'s cached-activation arena kernels
-/// ([`GridFrlSystem::train`]) and the post-training evaluation on the
-/// same arena ([`GridFrlSystem::success_rate`]).
-/// Campaign workers reuse one context across all their trials.
+/// Evaluates one GridWorld trial: a pure function of `(trial, seed)`,
+/// the one-cell case of [`run_grid_cell_batched`] on a fresh prefix
+/// cache. Training runs through `ctx`'s cached-activation arena
+/// kernels ([`GridFrlSystem::train`]) and the post-training evaluation
+/// on the same arena ([`GridFrlSystem::success_rate`]).
 ///
 /// # Errors
 ///
@@ -337,17 +334,20 @@ pub fn run_grid_trial_batched(
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    grid_value(t, seed, ctx, None)
+    run_grid_cell_batched(std::slice::from_ref(t), 0, seed, &Prefixes::default(), ctx)
 }
 
-/// [`run_grid_trial_batched`] for cell `cell` of a campaign's `cells`,
-/// forking from the fault-free prefix in `prefixes` (trained there on
-/// first use). Bit-identical to [`run_grid_trial_batched`] on
-/// `cells[cell]`. This is the campaign runner's GridWorld work unit.
+/// Evaluates cell `cell` of a campaign's `cells`, forking from the
+/// fault-free prefix in `prefixes` (trained there on first use).
+/// Bit-identical to [`run_grid_trial_batched`] on `cells[cell]`. This
+/// is the campaign runner's GridWorld work unit; campaign workers
+/// reuse one context across all their trials.
 ///
 /// # Errors
 ///
-/// As for [`run_grid_trial_batched`].
+/// Returns an error on an invalid trial configuration or a training
+/// failure (e.g. a mis-shaped observation), so a campaign can
+/// quarantine the trial instead of panicking in a worker.
 ///
 /// # Panics
 ///
@@ -359,16 +359,8 @@ pub fn run_grid_cell_batched(
     prefixes: &Prefixes,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    grid_value(&cells[cell], seed, ctx, Some((prefixes, cells)))
-}
-
-fn grid_value(
-    t: &GridTrial,
-    seed: u64,
-    ctx: &mut BatchInferCtx,
-    shared: Shared<'_, GridTrial>,
-) -> Result<f64, FrlfiError> {
-    let mut sys = trial_system(t, seed, ctx, shared)?;
+    let t = &cells[cell];
+    let mut sys = trial_system(cells, t, seed, prefixes, ctx)?;
     let _eval = frlfi_obs::span("eval");
     Ok(match t.metric {
         GridMetric::SuccessRatePct => sys.success_rate(ctx) * 100.0,
@@ -384,15 +376,14 @@ fn grid_value(
 ///
 /// Training is a fault-free prefix, a fork of it with the trial's fault
 /// stream, then the suffix with the plan's episode shifted to the fork.
-/// With the campaign's cache in `shared` the prefix is the cached one
-/// at the deepest stop up to [`fork_episode`]; without it the trial
-/// trains its own prefix up to [`fork_episode`]. No prefix at all means
-/// a fresh system.
+/// The prefix is the one `prefixes` caches for `cells` at the deepest
+/// stop up to [`fork_episode`]; no prefix at all means a fresh system.
 fn trial_system<T: ForkTrial>(
+    cells: &[T],
     t: &T,
     seed: u64,
+    prefixes: &Prefixes,
     ctx: &mut BatchInferCtx,
-    shared: Shared<'_, T>,
 ) -> Result<System<T::Config>, FrlfiError> {
     // Observability only — the spans read the clock around training,
     // they cannot affect any trained value.
@@ -400,15 +391,7 @@ fn trial_system<T: ForkTrial>(
     let at = fork_episode(t);
     let prefix = {
         let _prefix = frlfi_obs::span("prefix");
-        match shared {
-            Some((prefixes, cells)) => prefixes.get(cells, t, at, ctx)?,
-            None if at > 0 => {
-                let mut sys = t.system()?;
-                sys.train(at, None, ctx)?;
-                Some(Arc::new(sys.prefix()?))
-            }
-            None => None,
-        }
+        prefixes.get(cells, t, at, ctx)?
     };
     let mut sys = match prefix {
         Some(prefix) => Fleet::fork(&prefix, seed)?,
@@ -425,7 +408,6 @@ fn trial_system<T: ForkTrial>(
         .filter(|_| at < t.episodes())
         .map(|p| InjectionPlan { episode: p.episode - from, ..p });
     sys.train(t.episodes() - from, plan.as_ref(), ctx)?;
-    sys.eval_mode();
     Ok(sys)
 }
 
@@ -576,7 +558,8 @@ impl ForkTrial for DroneTrial {
 }
 
 /// Evaluates one DroneNav trial: safe flight distance (m) after
-/// fine-tuning, pure in `(trial, seed)`. Fine-tuning runs each
+/// fine-tuning, pure in `(trial, seed)`; the one-cell case of
+/// [`run_drone_cell_batched`] on a fresh prefix cache. Fine-tuning runs each
 /// episode's REINFORCE update as one batched forward/backward
 /// ([`crate::Fleet::train`]) and the flight-distance evaluation
 /// runs corridors in lock-step
@@ -590,13 +573,13 @@ pub fn run_drone_trial_batched(
     seed: u64,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    drone_value(t, seed, ctx, None)
+    run_drone_cell_batched(std::slice::from_ref(t), 0, seed, &Prefixes::default(), ctx)
 }
 
-/// [`run_drone_trial_batched`] for cell `cell` of a campaign's `cells`,
-/// forking from the fault-free prefix in `prefixes` (trained there on
-/// first use). Bit-identical to [`run_drone_trial_batched`] on
-/// `cells[cell]`. This is the campaign runner's DroneNav work unit.
+/// Evaluates cell `cell` of a campaign's `cells`, forking from the
+/// fault-free prefix in `prefixes` (trained there on first use).
+/// Bit-identical to [`run_drone_trial_batched`] on `cells[cell]`. This
+/// is the campaign runner's DroneNav work unit.
 ///
 /// # Errors
 ///
@@ -612,16 +595,8 @@ pub fn run_drone_cell_batched(
     prefixes: &Prefixes,
     ctx: &mut BatchInferCtx,
 ) -> Result<f64, FrlfiError> {
-    drone_value(&cells[cell], seed, ctx, Some((prefixes, cells)))
-}
-
-fn drone_value(
-    t: &DroneTrial,
-    seed: u64,
-    ctx: &mut BatchInferCtx,
-    shared: Shared<'_, DroneTrial>,
-) -> Result<f64, FrlfiError> {
-    let mut sys = trial_system(t, seed, ctx, shared)?;
+    let t = &cells[cell];
+    let mut sys = trial_system(cells, t, seed, prefixes, ctx)?;
     let _eval = frlfi_obs::span("eval");
     Ok(sys.safe_flight_distance(t.eval_attempts, ctx))
 }
@@ -692,6 +667,11 @@ mod tests {
         h
     }
 
+    /// One trial's trained system, on a fresh prefix cache.
+    fn trained<T: ForkTrial>(t: &T, seed: u64, ctx: &mut BatchInferCtx) -> System<T::Config> {
+        trial_system(std::slice::from_ref(t), t, seed, &Prefixes::default(), ctx).unwrap()
+    }
+
     fn grid_fleet_digest(sys: &GridFrlSystem) -> u64 {
         use frlfi_rl::Learner as _;
         let w: Vec<f32> =
@@ -722,7 +702,7 @@ mod tests {
             let reused = run_grid_trial_batched(&t, seed, &mut ctx).unwrap();
             assert_eq!(reused.to_bits(), 100.0f64.to_bits(), "grid seed {seed}");
             assert_eq!(reused.to_bits(), grid(&t, seed).to_bits(), "grid seed {seed}");
-            let sys = trial_system(&t, seed, &mut ctx, None).unwrap();
+            let sys = trained(&t, seed, &mut ctx);
             assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
         }
 
@@ -739,7 +719,7 @@ mod tests {
             let reused = run_drone_trial_batched(&dt, seed, &mut ctx).unwrap();
             assert_eq!(reused.to_bits(), f64::to_bits(value), "drone seed {seed}");
             assert_eq!(reused.to_bits(), drone(&dt, seed).to_bits(), "drone seed {seed}");
-            let sys = trial_system(&dt, seed, &mut ctx, None).unwrap();
+            let sys = trained(&dt, seed, &mut ctx);
             assert_eq!(weight_digest(&sys.fleet_weights()), digest, "drone seed {seed}: weights");
         }
 
@@ -766,7 +746,7 @@ mod tests {
             (99, 0x88fb_cc37_0986_1bfb, (3, 1)),
         ];
         for &(seed, digest, detections) in &mitigated_pins {
-            let sys = trial_system(&mt, seed, &mut ctx, None).unwrap();
+            let sys = trained(&mt, seed, &mut ctx);
             assert_eq!(weight_digest(&sys.fleet_weights()), digest, "mitigated seed {seed}");
             let stats = sys.mitigation_stats();
             let seen = (stats.agent_detections, stats.server_detections);
@@ -799,7 +779,7 @@ mod tests {
         ];
         let mut ctx = BatchInferCtx::new();
         for &(seed, digest, detections) in &pins {
-            let sys = trial_system(&t, seed, &mut ctx, None).unwrap();
+            let sys = trained(&t, seed, &mut ctx);
             assert_eq!(grid_fleet_digest(&sys), digest, "grid seed {seed}: trained weights");
             let stats = sys.mitigation_stats();
             assert_eq!(

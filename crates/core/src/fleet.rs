@@ -220,15 +220,6 @@ impl<L: Learner, E: Environment, C> Fleet<L, E, C> {
         self.mitigation.as_ref().map(|m| m.stats).unwrap_or_default()
     }
 
-    /// Drops every agent's layer input caches ([`frlfi_nn::Network::eval_mode`]),
-    /// shrinking resident memory for the eval-only phase of a campaign
-    /// trial. Training transparently re-caches.
-    pub(crate) fn eval_mode(&mut self) {
-        for agent in &mut self.agents {
-            agent.network_mut().eval_mode();
-        }
-    }
-
     /// Trains for `episodes` episodes in the round order of the module
     /// docs, optionally applying a dynamic [`InjectionPlan`] (episode
     /// index relative to this call), under the configuration's
