@@ -365,9 +365,14 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             }
             // Remaining work comes from the campaign state when the
             // directory has one (a bare obs/ copy profiles fine, just
-            // without an ETA).
-            let remaining =
-                coord::status(&dir).ok().map(|s| s.total_trials.saturating_sub(s.completed_trials));
+            // without an ETA); a campaign whose state is unreadable
+            // fails as `status` does.
+            let remaining = if dir.join("campaign.toml").exists() {
+                let s = coord::status(&dir)?;
+                Some(s.total_trials.saturating_sub(s.completed_trials))
+            } else {
+                None
+            };
             print!("{}", profile::render_report(&p, remaining));
             if opts.check {
                 println!(
@@ -414,7 +419,7 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 return Err(usage().to_owned());
             };
             let dir = PathBuf::from(dir);
-            let record = perf::measure(&dir, "")?;
+            let record = perf::measure(&dir)?;
             let rendered = frlfi_campaign::fmt::json::render(&record.to_value());
             if let Some(path) = &opts.out {
                 std::fs::write(path, format!("{rendered}\n"))

@@ -45,11 +45,12 @@
 //! coordination race — two workers running the same trial after a
 //! clock-skewed reap, a slow worker finishing a trial that was already
 //! re-claimed — is a **duplicate, bitwise-identical** record in
-//! `trials.jsonl`, which the loader dedupes. Coordination affects who
-//! burns the CPU, never what `summary.txt` says: an N-process campaign
-//! is byte-identical to the single-process, single-thread run.
+//! `trials.jsonl`, which the trial log's one reader, `TrialTracker`,
+//! dedupes. Coordination affects who burns the CPU, never what
+//! `summary.txt` says: an N-process campaign is byte-identical to the
+//! single-process, single-thread run.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,7 +62,7 @@ use crate::artifacts::ArtifactTracker;
 use crate::fmt::json;
 use crate::io::{self, lock_recover};
 use crate::quarantine::{QuarantineKind, QuarantineReader};
-use crate::runner::{record_flat_index, TrialRecord};
+use crate::runner::{LogPolicy, TrialRecord};
 use crate::spec::Campaign;
 
 /// File name of the claim log inside a campaign directory.
@@ -228,6 +229,11 @@ pub(crate) enum FoldError {
     /// coordinates or seed scheme), or a strict reader refuses it:
     /// abort the refresh.
     Fatal(String),
+    /// The line is bad, and only a single writer's crash-cut tail may
+    /// be: if it is the last complete line read, warn and leave it
+    /// unconsumed, like an unterminated tail (so the writer truncates
+    /// it off); anywhere else it is [`FoldError::Fatal`].
+    Tail(String),
 }
 
 /// A bare message rejects leniently: `?` on a `Result<_, String>`
@@ -277,9 +283,10 @@ impl JsonlTailReader {
     /// all (a torn fragment healed into an interior line). `fold`
     /// decides whether a bad line is a [`FoldError::Skip`] — warned
     /// about with `skip_note`, the call site's statement of what
-    /// losing the line costs — or a [`FoldError::Fatal`]. Returns
-    /// whether an unterminated trailing piece (a torn tail, or a
-    /// record mid-append) was left unconsumed. The read runs under
+    /// losing the line costs — a [`FoldError::Fatal`], or a
+    /// [`FoldError::Tail`]. Returns whether a trailing piece (a torn
+    /// tail, a record mid-append, or a last line the fold calls
+    /// [`FoldError::Tail`]) was left unconsumed. The read runs under
     /// the [`crate::io`] retry policy; the offset only advances on
     /// success, so a retried read re-reads the same tail.
     pub(crate) fn refresh(
@@ -320,23 +327,31 @@ impl JsonlTailReader {
         let Some(buf) = buf else { return Ok(false) }; // no log yet
         let (lines, consumed) = complete_lines(&buf);
         self.offset += consumed as u64;
-        for raw in lines {
+        let n_lines = lines.len();
+        for (i, raw) in lines.into_iter().enumerate() {
             self.line_no += 1;
             let line = String::from_utf8_lossy(raw);
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            match fold(json::parse(line).map_err(|e| e.to_string())) {
-                Ok(()) => {}
-                Err(FoldError::Skip(e)) => frlfi_obs::warn!(
-                    "{} line {}: {e}; skipping line ({skip_note})",
-                    self.path.display(),
-                    self.line_no
-                ),
-                Err(FoldError::Fatal(e)) => {
+            let (e, tail) = match fold(json::parse(line).map_err(|e| e.to_string())) {
+                Ok(()) => continue,
+                Err(FoldError::Skip(e)) => (e, false),
+                Err(FoldError::Tail(e)) if i + 1 == n_lines => (e, true),
+                Err(FoldError::Fatal(e) | FoldError::Tail(e)) => {
                     return Err(format!("{} line {}: {e}", self.path.display(), self.line_no))
                 }
+            };
+            frlfi_obs::warn!(
+                "{} line {}: {e}; skipping line ({skip_note})",
+                self.path.display(),
+                self.line_no
+            );
+            if tail {
+                self.offset -= raw.len() as u64 + 1;
+                self.line_no -= 1;
+                return Ok(true);
             }
         }
         Ok(consumed < buf.len())
@@ -803,53 +818,98 @@ impl CampaignStatus {
 const TRIAL_SKIP: &str =
     "a lost trial record only costs a bitwise-identical re-run, so statistics are unaffected";
 
-/// The one typed reader of `trials.jsonl`: a [`JsonlTailReader`]
-/// whose fold validates each record against the campaign's seed
-/// scheme and marks its flat trial done, so a shared worker's
-/// per-claim poll costs O(new records), not O(log). Safe because a
-/// shared-history log is never truncated. A record that is not shaped
-/// like a trial record is skipped (it re-runs bitwise-identically);
-/// one with wrong coordinates or seed is fatal — the log belongs to a
-/// different campaign. Duplicate records (a reaped trial finished by
-/// two workers) mark one trial once.
+/// Validates one persisted record's coordinates and seed against the
+/// campaign's seed scheme (a mismatch means the log belongs to a
+/// different campaign) and returns its flat trial index.
+fn record_flat_index(campaign: &Campaign, r: &TrialRecord) -> Result<usize, String> {
+    let n_cells = campaign.trials.len();
+    let repeats = campaign.repeats;
+    if r.cell >= n_cells || r.repeat >= repeats {
+        return Err(format!(
+            "trial log refers to (cell {}, repeat {}) outside the {}×{} campaign — \
+             wrong directory?",
+            r.cell, r.repeat, n_cells, repeats
+        ));
+    }
+    let flat = r.cell * repeats + r.repeat;
+    let expect_seed = campaign.trial_seed(flat);
+    if r.seed != expect_seed {
+        return Err(format!(
+            "trial log seed {:#x} for (cell {}, repeat {}) does not match the campaign \
+             master seed scheme (expected {:#x})",
+            r.seed, r.cell, r.repeat, expect_seed
+        ));
+    }
+    Ok(flat)
+}
+
+/// The one typed reader of `trials.jsonl` and the one completion map
+/// of a campaign: each flat trial's value, `None` until its record is
+/// read or committed. A [`JsonlTailReader`] whose fold validates each
+/// record against the campaign's seed scheme, so a shared worker's
+/// per-claim poll costs O(new records), not O(log); safe because a
+/// log is only ever truncated at open, before anything past the
+/// reader's offset is kept. A record with wrong coordinates or seed is
+/// fatal wherever it sits — the log belongs to a different campaign.
+/// Any other bad line is read under the [`LogPolicy`]: skipped
+/// (lenient), or fatal unless it is the last complete line, which is
+/// left unconsumed like an unterminated tail (strict). An unterminated
+/// tail is never counted. Duplicate records (a reaped trial finished
+/// by two workers) are bitwise-identical; the later one overwrites.
 pub(crate) struct TrialTracker {
     tail: JsonlTailReader,
-    done: Vec<bool>,
+    policy: LogPolicy,
+    values: Vec<Option<f64>>,
 }
 
 impl TrialTracker {
-    pub(crate) fn new(dir: &Path, total: usize) -> Self {
+    pub(crate) fn new(dir: &Path, campaign: &Campaign, policy: LogPolicy) -> Self {
         TrialTracker {
             tail: JsonlTailReader::new(dir.join(crate::runner::TRIALS_FILE), "trials.read"),
-            done: vec![false; total],
+            policy,
+            values: vec![None; campaign.total_trials()],
         }
     }
 
     /// Folds every complete line appended since the last refresh.
     pub(crate) fn refresh(&mut self, campaign: &Campaign) -> Result<(), String> {
-        let done = &mut self.done;
+        let (values, policy) = (&mut self.values, self.policy);
         self.tail.refresh(TRIAL_SKIP, |v| {
-            let r = TrialRecord::from_value(&v?)?;
-            done[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = true;
+            let r = v.and_then(|v| TrialRecord::from_value(&v)).map_err(|e| match policy {
+                LogPolicy::Strict => FoldError::Tail(e),
+                LogPolicy::Lenient => FoldError::Skip(e),
+            })?;
+            values[record_flat_index(campaign, &r).map_err(FoldError::Fatal)?] = Some(r.value);
             Ok(())
         })?;
         Ok(())
     }
 
-    /// Refreshes, then lists the task ids of the trials still open: not
-    /// in the log and not in `skip` (empty once the campaign is
-    /// complete).
-    pub(crate) fn open(
-        &mut self,
-        campaign: &Campaign,
-        skip: &BTreeSet<usize>,
-    ) -> Result<Vec<usize>, String> {
-        self.refresh(campaign)?;
-        let n_models = campaign.n_models();
-        Ok((0..self.done.len())
-            .filter(|&t| !self.done[t] && !skip.contains(&t))
-            .map(|t| t + n_models)
-            .collect())
+    /// Byte length of the log prefix read so far: every complete line
+    /// but a bad last one under [`LogPolicy::Strict`]. What a strict
+    /// writer truncates the log back to before appending.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.tail.offset
+    }
+
+    /// Records a trial this process committed, without reading it back.
+    pub(crate) fn mark(&mut self, trial: usize, value: f64) {
+        self.values[trial] = Some(value);
+    }
+
+    /// Each flat trial's value, `None` while it is missing.
+    pub(crate) fn values(&self) -> &[Option<f64>] {
+        &self.values
+    }
+
+    /// How many trials have a value.
+    pub(crate) fn completed(&self) -> usize {
+        self.values.iter().filter(|v| v.is_some()).count()
+    }
+
+    /// Flat indices of the trials still missing, ascending.
+    pub(crate) fn missing(&self) -> impl Iterator<Item = usize> + '_ {
+        self.values.iter().enumerate().filter(|(_, v)| v.is_none()).map(|(t, _)| t)
     }
 }
 
@@ -879,7 +939,9 @@ impl StatusView {
         let campaign = scenario.expand().map_err(|e| e.to_string())?;
         Ok(StatusView {
             dir: dir.to_path_buf(),
-            trials: TrialTracker::new(dir, campaign.total_trials()),
+            // A bystander reads shared logs too, whose healed fragments
+            // are interior lines: it skips every bad line.
+            trials: TrialTracker::new(dir, &campaign, LogPolicy::Lenient),
             claims: ClaimReader::new(dir),
             artifacts: ArtifactTracker::new(dir, campaign.n_models()),
             quarantine: QuarantineReader::new(dir),
@@ -912,8 +974,8 @@ impl StatusView {
     pub(crate) fn status(&self) -> CampaignStatus {
         let campaign = &self.campaign;
         let total = campaign.total_trials();
-        let done = &self.trials.done;
-        let completed = done.iter().filter(|&&d| d).count();
+        let done = |t: usize| self.trials.values[t].is_some();
+        let completed = self.trials.completed();
 
         // Study campaigns put *tasks* in the claim log, not bare trials:
         // ids below `n_models` are train tasks — done once their artifact
@@ -933,7 +995,7 @@ impl StatusView {
                 published(task) // artifact landed
             } else {
                 let trial = task - n_models;
-                trial >= total || done[trial] // finished or foreign
+                trial >= total || done(trial) // finished or foreign
             };
             if moot {
                 continue;
@@ -970,7 +1032,7 @@ impl StatusView {
         // that is still incomplete count (a completed trial record / a
         // published artifact overrides).
         let eval_quarantined =
-            self.quarantine.count(QuarantineKind::Trial, |t| t < total && !done[t]);
+            self.quarantine.count(QuarantineKind::Trial, |t| t < total && !done(t));
         let train_quarantined =
             self.quarantine.count(QuarantineKind::Train, |m| m < n_models && !published(m));
 
@@ -1042,7 +1104,7 @@ impl JsonlTailReader {
 impl StatusView {
     /// Log bytes consumed so far across the view's four readers.
     pub(crate) fn consumed(&self) -> u64 {
-        self.trials.tail.offset()
+        self.trials.consumed()
             + self.claims.tail.offset()
             + self.artifacts.consumed()
             + self.quarantine.consumed()

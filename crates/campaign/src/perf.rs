@@ -112,15 +112,13 @@ impl PerfRecord {
 }
 
 /// Measures a perf record from campaign directory `dir`'s obs streams
-/// and manifest. `_mode` is ignored: records are keyed by
-/// `(name, scale)` alone, and the parameter stays so existing callers
-/// still build.
+/// and manifest. Records are keyed by `(name, scale)`.
 ///
 /// # Errors
 ///
 /// An unreadable manifest, unreadable streams, or a campaign with no
 /// completed trial spans (there is nothing to gate).
-pub fn measure(dir: &Path, _mode: &str) -> Result<PerfRecord, String> {
+pub fn measure(dir: &Path) -> Result<PerfRecord, String> {
     let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
     let profile = profile::load_dir(dir, CheckMode::Lenient)?;
     let trials = profile.trials();

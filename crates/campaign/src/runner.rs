@@ -26,17 +26,23 @@
 //! through [`frlfi_fault::aggregate_in_order`], so they depend on
 //! neither the thread count nor the order trials finished in.
 //!
-//! The trial log's integrity policy is data chosen once per call (see
-//! `LogPolicy`): a directory that never ran shared is a strict
-//! single-writer log (torn tails truncated, every append retry
+//! The trial log has one reader, `coord::TrialTracker`: it is the
+//! call's completion map, read once at open and kept current by the
+//! call's own commits (a shared call also folds the tail other
+//! workers appended, at each claim and once before it reports). Its
+//! integrity policy is data chosen once per call (see `LogPolicy`): a
+//! directory that never ran shared is a strict single-writer log (an
+//! unterminated tail is never counted and is truncated off with a bad
+//! last line, a bad interior line is fatal, every append retry is
 //! truncated back to the committed length), any other a lenient
-//! shared-queue log (torn tails healed into their own skippable line).
-//! A lenient log syncs every record. A strict log writes each record
-//! at commit but syncs at most once per 50 ms sync interval (group
-//! commit), and once more before the call returns: a process kill
-//! loses nothing that was written, and a machine crash loses at most
-//! about one interval of commits, which the next call truncates as a
-//! torn tail and re-runs with the same seeds.
+//! shared-queue log (bad lines skipped, torn tails healed into their
+//! own skippable line). A lenient log syncs every record. A strict
+//! log writes each record at commit but syncs at most once per 50 ms
+//! sync interval (group commit), and once more before the call
+//! returns: a process kill loses nothing that was written, and a
+//! machine crash loses at most about one interval of commits, which
+//! the next call truncates as a torn tail and re-runs with the same
+//! seeds.
 //!
 //! **Study campaigns** (`fig4`, `fig8a/b`, `datatypes`, `layers`)
 //! expand into a small task DAG instead of a flat sweep: task ids
@@ -52,7 +58,6 @@
 //! bitwise-identically and completes the campaign.
 
 use std::collections::BTreeSet;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -309,73 +314,25 @@ fn trials_path(dir: &Path) -> PathBuf {
 /// carry healed interior fragments from killed workers, so its log
 /// stays lenient even on an exclusive resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LogPolicy {
-    /// A never-shared, single-writer log: a torn *trailing* line (the
-    /// crash-interrupted write) is skipped with a warning and
-    /// truncated off before the first append, and every append retry
-    /// first truncates back to the committed length — so the log
-    /// stays the clean record-per-line prefix this check demands. A
-    /// corrupt *interior* line is a hard error naming its line number:
-    /// with one writer, interior damage means the log was edited or
-    /// belongs to something else.
+pub(crate) enum LogPolicy {
+    /// A never-shared, single-writer log: an unterminated tail (the
+    /// crash-interrupted write) is never counted, and neither is a bad
+    /// *last* line (skipped with a warning); both are truncated off
+    /// before the first append, and every append retry first truncates
+    /// back to the committed length — so the log stays the clean
+    /// record-per-line prefix this check demands. A bad *interior*
+    /// line is a hard error naming its line number: with one writer,
+    /// interior damage means the log was edited or belongs to
+    /// something else.
     Strict,
-    /// A shared-queue log: any unparseable line is skipped with a
-    /// warning naming its line number, and every append goes through
+    /// A shared-queue log: any bad line is skipped with a warning
+    /// naming its line number, and every append goes through
     /// [`crate::coord::append_jsonl_line`], which heals a torn tail
     /// into its own line. With concurrent writers a killed process's
     /// torn tail becomes an interior line, so interior damage is
     /// expected; skipping is safe because the dropped trial re-runs
     /// bitwise-identically.
     Lenient,
-}
-
-/// Reads the persisted trial log under `policy`. Returns the records
-/// plus the byte length of the parsed prefix — what a strict
-/// [`TrialSink`] truncates any torn tail back to before appending, so
-/// the fragment can never merge with the next record into one
-/// corrupt interior line.
-fn load_records(dir: &Path, policy: LogPolicy) -> Result<(Vec<TrialRecord>, u64), String> {
-    let path = trials_path(dir);
-    let text = match io::with_retry("trials.read", || match io::open_read("trials.read", &path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-        Ok(mut f) => {
-            let mut text = String::new();
-            f.read_to_string(&mut text)?;
-            Ok(Some(text))
-        }
-    }) {
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-        Ok(None) => return Ok((Vec::new(), 0)),
-        Ok(Some(text)) => text,
-    };
-    let mut records = Vec::new();
-    let mut valid_len = 0u64;
-    let pieces: Vec<&str> = text.split_inclusive('\n').collect();
-    for (i, piece) in pieces.iter().enumerate() {
-        let line = piece.trim();
-        if line.is_empty() {
-            valid_len += piece.len() as u64;
-            continue;
-        }
-        match json::parse(line).map_err(|e| e.to_string()).and_then(|v| TrialRecord::from_value(&v))
-        {
-            Ok(r) => {
-                records.push(r);
-                valid_len += piece.len() as u64;
-            }
-            Err(e) if i + 1 == pieces.len() || policy == LogPolicy::Lenient => {
-                frlfi_obs::warn!(
-                    "{} line {}: {e}; skipping record (the trial will \
-                     re-run with an identical seed, so statistics are unaffected)",
-                    path.display(),
-                    i + 1
-                );
-            }
-            Err(e) => return Err(format!("{} line {}: {e}", path.display(), i + 1)),
-        }
-    }
-    Ok((records, valid_len))
 }
 
 /// The longest a strict log's appended records wait for their sync:
@@ -403,10 +360,11 @@ struct TrialSink {
 
 impl TrialSink {
     /// Opens the log for appending; under the strict policy first chops
-    /// any torn tail past `valid_len`, the parsed prefix. (A lenient
-    /// append heals a torn tail itself.) A strict log that already
-    /// holds records starts dirty: a previous call's appends may never
-    /// have been synced, so this call's closing sync covers them.
+    /// everything past `valid_len`, the prefix the tracker read. (A
+    /// lenient append heals a torn tail itself.) A strict log that
+    /// already holds records starts dirty: a previous call's appends
+    /// may never have been synced, so this call's closing sync covers
+    /// them.
     fn open(dir: &Path, policy: LogPolicy, valid_len: u64) -> Result<TrialSink, String> {
         let path = trials_path(dir);
         let file = io::with_retry("trials.open", || io::open_append("trials.open", &path))
@@ -471,47 +429,6 @@ impl TrialSink {
     }
 }
 
-/// Validates one persisted record's coordinates and seed against the
-/// campaign's seed scheme (a mismatch means the log belongs to a
-/// different campaign) and returns its flat trial index.
-pub(crate) fn record_flat_index(campaign: &Campaign, r: &TrialRecord) -> Result<usize, String> {
-    let n_cells = campaign.trials.len();
-    let repeats = campaign.repeats;
-    if r.cell >= n_cells || r.repeat >= repeats {
-        return Err(format!(
-            "trial log refers to (cell {}, repeat {}) outside the {}×{} campaign — \
-             wrong directory?",
-            r.cell, r.repeat, n_cells, repeats
-        ));
-    }
-    let flat = r.cell * repeats + r.repeat;
-    let expect_seed = campaign.trial_seed(flat);
-    if r.seed != expect_seed {
-        return Err(format!(
-            "trial log seed {:#x} for (cell {}, repeat {}) does not match the campaign \
-             master seed scheme (expected {:#x})",
-            r.seed, r.cell, r.repeat, expect_seed
-        ));
-    }
-    Ok(flat)
-}
-
-/// Folds persisted records into the per-`(cell, repeat)` completion
-/// map. Duplicate records — possible when a reaped shared-mode trial
-/// was finished by both workers — are benign: determinism makes them
-/// bitwise-identical, and later ones overwrite.
-fn fold_records(
-    campaign: &Campaign,
-    records: Vec<TrialRecord>,
-) -> Result<Vec<Vec<Option<f64>>>, String> {
-    let mut done: Vec<Vec<Option<f64>>> = vec![vec![None; campaign.repeats]; campaign.trials.len()];
-    for r in records {
-        record_flat_index(campaign, &r)?;
-        done[r.cell][r.repeat] = Some(r.value);
-    }
-    Ok(done)
-}
-
 /// Resolves a thread-count option (0 = available parallelism).
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -567,7 +484,7 @@ enum ClaimSource {
     /// Shared mode — the directory is a work queue: leases through the
     /// `claims.jsonl` protocol of [`crate::coord`], with completion
     /// folded from the trial log's tail.
-    Leases { coordinator: Box<Coordinator>, tracker: Mutex<TrialTracker>, poll: Duration },
+    Leases { coordinator: Box<Coordinator>, poll: Duration },
 }
 
 impl ClaimSource {
@@ -592,19 +509,15 @@ impl ClaimSource {
         }
     }
 
-    /// Claims an eval trial this call has not quarantined (`skip`).
-    fn claim_trial(
-        &self,
-        campaign: &Campaign,
-        skip: &Mutex<BTreeSet<usize>>,
-        offset: usize,
-    ) -> Result<Claim, String> {
+    /// Claims an eval trial of `state`'s that is neither done nor
+    /// quarantined by this call.
+    fn claim_trial(&self, state: &RunState, offset: usize) -> Result<Claim, String> {
         match self {
             ClaimSource::Cursor { trials, next_trial, .. } => Ok(trials
                 .get(next_trial.fetch_add(1, Ordering::Relaxed))
                 .map_or(Claim::Drained, |&task| Claim::Task(task))),
-            ClaimSource::Leases { coordinator, tracker, .. } => {
-                let open = lock_recover(tracker).open(campaign, &lock_recover(skip))?;
+            ClaimSource::Leases { coordinator, .. } => {
+                let open = state.open_tasks()?;
                 if open.is_empty() {
                     return Ok(Claim::Drained);
                 }
@@ -614,14 +527,12 @@ impl ClaimSource {
     }
 
     /// Whether no eval trial is left for this call to claim.
-    fn drained(&self, campaign: &Campaign, skip: &Mutex<BTreeSet<usize>>) -> Result<bool, String> {
+    fn drained(&self, state: &RunState) -> Result<bool, String> {
         match self {
             ClaimSource::Cursor { trials, next_trial, .. } => {
                 Ok(next_trial.load(Ordering::Relaxed) >= trials.len())
             }
-            ClaimSource::Leases { tracker, .. } => {
-                Ok(lock_recover(tracker).open(campaign, &lock_recover(skip))?.is_empty())
-            }
+            ClaimSource::Leases { .. } => Ok(state.open_tasks()?.is_empty()),
         }
     }
 
@@ -653,8 +564,9 @@ struct RunState<'a> {
     worker: String,
     source: ClaimSource,
     sink: Mutex<TrialSink>,
-    /// The completion map, kept current by this call's commits.
-    done: Mutex<Vec<Vec<Option<f64>>>>,
+    /// The completion map: read at open, marked by this call's
+    /// commits, and in shared mode refreshed from the log's tail.
+    trials: Mutex<TrialTracker>,
     /// Remaining interrupt budget ([`RunnerConfig::max_new_trials`]).
     budget: AtomicUsize,
     /// Trials this call committed.
@@ -699,21 +611,19 @@ fn run_expanded(
     } else {
         LogPolicy::Strict
     };
-    let (records, valid_len) = load_records(dir, policy)?;
-    let done = fold_records(campaign, records)?;
-    let sink = Mutex::new(TrialSink::open(dir, policy, valid_len)?);
-    let (repeats, total, n_models) =
-        (campaign.repeats, campaign.total_trials(), campaign.n_models());
+    let mut trials = TrialTracker::new(dir, campaign, policy);
+    trials.refresh(campaign)?;
+    let sink = Mutex::new(TrialSink::open(dir, policy, trials.consumed())?);
+    let (total, n_models) = (campaign.total_trials(), campaign.n_models());
     let source = match &cfg.coord {
         CoordMode::Exclusive => ClaimSource::Cursor {
             n_models,
             next_train: AtomicUsize::new(0),
-            trials: undone_flats(&done, repeats).into_iter().map(|t| t + n_models).collect(),
+            trials: trials.missing().map(|t| t + n_models).collect(),
             next_trial: AtomicUsize::new(0),
         },
         CoordMode::Shared(c) => ClaimSource::Leases {
             coordinator: Box::new(Coordinator::new(dir, c.clone())),
-            tracker: Mutex::new(TrialTracker::new(dir, total)),
             poll: Duration::from_millis(c.poll_ms),
         },
     };
@@ -724,7 +634,7 @@ fn run_expanded(
         worker,
         source,
         sink,
-        done: Mutex::new(done),
+        trials: Mutex::new(trials),
         budget: AtomicUsize::new(cfg.max_new_trials.unwrap_or(usize::MAX)),
         committed: AtomicUsize::new(0),
         failed: AtomicBool::new(false),
@@ -746,7 +656,7 @@ fn run_expanded(
             });
         }
     });
-    let RunState { source, sink, done, errors, poisoned, train_poisoned, committed, .. } = state;
+    let RunState { source, sink, trials, errors, poisoned, train_poisoned, committed, .. } = state;
     // The closing sync: whatever this call appended is durable before
     // it returns, error returns included. (Every fatal error is in
     // `errors`.)
@@ -757,26 +667,22 @@ fn run_expanded(
     if !errors.is_empty() {
         return Err(errors.join("; "));
     }
-    let done = match source {
-        // The only writer's own view is final, and re-parsing a large
-        // log here would cost a study campaign a few percent of its
-        // trial throughput.
-        ClaimSource::Cursor { .. } => done.into_inner().unwrap_or_else(PoisonError::into_inner),
-        // Re-read the log: trials other workers committed count toward
+    drop(source); // stop a shared call's heartbeat before reporting
+    let mut trials = trials.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if shared {
+        // Fold the tail: trials other workers committed count toward
         // completion (and toward publishing the summary) even though
-        // this process never ran them.
-        leases => {
-            drop(leases); // stop the heartbeat before reporting
-            fold_records(campaign, load_records(dir, policy)?.0)?
-        }
-    };
-    let completed = done.iter().flatten().filter(|v| v.is_some()).count();
+        // this process never ran them. The only writer's own view is
+        // already final.
+        trials.refresh(campaign)?;
+    }
+    let completed = trials.completed();
     let train_poisoned = train_poisoned.into_inner().unwrap_or_else(PoisonError::into_inner);
     let quarantined = if !train_poisoned.is_empty() && completed < total {
         // A quarantined train task deterministically poisons every
         // dependent eval trial that never got its record — they all
         // gate on the artifact that failed to land.
-        undone_flats(&done, repeats)
+        trials.missing().collect()
     } else {
         poisoned
             .into_inner()
@@ -784,13 +690,22 @@ fn run_expanded(
             .into_iter()
             // Another worker may have committed a trial we quarantined;
             // the completed record overrides the advisory quarantine.
-            .filter(|&t| done[t / repeats][t % repeats].is_none())
+            .filter(|&t| trials.values()[t].is_none())
             .collect()
     };
-    finalize(campaign, dir, cfg, &done, completed, committed.into_inner(), quarantined)
+    finalize(campaign, dir, cfg, trials.values(), completed, committed.into_inner(), quarantined)
 }
 
 impl RunState<'_> {
+    /// Folds the trial log's tail, then lists the task ids of the eval
+    /// trials still open: missing, and not quarantined by this call.
+    fn open_tasks(&self) -> Result<Vec<usize>, String> {
+        let mut trials = lock_recover(&self.trials);
+        trials.refresh(self.campaign)?;
+        let (n_models, skip) = (self.campaign.n_models(), lock_recover(&self.poisoned));
+        Ok(trials.missing().filter(|t| !skip.contains(t)).map(|t| t + n_models).collect())
+    }
+
     /// The one worker loop: claim a task, run it (train and publish,
     /// or one trial), commit its record or quarantine it, release the
     /// claim — until the source drains, the interrupt budget is spent
@@ -815,7 +730,7 @@ impl RunState<'_> {
             // landed, the only claimable tasks are the missing models'
             // train tasks — the gate that keeps eval tasks unclaimable.
             if let Some(g) = study.filter(|_| !self.gate_open.load(Ordering::Relaxed)) {
-                if self.source.drained(campaign, &self.poisoned)? {
+                if self.source.drained(self)? {
                     break;
                 }
                 let missing = {
@@ -854,7 +769,7 @@ impl RunState<'_> {
             if !reserve(&self.budget) {
                 break;
             }
-            let task = match self.source.claim_trial(campaign, &self.poisoned, offset)? {
+            let task = match self.source.claim_trial(self, offset)? {
                 Claim::Task(task) => task,
                 claim => {
                     self.budget.fetch_add(1, Ordering::Relaxed);
@@ -902,7 +817,7 @@ impl RunState<'_> {
             // healthy I/O may still reclaim it.
             let committed = value
                 .map_err(|e| format!("trial failed: {e}"))
-                .and_then(|value| self.commit(&TrialRecord { cell, repeat, seed, value }));
+                .and_then(|value| self.commit(trial, &TrialRecord { cell, repeat, seed, value }));
             match committed {
                 Ok(()) => {
                     self.committed.fetch_add(1, Ordering::Relaxed);
@@ -944,13 +859,13 @@ impl RunState<'_> {
     /// An append whose retries run out is the trial's error (it is
     /// quarantined); a sync whose retries run out fails the run, with
     /// the record committed.
-    fn commit(&self, record: &TrialRecord) -> Result<(), String> {
+    fn commit(&self, trial: usize, record: &TrialRecord) -> Result<(), String> {
         let line = json::render(&record.to_value());
         let _io = frlfi_obs::timed("io");
         let mut sink = lock_recover(&self.sink);
         io::with_retry("trials.append", || sink.append(&line))
             .map_err(|e| format!("append {}: {e}", trials_path(self.dir).display()))?;
-        lock_recover(&self.done)[record.cell][record.repeat] = Some(record.value);
+        lock_recover(&self.trials).mark(trial, record.value);
         if let Err(e) = sink.sync(false) {
             self.failed.store(true, Ordering::Relaxed);
             lock_recover(&self.errors).push(e);
@@ -1012,15 +927,15 @@ fn finalize(
     campaign: &Campaign,
     dir: &Path,
     cfg: &RunnerConfig,
-    done: &[Vec<Option<f64>>],
+    values: &[Option<f64>],
     completed: usize,
     new_trials: usize,
     quarantined: Vec<usize>,
 ) -> Result<CampaignOutcome, String> {
     let total = campaign.total_trials();
     let (stats, table, wide_table) = if completed == total {
-        let stats: Vec<CellStats> = done
-            .iter()
+        let stats: Vec<CellStats> = values
+            .chunks(campaign.repeats)
             .map(|cell| {
                 let values: Vec<f64> = cell.iter().map(|v| v.expect("campaign complete")).collect();
                 aggregate_in_order(&values)
@@ -1034,8 +949,8 @@ fn finalize(
         // it stays informational in `outcome.stats`.)
         let table = match campaign.study() {
             Some(g) => {
-                let means: Vec<f64> = done
-                    .iter()
+                let means: Vec<f64> = values
+                    .chunks(campaign.repeats)
                     .map(|cell| {
                         let mut sum = 0.0;
                         for v in cell {
@@ -1057,7 +972,7 @@ fn finalize(
         write_atomic(dir, "summary.txt", &text)?;
         (Some(stats), Some(table), wide_table)
     } else if !quarantined.is_empty() {
-        let text = render_degraded_summary(campaign, done, completed);
+        let text = render_degraded_summary(campaign, values, completed);
         write_atomic(dir, "summary.txt", &text)?;
         if !cfg.allow_partial {
             return Err(format!(
@@ -1094,7 +1009,7 @@ fn finalize(
 /// and the warning log.
 fn render_degraded_summary(
     campaign: &Campaign,
-    done: &[Vec<Option<f64>>],
+    values: &[Option<f64>],
     completed: usize,
 ) -> String {
     let mut text = String::new();
@@ -1112,29 +1027,12 @@ fn render_degraded_summary(
          the campaign and replace this summary with the real one.\n\n\
          missing (cell, repeat):\n",
     );
-    for (cell, cell_done) in done.iter().enumerate() {
-        for (rep, slot) in cell_done.iter().enumerate() {
-            if slot.is_none() {
-                text.push_str(&format!("  ({cell}, {rep})\n"));
-            }
+    for (t, slot) in values.iter().enumerate() {
+        if slot.is_none() {
+            text.push_str(&format!("  ({}, {})\n", t / campaign.repeats, t % campaign.repeats));
         }
     }
     text
-}
-
-/// Flat indices of every not-yet-persisted trial, ascending — an
-/// exclusive call's pending work, and the dependents a failed train
-/// task poisons.
-fn undone_flats(done: &[Vec<Option<f64>>], repeats: usize) -> Vec<usize> {
-    let mut flats = Vec::new();
-    for (cell, cell_done) in done.iter().enumerate() {
-        for (rep, slot) in cell_done.iter().enumerate() {
-            if slot.is_none() {
-                flats.push(cell * repeats + rep);
-            }
-        }
-    }
-    flats
 }
 
 /// Every study model's decoded weight planes, in model order (outer:
@@ -1289,20 +1187,23 @@ pub(crate) fn render_table(campaign: &Campaign, stats: &[CellStats]) -> Table {
 mod tests {
     use super::*;
 
-    fn record_line(i: usize) -> String {
-        json::render(&TrialRecord { cell: 0, repeat: i, seed: i as u64, value: 1.0 }.to_value())
-    }
-
     #[test]
     fn quick_commits_share_syncs_and_spaced_commits_each_sync() {
         let dir = std::env::temp_dir().join(format!("frlfi-runner-sink-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
+        let (quick, spaced) = (200, 3);
+        let mut scenario = crate::registry::builtin("fig3a", frlfi::Scale::Smoke).expect("builtin");
+        scenario.repeats = Some(quick + spaced);
+        let campaign = scenario.expand().expect("expand");
+        let record_line = |i: usize| {
+            let seed = campaign.trial_seed(i);
+            json::render(&TrialRecord { cell: 0, repeat: i, seed, value: i as f64 }.to_value())
+        };
         let mut sink = TrialSink::open(&dir, LogPolicy::Strict, 0).expect("open");
 
         // Commits far quicker than the interval: one write each, and
         // fewer syncs than commits.
-        let quick = 200;
         let mut syncs = 0;
         for i in 0..quick {
             sink.append(&record_line(i)).expect("append");
@@ -1313,7 +1214,6 @@ mod tests {
         assert!(!sink.sync(true).expect("sync"), "a synced log has nothing to sync");
 
         // Commits spaced further apart than the interval sync every time.
-        let spaced = 3;
         for i in quick..quick + spaced {
             std::thread::sleep(TRIAL_LOG_SYNC_INTERVAL + Duration::from_millis(5));
             sink.append(&record_line(i)).expect("append");
@@ -1321,9 +1221,12 @@ mod tests {
         }
         drop(sink);
 
-        let (records, _) = load_records(&dir, LogPolicy::Strict).expect("load");
-        assert_eq!(records.len(), quick + spaced, "every commit is written once");
-        assert!(records.iter().enumerate().all(|(i, r)| r.repeat == i));
+        let mut tracker = TrialTracker::new(&dir, &campaign, LogPolicy::Strict);
+        tracker.refresh(&campaign).expect("read");
+        let written: usize = (0..quick + spaced).map(|i| record_line(i).len() + 1).sum();
+        assert_eq!(tracker.consumed(), written as u64, "every commit is written once");
+        let values = &tracker.values()[..quick + spaced];
+        assert!(values.iter().enumerate().all(|(i, v)| *v == Some(i as f64)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -555,7 +555,7 @@ fn trace_reconstructs_the_trial_tree_and_perf_gates_a_regression() {
     let (ok, out, err) = run_cli(&["perf", dir_s, "--baseline", base_s, "--gate", "50"]);
     assert!(ok, "{out}\n{err}");
     assert!(out.contains("perf gate ok"), "{out}");
-    let mut doctored = perf::measure(&dir, "per-obs").expect("measure");
+    let mut doctored = perf::measure(&dir).expect("measure");
     doctored.trials_per_s *= 10.0;
     let doctored_path = dir.join("doctored.json");
     std::fs::write(&doctored_path, fmt::json::render(&doctored.to_value())).expect("write");

@@ -308,44 +308,53 @@ fn torn_trailing_record_is_tolerated_and_rerun() {
 
 #[test]
 fn dropped_unsynced_tail_reruns_exactly_the_lost_trials() {
-    let dir = temp_dir("dropped");
     let scenario = cheap_grid_scenario("dropped-test");
     let cfg = RunnerConfig { threads: 2, ..RunnerConfig::default() };
-    runner::run(&scenario, &dir, &cfg).expect("complete run");
-    std::fs::remove_file(dir.join("summary.txt")).expect("remove summary");
-
-    // The shape a machine crash leaves when appends after the last sync
-    // are lost: the log cut back mid-record, then a run of NUL bytes
-    // where the lost data blocks were.
-    let log = dir.join("trials.jsonl");
-    let text = std::fs::read_to_string(&log).expect("read log");
+    let clean_dir = temp_dir("dropped-clean");
+    let clean = runner::run(&scenario, &clean_dir, &cfg).expect("clean");
+    let clean_stats = clean.stats.expect("complete");
+    let clean_summary = std::fs::read(clean_dir.join("summary.txt")).expect("clean summary");
+    let text = std::fs::read_to_string(clean_dir.join("trials.jsonl")).expect("read log");
     let lines: Vec<&str> = text.lines().collect();
     let kept = 2;
     assert!(lines.len() > kept + 1, "{} records", lines.len());
-    let cut = lines[..kept].iter().map(|l| l.len() + 1).sum::<usize>() + lines[kept].len() / 2;
-    let mut bytes = text.as_bytes()[..cut].to_vec();
-    bytes.extend_from_slice(&[0u8; 96]);
-    std::fs::write(&log, bytes).expect("rewrite log");
+    let prefix = lines[..kept].iter().map(|l| l.len() + 1).sum::<usize>();
+    let record = lines[kept].as_bytes();
 
-    let out = runner::resume(&dir, &cfg).expect("resume after dropped tail");
-    assert!(out.complete());
-    assert_eq!(out.new_trials, lines.len() - kept, "exactly the lost trials re-run");
-    let resumed = std::fs::read_to_string(&log).expect("read resumed log");
-    let resumed: Vec<&str> = resumed.lines().collect();
-    assert_eq!(resumed[..kept], lines[..kept], "the surviving prefix is kept as it was");
-    let (mut rerun, mut lost) = (resumed[kept..].to_vec(), lines[kept..].to_vec());
-    rerun.sort_unstable();
-    lost.sort_unstable();
-    assert_eq!(rerun, lost, "the re-run records are the lost records, byte for byte");
+    // The shapes a crash leaves when appends after the last sync are
+    // lost: the log cut back mid-record, then a run of NUL bytes where
+    // the lost data blocks were; a record cut right after its closing
+    // `}`; a lost block of NULs that ends in a newline, so the bad line
+    // is the last complete one.
+    let tails: [(&str, Vec<u8>); 3] = [
+        ("mid-record", [&record[..record.len() / 2], &[0u8; 96]].concat()),
+        ("unterminated", record.to_vec()),
+        ("nul-line", [&[0u8; 96][..], b"\n"].concat()),
+    ];
+    for (shape, tail) in tails {
+        let dir = temp_dir(&format!("dropped-{shape}"));
+        std::fs::create_dir_all(&dir).expect("create dir");
+        std::fs::copy(clean_dir.join("campaign.toml"), dir.join("campaign.toml")).expect("copy");
+        let log = dir.join("trials.jsonl");
+        std::fs::write(&log, [&text.as_bytes()[..prefix], &tail].concat()).expect("write log");
 
-    let clean_dir = temp_dir("dropped-clean");
-    let clean = runner::run(&scenario, &clean_dir, &cfg).expect("clean");
-    assert_stats_bit_identical(&clean.stats.expect("c"), &out.stats.expect("o"));
-    assert_eq!(
-        std::fs::read(dir.join("summary.txt")).expect("resumed summary"),
-        std::fs::read(clean_dir.join("summary.txt")).expect("clean summary"),
-    );
-    std::fs::remove_dir_all(&dir).ok();
+        let out = runner::resume(&dir, &cfg).unwrap_or_else(|e| panic!("{shape}: resume: {e}"));
+        assert!(out.complete(), "{shape}");
+        assert_eq!(out.new_trials, lines.len() - kept, "{shape}: exactly the lost trials re-run");
+        let resumed = std::fs::read_to_string(&log).expect("read resumed log");
+        let resumed: Vec<&str> = resumed.lines().collect();
+        assert_eq!(resumed[..kept], lines[..kept], "{shape}: the surviving prefix is kept");
+        let (mut rerun, mut lost) = (resumed[kept..].to_vec(), lines[kept..].to_vec());
+        rerun.sort_unstable();
+        lost.sort_unstable();
+        assert_eq!(rerun, lost, "{shape}: the re-run records are the lost records, byte for byte");
+        assert_stats_bit_identical(&clean_stats, &out.stats.expect("complete"));
+        assert_eq!(std::fs::read(dir.join("summary.txt")).expect("summary"), clean_summary);
+
+        let again = runner::resume(&dir, &cfg).unwrap_or_else(|e| panic!("{shape}: again: {e}"));
+        assert!(again.complete() && again.new_trials == 0, "{shape}: {again:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
     std::fs::remove_dir_all(&clean_dir).ok();
 }
 

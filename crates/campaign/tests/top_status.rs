@@ -7,7 +7,8 @@
 //! * a duplicate trial record (a reaped trial finished twice) counts
 //!   one trial once;
 //! * a trial record outside the campaign's grid means the directory
-//!   holds another campaign's log — both commands fail.
+//!   holds another campaign's log — both commands fail, and so do
+//!   `profile` and `resume`, which read the trial log the same way.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -110,7 +111,12 @@ fn top_and_status_agree_on_completed_and_quarantined_counts() {
 
     // A record outside the 3×4 grid: another campaign's log.
     append(&trials, r#"{"cell":99,"repeat":0,"seed":0,"value":1.0}"#);
-    for args in [vec!["status", dir_s], vec!["top", dir_s, "--once"]] {
+    for args in [
+        vec!["status", dir_s],
+        vec!["top", dir_s, "--once"],
+        vec!["profile", dir_s],
+        vec!["resume", dir_s],
+    ] {
         let (ok, out, err) = run_cli(&args);
         assert!(!ok, "{args:?} accepted a foreign trial record:\n{out}");
         assert!(err.contains("wrong directory?"), "{args:?}: {err}");
